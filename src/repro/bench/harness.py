@@ -198,22 +198,20 @@ def ycsb_variant_run(
 ) -> Tuple[MetricsCollector, dict]:
     """One standard YCSB mix ("a"/"b"/"c"/"e") on TREATY_FULL.
 
-    ``snapshot`` toggles the coordinator-free read path (and distributed
-    OCC) so callers can compare against the plain locking 2PC baseline
-    on the identical seed.  Returns the collector plus a stats dict with
+    ``snapshot=False`` runs the mix's write-free transactions as
+    ordinary locking 2PC transactions instead of coordinator-free
+    snapshot reads, so callers can compare the two on the identical
+    seed.  Returns the collector plus a stats dict with
     cluster-fabric frame accounting and the read-only/OCC counters.
     """
     from ..config import TREATY_FULL
 
     num_clients = num_clients or _scaled(24, 48)
     duration = duration or _scaled(0.2, 0.6)
-    kwargs = dict(read_only_snapshot=snapshot, occ_distributed=snapshot)
-    if seed is not None:
-        kwargs["seed"] = seed
-    cluster = TreatyCluster(
-        profile=TREATY_FULL, config=ClusterConfig(**kwargs)
-    ).start()
-    ycsb = YcsbConfig.variant(variant, num_keys=2_000)
+    config = ClusterConfig() if seed is None else ClusterConfig(seed=seed)
+    cluster = TreatyCluster(profile=TREATY_FULL, config=config).start()
+    overrides = {} if snapshot else {"read_only": False}
+    ycsb = YcsbConfig.variant(variant, num_keys=2_000, **overrides)
     cluster.run(bulk_load(cluster, ycsb), name="load")
     frames_before = cluster_nic_tx_frames(cluster)
     metrics = MetricsCollector(
@@ -424,7 +422,6 @@ def bulk_load_null(cluster: TreatyCluster, config: YcsbConfig):
 def durability_smoke(
     num_clients: int = 24,
     duration: float = 0.2,
-    vectoring: bool = True,
     flight_recorder: bool = False,
 ) -> MetricsCollector:
     """Short deterministic YCSB run on TREATY_FULL under the monitor.
@@ -446,7 +443,6 @@ def durability_smoke(
 
     config = ClusterConfig(
         monitor=True,
-        counter_vectoring=vectoring,
         monitor_liveness_timeout_s=duration,
         flight_recorder=flight_recorder,
         timeseries=flight_recorder,
@@ -594,23 +590,25 @@ def netbatch_compare(
     read_proportion: float = 0.5,
     locality: float = 0.0,
 ) -> dict:
-    """Same deterministic YCSB run with transport batching off, then on.
+    """Same deterministic YCSB run without coalescing, then with.
 
-    Returns per-configuration throughput plus :func:`transport_stats`,
-    and the headline ratios the CI smoke gate asserts on: delivered
-    frames and AEAD seal operations per committed transaction must both
-    shrink with batching enabled.
+    ``"off"`` is ``net_tx_batch_max=1`` (one message and one AEAD pass
+    per frame), ``"on"`` the default.  Returns per-configuration
+    throughput plus :func:`transport_stats`, and the headline ratios
+    the CI smoke gate asserts on: delivered frames and AEAD seal
+    operations per committed transaction must both shrink with
+    coalescing.
     """
     from ..config import TREATY_FULL
 
     num_clients = num_clients or _scaled(24, 48)
     duration = duration or _scaled(0.15, 0.5)
     results: dict = {}
-    for label, batching in (("off", False), ("on", True)):
+    for label, overrides in (("off", {"net_tx_batch_max": 1}), ("on", {})):
         config = ClusterConfig(
             monitor=True,
-            net_batching=batching,
             monitor_liveness_timeout_s=duration,
+            **overrides,
         )
         cluster = TreatyCluster(profile=TREATY_FULL, config=config).start()
         ycsb = YcsbConfig(

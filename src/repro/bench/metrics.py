@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional
+
+from ..obs.critpath import percentile
 
 __all__ = ["MetricsCollector"]
 
@@ -72,14 +73,7 @@ class MetricsCollector:
 
     def percentile(self, p: float) -> float:
         """Latency percentile, ``p`` in [0, 100]."""
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        rank = (p / 100.0) * (len(ordered) - 1)
-        low = int(math.floor(rank))
-        high = min(low + 1, len(ordered) - 1)
-        fraction = rank - low
-        return ordered[low] * (1 - fraction) + ordered[high] * fraction
+        return percentile(self.latencies, p)
 
     def abort_rate(self) -> float:
         total = self.committed + self.aborted

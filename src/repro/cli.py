@@ -14,8 +14,8 @@ Commands:
 * ``metrics``— export a workload run's metrics registry (``export
   --prom`` renders Prometheus text exposition).
 * ``bench``  — durability-pipeline benchmarks: ``smoke`` (monitored
-  full-pipeline run, the CI gate; ``--net-batch`` compares transport
-  batching off vs on), ``sweep-window`` (group-commit window
+  full-pipeline run, the CI gate; ``--net-batch`` compares
+  ``net_tx_batch_max=1`` with the default), ``sweep-window`` (group-commit window
   latency/throughput frontier), ``scale-out`` (cluster-size sweep
   under transport batching; see docs/NETWORK.md) and ``baseline``
   (write/check the BENCH_treaty.json performance baseline).
@@ -855,12 +855,12 @@ def _bench_read_mostly(args: argparse.Namespace) -> int:
 
 
 def _bench_netbatch(args: argparse.Namespace) -> int:
-    """Batching-off vs batching-on comparison (CI gate for the win).
+    """``net_tx_batch_max=1`` vs default comparison (CI gate for the win).
 
-    Fails the build unless batching strictly reduces both delivered
+    Fails the build unless coalescing strictly reduces both delivered
     frames and AEAD seal operations per committed transaction, and the
     invariant monitor stays green in both runs.  ``--hist-out`` writes
-    the batching-on occupancy histogram as JSON (CI artifact).
+    the default run's occupancy histogram as JSON (CI artifact).
     """
     import json
 
@@ -1180,8 +1180,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--net-batch", action="store_true",
-        help="smoke mode: compare transport batching off vs on and "
-             "assert the frame/seal-op reduction (CI gate)",
+        help="smoke mode: compare net_tx_batch_max=1 with the default "
+             "and assert the frame/seal-op reduction (CI gate)",
     )
     bench.add_argument(
         "--read-mostly", action="store_true",

@@ -22,6 +22,7 @@ __all__ = [
     "CostModel",
     "ClusterConfig",
     "PROFILES",
+    "PROTOCOLS",
     "DS_ROCKSDB",
     "NATIVE_TREATY",
     "NATIVE_TREATY_ENC",
@@ -241,6 +242,10 @@ class CostModel:
         return replace(self, **kwargs)
 
 
+#: selectable values of ``ClusterConfig.protocol``.
+PROTOCOLS = ("paper", "optimized")
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
     """Static deployment parameters (mirrors the paper's testbed)."""
@@ -253,7 +258,6 @@ class ClusterConfig:
     #: Also the deadlock-resolution latency, so it is kept roughly one
     #: order of magnitude above a contended transaction's latency.
     lock_timeout: float = 0.05
-    counter_group_size: int = 3  # ROTE protection-group size
     counter_quorum: int = 2
     #: how long one counter round waits for stragglers beyond the quorum;
     #: a crashed group member must not wedge the protocol (§VI).
@@ -262,15 +266,10 @@ class ClusterConfig:
     counter_retry_backoff: float = 0.1
     #: retries before a stabilization request gives up (FreshnessError).
     counter_max_retries: int = 100
-    #: batch stabilization targets for *different* logs (WAL + Clog) into
-    #: one vectored echo-broadcast round (the durability pipeline's
-    #: amortization).  False falls back to one round driver per log —
-    #: the pre-pipeline baseline, kept for comparison benchmarks.
-    counter_vectoring: bool = True
     #: rollback-protection backend (repro.core.rollback):
     #: ``"counter-sync"``  — every stabilization request drives (or joins)
     #: a synchronous two-round echo-broadcast and waits for the quorum
-    #: CONFIRM (the original behaviour);
+    #: CONFIRM;
     #: ``"counter-async"`` — *coverage promises*: per-shard background
     #: drivers run batched rounds on their own cadence, waiters resolve
     #: at the round's echo quorum (the value is then held in a quorum's
@@ -283,8 +282,7 @@ class ClusterConfig:
     rollback_backend: str = "counter-sync"
     #: independent counter groups ("shards") keyed by log-name hash.
     #: Each shard runs its own round pipeline, so disjoint logs stop
-    #: serializing through one quorum round.  1 = the original single
-    #: group.
+    #: serializing through one quorum round.  1 = a single group.
     counter_shards: int = 1
     #: coverage-promise lease duration (counter-async/lcm): a successful
     #: echo quorum renews the shard's lease; a waiter whose promise
@@ -293,75 +291,50 @@ class ClusterConfig:
     #: concurrent echo rounds in flight per shard (counter-async/lcm
     #: driver pipelining); 1 serializes rounds like the sync driver.
     counter_max_inflight: int = 4
-    #: piggyback trusted-counter targets on 2PC messages: participants
-    #: return their prepare-record target in the PREPARE-ACK instead of
-    #: stabilizing it locally, and the coordinator folds every prepare
-    #: target plus its own Clog decision target into one group-wide
-    #: echo-broadcast round before instructing COMMIT (apply-side
-    #: targets ride the COMMIT/ACK leg symmetrically).  False restores
-    #: the per-node behaviour: each participant stabilizes its own
-    #: prepare before ACKing and the coordinator stabilizes only its
-    #: decision entry.
-    twopc_piggyback: bool = True
-    #: non-blocking commit (Fides/TFCommit-style transfer of commit): the
-    #: coordinator broadcasts its commit/abort decision record to every
-    #: participant in the same instant as the piggybacked group
-    #: stabilization round (transport batching seals both into one frame)
-    #: and waits for a majority quorum of acknowledgements *before*
-    #: answering the client.  A participant that holds a replicated
-    #: decision — or times out waiting on a dead coordinator — assumes
-    #: the completer role and drives COMMIT/abort application, fencing
-    #: and lock release for the whole group itself.  False restores the
-    #: classic blocking 2PC: participants stay in doubt until the
-    #: coordinator (or its recovery) resolves them.
-    commit_replication: bool = True
+    #: the commit protocol, one of :data:`PROTOCOLS`.
+    #: ``"paper"`` is §V as published: each participant stabilizes its
+    #: own prepare entry before PREPARE-ACK, the coordinator stabilizes
+    #: only its decision entry, and 2PC blocks on a dead coordinator
+    #: (participants stay in doubt until it, or its recovery, resolves
+    #: them).
+    #: ``"optimized"`` adds two mechanisms.  *Piggybacking*: participants
+    #: return their prepare-record target in the PREPARE-ACK and the
+    #: coordinator folds every prepare target plus its own Clog decision
+    #: target into one group-wide echo-broadcast round before
+    #: instructing COMMIT (apply-side targets ride the COMMIT/ACK leg
+    #: symmetrically).  *Non-blocking commit* (Fides/TFCommit-style
+    #: transfer of commit): the coordinator broadcasts its decision
+    #: record to every participant in the same instant as that round
+    #: (transport batching seals both into one frame) and waits for a
+    #: majority quorum of acknowledgements *before* answering the
+    #: client; a participant that holds a replicated decision — or times
+    #: out waiting on a dead coordinator — assumes the completer role
+    #: and drives COMMIT/abort application, fencing and lock release for
+    #: the whole group itself.
+    protocol: str = "optimized"
     #: how long a prepared participant waits for the coordinator's
     #: decision before starting completer takeover (plus a deterministic
     #: per-node jitter so simultaneous timeouts de-synchronize).  Kept
     #: above the prepare vote timeout so a slow-but-alive coordinator
     #: never races its own participants.
     decision_timeout_s: float = 3.0
-    #: distributed OCC (§II-A, §V-B extended across nodes): client
-    #: transactions opened with the OPTIMISTIC flag execute entirely
-    #: lock-free — reads are stateless versioned snapshots, writes are
-    #: buffered at the coordinator — and the PREPARE message carries each
-    #: participant's read-set versions and write-set.  Validation (and
-    #: short no-wait version pinning) runs inside the participant's
-    #: prepare critical section, riding the existing piggybacked group
-    #: stabilization round; a conflict answers PREPARE with a NACK and
-    #: presumed abort does the rest.  False restores the pre-extension
-    #: behaviour: the OPTIMISTIC flag yields a single-node OCC
-    #: transaction on the session's coordinator.
-    occ_distributed: bool = True
-    #: coordinator-free snapshot reads: client transactions opened in
-    #: read-only mode are routed per key to the owner node's front end,
-    #: execute against that node's storage snapshot, and commit without
-    #: any 2PC/coordinator round — each contacted node revalidates its
-    #: own read-set at commit and the stabilized counter frontier proves
-    #: the snapshot's freshness window (read-set seqs ≤ stable frontier;
-    #: a stale read waits out the covering round — never wrong results).
-    #: False makes read-only client transactions take the normal
-    #: coordinator path.
-    read_only_snapshot: bool = True
-    #: coalesce concurrent small messages to the same destination into
-    #: one multi-message frame (eRPC TxBurst-style doorbell batching):
+    #: doorbell batching (eRPC TxBurst-style): concurrent small messages
+    #: to the same destination coalesce into one multi-message frame —
     #: one NIC/driver charge, one propagation and one header per batch,
-    #: and — with encryption — one AEAD pass over the whole batch.
-    #: False restores the one-frame-per-message baseline, kept for
-    #: comparison benchmarks.
-    net_batching: bool = True
-    #: doorbell-batching window: how long a destination's TX queue waits
-    #: for more messages to join before sealing the batch.  Calibrated
+    #: and, with encryption, one AEAD pass over the whole batch.  The
+    #: window is how long a destination's TX queue waits for more
+    #: messages to join before sealing the batch.  Calibrated
     #: to the NIC doorbell write-back (~2 us), well under the 2PC vote
     #: timeout and the counter round timeout.
     net_tx_batch_window: float = 2.0e-6
-    #: upper bound on messages coalesced into one frame.
+    #: upper bound on messages coalesced into one frame; 1 = no
+    #: coalescing (one message and one AEAD pass per frame).
     net_tx_batch_max: int = 16
     group_commit_max: int = 16  # transactions merged per group commit
     #: how long a group-commit leader waits for followers to join before
     #: draining the batch.  ``None`` = adaptive (bounded wait keyed off
-    #: the observed submit arrival gaps); ``0.0`` = the legacy immediate
-    #: drain (yield once, take whatever joined); a positive value fixes
+    #: the observed submit arrival gaps); ``0.0`` = immediate drain
+    #: (yield once, take whatever joined); a positive value fixes
     #: the window.
     group_commit_window: Optional[float] = None
     #: upper bound on the adaptive group-commit window.
@@ -418,3 +391,9 @@ class ClusterConfig:
     incident_lock_convoy_s: float = 0.01
     seed: int = 2022
     costs: CostModel = field(default_factory=CostModel)
+
+    @property
+    def optimized(self) -> bool:
+        """Whether ``protocol`` adds piggybacking and non-blocking commit
+        to the paper's 2PC."""
+        return self.protocol == "optimized"

@@ -44,7 +44,7 @@ _OP_SCAN = 6
 _OP_STATUS = 7
 
 _FLAG_OPTIMISTIC = 1
-#: coordinator-free snapshot reads (``read_only_snapshot``).
+#: coordinator-free snapshot reads.
 _FLAG_READONLY = 2
 
 #: outcome codes in ``_OP_STATUS`` replies.
@@ -91,24 +91,14 @@ class FrontEnd:
         key = (message.node_id, message.txn_id)
         txn = self.open_txns.get(key)
         if txn is None:
-            config = self.runtime.config
-            if flags & _FLAG_READONLY and config.read_only_snapshot:
+            if flags & _FLAG_READONLY:
                 # Coordinator-free snapshot read: this node serves (and
                 # later certifies) only its own slice of the read-set.
                 txn = self.manager.begin_readonly()
-            elif flags & _FLAG_READONLY:
-                # Knob off: read-only transactions take the normal
-                # coordinator path.
-                txn = self.coordinator.begin()
-            elif flags & _FLAG_OPTIMISTIC:
-                if config.occ_distributed:
-                    txn = self.coordinator.begin(optimistic=True)
-                else:
-                    # Pre-extension behaviour: single-node OCC on the
-                    # session's coordinator.
-                    txn = self.manager.begin_optimistic()
             else:
-                txn = self.coordinator.begin()
+                txn = self.coordinator.begin(
+                    optimistic=bool(flags & _FLAG_OPTIMISTIC)
+                )
             self.open_txns[key] = txn
         return txn
 
@@ -238,15 +228,15 @@ class ClientMachine:
         coordinator_address: str,
         routes: Optional[List[str]] = None,
         partitioner: Optional[Callable[[bytes], int]] = None,
-        snapshot_reads: bool = False,
     ) -> "ClientSession":
         """Open a session against one coordinator node.
 
         ``routes`` lists every node's front address in partition order.
-        With ``snapshot_reads`` on, read-only transactions route each
-        operation directly to the key's owner (coordinator-free snapshot
-        reads); routes are also polled for transaction outcomes when the
-        coordinator dies mid-commit (completer-driven redirect).
+        Given ``routes`` and ``partitioner``, read-only transactions
+        route each operation directly to the key's owner
+        (coordinator-free snapshot reads); routes are also polled for
+        transaction outcomes when the coordinator dies mid-commit
+        (completer-driven redirect).
         """
         return ClientSession(
             self,
@@ -254,7 +244,6 @@ class ClientMachine:
             next(ClientMachine._ids),
             routes=routes,
             partitioner=partitioner,
-            snapshot_reads=snapshot_reads,
         )
 
 
@@ -268,14 +257,15 @@ class ClientSession:
         client_id: int,
         routes: Optional[List[str]] = None,
         partitioner: Optional[Callable[[bytes], int]] = None,
-        snapshot_reads: bool = False,
     ):
         self.machine = machine
         self.coordinator = coordinator
         self.client_id = client_id
         self.routes = routes
         self.partitioner = partitioner
-        self.snapshot_reads = snapshot_reads and routes is not None
+        #: whether read-only transactions route each read to the key's
+        #: owner (coordinator-free snapshot reads).
+        self.snapshot_reads = routes is not None and partitioner is not None
         self._txn_seq = itertools.count(1)
         self.committed = 0
         self.aborted = 0
@@ -309,11 +299,13 @@ class ClientTxn:
         self.txn_seq = txn_seq
         self.read_only = read_only
         self.flags = _FLAG_OPTIMISTIC if optimistic else 0
-        if read_only and session.snapshot_reads and session.partitioner:
-            # Only routed sessions use per-node snapshot slices: an
-            # unrouted read-only transaction goes through the normal
-            # coordinator path (a coordinator-local snapshot could not
-            # see other shards).
+        #: whether reads bypass the coordinator (snapshot routing).  Only
+        #: routed sessions use per-node snapshot slices: an unrouted
+        #: read-only transaction goes through the normal coordinator
+        #: path (a coordinator-local snapshot could not see other
+        #: shards).
+        self._routed = read_only and session.snapshot_reads
+        if self._routed:
             self.flags |= _FLAG_READONLY
         self._op_seq = itertools.count(1)
         #: server-side global transaction id, learned from the first
@@ -324,15 +316,6 @@ class ClientTxn:
         #: first-contact order — each holds one per-node snapshot slice
         #: that commit must certify.
         self._contacted: List[str] = []
-
-    @property
-    def _routed(self) -> bool:
-        """Whether reads bypass the coordinator (snapshot routing)."""
-        return (
-            self.read_only
-            and self.session.snapshot_reads
-            and self.session.partitioner is not None
-        )
 
     def _request(
         self,

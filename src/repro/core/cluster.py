@@ -10,7 +10,7 @@ from __future__ import annotations
 import zlib
 from typing import Callable, Dict, List, Optional
 
-from ..config import ClusterConfig, EnvProfile, TREATY_FULL
+from ..config import PROTOCOLS, ClusterConfig, EnvProfile, TREATY_FULL
 from ..crypto.keys import KeyRing, derive_key
 from ..net.simnet import Fabric
 from ..obs import Observability, monitor_enabled_by_default
@@ -44,6 +44,11 @@ class TreatyCluster:
         partitioner: Optional[Callable[[bytes], int]] = None,
     ):
         self.config = config or ClusterConfig()
+        if self.config.protocol not in PROTOCOLS:
+            raise ValueError(
+                "unknown protocol %r (expected one of %s)"
+                % (self.config.protocol, ", ".join(PROTOCOLS))
+            )
         if num_nodes is None:
             num_nodes = self.config.num_nodes
         self.num_nodes = num_nodes
@@ -173,15 +178,14 @@ class TreatyCluster:
 
         The session learns every node's front address and the cluster
         partitioner so that (a) read-only transactions route each read
-        to the key's owner (coordinator-free snapshot reads, gated on
-        ``read_only_snapshot``), and (b) a client whose coordinator dies
-        mid-commit can poll the survivors for the outcome.
+        to the key's owner (coordinator-free snapshot reads), and (b) a
+        client whose coordinator dies mid-commit can poll the survivors
+        for the outcome.
         """
         return machine.session(
             self.nodes[coordinator].front_address,
             routes=[node.front_address for node in self.nodes],
             partitioner=self.partitioner,
-            snapshot_reads=self.config.read_only_snapshot,
         )
 
     # -- fault injection -----------------------------------------------------------

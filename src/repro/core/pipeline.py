@@ -1,31 +1,25 @@
 """The per-node durability pipeline (group commit + stabilization + counters).
 
-Before this module existed the durability stack was three independently
-queued layers: the :class:`~repro.txn.group_commit.GroupCommitter`
-batched WAL writes, the :class:`~repro.core.stabilization.Stabilizer`
-gated each transaction on its own counter wait, and the
-:class:`~repro.core.trusted_counter.CounterClient` ran one round driver
-per log.  Every layer amortized within itself, but each handed the next
-layer one request per transaction — so a group commit of 16 transactions
-still produced 16 gate waits racing the round driver, and a WAL round
-and a Clog round never shared an echo broadcast.
-
-:class:`DurabilityPipeline` owns all three and schedules them as one
-pipeline:
+:class:`DurabilityPipeline` owns the
+:class:`~repro.txn.group_commit.GroupCommitter`, the
+:class:`~repro.core.stabilization.Stabilizer` and the
+:class:`~repro.core.trusted_counter.CounterClient` and schedules them as
+one pipeline, so a layer never hands the next one request per
+transaction:
 
 1. the counter protocol is *vectored* — one echo-broadcast round carries
    ``(log, value)`` targets for every pending log, so WAL batches and
-   2PC decision entries stabilize together (``counter_vectoring``);
+   2PC decision entries stabilize together;
 2. the group-commit leader stabilizes its batch with a *single* request
    covering the batch's highest WAL counter; followers share one wait
    (one event) instead of N gate waits;
 3. the group-commit window is adaptive: the leader waits a bounded
-   multiple of the observed submit arrival gap before draining, instead
-   of the fixed ``timeout(0)`` (``group_commit_window``).
+   multiple of the observed submit arrival gap before draining
+   (``group_commit_window``).
 
-The invariants are unchanged: a transaction is acknowledged only after
+The invariants: a transaction is acknowledged only after
 its WAL entry's counter is stable, 2PC decision entries are stabilized
-before participants act, and the monitor's I1–I4 checks still learn
+before participants act, and the monitor's I1–I4 checks learn
 stability exclusively from counter-advance events.
 
 The pipeline composes with the transport's doorbell batching
@@ -82,7 +76,7 @@ class DurabilityPipeline:
             runtime, counter_client, backend=self.rollback
         )
         #: stable-sequence frontier for coordinator-free snapshot reads
-        #: (``read_only_snapshot``) — fed by the group committer's WAL
+        #: — fed by the group committer's WAL
         #: watermarks, queried by read-only transaction commits.
         self.witness = FreshnessWitness(runtime, self.stabilizer)
         self.committer: Optional[GroupCommitter] = None

@@ -99,7 +99,7 @@ class DecisionResolver:
     """Warm a recovering node's decision ledger in one vectored burst.
 
     Recovery re-adopts every prepared transaction half and spawns one
-    resolve fiber each; under ``commit_replication`` a fiber whose
+    resolve fiber each; under ``protocol="optimized"`` a fiber whose
     coordinator stays unreachable falls back to the completer state
     machine, which opens with a decision-query round of its own.  This
     resolver front-loads that work: one DECISION_QUERY per (peer,

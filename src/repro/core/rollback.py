@@ -326,7 +326,7 @@ class LcmBackend(CounterAsyncBackend):
 
 
 class DecisionLedger:
-    """Write-once per-transaction decision slots (``commit_replication``).
+    """Write-once per-transaction decision slots (``protocol="optimized"``).
 
     The non-blocking commit extension replicates the coordinator's
     commit/abort decision across the cluster before the client is

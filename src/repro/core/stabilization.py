@@ -124,7 +124,7 @@ class Stabilizer:
 class FreshnessWitness:
     """Maps the stabilized counter frontier to a storage sequence frontier.
 
-    Coordinator-free snapshot reads (``read_only_snapshot``) need a local
+    Coordinator-free snapshot reads need a local
     proof that everything a read observed is *rollback-protected*: a seq
     the snapshot exposed must never disappear in a rollback attack, or a
     committed read-only transaction could have returned state that the

@@ -22,10 +22,8 @@ Implementation notes:
 * Stabilization requests are *batched*: while a round is in flight,
   later requests raise the pending high-water marks, so a burst of
   transactions shares one protocol execution — this is what keeps the
-  ~2 ms ROTE latency off the throughput path.  With
-  ``counter_vectoring`` on (the default) a single round driver serves
-  every log; off, each log runs its own driver (the pre-pipeline
-  baseline).
+  ~2 ms ROTE latency off the throughput path.  A single round driver
+  per shard serves every log of that shard.
 * Replica processing is charged ~``rote_latency_mean / 2`` per round so
   the end-to-end stabilization latency reproduces ROTE's measured ~2 ms.
   The charge is per *message*, not per target: a vectored round costs
@@ -326,8 +324,6 @@ class CounterClient:
         self.round_timeout = config.counter_round_timeout
         self.retry_backoff = config.counter_retry_backoff
         self.max_retries = config.counter_max_retries
-        #: one driver for all logs (vectored) vs one driver per log.
-        self.vectoring = config.counter_vectoring
         #: independent counter groups, routed by log-name hash.  Each
         #: shard keeps its own pending marks, round driver and trace
         #: context, so disjoint logs stop serializing through one round.
@@ -336,9 +332,7 @@ class CounterClient:
         self._pending_target: List[Dict[str, int]] = [
             {} for _ in range(self.num_shards)
         ]
-        #: per-log driver flags (legacy mode only).
-        self._round_active: Dict[str, bool] = {}
-        #: per-shard driver flags (vectored mode only).
+        #: per-shard driver flags.
         self._driver_active = [False] * self.num_shards
         #: trace context of the first registrant since the last round —
         #: the round span attaches there, so a transaction's counter
@@ -407,17 +401,11 @@ class CounterClient:
                 self._round_ctx[shard] = context
         if not spawn_driver:
             return shard
-        if self.vectoring:
-            if not self._driver_active[shard]:
-                self._driver_active[shard] = True
-                self.runtime.sim.process(
-                    self._drive_vectored_rounds(shard),
-                    name="counter-se/vector.%d" % shard,
-                )
-        elif not self._round_active.get(log_name):
-            self._round_active[log_name] = True
+        if not self._driver_active[shard]:
+            self._driver_active[shard] = True
             self.runtime.sim.process(
-                self._drive_rounds(log_name), name="counter-se/%s" % log_name
+                self._drive_vectored_rounds(shard),
+                name="counter-se/vector.%d" % shard,
             )
         return shard
 
@@ -470,7 +458,7 @@ class CounterClient:
                 )
 
     def _drive_vectored_rounds(self, shard: int = 0) -> Gen:
-        """The unified driver: one round covers every pending log of the
+        """The round driver: one round covers every pending log of the
         shard."""
         retries = 0
         try:
@@ -490,30 +478,6 @@ class CounterClient:
                 self._advance(targets)
         finally:
             self._driver_active[shard] = False
-
-    def _drive_rounds(self, log_name: str) -> Gen:
-        """Legacy per-log driver (``counter_vectoring=False`` baseline)."""
-        gate = self._gate(log_name)
-        shard = self.shard_of(log_name)
-        pending = self._pending_target[shard]
-        retries = 0
-        try:
-            while pending.get(log_name, 0) > gate.value:
-                target = pending[log_name]
-                try:
-                    yield from self._run_protocol(
-                        [(log_name, target)], shard=shard
-                    )
-                except FreshnessError:
-                    retries += 1
-                    if retries > self.max_retries:
-                        raise
-                    yield self.runtime.sim.timeout(self.retry_backoff)
-                    continue
-                retries = 0
-                self._advance([(log_name, target)])
-        finally:
-            self._round_active[log_name] = False
 
     def _broadcast(self, msg_type: int, targets: Sequence[Target]) -> Gen:
         """Send one round to all peers; returns the number of ACKs.

@@ -132,7 +132,7 @@ def _decode_value_reply(body: bytes) -> Optional[bytes]:
     return value if found else None
 
 
-# -- distributed OCC codecs (occ_distributed) --------------------------------
+# -- distributed OCC codecs ---------------------------------------------------
 
 def _encode_versioned_reply(
     found: bool, value: Optional[bytes], seq: int
@@ -366,10 +366,7 @@ class Participant:
     @property
     def replication(self) -> bool:
         """Whether the non-blocking completion protocol is active."""
-        return (
-            self.runtime.config.commit_replication
-            and self.addresses is not None
-        )
+        return self.runtime.config.optimized and self.addresses is not None
 
     # -- helpers ------------------------------------------------------------
     def _txn_for(self, message: TxMessage) -> PessimisticTxn:
@@ -434,7 +431,7 @@ class Participant:
         return self._ack(message, encode_scan_reply(rows))
 
     def _on_read_occ(self, message: TxMessage, src: str) -> Gen:
-        """Stateless versioned read (occ_distributed execution phase).
+        """Stateless versioned read (distributed-OCC execution phase).
 
         No participant-local transaction, no lock, no ``active`` entry:
         the reply carries the key's current sequence number and the
@@ -448,7 +445,7 @@ class Participant:
         )
 
     def _on_scan_occ(self, message: TxMessage, src: str) -> Gen:
-        """Stateless read-committed range scan (occ_distributed)."""
+        """Stateless read-committed range scan (distributed OCC)."""
         start, end, limit = decode_scan_request(message.body)
         yield from self.runtime.op_overhead()
         rows = yield from self.manager.engine.scan(start, end, limit=limit)
@@ -473,7 +470,7 @@ class Participant:
         stabilized locally (only meaningful under stabilization)."""
         return (
             self.runtime.profile.stabilization
-            and self.runtime.config.twopc_piggyback
+            and self.runtime.config.optimized
         )
 
     def _on_prepare(self, message: TxMessage, src: str) -> Gen:
@@ -487,7 +484,7 @@ class Participant:
         """
         gid = GlobalTxnId(message.node_id, message.txn_id)
         if message.body:
-            # occ_distributed: the PREPARE carries this participant's
+            # Distributed OCC: the PREPARE carries this participant's
             # read-set versions and write-set.  The local half is
             # created here — execution was lock-free at the coordinator
             # — and validation runs inside this prepare critical
@@ -547,7 +544,7 @@ class Participant:
             txn = self.active[key]
             return txn if txn.status == TxnStatus.ACTIVE else None
         reads, writes = decode_occ_prepare(message.body)
-        txn = self.manager.begin_occ_distributed(txn_id=key)
+        txn = self.manager.begin_distributed_occ(txn_id=key)
         txn.load(reads, writes)
         self.active[key] = txn
         if self.replication:
@@ -1044,7 +1041,7 @@ class Coordinator:
         #: the node's DurabilityPipeline (group-wide stabilization rounds).
         self.pipeline = pipeline
         #: this node's write-once decision slots (shared with its
-        #: Participant role under ``commit_replication``).
+        #: Participant role, which replicates decisions into them).
         self.ledger = ledger
         self.epoch = epoch
         #: per-incarnation decision-replication operation ids: distinct
@@ -1066,9 +1063,8 @@ class Coordinator:
     def begin(self, optimistic: bool = False) -> "GlobalTxn":
         """BEGINTXN: create a global transaction handle.
 
-        ``optimistic`` selects distributed OCC (``occ_distributed``):
-        lock-free execution with validation inside each participant's
-        PREPARE critical section.
+        ``optimistic`` selects distributed OCC: lock-free execution with
+        validation inside each participant's PREPARE critical section.
         """
         return GlobalTxn(self, self.allocator.next(), optimistic=optimistic)
 
@@ -1078,17 +1074,14 @@ class Coordinator:
         """Group-wide stabilization rounds via 2PC-message piggybacking."""
         return (
             self.runtime.profile.stabilization
-            and self.runtime.config.twopc_piggyback
+            and self.runtime.config.optimized
             and self.pipeline is not None
         )
 
     @property
     def replication(self) -> bool:
         """Whether decisions are replicated before the client reply."""
-        return (
-            self.runtime.config.commit_replication
-            and self.ledger is not None
-        )
+        return self.runtime.config.optimized and self.ledger is not None
 
     def _decision_op_id(self) -> int:
         return (
@@ -1311,7 +1304,7 @@ class GlobalTxn:
         #: numeric node ids of remote participants touched so far.
         self.remote_participants: Set[int] = set()
         self.status = TxnStatus.ACTIVE
-        #: distributed OCC (occ_distributed): execution takes no locks —
+        #: distributed OCC: execution takes no locks —
         #: reads are stateless versioned snapshots, writes buffer here
         #: at the coordinator — and PREPARE ships each participant its
         #: validate/write sets.
@@ -1606,7 +1599,7 @@ class GlobalTxn:
         owners = set(reads_by) | set(writes_by)
         self.remote_participants.update(owners - {local_id})
         if local_id in owners:
-            txn = coordinator.manager.begin_occ_distributed(
+            txn = coordinator.manager.begin_distributed_occ(
                 txn_id=self.gid.encode()
             )
             txn.load(reads_by.get(local_id, []), writes_by.get(local_id, []))
@@ -1943,8 +1936,9 @@ class GlobalTxn:
         of slots outlives this coordinator, so delivery is best-effort —
         a participant that misses every round finishes via its decision
         watchdog (the completer protocol) instead of wedging this fiber
-        on a permanently dead peer.  The legacy path must retry forever
-        because the decision exists only in this coordinator's Clog.
+        on a permanently dead peer.  ``protocol="paper"`` must retry
+        forever because the decision exists only in this coordinator's
+        Clog.
 
         Returns the collected replies (node -> TxMessage): COMMIT ACK
         bodies carry the participants' piggybacked apply-side targets.

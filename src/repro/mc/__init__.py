@@ -39,7 +39,7 @@ from .faults import (
     SCENARIOS,
     CrashInjector,
     coordinator_crash_points,
-    piggyback_crash_points,
+    protocol_crash_points,
 )
 from .harness import MUTATIONS, RunResult, Scope, parse_scope, run_one
 
@@ -54,7 +54,7 @@ __all__ = [
     "replay_counterexample",
     "SCENARIOS",
     "CrashInjector",
-    "piggyback_crash_points",
+    "protocol_crash_points",
     "coordinator_crash_points",
     "Scope",
     "RunResult",

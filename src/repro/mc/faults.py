@@ -11,7 +11,8 @@ The injectable points, in pipeline order:
 
 * ``twopc/prepare_target``  — prepare logged, piggybacked ACK about to
   leave the participant (its counter target is *not* yet stable);
-* ``twopc/prepare_ack``     — legacy path: prepare stabilized, ACK sent;
+* ``twopc/prepare_ack``     — ``paper`` protocol: prepare stabilized,
+  ACK sent;
 * ``stabilize/group_begin`` — the coordinator's group-wide echo round
   is in flight (targets chosen, nothing stable yet);
 * ``twopc/decision``        — decision logged to the Clog, not stable;
@@ -22,7 +23,7 @@ The injectable points, in pipeline order:
   of its own in flight — crashing here exercises "coordinator dies with
   an unexpired coverage promise outstanding");
 * ``twopc/decision-quorum`` — the coordinator just counted a decision
-  replication ACK (``commit_replication`` only: crashing between the
+  replication ACK (``optimized`` protocol only: crashing between the
   (k-1)-th and k-th ack exercises every partially-replicated decision
   state the completer protocol must converge from).
 
@@ -38,15 +39,15 @@ from typing import Tuple
 __all__ = [
     "SCENARIOS",
     "CrashInjector",
-    "piggyback_crash_points",
-    "legacy_crash_points",
+    "protocol_crash_points",
     "coordinator_crash_points",
 ]
 
 CrashPoint = Tuple[str, str]
 
-#: (trace event to crash on, twopc_piggyback flag).  prepare_target and
-#: group_begin only exist under piggybacking; prepare_ack only without;
+#: (trace event to crash on, ``ClusterConfig.protocol`` to run).
+#: prepare_target, group_begin and decision-quorum only exist under
+#: ``optimized``; prepare_ack only under ``paper``;
 #: counter/promise only fires under the coverage backends (a sweep run
 #: with ``counter-sync`` never sees it, so that scenario degrades to an
 #: uninjected baseline run there).
@@ -54,27 +55,22 @@ CrashPoint = Tuple[str, str]
 #: onto this tuple, so reordering silently reshuffles every seed — new
 #: points are appended, never inserted.
 SCENARIOS = (
-    (("twopc", "prepare_target"), True),
-    (("stabilize", "group_begin"), True),
-    (("twopc", "decision"), True),
-    (("twopc", "commit_apply"), True),
-    (("stabilize", "advance"), True),
-    (("twopc", "prepare_ack"), False),
-    (("twopc", "decision"), False),
-    (("twopc", "commit_apply"), False),
-    (("counter", "promise"), True),
-    (("twopc", "decision-quorum"), True),
+    (("twopc", "prepare_target"), "optimized"),
+    (("stabilize", "group_begin"), "optimized"),
+    (("twopc", "decision"), "optimized"),
+    (("twopc", "commit_apply"), "optimized"),
+    (("stabilize", "advance"), "optimized"),
+    (("twopc", "prepare_ack"), "paper"),
+    (("twopc", "decision"), "paper"),
+    (("twopc", "commit_apply"), "paper"),
+    (("counter", "promise"), "optimized"),
+    (("twopc", "decision-quorum"), "optimized"),
 )
 
 
-def piggyback_crash_points() -> Tuple[CrashPoint, ...]:
-    """Crash points applicable when ``twopc_piggyback`` is on."""
-    return tuple(point for point, piggyback in SCENARIOS if piggyback)
-
-
-def legacy_crash_points() -> Tuple[CrashPoint, ...]:
-    """Crash points applicable on the legacy (per-node rounds) path."""
-    return tuple(point for point, piggyback in SCENARIOS if not piggyback)
+def protocol_crash_points(protocol: str) -> Tuple[CrashPoint, ...]:
+    """Crash points the sweep runs under ``ClusterConfig.protocol``."""
+    return tuple(point for point, name in SCENARIOS if name == protocol)
 
 
 def coordinator_crash_points() -> Tuple[CrashPoint, ...]:

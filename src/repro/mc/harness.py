@@ -30,7 +30,7 @@ protocol bugs and shrinks them to minimal counterexamples.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..config import ClusterConfig, TREATY_FULL
@@ -42,7 +42,7 @@ from ..net.message import MsgType
 from ..obs.monitor import MonitorViolation
 from .controller import TraceController
 from .digest import DiskCrcCache
-from .faults import piggyback_crash_points
+from .faults import protocol_crash_points
 
 __all__ = [
     "Scope", "RunResult", "MUTATIONS", "parse_scope", "run_one",
@@ -72,7 +72,8 @@ class Scope:
 
     txns: int = 2
     nodes: int = 3
-    piggyback: bool = True
+    #: commit protocol under test (``ClusterConfig.protocol``).
+    protocol: str = "optimized"
     seed: int = 2022
     #: rollback-protection backend under test (``ClusterConfig.
     #: rollback_backend``): "counter-sync", "counter-async" or "lcm".
@@ -84,15 +85,12 @@ class Scope:
     actions: Tuple[str, ...] = ("drop", "duplicate", "delay")
     action_delay: float = ENUMERATED_DELAY
     frame_types: Tuple[int, ...] = DEFAULT_FRAME_TYPES
-    #: crash-eligible (category, name) trace events; () disables crashes.
-    crash_points: Tuple[Tuple[str, str], ...] = field(
-        default_factory=piggyback_crash_points
-    )
+    #: crash-eligible (category, name) trace events; () disables
+    #: crashes, ``None`` selects the protocol's own points.
+    crash_points: Optional[Tuple[Tuple[str, str], ...]] = None
     #: victim offsets relative to the emitting node (0 = the emitter).
     crash_offsets: Tuple[int, ...] = (0,)
     max_crashes: int = 1
-    #: decision replication (non-blocking commit) under test.
-    commit_replication: bool = True
     #: ``ClusterConfig.decision_timeout_s`` for the run.
     decision_timeout: float = 3.0
     #: crashed nodes stay dead: the recovery pass is skipped and the
@@ -116,6 +114,12 @@ class Scope:
     # crash (max_retries x (round timeout + backoff)) out of an unwaited
     # fiber.  Keeping pre + (max_crashes + 1) * post below that bound
     # means the run always ends before any zombie detonates.
+
+    def __post_init__(self):
+        if self.crash_points is None:
+            object.__setattr__(
+                self, "crash_points", protocol_crash_points(self.protocol)
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -264,26 +268,26 @@ def mutation_scope(name: str) -> Scope:
     — both shipped mutations manifest as stuck locks / unresolved
     in-doubt transactions, which only the drop-free audit asserts.
     """
-    # The two legacy recovery mutations target §VI's coordinator-driven
-    # redrive rules.  Decision replication (default on) independently
-    # converges the same schedules through the completer protocol, so
-    # the scopes pin the legacy single-coordinator path to keep each
-    # disabled rule's bug demonstrable.
+    # The two recovery mutations target §VI's coordinator-driven
+    # redrive rules.  Under ``optimized``, decision replication
+    # independently converges the same schedules through the completer
+    # protocol, so the scopes run ``paper`` to keep each disabled rule's
+    # bug demonstrable.
     if name == "no-abort-rebroadcast":
         return Scope(
+            protocol="paper",
             actions=(),
-            crash_points=(("twopc", "prepare_target"), ("twopc", "decision")),
+            crash_points=(("twopc", "prepare_ack"), ("twopc", "decision")),
             max_crashes=2,
-            commit_replication=False,
         )
     if name == "no-commit-redrive":
         # The bug needs a coordinator to die exactly between logging
         # COMMIT and broadcasting it — the twopc/decision crash point.
         return Scope(
+            protocol="paper",
             actions=(),
             crash_points=(("twopc", "decision"),),
             max_crashes=1,
-            commit_replication=False,
         )
     if name == "ack-before-covered":
         # Acking without coverage violates I1/I2 on the very first
@@ -407,11 +411,10 @@ def _run_one(scope, trace, remaining_budget, visited, sleep0, crc_cache,
         num_nodes=scope.nodes,
         tracing=tracing,
         monitor=True,
-        twopc_piggyback=scope.piggyback,
+        protocol=scope.protocol,
         rollback_backend=scope.backend,
         counter_shards=scope.shards,
         monitor_liveness_timeout_s=scope.liveness_timeout,
-        commit_replication=scope.commit_replication,
         decision_timeout_s=scope.decision_timeout,
     )
     cluster = TreatyCluster(profile=TREATY_FULL, config=config).start()

@@ -15,12 +15,13 @@ host hugepages.  This module reproduces those semantics:
   design §VII-A calls out;
 * request handlers run as freshly spawned fibers on the destination node
   (``ExecuteTxnReqHandler`` in Figure 2);
-* **transport batching** (``net_batching``): concurrent messages to the
-  same destination are coalesced per TX queue during a short doorbell
-  window (eRPC's TxBurst), so a 2PC fan-out storm or a counter echo
-  round pays one header, one per-frame NIC charge and one propagation
-  per destination instead of one per message.  The RX side unbatches
-  and dispatches each sub-message as its own fiber.
+* **transport batching**: concurrent messages to the same destination
+  are coalesced per TX queue during a short doorbell window (eRPC's
+  TxBurst), so a 2PC fan-out storm or a counter echo round pays one
+  header, one per-frame NIC charge and one propagation per destination
+  instead of one per message.  The RX side unbatches and dispatches
+  each sub-message as its own fiber.  ``net_tx_batch_max=1`` is the
+  no-coalescing point of the same path: one sub-message per frame.
 
 The event-based continuation is exactly how the coordinator batches
 requests to many participants before yielding.
@@ -114,9 +115,8 @@ class ErpcEndpoint:
         self._rx_running = False
         # -- transport batching -------------------------------------------
         config = runtime.config
-        self.batching = bool(getattr(config, "net_batching", False))
-        self.batch_window = getattr(config, "net_tx_batch_window", 0.0)
-        self.batch_max = max(1, getattr(config, "net_tx_batch_max", 1))
+        self.batch_window = config.net_tx_batch_window
+        self.batch_max = max(1, config.net_tx_batch_max)
         #: optional secure batch codec (installed by SecureRpc): seals a
         #: whole batch in one AEAD pass and unseals/replay-checks it on
         #: receive.  Without a codec the batch travels as a payload list.
@@ -163,14 +163,9 @@ class ErpcEndpoint:
         continuation = self.sim.event()
         self._pending[req_id] = (dst, continuation)
         self.requests_sent += 1
-        sub = _SubMsg(req_type, payload, nbytes, req_id)
-        if self.batching:
-            self._enqueue_tx(dst, sub, is_request=True)
-        else:
-            self.sim.process(
-                self._send(dst, req_type, payload, nbytes, req_id, is_request=True),
-                name="erpc-tx@%s" % self.nic.address,
-            )
+        self._enqueue_tx(
+            dst, _SubMsg(req_type, payload, nbytes, req_id), is_request=True
+        )
         return continuation
 
     def call(
@@ -317,47 +312,6 @@ class ErpcEndpoint:
                 NetworkError("destination %r unreachable" % dst),
             )
 
-    # -- legacy unbatched TX ------------------------------------------------------
-    def _send(
-        self,
-        dst: str,
-        req_type: int,
-        payload: Any,
-        nbytes: int,
-        req_id: int,
-        is_request: bool,
-    ):
-        wire_bytes = nbytes + HEADER_BYTES
-        msgbuf = self.msgbuf_pool.alloc(max(wire_bytes, 1))
-        # Message buffers are host memory: no enclave paging, but under
-        # SCONE the enclave stages the payload across the boundary.
-        if self.runtime.profile.in_enclave:
-            yield from self.runtime.msgbuf_shield(wire_bytes)
-        yield from self.runtime.compute(self._tx_cpu_cost(wire_bytes))
-        frame = Frame(
-            src=self.nic.address,
-            dst=dst,
-            wire_bytes=wire_bytes,
-            payload=payload,
-            kind="erpc",
-            meta={
-                "req_id": req_id,
-                "req_type": req_type,
-                "is_request": is_request,
-                "nbytes": nbytes,
-            },
-        )
-        try:
-            yield from self.nic.transmit(frame)
-        finally:
-            msgbuf.release()
-        if is_request and dst not in self.fabric._nics:
-            entry = self._pending.pop(req_id, None)
-            if entry is not None:
-                self._fail_continuation(
-                    entry[1], NetworkError("destination %r unreachable" % dst)
-                )
-
     # -- RX ----------------------------------------------------------------------
     def _rx_loop(self):
         """The polling loop: RxBurst, dispatch, repeat (Figure 2 step 4).
@@ -380,17 +334,7 @@ class ErpcEndpoint:
         meta = frame.meta
         subs = meta.get("batch")
         if subs is None:
-            # Unbatched frame (legacy path / foreign endpoints).
-            if meta.get("is_request"):
-                yield from self._serve_one(
-                    meta["req_type"], frame.payload, frame.src, meta["req_id"]
-                )
-            else:
-                self._complete(
-                    meta.get("req_id"), frame.payload, meta.get("nbytes", 0),
-                    frame.src,
-                )
-            return
+            return  # not an eRPC batch frame: ignore (hardened endpoint)
         is_request = meta.get("is_request", False)
         if self.batch_codec is not None:
             try:
@@ -439,14 +383,8 @@ class ErpcEndpoint:
         reply_payload, reply_bytes = yield from handler(payload, src)
         if reply_payload is None:
             return  # handler chose not to respond (e.g. replayed request)
-        if self.batching:
-            self._enqueue_tx(
-                src,
-                _SubMsg(req_type, reply_payload, reply_bytes, req_id),
-                is_request=False,
-            )
-        else:
-            yield from self._send(
-                src, req_type, reply_payload, reply_bytes, req_id,
-                is_request=False,
-            )
+        self._enqueue_tx(
+            src,
+            _SubMsg(req_type, reply_payload, reply_bytes, req_id),
+            is_request=False,
+        )

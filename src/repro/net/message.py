@@ -74,18 +74,18 @@ class MsgType:
     #: a recovered coordinator announces its new boot epoch; peers abort
     #: its pre-epoch transactions that never reached PREPARE.
     TXN_FENCE = 18
-    #: commit_replication: the coordinator replicates its commit/abort
+    #: non-blocking commit: the coordinator replicates its commit/abort
     #: decision record to the participant group before answering the
     #: client; a quorum of ACKs makes the decision durable.
     DECISION_RECORD = 19
-    #: commit_replication: a timed-out participant asks its peers what
+    #: non-blocking commit: a timed-out participant asks its peers what
     #: decision (if any) they hold for an in-doubt transaction.
     DECISION_QUERY = 20
-    #: occ_distributed: stateless versioned read — returns (found,
+    #: distributed OCC: stateless versioned read — returns (found,
     #: value, seq) without creating a participant-local transaction or
     #: taking any lock.
     TXN_READ_OCC = 21
-    #: occ_distributed: stateless read-committed range scan.
+    #: distributed OCC: stateless read-committed range scan.
     TXN_SCAN_OCC = 22
 
     NAMES = {

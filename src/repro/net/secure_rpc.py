@@ -6,8 +6,7 @@ layout before it enters the untrusted host memory and NIC, and every
 received request passes the replay guard so that a duplicated or
 re-injected packet can never double-execute an operation.
 
-With transport batching on (``net_batching``), sealing moves from the
-per-message path into a batch codec installed on the eRPC endpoint: the
+Sealing happens in a batch codec installed on the eRPC endpoint: the
 endpoint hands the codec every coalesced batch and ONE AEAD pass (single
 IV, length-prefixed concatenation, single MAC) protects all of it.  The
 batch AAD binds the sender and a per-sender batch sequence number, and a
@@ -75,8 +74,7 @@ def _parts_trace(parts: Sequence[bytes]) -> Optional[str]:
 class _SecureBatchCodec:
     """Seals/unseals coalesced batches for one :class:`SecureRpc`.
 
-    Installed on the eRPC endpoint when ``net_batching`` is on.  Both
-    directions charge exactly one AEAD cost for the whole batch.
+    Both directions charge exactly one AEAD cost for the whole batch.
     """
 
     __slots__ = ("rpc",)
@@ -183,9 +181,8 @@ class SecureRpc:
         self._iv_seq = itertools.count(1)
         self._batch_seq = itertools.count(1)
         self.messages_sealed = 0
-        #: actual AEAD passes (seal or open).  With batching on this is
-        #: what shrinks: one pass per coalesced batch instead of one per
-        #: message — the quantity the perf win is pinned on.
+        #: actual AEAD passes (seal or open): one per coalesced batch,
+        #: not one per message.
         self.seal_ops = 0
         self.auth_failures = 0
         self.tracer = runtime.tracer
@@ -196,9 +193,7 @@ class SecureRpc:
         self._wire_hist = runtime.metrics.histogram(
             "net.wire_bytes", SIZE_BUCKETS_BYTES
         )
-        self._batched = endpoint.batching
-        if self._batched:
-            endpoint.batch_codec = _SecureBatchCodec(self)
+        endpoint.batch_codec = _SecureBatchCodec(self)
 
     # -- encoding -----------------------------------------------------------
     @property
@@ -212,22 +207,8 @@ class SecureRpc:
     def _next_batch_id(self) -> int:
         return (self.epoch << 40) | next(self._batch_seq)
 
-    def _encode(self, message: TxMessage) -> Tuple[bytes, int]:
-        """Produce wire bytes + size, sealing when the profile encrypts."""
-        if self._encrypted:
-            self.messages_sealed += 1
-            self._sealed_counter.inc()
-            self.seal_ops += 1
-            self._seal_ops_counter.inc()
-            wire = message.seal(self._aead, self._next_iv())
-        else:
-            wire = message.encode()
-        nbytes = wire_size(len(message.body), self._encrypted)
-        self._wire_hist.observe(nbytes)
-        return wire, nbytes
-
     def _encode_part(self, message: TxMessage) -> Tuple[bytes, int]:
-        """Batch-mode encode: plaintext part, sealed later per batch.
+        """Encode one plaintext part; the batch codec seals it per frame.
 
         The returned size is the message's *standalone* wire size (what
         it would cost unbatched) — the endpoint uses it as the baseline
@@ -241,13 +222,6 @@ class SecureRpc:
         nbytes = wire_size(len(message.body), self._encrypted)
         self._wire_hist.observe(nbytes)
         return wire, nbytes
-
-    def _decode(self, wire: bytes) -> TxMessage:
-        if self._encrypted:
-            self.seal_ops += 1
-            self._seal_ops_counter.inc()
-            return TxMessage.unseal(self._aead, wire)
-        return TxMessage.decode(wire)
 
     # -- client side -------------------------------------------------------------
     def enqueue(self, dst: str, message: TxMessage, express: bool = False) -> Event:
@@ -312,25 +286,12 @@ class SecureRpc:
             )
         nbytes = 0
         try:
-            if self._batched:
-                # The batch codec seals the coalesced frame in one AEAD
-                # pass and charges its cost once, on both directions.
-                wire, nbytes = self._encode_part(message)
-                reply = yield self.endpoint.enqueue_request(
-                    dst, message.msg_type, wire, nbytes
-                )
-            else:
-                wire, nbytes = self._encode(message)
-                if self._encrypted:
-                    cspan = self.tracer.span(
-                        "crypto", "seal", node=self.runtime.name or None,
-                        seal_ops=1, bytes=nbytes,
-                    )
-                    yield from self.runtime.seal_cost(nbytes)
-                    cspan.close()
-                reply = yield self.endpoint.enqueue_request(
-                    dst, message.msg_type, wire, nbytes
-                )
+            # The batch codec seals the coalesced frame in one AEAD
+            # pass and charges its cost once, on both directions.
+            wire, nbytes = self._encode_part(message)
+            reply = yield self.endpoint.enqueue_request(
+                dst, message.msg_type, wire, nbytes
+            )
             # Under SCONE, the fiber that blocked on this RPC waits for
             # the userland scheduler to run it again; the delay grows
             # with the number of concurrently served requests (§VII-C).
@@ -338,17 +299,7 @@ class SecureRpc:
                 resume_delay = self.runtime.fiber_resume_delay()
                 if resume_delay > 0.0:
                     yield self.runtime.sim.timeout(resume_delay)
-            if self._batched:
-                decoded = TxMessage.decode(reply.payload)
-            else:
-                if self._encrypted:
-                    cspan = self.tracer.span(
-                        "crypto", "open", node=self.runtime.name or None,
-                        seal_ops=1, bytes=reply.nbytes,
-                    )
-                    yield from self.runtime.seal_cost(reply.nbytes)
-                    cspan.close()
-                decoded = self._decode(reply.payload)
+            decoded = TxMessage.decode(reply.payload)
         except Exception as exc:  # noqa: BLE001 - propagate to the waiter
             span.close(bytes=nbytes, error=type(exc).__name__)
             if not outcome.triggered:
@@ -363,32 +314,18 @@ class SecureRpc:
         """Install a verified-message handler for ``msg_type`` requests."""
 
         def wrapped(payload: bytes, src: str):
-            if self._batched:
-                # The batch codec already verified/decrypted the frame
-                # and charged its one AEAD cost; parts are plaintext.
-                try:
-                    message = TxMessage.decode(payload)
-                except Exception:
-                    self.auth_failures += 1
-                    self._auth_fail_counter.inc()
-                    self.tracer.event(
-                        "net", "auth_failure", node=self.runtime.name or None,
-                        src=src,
-                    )
-                    raise
-            else:
-                if self._encrypted:
-                    yield from self.runtime.seal_cost(len(payload))
-                try:
-                    message = self._decode(payload)
-                except Exception:
-                    self.auth_failures += 1
-                    self._auth_fail_counter.inc()
-                    self.tracer.event(
-                        "net", "auth_failure", node=self.runtime.name or None,
-                        src=src,
-                    )
-                    raise
+            # The batch codec already verified/decrypted the frame and
+            # charged its one AEAD cost; parts are plaintext.
+            try:
+                message = TxMessage.decode(payload)
+            except Exception:
+                self.auth_failures += 1
+                self._auth_fail_counter.inc()
+                self.tracer.event(
+                    "net", "auth_failure", node=self.runtime.name or None,
+                    src=src,
+                )
+                raise
             # At-most-once: ACK-type messages are exempt (§VII-A), every
             # state-changing request is checked.
             if message.msg_type not in (MsgType.ACK, MsgType.FAIL):
@@ -418,17 +355,6 @@ class SecureRpc:
             finally:
                 if handler_span is not None:
                     handler_span.close()
-            if self._batched:
-                wire, nbytes = self._encode_part(reply)
-            else:
-                wire, nbytes = self._encode(reply)
-                if self._encrypted:
-                    cspan = self.tracer.span(
-                        "crypto", "seal", node=self.runtime.name or None,
-                        seal_ops=1, bytes=nbytes,
-                    )
-                    yield from self.runtime.seal_cost(nbytes)
-                    cspan.close()
-            return wire, nbytes
+            return self._encode_part(reply)
 
         self.endpoint.register_handler(msg_type, wrapped)

@@ -25,7 +25,7 @@ I5 **bounded liveness** — absent crashes, every prepare-ACKed
    attribution, any node) went down — a bystander's crash must not
    blind the monitor to a genuinely stuck transaction.
 
-Under cross-node piggybacking (``twopc_piggyback``) participants emit
+Under cross-node piggybacking (``protocol="optimized"``) participants emit
 ``prepare_target`` instead of ``prepare_ack``: the prepare's counter is
 deliberately *not* yet stable at ACK time (it rides the coordinator's
 group-wide round), so I2 is deferred — the target must be stable by the

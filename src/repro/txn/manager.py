@@ -90,7 +90,7 @@ class TransactionManager:
         self.begun += 1
         return OptimisticTxn(self, txn_id or self._next_txn_id("o"))
 
-    def begin_occ_distributed(
+    def begin_distributed_occ(
         self, txn_id: Optional[bytes] = None
     ) -> DistributedOccTxn:
         """Participant-local half of a distributed OCC transaction."""

@@ -12,8 +12,7 @@ raises :class:`~repro.errors.ConflictError` and the transaction aborts
 (callers typically retry).
 
 :class:`DistributedOccTxn` is the participant-local half of a
-*distributed* OCC transaction (``ClusterConfig.occ_distributed``): the
-coordinator executes lock-free (stateless versioned reads, writes
+*distributed* OCC transaction: the coordinator executes lock-free (stateless versioned reads, writes
 buffered coordinator-side) and ships each participant its read-set
 versions and write-set inside the PREPARE message.  The participant
 loads them into this transaction and validates inside its prepare

@@ -58,7 +58,7 @@ class YcsbConfig:
     #: scans dominate, the standard YCSB-E shape).
     max_scan_length: int = 100
     #: run transactions that turn out write-free as coordinator-free
-    #: snapshot reads (client-routed; requires ``read_only_snapshot``).
+    #: snapshot reads (client-routed).
     read_only: bool = False
 
     #: the standard YCSB mixes.  E replaces inserts with updates (the
@@ -285,11 +285,7 @@ def run_ycsb(
                     continue
                 burst_left -= 1
             ops = workload.next_transaction()
-            read_only = (
-                config.read_only
-                and session.snapshot_reads
-                and YcsbWorkload.is_read_only(ops)
-            )
+            read_only = config.read_only and YcsbWorkload.is_read_only(ops)
             txn_start = sim.now
             committed = False
             for _attempt in range(max_retries + 1):

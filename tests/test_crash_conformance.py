@@ -1,4 +1,4 @@
-"""Randomized crash-point conformance sweep for piggybacked 2PC.
+"""Randomized crash-point conformance sweep for both commit protocols.
 
 Every seed builds a fresh cluster, drives a handful of concurrent
 distributed transactions, and fail-stops one node at a seeded crash
@@ -7,7 +7,8 @@ pipeline:
 
 * ``twopc/prepare_target``  — prepare logged, piggybacked ACK about to
   leave the participant (its counter target is *not* yet stable);
-* ``twopc/prepare_ack``     — legacy path: prepare stabilized, ACK sent;
+* ``twopc/prepare_ack``     — ``paper`` protocol: prepare stabilized,
+  ACK sent;
 * ``stabilize/group_begin`` — the coordinator's group-wide echo round
   is in flight (targets chosen, nothing stable yet);
 * ``twopc/decision``        — decision logged to the Clog, not stable;
@@ -51,16 +52,17 @@ import os
 
 import pytest
 
-from repro.config import ClusterConfig, TREATY_FULL
+from repro.config import PROTOCOLS, ClusterConfig, TREATY_FULL
 from repro.core import TreatyCluster
+from repro.core.rollback import BACKENDS
 from repro.errors import TransactionAborted
 from repro.mc.faults import SCENARIOS, CrashInjector
 from repro.obs import write_chrome_trace
 from repro.sim.rng import SeededRng
 
-# Crash scenarios and the injector live in repro.mc.faults now, shared
-# with the model checker so both use one fault vocabulary.  SCENARIOS
-# order is pinned there (seed % len(SCENARIOS) must keep its mapping).
+# Crash scenarios and the injector live in repro.mc.faults, shared with
+# the model checker so both use one fault vocabulary.  SCENARIOS order
+# is pinned there (seed % len(SCENARIOS) must keep its mapping).
 
 
 def _seed_list():
@@ -87,14 +89,14 @@ def _occ_mode():
     return os.environ.get("CRASH_CONFORMANCE_OCC") == "1"
 
 
-def _backend_config(seed, backend, piggyback):
+def _backend_config(seed, backend, protocol):
     """Sweep config: the coverage backends also run sharded so the
     sweep exercises per-shard frontiers and shard-aware recovery."""
     return ClusterConfig(
         seed=seed,
         tracing=True,
         monitor=True,
-        twopc_piggyback=piggyback,
+        protocol=protocol,
         rollback_backend=backend,
         counter_shards=1 if backend == "counter-sync" else 2,
     )
@@ -146,7 +148,7 @@ def read_owner(cluster, key):
 @pytest.mark.parametrize("backend", _backend_list())
 @pytest.mark.parametrize("seed", _seed_list())
 def test_crash_point_conformance(seed, backend):
-    point, piggyback = SCENARIOS[seed % len(SCENARIOS)]
+    point, protocol = SCENARIOS[seed % len(SCENARIOS)]
     rng = SeededRng(seed, "crash-conformance")
     occurrence = rng.randint(1, 3)
     # Bias towards crashing the emitter; sometimes take down a bystander.
@@ -156,8 +158,13 @@ def test_crash_point_conformance(seed, backend):
     # of the run — the sweep then asserts that the survivors converge on
     # their own through decision replication + the completer protocol.
     no_restart = os.environ.get("COORDINATOR_NO_RESTART") == "1"
+    if no_restart and protocol == "paper":
+        pytest.skip(
+            "protocol='paper' is blocking 2PC by definition: survivors "
+            "stay in doubt until the dead coordinator is restarted"
+        )
 
-    config = _backend_config(seed, backend, piggyback)
+    config = _backend_config(seed, backend, protocol)
     cluster = TreatyCluster(profile=TREATY_FULL, config=config).start()
     try:
         _run_one_seed(cluster, rng, point, occurrence, victim_offset,
@@ -322,7 +329,7 @@ class TestCoveragePromiseCrash:
 
     @pytest.mark.parametrize("backend", ["counter-async", "lcm"])
     def test_coordinator_crash_with_unexpired_promise(self, backend):
-        config = _backend_config(77, backend, piggyback=True)
+        config = _backend_config(77, backend, "optimized")
         cluster = TreatyCluster(profile=TREATY_FULL, config=config).start()
         rng = SeededRng(77, "promise-crash")
         # occurrence=1, offset=0: kill the emitter at its very first
@@ -337,7 +344,7 @@ class TestCoveragePromiseCrash:
         """A *replica* (not the promise holder) dies while the promise
         is outstanding: with quorum 2-of-3 the round must still cover
         the targets without waiting for recovery."""
-        config = _backend_config(78, backend, piggyback=True)
+        config = _backend_config(78, backend, "optimized")
         cluster = TreatyCluster(profile=TREATY_FULL, config=config).start()
         rng = SeededRng(78, "promise-bystander")
         _run_one_seed(
@@ -379,64 +386,63 @@ def _txn_events(cluster, cat, name):
 
 
 class TestCounterRoundAccounting:
-    def test_piggyback_commits_in_one_critical_path_round(self):
-        """Headline: ≤1 group-wide round per distributed transaction.
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_commit_critical_path_shape(self, protocol):
+        """Counter rounds on one distributed commit's critical path.
 
-        Piggybacking folds every participant's prepare target and the
-        Clog decision entry into a single echo-broadcast round on the
-        commit critical path.  The apply-side targets ride a second,
-        *background* round shared with the COMPLETE record.
+        ``optimized`` (headline: ≤1 group-wide round per distributed
+        transaction): piggybacking folds every participant's prepare
+        target and the Clog decision entry into a single echo-broadcast
+        round; the apply-side targets ride a second, *background* round
+        shared with the COMPLETE record.
+
+        ``paper``: every participant stabilizes before ACKing, the
+        decision gets its own round, and no group-round events appear
+        in the trace.
         """
-        config = ClusterConfig(tracing=True, monitor=True)
+        config = ClusterConfig(tracing=True, monitor=True, protocol=protocol)
         cluster = TreatyCluster(profile=TREATY_FULL, config=config).start()
         cluster.sim.run(until=cluster.sim.now + 0.1)  # drain bootstrap
         before = _total_rounds(cluster)
-        _distributed_commit(cluster, b"pg-on")
+        _distributed_commit(cluster, b"shape")
         critical = _total_rounds(cluster) - before
+        targets = _txn_events(cluster, "twopc", "prepare_target")
+        group_rounds = _txn_events(cluster, "stabilize", "group_begin")
+        acks = _txn_events(cluster, "twopc", "prepare_ack")
+        if protocol == "paper":
+            assert critical >= 2, (
+                "per-node path should pay one round per prepare plus "
+                "the decision round, got %d" % critical
+            )
+            assert acks and not targets and not group_rounds
+            return
         assert critical <= 1, (
             "piggybacked distributed commit used %d counter rounds on "
             "the critical path (expected <= 1)" % critical
         )
         # The deferred COMPLETE+apply round runs off the critical path.
         cluster.sim.run(until=cluster.sim.now + 0.5)
-        total = _total_rounds(cluster) - before
-        assert total <= 2
+        assert _total_rounds(cluster) - before <= 2
+        assert targets and group_rounds and not acks
 
-        # The group-wide round is visible in the trace; the legacy
-        # stabilize-before-ACK events are not.
-        assert _txn_events(cluster, "twopc", "prepare_target")
-        assert _txn_events(cluster, "stabilize", "group_begin")
-        assert not _txn_events(cluster, "twopc", "prepare_ack")
-
-    def test_flag_off_restores_per_node_rounds(self):
-        """``twopc_piggyback=False`` restores the old per-node shape:
-        every participant stabilizes before ACKing, the decision gets
-        its own round, and no group-round events appear in the trace."""
-        config = ClusterConfig(
-            tracing=True, monitor=True, twopc_piggyback=False
-        )
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_distributed_commit_state(self, protocol, backend):
+        """The protocol and backend change round accounting, never the
+        outcome: every shard holds the committed value, monitor green."""
+        config = _backend_config(2022, backend, protocol)
         cluster = TreatyCluster(profile=TREATY_FULL, config=config).start()
-        cluster.sim.run(until=cluster.sim.now + 0.1)
-        before = _total_rounds(cluster)
-        _distributed_commit(cluster, b"pg-off")
-        critical = _total_rounds(cluster) - before
-        assert critical >= 2, (
-            "per-node path should pay one round per prepare plus the "
-            "decision round, got %d" % critical
-        )
-        assert _txn_events(cluster, "twopc", "prepare_ack")
-        assert not _txn_events(cluster, "twopc", "prepare_target")
-        assert not _txn_events(cluster, "stabilize", "group_begin")
+        pairs = _distributed_commit(cluster, b"pg-eq")
+        assert [read_owner(cluster, key) for key, _ in pairs] == [
+            value for _, value in pairs
+        ]
+        cluster.sim.run(until=cluster.sim.now + 0.5)
+        monitor = cluster.obs.monitor
+        monitor.check_quiescent(now=cluster.sim.now)
+        assert monitor.green, monitor.violations
 
-    def test_both_modes_commit_identical_state(self):
-        """The flag changes round accounting, never the outcome."""
-        states = {}
-        for flag in (True, False):
-            config = ClusterConfig(twopc_piggyback=flag)
-            cluster = TreatyCluster(
-                profile=TREATY_FULL, config=config
-            ).start()
-            pairs = _distributed_commit(cluster, b"pg-eq")
-            states[flag] = [read_owner(cluster, key) for key, _ in pairs]
-        assert states[True] == states[False]
-        assert all(value is not None for value in states[True])
+    def test_unknown_protocol_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown protocol"):
+            TreatyCluster(
+                profile=TREATY_FULL, config=ClusterConfig(protocol="fast")
+            )

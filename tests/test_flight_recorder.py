@@ -434,7 +434,7 @@ class TestIncidents:
     def test_coordinator_death_yields_takeover_incidents(self):
         config = ClusterConfig(
             seed=1, tracing=True, monitor=True, incidents=True,
-            twopc_piggyback=True, rollback_backend="counter-sync",
+            rollback_backend="counter-sync",
             counter_shards=1, decision_timeout_s=1.5,
         )
         cluster = TreatyCluster(profile=TREATY_FULL, config=config).start()
@@ -479,7 +479,7 @@ class TestIncidents:
     def test_post_hoc_replay_matches_live_detection(self):
         config = ClusterConfig(
             seed=1, tracing=True, monitor=True, incidents=True,
-            twopc_piggyback=True, rollback_backend="counter-sync",
+            rollback_backend="counter-sync",
             counter_shards=1, decision_timeout_s=1.5,
         )
         cluster = TreatyCluster(profile=TREATY_FULL, config=config).start()

@@ -22,7 +22,7 @@ from repro.mc import (
     explore,
     load_counterexample,
     parse_scope,
-    piggyback_crash_points,
+    protocol_crash_points,
     replay_counterexample,
     run_one,
     save_counterexample,
@@ -78,8 +78,9 @@ class TestEnumerateActions:
 # -- the harness: one controlled run ------------------------------------------
 
 class TestRunOne:
-    def test_default_trace_is_green_and_commits(self):
-        result = run_one(Scope(), [])
+    @pytest.mark.parametrize("protocol", ["optimized", "paper"])
+    def test_default_trace_is_green_and_commits(self, protocol):
+        result = run_one(Scope(protocol=protocol), [])
         assert result.green, result.violations
         assert result.outcomes == ["committed", "committed"]
         assert result.committed == 2
@@ -100,8 +101,10 @@ class TestRunOne:
         assert not result.liveness_checked
         assert result.green, result.violations
 
-    def test_crash_choice_crashes_and_recovers(self):
-        scope = Scope(actions=(), crash_points=piggyback_crash_points())
+    @pytest.mark.parametrize("protocol", ["optimized", "paper"])
+    def test_crash_choice_crashes_and_recovers(self, protocol):
+        scope = Scope(protocol=protocol, actions=())
+        assert scope.crash_points == protocol_crash_points(protocol)
         base = run_one(scope, [])
         crash_index = next(
             p.index for p in base.points if p.kind == "crash"
@@ -188,11 +191,16 @@ class TestMutationCounterexample:
         assert counterexample is not None
         assert stats.violation
         # delta debugging leaves a single necessary perturbation: the
-        # coordinator crash at its own prepare point.
+        # coordinator crash at its own prepare point, under the paper
+        # protocol (optimized converges via the completer instead).
         nonzeros = [c for c in counterexample["trace"] if c]
         assert len(nonzeros) == 1
         assert len(counterexample["choices"]) == 1
         assert counterexample["choices"][0]["kind"] == "crash"
+        assert counterexample["choices"][0]["label"] == (
+            "twopc/prepare_ack@node1"
+        )
+        assert counterexample["scope"]["protocol"] == "paper"
 
     def test_mutated_replay_reproduces(self, found):
         _stats, counterexample = found
@@ -238,6 +246,10 @@ class TestMutationCounterexample:
             depth=1, mutation="no-commit-redrive",
         )
         assert counterexample is not None
+        assert [c["label"] for c in counterexample["choices"]] == [
+            "twopc/decision@node0"
+        ]
+        assert counterexample["scope"]["protocol"] == "paper"
         assert any("in-doubt" in v or "quiescent" in v
                    for v in counterexample["violations"])
         _scope, result = replay_counterexample(counterexample, mutation=None)
@@ -396,18 +408,25 @@ class TestFaultsExtraction:
         """The conformance sweep maps ``seed % len(SCENARIOS)`` to a
         scenario, so the tuple's order and length are part of its
         contract with recorded seeds."""
-        assert SCENARIOS[0] == (("twopc", "prepare_target"), True)
-        assert SCENARIOS[1] == (("stabilize", "group_begin"), True)
+        assert SCENARIOS[0] == (("twopc", "prepare_target"), "optimized")
+        assert SCENARIOS[1] == (("stabilize", "group_begin"), "optimized")
+        assert SCENARIOS[5] == (("twopc", "prepare_ack"), "paper")
         # New points are appended, never inserted: counter/promise
         # (coverage backends) then twopc/decision-quorum (non-blocking
         # commit) ride at the end.
-        assert SCENARIOS[8] == (("counter", "promise"), True)
-        assert SCENARIOS[9] == (("twopc", "decision-quorum"), True)
+        assert SCENARIOS[8] == (("counter", "promise"), "optimized")
+        assert SCENARIOS[9] == (("twopc", "decision-quorum"), "optimized")
         assert len(SCENARIOS) == 10
 
-    def test_piggyback_filter_subsets_scenarios(self):
-        points = piggyback_crash_points()
-        all_points = {point for point, _piggyback in SCENARIOS}
-        assert set(points) <= all_points
-        assert ("twopc", "prepare_target") in points
-        assert ("twopc", "prepare_ack") not in points
+    def test_protocol_filter_partitions_scenarios(self):
+        optimized = protocol_crash_points("optimized")
+        paper = protocol_crash_points("paper")
+        assert len(optimized) + len(paper) == len(SCENARIOS)
+        assert ("twopc", "prepare_target") in optimized
+        assert ("twopc", "prepare_ack") not in optimized
+        assert paper == (
+            ("twopc", "prepare_ack"),
+            ("twopc", "decision"),
+            ("twopc", "commit_apply"),
+        )
+        assert Scope(protocol="paper").crash_points == paper

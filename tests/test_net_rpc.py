@@ -258,9 +258,18 @@ class TestSecureRpc:
         assert secure_harness.secure[1].replay_guard.rejected == 1
 
     def test_distinct_ivs_used(self, secure_harness):
-        rpc = secure_harness.secure[0]
-        first, _ = rpc._encode(self.request(op_id=1))
-        second, _ = rpc._encode(self.request(op_id=2))
+        codec = secure_harness.endpoints[0].batch_codec
+
+        def body():
+            blobs = []
+            for op_id in (1, 2):
+                blob, _, _ = yield from codec.encode_batch(
+                    [self.request(op_id=op_id).encode()]
+                )
+                blobs.append(blob)
+            return blobs
+
+        first, second = secure_harness.run(body())
         assert first[:12] != second[:12]
 
     def test_encryption_adds_latency(self):

@@ -1,18 +1,18 @@
 """Liveness-under-coordinator-death battery for non-blocking commit.
 
-Treaty's baseline 2PC blocks when the coordinator dies: prepared
-participants hold their locks until the coordinator's enclave restarts
-and replays its Clog.  With ``commit_replication`` (default on) the
-coordinator seals its commit/abort decision into the piggybacked group
+The paper's 2PC (``protocol="paper"``) blocks when the coordinator
+dies: prepared participants hold their locks until the coordinator's
+enclave restarts and replays its Clog.  Under ``protocol="optimized"``
+(the default) the coordinator seals its commit/abort decision into the piggybacked group
 round and waits for a quorum of attested participants to hold the
 decision slot *before* the client is acknowledged — so any surviving
 participant whose decision watchdog fires can assume the completer
 role and drive the group to its outcome without the coordinator ever
 coming back.
 
-This battery kills the coordinator at every crash point of the shared
-fault vocabulary (``repro.mc.faults.SCENARIOS``) and **never restarts
-it**, then asserts on the survivors:
+This battery kills the coordinator at every ``optimized`` crash point
+of the shared fault vocabulary (``repro.mc.faults.SCENARIOS``) and
+**never restarts it**, then asserts on the survivors:
 
 * any transaction whose commit decision reached a surviving slot is
   fully committed on every surviving shard (the completer spreads and
@@ -45,12 +45,11 @@ from repro.sim.rng import SeededRng
 COORDINATOR = 0
 
 
-def _config(seed, backend, piggyback):
+def _config(seed, backend):
     return ClusterConfig(
         seed=seed,
         tracing=True,
         monitor=True,
-        twopc_piggyback=piggyback,
         rollback_backend=backend,
         counter_shards=1 if backend == "counter-sync" else 2,
         # Tight watchdog so takeovers fire well inside the settle window.
@@ -177,7 +176,12 @@ def _sweep_seeds():
 @pytest.mark.parametrize("seed", _sweep_seeds())
 @pytest.mark.parametrize("scenario", range(len(SCENARIOS)))
 def test_coordinator_death_converges(scenario, seed):
-    point, piggyback = SCENARIOS[scenario]
+    point, protocol = SCENARIOS[scenario]
+    if protocol == "paper":
+        pytest.skip(
+            "protocol='paper' is blocking 2PC by definition: survivors "
+            "cannot converge without the coordinator"
+        )
     rng = SeededRng(seed * len(SCENARIOS) + scenario, "nonblocking")
     occurrence = rng.randint(1, 3)
     # counter/promise only fires under the coverage backends; everything
@@ -187,7 +191,7 @@ def test_coordinator_death_converges(scenario, seed):
         else "counter-sync"
 
     cluster = TreatyCluster(
-        profile=TREATY_FULL, config=_config(seed, backend, piggyback)
+        profile=TREATY_FULL, config=_config(seed, backend)
     ).start()
     sim = cluster.sim
     txns = _coordinator_txns(cluster, count=4)
@@ -284,7 +288,7 @@ class TestNoSpuriousTakeover:
         single completer takeover (or decision query round)."""
         cluster = TreatyCluster(
             profile=TREATY_FULL,
-            config=_config(7, "counter-sync", piggyback=True),
+            config=_config(7, "counter-sync"),
         ).start()
         txns = _coordinator_txns(cluster, count=4)
         outcomes = ["pending"] * len(txns)
@@ -319,7 +323,7 @@ class TestClientRedirect:
         once a completer has driven the commit home."""
         cluster = TreatyCluster(
             profile=TREATY_FULL,
-            config=_config(13, "counter-sync", piggyback=True),
+            config=_config(13, "counter-sync"),
         ).start()
         sim = cluster.sim
         machine = cluster.client_machine()
@@ -370,7 +374,7 @@ class TestClientRedirect:
         (presumed abort: the completers roll the transaction back)."""
         cluster = TreatyCluster(
             profile=TREATY_FULL,
-            config=_config(17, "counter-sync", piggyback=True),
+            config=_config(17, "counter-sync"),
         ).start()
         sim = cluster.sim
         machine = cluster.client_machine()

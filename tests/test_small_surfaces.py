@@ -1,6 +1,12 @@
 """Small-surface unit tests: rng derivation, fingerprints, misc APIs."""
 
+import dataclasses
+import pathlib
+import re
+
 import pytest
+
+import repro
 
 from repro.config import ClusterConfig, CostModel, EnvProfile, PROFILES
 from repro.crypto import generate_keypair
@@ -66,6 +72,22 @@ class TestConfigSurface:
         assert config.num_nodes == 3
         assert config.storage_engine == "lsm"
         assert config.storage_io == "syscall"
+
+    def test_every_cluster_config_field_has_a_reader(self):
+        """A knob nothing reads is dead: each field name must occur in
+        at least one ``src/repro`` module other than ``config.py``."""
+        root = pathlib.Path(repro.__file__).parent
+        source = "\n".join(
+            path.read_text()
+            for path in sorted(root.rglob("*.py"))
+            if path != root / "config.py"
+        )
+        unread = [
+            f.name
+            for f in dataclasses.fields(ClusterConfig)
+            if not re.search(r"\b%s\b" % f.name, source)
+        ]
+        assert not unread, "ClusterConfig fields nothing reads: %s" % unread
 
 
 class TestFrameAndFabricSurface:

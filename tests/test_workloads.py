@@ -176,12 +176,8 @@ class TestYcsbDriver:
         # mode performs ZERO coordinator rounds — no frame crosses the
         # inter-node cluster fabric during the measured run.
         from repro.bench.harness import cluster_nic_tx_frames
-        from repro.config import ClusterConfig
 
-        cluster = TreatyCluster(
-            profile=TREATY_ENC,
-            config=ClusterConfig(read_only_snapshot=True),
-        ).start()
+        cluster = TreatyCluster(profile=TREATY_ENC).start()
         config = YcsbConfig.variant("c", num_keys=200, value_size=100)
         cluster.run(bulk_load(cluster, config), name="load")
         frames_before = cluster_nic_tx_frames(cluster)
@@ -194,12 +190,7 @@ class TestYcsbDriver:
         assert cluster_nic_tx_frames(cluster) == frames_before
 
     def test_ycsb_e_scans_commit_via_snapshot_reads(self):
-        from repro.config import ClusterConfig
-
-        cluster = TreatyCluster(
-            profile=TREATY_ENC,
-            config=ClusterConfig(read_only_snapshot=True),
-        ).start()
+        cluster = TreatyCluster(profile=TREATY_ENC).start()
         config = YcsbConfig.variant(
             "e", num_keys=200, value_size=100, max_scan_length=20
         )
