@@ -414,19 +414,22 @@ def _trace_critical_path(records, txn: Optional[str]) -> int:
         critical_path,
         format_breakdown,
         format_phase_table,
+        transaction_roots,
         transaction_traces,
     )
 
-    traces = transaction_traces(records)
+    roots = transaction_roots(records)  # the one pass over the log
+    traces = transaction_traces(roots)
     if not traces:
         print("no distributed transactions in the trace", file=sys.stderr)
         return 1
     if txn is None:
-        committed = transaction_traces(records, outcome="commit")
+        committed = transaction_traces(roots, outcome="commit")
         print("distributed transactions : %d (%d committed)"
               % (len(traces), len(committed)))
         print()
-        print(format_phase_table(aggregate_critical_paths(records)))
+        print(format_phase_table(
+            aggregate_critical_paths(records, committed)))
         print()
         print("per-transaction breakdown: repro trace critical-path <txn>")
         preview = ", ".join(traces[:4])

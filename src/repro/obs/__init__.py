@@ -31,6 +31,7 @@ from .critpath import (
     critical_path,
     format_breakdown,
     format_phase_table,
+    transaction_roots,
     transaction_traces,
 )
 from .export import (
@@ -77,6 +78,7 @@ __all__ = [
     "CATEGORIES",
     "CriticalPath",
     "critical_path",
+    "transaction_roots",
     "transaction_traces",
     "aggregate_critical_paths",
     "format_breakdown",

@@ -48,16 +48,21 @@ contains them, deterministically, before the walk.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import defaultdict
+from typing import (
+    Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 __all__ = [
     "CATEGORIES",
     "COUNTER_CATEGORIES",
     "CriticalPath",
     "categorize",
+    "trace_records",
     "trace_spans",
     "span_dag",
     "critical_path",
+    "transaction_roots",
     "transaction_traces",
     "aggregate_critical_paths",
     "format_breakdown",
@@ -122,12 +127,39 @@ def categorize(span: Record) -> str:
     return "compute"
 
 
+def _by_trace(
+    records: Iterable[Record]
+) -> Mapping[Optional[str], Iterable[Record]]:
+    """``records`` split by trace id, each trace's in emission order.
+
+    A live tracer log (:class:`~repro.obs.tracer.TraceLog`, what
+    ``Observability.records()`` hands out) carries this index and keeps
+    it current on append, so any number of analysis calls cost no scan;
+    for any other iterable (records loaded from JSONL, a captured
+    exemplar) it is built here in one pass.  Every per-trace function
+    below reads records through it, and because buckets keep emission
+    order they see exactly the sequence a filter over the log would.
+    """
+    index = getattr(records, "by_trace", None)
+    if index is None:
+        index = defaultdict(list)
+        for rec in records:
+            index[rec.get("trace")].append(rec)
+    return index
+
+
+def trace_records(records: Iterable[Record], trace: str) -> List[Record]:
+    """All records (spans and events) of ``trace``, in emission order."""
+    return list(_by_trace(records).get(trace, ()))
+
+
+def _spans(bucket: Iterable[Record]) -> List[Record]:
+    return [rec for rec in bucket if rec["type"] == "span"]
+
+
 def trace_spans(records: Iterable[Record], trace: str) -> List[Record]:
     """All span records belonging to ``trace``, in emission order."""
-    return [
-        rec for rec in records
-        if rec["type"] == "span" and rec.get("trace") == trace
-    ]
+    return _spans(_by_trace(records).get(trace, ()))
 
 
 def _find_root(spans: Sequence[Record]) -> Optional[Record]:
@@ -224,8 +256,12 @@ class CriticalPath:
 
 def critical_path(records: Iterable[Record], trace: str) -> CriticalPath:
     """Compute the critical path of ``trace``; raises if it has no spans."""
-    records = list(records)
-    spans = trace_spans(records, trace)
+    return _critical_path(trace, _by_trace(records).get(trace, ()))
+
+
+def _critical_path(trace: str, bucket: Iterable[Record]) -> CriticalPath:
+    """The critical path of ``trace`` from its own records alone."""
+    spans = _spans(bucket)
     if not spans:
         raise ValueError("no spans recorded for trace %r" % trace)
     root = _find_root(spans)
@@ -262,24 +298,24 @@ def critical_path(records: Iterable[Record], trace: str) -> CriticalPath:
 
     walk(root, root["t0"], root["t1"])
     path = CriticalPath(trace, root, segments, len(spans))
-    _carve_tee(path, records, {span["sid"]: span for span in spans})
+    _carve_tee(path, bucket, {span["sid"]: span for span in spans})
     return path
 
 
-def _carve_tee(path: CriticalPath, records: Iterable[Record],
+def _carve_tee(path: CriticalPath, bucket: Iterable[Record],
                by_sid: Dict[int, Record]) -> None:
     """Move modelled TEE costs out of their containing segments.
 
     Cat ``tee`` events (world switches, EPC paging, message-buffer
     shielding) carry their charged cost; each event lands in exactly one
-    critical-path segment (same trace, same node, timestamp inside the
-    segment) and its cost — capped at the segment's length — moves from
-    the segment's category into ``tee``.  The total is preserved.
+    critical-path segment (same trace: ``bucket`` is the trace's own
+    records; same node, timestamp inside the segment) and its cost —
+    capped at the segment's length — moves from the segment's category
+    into ``tee``.  The total is preserved.
     """
     events = [
-        rec for rec in records
+        rec for rec in bucket
         if rec["type"] == "event" and rec["cat"] == "tee"
-        and rec.get("trace") == path.trace
         and (rec.get("args") or {}).get("cost")
     ]
     if not events:
@@ -310,6 +346,16 @@ def _carve_tee(path: CriticalPath, records: Iterable[Record],
             break
 
 
+def transaction_roots(records: Iterable[Record]) -> List[Record]:
+    """Every ``twopc/txn`` root span that carries a trace id, in commit
+    order — the one pass over a log that finds its transactions."""
+    return [
+        rec for rec in records
+        if rec["type"] == "span" and rec["cat"] == "twopc"
+        and rec["name"] == "txn" and rec.get("trace")
+    ]
+
+
 def transaction_traces(
     records: Iterable[Record], outcome: Optional[str] = None
 ) -> List[str]:
@@ -317,14 +363,11 @@ def transaction_traces(
 
     ``outcome`` filters on the root span's recorded outcome
     ("commit"/"abort"); None keeps every distributed transaction.
+    ``records`` may be a whole log or just its :func:`transaction_roots`.
     """
     traces: List[str] = []
     seen = set()
-    for rec in records:
-        if rec["type"] != "span" or rec["cat"] != "twopc":
-            continue
-        if rec["name"] != "txn" or not rec.get("trace"):
-            continue
+    for rec in transaction_roots(records):
         if outcome is not None and (rec.get("args") or {}).get(
                 "outcome") != outcome:
             continue
@@ -355,15 +398,17 @@ def aggregate_critical_paths(
     "totals": [seconds per txn]}`` for the given traces (default: every
     committed distributed transaction in the records).
     """
-    records = list(records)
     if traces is None:
+        if iter(records) is records:
+            records = list(records)  # one-shot iterator, read twice here
         traces = transaction_traces(records, outcome="commit")
+    by_trace = _by_trace(records)
     categories: Dict[str, List[float]] = {
         category: [] for category in CATEGORIES
     }
     totals: List[float] = []
     for trace in traces:
-        path = critical_path(records, trace)
+        path = _critical_path(trace, by_trace.get(trace, ()))
         totals.append(path.total)
         for category in CATEGORIES:
             categories[category].append(path.breakdown[category])

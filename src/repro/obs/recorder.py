@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional
 
-from .critpath import CATEGORIES, critical_path
+from .critpath import CATEGORIES, critical_path, trace_records
 
 __all__ = ["P2Quantile", "FlightRecorder"]
 
@@ -170,9 +170,10 @@ class FlightRecorder:
     def _capture(self, rec: Record, latency: float, threshold: float) -> None:
         trace = rec["trace"]
         # Retro-dump: copy the transaction's records out of the ring
-        # before eviction.  The scan also picks up same-trace tee events
-        # so the breakdown's tee carve-out stays intact.
-        records = [r for r in self.tracer.records if r.get("trace") == trace]
+        # before eviction — its bucket of the log's per-trace index, so
+        # same-trace tee events come along and the breakdown's tee
+        # carve-out stays intact.
+        records = trace_records(self.tracer.records, trace)
         try:
             path = critical_path(records, trace)
         except ValueError:

@@ -46,9 +46,50 @@ import itertools
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "tracer_of"]
+__all__ = ["Span", "TraceLog", "Tracer", "NullTracer", "NULL_TRACER",
+           "tracer_of"]
 
 Subscriber = Callable[[Dict[str, Any]], None]
+
+
+class TraceLog(deque):
+    """The tracer's retained records, indexed by trace id as they arrive.
+
+    Append-only: :meth:`append` is the one mutator that keeps
+    ``by_trace`` in step.  ``by_trace[trace]`` holds that trace's
+    records (``None`` keys the records of no trace) in emission order,
+    so per-trace analysis (:mod:`repro.obs.critpath`, the flight
+    recorder's retro-dump) reads one bucket instead of scanning the log.
+    With ``ring_max`` the log is a ring: a full log drops its oldest
+    record on append, and because the log and every bucket are both in
+    emission order that record is also the head of its own bucket — it
+    is popped there, and a bucket emptied this way is deleted.  The
+    index holds references to the records, never copies.
+    """
+
+    __slots__ = ("by_trace", "evicted")
+
+    def __init__(self, ring_max: Optional[int] = None):
+        super().__init__(maxlen=ring_max)
+        self.by_trace: Dict[Optional[str], deque] = {}
+        #: records the ring has dropped so far.
+        self.evicted = 0
+
+    def append(self, rec: Dict[str, Any]) -> None:
+        by_trace = self.by_trace
+        if len(self) == self.maxlen:
+            oldest = self[0]["trace"]
+            bucket = by_trace[oldest]
+            bucket.popleft()
+            if not bucket:
+                del by_trace[oldest]
+            self.evicted += 1
+        trace = rec["trace"]
+        bucket = by_trace.get(trace)
+        if bucket is None:
+            bucket = by_trace[trace] = deque()
+        bucket.append(rec)
+        super().append(rec)
 
 
 class Span:
@@ -108,11 +149,7 @@ class Tracer:
         #: evicting the oldest (FIFO in emission order, so eviction is
         #: exactly as deterministic as emission).  ``None`` = unbounded.
         self.ring_max = ring_max
-        if ring_max is not None:
-            self.records: Any = deque(maxlen=ring_max)
-        else:
-            self.records = []
-        self.records_evicted = 0
+        self.records = TraceLog(ring_max)
         self.subscribers: List[Subscriber] = []
         self._ids = itertools.count(1)
         #: open-span stack for code running outside any process.
@@ -125,6 +162,10 @@ class Tracer:
         self.spans_closed = 0
         self.events_emitted = 0
 
+    @property
+    def records_evicted(self) -> int:
+        return self.records.evicted
+
     # -- wiring ------------------------------------------------------------
     def subscribe(self, subscriber: Subscriber) -> None:
         """Call ``subscriber(record)`` for every finalized record."""
@@ -132,9 +173,6 @@ class Tracer:
 
     def _emit(self, rec: Dict[str, Any]) -> None:
         if self.record:
-            if (self.ring_max is not None
-                    and len(self.records) == self.ring_max):
-                self.records_evicted += 1
             self.records.append(rec)
         for subscriber in self.subscribers:
             subscriber(rec)

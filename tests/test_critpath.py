@@ -4,7 +4,11 @@ import json
 
 import pytest
 
+from repro.bench.metrics import MetricsCollector
+from repro.config import ClusterConfig, TREATY_FULL
+from repro.core import TreatyCluster
 from repro.net import NetworkAdversary
+from repro.net.message import MsgType
 from repro.obs import (
     aggregate_critical_paths,
     critical_path,
@@ -12,11 +16,14 @@ from repro.obs import (
     format_phase_table,
     load_chrome_trace,
     summary_table,
+    to_jsonl,
     transaction_traces,
     write_chrome_trace,
     write_jsonl,
 )
+from repro.obs import critpath
 from repro.obs.critpath import CATEGORIES, span_dag, trace_spans
+from repro.workloads import YcsbConfig, bulk_load, run_ycsb
 
 from tests.test_obs import spread_txn, traced_cluster
 
@@ -194,6 +201,154 @@ class TestCriticalPath:
                      str(path)]) == 0
         out = capsys.readouterr().out
         assert "critical path: txn" in out
+
+
+# -- the per-trace index: equivalence oracle and cost guard --------------------
+
+
+def scan_for(records, trace):
+    """The pre-index way to find one trace's records: scan the whole log.
+    Test-only reference; analysis code reads the per-trace index."""
+    return [r for r in records if r.get("trace") == trace]
+
+
+def scan_for_spans(records, trace):
+    return [r for r in scan_for(records, trace) if r["type"] == "span"]
+
+
+def reference_path(records, trace):
+    """Full scan -> the critical-path walk, bypassing the index."""
+    return critpath._critical_path(trace, scan_for(records, trace))
+
+
+def reference_dag(records, trace):
+    spans = scan_for_spans(records, trace)
+    root = critpath._find_root(spans)
+    return root, critpath._graft_orphans(spans, root)
+
+
+def contended_ycsb(protocol, duration=0.03, seed=5, **obs):
+    """A short 3-node optimistic YCSB run on few keys: commits *and*
+    prepare-time aborts, under delayed commits and duplicated prepares
+    (the frames TestTracePropagation perturbs)."""
+    config = ClusterConfig(seed=seed, protocol=protocol, **obs)
+    cluster = TreatyCluster(profile=TREATY_FULL, config=config).start()
+    adversary = NetworkAdversary()
+
+    def request(frame, req_type):
+        return (frame.kind == "erpc" and frame.meta.get("is_request")
+                and frame.meta.get("req_type") == req_type)
+
+    adversary.delay_matching(
+        lambda f: request(f, MsgType.TXN_COMMIT), delay=0.003)
+    adversary.duplicate_matching(lambda f: request(f, MsgType.TXN_PREPARE))
+    cluster.fabric.adversary = adversary
+    ycsb = YcsbConfig(read_proportion=0.5, num_keys=100, optimistic=True)
+    cluster.run(bulk_load(cluster, ycsb), name="load")
+    run_ycsb(cluster, ycsb, MetricsCollector("contended"), num_clients=4,
+             duration=duration, warmup=0.0)
+    assert adversary.delayed and adversary.duplicated
+    return cluster
+
+
+class CountingList(list):
+    """A record list that counts how often it is iterated in full."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+class TestTraceIndex:
+    @pytest.fixture(scope="class")
+    def long_run(self):
+        """>= 50 committed traces (perf/ analyses 128 in 64 chunks)."""
+        cluster = contended_ycsb("optimized", duration=0.2, tracing=True)
+        log = cluster.obs.records()
+        assert len(transaction_traces(log, outcome="commit")) >= 50
+        return log
+
+    @pytest.mark.parametrize("protocol", ["optimized", "paper"])
+    def test_indexed_paths_equal_the_full_scan_reference(self, protocol):
+        cluster = contended_ycsb(protocol, tracing=True)
+        live = cluster.obs.records()
+        reloaded = [json.loads(line) for line in to_jsonl(live).splitlines()]
+        assert reloaded == list(live)
+        assert transaction_traces(live, outcome="commit")
+        assert transaction_traces(live, outcome="abort")
+        for records in (live, reloaded):
+            traces = transaction_traces(records)
+            assert traces == transaction_traces(list(records))
+            for trace in traces:
+                assert trace_spans(records, trace) == scan_for_spans(
+                    records, trace)
+                expected = reference_path(records, trace)
+                path = critical_path(records, trace)
+                assert path.segments == expected.segments
+                assert path.breakdown == expected.breakdown
+                assert path.span_count == expected.span_count
+                assert path.root == expected.root
+                assert path.outcome in ("commit", "abort")
+                assert span_dag(records, trace) == reference_dag(
+                    records, trace)
+            aggregate = aggregate_critical_paths(records, traces)
+            assert aggregate["totals"] == [
+                reference_path(records, t).total for t in traces
+            ]
+
+    def test_aggregate_reads_a_plain_list_a_constant_number_of_times(
+            self, long_run):
+        records = CountingList(long_run)
+        aggregate = aggregate_critical_paths(records)
+        assert aggregate["count"] >= 50
+        # one pass finds the committed roots, one builds the index
+        assert records.iterations <= 3
+        one_shot = aggregate_critical_paths(iter(records))
+        assert one_shot == aggregate
+
+    def test_chunked_calls_on_a_live_log_never_scan_it(self, long_run):
+        """perf/workloads.py's calling pattern: 64 calls, 2 traces each."""
+        log = long_run
+        traces = transaction_traces(log, outcome="commit")
+
+        class CountingLog(type(log)):
+            __slots__ = ()
+            iterations = 0
+
+            def __iter__(self):
+                CountingLog.iterations += 1
+                return super().__iter__()
+
+        log.__class__ = CountingLog
+        list(log)
+        assert CountingLog.iterations == 1  # the counter does count
+        totals = []
+        for call in range(64):
+            chunk = [traces[(2 * call + i) % len(traces)] for i in (0, 1)]
+            totals.extend(aggregate_critical_paths(log, chunk)["totals"])
+            critical_path(log, chunk[0])
+            trace_spans(log, chunk[1])
+        assert CountingLog.iterations == 1
+        assert len(totals) == 128
+
+    def test_ring_eviction_keeps_the_index_exact(self):
+        cluster = contended_ycsb(
+            "optimized", flight_recorder=True, tracing=False,
+            trace_ring_spans=1500,
+        )
+        log = cluster.obs.records()
+        assert cluster.obs.tracer.records_evicted > 0
+        assert len(log) == 1500
+        retained = list(log)
+        # a bucket per surviving trace id and none for evicted-empty ones
+        assert set(log.by_trace) == {r["trace"] for r in retained}
+        assert (len(transaction_traces(retained, outcome="commit"))
+                < cluster.obs.recorder.commits_seen)
+        for trace, bucket in log.by_trace.items():
+            assert list(bucket) == scan_for(retained, trace)
+            assert trace_spans(log, trace) == scan_for_spans(retained, trace)
 
 
 # -- chrome-trace flow events --------------------------------------------------

@@ -221,7 +221,7 @@ class TestRingBuffer:
         assert unbounded.records_evicted == 0
         # The ring retains exactly the newest 32 records of the full
         # emission order — eviction is as deterministic as emission.
-        assert list(ring.records) == unbounded.records[-32:]
+        assert list(ring.records) == list(unbounded.records)[-32:]
 
     def test_same_run_same_retained_records(self):
         assert list(_ring_run(32).records) == list(_ring_run(32).records)

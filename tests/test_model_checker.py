@@ -10,6 +10,7 @@ crash-fault vocabulary shared with the conformance sweep.
 """
 
 import json
+import os
 
 import pytest
 
@@ -347,6 +348,30 @@ class TestFoundBugsStayGreen:
     def test_counterexample_trace_is_green(self, name, trace):
         result = run_one(self.SCOPE, trace)
         assert result.green, (name, result.violations)
+
+
+# -- a known red: pinned until its own fix lands -------------------------------
+
+KNOWN_RED = os.path.join(
+    os.path.dirname(__file__), "data",
+    "mc-durability-prepare-target-crash-resolve-drop.json",
+)
+
+
+class TestKnownRed:
+    @pytest.mark.xfail(strict=True, reason=(
+        "open bug: participant node1 crashes at twopc/prepare_target and "
+        "its recovery TXN_RESOLVE request to node0 is dropped; txn 0 "
+        "commits but node1's write never becomes visible (found by CI's "
+        "`mc explore --scope 2x3 --depth 2 --budget 60s`; see ROADMAP)"
+    ))
+    def test_crashed_participant_with_dropped_resolve_stays_durable(self):
+        """Replays the minimized counterexample.  Once the bug is fixed
+        the replay is green, the strict xfail fails the suite, and this
+        test moves to ``TestFoundBugsStayGreen``."""
+        _scope, result = replay_counterexample(
+            load_counterexample(KNOWN_RED))
+        assert result.green, result.violations
 
 
 # -- monitor reset / reuse ----------------------------------------------------
