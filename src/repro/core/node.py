@@ -120,7 +120,8 @@ class TreatyNode:
     def _build(self, credentials: NodeCredentials) -> None:
         self.boot_count += 1
         self.runtime = NodeRuntime(
-            self.sim, self.profile, self.config, name=self.name
+            self.sim, self.profile, self.config, name=self.name,
+            epoch=self.boot_count,
         )
         if self.sim.obs is not None:
             # Re-registering after recovery replaces the dead runtime's
@@ -145,9 +146,11 @@ class TreatyNode:
         )
         self.front_rpc = SecureRpc(
             self.runtime, self.front_endpoint, self.keyring,
-            self.numeric_id, epoch=self.boot_count,
+            self.numeric_id, epoch=self.boot_count, channel=1,
         )
-        sealing = SealingKey(self.platform_secret, TREATY_MEASUREMENT)
+        sealing = SealingKey(
+            self.platform_secret, TREATY_MEASUREMENT, epoch=self.boot_count
+        )
         self.replica = CounterReplica(
             self.runtime, self.cluster_rpc, self.disk, sealing, self.name
         )

@@ -3,11 +3,17 @@
 The paper encrypts messages, log entries, SSTable blocks and host-memory
 values with AES-GCM (via OpenSSL) using a 12-byte IV and a 16-byte MAC
 (§VII-A).  Hardware AES is not available here, so we build a *real* AEAD
-from stdlib primitives — an HMAC-SHA256 keystream in counter mode plus an
-encrypt-then-MAC tag — with exactly the paper's wire sizes.  Security
-properties relevant to the reproduction hold functionally: ciphertext
-reveals nothing without the key, and any bit flip in IV, ciphertext or
-associated data fails authentication.
+from stdlib primitives — a SHAKE-256 keystream plus an encrypt-then-MAC
+HMAC-SHA256 tag — with exactly the paper's wire sizes.  Like the paper's
+AES-NI path, a seal is a constant number of native calls whatever the
+message length: one extendable-output digest of ``enc_key || IV`` for the
+keystream, and a tag that starts from a copy of an HMAC state keyed once.
+Security properties relevant to the reproduction hold functionally:
+ciphertext reveals nothing without the key, and any bit flip in IV,
+ciphertext or associated data fails authentication.  This is a stream
+cipher: one ``(key, IV)`` pair must never seal two messages, so every
+caller folds what makes it unique (node, endpoint, boot, counter) into
+the IV or the key label.
 
 This module is pure computation; the *time* cost of sealing/opening is
 charged by callers through :meth:`repro.config.CostModel.aead_cost`.
@@ -17,7 +23,8 @@ from __future__ import annotations
 
 import hmac
 import struct
-from hashlib import sha256
+from hashlib import sha256, shake_256
+
 from ..errors import IntegrityError
 
 __all__ = ["IV_BYTES", "MAC_BYTES", "KEY_BYTES", "Aead", "xor_bytes"]
@@ -26,12 +33,12 @@ IV_BYTES = 12  # §VII-A: 12 B initialization vector
 MAC_BYTES = 16  # §VII-A: 16 B MAC
 KEY_BYTES = 32
 
-_BLOCK = 32  # keystream block = one SHA-256 digest
-
 
 def xor_bytes(data: bytes, keystream: bytes) -> bytes:
     """XOR ``data`` with a keystream of at least the same length."""
     length = len(data)
+    if len(keystream) < length:
+        raise ValueError("keystream shorter than data")
     if length == 0:
         return b""
     left = int.from_bytes(data, "little")
@@ -52,24 +59,16 @@ class Aead:
         # Independent subkeys for the keystream and the MAC, derived the
         # usual KDF way so a single 32-byte master key is enough.
         self._enc_key = hmac.new(key, b"treaty-enc", sha256).digest()
-        self._mac_key = hmac.new(key, b"treaty-mac", sha256).digest()
+        mac_key = hmac.new(key, b"treaty-mac", sha256).digest()
+        self._mac = hmac.new(mac_key, digestmod=sha256)  # copied per tag
 
     # -- internals -----------------------------------------------------------
     def _keystream(self, iv: bytes, length: int) -> bytes:
-        blocks = []
-        for counter in range((length + _BLOCK - 1) // _BLOCK):
-            blocks.append(
-                hmac.new(
-                    self._enc_key, iv + struct.pack("<I", counter), sha256
-                ).digest()
-            )
-        return b"".join(blocks)[:length]
+        return shake_256(self._enc_key + iv).digest(length)
 
     def _tag(self, iv: bytes, aad: bytes, ciphertext: bytes) -> bytes:
-        mac = hmac.new(self._mac_key, digestmod=sha256)
-        mac.update(struct.pack("<II", len(aad), len(ciphertext)))
-        mac.update(iv)
-        mac.update(aad)
+        mac = self._mac.copy()
+        mac.update(struct.pack("<II", len(aad), len(ciphertext)) + iv + aad)
         mac.update(ciphertext)
         return mac.digest()[:MAC_BYTES]
 

@@ -55,9 +55,14 @@ class KeyRing:
         """Sealing key for Treaty's secure message format (§VII-A)."""
         return self.aead("network")
 
-    def storage_aead(self) -> Aead:
-        """Encryption key for SSTable blocks and host-memory values."""
-        return self.aead("storage")
+    def storage_aead(self, *scope: str) -> Aead:
+        """Encryption key for SSTable blocks and host-memory values.
+
+        ``scope`` names the sealer (node, then use): nodes number their
+        versions and files alike, so under one cluster-wide key their
+        IVs would collide.
+        """
+        return self.aead("storage", *scope)
 
     def log_auth_key(self, log_name: str) -> bytes:
         """Authentication (HMAC-chain) key for one persistent log."""

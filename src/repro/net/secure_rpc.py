@@ -101,7 +101,10 @@ class _SecureBatchCodec:
             parent=0, trace=_parts_trace(parts),
             seal_ops=1, parts=len(parts),
         )
-        blob = seal_batch(rpc._aead, rpc._next_iv(), parts, aad)
+        # The IV names the sealer (every endpoint shares the network key)
+        # and reuses the batch id, which is unique per endpoint and boot.
+        iv = rpc._iv_sealer + struct.pack("<Q", batch_id)
+        blob = seal_batch(rpc._aead, iv, parts, aad)
         rpc.seal_ops += 1
         rpc._seal_ops_counter.inc()
         yield from rpc.runtime.seal_cost(len(blob))
@@ -168,6 +171,7 @@ class SecureRpc:
         keyring: KeyRing,
         node_numeric_id: int,
         epoch: int = 0,
+        channel: int = 0,
     ):
         self.runtime = runtime
         self.endpoint = endpoint
@@ -177,8 +181,12 @@ class SecureRpc:
         #: as replays of) its pre-crash ones.
         self.epoch = epoch
         self._aead = keyring.network_aead()
+        #: IV prefix: which endpoint sealed.  ``channel`` tells apart the
+        #: endpoints one node runs under one id (cluster = 0, front = 1).
+        self._iv_sealer = struct.pack(
+            "<I", (channel << 31) | (node_numeric_id & 0x7FFFFFFF)
+        )
         self.replay_guard = ReplayGuard()
-        self._iv_seq = itertools.count(1)
         self._batch_seq = itertools.count(1)
         self.messages_sealed = 0
         #: actual AEAD passes (seal or open): one per coalesced batch,
@@ -199,10 +207,6 @@ class SecureRpc:
     @property
     def _encrypted(self) -> bool:
         return self.runtime.profile.encryption
-
-    def _next_iv(self) -> bytes:
-        # Node id + per-node counter: never reused cluster-wide.
-        return struct.pack("<IQ", self.node_numeric_id & 0xFFFFFFFF, next(self._iv_seq))
 
     def _next_batch_id(self) -> int:
         return (self.epoch << 40) | next(self._batch_seq)

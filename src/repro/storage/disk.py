@@ -60,20 +60,24 @@ class Disk:
         self._files[filename] = bytearray(data)
         self.bytes_written += len(data)
 
-    def read(self, filename: str) -> bytes:
+    def _stored(self, filename: str) -> bytearray:
         try:
-            return bytes(self._files[filename])
+            return self._files[filename]
         except KeyError:
             raise StorageError("no such file: %r" % filename) from None
 
+    def read(self, filename: str) -> bytes:
+        return bytes(self._stored(filename))
+
     def read_range(self, filename: str, offset: int, length: int) -> bytes:
-        data = self.read(filename)
+        """Copy out one range only: a block read must not cost the whole file."""
+        data = self._stored(filename)
         if offset + length > len(data):
             raise StorageError(
                 "short read from %r (offset=%d length=%d size=%d)"
                 % (filename, offset, length, len(data))
             )
-        return data[offset : offset + length]
+        return bytes(data[offset : offset + length])
 
     def delete(self, filename: str) -> None:
         self._files.pop(filename, None)

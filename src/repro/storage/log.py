@@ -32,7 +32,6 @@ __all__ = ["SecureLog"]
 Gen = Generator[Event, Any, Any]
 
 _ZERO_TAG = b"\x00" * TAG_BYTES
-_IV_PREFIX = b"log!"
 
 
 class SecureLog:
@@ -69,8 +68,9 @@ class SecureLog:
         return self.next_counter - 1
 
     def _seal_payload(self, counter: int, payload: bytes) -> bytes:
-        iv = _IV_PREFIX + counter.to_bytes(8, "little")
-        return self._aead.seal(iv, payload, aad=self.log_name.encode())
+        return self._aead.seal(
+            self.runtime.iv(counter), payload, aad=self.log_name.encode()
+        )
 
     def _encode_entry(self, payload: bytes) -> Tuple[int, bytes]:
         counter = self.next_counter
@@ -138,7 +138,6 @@ class SecureLog:
                 yield from self.runtime.hash_cost(len(entry.payload))
                 chain.verify_next(entry.counter, entry.payload, entry.tag)
                 yield from self.runtime.seal_cost(len(entry.payload))
-                iv = _IV_PREFIX + entry.counter.to_bytes(8, "little")
                 payload = self._aead.open(entry.payload, aad=self.log_name.encode())
             else:
                 payload = entry.payload

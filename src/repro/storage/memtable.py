@@ -142,7 +142,7 @@ class MemTable:
     ):
         self.runtime = runtime
         self.name = name
-        self._aead = keyring.storage_aead()
+        self._aead = keyring.storage_aead(runtime.name, "memtable")
         self._skip = SkipList(rng)
         #: sealed value blobs living in *untrusted* host memory; exposed
         #: so attack tests can tamper with them.
@@ -166,8 +166,7 @@ class MemTable:
         if self.encrypted:
             yield from self.runtime.seal_cost(len(plain))
             yield from self.runtime.hash_cost(len(plain))
-            iv = b"mval" + seq.to_bytes(8, "little")
-            stored = self._aead.seal(iv, plain, aad=key)
+            stored = self._aead.seal(self.runtime.iv(seq), plain, aad=key)
         else:
             stored = plain
         yield from self.runtime.compute(self.runtime.costs.memtable_insert_cpu)

@@ -117,7 +117,10 @@ def build_sstable(
     if not entries:
         raise StorageError("refusing to build an empty SSTable")
     encrypted = runtime.profile.encryption
-    aead = keyring.storage_aead()
+    aead = keyring.storage_aead(runtime.name, "sstable")
+    # A crash between writing a table and recording it re-issues the
+    # file number, so the boot epoch is part of every IV's derivation.
+    iv_scope = filename.encode() + runtime.epoch.to_bytes(4, "little")
 
     blocks: List[bytes] = []
     block_index: List[Tuple[bytes, int, int, bytes]] = []  # first_key, off, len, hash
@@ -131,7 +134,7 @@ def build_sstable(
             return None
         plain = _encode_block(current)
         if encrypted:
-            iv = sha256(filename.encode() + len(blocks).to_bytes(4, "little")).digest()[:12]
+            iv = sha256(iv_scope + len(blocks).to_bytes(4, "little")).digest()[:12]
             stored = aead.seal(iv, plain, aad=_BLOCK_AAD)
         else:
             stored = plain
@@ -159,7 +162,7 @@ def build_sstable(
         footer_writer.blob(first_key).u64(off).u64(length).blob(block_hash)
     footer_plain = footer_writer.getvalue()
     if encrypted:
-        iv = sha256(filename.encode() + b"footer").digest()[:12]
+        iv = sha256(iv_scope + b"footer").digest()[:12]
         footer_stored = aead.seal(iv, footer_plain, aad=_FOOTER_AAD)
     else:
         footer_stored = footer_plain
@@ -199,7 +202,7 @@ class SSTableReader:
         self.runtime = runtime
         self.disk = disk
         self.meta = meta
-        self._aead = keyring.storage_aead()
+        self._aead = keyring.storage_aead(runtime.name, "sstable")
         self._index: Optional[List[Tuple[bytes, int, int, bytes]]] = None
 
     @property

@@ -16,6 +16,7 @@ w/ Stab" — exactly how the paper isolates its overheads.
 
 from __future__ import annotations
 
+import struct
 from typing import Any, Generator
 
 from ..config import ClusterConfig, CostModel, EnvProfile
@@ -35,13 +36,16 @@ class NodeRuntime:
     """Cost-charging execution context for one node."""
 
     def __init__(self, sim: Simulator, profile: EnvProfile,
-                 config: ClusterConfig, name: str = ""):
+                 config: ClusterConfig, name: str = "", epoch: int = 0):
         self.sim = sim
         self.profile = profile
         self.config = config
         #: owning node's name; labels trace records ("" for anonymous
         #: runtimes such as client machines and unit-test harnesses).
         self.name = name
+        #: boot epoch of the incarnation this runtime serves (a runtime
+        #: is rebuilt on every boot); makes :meth:`iv` restart-safe.
+        self.epoch = epoch
         self.costs: CostModel = config.costs
         factor = (
             self.costs.enclave_speed_factor if profile.in_enclave else 1.0
@@ -74,6 +78,15 @@ class NodeRuntime:
         #: which is exactly why the paper measures only ~2x there but
         #: 9-15x for the full system.
         self.heavy_enclave = False
+
+    def iv(self, counter: int) -> bytes:
+        """12-byte AEAD IV, unique per key for one (boot epoch, counter).
+
+        A counter alone restarts with the node — and recovery re-issues
+        the counters of a discarded unstable suffix for new data — so
+        every per-node sealer prefixes the epoch.
+        """
+        return struct.pack("<IQ", self.epoch, counter)
 
     def fiber_resume_delay(self) -> float:
         """Scheduling delay before a blocked enclave fiber runs again."""

@@ -12,6 +12,7 @@ These are the building blocks the attestation flow (§VI) composes:
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from hashlib import sha256
 
@@ -71,14 +72,17 @@ class Quote:
 class SealingKey:
     """Per-enclave sealing: encrypt state to the platform+measurement."""
 
-    def __init__(self, platform_secret: bytes, measurement: bytes):
+    def __init__(self, platform_secret: bytes, measurement: bytes, epoch: int = 0):
         key = derive_key(platform_secret, "seal", measurement.hex())
         self._aead = Aead(key)
+        #: the platform key outlives a reboot and the counter does not:
+        #: the boot epoch keeps IVs from repeating across restarts.
+        self._epoch = epoch
         self._counter = 0
 
     def seal(self, plaintext: bytes) -> bytes:
         self._counter += 1
-        iv = self._counter.to_bytes(12, "little")
+        iv = struct.pack("<IQ", self._epoch, self._counter)
         return self._aead.seal(iv, plaintext, aad=b"sealed-state")
 
     def unseal(self, sealed: bytes) -> bytes:

@@ -11,7 +11,8 @@ from repro.crypto import (
     digest,
     generate_keypair,
 )
-from repro.crypto.aead import IV_BYTES, KEY_BYTES, MAC_BYTES
+from repro.crypto import aead as aead_module
+from repro.crypto.aead import IV_BYTES, KEY_BYTES, MAC_BYTES, xor_bytes
 from repro.errors import AuthenticationError, IntegrityError
 
 KEY = bytes(range(32))
@@ -76,6 +77,91 @@ class TestAead:
         with pytest.raises(ValueError):
             Aead(KEY).seal(b"shortiv", b"data")
 
+    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 1000, 65537])
+    def test_roundtrip_and_size_at_every_length_class(self, length):
+        aead = Aead(KEY)
+        plaintext = bytes(i * 7 % 251 for i in range(length))
+        sealed = aead.seal(IV, plaintext, aad=b"hdr")
+        assert len(sealed) == Aead.sealed_size(length)
+        assert aead.open(sealed, aad=b"hdr") == plaintext
+
+    def test_keystream_is_a_function_of_key_and_iv(self):
+        plaintext = b"\x00" * 96
+        body = slice(IV_BYTES, -MAC_BYTES)
+        base = Aead(KEY).seal(IV, plaintext)[body]
+        assert base == Aead(KEY).seal(IV, plaintext)[body]  # deterministic
+        assert base != Aead(KEY).seal(b"\x02" * IV_BYTES, plaintext)[body]
+        assert base != Aead(bytes(32)).seal(IV, plaintext)[body]
+        # No short cycle: a repeating keystream would leak plaintext XORs.
+        assert len({base[i : i + 32] for i in range(0, 96, 32)}) == 3
+
+    def test_tamper_of_every_position_class_detected(self):
+        aead = Aead(KEY)
+        sealed = aead.seal(IV, b"p" * 70, aad=b"aad")
+        for position in range(len(sealed)):  # IV, body and tag bytes alike
+            forged = bytearray(sealed)
+            forged[position] ^= 0x80
+            with pytest.raises(IntegrityError):
+                aead.open(bytes(forged), aad=b"aad")
+        for aad in (b"", b"aae", b"aad\x00"):
+            with pytest.raises(IntegrityError):
+                aead.open(sealed, aad=aad)
+        # Moving a byte across the aad / ciphertext boundary must not verify.
+        first, rest = sealed[IV_BYTES : IV_BYTES + 1], sealed[IV_BYTES + 1 :]
+        with pytest.raises(IntegrityError):
+            aead.open(sealed[:IV_BYTES] + rest, aad=b"aad" + first)
+
+    def test_hash_objects_per_message_do_not_grow_with_length(self, monkeypatch):
+        """Cost guard by count: one seal + one open construct the same
+        hash objects for 64 B as for 64 KiB (a keystream call and a copy
+        of the pre-keyed tag state each) and key no HMAC per message."""
+        built = []
+
+        class Counted:
+            """Proxy for a hash object that also counts its copies."""
+
+            def __init__(self, inner):
+                self._inner = inner
+
+            def copy(self):
+                built.append("copy")
+                return Counted(self._inner.copy())
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+        def counting(name, factory):
+            def build(*args, **kwargs):
+                built.append(name)
+                return Counted(factory(*args, **kwargs))
+
+            return build
+
+        monkeypatch.setattr(
+            aead_module.hmac, "new", counting("hmac.new", aead_module.hmac.new)
+        )
+        monkeypatch.setattr(
+            aead_module, "shake_256", counting("shake_256", aead_module.shake_256)
+        )
+        aead = Aead(KEY)
+        counts = []
+        for length in (64, 64 * 1024):
+            del built[:]
+            assert aead.open(aead.seal(IV, b"m" * length)) == b"m" * length
+            counts.append(sorted(built))
+        assert counts[0] == counts[1] == ["copy", "copy", "shake_256", "shake_256"]
+
+
+class TestXorBytes:
+    def test_xor_roundtrip_and_longer_keystream(self):
+        assert xor_bytes(b"\x0f\xf0", b"\xff\xff\xff") == b"\xf0\x0f"
+        assert xor_bytes(b"", b"") == b""
+
+    def test_short_keystream_rejected(self):
+        """Never emit a tail of plaintext XOR 0."""
+        with pytest.raises(ValueError):
+            xor_bytes(b"abcd", b"\x01\x02\x03")
+
 
 class TestLogChain:
     def test_append_then_verify_replay(self):
@@ -139,6 +225,14 @@ class TestKeys:
         assert ring.network_aead() is ring.network_aead()
         sealed = ring.storage_aead().seal(IV, b"v")
         assert ring.storage_aead().open(sealed) == b"v"
+
+    def test_storage_key_is_scoped_to_its_sealer(self):
+        ring = KeyRing(KEY)
+        sealed = ring.storage_aead("node0", "memtable").seal(IV, b"v")
+        assert KeyRing(KEY).storage_aead("node0", "memtable").open(sealed) == b"v"
+        for other in (("node1", "memtable"), ("node0", "sstable"), ()):
+            with pytest.raises(IntegrityError):
+                ring.storage_aead(*other).open(sealed)
 
     def test_same_root_same_keys_across_nodes(self):
         assert KeyRing(KEY).subkey("network") == KeyRing(KEY).subkey("network")

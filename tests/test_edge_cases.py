@@ -61,7 +61,7 @@ class TestEmptyAndBoundary:
 
     def test_log_entry_of_exactly_one_block(self):
         aead = Aead(bytes(32))
-        plaintext = b"z" * 32  # one keystream block exactly
+        plaintext = b"z" * 32  # one SHA-256 digest; the XOF keystream has no block edge
         assert aead.open(aead.seal(b"\x01" * 12, plaintext)) == plaintext
 
 

@@ -1,10 +1,13 @@
 """Deeper adversarial scenarios: counter service, vote timeouts, runtime
 host-memory tampering, sealed-state tampering."""
 
+import sys
+
 import pytest
 
-from repro.config import TREATY_ENC, TREATY_FULL
+from repro.config import TREATY_ENC, TREATY_FULL, ClusterConfig
 from repro.core import TreatyCluster
+from repro.crypto import Aead
 from repro.errors import IntegrityError, TransactionAborted
 from repro.net import NetworkAdversary
 
@@ -158,3 +161,82 @@ class TestRuntimeHostMemoryTamper:
 
         with pytest.raises(IntegrityError):
             cluster.run(read())
+
+
+class TestIvDiscipline:
+    """The AEAD is a stream cipher: a ``(key, IV)`` pair sealed twice
+    hands the adversary the XOR of two plaintexts."""
+
+    def test_no_key_iv_pair_is_sealed_twice(self, monkeypatch):
+        """Every sealer, across flushes, a Clog rotation, and a participant
+        that crashes mid-transaction and restarts (recovery re-seals its
+        logs and replays its WAL into a fresh MemTable)."""
+        sites = {}
+        real_seal = Aead.seal
+
+        def recording_seal(aead, iv, plaintext, aad=b""):
+            # Keyed by key *bytes*: every node derives its own Aead
+            # objects, and cluster-wide keys are equal across nodes.
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "seal_batch":
+                caller = caller.f_back
+            site = "%s:%s" % (
+                caller.f_code.co_filename.rsplit("repro/", 1)[-1],
+                caller.f_code.co_name,
+            )
+            sites.setdefault((aead._enc_key, iv), []).append(site)
+            return real_seal(aead, iv, plaintext, aad)
+
+        monkeypatch.setattr(Aead, "seal", recording_seal)
+        # A 2 KiB MemTable flushes every few transactions: SSTable block
+        # and footer IVs and fresh WALs are in play, not only messages.
+        cluster = TreatyCluster(
+            profile=TREATY_FULL, config=ClusterConfig(memtable_limit_bytes=2048)
+        ).start()
+        machine = cluster.client_machine()
+        sessions = [cluster.session(machine, coordinator=i) for i in range(3)]
+
+        def spread(tag, count=3):
+            return [
+                local_key(cluster, node, tag=b"%s%d" % (tag, i))
+                for node in range(3)
+                for i in range(count)
+            ]
+
+        def commit_round(tag):
+            def body():
+                for session in sessions:
+                    txn = session.begin()
+                    for key in spread(tag):
+                        yield from txn.put(key, tag * 40)
+                    yield from txn.commit()
+
+            cluster.run(body())
+
+        def crash_mid_transaction():
+            txn = sessions[0].begin()
+            for key in spread(b"mid"):
+                yield from txn.put(key, b"half-done" * 12)
+            cluster.crash_node(1)
+            with pytest.raises(TransactionAborted):
+                yield from txn.commit()
+            yield from cluster.recover_node(1)
+
+        commit_round(b"before")
+        cluster.run(cluster.nodes[1].rotate_clog())
+        cluster.run(crash_mid_transaction())
+        commit_round(b"after")
+
+        sealed_at = {site for where in sites.values() for site in where}
+        assert {
+            "net/secure_rpc.py:encode_batch",
+            "storage/memtable.py:put",
+            "storage/sstable.py:finish_block",
+            "storage/sstable.py:build_sstable",
+            "storage/log.py:_seal_payload",
+            "tee/sgx.py:seal",
+        } <= sealed_at
+        reused = sorted(
+            {tuple(where) for where in sites.values() if len(where) > 1}
+        )
+        assert not reused, "IV reused under one key by: %r" % reused

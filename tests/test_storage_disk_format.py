@@ -18,9 +18,14 @@ class TestDisk:
     def test_read_range(self):
         disk = Disk()
         disk.write("f", b"0123456789")
-        assert disk.read_range("f", 2, 3) == b"234"
-        with pytest.raises(StorageError):
+        got = disk.read_range("f", 2, 3)
+        assert got == b"234" and type(got) is bytes
+        disk.tamper("f", 2)  # an immutable copy, not a view of the device
+        assert got == b"234"
+        with pytest.raises(StorageError, match="short read"):
             disk.read_range("f", 8, 5)
+        with pytest.raises(StorageError, match="no such file"):
+            disk.read_range("nope", 0, 1)
 
     def test_missing_file_raises(self):
         with pytest.raises(StorageError):

@@ -78,6 +78,13 @@ class TestSgxPrimitives:
         with pytest.raises(IntegrityError):
             key.unseal(bytes(tampered))
 
+    def test_sealing_ivs_do_not_repeat_across_boots(self):
+        first_boot = SealingKey(b"platform", measure("a"), epoch=1)
+        second_boot = SealingKey(b"platform", measure("a"), epoch=2)
+        old, new = first_boot.seal(b"state-1"), second_boot.seal(b"state-2")
+        assert old[:12] != new[:12]  # same key, counter restarted: IV must differ
+        assert second_boot.unseal(old) == b"state-1"
+
     def test_sealing_bound_to_measurement(self):
         key_a = SealingKey(b"platform", measure("a"))
         key_b = SealingKey(b"platform", measure("b"))

@@ -14,6 +14,11 @@ Usage::
 
     python tools/profile.py ycsb-a-traced
     python tools/profile.py ycsb-a-dist --seed 3 --top 40 --sort cumtime
+    python tools/profile.py ycsb-w-single --callers 'read_range|aead.py.*seal'
+
+``--callers REGEX`` adds, for every profiled function whose
+``file:line(name)`` matches, who called it and how often: a hot leaf
+(an AEAD seal, a disk read) is fixed at its call sites.
 
 ``perf/`` is imported read-only; this file lives outside ``src/repro``,
 where ``tools/lint_determinism.py`` bans the host clock.
@@ -48,6 +53,8 @@ def main(argv=None) -> int:
                         help="functions to print (default 25)")
     parser.add_argument("--sort", choices=("tottime", "cumtime"),
                         default="tottime")
+    parser.add_argument("--callers", metavar="REGEX",
+                        help="also print the callers of matching functions")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fp:
@@ -61,6 +68,8 @@ def main(argv=None) -> int:
              result.obs_records))
     stats = pstats.Stats(profiler)
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
+    if args.callers:
+        stats.print_callers(args.callers)
     return 0
 
 
