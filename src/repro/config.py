@@ -253,19 +253,7 @@ class ClusterConfig:
     num_nodes: int = 3
     cores_per_node: int = 8
     memtable_limit_bytes: int = 8 * 1024 * 1024
-    lock_shards: int = 256
-    #: seconds before a lock wait aborts with a timeout error (§V-B).
-    #: Also the deadlock-resolution latency, so it is kept roughly one
-    #: order of magnitude above a contended transaction's latency.
-    lock_timeout: float = 0.05
     counter_quorum: int = 2
-    #: how long one counter round waits for stragglers beyond the quorum;
-    #: a crashed group member must not wedge the protocol (§VI).
-    counter_round_timeout: float = 0.05
-    #: backoff between counter-round retries when the quorum is unreachable.
-    counter_retry_backoff: float = 0.1
-    #: retries before a stabilization request gives up (FreshnessError).
-    counter_max_retries: int = 100
     #: rollback-protection backend (repro.core.rollback):
     #: ``"counter-sync"``  — every stabilization request drives (or joins)
     #: a synchronous two-round echo-broadcast and waits for the quorum
@@ -288,9 +276,6 @@ class ClusterConfig:
     #: echo quorum renews the shard's lease; a waiter whose promise
     #: outlives the lease runs one synchronous round itself.
     counter_lease_s: float = 0.02
-    #: concurrent echo rounds in flight per shard (counter-async/lcm
-    #: driver pipelining); 1 serializes rounds like the sync driver.
-    counter_max_inflight: int = 4
     #: the commit protocol, one of :data:`PROTOCOLS`.
     #: ``"paper"`` is §V as published: each participant stabilizes its
     #: own prepare entry before PREPARE-ACK, the coordinator stabilizes
@@ -321,13 +306,8 @@ class ClusterConfig:
     #: doorbell batching (eRPC TxBurst-style): concurrent small messages
     #: to the same destination coalesce into one multi-message frame —
     #: one NIC/driver charge, one propagation and one header per batch,
-    #: and, with encryption, one AEAD pass over the whole batch.  The
-    #: window is how long a destination's TX queue waits for more
-    #: messages to join before sealing the batch.  Calibrated
-    #: to the NIC doorbell write-back (~2 us), well under the 2PC vote
-    #: timeout and the counter round timeout.
-    net_tx_batch_window: float = 2.0e-6
-    #: upper bound on messages coalesced into one frame; 1 = no
+    #: and, with encryption, one AEAD pass over the whole batch.  This
+    #: is the upper bound on messages coalesced into one frame; 1 = no
     #: coalescing (one message and one AEAD pass per frame).
     net_tx_batch_max: int = 16
     group_commit_max: int = 16  # transactions merged per group commit
@@ -337,8 +317,6 @@ class ClusterConfig:
     #: (yield once, take whatever joined); a positive value fixes
     #: the window.
     group_commit_window: Optional[float] = None
-    #: upper bound on the adaptive group-commit window.
-    group_commit_window_cap: float = 4.0e-4
     #: bounded-liveness horizon for the invariant monitor (I5): absent
     #: crashes, every prepare must reach a decision within this many
     #: simulated seconds.  Generous by design — it exists to catch stuck
@@ -377,18 +355,9 @@ class ClusterConfig:
     #: structured incident detection (repro.obs.incidents): takeovers,
     #: lease-expiry fallbacks, OCC retry storms, lock convoys, stalls.
     incidents: bool = False
-    #: quantile the flight recorder tracks for exemplar capture.
-    tail_quantile: float = 0.99
     #: commits observed before exemplar capture arms (lets the streaming
     #: estimate settle so early txns aren't all "outliers").
     tail_warmup: int = 32
-    #: max captured exemplars; the fastest is evicted first.
-    max_exemplars: int = 16
-    #: OCC conflicts within one time-series window that count as a
-    #: retry storm.
-    incident_occ_storm_conflicts: int = 20
-    #: lock wait, simulated seconds, that counts as a convoy.
-    incident_lock_convoy_s: float = 0.01
     seed: int = 2022
     costs: CostModel = field(default_factory=CostModel)
 

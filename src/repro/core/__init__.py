@@ -13,7 +13,6 @@ from .recovery import (
     snapshot_node_disk,
     tamper_attack,
 )
-from .stabilization import Stabilizer
 from .trusted_counter import CounterClient, CounterReplica
 from .twopc import ClogRecord, Coordinator, GlobalTxn, Participant
 
@@ -34,7 +33,6 @@ __all__ = [
     "NodeCredentials",
     "Participant",
     "StableCounterResolver",
-    "Stabilizer",
     "TreatyCluster",
     "TreatyNode",
     "TxnIdAllocator",

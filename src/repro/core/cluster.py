@@ -78,13 +78,7 @@ class TreatyCluster:
             timeseries=self.config.timeseries,
             timeseries_window_s=self.config.timeseries_window_s,
             incidents=self.config.incidents,
-            tail_quantile=self.config.tail_quantile,
             tail_warmup=self.config.tail_warmup,
-            max_exemplars=self.config.max_exemplars,
-            incident_occ_storm_conflicts=(
-                self.config.incident_occ_storm_conflicts
-            ),
-            incident_lock_convoy_s=self.config.incident_lock_convoy_s,
         )
         self.fabric = Fabric(self.sim, mtu=self.config.costs.net_mtu)
         self.obs.hub.add("fabric", self.fabric.metrics)

@@ -13,7 +13,7 @@ import itertools
 from typing import Any, Callable, Dict, Generator, Optional
 
 from ..config import ClusterConfig, EnvProfile
-from ..errors import FreshnessError, NetworkError
+from ..errors import FreshnessError
 from ..net.erpc import ErpcEndpoint
 from ..net.message import MsgType, TxMessage
 from ..net.secure_rpc import SecureRpc
@@ -39,15 +39,14 @@ from .client import FrontEnd
 from .ids import GlobalTxnId
 from .pipeline import DurabilityPipeline
 from .rollback import DecisionLedger
-from .stabilization import Stabilizer
-from .trusted_counter import CounterClient, CounterReplica, decode_counter_vector
+from .trusted_counter import CounterClient, CounterReplica
 from .twopc import (
     RESOLUTION_RETRY_INTERVAL,
     ClogRecord,
     Coordinator,
-    DecisionRecord,
-    GlobalTxn,
     Participant,
+    deliver,
+    pace,
 )
 
 __all__ = ["TreatyNode"]
@@ -101,7 +100,6 @@ class TreatyNode:
         self.counter_client: Optional[CounterClient] = None
         self.pipeline: Optional[DurabilityPipeline] = None
         self.rollback = None  # Optional[RollbackProtection], set by _build
-        self.stabilizer: Optional[Stabilizer] = None
         self.ledger: Optional[DecisionLedger] = None
         self.clog: Optional[SecureLog] = None
 
@@ -171,7 +169,6 @@ class TreatyNode:
         # fresh per-shard drivers and leases while the crashed
         # incarnation's zombie fibers die on their detached NIC.
         self.rollback = self.pipeline.rollback
-        self.stabilizer = self.pipeline.stabilizer
         # Decision slots are enclave memory: volatile, rebuilt each
         # boot.  A crash forgets them — the quorum of *surviving*
         # holders is what keeps a replicated decision alive, the same
@@ -192,15 +189,15 @@ class TreatyNode:
                 self.keyring,
                 self.config,
                 name=self.name,
-                stabilizer=self.stabilizer if self.profile.stabilization else None,
+                # None, not a no-op: without stabilization the engine's
+                # GC waits out a grace period instead.
+                stabilize=(
+                    self.pipeline.stabilize if self.pipeline.enabled else None
+                ),
             )
         self.manager = TransactionManager(
-            self.runtime,
-            self.engine,
-            self.config,
-            stabilizer=self.stabilizer,
+            self.runtime, self.engine, self.config, self.pipeline,
             name=self.name,
-            pipeline=self.pipeline,
         )
 
     def _wire_roles(self) -> None:
@@ -212,21 +209,19 @@ class TreatyNode:
             self.numeric_id,
             self.addresses,
             self.partitioner,
-            self.stabilizer,
+            self.pipeline,
+            self.ledger,
             epoch=self.boot_count,
-            pipeline=self.pipeline,
-            ledger=self.ledger,
         )
         self.participant = Participant(
             self.runtime,
             self.manager,
             self.cluster_rpc,
-            self.stabilizer,
-            numeric_id=self.numeric_id,
-            addresses=self.addresses,
-            pipeline=self.pipeline,
-            ledger=self.ledger,
-            op_ids=self._resolution_op_id,
+            self.numeric_id,
+            self.addresses,
+            self.pipeline,
+            self.ledger,
+            self._resolution_op_id,
         )
         self.frontend = FrontEnd(
             self.runtime, self.coordinator, self.manager, self.front_rpc,
@@ -289,11 +284,11 @@ class TreatyNode:
         old_filename = old_clog.filename
 
         def gc():
-            if self.stabilizer is not None and self.stabilizer.enabled:
-                yield from self.stabilizer(
+            if self.pipeline.enabled:
+                yield from self.pipeline.stabilize(
                     self.engine.manifest_log_name, counter
                 )
-                yield from self.stabilizer(
+                yield from self.pipeline.stabilize(
                     new_clog.log_name, new_clog.last_counter
                 )
             else:
@@ -440,10 +435,9 @@ class TreatyNode:
         # committed") and resolve them with their coordinators.
         for txn_id in prepared_ids:
             writes = self.engine.prepared_txns[txn_id]
-            txn = yield from self._adopt_prepared(txn_id, writes)
+            yield from self._adopt_prepared(txn_id, writes)
             self.sim.process(
-                self._resolve_prepared(txn_id, txn),
-                name="resolve@%s" % self.name,
+                self._resolve_prepared(txn_id), name="resolve@%s" % self.name
             )
 
         # Coordinator half: undecided transactions are presumed aborted
@@ -486,7 +480,6 @@ class TreatyNode:
             txn.buffer.record(key, value)
         txn.status = TxnStatus.PREPARED
         self.participant.active[txn_id] = txn
-        return txn
 
     def _resolution_op_id(self) -> int:
         # The replay guard dedups on (node, txn, op) where node/txn name
@@ -504,11 +497,6 @@ class TreatyNode:
             | next(self._resolution_ops)
         )
 
-    def _resolution_message(self, msg_type: int, gid: GlobalTxnId) -> TxMessage:
-        return TxMessage(
-            msg_type, gid.node_id, gid.local_seq, self._resolution_op_id()
-        )
-
     def _fence_peers(self) -> Gen:
         """Tell every peer this node's pre-crash epoch is dead.
 
@@ -520,114 +508,90 @@ class TreatyNode:
             self.sim.tracer.event(
                 "twopc", "fence", node=self.name, epoch=self.boot_count
             )
-        pending = {
-            node for node in self.addresses if node != self.numeric_id
-        }
-        for _attempt in range(10):
-            if not pending:
-                return
-            ordered = sorted(pending)
-            fences = self.cluster_rpc.broadcast(
-                [
-                    (
-                        self.addresses[node],
-                        TxMessage(
-                            MsgType.TXN_FENCE,
-                            self.numeric_id,
-                            self.boot_count,
-                            self._resolution_op_id(),
-                        ),
-                    )
-                    for node in ordered
-                ]
-            )
-            events = dict(zip(ordered, fences))
-            round_start = self.sim.now
-            yield self.sim.any_of(
-                [
-                    self.sim.all_settled(list(events.values())),
-                    self.sim.timeout(RESOLUTION_RETRY_INTERVAL),
-                ]
-            )
-            for node, event in events.items():
-                if event.triggered and event.ok:
-                    pending.discard(node)
-            if pending:
-                # A crashed peer fails its fence instantly; pace the
-                # retry so ten attempts span real time instead of one
-                # same-instant burst.
-                remainder = RESOLUTION_RETRY_INTERVAL - (
-                    self.sim.now - round_start
-                )
-                if remainder > 0.0:
-                    yield self.sim.timeout(remainder)
+        yield from deliver(
+            self.cluster_rpc, self.addresses, self.participant.peers,
+            lambda: TxMessage(
+                MsgType.TXN_FENCE, self.numeric_id, self.boot_count,
+                self._resolution_op_id(),
+            ),
+            rounds=10,
+        )
 
-    def _resolve_prepared(self, txn_id: bytes, txn) -> Gen:
-        """Ask the coordinator how a recovered prepared txn was decided."""
+    def _resolve_prepared(self, txn_id: bytes) -> Gen:
+        """Learn how a recovered prepared half was decided; apply it."""
         gid = GlobalTxnId.decode(txn_id)
-        if gid.node_id == self.numeric_id:
-            if self.participant.replication:
-                # This node's own Clog decision is necessary but no
-                # longer sufficient: a COMMIT whose replication round
-                # never reached quorum may have been superseded by a
-                # completer abort quorum while this node was down.  The
-                # completer state machine re-derives the final outcome
-                # from the slot quorum (the redrive fiber re-confirms
-                # the decision and drives the group in parallel; the
-                # active-entry pop keeps the apply exactly-once).
-                yield from self.participant.complete(txn_id)
-                return
-            decision, _, _ = self.coordinator.decisions.get(
-                txn_id, (ClogRecord.ABORT, 0, ())
-            )
-            commit = decision == ClogRecord.COMMIT
+        replication = self.participant.replication
+        own = gid.node_id == self.numeric_id
+        if own and replication:
+            # This node's own Clog decision is necessary but no longer
+            # sufficient: a COMMIT whose replication round never reached
+            # quorum may have been superseded by a completer abort
+            # quorum while this node was down.  The completer state
+            # machine re-derives the final outcome from the slot quorum
+            # (the redrive fiber re-confirms the decision and drives the
+            # group in parallel).
+            yield from self.participant.complete(txn_id)
+            return
+        if own:
+            # Ask this node's coordinator role, which answers only once
+            # the decision entry is protected — it may sit in the
+            # replayed Clog's unstable suffix.
+            kind = yield from self.coordinator.resolve(txn_id)
         else:
-            # The coordinator may itself be down.  Without decision
-            # replication its answer is the only safe way to decide, so
-            # retry until it is reachable; with replication a quorum of
-            # peers holds the decision, so once the decision timeout
-            # elapses hand the transaction to the completer state
-            # machine instead of blocking on a dead coordinator.
+            # The coordinator may be down, or the question or its answer
+            # lost.  Without decision replication its answer is the only
+            # safe way to decide, so ask until it comes; with
+            # replication a quorum of peers holds the decision, so once
+            # the decision timeout elapses hand the transaction to the
+            # completer state machine instead of blocking on a dead
+            # coordinator.
             deadline = self.sim.now + self.config.decision_timeout_s
             while True:
-                try:
-                    reply = yield from self.cluster_rpc.call(
+                round_start = self.sim.now
+                (reply,) = yield from self.cluster_rpc.gather(
+                    [(
                         self.addresses[gid.node_id],
-                        self._resolution_message(MsgType.TXN_RESOLVE, gid),
-                    )
-                except NetworkError:
-                    if (
-                        self.participant.replication
-                        and self.sim.now >= deadline
-                    ):
-                        yield from self.participant.complete(txn_id)
-                        return
-                    yield self.sim.timeout(RESOLUTION_RETRY_INTERVAL)
-                    continue
-                break
-            commit = reply.body == b"commit"
-        if self.participant.active.pop(txn_id, None) is None:
+                        TxMessage(
+                            MsgType.TXN_RESOLVE, gid.node_id, gid.local_seq,
+                            self._resolution_op_id(),
+                        ),
+                    )],
+                    timeout=RESOLUTION_RETRY_INTERVAL,
+                )
+                if reply is not None:
+                    break
+                if replication and self.sim.now >= deadline:
+                    yield from self.participant.complete(txn_id)
+                    return
+                yield from pace(self.sim, round_start)
+            kind = (
+                ClogRecord.COMMIT if reply.body == b"commit"
+                else ClogRecord.ABORT
+            )
+        targets = yield from self.participant.apply(txn_id, kind)
+        if targets is None:
             # A coordinator redrive resolved this transaction while the
             # query was in flight (the coordinator can recover and
-            # re-broadcast concurrently with our retries).  Whoever pops
-            # the active entry applies the outcome — exactly once.
+            # re-broadcast concurrently with our retries).
             return
-        if commit:
-            yield from txn.commit_prepared_async()
-        else:
-            yield from txn.abort_prepared()
         if self.sim.tracer is not None:
             self.sim.tracer.event(
                 "twopc", "prepared_resolved", node=self.name,
-                txn=txn_id.hex(), outcome="commit" if commit else "abort",
+                txn=txn_id.hex(),
+                outcome="commit" if kind == ClogRecord.COMMIT else "abort",
             )
+        yield from self.pipeline.stabilize_group(
+            targets, txn=txn_id.hex(), phase="resolve-apply"
+        )
 
     def _abort_undecided(self, record: ClogRecord) -> Gen:
         counter = yield from self.coordinator.log_clog(
             ClogRecord(ClogRecord.ABORT, record.gid, record.participants)
         )
-        self.stabilizer.background(self.clog.log_name, counter)
-        yield from self._broadcast_resolution(MsgType.TXN_ABORT, record)
+        self.pipeline.background(self.clog.log_name, counter)
+        yield from self.participant.instruct(
+            ClogRecord.ABORT, record.gid, record.participants
+        )
 
     def _redrive_abort(self, record: ClogRecord) -> Gen:
         """Re-instruct participants of a decided-abort transaction.
@@ -639,101 +603,41 @@ class TreatyNode:
         forever.  Participants that already aborted — or never heard of
         the transaction — acknowledge and ignore the duplicate.
         """
-        yield from self._broadcast_resolution(MsgType.TXN_ABORT, record)
+        yield from self.participant.instruct(
+            ClogRecord.ABORT, record.gid, record.participants
+        )
 
     def _redrive_commit(self, record: ClogRecord) -> Gen:
-        """Re-instruct participants of a decided-commit transaction.
+        """Re-run a decided commit from its Clog entry: protect, deliver.
 
         Participants that already committed ignore the message; ones
         that recovered with the transaction still prepared commit it.
         The decision entry may sit in the replayed Clog's unstable
         suffix (the pre-crash coordinator logged it but died before
-        stabilizing), so it is stabilized before any participant is
-        told to commit — together with any piggybacked prepare targets
-        the pre-crash coordinator collected but never saw stabilized
-        (a participant may hold its matching prepare record in *its*
-        unstable WAL suffix, waiting on exactly this round).
+        stabilizing), so it is protected again before any participant
+        is told to commit — together with any piggybacked prepare
+        targets the pre-crash coordinator collected but never saw
+        stabilized (a participant may hold its matching prepare record
+        in *its* unstable WAL suffix, waiting on exactly this round).
 
-        Under decision replication the redrive first *re-confirms* the
+        Under decision replication protecting also *re-confirms* the
         decision quorum: while this coordinator was down a completer
         abort quorum may have formed (a COMMIT entry whose replication
         round never reached quorum is unobservable — no client saw it
         succeed), in which case the cluster already converged on abort
         and the redrive logs a superseding ABORT and follows.
         """
-        if self.coordinator.replication:
-            key = record.gid.encode()
-            _kind, counter, targets = self.coordinator.decisions.get(
-                key,
-                (ClogRecord.COMMIT, self.clog.last_counter,
-                 tuple(record.targets)),
-            )
-            decision = DecisionRecord(
-                ClogRecord.COMMIT, record.gid, list(record.participants),
-                list(targets), self.clog.log_name, counter,
-                self.numeric_id,
-            )
-            replicated = yield from self.coordinator._replicate_decision(
-                decision, key.hex(), phase="redrive"
-            )
-            if not replicated:
-                superseded = yield from self.coordinator.log_clog(
-                    ClogRecord(
-                        ClogRecord.ABORT, record.gid, record.participants
-                    )
-                )
-                self.stabilizer.background(self.clog.log_name, superseded)
-                yield from self._broadcast_resolution(
-                    MsgType.TXN_ABORT, record
-                )
-                return
-        elif self.profile.stabilization:
-            if record.targets and self.pipeline is not None:
-                yield from self.pipeline.stabilize_group(
-                    list(record.targets)
-                    + [(self.clog.log_name, self.clog.last_counter)],
-                    txn=record.gid.encode().hex(), phase="redrive",
-                )
-            else:
-                yield from self.stabilizer(
-                    self.clog.log_name, self.clog.last_counter
-                )
-        replies = yield from self._broadcast_resolution(
-            MsgType.TXN_COMMIT, record
+        key = record.gid.encode()
+        _kind, counter, targets = self.coordinator.decisions[key]
+        kind = yield from self.coordinator.protect(
+            ClogRecord.COMMIT, record.gid, record.participants,
+            list(targets), counter, phase="redrive",
         )
         # Apply-side targets piggybacked on the re-driven COMMIT ACKs
         # still deserve stabilization (off the critical path).
-        apply_targets = []
-        for reply in replies:
-            if getattr(reply, "body", b""):
-                apply_targets.extend(decode_counter_vector(reply.body))
-        if apply_targets and self.pipeline is not None:
-            yield from self.pipeline.stabilize_group(
-                apply_targets,
-                txn=record.gid.encode().hex(), phase="redrive-apply",
-            )
-
-    def _broadcast_resolution(self, msg_type: int, record: ClogRecord) -> Gen:
-        pairs = []
-        for node in record.participants:
-            if node == self.numeric_id:
-                continue
-            address = self.addresses.get(node)
-            if address is None:
-                continue
-            pairs.append(
-                (address, self._resolution_message(msg_type, record.gid))
-            )
-        replies = []
-        if pairs:
-            events = self.cluster_rpc.broadcast(pairs)
-            # A participant that is down fails its event (fail-fast on
-            # NIC detach); it resolves its own prepared half against
-            # this coordinator when it recovers, so settled — not
-            # all-ok — is the right barrier here.
-            yield self.sim.all_settled(events)
-            replies = [
-                event.value for event in events
-                if event.triggered and event.ok
-            ]
-        return replies
+        apply_targets = yield from self.participant.instruct(
+            kind, record.gid, record.participants
+        )
+        yield from self.pipeline.stabilize_group(
+            apply_targets, txn=key.hex(), phase="redrive-apply"
+        )

@@ -1,9 +1,13 @@
 """The per-node durability pipeline (group commit + stabilization + counters).
 
-:class:`DurabilityPipeline` owns the
-:class:`~repro.txn.group_commit.GroupCommitter`, the
-:class:`~repro.core.stabilization.Stabilizer` and the
-:class:`~repro.core.trusted_counter.CounterClient` and schedules them as
+:class:`DurabilityPipeline` is the node's *one* durability handle: the
+storage engine, the transaction manager and both 2PC roles make a log
+entry rollback-protected through it and through nothing else.  It owns
+the :class:`~repro.txn.group_commit.GroupCommitter`, the configured
+:class:`~repro.core.rollback.RollbackProtection` backend and the
+:class:`~repro.core.stabilization.FreshnessWitness`, holds the profile
+gate (a pipeline without stabilization is a no-op that advances no
+simulated time) and the wait statistics, and schedules the layers as
 one pipeline, so a layer never hands the next one request per
 transaction:
 
@@ -40,7 +44,7 @@ from ..sim.core import Event
 from ..tee.runtime import NodeRuntime
 from ..txn.group_commit import GroupCommitter
 from .rollback import RollbackProtection, make_backend
-from .stabilization import FreshnessWitness, Stabilizer
+from .stabilization import FreshnessWitness
 from .trusted_counter import CounterClient
 
 __all__ = ["DurabilityPipeline"]
@@ -51,10 +55,13 @@ Gen = Generator[Event, Any, Any]
 class DurabilityPipeline:
     """One node's unified durability scheduler.
 
-    Construction order mirrors the dependency chain: the pipeline wraps
-    an existing :class:`CounterClient` with a :class:`Stabilizer`, and
-    :meth:`attach_engine` later binds the node's storage engine with a
-    pipeline-aware :class:`GroupCommitter`.
+    Construction order mirrors the dependency chain: the pipeline builds
+    the rollback-protection backend over an existing
+    :class:`CounterClient`, and :meth:`attach_engine` later binds the
+    node's storage engine with a pipeline-aware :class:`GroupCommitter`.
+    A pipeline built without a counter client (lower-layer unit tests)
+    or under a profile without stabilization is *disabled*: every
+    stabilization entry point returns at once.
     """
 
     def __init__(
@@ -66,46 +73,82 @@ class DurabilityPipeline:
         self.runtime = runtime
         self.counter_client = counter_client
         self.config = config
+        self.tracer = runtime.tracer
         #: the rollback-protection backend (sync round / coverage
         #: promises / LCM echo) every stabilization request routes
         #: through — see :mod:`repro.core.rollback`.
-        self.rollback: Optional[RollbackProtection] = make_backend(
-            runtime, counter_client, config
+        self.rollback: Optional[RollbackProtection] = (
+            make_backend(runtime, counter_client, config)
+            if counter_client is not None else None
         )
-        self.stabilizer = Stabilizer(
-            runtime, counter_client, backend=self.rollback
+        #: whether stabilization actually runs under this profile.
+        self.enabled = (
+            runtime.profile.stabilization and self.rollback is not None
         )
+        self.waits = 0
+        self.total_wait_time = 0.0
         #: stable-sequence frontier for coordinator-free snapshot reads
         #: — fed by the group committer's WAL
         #: watermarks, queried by read-only transaction commits.
-        self.witness = FreshnessWitness(runtime, self.stabilizer)
+        self.witness = FreshnessWitness(runtime, self)
         self.committer: Optional[GroupCommitter] = None
-
-    @property
-    def enabled(self) -> bool:
-        """Whether stabilization actually runs under this profile."""
-        return self.stabilizer.enabled
 
     def attach_engine(self, engine) -> GroupCommitter:
         """Build the engine's group committer, bound to this pipeline."""
         self.committer = GroupCommitter(
             self.runtime,
             engine,
+            self,
             max_group=self.config.group_commit_max,
             window=self.config.group_commit_window,
-            window_cap=self.config.group_commit_window_cap,
-            pipeline=self,
         )
         return self.committer
 
     # -- stabilization entry points ------------------------------------------
+    def _wait(self, log: str, counter: int, protect: Gen) -> Gen:
+        """Run one backend wait under its span and the wait statistics."""
+        start = self.runtime.now
+        span = self.tracer.span(
+            "stabilize", "wait", node=self.runtime.name or None,
+            log=log, counter=counter,
+        )
+        try:
+            yield from protect
+        finally:
+            # A NetworkError out of a detached NIC (zombie fiber after a
+            # crash) must not leak the span.
+            span.close()
+        self.waits += 1
+        self.total_wait_time += self.runtime.now - start
+        self.runtime.metrics.histogram("stabilize.wait_s").observe(
+            self.runtime.now - start
+        )
+
     def stabilize(self, log_name: str, counter: int) -> Gen:
-        """Wait until ``(log, counter)`` is rollback-protected."""
-        yield from self.stabilizer(log_name, counter)
+        """Block until the entry is stable (Figure 2, steps 5–8)."""
+        if not self.enabled or counter <= 0:
+            return
+        yield from self._wait(
+            log_name, counter, self.rollback.stabilize(log_name, counter)
+        )
 
     def stabilize_many(self, targets: Sequence[Tuple[str, int]]) -> Gen:
-        """Wait until every target is rollback-protected (one request)."""
-        yield from self.stabilizer.many(targets)
+        """Block until every ``(log, counter)`` target is stable.
+
+        The targets are registered together, so the counter service's
+        round driver covers them with a single echo-broadcast execution;
+        the caller pays one wait for the whole set.
+        """
+        if not self.enabled:
+            return
+        targets = [(log, counter) for log, counter in targets if counter > 0]
+        if not targets:
+            return
+        yield from self._wait(
+            ",".join(log for log, _ in targets),
+            max(counter for _, counter in targets),
+            self.rollback.stabilize_many(targets),
+        )
 
     def stabilize_group(
         self,
@@ -132,17 +175,17 @@ class DurabilityPipeline:
         targets = [(log, counter) for log, counter in targets if counter > 0]
         if not targets:
             return
-        self.runtime.tracer.event(
+        self.tracer.event(
             "stabilize", "group_begin", node=self.runtime.name or None,
             txn=txn, phase=phase, targets=len(targets),
             logs=sorted(log for log, _ in targets),
         )
-        span = self.runtime.tracer.span(
+        span = self.tracer.span(
             "stabilize", "group_round", node=self.runtime.name or None,
             txn=txn, phase=phase, targets=len(targets),
         )
         try:
-            yield from self.stabilizer.many(targets)
+            yield from self.stabilize_many(targets)
         finally:
             span.close()
         metrics = self.runtime.metrics
@@ -154,28 +197,35 @@ class DurabilityPipeline:
     def decision_round(
         self,
         targets: Sequence[Tuple[str, int]],
+        enqueue,
         txn: Optional[str] = None,
         phase: str = "decision",
-        enqueue=None,
     ) -> Gen:
         """One group round that doubles as decision replication.
 
-        ``enqueue`` (if given) is called synchronously *before* the
-        counter round's first frames are enqueued, so the transport's
-        doorbell window coalesces the DECISION_RECORD broadcast and the
-        round's COUNTER frames to each peer into the same sealed frames
-        — replicating the decision adds no frames on an idle window.
+        ``enqueue`` is called synchronously *before* the counter
+        round's first frames are enqueued, so the transport's doorbell
+        window coalesces the DECISION_RECORD broadcast and the round's
+        COUNTER frames to each peer into the same sealed frames —
+        replicating the decision adds no frames on an idle window.
         Returns whatever ``enqueue`` returned (the broadcast events);
         the stabilization itself still covers ``targets`` exactly as
         :meth:`stabilize_group` would.
         """
-        events = enqueue() if enqueue is not None else None
+        events = enqueue()
         yield from self.stabilize_group(targets, txn=txn, phase=phase)
         return events
 
     def background(self, log_name: str, counter: int) -> None:
         """Fire-and-forget stabilization (commit records, GC edits)."""
-        self.stabilizer.background(log_name, counter)
+        if not self.enabled or counter <= 0:
+            return
+        self.runtime.sim.process(
+            self.stabilize(log_name, counter),
+            name="stabilize-bg/%s" % log_name,
+        )
 
     def mean_wait(self) -> float:
-        return self.stabilizer.mean_wait()
+        if self.waits == 0:
+            return 0.0
+        return self.total_wait_time / self.waits

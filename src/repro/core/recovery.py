@@ -118,42 +118,29 @@ class DecisionResolver:
 
     def prefetch(self, txn_ids: Sequence[bytes]) -> Gen:
         part = self.participant
-        if not part.replication or not txn_ids:
-            return
-        sim = part.runtime.sim
-        queries: List[bytes] = []
-        pairs = []
-        for txn_id in txn_ids:
-            gid = GlobalTxnId.decode(txn_id)
-            for node in sorted(part.addresses):
-                if node == part.numeric_id:
-                    continue
-                queries.append(txn_id)
-                pairs.append(
-                    (
-                        part.addresses[node],
-                        TxMessage(
-                            MsgType.DECISION_QUERY, gid.node_id,
-                            gid.local_seq, part.op_ids(),
-                        ),
-                    )
-                )
-        events = part.rpc.broadcast(pairs)
+        asked = [
+            (txn_id, GlobalTxnId.decode(txn_id), node)
+            for txn_id in txn_ids for node in part.peers
+        ]
         # Down peers fail fast; bound the round so one slow straggler
         # cannot stall the whole recovery pass.
-        yield sim.any_of(
+        replies = yield from part.rpc.gather(
             [
-                sim.all_settled(list(events)),
-                sim.timeout(RESOLUTION_RETRY_INTERVAL),
-            ]
+                (
+                    part.addresses[node],
+                    TxMessage(
+                        MsgType.DECISION_QUERY, gid.node_id,
+                        gid.local_seq, part.op_ids(),
+                    ),
+                )
+                for _txn_id, gid, node in asked
+            ],
+            timeout=RESOLUTION_RETRY_INTERVAL,
         )
-        for txn_id, event in zip(queries, events):
-            if not (event.triggered and event.ok):
+        for (txn_id, _gid, _node), reply in zip(asked, replies):
+            if reply is None or not reply.body:
                 continue
-            body = getattr(event.value, "body", b"")
-            if not body:
-                continue
-            record = DecisionRecord.decode(body)
+            record = DecisionRecord.decode(reply.body)
             if part.ledger.record(txn_id, record) is record:
                 self.warmed += 1
 

@@ -6,11 +6,12 @@ value before the client is acknowledged (acked ⇒ covered ⇒ stable before
 externalized).  How coverage is established is a backend decision, and
 Brandenburger et al.'s Lightweight Collective Memory (PAPERS.md) shows
 the same rollback/forking guarantee is reachable with a much cheaper
-echo-only scheme.  This module extracts that decision out of
-:class:`~repro.core.stabilization.Stabilizer` /
-:class:`~repro.core.trusted_counter.CounterClient` into a
-:class:`RollbackProtection` interface with three implementations,
-selected by ``ClusterConfig.rollback_backend``:
+echo-only scheme.  This module holds that decision as a
+:class:`RollbackProtection` interface over the node's
+:class:`~repro.core.trusted_counter.CounterClient`, with three
+implementations selected by ``ClusterConfig.rollback_backend``; the
+node's :class:`~repro.core.pipeline.DurabilityPipeline` builds one and
+is its only caller:
 
 ``counter-sync``
     The original behavior: the caller's fiber (or a driver it spawns)
@@ -53,14 +54,14 @@ acks without coverage.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Generator, List, Sequence, Tuple
 
 from ..config import ClusterConfig
 from ..errors import FreshnessError, NetworkError
 from ..sim.core import Event
 from ..sim.sync import Semaphore
 from ..tee.runtime import NodeRuntime
-from .trusted_counter import CounterClient, Target
+from .trusted_counter import COUNTER_RETRY_BACKOFF, CounterClient, Target
 
 __all__ = [
     "BACKENDS",
@@ -76,6 +77,10 @@ Gen = Generator[Event, Any, Any]
 
 #: selectable values of ``ClusterConfig.rollback_backend``.
 BACKENDS = ("counter-sync", "counter-async", "lcm")
+
+#: concurrent echo rounds in flight per shard (counter-async/lcm driver
+#: pipelining); 1 would serialize rounds like the sync driver.
+COUNTER_MAX_INFLIGHT = 4
 
 
 class RollbackProtection:
@@ -123,7 +128,7 @@ class CounterAsyncBackend(RollbackProtection):
     Per shard, the backend keeps a persistent driver fiber woken by a
     :class:`Semaphore` (no polling — the sim stays quiescent when idle).
     The driver snapshots unclaimed pending targets, claims them, and
-    spawns up to ``counter_max_inflight`` concurrent protocol rounds —
+    spawns up to :data:`COUNTER_MAX_INFLIGHT` concurrent protocol rounds —
     pipelining removes the "wait for the previous round to finish"
     pickup latency that serializes the sync driver.  Rounds release
     waiters at echo quorum and renew the shard lease on success.
@@ -147,7 +152,6 @@ class CounterAsyncBackend(RollbackProtection):
     ):
         super().__init__(runtime, client)
         self.lease_s = config.counter_lease_s
-        self.max_inflight = max(1, config.counter_max_inflight)
         shards = client.num_shards
         #: test hook: park the drivers to force the lease-expiry path.
         self.drivers_enabled = True
@@ -261,7 +265,7 @@ class CounterAsyncBackend(RollbackProtection):
             if not fresh:
                 yield self._wake[shard].acquire()
                 continue
-            if self._inflight[shard] >= self.max_inflight:
+            if self._inflight[shard] >= COUNTER_MAX_INFLIGHT:
                 yield self._round_done[shard].acquire()
                 continue
             claimed = self._claimed[shard]
@@ -288,7 +292,7 @@ class CounterAsyncBackend(RollbackProtection):
             # or by a waiter's lease-expiry fallback, which bounds a
             # partitioned shard's retry traffic.
             failed = True
-            yield self.runtime.sim.timeout(client.retry_backoff)
+            yield self.runtime.sim.timeout(COUNTER_RETRY_BACKOFF)
         except NetworkError:
             # NIC detached: this node crashed and we are a zombie.  Stop
             # driving — the recovered incarnation builds its own backend.
@@ -395,12 +399,10 @@ class DecisionLedger:
 
 def make_backend(
     runtime: NodeRuntime,
-    client: Optional[CounterClient],
+    client: CounterClient,
     config: ClusterConfig,
-) -> Optional[RollbackProtection]:
+) -> RollbackProtection:
     """Build the configured rollback-protection backend for one node."""
-    if client is None:
-        return None
     name = config.rollback_backend
     if name == "counter-sync":
         return CounterSyncBackend(runtime, client)

@@ -64,6 +64,14 @@ Target = Tuple[str, int]
 #: vectored round).
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
 
+#: how long one counter round waits for stragglers beyond the quorum; a
+#: crashed group member must not wedge the protocol (§VI).
+COUNTER_ROUND_TIMEOUT = 0.05
+#: backoff between counter-round retries when the quorum is unreachable.
+COUNTER_RETRY_BACKOFF = 0.1
+#: retries before a stabilization request gives up (FreshnessError).
+COUNTER_MAX_RETRIES = 100
+
 
 def shard_of(log_name: str, num_shards: int) -> int:
     """Route a log to its counter group by name hash.
@@ -320,14 +328,10 @@ class CounterClient:
         #: boot epoch: distinguishes operation ids across restarts so the
         #: peers' replay guards do not reject a recovered node's traffic.
         self.epoch = epoch
-        config = runtime.config
-        self.round_timeout = config.counter_round_timeout
-        self.retry_backoff = config.counter_retry_backoff
-        self.max_retries = config.counter_max_retries
         #: independent counter groups, routed by log-name hash.  Each
         #: shard keeps its own pending marks, round driver and trace
         #: context, so disjoint logs stop serializing through one round.
-        self.num_shards = max(1, config.counter_shards)
+        self.num_shards = max(1, runtime.config.counter_shards)
         self._gates: Dict[str, Gate] = {}
         self._pending_target: List[Dict[str, int]] = [
             {} for _ in range(self.num_shards)
@@ -470,9 +474,9 @@ class CounterClient:
                     yield from self._run_protocol(targets, shard=shard)
                 except FreshnessError:
                     retries += 1
-                    if retries > self.max_retries:
+                    if retries > COUNTER_MAX_RETRIES:
                         raise
-                    yield self.runtime.sim.timeout(self.retry_backoff)
+                    yield self.runtime.sim.timeout(COUNTER_RETRY_BACKOFF)
                     continue
                 retries = 0
                 self._advance(targets)
@@ -517,7 +521,7 @@ class CounterClient:
                         max(0, self.quorum - acks),
                         accept=lambda reply: reply.msg_type == MsgType.ACK,
                     ),
-                    self.runtime.sim.timeout(self.round_timeout),
+                    self.runtime.sim.timeout(COUNTER_ROUND_TIMEOUT),
                 ]
             )
             for event in events:
@@ -654,9 +658,9 @@ class CounterClient:
                 )
             except FreshnessError:
                 retries += 1
-                if retries > self.max_retries:
+                if retries > COUNTER_MAX_RETRIES:
                     raise
-                yield self.runtime.sim.timeout(self.retry_backoff)
+                yield self.runtime.sim.timeout(COUNTER_RETRY_BACKOFF)
                 continue
             retries = 0
             self._advance(remaining)
@@ -696,7 +700,7 @@ class CounterClient:
             yield self.runtime.sim.any_of(
                 [
                     self.runtime.sim.all_settled(events),
-                    self.runtime.sim.timeout(self.round_timeout),
+                    self.runtime.sim.timeout(COUNTER_ROUND_TIMEOUT),
                 ]
             )
         for event in events:

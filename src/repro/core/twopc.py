@@ -41,7 +41,11 @@ from ..txn.pessimistic import PessimisticTxn
 from ..txn.types import TxnStatus
 from .ids import EPOCH_SHIFT, GlobalTxnId, TxnIdAllocator
 from .rollback import DecisionLedger
-from .trusted_counter import decode_counter_vector, encode_counter_vector
+from .trusted_counter import (
+    Target,
+    decode_counter_vector,
+    encode_counter_vector,
+)
 
 __all__ = [
     "ClogRecord",
@@ -49,6 +53,11 @@ __all__ = [
     "Participant",
     "Coordinator",
     "GlobalTxn",
+    "piggyback",
+    "protect_prepare",
+    "pace",
+    "deliver",
+    "apply_half",
 ]
 
 Gen = Generator[Event, Any, Any]
@@ -61,8 +70,6 @@ RESOLUTION_RETRY_INTERVAL = 0.5
 
 # key -> numeric node id owning its shard
 Partitioner = Callable[[bytes], int]
-# (log_name, counter) -> generator that waits for stabilization
-Stabilize = Callable[[str, int], Generator[Event, Any, None]]
 
 
 def _encode_read(key: bytes) -> bytes:
@@ -174,6 +181,25 @@ def decode_occ_prepare(body: bytes):
         value = reader.blob()
         writes.append((key, None if tombstone else value))
     return reads, writes
+
+
+def validate_occ(runtime: NodeRuntime, txn) -> Gen:
+    """Validate + pin one node's distributed-OCC half, inside its
+    prepare critical section; False on conflict (the half has rolled
+    itself back)."""
+    span = runtime.tracer.span(
+        "twopc", "validate", node=runtime.name or None,
+        txn=txn.txn_id.hex(), reads=len(txn.reads), writes=len(txn.buffer),
+    )
+    try:
+        yield from txn.validate_and_pin()
+    except TransactionAborted:
+        span.close(outcome="conflict")
+        runtime.metrics.counter("occ.conflicts").inc()
+        return False
+    span.close(outcome="ok")
+    runtime.metrics.counter("occ.validated").inc()
+    return True
 
 
 class ClogRecord:
@@ -298,6 +324,142 @@ class DecisionRecord:
         )
 
 
+# -- the decision steps -------------------------------------------------------
+# After the vote there is one sequence (§V-A, Figure 2 steps 5–8): log the
+# decision, protect it, deliver it, apply it, record completion.  Whoever
+# holds the decision runs it — the coordinator, a completer that took over,
+# recovery re-running it from the Clog — so each step is written once:
+# SecureRpc.gather, Coordinator.protect, and deliver and apply_half below
+# (docs/PROTOCOL.md lists which driver composes which).
+
+_KIND_NAMES = {ClogRecord.COMMIT: "commit", ClogRecord.ABORT: "abort"}
+_INSTRUCTIONS = {
+    ClogRecord.COMMIT: MsgType.TXN_COMMIT,
+    ClogRecord.ABORT: MsgType.TXN_ABORT,
+}
+
+
+def piggyback(runtime: NodeRuntime) -> bool:
+    """Whether counter targets ride the 2PC ACKs into the coordinator's
+    group-wide rounds instead of being stabilized where they are logged
+    (``protocol="optimized"``; only meaningful under stabilization)."""
+    return runtime.profile.stabilization and runtime.config.optimized
+
+
+def protect_prepare(
+    runtime: NodeRuntime, pipeline, gid: GlobalTxnId, log_name: str,
+    counter: int,
+) -> Gen:
+    """Rollback-protect a YES vote's prepare record before it counts.
+
+    §V-A: "Participants delay replying back to the coordinator until
+    the prepare entry in the log is stabilized."  With piggybacking the
+    duty moves to the coordinator: the record's target is returned, to
+    ride the vote into one group-wide round that covers every prepare
+    record and the decision entry — the prepare is still stable before
+    anyone acts on the decision, just via a shared round.  Otherwise
+    returns ``None`` once the record is stable.
+    """
+    fields = dict(
+        node=runtime.name or None, txn=gid.encode().hex(), log=log_name,
+        counter=counter, coord=gid.node_id,
+    )
+    if piggyback(runtime):
+        runtime.tracer.event("twopc", "prepare_target", **fields)
+        return (log_name, counter)
+    yield from pipeline.stabilize(log_name, counter)
+    runtime.tracer.event("twopc", "prepare_ack", **fields)
+    return None
+
+
+def pace(sim, round_start: float) -> Gen:
+    """Wait out what is left of a retry interval.
+
+    A crashed destination fails its requests at once, so a retry loop
+    without this would spin at a single simulated instant.
+    """
+    remainder = RESOLUTION_RETRY_INTERVAL - (sim.now - round_start)
+    if remainder > 0.0:
+        yield sim.timeout(remainder)
+
+
+def deliver(
+    rpc: SecureRpc,
+    addresses: Dict[int, str],
+    nodes,
+    message: Callable[[], TxMessage],
+    rounds: Optional[int] = 1,
+) -> Gen:
+    """Send ``message()`` to each of ``nodes``; re-send to the silent ones.
+
+    The fan-out for instructions that are already durable (TXN_COMMIT /
+    TXN_ABORT of a protected decision, the recovery fence), so retrying
+    is always safe: a node that already acted ACKs and ignores the
+    duplicate, and ``message`` mints a fresh operation id per send so
+    the at-most-once filter does not eat the retry.  ``rounds`` bounds
+    the attempts; ``None`` retries until every node has answered.
+
+    Returns the apply-side ``(log, counter)`` targets the ACKs carried
+    (piggybacked commit records; empty for every other instruction).
+    """
+    sim = rpc.runtime.sim
+    pending = sorted(nodes)
+    targets: List[Target] = []
+    while True:
+        round_start = sim.now
+        replies = yield from rpc.gather(
+            [(addresses[node], message()) for node in pending],
+            timeout=RESOLUTION_RETRY_INTERVAL,
+        )
+        for reply in replies:
+            if (
+                reply is not None
+                and reply.msg_type == MsgType.ACK
+                and reply.body
+            ):
+                targets.extend(decode_counter_vector(reply.body))
+        pending = [
+            node for node, reply in zip(pending, replies) if reply is None
+        ]
+        if not pending or rounds == 1:
+            return targets
+        if rounds is not None:
+            rounds -= 1
+        yield from pace(sim, round_start)
+
+
+def apply_half(runtime: NodeRuntime, txn: PessimisticTxn, kind: int) -> Gen:
+    """Commit or abort one node's half of a decided transaction.
+
+    The caller owns exactly-once (it took ``txn`` out of wherever the
+    half lived) and has made sure the decision is protected; the
+    monitor checks the latter at the ``commit_apply`` event emitted
+    here.  Nobody waits for the *commit* record's stabilization (§V-A):
+    under ``paper`` it proceeds in a local background fiber, under
+    piggybacking its target is returned instead, to join a group-wide
+    round.  Returns those targets (empty otherwise).
+    """
+    targets: List[Target] = []
+    if kind == ClogRecord.COMMIT:
+        if piggyback(runtime):
+            counter, log_name = yield from txn.commit_prepared_async(
+                defer_stabilization=True
+            )
+            targets.append((log_name, counter))
+        else:
+            yield from txn.commit_prepared_async()
+    elif txn.status == TxnStatus.PREPARED:
+        yield from txn.abort_prepared()
+    else:
+        yield from txn.rollback()
+    runtime.tracer.event(
+        "twopc",
+        "commit_apply" if kind == ClogRecord.COMMIT else "abort_apply",
+        node=runtime.name or None, txn=txn.txn_id.hex(),
+    )
+    return targets
+
+
 class Participant:
     """The participant role: executes remote operations for coordinators."""
 
@@ -306,33 +468,32 @@ class Participant:
         runtime: NodeRuntime,
         manager: TransactionManager,
         rpc: SecureRpc,
-        stabilize: Stabilize,
-        numeric_id: int = 0,
-        addresses: Optional[Dict[int, str]] = None,
-        pipeline=None,
-        ledger: Optional[DecisionLedger] = None,
-        op_ids: Optional[Callable[[], int]] = None,
+        numeric_id: int,
+        addresses: Dict[int, str],
+        pipeline,
+        ledger: DecisionLedger,
+        op_ids: Callable[[], int],
     ):
         self.runtime = runtime
         self.manager = manager
         self.rpc = rpc
-        self.stabilize = stabilize
         self.tracer = runtime.tracer
         self.node = runtime.name or None
         self.numeric_id = numeric_id
         self.addresses = addresses
-        #: the node's DurabilityPipeline; completers use it to
-        #: rollback-protect a replicated decision's targets pre-apply.
+        #: every other node of the cluster, in id order.
+        self.peers = sorted(node for node in addresses if node != numeric_id)
+        #: the node's DurabilityPipeline: prepare records stabilize
+        #: through it (``paper``), and completers rollback-protect a
+        #: replicated decision's targets through it before applying.
         self.pipeline = pipeline
-        #: write-once decision slots (non-blocking commit).
-        self.ledger = ledger or DecisionLedger(runtime.config.num_nodes)
-        #: mint cluster-unique operation ids for completer-driven
-        #: instructions — the same asker-folded scheme the recovery
-        #: resolution path uses, so two racing completers never collide
-        #: in a peer's replay guard.
-        if op_ids is None:
-            fallback = itertools.count(1)
-            op_ids = lambda: (1 << 58) | (numeric_id << 50) | next(fallback)  # noqa: E731
+        #: write-once decision slots (non-blocking commit), shared with
+        #: the node's Coordinator role.
+        self.ledger = ledger
+        #: mints cluster-unique operation ids for completer- and
+        #: recovery-driven messages (asker-folded, see
+        #: ``TreatyNode._resolution_op_id``), so two racing completers
+        #: never collide in a peer's replay guard.
         self.op_ids = op_ids
         #: deterministic jitter de-synchronizing simultaneous watchdogs.
         self._rng = SeededRng(
@@ -366,7 +527,7 @@ class Participant:
     @property
     def replication(self) -> bool:
         """Whether the non-blocking completion protocol is active."""
-        return self.runtime.config.optimized and self.addresses is not None
+        return self.runtime.config.optimized
 
     # -- helpers ------------------------------------------------------------
     def _txn_for(self, message: TxMessage) -> PessimisticTxn:
@@ -464,24 +625,9 @@ class Participant:
             return self._fail(message, str(aborted).encode())
         return self._ack(message)
 
-    @property
-    def _piggyback(self) -> bool:
-        """Whether counter targets ride the 2PC ACKs instead of being
-        stabilized locally (only meaningful under stabilization)."""
-        return (
-            self.runtime.profile.stabilization
-            and self.runtime.config.optimized
-        )
-
     def _on_prepare(self, message: TxMessage, src: str) -> Gen:
-        """Prepare the local transaction; ACK only once stabilized (§V-A).
-
-        With piggybacking the stabilization duty moves to the
-        coordinator: the ACK carries the prepare record's (log, counter)
-        target, and the coordinator folds it into one group-wide round
-        before any COMMIT instruction — the prepare is still stable
-        before anyone acts on the decision, just via a shared round.
-        """
+        """Prepare the local transaction; the ACK waits for (or carries
+        the target of) the prepare record's rollback protection."""
         gid = GlobalTxnId(message.node_id, message.txn_id)
         if message.body:
             # Distributed OCC: the PREPARE carries this participant's
@@ -510,25 +656,12 @@ class Participant:
                 self._decision_watchdog(gid.encode()),
                 name="decision-watch@%s" % (self.node or "?"),
             )
-        if self._piggyback:
-            self.tracer.event(
-                "twopc", "prepare_target", node=self.node,
-                txn=gid.encode().hex(), log=log_name, counter=counter,
-                coord=message.node_id,
-            )
-            return self._ack(
-                message, encode_counter_vector([(log_name, counter)])
-            )
-        if self.runtime.profile.stabilization:
-            # "Participants delay replying back to the coordinator until
-            # the prepare entry in the log is stabilized."
-            yield from self.stabilize(log_name, counter)
-        self.tracer.event(
-            "twopc", "prepare_ack", node=self.node,
-            txn=gid.encode().hex(), log=log_name, counter=counter,
-            coord=message.node_id,
+        target = yield from protect_prepare(
+            self.runtime, self.pipeline, gid, log_name, counter
         )
-        return self._ack(message)
+        return self._ack(
+            message, encode_counter_vector([target]) if target else b""
+        )
 
     def _validate_occ(self, gid: GlobalTxnId, message: TxMessage) -> Gen:
         """Create + validate the OCC local half inside PREPARE.
@@ -552,23 +685,33 @@ class Participant:
                 self._orphan_fuse(key),
                 name="orphan-fuse@%s" % (self.node or "?"),
             )
-        metrics = self.runtime.metrics
-        span = self.tracer.span(
-            "twopc", "validate", node=self.node, txn=key.hex(),
-            reads=len(reads), writes=len(writes),
-        )
-        try:
-            yield from txn.validate_and_pin()
-        except TransactionAborted:
-            span.close(outcome="conflict")
-            metrics.counter("occ.conflicts").inc()
-            self.active.pop(key, None)
-            return None
-        span.close(outcome="ok")
-        metrics.counter("occ.validated").inc()
-        return txn
+        if (yield from validate_occ(self.runtime, txn)):
+            return txn
+        self.active.pop(key, None)
+        return None
 
-    def _on_commit(self, message: TxMessage, src: str) -> Gen:
+    def apply(self, gid_bytes: bytes, kind: int) -> Gen:
+        """Apply a final outcome to this node's half — exactly once.
+
+        The coordinator's instruction, a duplicate of it, a completer
+        and recovery's resolution may all race here; whoever pops the
+        ``active`` entry applies, everyone else is told the half was
+        gone (``None``).  Otherwise returns the half's apply-side
+        targets (see :func:`apply_half`).
+        """
+        self._record_outcome(gid_bytes, kind)
+        txn = self.active.pop(gid_bytes, None)
+        if txn is None:
+            # Already applied (e.g. duplicate instruction after the
+            # coordinator recovered): "this message is ignored" (§VI).
+            return None
+        targets = yield from apply_half(self.runtime, txn, kind)
+        if kind == ClogRecord.COMMIT:
+            self.commits_served += 1
+        return targets
+
+    def _instructed(self, kind: int, message: TxMessage) -> Gen:
+        """TXN_COMMIT / TXN_ABORT: apply; the ACK carries the targets."""
         gid = GlobalTxnId(message.node_id, message.txn_id)
         if self.replication:
             # A direct instruction is decision evidence too: the sender
@@ -577,54 +720,18 @@ class Participant:
             # this node's answer to later DECISION_QUERYs authoritative.
             self.ledger.record(
                 gid.encode(),
-                DecisionRecord(
-                    ClogRecord.COMMIT, gid, [], [], "", 0, message.node_id
-                ),
+                DecisionRecord(kind, gid, [], [], "", 0, message.node_id),
             )
-        self._record_outcome(gid.encode(), ClogRecord.COMMIT)
-        txn = self.active.pop(gid.encode(), None)
-        if txn is None:
-            # Already committed (e.g. duplicate instruction after the
-            # coordinator recovered): "this message is ignored" (§VI).
-            return self._ack(message)
-        body = b""
-        if self._piggyback:
-            # Symmetric apply-side piggyback: the commit record's target
-            # rides the ACK and joins the coordinator's background
-            # COMPLETE round instead of a local background fiber.
-            counter, log_name = yield from txn.commit_prepared_async(
-                defer_stabilization=True
-            )
-            body = encode_counter_vector([(log_name, counter)])
-        else:
-            yield from txn.commit_prepared_async()
-        self.commits_served += 1
-        self.tracer.event(
-            "twopc", "commit_apply", node=self.node, txn=gid.encode().hex()
+        targets = yield from self.apply(gid.encode(), kind)
+        return self._ack(
+            message, encode_counter_vector(targets) if targets else b""
         )
-        return self._ack(message, body)
+
+    def _on_commit(self, message: TxMessage, src: str) -> Gen:
+        return self._instructed(ClogRecord.COMMIT, message)
 
     def _on_abort(self, message: TxMessage, src: str) -> Gen:
-        gid = GlobalTxnId(message.node_id, message.txn_id)
-        if self.replication:
-            self.ledger.record(
-                gid.encode(),
-                DecisionRecord(
-                    ClogRecord.ABORT, gid, [], [], "", 0, message.node_id
-                ),
-            )
-        self._record_outcome(gid.encode(), ClogRecord.ABORT)
-        txn = self.active.pop(gid.encode(), None)
-        if txn is not None:
-            if txn.status == TxnStatus.PREPARED:
-                yield from txn.abort_prepared()
-            else:
-                yield from txn.rollback()
-            self.tracer.event(
-                "twopc", "abort_apply", node=self.node,
-                txn=gid.encode().hex(),
-            )
-        return self._ack(message)
+        return self._instructed(ClogRecord.ABORT, message)
 
     def _on_fence(self, message: TxMessage, src: str) -> Gen:
         """A recovered coordinator fences its pre-crash boot epoch.
@@ -672,9 +779,7 @@ class Participant:
             self.tracer.event(
                 "twopc", "decision_replicated", node=self.node,
                 txn=gid_bytes.hex(),
-                kind="commit" if record.kind == ClogRecord.COMMIT
-                else "abort",
-                coord=record.coordinator,
+                kind=_KIND_NAMES[record.kind], coord=record.coordinator,
             )
         if stored.kind != record.kind:
             return self._fail(message, stored.encode())
@@ -779,17 +884,8 @@ class Participant:
                 kinds, commit_record = yield from self._decision_round(
                     gid_bytes, gid
                 )
-                commits = sum(
-                    1 for kind in kinds.values()
-                    if kind == ClogRecord.COMMIT
-                )
-                aborts = sum(
-                    1 for kind in kinds.values() if kind == ClogRecord.ABORT
-                )
-                if (
-                    commits < ledger.commit_quorum
-                    and aborts < ledger.abort_quorum
-                ):
+                final = self._final(kinds)
+                if final is None:
                     proposal = commit_record
                     if proposal is None:
                         proposal = DecisionRecord(
@@ -805,22 +901,13 @@ class Participant:
                     accepted = yield from self._spread(gid, stored, empty)
                     for node in accepted:
                         kinds[node] = stored.kind
-                    commits = sum(
-                        1 for kind in kinds.values()
-                        if kind == ClogRecord.COMMIT
-                    )
-                    aborts = sum(
-                        1 for kind in kinds.values()
-                        if kind == ClogRecord.ABORT
-                    )
-                if commits >= ledger.commit_quorum:
-                    outcome = "commit"
-                    yield from self._complete_commit(gid_bytes, commit_record)
-                    return
-                if aborts >= ledger.abort_quorum:
-                    outcome = "abort"
-                    yield from self._complete_abort(
-                        gid_bytes, ledger.get(gid_bytes)
+                    final = self._final(kinds)
+                if final is not None:
+                    outcome = _KIND_NAMES[final]
+                    yield from self._finish(
+                        gid_bytes, final,
+                        commit_record if final == ClogRecord.COMMIT
+                        else ledger.get(gid_bytes),
                     )
                     return
                 yield sim.timeout(
@@ -830,6 +917,15 @@ class Participant:
         finally:
             span.close(outcome=outcome)
 
+    def _final(self, kinds: Dict[int, Optional[int]]) -> Optional[int]:
+        """The kind whose quorum the tallied slots reach, if either."""
+        held = list(kinds.values())
+        if held.count(ClogRecord.COMMIT) >= self.ledger.commit_quorum:
+            return ClogRecord.COMMIT
+        if held.count(ClogRecord.ABORT) >= self.ledger.abort_quorum:
+            return ClogRecord.ABORT
+        return None
+
     def _decision_round(self, gid_bytes: bytes, gid: GlobalTxnId) -> Gen:
         """One tally round: read every reachable peer's decision slot.
 
@@ -838,24 +934,19 @@ class Participant:
         are absent) and ``commit_record`` is a full COMMIT record if any
         slot supplied one.
         """
-        sim = self.runtime.sim
-        peers = sorted(
-            node for node in self.addresses if node != self.numeric_id
+        replies = yield from self.rpc.gather(
+            [
+                (
+                    self.addresses[node],
+                    TxMessage(
+                        MsgType.DECISION_QUERY, gid.node_id, gid.local_seq,
+                        self.op_ids(),
+                    ),
+                )
+                for node in self.peers
+            ],
+            timeout=RESOLUTION_RETRY_INTERVAL,
         )
-        events = dict(zip(peers, self.rpc.broadcast([
-            (
-                self.addresses[node],
-                TxMessage(
-                    MsgType.DECISION_QUERY, gid.node_id, gid.local_seq,
-                    self.op_ids(),
-                ),
-            )
-            for node in peers
-        ])))
-        yield sim.any_of([
-            sim.all_settled(list(events.values())),
-            sim.timeout(RESOLUTION_RETRY_INTERVAL),
-        ])
         kinds: Dict[int, Optional[int]] = {}
         commit_record: Optional[DecisionRecord] = None
         own = self.ledger.get(gid_bytes)
@@ -863,8 +954,7 @@ class Participant:
             kinds[self.numeric_id] = own.kind
             if own.kind == ClogRecord.COMMIT:
                 commit_record = own
-        for node, event in events.items():
-            reply = event.value if (event.triggered and event.ok) else None
+        for node, reply in zip(self.peers, replies):
             if reply is None or reply.msg_type != MsgType.ACK:
                 continue
             if not reply.body:
@@ -882,135 +972,66 @@ class Participant:
         self, gid: GlobalTxnId, record: "DecisionRecord", nodes: List[int]
     ) -> Gen:
         """Write ``record`` into peers' empty slots; returns acceptors."""
-        if not nodes:
-            return []
-        sim = self.runtime.sim
         body = record.encode()
-        events = dict(zip(nodes, self.rpc.broadcast([
-            (
-                self.addresses[node],
-                TxMessage(
-                    MsgType.DECISION_RECORD, gid.node_id, gid.local_seq,
-                    self.op_ids(), body,
-                ),
-            )
-            for node in nodes
-        ])))
-        yield sim.any_of([
-            sim.all_settled(list(events.values())),
-            sim.timeout(RESOLUTION_RETRY_INTERVAL),
-        ])
-        accepted = []
-        for node, event in events.items():
-            reply = event.value if (event.triggered and event.ok) else None
-            if reply is not None and reply.msg_type == MsgType.ACK:
-                accepted.append(node)
-        return accepted
+        replies = yield from self.rpc.gather(
+            [
+                (
+                    self.addresses[node],
+                    TxMessage(
+                        MsgType.DECISION_RECORD, gid.node_id, gid.local_seq,
+                        self.op_ids(), body,
+                    ),
+                )
+                for node in nodes
+            ],
+            timeout=RESOLUTION_RETRY_INTERVAL,
+        )
+        return [
+            node for node, reply in zip(nodes, replies)
+            if reply is not None and reply.msg_type == MsgType.ACK
+        ]
 
-    def _complete_commit(
-        self, gid_bytes: bytes, record: Optional["DecisionRecord"]
+    def instruct(self, kind: int, gid: GlobalTxnId, participants) -> Gen:
+        """Deliver a final decision to the group's other members, once.
+
+        One round only — this is the completer's and recovery's
+        delivery: unreachable peers complete via their own watchdogs or
+        resolve against the coordinator when they recover, and duplicate
+        instructions are absorbed by the receivers' exactly-once
+        :meth:`apply`.  Returns the piggybacked apply-side targets.
+        """
+        return deliver(
+            self.rpc, self.addresses,
+            [node for node in participants if node != self.numeric_id],
+            lambda: TxMessage(
+                _INSTRUCTIONS[kind], gid.node_id, gid.local_seq,
+                self.op_ids(),
+            ),
+        )
+
+    def _finish(
+        self, gid_bytes: bytes, kind: int, record: Optional["DecisionRecord"]
     ) -> Gen:
-        """Apply a quorum-final COMMIT and drive the rest of the group."""
-        if (
-            record is not None
-            and self.pipeline is not None
-            and self.runtime.profile.stabilization
-        ):
+        """Finish a quorum-final decision in the coordinator's stead:
+        protect, apply here, deliver to the peers the record names (best
+        effort — every prepared peer runs its own watchdog anyway)."""
+        txn_hex = gid_bytes.hex()
+        if kind == ClogRecord.COMMIT and record is not None:
             # I1: the group's prepare records and the decision entry must
             # be rollback-protected before anyone applies the commit —
             # the same group round the coordinator would have run.
-            targets = list(record.targets)
-            if record.counter:
-                targets.append((record.log_name, record.counter))
-            if targets:
-                yield from self.pipeline.stabilize_group(
-                    targets, txn=gid_bytes.hex(), phase="complete",
-                )
-        self._record_outcome(gid_bytes, ClogRecord.COMMIT)
-        txn = self.active.pop(gid_bytes, None)
-        apply_targets: List[Tuple[str, int]] = []
-        if txn is not None:
-            if self._piggyback:
-                counter, log_name = yield from txn.commit_prepared_async(
-                    defer_stabilization=True
-                )
-                apply_targets.append((log_name, counter))
-            else:
-                yield from txn.commit_prepared_async()
-            self.commits_served += 1
-            self.tracer.event(
-                "twopc", "commit_apply", node=self.node,
-                txn=gid_bytes.hex(),
-            )
-        if record is not None and record.participants:
-            collected = yield from self._drive_group(
-                MsgType.TXN_COMMIT, gid_bytes, record
-            )
-            apply_targets.extend(collected)
-        if (
-            apply_targets
-            and self.pipeline is not None
-            and self.runtime.profile.stabilization
-        ):
             yield from self.pipeline.stabilize_group(
-                apply_targets, txn=gid_bytes.hex(), phase="complete",
+                record.targets + [(record.log_name, record.counter)],
+                txn=txn_hex, phase="complete",
             )
-
-    def _complete_abort(
-        self, gid_bytes: bytes, record: Optional["DecisionRecord"]
-    ) -> Gen:
-        """Apply a final abort; drive peers we know about (best effort —
-        every prepared peer runs its own watchdog anyway)."""
-        self._record_outcome(gid_bytes, ClogRecord.ABORT)
-        txn = self.active.pop(gid_bytes, None)
-        if txn is not None:
-            if txn.status == TxnStatus.PREPARED:
-                yield from txn.abort_prepared()
-            else:
-                yield from txn.rollback()
-            self.tracer.event(
-                "twopc", "abort_apply", node=self.node,
-                txn=gid_bytes.hex(),
+        targets = (yield from self.apply(gid_bytes, kind)) or []
+        if record is not None:
+            targets += yield from self.instruct(
+                kind, record.gid, record.participants
             )
-        if record is not None and record.participants:
-            yield from self._drive_group(
-                MsgType.TXN_ABORT, gid_bytes, record
-            )
-
-    def _drive_group(
-        self, msg_type: int, gid_bytes: bytes, record: "DecisionRecord"
-    ) -> Gen:
-        """Instruct the group once; returns piggybacked apply targets.
-
-        One round only: unreachable peers complete via their own
-        watchdogs (or the coordinator's recovery), and duplicate
-        instructions are absorbed by the receivers' exactly-once pop.
-        """
-        gid = GlobalTxnId.decode(gid_bytes)
-        pairs = [
-            (
-                self.addresses[node],
-                TxMessage(
-                    msg_type, gid.node_id, gid.local_seq, self.op_ids()
-                ),
-            )
-            for node in record.participants
-            if node != self.numeric_id and node in self.addresses
-        ]
-        if not pairs:
-            return []
-        events = self.rpc.broadcast(pairs)
-        yield self.runtime.sim.all_settled(events)
-        targets: List[Tuple[str, int]] = []
-        for event in events:
-            reply = event.value if (event.triggered and event.ok) else None
-            if (
-                reply is not None
-                and reply.msg_type == MsgType.ACK
-                and reply.body
-            ):
-                targets.extend(decode_counter_vector(reply.body))
-        return targets
+        yield from self.pipeline.stabilize_group(
+            targets, txn=txn_hex, phase="complete"
+        )
 
 
 class Coordinator:
@@ -1025,10 +1046,9 @@ class Coordinator:
         node_numeric_id: int,
         addresses: Dict[int, str],
         partitioner: Partitioner,
-        stabilize: Stabilize,
+        pipeline,
+        ledger: DecisionLedger,
         epoch: int = 0,
-        pipeline=None,
-        ledger: Optional[DecisionLedger] = None,
     ):
         self.runtime = runtime
         self.manager = manager
@@ -1037,7 +1057,10 @@ class Coordinator:
         self.node_numeric_id = node_numeric_id
         self.addresses = addresses  # numeric node id -> cluster address
         self.partitioner = partitioner
-        self.stabilize = stabilize
+        #: every other node of the cluster, in id order.
+        self.peers = sorted(
+            node for node in addresses if node != node_numeric_id
+        )
         #: the node's DurabilityPipeline (group-wide stabilization rounds).
         self.pipeline = pipeline
         #: this node's write-once decision slots (shared with its
@@ -1070,18 +1093,9 @@ class Coordinator:
 
     # -- Clog ---------------------------------------------------------------------
     @property
-    def piggyback(self) -> bool:
-        """Group-wide stabilization rounds via 2PC-message piggybacking."""
-        return (
-            self.runtime.profile.stabilization
-            and self.runtime.config.optimized
-            and self.pipeline is not None
-        )
-
-    @property
     def replication(self) -> bool:
         """Whether decisions are replicated before the client reply."""
-        return self.runtime.config.optimized and self.ledger is not None
+        return self.runtime.config.optimized
 
     def _decision_op_id(self) -> int:
         return (
@@ -1124,10 +1138,6 @@ class Coordinator:
             # abort the caller logs is safe.
             return False
         body = record.encode()
-        peers = sorted(
-            node for node in self.addresses
-            if node != self.node_numeric_id
-        )
 
         def send(nodes):
             sends = self.rpc.broadcast([
@@ -1149,16 +1159,10 @@ class Coordinator:
                 event.defuse()
             return dict(zip(nodes, sends))
 
-        if self.piggyback:
-            events = yield from self.pipeline.decision_round(
-                list(record.targets)
-                + [(self.clog.log_name, record.counter)],
-                txn=txn_hex, phase=phase, enqueue=lambda: send(peers),
-            )
-        else:
-            events = send(peers)
-            if self.runtime.profile.stabilization:
-                yield from self.stabilize(self.clog.log_name, record.counter)
+        events = yield from self.pipeline.decision_round(
+            record.targets + [(self.clog.log_name, record.counter)],
+            lambda: send(self.peers), txn=txn_hex, phase=phase,
+        )
         if record.kind != ClogRecord.COMMIT:
             # Presumed abort: no quorum needed before answering the
             # client — a peer that misses the record learns the abort
@@ -1211,15 +1215,11 @@ class Coordinator:
                     retry.append(node)
                 if acks >= needed:
                     break
-                undecided = len(peers) - acks - conflicts
+                undecided = len(self.peers) - acks - conflicts
                 if 1 + acks + undecided < ledger.commit_quorum:
                     return False
                 if retry:
-                    remainder = RESOLUTION_RETRY_INTERVAL - (
-                        self.runtime.now - round_start
-                    )
-                    if remainder > 0.0:
-                        yield sim.timeout(remainder)
+                    yield from pace(sim, round_start)
                     events.update(send(retry))
                 elif not events:
                     # Everyone settled, quorum still short and commit
@@ -1240,50 +1240,102 @@ class Coordinator:
             self.tracer.event(
                 "twopc", "decision", node=self.node,
                 txn=record.gid.encode().hex(),
-                kind="commit" if record.kind == ClogRecord.COMMIT else "abort",
+                kind=_KIND_NAMES[record.kind],
                 log=self.clog.log_name, counter=counter,
             )
         return counter
 
+    def _stabilize_entry(
+        self, counter: int, targets, txn_hex: str, phase: str
+    ) -> Gen:
+        """Rollback-protect one entry of this Clog — under piggybacking
+        together with ``targets``, in one group-wide round."""
+        if piggyback(self.runtime):
+            yield from self.pipeline.stabilize_group(
+                list(targets) + [(self.clog.log_name, counter)],
+                txn=txn_hex, phase=phase,
+            )
+        else:
+            yield from self.pipeline.stabilize(self.clog.log_name, counter)
+
+    def protect(
+        self,
+        kind: int,
+        gid: GlobalTxnId,
+        participants: List[int],
+        targets: List[Target],
+        counter: int,
+        phase: str = "decision",
+    ) -> Gen:
+        """Make a logged decision safe to act on (Figure 2, steps 6–7).
+
+        ``paper``: stabilize the decision's Clog entry (``counter``).
+        ``optimized``: replicate the decision record to the whole
+        cluster, riding the group round that rollback-protects the
+        entry and the piggybacked prepare ``targets``, and for a COMMIT
+        wait for a quorum of slot acknowledgements — any participant can
+        then finish the transaction without this coordinator.  If
+        completer abort slots beat the replication, the commit can never
+        reach its quorum, so no client was (or ever will be)
+        acknowledged: a superseding ABORT is logged.
+
+        Returns the kind that is final — the one to deliver and apply.
+        """
+        if not self.replication:
+            yield from self.pipeline.stabilize(self.clog.log_name, counter)
+            return kind
+        replicated = yield from self._replicate_decision(
+            DecisionRecord(
+                kind, gid, participants, targets, self.clog.log_name,
+                counter, self.node_numeric_id,
+            ),
+            gid.encode().hex(), phase,
+        )
+        if replicated:
+            return kind
+        superseded = yield from self.log_clog(
+            ClogRecord(ClogRecord.ABORT, gid, participants)
+        )
+        self.pipeline.background(self.clog.log_name, superseded)
+        return ClogRecord.ABORT
+
     # -- recovery support ------------------------------------------------------------
-    def _on_resolve(self, message: TxMessage, src: str) -> Gen:
-        """A recovering participant asks how ``gid`` was decided.
+    def resolve(self, gid_bytes: bytes) -> Gen:
+        """How ``gid`` was decided, once that is safe to act on.
 
         Presumed abort: with no logged commit decision the transaction
-        cannot have been acknowledged, so ABORT is always safe.
+        cannot have been acknowledged, so ABORT is always safe.  A
+        COMMIT entry may sit in the unstable Clog suffix (coordinator
+        crashed between logging and stabilizing it), and nobody may
+        commit on an unprotected decision.  Only the decision's own
+        entry matters — waiting on later records (e.g. a COMPLETE
+        mid-stabilization) would hold the asker's locks past unrelated
+        work.  Piggybacked prepare targets the crashed coordinator
+        collected but may never have stabilized ride the same round: a
+        recovered prepare record must be rollback-protected before its
+        half commits on this answer.
         """
-        yield from self.runtime.op_overhead()
-        gid_bytes = GlobalTxnId(message.node_id, message.txn_id).encode()
-        decision, decision_counter, targets = self.decisions.get(
+        kind, counter, targets = self.decisions.get(
             gid_bytes, (ClogRecord.ABORT, 0, ())
         )
-        if decision == ClogRecord.COMMIT and self.runtime.profile.stabilization:
-            # The decision entry may sit in the unstable Clog suffix
-            # (coordinator crashed between logging and stabilizing it);
-            # a participant must not commit on an unprotected decision.
-            # Only the decision's own entry matters — waiting on later
-            # records (e.g. a COMPLETE mid-stabilization) would hold the
-            # participant's locks past unrelated work.  Piggybacked
-            # prepare targets the crashed coordinator collected but may
-            # never have stabilized ride the same round: the asking
-            # participant's recovered prepare record must be
-            # rollback-protected before it commits on this answer.
-            if self.pipeline is not None and targets:
-                yield from self.pipeline.stabilize_group(
-                    list(targets) + [(self.clog.log_name, decision_counter)],
-                    txn=gid_bytes.hex(), phase="resolve",
-                )
-            else:
-                yield from self.stabilize(
-                    self.clog.log_name, decision_counter
-                )
-        verdict = b"commit" if decision == ClogRecord.COMMIT else b"abort"
+        if kind == ClogRecord.COMMIT:
+            yield from self._stabilize_entry(
+                counter, targets, gid_bytes.hex(), "resolve"
+            )
+        return kind
+
+    def _on_resolve(self, message: TxMessage, src: str) -> Gen:
+        """A recovering participant asks how ``gid`` was decided."""
+        yield from self.runtime.op_overhead()
+        kind = yield from self.resolve(
+            GlobalTxnId(message.node_id, message.txn_id).encode()
+        )
         return TxMessage(
             MsgType.TXN_RESOLVE_REPLY,
             message.node_id,
             message.txn_id,
             message.op_id,
-            verdict,
+            _KIND_NAMES[kind].encode(),
         )
 
 
@@ -1623,7 +1675,7 @@ class GlobalTxn:
             self.status = TxnStatus.COMMITTED
             coordinator.local_commits += 1
             return 0
-        ok = yield from self._validate_local_occ(self._local_txn)
+        ok = yield from validate_occ(self.runtime, self._local_txn)
         if not ok:
             self.status = TxnStatus.ABORTED
             coordinator.aborts += 1
@@ -1632,25 +1684,6 @@ class GlobalTxn:
         self.status = TxnStatus.COMMITTED
         coordinator.local_commits += 1
         return counter
-
-    def _validate_local_occ(self, txn) -> Gen:
-        """Validate + pin the coordinator's own half; False on conflict
-        (the half has rolled itself back)."""
-        metrics = self.runtime.metrics
-        span = self.coordinator.tracer.span(
-            "twopc", "validate", node=self.coordinator.node,
-            txn=self.gid.encode().hex(),
-            reads=len(txn.reads), writes=len(txn.buffer),
-        )
-        try:
-            yield from txn.validate_and_pin()
-        except TransactionAborted:
-            span.close(outcome="conflict")
-            metrics.counter("occ.conflicts").inc()
-            return False
-        span.close(outcome="ok")
-        metrics.counter("occ.validated").inc()
-        return True
 
     def _commit_distributed(self) -> Gen:
         # Root of the transaction's cross-node span DAG: the trace id is
@@ -1751,120 +1784,61 @@ class GlobalTxn:
         metrics.histogram("twopc.prepare_s").observe(
             self.runtime.now - phase_start
         )
-        # 6-7: log + stabilize the decision before acting on it.  With
+        # 6-7: log + protect the decision before acting on it.  With
         # piggybacking the participants' prepare targets fold into the
         # same group-wide round: one echo broadcast rollback-protects
-        # every prepare record *and* the Clog decision entry.
+        # every prepare record *and* the Clog decision entry.  Aborted
+        # prepares need no rollback protection (presumed abort): only a
+        # commit decision carries the group.
         phase_start = self.runtime.now
         span = tracer.span(
             "twopc", "decision_log", node=coordinator.node, txn=txn_hex
         )
-        decision_kind = ClogRecord.COMMIT if vote_commit else ClogRecord.ABORT
+        voted = ClogRecord.COMMIT if vote_commit else ClogRecord.ABORT
+        if not vote_commit:
+            prepare_targets = []
         decision_counter = yield from coordinator.log_clog(
             ClogRecord(
-                decision_kind, self.gid, record_participants,
-                targets=prepare_targets if vote_commit else None,
+                voted, self.gid, record_participants, targets=prepare_targets
             )
         )
-        abort_reason = "a participant failed to prepare"
-        if coordinator.replication:
-            # Non-blocking commit: replicate the decision record to the
-            # whole cluster (riding the piggybacked group round) and,
-            # for commits, wait for a quorum of slot acknowledgements
-            # before the client can be answered — any participant can
-            # then finish the transaction without this coordinator.
-            decision = DecisionRecord(
-                decision_kind, self.gid, record_participants,
-                prepare_targets if vote_commit else [],
-                coordinator.clog.log_name, decision_counter,
-                coordinator.node_numeric_id,
-            )
-            replicated = yield from coordinator._replicate_decision(
-                decision, txn_hex
-            )
-            if vote_commit and not replicated:
-                # Completer abort slots beat the replication: the commit
-                # can never reach its quorum, so no client was (or ever
-                # will be) acknowledged.  Supersede the Clog COMMIT with
-                # an ABORT and take the abort path below.
-                vote_commit = False
-                abort_reason = (
-                    "commit decision superseded by a completer abort quorum"
-                )
-                superseded = yield from coordinator.log_clog(
-                    ClogRecord(
-                        ClogRecord.ABORT, self.gid, record_participants
-                    )
-                )
-                if coordinator.pipeline is not None:
-                    coordinator.pipeline.background(
-                        coordinator.clog.log_name, superseded
-                    )
-        elif self.runtime.profile.stabilization:
-            if coordinator.piggyback:
-                # Aborted prepares need no rollback protection (presumed
-                # abort): only a commit decision carries the group.
-                yield from coordinator.pipeline.stabilize_group(
-                    (prepare_targets if vote_commit else [])
-                    + [(coordinator.clog.log_name, decision_counter)],
-                    txn=txn_hex, phase="decision",
-                )
-            else:
-                yield from coordinator.stabilize(
-                    coordinator.clog.log_name, decision_counter
-                )
+        decision = yield from coordinator.protect(
+            voted, self.gid, record_participants, prepare_targets,
+            decision_counter,
+        )
         span.close()
         metrics.histogram("twopc.decision_s").observe(
             self.runtime.now - phase_start
         )
+        # 8: instruct the participants and apply the local half.
+        # ``paper`` retries forever: the decision exists only in this
+        # coordinator's Clog.  Under decision replication a quorum of
+        # slots outlives this coordinator, so delivery is best-effort
+        # (two rounds): a participant that misses both finishes via its
+        # decision watchdog instead of wedging this fiber on a dead
+        # peer.  The COMMIT ACKs and the local apply return apply-side
+        # targets; nobody waits for those before the client reply.
         phase_start = self.runtime.now
-        if not vote_commit:
-            span = tracer.span(
-                "twopc", "abort", node=coordinator.node, txn=txn_hex
-            )
-            yield from self._broadcast_resolution(
-                MsgType.TXN_ABORT, participants,
-                max_rounds=2 if coordinator.replication else None,
-            )
-            if self._local_txn is not None:
-                if self._local_txn.status == TxnStatus.PREPARED:
-                    yield from self._local_txn.abort_prepared()
-                else:
-                    yield from self._local_txn.rollback()
-                tracer.event(
-                    "twopc", "abort_apply", node=coordinator.node, txn=txn_hex
-                )
-            span.close()
-            self.status = TxnStatus.ABORTED
-            coordinator.aborts += 1
-            raise TransactionAborted(abort_reason)
-        # Commit phase: no stabilization wait needed before replying.
         span = tracer.span(
-            "twopc", "commit", node=coordinator.node, txn=txn_hex
+            "twopc", _KIND_NAMES[decision], node=coordinator.node, txn=txn_hex
         )
-        replies = yield from self._broadcast_resolution(
-            MsgType.TXN_COMMIT, participants,
-            max_rounds=2 if coordinator.replication else None,
+        apply_targets = yield from deliver(
+            coordinator.rpc, coordinator.addresses, participants,
+            lambda: self._message(_INSTRUCTIONS[decision]),
+            rounds=2 if coordinator.replication else None,
         )
-        # Symmetric apply-side piggyback: COMMIT/ACK bodies carry the
-        # participants' commit-record targets; they join the background
-        # COMPLETE round instead of N per-node background fibers.
-        apply_targets: List[Tuple[str, int]] = []
-        for reply in replies.values():
-            if getattr(reply, "body", b""):
-                apply_targets.extend(decode_counter_vector(reply.body))
         if self._local_txn is not None:
-            if coordinator.piggyback:
-                counter, log_name = yield from self._local_txn.commit_prepared_async(
-                    defer_stabilization=True
-                )
-                apply_targets.append((log_name, counter))
-            else:
-                yield from self._local_txn.commit_prepared_async()
-            tracer.event(
-                "twopc", "commit_apply", node=coordinator.node, txn=txn_hex
+            apply_targets += yield from apply_half(
+                self.runtime, self._local_txn, decision
             )
         span.close()
+        if decision != ClogRecord.COMMIT:
+            self.status = TxnStatus.ABORTED
+            coordinator.aborts += 1
+            raise TransactionAborted(
+                "a participant failed to prepare" if not vote_commit else
+                "commit decision superseded by a completer abort quorum"
+            )
         metrics.histogram("twopc.commit_s").observe(
             self.runtime.now - phase_start
         )
@@ -1879,17 +1853,9 @@ class GlobalTxn:
             counter = yield from coordinator.log_clog(
                 ClogRecord(ClogRecord.COMPLETE, self.gid, record_participants)
             )
-            if self.runtime.profile.stabilization:
-                if coordinator.piggyback:
-                    yield from coordinator.pipeline.stabilize_group(
-                        apply_targets
-                        + [(coordinator.clog.log_name, counter)],
-                        txn=txn_hex, phase="complete",
-                    )
-                else:
-                    yield from coordinator.stabilize(
-                        coordinator.clog.log_name, counter
-                    )
+            yield from coordinator._stabilize_entry(
+                counter, apply_targets, txn_hex, "complete"
+            )
 
         self.runtime.sim.process(log_complete(), name="clog-complete")
 
@@ -1898,84 +1864,18 @@ class GlobalTxn:
         if self.optimistic:
             # Validation runs inside the same window as the remote
             # PREPAREs — the local half of the OCC-in-PREPARE rule.
-            ok = yield from self._validate_local_occ(txn)
+            ok = yield from validate_occ(self.runtime, txn)
             if not ok:
                 return False
         try:
             counter, log_name = yield from txn.prepare()
         except TransactionAborted:
             return False
-        if self.coordinator.piggyback:
-            # Return the target: it joins the group-wide decision round.
-            self.coordinator.tracer.event(
-                "twopc", "prepare_target", node=self.coordinator.node,
-                txn=self.gid.encode().hex(), log=log_name, counter=counter,
-                coord=self.coordinator.node_numeric_id,
-            )
-            return (log_name, counter)
-        if self.runtime.profile.stabilization:
-            yield from self.coordinator.stabilize(log_name, counter)
-        self.coordinator.tracer.event(
-            "twopc", "prepare_ack", node=self.coordinator.node,
-            txn=self.gid.encode().hex(), log=log_name, counter=counter,
-            coord=self.coordinator.node_numeric_id,
+        target = yield from protect_prepare(
+            self.runtime, self.coordinator.pipeline, self.gid, log_name,
+            counter,
         )
-        return True
-
-    def _broadcast_resolution(self, msg_type: int, participants: List[int],
-                              max_rounds: Optional[int] = None) -> Gen:
-        """Deliver the decision to every participant, retrying forever.
-
-        The decision is already durable in the Clog, so retrying is
-        always safe: a participant that already acted replies ACK and
-        ignores the duplicate instruction (each retry carries a fresh
-        operation id, so the at-most-once filter does not eat it).
-
-        ``max_rounds`` bounds the retries when the decision is
-        independently recoverable: under decision replication a quorum
-        of slots outlives this coordinator, so delivery is best-effort —
-        a participant that misses every round finishes via its decision
-        watchdog (the completer protocol) instead of wedging this fiber
-        on a permanently dead peer.  ``protocol="paper"`` must retry
-        forever because the decision exists only in this coordinator's
-        Clog.
-
-        Returns the collected replies (node -> TxMessage): COMMIT ACK
-        bodies carry the participants' piggybacked apply-side targets.
-        """
-        pending = set(participants)
-        replies: Dict[int, TxMessage] = {}
-        rounds = 0
-        while pending:
-            rounds += 1
-            nodes = sorted(pending)
-            events = dict(zip(nodes, self.coordinator.rpc.broadcast(
-                [(self._address_of(node), self._message(msg_type))
-                 for node in nodes]
-            )))
-            round_start = self.runtime.now
-            yield self.runtime.sim.any_of(
-                [
-                    self.runtime.sim.all_settled(list(events.values())),
-                    self.runtime.sim.timeout(RESOLUTION_RETRY_INTERVAL),
-                ]
-            )
-            for node, event in events.items():
-                if event.triggered and event.ok:
-                    pending.discard(node)
-                    replies[node] = event.value
-            if pending:
-                if max_rounds is not None and rounds >= max_rounds:
-                    break
-                # A crashed destination settles its events instantly
-                # (failed), so pace the retries: without this the loop
-                # would spin at a single simulated instant.
-                remainder = RESOLUTION_RETRY_INTERVAL - (
-                    self.runtime.now - round_start
-                )
-                if remainder > 0.0:
-                    yield self.runtime.sim.timeout(remainder)
-        return replies
+        return target or True
 
     def rollback(self, failed_node: Optional[int] = None) -> Gen:
         """TXNROLLBACK: abort everywhere (presumed abort, nothing logged)."""
@@ -1988,6 +1888,9 @@ class GlobalTxn:
             yield from self._local_txn.rollback()
 
     def _abort_remotes(self, skip: Optional[int] = None) -> Gen:
-        participants = [n for n in sorted(self.remote_participants) if n != skip]
-        if participants:
-            yield from self._broadcast_resolution(MsgType.TXN_ABORT, participants)
+        yield from deliver(
+            self.coordinator.rpc, self.coordinator.addresses,
+            [node for node in self.remote_participants if node != skip],
+            lambda: self._message(MsgType.TXN_ABORT),
+            rounds=None,
+        )

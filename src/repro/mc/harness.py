@@ -36,6 +36,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..config import ClusterConfig, TREATY_FULL
 from ..core import TreatyCluster
 from ..core.node import TreatyNode
+from ..core.pipeline import DurabilityPipeline
+from ..core.twopc import Coordinator
 from ..errors import NetworkError, TransactionAborted
 from ..net.adversary import ENUMERATED_DELAY
 from ..net.message import MsgType
@@ -154,35 +156,18 @@ def parse_scope(spec: str, **overrides: Any) -> Scope:
 
 # -- mutations: recovery rules the checker should catch when broken ----------
 
-def _disable_method(name: str, doc: str):
+def _disable(owner: type, name: str, doc: str, result: Any = None):
+    """A context manager that stubs out generator method ``owner.name``.
+
+    The patched methods are all spawned as fibers (or yielded from), so
+    the stub is a generator function too: it does nothing and returns
+    ``result``.  ``patch.target`` names the seam, so a test can check
+    that every mutation still points at a method that exists.
+    """
+
     @contextlib.contextmanager
     def patch():
-        original = getattr(TreatyNode, name)
-
-        def stub(self, *args, **kwargs):
-            # Generator that does nothing: the patched methods are all
-            # spawned as fibers (or yielded from), so the stub must be a
-            # generator function too.
-            if False:
-                yield
-
-        stub.__doc__ = doc
-        setattr(TreatyNode, name, stub)
-        try:
-            yield
-        finally:
-            setattr(TreatyNode, name, original)
-
-    patch.__doc__ = doc
-    return patch
-
-
-def _disable_coordinator_method(name: str, doc: str, result: Any = None):
-    @contextlib.contextmanager
-    def patch():
-        from ..core.twopc import Coordinator
-
-        original = getattr(Coordinator, name)
+        original = getattr(owner, name)
 
         def stub(self, *args, **kwargs):
             if False:
@@ -190,35 +175,14 @@ def _disable_coordinator_method(name: str, doc: str, result: Any = None):
             return result
 
         stub.__doc__ = doc
-        setattr(Coordinator, name, stub)
+        setattr(owner, name, stub)
         try:
             yield
         finally:
-            setattr(Coordinator, name, original)
+            setattr(owner, name, original)
 
     patch.__doc__ = doc
-    return patch
-
-
-def _disable_pipeline_method(name: str, doc: str):
-    @contextlib.contextmanager
-    def patch():
-        from ..core.pipeline import DurabilityPipeline
-
-        original = getattr(DurabilityPipeline, name)
-
-        def stub(self, *args, **kwargs):
-            if False:
-                yield
-
-        stub.__doc__ = doc
-        setattr(DurabilityPipeline, name, stub)
-        try:
-            yield
-        finally:
-            setattr(DurabilityPipeline, name, original)
-
-    patch.__doc__ = doc
+    patch.target = (owner, name)
     return patch
 
 
@@ -227,15 +191,17 @@ MUTATIONS = {
     # the pre-crash coordinator may have logged ABORT and died before
     # any participant heard it.  Disabled, a participant prepared under
     # a twice-crashed coordinator holds its locks forever.
-    "no-abort-rebroadcast": _disable_method(
-        "_redrive_abort", "mutation: decided aborts are not re-broadcast"
+    "no-abort-rebroadcast": _disable(
+        TreatyNode, "_redrive_abort",
+        "mutation: decided aborts are not re-broadcast",
     ),
     # §VI: a recovering coordinator re-drives decided commits so
     # participants that never heard the decision converge.  Disabled, a
     # coordinator that logged COMMIT and died before broadcasting leaves
     # every participant's prepared half (and its locks) in doubt forever.
-    "no-commit-redrive": _disable_method(
-        "_redrive_commit", "mutation: decided commits are not re-driven"
+    "no-commit-redrive": _disable(
+        TreatyNode, "_redrive_commit",
+        "mutation: decided commits are not re-driven",
     ),
     # §VI + coverage promises: a transaction must not be acknowledged
     # before its targets are covered by a stable counter frontier
@@ -243,8 +209,8 @@ MUTATIONS = {
     # the coordinator's group stabilization, so commits are externalized
     # with no counter coverage at all — the monitor's I1/I2 checks must
     # flag it without any adversary perturbation.
-    "ack-before-covered": _disable_pipeline_method(
-        "stabilize_group",
+    "ack-before-covered": _disable(
+        DurabilityPipeline, "stabilize_group",
         "mutation: transactions ack without lease coverage",
     ),
     # §VII non-blocking commit: the coordinator must not acknowledge the
@@ -253,8 +219,8 @@ MUTATIONS = {
     # without sending (or stabilizing) anything, so the commit is
     # externalized with neither a durable decision quorum nor counter
     # coverage — I1/I2 flag the very first unperturbed run.
-    "reply-before-decision-quorum": _disable_coordinator_method(
-        "_replicate_decision",
+    "reply-before-decision-quorum": _disable(
+        Coordinator, "_replicate_decision",
         "mutation: client acked before decision quorum",
         result=True,
     ),

@@ -266,6 +266,33 @@ class SecureRpc:
             for dst, message in pairs
         ]
 
+    def gather(
+        self,
+        pairs: Sequence[Tuple[str, TxMessage]],
+        timeout: Optional[float] = None,
+    ) -> Generator[Event, Any, List[Optional[TxMessage]]]:
+        """:meth:`broadcast`, then wait for the replies — in input order.
+
+        A destination whose request failed (its NIC is detached: the
+        transport fails the continuation at once) or that stayed silent
+        for ``timeout`` seconds yields ``None``: to a fan-out round a
+        crashed or slow peer is a missing answer, not an error.
+        ``timeout=None`` waits until every request has settled.  A
+        straggler that fails after the timeout is still defused.
+        """
+        if not pairs:
+            return []
+        sim = self.runtime.sim
+        events = self.broadcast(pairs)
+        settled = sim.all_settled(events)
+        if timeout is not None:
+            settled = sim.any_of([settled, sim.timeout(timeout)])
+        yield settled
+        return [
+            event.value if event.triggered and event.ok else None
+            for event in events
+        ]
+
     def call(
         self, dst: str, message: TxMessage
     ) -> Generator[Event, Any, TxMessage]:

@@ -139,11 +139,7 @@ class Observability:
         timeseries: bool = False,
         timeseries_window_s: float = 0.005,
         incidents: bool = False,
-        tail_quantile: float = 0.99,
         tail_warmup: int = 32,
-        max_exemplars: int = 16,
-        incident_occ_storm_conflicts: int = 20,
-        incident_lock_convoy_s: float = 0.01,
     ):
         self.sim = sim
         self.hub = MetricsHub()
@@ -176,8 +172,7 @@ class Observability:
             ).attach(self.tracer)
         if flight_recorder:
             self.recorder = FlightRecorder(
-                self.tracer, tail_quantile=tail_quantile,
-                warmup=tail_warmup, max_exemplars=max_exemplars,
+                self.tracer, warmup=tail_warmup
             ).attach()
         if timeseries:
             self.timeseries = TimeSeriesRecorder(
@@ -185,9 +180,7 @@ class Observability:
             ).attach(self.tracer)
         if incidents:
             self.incidents = IncidentLog(
-                recorder=self.recorder,
-                occ_storm_conflicts=incident_occ_storm_conflicts,
-                lock_convoy_s=incident_lock_convoy_s,
+                recorder=self.recorder
             ).attach(self.tracer)
             if self.timeseries is not None:
                 self.timeseries.on_window.append(

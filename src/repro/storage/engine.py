@@ -49,10 +49,10 @@ _MAX_LEVEL = 6
 #: readers (cooperative fibers) drain first.
 _DELETE_GRACE = 0.05
 
-# A stabilizer makes one log entry rollback-protected; injected by the
-# stabilization protocol (repro.core.stabilization).  ``None`` means the
-# profile runs without stabilization.
-Stabilizer = Callable[[str, int], Generator[Event, Any, None]]
+# The hook that makes one log entry rollback-protected: the node's
+# ``DurabilityPipeline.stabilize`` (repro.core.pipeline).  ``None`` means
+# the profile runs without stabilization.
+Stabilize = Callable[[str, int], Generator[Event, Any, None]]
 
 
 class LSMEngine:
@@ -65,14 +65,14 @@ class LSMEngine:
         keyring: KeyRing,
         config: ClusterConfig,
         name: str = "node0",
-        stabilizer: Optional[Stabilizer] = None,
+        stabilize: Optional[Stabilize] = None,
     ):
         self.runtime = runtime
         self.disk = disk
         self.keyring = keyring
         self.config = config
         self.name = name
-        self.stabilizer = stabilizer
+        self.stabilize = stabilize
         self._rng = SeededRng(config.seed, name, "engine")
 
         self.manifest = Manifest(
@@ -401,8 +401,8 @@ class LSMEngine:
         """
 
         def gc():
-            if self.stabilizer is not None:
-                yield from self.stabilizer(
+            if self.stabilize is not None:
+                yield from self.stabilize(
                     self.manifest_log_name, after_manifest_counter
                 )
             else:

@@ -129,7 +129,7 @@ class LocalTransaction:
             self._finalize(TxnStatus.COMMITTED)
             return 0
         try:
-            counter, log_name, stable_event = yield from self.manager.group.submit(
+            counter, _log_name, stable_event = yield from self.manager.group.submit(
                 self.txn_id, writes, self._commit_validator(), wait_stable=True
             )
         except TransactionAborted:
@@ -142,8 +142,6 @@ class LocalTransaction:
             # The whole group-commit batch shares this one wait, driven
             # by a single pipeline stabilization request.
             yield stable_event
-        else:
-            yield from self.manager.stabilize(log_name, counter)
         return counter
 
     def rollback(self) -> Gen:

@@ -16,7 +16,8 @@ outcome.  Validation + sequence assignment + MemTable application happen
 inside the leader's critical section, which is what makes OCC validation
 atomic.
 
-When a :class:`~repro.core.pipeline.DurabilityPipeline` is attached, the
+The committer is built by (and bound to) the node's
+:class:`~repro.core.pipeline.DurabilityPipeline`: under stabilization the
 leader also submits the batch's stabilization as *one* request — every
 member that asked to wait for rollback protection shares a single event
 driven by one counter wait on the batch's highest WAL counter, instead
@@ -34,7 +35,7 @@ from ..sim.core import Event
 from ..storage.engine import LSMEngine
 from ..tee.runtime import NodeRuntime
 
-__all__ = ["CommitRequest", "GroupCommitter"]
+__all__ = ["CommitRequest", "GroupCommitter", "GROUP_COMMIT_WINDOW_CAP"]
 
 Gen = Generator[Event, Any, Any]
 
@@ -43,6 +44,8 @@ Gen = Generator[Event, Any, Any]
 # engine to compare versions).
 Validator = Callable[[], Generator[Event, Any, None]]
 
+#: upper bound on the adaptive group-commit window.
+GROUP_COMMIT_WINDOW_CAP = 4.0e-4
 #: smoothing factor for the submit inter-arrival EWMA.
 _GAP_ALPHA = 0.2
 #: the adaptive window waits this multiple of the mean arrival gap.
@@ -87,19 +90,17 @@ class GroupCommitter:
         self,
         runtime: NodeRuntime,
         engine: LSMEngine,
+        pipeline,
         max_group: int = 16,
         window: Optional[float] = 0.0,
-        window_cap: float = 4.0e-4,
-        pipeline=None,
     ):
         self.runtime = runtime
         self.engine = engine
+        #: the owning DurabilityPipeline.
+        self.pipeline = pipeline
         self.max_group = max_group
         #: ``None`` = adaptive; ``0.0`` = immediate drain; >0 fixed wait.
         self.window = window
-        self.window_cap = window_cap
-        #: the owning DurabilityPipeline, if the node runs one.
-        self.pipeline = pipeline
         self._queue: List[CommitRequest] = []
         self._leader_active = False
         self._last_submit: Optional[float] = None
@@ -143,7 +144,7 @@ class GroupCommitter:
         delay = self._gap_ewma * _GAP_MULTIPLE
         if self._stab_ewma is not None:
             delay = max(delay, self._stab_ewma * _STAB_FRACTION)
-        return min(self.window_cap, delay)
+        return min(GROUP_COMMIT_WINDOW_CAP, delay)
 
     # -- submission ---------------------------------------------------------
     def submit(
@@ -157,9 +158,9 @@ class GroupCommitter:
 
         Returns ``(counter, log_name, stable_event)``: the WAL counter
         value, the WAL's log name, and — iff ``wait_stable`` was set and
-        a durability pipeline is attached — the batch's shared
-        stabilization event (``None`` otherwise; the caller falls back
-        to its own per-transaction stabilization).  The outcome fires as
+        the pipeline runs stabilization — the batch's shared
+        stabilization event (``None`` otherwise: there is nothing to
+        wait for).  The outcome fires as
         soon as the batch's WAL write is durable, so callers can release
         locks *before* waiting out rollback protection (§VIII-C).
 
@@ -233,18 +234,17 @@ class GroupCommitter:
         log_name = self.engine.wal_log_name
         self._batch_hist.observe(len(admitted))
         self._occupancy_hist.observe(len(admitted) / self.max_group)
-        if self.pipeline is not None:
-            # Seqs were assigned in batch order before the WAL counters,
-            # and batches are serialized by the leader critical section,
-            # so this watermark is monotone in both coordinates — the
-            # freshness witness for coordinator-free snapshot reads.
-            seqs = [seq for _, writes in records for _, _, seq in writes]
-            if seqs:
-                self.pipeline.witness.record(
-                    log_name, max(counters), max(seqs)
-                )
+        # Seqs were assigned in batch order before the WAL counters,
+        # and batches are serialized by the leader critical section,
+        # so this watermark is monotone in both coordinates — the
+        # freshness witness for coordinator-free snapshot reads.
+        seqs = [seq for _, writes in records for _, _, seq in writes]
+        if seqs:
+            self.pipeline.witness.record(
+                log_name, max(counters), max(seqs)
+            )
         stable_event = None
-        if self.pipeline is not None and self.pipeline.enabled:
+        if self.pipeline.enabled:
             top = max(
                 (counter for request, counter in zip(admitted, counters)
                  if request.wait_stable),

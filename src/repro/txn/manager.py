@@ -1,21 +1,21 @@
 """Per-node transaction manager: the Tx KV engine of Figure 1.
 
-Glues together the storage engine, the sharded lock table, the group
-committer and the stabilization hook, and hands out transaction handles
-(``BEGINTXN``).  The 2PC layer (:mod:`repro.core.twopc`) drives its
-participant-local transactions through this same manager.
+Glues together the storage engine, the sharded lock table and the node's
+durability pipeline (group commit + stabilization), and hands out
+transaction handles (``BEGINTXN``).  The 2PC layer
+(:mod:`repro.core.twopc`) drives its participant-local transactions
+through this same manager.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Generator, Optional
 
 from ..config import ClusterConfig
 from ..sim.core import Event
 from ..storage.engine import LSMEngine
 from ..tee.runtime import NodeRuntime
-from .group_commit import GroupCommitter
 from .locks import LockTable
 from .optimistic import DistributedOccTxn, OptimisticTxn
 from .pessimistic import PessimisticTxn
@@ -25,7 +25,11 @@ __all__ = ["TransactionManager"]
 
 Gen = Generator[Event, Any, Any]
 
-Stabilizer = Callable[[str, int], Generator[Event, Any, None]]
+LOCK_SHARDS = 256
+#: seconds before a lock wait aborts with a timeout error (§V-B).  Also
+#: the deadlock-resolution latency, so it is kept roughly one order of
+#: magnitude above a contended transaction's latency.
+LOCK_TIMEOUT = 0.05
 
 
 class TransactionManager:
@@ -36,16 +40,15 @@ class TransactionManager:
         runtime: NodeRuntime,
         engine: LSMEngine,
         config: ClusterConfig,
-        stabilizer: Optional[Stabilizer] = None,
+        pipeline,
         name: str = "node0",
-        pipeline=None,
     ):
         self.runtime = runtime
         self.engine = engine
         self.config = config
         self.name = name
         self.locks = LockTable(
-            runtime.sim, shards=config.lock_shards, timeout=config.lock_timeout
+            runtime.sim, shards=LOCK_SHARDS, timeout=LOCK_TIMEOUT
         )
         self.locks.wait_hist = runtime.metrics.histogram("locks.wait_s")
         self.locks.node_name = runtime.name or name
@@ -53,26 +56,12 @@ class TransactionManager:
         runtime.metrics.probe(
             "locks.acquisitions", lambda: self.locks.acquisitions
         )
-        #: the node's DurabilityPipeline, when it runs one — the group
-        #: committer is then built by (and bound to) the pipeline so the
-        #: batch's stabilization is scheduled as one request.
+        #: the node's DurabilityPipeline: it builds (and is bound to) the
+        #: group committer, so a batch's stabilization is scheduled as
+        #: one request.
         self.pipeline = pipeline
-        if pipeline is not None:
-            self.group = pipeline.attach_engine(engine)
-            if stabilizer is None:
-                stabilizer = pipeline.stabilizer
-        else:
-            # Standalone mode (unit tests of lower layers): no pipeline,
-            # per-transaction stabilization via the injected hook.
-            self.group = GroupCommitter(
-                runtime,
-                engine,
-                max_group=config.group_commit_max,
-                window=config.group_commit_window,
-                window_cap=config.group_commit_window_cap,
-            )
-        self.lock_timeout = config.lock_timeout
-        self._stabilizer = stabilizer
+        self.group = pipeline.attach_engine(engine)
+        self.lock_timeout = LOCK_TIMEOUT
         self._txn_seq = itertools.count(1)
         self.begun = 0
 
@@ -103,19 +92,3 @@ class TransactionManager:
         """One node's slice of a coordinator-free read-only transaction."""
         self.begun += 1
         return ReadOnlySnapshotTxn(self, txn_id or self._next_txn_id("ro"))
-
-    # -- stabilization hook --------------------------------------------------------
-    def stabilize(self, log_name: str, counter: int) -> Gen:
-        """Wait until ``(log, counter)`` is rollback-protected.
-
-        No-op when the profile runs without stabilization, or when no
-        trusted counter service is wired (unit tests of lower layers).
-        """
-        if counter == 0:
-            return
-        if self._stabilizer is None or not self.runtime.profile.stabilization:
-            return
-        yield from self._stabilizer(log_name, counter)
-
-    def set_stabilizer(self, stabilizer: Optional[Stabilizer]) -> None:
-        self._stabilizer = stabilizer

@@ -63,15 +63,13 @@ class PessimisticTxn(LocalTransaction):
             )
         writes = self.buffer.items()
         self.engine.forget_prepared(self.txn_id)
-        counter, log_name, stable_event = yield from self.manager.group.submit(
+        counter, _log_name, stable_event = yield from self.manager.group.submit(
             self.txn_id, writes, None, wait_stable=True
         )
         self.wal_counter = counter
         self._finalize(TxnStatus.COMMITTED)
         if stable_event is not None:
             yield stable_event
-        else:
-            yield from self.manager.stabilize(log_name, counter)
         return counter
 
     def commit_prepared_async(self, defer_stabilization: bool = False) -> Gen:
@@ -103,11 +101,7 @@ class PessimisticTxn(LocalTransaction):
         self._finalize(TxnStatus.COMMITTED)
         if defer_stabilization:
             return counter, log_name
-
-        def background_stabilize():
-            yield from self.manager.stabilize(log_name, counter)
-
-        self.runtime.sim.process(background_stabilize(), name="bg-stabilize")
+        self.manager.pipeline.background(log_name, counter)
         return counter
 
     def abort_prepared(self) -> Gen:

@@ -63,12 +63,8 @@ class ReadOnlySnapshotTxn(LocalTransaction):
                 raise ConflictError(key)
             max_seq = max(max_seq, observed_seq)
         self._finalize(TxnStatus.COMMITTED)
-        witness = (
-            self.manager.pipeline.witness
-            if self.manager.pipeline is not None
-            else None
-        )
-        if witness is None or witness.covers(max_seq):
+        witness = self.manager.pipeline.witness
+        if witness.covers(max_seq):
             metrics.counter("txn.readonly.local").inc()
             return 0
         # Stale snapshot: wait out the covering stabilization round (it

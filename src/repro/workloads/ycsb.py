@@ -205,8 +205,7 @@ def bulk_load(cluster: TreatyCluster, config: YcsbConfig) -> Gen:
         # mark covers their seqs; advance the snapshot-read floor like
         # bootstrap does, or read-only commits would wait forever on a
         # write-free workload.
-        if node.pipeline is not None:
-            node.pipeline.witness.advance_floor(engine.current_seq())
+        node.pipeline.witness.advance_floor(engine.current_seq())
 
 
 #: bursty arrivals: mean transactions per on-burst (geometric).

@@ -71,10 +71,13 @@ class TxnHarness(StorageHarness):
 
     def __init__(self, profile=TREATY_ENC, config=None, name="node0", disk=None):
         super().__init__(profile=profile, config=config, name=name, disk=disk)
+        from repro.core.pipeline import DurabilityPipeline
         from repro.txn import TransactionManager
 
+        # No counter client: a disabled pipeline (group commit only).
+        self.pipeline = DurabilityPipeline(self.runtime, None, self.config)
         self.manager = TransactionManager(
-            self.runtime, self.engine, self.config, name=name
+            self.runtime, self.engine, self.config, self.pipeline, name=name
         )
 
     def txn_put(self, pairs, optimistic=False):

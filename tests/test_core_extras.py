@@ -1,45 +1,63 @@
-"""Extra coverage: Stabilizer, Clog records, batched writes, client scans."""
+"""Extra coverage: the pipeline's stabilization entry points, Clog records,
+batched writes, client scans."""
 
 import pytest
 
 from repro.config import ClusterConfig, DS_ROCKSDB, TREATY_ENC, TREATY_FULL
 from repro.core import ClogRecord, GlobalTxnId, TreatyCluster
-from repro.core.stabilization import Stabilizer
+from repro.core.pipeline import DurabilityPipeline
 from repro.sim import Simulator
 from repro.tee import NodeRuntime
 
 
-class TestStabilizer:
-    def test_disabled_without_stabilization_profile(self):
+class TestPipelineStabilization:
+    def test_disabled_pipeline_is_a_noop(self):
+        """No counter client (and no stabilization profile): every entry
+        point returns at once — no sim time, no wait recorded."""
         sim = Simulator()
         runtime = NodeRuntime(sim, TREATY_ENC, ClusterConfig())
-        stabilizer = Stabilizer(runtime, counter_client=None)
-        assert not stabilizer.enabled
-        sim.run_process(stabilizer("log", 5))  # no-op, returns instantly
+        pipeline = DurabilityPipeline(runtime, None, ClusterConfig())
+        assert not pipeline.enabled
+        assert pipeline.rollback is None
+        sim.run_process(pipeline.stabilize("log", 5))
+        sim.run_process(pipeline.stabilize_many([("log", 5), ("log2", 7)]))
+        sim.run_process(pipeline.stabilize_group([("log", 5)], txn="t"))
+        pipeline.background("log", 9)
+        sim.run()
         assert sim.now == 0.0
-        assert stabilizer.waits == 0
+        assert pipeline.waits == 0
+        assert pipeline.mean_wait() == 0.0
+        assert pipeline.witness.covers(10 ** 9)
+
+    def test_stabilization_profile_without_client_stays_disabled(self):
+        sim = Simulator()
+        runtime = NodeRuntime(sim, TREATY_FULL, ClusterConfig())
+        pipeline = DurabilityPipeline(runtime, None, ClusterConfig())
+        assert not pipeline.enabled
+        sim.run_process(pipeline.stabilize("log", 5))
+        assert sim.now == 0.0 and pipeline.waits == 0
 
     def test_enabled_waits_and_records(self):
         cluster = TreatyCluster(profile=TREATY_FULL).start()
         node = cluster.nodes[0]
         start = cluster.sim.now
-        cluster.run(node.stabilizer("extras-log", 1))
-        assert node.stabilizer.waits == 1
-        assert node.stabilizer.mean_wait() > 0
+        cluster.run(node.pipeline.stabilize("extras-log", 1))
+        assert node.pipeline.waits == 1
+        assert node.pipeline.mean_wait() > 0
         assert cluster.sim.now > start
 
     def test_zero_counter_is_noop(self):
         cluster = TreatyCluster(profile=TREATY_FULL).start()
         node = cluster.nodes[0]
         start = cluster.sim.now
-        cluster.run(node.stabilizer("extras-log2", 0))
+        cluster.run(node.pipeline.stabilize("extras-log2", 0))
         assert cluster.sim.now == start
 
     def test_background_does_not_block(self):
         cluster = TreatyCluster(profile=TREATY_FULL).start()
         node = cluster.nodes[0]
         start = cluster.sim.now
-        node.stabilizer.background("extras-bg", 3)
+        node.pipeline.background("extras-bg", 3)
         assert cluster.sim.now == start  # returned immediately
         cluster.sim.run(until=cluster.sim.now + 0.05)
         assert node.counter_client.stable_value("extras-bg") >= 3

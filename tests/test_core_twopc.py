@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.config import DS_ROCKSDB, TREATY_ENC, TREATY_FULL
-from repro.core import TreatyCluster
+from repro.config import ClusterConfig, DS_ROCKSDB, TREATY_ENC, TREATY_FULL
+from repro.core import GlobalTxnId, TreatyCluster
+from repro.core.trusted_counter import decode_counter_vector
 from repro.core.twopc import ClogRecord
 from repro.errors import TransactionAborted
-from repro.net import NetworkAdversary
+from repro.net import MsgType, NetworkAdversary, TxMessage
 
 
 def keys_per_node(cluster, count=2, tag=b"k"):
@@ -337,3 +338,65 @@ class TestSecurity:
         run(DS_ROCKSDB, "plain")
         assert not any(b"SECRETVALUE" in frame for frame in observed["cipher"])
         assert any(b"SECRETVALUE" in frame for frame in observed["plain"])
+
+
+class TestApplyStep:
+    """``Participant.apply``: every driver's one way to finish a half."""
+
+    def test_exactly_once_under_duplicate_commit_and_racing_completer(self):
+        """The coordinator's TXN_COMMIT, a retry of it (fresh op id) and
+        a completer/recovery calling :meth:`apply` all reach a prepared
+        half in the same instant: one of them applies, the others are
+        told the half was gone."""
+        # No monitor: the half is planted, no coordinator ever logged
+        # this transaction's decision.
+        cluster = TreatyCluster(
+            profile=TREATY_FULL,
+            config=ClusterConfig(tracing=True, monitor=False),
+        ).start()
+        sim = cluster.sim
+        node = cluster.nodes[1]
+        part = node.participant
+        gid = GlobalTxnId(0, 4242)
+        key = keys_per_node(cluster, count=1, tag=b"apply")[1][0]
+
+        def plant():
+            txn = node.manager.begin_pessimistic(txn_id=gid.encode())
+            yield from txn.put(key, b"once")
+            yield from txn.prepare()
+            part.active[gid.encode()] = txn
+
+        cluster.run(plant())
+        before = part.commits_served
+
+        def instruct(op_id):
+            reply = yield from cluster.nodes[0].cluster_rpc.call(
+                node.cluster_address,
+                TxMessage(MsgType.TXN_COMMIT, gid.node_id, gid.local_seq,
+                          op_id),
+            )
+            assert reply.msg_type == MsgType.ACK
+            # The winner's ACK carries its commit record's target.
+            return decode_counter_vector(reply.body) if reply.body else None
+
+        racers = [
+            sim.process(instruct(1), name="commit"),
+            sim.process(instruct(2), name="commit-retry"),
+            sim.process(
+                part.apply(gid.encode(), ClogRecord.COMMIT), name="completer"
+            ),
+        ]
+        sim.run(until=sim.now + 0.5)
+        outcomes = [racer.value for racer in racers]
+        winners = [outcome for outcome in outcomes if outcome is not None]
+        assert len(winners) == 1, outcomes
+        assert len(winners[0]) == 1  # one (log, counter) target
+        assert part.commits_served == before + 1
+        applies = [
+            rec for rec in cluster.obs.records()
+            if rec["type"] == "event" and rec["name"] == "commit_apply"
+            and rec.get("txn") == gid.encode().hex()
+        ]
+        assert [rec["node"] for rec in applies] == [node.name]
+        assert gid.encode() not in part.active
+        assert cluster.run(node.engine.get(key)) == b"once"

@@ -353,6 +353,69 @@ class TestCoveragePromiseCrash:
         )
 
 
+# -- recovery's own-half apply -------------------------------------------------
+
+
+class TestRecoveryAppliesOnProtectedDecision:
+    def test_own_half_waits_for_the_decision_entry(self):
+        """``paper``: the coordinator logs COMMIT and dies before
+        stabilizing the entry, its own half prepared.  Recovery finds
+        the decision in the replayed Clog's *unstable* suffix; the own
+        half may commit only once that entry is rollback-protected, and
+        must say so (``commit_apply``) so the monitor can check I1."""
+        config = ClusterConfig(
+            seed=6, tracing=True, monitor=True, protocol="paper"
+        )
+        cluster = TreatyCluster(profile=TREATY_FULL, config=config).start()
+        sim = cluster.sim
+        (coord, pairs), = spread_txns(cluster, count=1)
+        txn = cluster.nodes[coord].coordinator.begin()
+        txn_hex = txn.gid.encode().hex()
+
+        def body():
+            for key, value in pairs:
+                yield from txn.put(key, value)
+            yield from txn.commit()
+
+        injector = CrashInjector(
+            cluster, ("twopc", "decision"), occurrence=1, victim_offset=0
+        ).arm()
+        sim.process(body(), name="own-half-txn")
+        sim.run(until=sim.now + 1.0)
+        assert injector.crashed == coord
+        cluster.run(cluster.recover_node(coord), name="recover")
+        sim.run(until=sim.now + 3.0)
+
+        records = cluster.obs.records()
+        name = cluster.nodes[coord].name
+        decision = next(
+            rec for rec in records
+            if (rec["cat"], rec["name"]) == ("twopc", "decision")
+            and rec["txn"] == txn_hex
+        )
+        assert decision["args"]["kind"] == "commit"
+        log, counter = decision["args"]["log"], decision["args"]["counter"]
+        events = [
+            (rec["cat"], rec["name"]) for rec in records
+            if rec["type"] == "event" and rec.get("node") == name and (
+                (rec["name"] == "commit_apply" and rec.get("txn") == txn_hex)
+                or (rec["name"] == "advance" and rec["args"]["log"] == log
+                    and rec["args"]["value"] >= counter)
+            )
+        ]
+        assert ("twopc", "commit_apply") in events, (
+            "the coordinator's own half was resolved without a "
+            "commit_apply event: the monitor never saw it"
+        )
+        assert events.index(("stabilize", "advance")) < events.index(
+            ("twopc", "commit_apply")
+        )
+        for key, value in pairs:
+            assert read_owner(cluster, key) == value
+        cluster.obs.monitor.check_quiescent(now=sim.now)
+        assert cluster.obs.monitor.green, cluster.obs.monitor.violations
+
+
 # -- counter-round accounting: the tentpole's headline ------------------------
 
 

@@ -14,6 +14,7 @@ from repro.core import (
 from repro.errors import FreshnessError
 from repro.obs import InvariantMonitor, MonitorViolation, Tracer
 from repro.sim import Simulator
+from repro.txn.group_commit import GROUP_COMMIT_WINDOW_CAP
 
 
 def make_cluster(**overrides):
@@ -204,9 +205,9 @@ class TestGroupCommitWindow:
         assert group.window_delay() == 0.0
         group._gap_ewma = 5e-5
         assert group.window_delay() == pytest.approx(2e-4)
-        # The wait is bounded by the configured cap...
+        # The wait is bounded by the cap...
         group._gap_ewma = 1.0
-        assert group.window_delay() == cluster.config.group_commit_window_cap
+        assert group.window_delay() == GROUP_COMMIT_WINDOW_CAP
         # ...and skipped entirely once the queue is already full.
         group._queue = [None] * group.max_group
         assert group.window_delay() == 0.0
@@ -263,7 +264,7 @@ class TestGroupCommitWindow:
         assert moved, "no group-commit leader saw an arrival gap"
         fed = [g for g in groups if g._stab_ewma is not None]
         assert fed, "no observed stabilize wait fed the window EWMA"
-        cap = cluster.config.group_commit_window_cap
+        cap = GROUP_COMMIT_WINDOW_CAP
         for group in fed:
             delay = group.window_delay()
             assert delay > 0.0

@@ -9,6 +9,7 @@ restored) — plus monitor reset/reuse across repeated sim runs and the
 crash-fault vocabulary shared with the conformance sweep.
 """
 
+import inspect
 import json
 import os
 
@@ -238,6 +239,18 @@ class TestMutationCounterexample:
         with pytest.raises(ValueError):
             mutation_scope("no-such-mutation")
 
+    def test_every_mutation_patches_a_live_seam(self):
+        """A mutation stubs one generator method by name; a refactor
+        that renames the seam must re-point the table, not silently
+        leave a mutation that patches nothing the protocol calls."""
+        for name, patch in MUTATIONS.items():
+            owner, attr = patch.target
+            original = getattr(owner, attr, None)
+            assert inspect.isgeneratorfunction(original), (name, owner, attr)
+            with patch():
+                assert getattr(owner, attr).__doc__ == patch.__doc__
+            assert getattr(owner, attr) is original
+
     def test_second_mutation_is_caught(self):
         """no-commit-redrive: coordinator dies between logging COMMIT
         and broadcasting it; without the redrive, participants' prepared
@@ -320,8 +333,8 @@ class TestBackendScopes:
 # -- real bugs the checker found: their schedules must stay green -------------
 
 class TestFoundBugsStayGreen:
-    """Minimal counterexamples of the four recovery bugs the exhaustive
-    2-crash pass found in this codebase (see docs/MODELCHECK.md).  Each
+    """Minimal counterexamples of the recovery bugs the exhaustive
+    passes found in this codebase (see docs/MODELCHECK.md).  Each
     trace wedged or corrupted the cluster before its fix; replaying them
     pins the fixes."""
 
@@ -349,28 +362,20 @@ class TestFoundBugsStayGreen:
         result = run_one(self.SCOPE, trace)
         assert result.green, (name, result.violations)
 
-
-# -- a known red: pinned until its own fix lands -------------------------------
-
-KNOWN_RED = os.path.join(
-    os.path.dirname(__file__), "data",
-    "mc-durability-prepare-target-crash-resolve-drop.json",
-)
-
-
-class TestKnownRed:
-    @pytest.mark.xfail(strict=True, reason=(
-        "open bug: participant node1 crashes at twopc/prepare_target and "
-        "its recovery TXN_RESOLVE request to node0 is dropped; txn 0 "
-        "commits but node1's write never becomes visible (found by CI's "
-        "`mc explore --scope 2x3 --depth 2 --budget 60s`; see ROADMAP)"
-    ))
     def test_crashed_participant_with_dropped_resolve_stays_durable(self):
-        """Replays the minimized counterexample.  Once the bug is fixed
-        the replay is green, the strict xfail fails the suite, and this
-        test moves to ``TestFoundBugsStayGreen``."""
-        _scope, result = replay_counterexample(
-            load_counterexample(KNOWN_RED))
+        """Found by CI's ``mc explore --scope 2x3 --depth 2``: node1
+        crashes at twopc/prepare_target and its recovery's TXN_RESOLVE
+        request to node0 is dropped.  The bare ``rpc.call`` had no
+        timeout, so the resolve fiber parked forever and txn 0 committed
+        without node1's write ever becoming visible (fix: the question
+        goes through ``SecureRpc.gather`` and is re-asked every
+        ``RESOLUTION_RETRY_INTERVAL``)."""
+        _scope, result = replay_counterexample(load_counterexample(
+            os.path.join(
+                os.path.dirname(__file__), "data",
+                "mc-durability-prepare-target-crash-resolve-drop.json",
+            )
+        ))
         assert result.green, result.violations
 
 

@@ -289,3 +289,76 @@ class TestSecureRpc:
         plain = elapsed(NetHarness(profile=TREATY_NO_ENC))
         encrypted = elapsed(NetHarness(profile=TREATY_ENC))
         assert encrypted > plain
+
+
+class TestGather:
+    """``SecureRpc.gather``: the fan-out round every 2PC driver shares."""
+
+    #: node -> seconds its handler sleeps before replying.
+    DELAYS = {1: 0.0, 2: 0.02, 3: 0.3}
+
+    def harness(self):
+        harness = NetHarness(num_nodes=4)
+        for node, delay in self.DELAYS.items():
+            def handler(message, src, node=node, delay=delay):
+                yield harness.sim.timeout(delay)
+                return TxMessage(
+                    MsgType.ACK, message.node_id, message.txn_id,
+                    message.op_id, b"from-%d" % node,
+                )
+
+            harness.secure[node].register(MsgType.TXN_WRITE, handler)
+        return harness
+
+    def gather(self, harness, nodes, timeout):
+        def body():
+            replies = yield from harness.secure[0].gather(
+                [
+                    ("node%d" % node,
+                     TxMessage(MsgType.TXN_WRITE, 0, 1, op, b"x"))
+                    for op, node in enumerate(nodes, start=1)
+                ],
+                timeout=timeout,
+            )
+            return replies, harness.sim.now
+
+        return harness.run(body())
+
+    def test_replies_come_back_in_input_order(self):
+        # node2 answers after node1, but was asked first.
+        replies, _ = self.gather(self.harness(), [2, 1], timeout=None)
+        assert [reply.body for reply in replies] == [b"from-2", b"from-1"]
+
+    def test_no_timeout_waits_for_the_slowest(self):
+        replies, now = self.gather(self.harness(), [1, 3], timeout=None)
+        assert [reply.body for reply in replies] == [b"from-1", b"from-3"]
+        assert now >= self.DELAYS[3]
+
+    def test_detached_destination_is_none_without_waiting(self):
+        harness = self.harness()
+        harness.fabric.detach("node3")
+        replies, now = self.gather(harness, [3, 1], timeout=5.0)
+        assert replies[0] is None
+        assert replies[1].body == b"from-1"
+        assert now < 0.01  # the dead peer cost no timeout
+
+    def test_silent_destination_is_none_at_the_timeout_not_before(self):
+        replies, now = self.gather(self.harness(), [1, 3], timeout=0.05)
+        assert replies[0].body == b"from-1"
+        assert replies[1] is None
+        assert now == pytest.approx(0.05)
+
+    def test_straggler_failing_after_the_timeout_is_defused(self):
+        """node3 is still working when the round times out, then its NIC
+        detaches: the request fails with nobody waiting on it any more.
+        An undefused failure would crash the simulator."""
+        harness = self.harness()
+        replies, now = self.gather(harness, [3], timeout=0.05)
+        assert replies == [None]
+        harness.fabric.detach("node3")
+        harness.sim.run(until=now + 1.0)
+
+    def test_empty_round_yields_nothing(self):
+        harness = self.harness()
+        replies, now = self.gather(harness, [], timeout=1.0)
+        assert replies == [] and now == 0.0

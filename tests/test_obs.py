@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import ClusterConfig, TREATY_FULL
 from repro.core import TreatyCluster, crash_and_recover
-from repro.core.stabilization import Stabilizer
+from repro.core.pipeline import DurabilityPipeline
 from repro.net import NetworkAdversary
 from repro.obs import (
     Histogram,
@@ -236,10 +236,12 @@ class TestMonitorTrips:
     def test_broken_stabilization_trips_invariants(self, monkeypatch):
         cluster = traced_cluster(monitor=True)
         cluster.obs.monitor.strict = False
-        # Break the whole Stabilizer surface: the single-target path and
-        # the vectored path the group-wide piggyback rounds use.
-        monkeypatch.setattr(Stabilizer, "__call__", _broken_stabilize)
-        monkeypatch.setattr(Stabilizer, "many", _broken_stabilize_many)
+        # Break the pipeline's whole waiting surface: the single-target
+        # path and the vectored path the group-wide piggyback rounds use.
+        monkeypatch.setattr(
+            DurabilityPipeline, "stabilize", _broken_stabilize)
+        monkeypatch.setattr(
+            DurabilityPipeline, "stabilize_many", _broken_stabilize_many)
         cluster.run(spread_txn(cluster, tag=b"bs")())
         cluster.sim.run(until=cluster.sim.now + 0.5)
         violations = cluster.obs.monitor.violations

@@ -10,7 +10,7 @@ regression for crashed stabilizations.
 import pytest
 
 from repro.config import ClusterConfig, TREATY_FULL
-from repro.core import TreatyCluster
+from repro.core import DurabilityPipeline, TreatyCluster
 from repro.core.rollback import (
     BACKENDS,
     CounterAsyncBackend,
@@ -99,9 +99,13 @@ class TestBackendSelection:
             make_backend(node.runtime, node.counter_client, config)
 
     def test_no_client_no_backend(self):
+        """Without a counter client the pipeline builds no backend and
+        is disabled, whatever the profile."""
         cluster = make_cluster()
         node = cluster.nodes[0]
-        assert make_backend(node.runtime, None, ClusterConfig()) is None
+        pipeline = DurabilityPipeline(node.runtime, None, ClusterConfig())
+        assert pipeline.rollback is None
+        assert not pipeline.enabled
 
 
 # -- per-shard frontiers and leases --------------------------------------------
@@ -304,11 +308,11 @@ class TestSpanLeakOnCrashedStabilization:
             raise NetworkError("NIC detached")
             yield  # pragma: no cover - generator shape
 
-        node.stabilizer.backend.stabilize = boom
-        node.stabilizer.backend.stabilize_many = boom
+        node.rollback.stabilize = boom
+        node.rollback.stabilize_many = boom
 
         def call_single():
-            yield from node.stabilizer("leak/a", 3)
+            yield from node.pipeline.stabilize("leak/a", 3)
 
         def call_many():
             yield from node.pipeline.stabilize_group(
