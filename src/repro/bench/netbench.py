@@ -114,9 +114,7 @@ def network_throughput(
                 count(len(message.body))
                 if False:
                     yield None
-                return TxMessage(
-                    MsgType.ACK, message.node_id, message.txn_id, message.op_id
-                )
+                return message.reply(MsgType.ACK)
 
             rpc_r.register(MsgType.TXN_WRITE, handler)
             body = b"x" * message_bytes

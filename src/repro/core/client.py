@@ -18,7 +18,12 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..config import ClusterConfig, EnvProfile, Runtime
 from ..crypto.keys import KeyRing
-from ..errors import NetworkError, TransactionAborted, TransactionError
+from ..errors import (
+    CoordinatorUnreachable,
+    NetworkError,
+    TransactionAborted,
+    TransactionError,
+)
 from ..net.erpc import ErpcEndpoint
 from ..net.message import MsgType, TxMessage
 from ..net.secure_rpc import SecureRpc
@@ -26,6 +31,14 @@ from ..net.simnet import Fabric
 from ..sim.core import Event, Simulator
 from ..storage.format import Reader, Writer
 from ..tee.runtime import NodeRuntime
+from .twopc.codec import (
+    decode_scan_reply,
+    decode_scan_request,
+    decode_value_reply,
+    encode_scan_reply,
+    encode_scan_request,
+    encode_value_reply,
+)
 
 __all__ = ["ClientMachine", "ClientSession", "ClientTxn", "FrontEnd"]
 
@@ -74,7 +87,7 @@ class FrontEnd:
         coordinator,
         manager,
         rpc: SecureRpc,
-        participant=None,
+        participant,
     ):
         self.runtime = runtime
         self.coordinator = coordinator
@@ -121,21 +134,14 @@ class FrontEnd:
         kind, flags, key, value = _decode_op(message.body)
         session = (message.node_id, message.txn_id)
 
-        def raw_reply(msg_type: int, body: bytes = b"") -> TxMessage:
-            return TxMessage(
-                msg_type, message.node_id, message.txn_id, message.op_id, body
-            )
-
         if kind == _OP_STATUS:
             # No transaction: answer from the node's applied-outcome
             # record.  Only an *applied* outcome is reported — a lone
             # ledger slot can still be superseded by a completer race,
             # an applied one is final (appliers verify quorum first).
             yield from self.runtime.op_overhead()
-            outcome = _STATUS_UNKNOWN
-            if self.participant is not None:
-                outcome = self.participant.applied.get(key, _STATUS_UNKNOWN)
-            return raw_reply(
+            outcome = self.participant.applied.get(key, _STATUS_UNKNOWN)
+            return message.reply(
                 MsgType.CLIENT_REPLY,
                 Writer().blob(Writer().u32(outcome).getvalue())
                 .blob(b"").getvalue(),
@@ -149,7 +155,7 @@ class FrontEnd:
         gid_bytes = txn.gid.encode() if hasattr(txn, "gid") else b""
 
         def reply(body: bytes = b"") -> TxMessage:
-            return raw_reply(
+            return message.reply(
                 MsgType.CLIENT_REPLY,
                 Writer().blob(body).blob(gid_bytes).getvalue(),
             )
@@ -157,10 +163,7 @@ class FrontEnd:
         try:
             if kind == _OP_GET:
                 result = yield from txn.get(key)
-                return reply(
-                    Writer().u32(1 if result is not None else 0)
-                    .blob(result or b"").getvalue(),
-                )
+                return reply(encode_value_reply(result))
             if kind == _OP_PUT:
                 yield from txn.put(key, value)
                 return reply()
@@ -168,8 +171,6 @@ class FrontEnd:
                 yield from txn.delete(key)
                 return reply()
             if kind == _OP_SCAN:
-                from .twopc import decode_scan_request, encode_scan_reply
-
                 start, end, limit = decode_scan_request(value)
                 rows = yield from txn.scan(start, end, limit)
                 return reply(encode_scan_reply(rows))
@@ -183,8 +184,8 @@ class FrontEnd:
                 return reply()
         except TransactionAborted as aborted:
             self.open_txns.pop(session, None)
-            return raw_reply(MsgType.FAIL, str(aborted).encode())
-        return raw_reply(MsgType.FAIL, b"unknown operation")
+            return message.reply(MsgType.FAIL, str(aborted).encode())
+        return message.reply(MsgType.FAIL, b"unknown operation")
 
 
 def client_profile(cluster_profile: EnvProfile) -> EnvProfile:
@@ -340,7 +341,7 @@ class ClientTxn:
             # surface it as an abort so closed-loop workloads move on
             # instead of hanging on a dead continuation.
             self.session.aborted += 1
-            raise TransactionAborted("coordinator unreachable: %s" % exc)
+            raise CoordinatorUnreachable("coordinator unreachable: %s" % exc)
         if reply.msg_type == MsgType.FAIL:
             self.session.aborted += 1
             raise TransactionAborted(reply.body.decode() or "aborted")
@@ -364,10 +365,7 @@ class ClientTxn:
         body = yield from self._request(
             _OP_GET, key, to=self._read_target(key)
         )
-        reader = Reader(body)
-        found = reader.u32()
-        value = reader.blob()
-        return value if found else None
+        return decode_value_reply(body)
 
     def put(self, key: bytes, value: bytes) -> Gen:
         if self.read_only:
@@ -386,8 +384,6 @@ class ClientTxn:
         fans out to every node and merges (scans are read-committed in
         all transaction flavours — the documented relaxation).
         """
-        from .twopc import decode_scan_reply, encode_scan_request
-
         request = encode_scan_request(start, end, limit)
         if not self._routed:
             body = yield from self._request(_OP_SCAN, value=request)
@@ -410,12 +406,8 @@ class ClientTxn:
             return
         try:
             yield from self._request(_OP_COMMIT)
-        except TransactionAborted as aborted:
-            if (
-                "coordinator unreachable" in str(aborted)
-                and self.gid
-                and self.session.routes
-            ):
+        except CoordinatorUnreachable:
+            if self.gid and self.session.routes:
                 outcome = yield from self._learn_outcome()
                 if outcome == _STATUS_COMMITTED:
                     # Compensate the abort _request charged for the

@@ -47,6 +47,7 @@ from .twopc import (
     Participant,
     deliver,
     pace,
+    replication,
 )
 
 __all__ = ["TreatyNode"]
@@ -225,7 +226,7 @@ class TreatyNode:
         )
         self.frontend = FrontEnd(
             self.runtime, self.coordinator, self.manager, self.front_rpc,
-            participant=self.participant,
+            self.participant,
         )
 
     @property
@@ -423,7 +424,7 @@ class TreatyNode:
         # Warm the fresh decision ledger with one vectored query burst
         # before any resolve fiber runs: completer fallbacks then start
         # from learned slots instead of cold query rounds.
-        if self.participant.replication and prepared_ids:
+        if replication(self.runtime) and prepared_ids:
             from .recovery import DecisionResolver
 
             yield from DecisionResolver(self.participant).prefetch(
@@ -520,9 +521,9 @@ class TreatyNode:
     def _resolve_prepared(self, txn_id: bytes) -> Gen:
         """Learn how a recovered prepared half was decided; apply it."""
         gid = GlobalTxnId.decode(txn_id)
-        replication = self.participant.replication
+        replicated = replication(self.runtime)
         own = gid.node_id == self.numeric_id
-        if own and replication:
+        if own and replicated:
             # This node's own Clog decision is necessary but no longer
             # sufficient: a COMMIT whose replication round never reached
             # quorum may have been superseded by a completer abort
@@ -560,7 +561,7 @@ class TreatyNode:
                 )
                 if reply is not None:
                     break
-                if replication and self.sim.now >= deadline:
+                if replicated and self.sim.now >= deadline:
                     yield from self.participant.complete(txn_id)
                     return
                 yield from pace(self.sim, round_start)

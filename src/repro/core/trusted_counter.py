@@ -212,13 +212,7 @@ class CounterReplica:
                     )
             if advanced:
                 yield from self.seal_state()
-        return TxMessage(
-            MsgType.ACK,
-            message.node_id,
-            message.txn_id,
-            message.op_id,
-            encode_counter_vector(echoes),
-        )
+        return message.reply(MsgType.ACK, encode_counter_vector(echoes))
 
     def _on_confirm(self, message: TxMessage, src: str) -> Gen:
         """Round 2: verify every value matches a stored echo, then ACK.
@@ -231,9 +225,7 @@ class CounterReplica:
         targets = decode_counter_vector(message.body)
         for log_name, value in targets:
             if self.echoed.get(log_name, 0) < value:
-                return TxMessage(
-                    MsgType.FAIL, message.node_id, message.txn_id, message.op_id
-                )
+                return message.reply(MsgType.FAIL)
         advanced = False
         for log_name, value in targets:
             if value > self.confirmed.get(log_name, 0):
@@ -246,9 +238,7 @@ class CounterReplica:
         if advanced:
             # One seal covers every confirmed target of the round.
             yield from self.seal_state()
-        return TxMessage(
-            MsgType.ACK, message.node_id, message.txn_id, message.op_id
-        )
+        return message.reply(MsgType.ACK)
 
     def _on_read(self, message: TxMessage, src: str) -> Gen:
         """Recovery: report the freshest values this replica knows."""
@@ -270,12 +260,8 @@ class CounterReplica:
                 (log_name, self.confirmed.get(log_name, 0))
                 for log_name, _ in queried
             ]
-        return TxMessage(
-            MsgType.RECOVERY_REPLY,
-            message.node_id,
-            message.txn_id,
-            message.op_id,
-            encode_counter_vector(values),
+        return message.reply(
+            MsgType.RECOVERY_REPLY, encode_counter_vector(values)
         )
 
     # -- local fast path (the SE's own replica) -----------------------------------

@@ -1,0 +1,65 @@
+"""Treaty's secure two-phase commit protocol (§V, Figure 2).
+
+A client-selected *coordinator* drives each distributed transaction:
+
+1. interactive execution — ``TXNGET``/``TXNPUT`` requests are routed to
+   the participant owning the key's shard (or served locally), each as a
+   sealed :class:`~repro.net.message.TxMessage` carrying the unique
+   ``(node, txn, op)`` triple so it can never be double-executed;
+2. prepare — the coordinator logs the transaction to its Clog, then all
+   participants persist prepare records and *delay their ACK until the
+   prepare entry is stabilized* (rollback-protected);
+3. decision — the coordinator logs the commit/abort decision to the Clog
+   and stabilizes it before instructing participants;
+4. commit — participants apply through group commit; nobody waits for
+   the *commit* record's stabilization ("even if the system crashes,
+   this Tx can be committed in the exact same order").
+
+Transactions touching only the coordinator's shard take the single-node
+fast path (§V-B) — no Clog, no 2PC rounds.
+
+One module per seam: :mod:`.codec` (message bodies, Clog and decision
+records), :mod:`.steps` (the shared steps of a decision),
+:mod:`.participant`, :mod:`.coordinator` and :mod:`.txn`
+(:class:`GlobalTxn`, the lifecycle above).
+"""
+
+from .codec import (
+    ClogRecord,
+    DecisionRecord,
+    decode_occ_prepare,
+    decode_scan_reply,
+    decode_scan_request,
+    encode_occ_prepare,
+    encode_scan_reply,
+    encode_scan_request,
+)
+from .coordinator import Coordinator, Partitioner
+from .participant import Participant
+from .steps import (
+    PREPARE_VOTE_TIMEOUT,
+    RESOLUTION_RETRY_INTERVAL,
+    Gen,
+    apply_half,
+    deliver,
+    pace,
+    piggyback,
+    protect_prepare,
+    replication,
+    validate_occ,
+)
+from .txn import GlobalTxn
+
+__all__ = [
+    "ClogRecord",
+    "DecisionRecord",
+    "Participant",
+    "Coordinator",
+    "GlobalTxn",
+    "piggyback",
+    "replication",
+    "protect_prepare",
+    "pace",
+    "deliver",
+    "apply_half",
+]

@@ -1,0 +1,331 @@
+"""The coordinator role: owns the Clog, makes a logged decision safe to
+act on (stabilized under ``protocol="paper"``, replicated to a quorum of
+decision slots under ``"optimized"``) and tells recovering participants
+how a transaction ended.  The transactions it begins are
+:class:`~.txn.GlobalTxn` handles.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Callable, Dict, List, Tuple
+
+from ...net.message import MsgType, TxMessage
+from ...net.secure_rpc import SecureRpc
+from ...storage.log import SecureLog
+from ...tee.runtime import NodeRuntime
+from ...txn.manager import TransactionManager
+from ..ids import GlobalTxnId, TxnIdAllocator
+from ..rollback import DecisionLedger
+from ..trusted_counter import Target
+from .codec import ClogRecord, DecisionRecord
+from .steps import (
+    KIND_NAMES,
+    RESOLUTION_RETRY_INTERVAL,
+    Gen,
+    pace,
+    piggyback,
+    replication,
+)
+from .txn import GlobalTxn
+
+__all__ = ["Coordinator"]
+
+# key -> numeric node id owning its shard
+Partitioner = Callable[[bytes], int]
+
+
+class Coordinator:
+    """The coordinator role: drives global transactions over secure 2PC."""
+
+    def __init__(
+        self,
+        runtime: NodeRuntime,
+        manager: TransactionManager,
+        rpc: SecureRpc,
+        clog: SecureLog,
+        node_numeric_id: int,
+        addresses: Dict[int, str],
+        partitioner: Partitioner,
+        pipeline,
+        ledger: DecisionLedger,
+        epoch: int = 0,
+    ):
+        self.runtime = runtime
+        self.manager = manager
+        self.rpc = rpc
+        self.clog = clog
+        self.node_numeric_id = node_numeric_id
+        self.addresses = addresses  # numeric node id -> cluster address
+        self.partitioner = partitioner
+        #: every other node of the cluster, in id order.
+        self.peers = sorted(
+            node for node in addresses if node != node_numeric_id
+        )
+        #: the node's DurabilityPipeline (group-wide stabilization rounds).
+        self.pipeline = pipeline
+        #: this node's write-once decision slots (shared with its
+        #: Participant role, which replicates decisions into them).
+        self.ledger = ledger
+        self.epoch = epoch
+        #: per-incarnation decision-replication operation ids: distinct
+        #: base from transaction ops and resolution ops, epoch-stamped so
+        #: a recovered coordinator's re-replication never collides with
+        #: its pre-crash broadcasts in a peer's replay guard.
+        self._decision_ops = itertools.count(1)
+        self.tracer = runtime.tracer
+        self.node = runtime.name or None
+        self.allocator = TxnIdAllocator(node_numeric_id, epoch)
+        #: decisions recorded in the Clog:
+        #: gid -> (kind, clog counter, piggybacked targets).
+        self.decisions: Dict[bytes, Tuple[int, int, Tuple[Tuple[str, int], ...]]] = {}
+        self.distributed_commits = 0
+        self.local_commits = 0
+        self.aborts = 0
+        rpc.register(MsgType.TXN_RESOLVE, self._on_resolve)
+
+    def begin(self, optimistic: bool = False) -> GlobalTxn:
+        """BEGINTXN: create a global transaction handle.
+
+        ``optimistic`` selects distributed OCC: lock-free execution with
+        validation inside each participant's PREPARE critical section.
+        """
+        return GlobalTxn(self, self.allocator.next(), optimistic=optimistic)
+
+    # -- Clog ---------------------------------------------------------------------
+    def _decision_op_id(self) -> int:
+        return (
+            (1 << 59)
+            | (self.epoch << 40)
+            | next(self._decision_ops)
+        )
+
+    def _replicate_decision(
+        self, record: DecisionRecord, txn_hex: str, phase: str = "decision"
+    ) -> Gen:
+        """Make the decision durable on a quorum before the client reply.
+
+        The DECISION_RECORD broadcast is enqueued in the same instant
+        the group stabilization round's first frames go out, so the
+        transport's doorbell window seals both into one frame per peer —
+        the decision rides the piggybacked round instead of costing its
+        own.  The quorum-acknowledgement wait then overlaps the counter
+        round.  The coordinator's own slot counts as one ack (it is
+        backed by the durable Clog entry).
+
+        Returns True once the decision is final.  For a COMMIT record,
+        False means conflicting completer slots made the commit quorum
+        unreachable — the caller must supersede with an abort, which is
+        safe because a commit that cannot reach quorum was never (and
+        will never be) acknowledged to the client.
+        """
+        sim = self.runtime.sim
+        ledger = self.ledger
+        gid_bytes = record.gid.encode()
+        stored = ledger.record(gid_bytes, record)
+        if record.kind == ClogRecord.COMMIT and stored.kind != record.kind:
+            # A completer abort proposal already occupies this node's
+            # own slot (a peer's watchdog fired while we were still
+            # deciding, or a local completer raced this redrive).  The
+            # quorum arithmetic below counts our own slot as one commit
+            # ack, which would be a lie here — and the abort side may
+            # already be one slot from finality.  Give up immediately:
+            # the client was never acknowledged, so the superseding
+            # abort the caller logs is safe.
+            return False
+        body = record.encode()
+
+        def send(nodes):
+            sends = self.rpc.broadcast([
+                (
+                    self.addresses[node],
+                    TxMessage(
+                        MsgType.DECISION_RECORD, record.gid.node_id,
+                        record.gid.local_seq, self._decision_op_id(), body,
+                    ),
+                )
+                for node in nodes
+            ])
+            for event in sends:
+                # A send to a down peer fails fast — possibly before the
+                # quorum loop attaches its first settle barrier (the
+                # stabilization round runs in between under piggyback).
+                # Defuse so the uncovered failure never surfaces at the
+                # simulator; the loop reads event.ok itself.
+                event.defuse()
+            return dict(zip(nodes, sends))
+
+        events = yield from self.pipeline.decision_round(
+            record.targets + [(self.clog.log_name, record.counter)],
+            lambda: send(self.peers), txn=txn_hex, phase=phase,
+        )
+        if record.kind != ClogRecord.COMMIT:
+            # Presumed abort: no quorum needed before answering the
+            # client — a peer that misses the record learns the abort
+            # from its own watchdog round.  Drain the acks off-path.
+            def drain() -> Gen:
+                yield sim.all_settled(list(events.values()))
+
+            sim.process(drain(), name="decision-drain@%s" % (self.node or "?"))
+            return True
+        needed = ledger.commit_quorum - 1
+        acks = 0
+        conflicts = 0
+        span = self.tracer.span(
+            "twopc", "decision_wait", node=self.node, txn=txn_hex,
+            needed=needed,
+        )
+        try:
+            while acks < needed:
+                round_start = self.runtime.now
+                yield sim.any_of([
+                    sim.all_settled(list(events.values())),
+                    sim.timeout(RESOLUTION_RETRY_INTERVAL),
+                ])
+                retry = []
+                for node, event in list(events.items()):
+                    if not event.triggered:
+                        continue
+                    del events[node]
+                    reply = event.value if event.ok else None
+                    if (
+                        reply is not None
+                        and reply.msg_type == MsgType.ACK
+                    ):
+                        acks += 1
+                        self.tracer.event(
+                            "twopc", "decision-quorum", node=self.node,
+                            txn=txn_hex, peer=node, acks=acks,
+                            needed=needed,
+                        )
+                        continue
+                    if (
+                        reply is not None
+                        and reply.msg_type == MsgType.FAIL
+                        and reply.body
+                    ):
+                        # Write-once conflict: a completer already
+                        # proposed abort into that peer's slot.
+                        conflicts += 1
+                        continue
+                    retry.append(node)
+                if acks >= needed:
+                    break
+                undecided = len(self.peers) - acks - conflicts
+                if 1 + acks + undecided < ledger.commit_quorum:
+                    return False
+                if retry:
+                    yield from pace(sim, round_start)
+                    events.update(send(retry))
+                elif not events:
+                    # Everyone settled, quorum still short and commit
+                    # still "reachable" — impossible by arithmetic, but
+                    # never spin on it.
+                    return False
+        finally:
+            span.close(acks=acks, conflicts=conflicts)
+        self.runtime.metrics.counter("decision.replicated").inc()
+        return True
+
+    def log_clog(self, record: ClogRecord) -> Gen:
+        counter = yield from self.clog.append(record.encode())
+        if record.kind in (ClogRecord.COMMIT, ClogRecord.ABORT):
+            self.decisions[record.gid.encode()] = (
+                record.kind, counter, tuple(record.targets)
+            )
+            self.tracer.event(
+                "twopc", "decision", node=self.node,
+                txn=record.gid.encode().hex(),
+                kind=KIND_NAMES[record.kind],
+                log=self.clog.log_name, counter=counter,
+            )
+        return counter
+
+    def _stabilize_entry(
+        self, counter: int, targets, txn_hex: str, phase: str
+    ) -> Gen:
+        """Rollback-protect one entry of this Clog — under piggybacking
+        together with ``targets``, in one group-wide round."""
+        if piggyback(self.runtime):
+            yield from self.pipeline.stabilize_group(
+                list(targets) + [(self.clog.log_name, counter)],
+                txn=txn_hex, phase=phase,
+            )
+        else:
+            yield from self.pipeline.stabilize(self.clog.log_name, counter)
+
+    def protect(
+        self,
+        kind: int,
+        gid: GlobalTxnId,
+        participants: List[int],
+        targets: List[Target],
+        counter: int,
+        phase: str = "decision",
+    ) -> Gen:
+        """Make a logged decision safe to act on (Figure 2, steps 6–7).
+
+        ``paper``: stabilize the decision's Clog entry (``counter``).
+        ``optimized``: replicate the decision record to the whole
+        cluster, riding the group round that rollback-protects the
+        entry and the piggybacked prepare ``targets``, and for a COMMIT
+        wait for a quorum of slot acknowledgements — any participant can
+        then finish the transaction without this coordinator.  If
+        completer abort slots beat the replication, the commit can never
+        reach its quorum, so no client was (or ever will be)
+        acknowledged: a superseding ABORT is logged.
+
+        Returns the kind that is final — the one to deliver and apply.
+        """
+        if not replication(self.runtime):
+            yield from self.pipeline.stabilize(self.clog.log_name, counter)
+            return kind
+        replicated = yield from self._replicate_decision(
+            DecisionRecord(
+                kind, gid, participants, targets, self.clog.log_name,
+                counter, self.node_numeric_id,
+            ),
+            gid.encode().hex(), phase,
+        )
+        if replicated:
+            return kind
+        superseded = yield from self.log_clog(
+            ClogRecord(ClogRecord.ABORT, gid, participants)
+        )
+        self.pipeline.background(self.clog.log_name, superseded)
+        return ClogRecord.ABORT
+
+    # -- recovery support ------------------------------------------------------------
+    def resolve(self, gid_bytes: bytes) -> Gen:
+        """How ``gid`` was decided, once that is safe to act on.
+
+        Presumed abort: with no logged commit decision the transaction
+        cannot have been acknowledged, so ABORT is always safe.  A
+        COMMIT entry may sit in the unstable Clog suffix (coordinator
+        crashed between logging and stabilizing it), and nobody may
+        commit on an unprotected decision.  Only the decision's own
+        entry matters — waiting on later records (e.g. a COMPLETE
+        mid-stabilization) would hold the asker's locks past unrelated
+        work.  Piggybacked prepare targets the crashed coordinator
+        collected but may never have stabilized ride the same round: a
+        recovered prepare record must be rollback-protected before its
+        half commits on this answer.
+        """
+        kind, counter, targets = self.decisions.get(
+            gid_bytes, (ClogRecord.ABORT, 0, ())
+        )
+        if kind == ClogRecord.COMMIT:
+            yield from self._stabilize_entry(
+                counter, targets, gid_bytes.hex(), "resolve"
+            )
+        return kind
+
+    def _on_resolve(self, message: TxMessage, src: str) -> Gen:
+        """A recovering participant asks how ``gid`` was decided."""
+        yield from self.runtime.op_overhead()
+        kind = yield from self.resolve(
+            GlobalTxnId(message.node_id, message.txn_id).encode()
+        )
+        return message.reply(
+            MsgType.TXN_RESOLVE_REPLY, KIND_NAMES[kind].encode()
+        )

@@ -1,0 +1,590 @@
+"""The participant role: executes coordinators' operations on this
+node's shard, votes in PREPARE, applies the decision exactly once — and,
+under ``protocol="optimized"``, finishes an in-doubt transaction in a
+dead coordinator's stead (the completer).
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Dict, List, Optional
+
+from ...errors import NetworkError, TransactionAborted
+from ...net.message import MsgType, TxMessage
+from ...net.secure_rpc import SecureRpc
+from ...sim.rng import SeededRng
+from ...storage.format import Reader
+from ...tee.runtime import NodeRuntime
+from ...txn.manager import TransactionManager
+from ...txn.pessimistic import PessimisticTxn
+from ...txn.types import TxnStatus
+from ..ids import EPOCH_SHIFT, GlobalTxnId
+from ..rollback import DecisionLedger
+from ..trusted_counter import encode_counter_vector
+from .codec import (
+    ClogRecord,
+    DecisionRecord,
+    decode_occ_prepare,
+    decode_scan_request,
+    decode_write,
+    encode_scan_reply,
+    encode_value_reply,
+    encode_versioned_reply,
+)
+from .steps import (
+    INSTRUCTIONS,
+    KIND_NAMES,
+    PREPARE_VOTE_TIMEOUT,
+    RESOLUTION_RETRY_INTERVAL,
+    Gen,
+    apply_half,
+    deliver,
+    protect_prepare,
+    replication,
+    validate_occ,
+)
+
+__all__ = ["Participant"]
+
+
+class Participant:
+    """The participant role: executes remote operations for coordinators."""
+
+    def __init__(
+        self,
+        runtime: NodeRuntime,
+        manager: TransactionManager,
+        rpc: SecureRpc,
+        numeric_id: int,
+        addresses: Dict[int, str],
+        pipeline,
+        ledger: DecisionLedger,
+        op_ids: Callable[[], int],
+    ):
+        self.runtime = runtime
+        self.manager = manager
+        self.rpc = rpc
+        self.tracer = runtime.tracer
+        self.node = runtime.name or None
+        self.numeric_id = numeric_id
+        self.addresses = addresses
+        #: every other node of the cluster, in id order.
+        self.peers = sorted(node for node in addresses if node != numeric_id)
+        #: the node's DurabilityPipeline: prepare records stabilize
+        #: through it (``paper``), and completers rollback-protect a
+        #: replicated decision's targets through it before applying.
+        self.pipeline = pipeline
+        #: write-once decision slots (non-blocking commit), shared with
+        #: the node's Coordinator role.
+        self.ledger = ledger
+        #: mints cluster-unique operation ids for completer- and
+        #: recovery-driven messages (asker-folded, see
+        #: ``TreatyNode._resolution_op_id``), so two racing completers
+        #: never collide in a peer's replay guard.
+        self.op_ids = op_ids
+        #: deterministic jitter de-synchronizing simultaneous watchdogs.
+        self._rng = SeededRng(
+            runtime.config.seed, runtime.name or "participant",
+            "completer-watchdog",
+        )
+        #: participant-local halves of distributed transactions.
+        self.active: Dict[bytes, PessimisticTxn] = {}
+        #: final outcomes this node applied (or was instructed to
+        #: apply), keyed by encoded gid.  Answers client ``_OP_STATUS``
+        #: probes after a coordinator death: an *applied* outcome is
+        #: final (appliers verify quorum/decision evidence first), so
+        #: reporting it to a redirected client is safe.  Bounded FIFO.
+        self.applied: Dict[bytes, int] = {}
+        self.prepares_served = 0
+        self.commits_served = 0
+        #: completer takeovers this incarnation performed.
+        self.takeovers = 0
+        rpc.register(MsgType.TXN_READ, self._on_read)
+        rpc.register(MsgType.TXN_WRITE, self._on_write)
+        rpc.register(MsgType.TXN_SCAN, self._on_scan)
+        rpc.register(MsgType.TXN_READ_OCC, self._on_read_occ)
+        rpc.register(MsgType.TXN_SCAN_OCC, self._on_scan_occ)
+        rpc.register(MsgType.TXN_PREPARE, self._on_prepare)
+        rpc.register(MsgType.TXN_COMMIT, self._on_commit)
+        rpc.register(MsgType.TXN_ABORT, self._on_abort)
+        rpc.register(MsgType.TXN_FENCE, self._on_fence)
+        rpc.register(MsgType.DECISION_RECORD, self._on_decision_record)
+        rpc.register(MsgType.DECISION_QUERY, self._on_decision_query)
+
+    # -- helpers ------------------------------------------------------------
+    def _open(self, key: bytes, txn: PessimisticTxn) -> None:
+        """Take in a new ACTIVE half; under replication arm its fuse."""
+        self.active[key] = txn
+        if replication(self.runtime):
+            self.runtime.sim.process(
+                self._orphan_fuse(key),
+                name="orphan-fuse@%s" % (self.node or "?"),
+            )
+
+    def _message(
+        self, msg_type: int, gid: GlobalTxnId, body: bytes = b""
+    ) -> TxMessage:
+        """A completer- or recovery-driven message about ``gid``, under
+        a fresh cluster-unique operation id."""
+        return TxMessage(
+            msg_type, gid.node_id, gid.local_seq, self.op_ids(), body
+        )
+
+    def _fence(self, key: bytes, coordinator: int, epoch: int) -> Gen:
+        """Abort an ACTIVE half whose coordinator forgot it for good."""
+        txn = self.active.pop(key)
+        yield from txn.rollback()
+        self.tracer.event(
+            "twopc", "fence_abort", node=self.node, txn=key.hex(),
+            coord=coordinator, epoch=epoch,
+        )
+
+    #: cap on remembered final outcomes (old entries evicted FIFO).
+    APPLIED_CAP = 4096
+
+    def _record_outcome(self, gid_bytes: bytes, kind: int) -> None:
+        """Remember a final outcome for client ``_OP_STATUS`` probes."""
+        # 1 = committed, 2 = aborted (the client status codes).
+        self.applied[gid_bytes] = 1 if kind == ClogRecord.COMMIT else 2
+        while len(self.applied) > self.APPLIED_CAP:
+            self.applied.pop(next(iter(self.applied)))
+
+    # -- handlers (ExecuteTxnReqHandler in Figure 2) -----------------------------
+    def _execute(
+        self,
+        message: TxMessage,
+        operation: Callable[[PessimisticTxn], Gen],
+        encode: Callable[[Any], bytes],
+    ) -> Gen:
+        """Run one execution-phase operation on the coordinator's half
+        here (created on first contact) and ACK its encoded result.  An
+        operation that aborts has rolled its half back: the half is
+        dropped and the reason travels back in a FAIL."""
+        key = GlobalTxnId(message.node_id, message.txn_id).encode()
+        txn = self.active.get(key)
+        if txn is None:
+            txn = self.manager.begin_pessimistic(txn_id=key)
+            self._open(key, txn)
+        try:
+            result = yield from operation(txn)
+        except TransactionAborted as aborted:
+            self.active.pop(key, None)
+            return message.reply(MsgType.FAIL, str(aborted).encode())
+        return message.reply(MsgType.ACK, encode(result))
+
+    def _on_read(self, message: TxMessage, src: str) -> Gen:
+        key = Reader(message.body).blob()
+        return self._execute(
+            message, lambda txn: txn.get(key), encode_value_reply
+        )
+
+    def _on_scan(self, message: TxMessage, src: str) -> Gen:
+        start, end, limit = decode_scan_request(message.body)
+        return self._execute(
+            message, lambda txn: txn.scan(start, end, limit), encode_scan_reply
+        )
+
+    def _on_read_occ(self, message: TxMessage, src: str) -> Gen:
+        """Stateless versioned read (distributed-OCC execution phase).
+
+        No participant-local transaction, no lock, no ``active`` entry:
+        the reply carries the key's current sequence number and the
+        coordinator validates it later inside PREPARE.
+        """
+        key = Reader(message.body).blob()
+        value, seq = yield from self.manager.engine.get_with_seq(key)
+        return message.reply(MsgType.ACK, encode_versioned_reply(value, seq))
+
+    def _on_scan_occ(self, message: TxMessage, src: str) -> Gen:
+        """Stateless read-committed range scan (distributed OCC)."""
+        start, end, limit = decode_scan_request(message.body)
+        yield from self.runtime.op_overhead()
+        rows = yield from self.manager.engine.scan(start, end, limit=limit)
+        return message.reply(MsgType.ACK, encode_scan_reply(rows))
+
+    def _on_write(self, message: TxMessage, src: str) -> Gen:
+        key, value = decode_write(message.body)
+        return self._execute(
+            message,
+            lambda txn: txn.delete(key) if value is None else txn.put(key, value),
+            lambda _none: b"",
+        )
+
+    def _on_prepare(self, message: TxMessage, src: str) -> Gen:
+        """Prepare the local transaction; the ACK waits for (or carries
+        the target of) the prepare record's rollback protection."""
+        gid = GlobalTxnId(message.node_id, message.txn_id)
+        if message.body:
+            # Distributed OCC: the PREPARE carries this participant's
+            # read-set versions and write-set.  The local half is
+            # created here — execution was lock-free at the coordinator
+            # — and validation runs inside this prepare critical
+            # section, riding the piggybacked round below.
+            txn = yield from self._validate_occ(gid, message)
+            if txn is None:
+                return message.reply(MsgType.FAIL, b"validation conflict")
+        else:
+            txn = self.active.get(gid.encode())
+            if txn is None or txn.status != TxnStatus.ACTIVE:
+                return message.reply(MsgType.FAIL, b"no active local txn")
+        try:
+            counter, log_name = yield from txn.prepare()
+        except TransactionAborted as aborted:
+            self.active.pop(gid.encode(), None)
+            return message.reply(MsgType.FAIL, str(aborted).encode())
+        self.prepares_served += 1
+        if replication(self.runtime):
+            # A prepared half is now in doubt: if the decision never
+            # arrives (dead coordinator), this node assumes the
+            # completer role after the decision timeout.
+            self.runtime.sim.process(
+                self._decision_watchdog(gid.encode()),
+                name="decision-watch@%s" % (self.node or "?"),
+            )
+        target = yield from protect_prepare(
+            self.runtime, self.pipeline, gid, log_name, counter
+        )
+        return message.reply(
+            MsgType.ACK, encode_counter_vector([target]) if target else b""
+        )
+
+    def _validate_occ(self, gid: GlobalTxnId, message: TxMessage) -> Gen:
+        """Create + validate the OCC local half inside PREPARE.
+
+        Returns the pinned-and-validated transaction, or ``None`` when
+        validation conflicts (the caller NACKs; presumed abort cleans
+        up — the conflicting half has already rolled itself back).
+        """
+        key = gid.encode()
+        if key in self.active:
+            # Duplicate PREPARE (retry after a partial round): the half
+            # already exists, pins and all; just hand it back.
+            txn = self.active[key]
+            return txn if txn.status == TxnStatus.ACTIVE else None
+        reads, writes = decode_occ_prepare(message.body)
+        txn = self.manager.begin_distributed_occ(txn_id=key)
+        txn.load(reads, writes)
+        self._open(key, txn)
+        if (yield from validate_occ(self.runtime, txn)):
+            return txn
+        self.active.pop(key, None)
+        return None
+
+    def apply(self, gid_bytes: bytes, kind: int) -> Gen:
+        """Apply a final outcome to this node's half — exactly once.
+
+        The coordinator's instruction, a duplicate of it, a completer
+        and recovery's resolution may all race here; whoever pops the
+        ``active`` entry applies, everyone else is told the half was
+        gone (``None``).  Otherwise returns the half's apply-side
+        targets (see :func:`apply_half`).
+        """
+        self._record_outcome(gid_bytes, kind)
+        txn = self.active.pop(gid_bytes, None)
+        if txn is None:
+            # Already applied (e.g. duplicate instruction after the
+            # coordinator recovered): "this message is ignored" (§VI).
+            return None
+        targets = yield from apply_half(self.runtime, txn, kind)
+        if kind == ClogRecord.COMMIT:
+            self.commits_served += 1
+        return targets
+
+    def _instructed(self, kind: int, message: TxMessage) -> Gen:
+        """TXN_COMMIT / TXN_ABORT: apply; the ACK carries the targets."""
+        gid = GlobalTxnId(message.node_id, message.txn_id)
+        if replication(self.runtime):
+            # A direct instruction is decision evidence too: the sender
+            # (coordinator, its recovery, or a completer) already made
+            # the decision durable before driving it.  The slot makes
+            # this node's answer to later DECISION_QUERYs authoritative.
+            self.ledger.record(
+                gid.encode(),
+                DecisionRecord(kind, gid, [], [], "", 0, message.node_id),
+            )
+        targets = yield from self.apply(gid.encode(), kind)
+        return message.reply(
+            MsgType.ACK, encode_counter_vector(targets) if targets else b""
+        )
+
+    def _on_commit(self, message: TxMessage, src: str) -> Gen:
+        return self._instructed(ClogRecord.COMMIT, message)
+
+    def _on_abort(self, message: TxMessage, src: str) -> Gen:
+        return self._instructed(ClogRecord.ABORT, message)
+
+    def _on_fence(self, message: TxMessage, src: str) -> Gen:
+        """A recovered coordinator fences its pre-crash boot epoch.
+
+        Local halves of that coordinator's transactions that never
+        reached PREPARE died with its volatile state: no log anywhere
+        records them, so nobody will ever resolve them and their locks
+        would be held forever.  The fence (``txn_id`` carries the new
+        boot epoch, which also occupies the high bits of every txn id)
+        aborts exactly those orphans.  PREPARED halves survive — they
+        are resolved through the coordinator's Clog replay.
+        """
+        yield from self.runtime.op_overhead()
+        epoch = message.txn_id
+        orphans = [
+            key for key, txn in self.active.items()
+            if txn.status == TxnStatus.ACTIVE
+            and GlobalTxnId.decode(key).node_id == message.node_id
+            and GlobalTxnId.decode(key).local_seq >> EPOCH_SHIFT < epoch
+        ]
+        for key in orphans:
+            yield from self._fence(key, message.node_id, epoch)
+        return message.reply(MsgType.ACK)
+
+    # -- non-blocking completion (decision replication) ----------------------
+    def _on_decision_record(self, message: TxMessage, src: str) -> Gen:
+        """Store a replicated decision into this node's write-once slot.
+
+        ACK means "my slot now holds (or already held) a decision of
+        this kind"; a FAIL reply carries the conflicting record the slot
+        holds instead, so the sender learns why its write was rejected.
+        """
+        yield from self.runtime.op_overhead()
+        record = DecisionRecord.decode(message.body)
+        gid_bytes = record.gid.encode()
+        stored = self.ledger.record(gid_bytes, record)
+        if stored is record:
+            self.ledger.replicated += 1
+            self.runtime.metrics.counter("decision.replicated").inc()
+            self.tracer.event(
+                "twopc", "decision_replicated", node=self.node,
+                txn=gid_bytes.hex(),
+                kind=KIND_NAMES[record.kind], coord=record.coordinator,
+            )
+        if stored.kind != record.kind:
+            return message.reply(MsgType.FAIL, stored.encode())
+        return message.reply(MsgType.ACK)
+
+    def _on_decision_query(self, message: TxMessage, src: str) -> Gen:
+        """Answer a timed-out peer: the decision slot we hold, if any."""
+        yield from self.runtime.op_overhead()
+        gid_bytes = GlobalTxnId(message.node_id, message.txn_id).encode()
+        record = self.ledger.get(gid_bytes)
+        return message.reply(
+            MsgType.ACK, record.encode() if record is not None else b""
+        )
+
+    # -- completer watchdogs -------------------------------------------------
+    def _decision_watchdog(self, gid_bytes: bytes) -> Gen:
+        """Armed per prepared half: take over if no decision arrives."""
+        config = self.runtime.config
+        yield self.runtime.sim.timeout(
+            config.decision_timeout_s
+            + self._rng.uniform(0.0, RESOLUTION_RETRY_INTERVAL)
+        )
+        txn = self.active.get(gid_bytes)
+        if txn is None or txn.status != TxnStatus.PREPARED:
+            return  # decided (or aborted locally) in time
+        yield from self.complete(gid_bytes)
+
+    def _orphan_fuse(self, gid_bytes: bytes) -> Gen:
+        """Release ACTIVE halves of a coordinator that died mid-execution
+        and is never restarted (so its recovery epoch fence never comes).
+
+        Presumed abort makes this safe: an ACTIVE half never voted YES,
+        so the group's decision — if one exists at all — can only be
+        abort.  A *reachable* coordinator re-arms the fuse instead: the
+        transaction may simply be slow, and aborting its half here would
+        let a later operation silently recreate a partial one.
+        """
+        gid = GlobalTxnId.decode(gid_bytes)
+        sim = self.runtime.sim
+        fuse = PREPARE_VOTE_TIMEOUT + self.runtime.config.decision_timeout_s
+        while True:
+            yield sim.timeout(
+                fuse + self._rng.uniform(0.0, RESOLUTION_RETRY_INTERVAL)
+            )
+            txn = self.active.get(gid_bytes)
+            if txn is None or txn.status != TxnStatus.ACTIVE:
+                return
+            try:
+                yield from self.rpc.call(
+                    self.addresses[gid.node_id],
+                    self._message(MsgType.TXN_RESOLVE, gid),
+                )
+            except NetworkError:
+                break  # coordinator unreachable: fence the orphan
+        txn = self.active.get(gid_bytes)
+        if txn is None or txn.status != TxnStatus.ACTIVE:
+            return
+        yield from self._fence(gid_bytes, gid.node_id, 0)
+
+    # -- the completer state machine -----------------------------------------
+    def complete(self, gid_bytes: bytes) -> Gen:
+        """Assume the completer role for an in-doubt prepared half.
+
+        Tally the cluster's decision slots each round: once COMMIT holds
+        a majority of slots the decision is final and this node applies
+        it (rollback-protecting the whole group first) and drives the
+        rest of the group; once enough conflicting slots make commit
+        unreachable, abort is final (presumed abort: a commit that never
+        reached its quorum was never acknowledged to any client).  With
+        neither final, spread the best record we saw — or propose abort —
+        into every reachable empty slot and retally after a jittered
+        backoff.  Races between completers (and a recovering
+        coordinator's redrive) resolve idempotently: slots are
+        write-once, instructions carry asker-folded operation ids, and
+        the ``active``-entry pop applies each outcome exactly once.
+        """
+        if gid_bytes not in self.active:
+            return
+        sim = self.runtime.sim
+        ledger = self.ledger
+        gid = GlobalTxnId.decode(gid_bytes)
+        self.takeovers += 1
+        self.runtime.metrics.counter("completer.takeover").inc()
+        self.tracer.event(
+            "twopc", "completer_takeover", node=self.node,
+            txn=gid_bytes.hex(), coord=gid.node_id,
+        )
+        span = self.tracer.span(
+            "twopc", "complete", node=self.node, txn=gid_bytes.hex(),
+        )
+        outcome = "pending"
+        try:
+            while gid_bytes in self.active:
+                kinds, commit_record = yield from self._decision_round(
+                    gid_bytes, gid
+                )
+                final = self._final(kinds)
+                if final is None:
+                    proposal = commit_record
+                    if proposal is None:
+                        proposal = DecisionRecord(
+                            ClogRecord.ABORT, gid, [], [], "", 0,
+                            self.numeric_id,
+                        )
+                    stored = ledger.record(gid_bytes, proposal)
+                    kinds[self.numeric_id] = stored.kind
+                    empty = [
+                        node for node, kind in kinds.items()
+                        if kind is None and node != self.numeric_id
+                    ]
+                    accepted = yield from self._spread(gid, stored, empty)
+                    for node in accepted:
+                        kinds[node] = stored.kind
+                    final = self._final(kinds)
+                if final is not None:
+                    outcome = KIND_NAMES[final]
+                    yield from self._finish(
+                        gid_bytes, final,
+                        commit_record if final == ClogRecord.COMMIT
+                        else ledger.get(gid_bytes),
+                    )
+                    return
+                yield sim.timeout(
+                    RESOLUTION_RETRY_INTERVAL
+                    + self._rng.uniform(0.0, RESOLUTION_RETRY_INTERVAL)
+                )
+        finally:
+            span.close(outcome=outcome)
+
+    def _final(self, kinds: Dict[int, Optional[int]]) -> Optional[int]:
+        """The kind whose quorum the tallied slots reach, if either."""
+        held = list(kinds.values())
+        if held.count(ClogRecord.COMMIT) >= self.ledger.commit_quorum:
+            return ClogRecord.COMMIT
+        if held.count(ClogRecord.ABORT) >= self.ledger.abort_quorum:
+            return ClogRecord.ABORT
+        return None
+
+    def _ask(
+        self, msg_type: int, gid: GlobalTxnId, nodes: List[int],
+        body: bytes = b"",
+    ) -> Gen:
+        """One bounded round of ``msg_type`` about ``gid``: the replies
+        in ``nodes`` order, ``None`` for a peer that stayed silent."""
+        return self.rpc.gather(
+            [
+                (self.addresses[node], self._message(msg_type, gid, body))
+                for node in nodes
+            ],
+            timeout=RESOLUTION_RETRY_INTERVAL,
+        )
+
+    def _decision_round(self, gid_bytes: bytes, gid: GlobalTxnId) -> Gen:
+        """One tally round: read every reachable peer's decision slot.
+
+        Returns ``(kinds, commit_record)`` where ``kinds`` maps node id
+        -> slot kind (``None`` = reachable but empty; unreachable peers
+        are absent) and ``commit_record`` is a full COMMIT record if any
+        slot supplied one.
+        """
+        replies = yield from self._ask(
+            MsgType.DECISION_QUERY, gid, self.peers
+        )
+        kinds: Dict[int, Optional[int]] = {}
+        commit_record: Optional[DecisionRecord] = None
+        own = self.ledger.get(gid_bytes)
+        if own is not None:
+            kinds[self.numeric_id] = own.kind
+            if own.kind == ClogRecord.COMMIT:
+                commit_record = own
+        for node, reply in zip(self.peers, replies):
+            if reply is None or reply.msg_type != MsgType.ACK:
+                continue
+            if not reply.body:
+                kinds[node] = None
+                continue
+            record = DecisionRecord.decode(reply.body)
+            kinds[node] = record.kind
+            if record.kind == ClogRecord.COMMIT and (
+                commit_record is None or not commit_record.targets
+            ):
+                commit_record = record
+        return kinds, commit_record
+
+    def _spread(
+        self, gid: GlobalTxnId, record: DecisionRecord, nodes: List[int]
+    ) -> Gen:
+        """Write ``record`` into peers' empty slots; returns acceptors."""
+        replies = yield from self._ask(
+            MsgType.DECISION_RECORD, gid, nodes, record.encode()
+        )
+        return [
+            node for node, reply in zip(nodes, replies)
+            if reply is not None and reply.msg_type == MsgType.ACK
+        ]
+
+    def instruct(self, kind: int, gid: GlobalTxnId, participants) -> Gen:
+        """Deliver a final decision to the group's other members, once.
+
+        One round only — this is the completer's and recovery's
+        delivery: unreachable peers complete via their own watchdogs or
+        resolve against the coordinator when they recover, and duplicate
+        instructions are absorbed by the receivers' exactly-once
+        :meth:`apply`.  Returns the piggybacked apply-side targets.
+        """
+        return deliver(
+            self.rpc, self.addresses,
+            [node for node in participants if node != self.numeric_id],
+            lambda: self._message(INSTRUCTIONS[kind], gid),
+        )
+
+    def _finish(
+        self, gid_bytes: bytes, kind: int, record: Optional[DecisionRecord]
+    ) -> Gen:
+        """Finish a quorum-final decision in the coordinator's stead:
+        protect, apply here, deliver to the peers the record names (best
+        effort — every prepared peer runs its own watchdog anyway)."""
+        txn_hex = gid_bytes.hex()
+        if kind == ClogRecord.COMMIT and record is not None:
+            # I1: the group's prepare records and the decision entry must
+            # be rollback-protected before anyone applies the commit —
+            # the same group round the coordinator would have run.
+            yield from self.pipeline.stabilize_group(
+                record.targets + [(record.log_name, record.counter)],
+                txn=txn_hex, phase="complete",
+            )
+        targets = (yield from self.apply(gid_bytes, kind)) or []
+        if record is not None:
+            targets += yield from self.instruct(
+                kind, record.gid, record.participants
+            )
+        yield from self.pipeline.stabilize_group(
+            targets, txn=txn_hex, phase="complete"
+        )

@@ -19,6 +19,7 @@ __all__ = [
     "TransactionError",
     "TransactionAborted",
     "LockTimeout",
+    "CoordinatorUnreachable",
     "ConflictError",
     "StorageError",
     "CorruptLogError",
@@ -78,6 +79,11 @@ class LockTimeout(TransactionAborted):
     def __init__(self, key: bytes = b""):
         super().__init__("lock timeout on key %r" % (key,))
         self.key = key
+
+
+class CoordinatorUnreachable(TransactionAborted):
+    """The client lost its coordinator mid-request: the outcome of a
+    commit in flight is unknown to it (survivors may know, §VII)."""
 
 
 class ConflictError(TransactionAborted):

@@ -135,6 +135,11 @@ class TxMessage:
         """The unique (node, txn, op) triple used for at-most-once checks."""
         return (self.node_id, self.txn_id, self.op_id)
 
+    def reply(self, msg_type: int, body: bytes = b"") -> "TxMessage":
+        """The answer to this request: it echoes the request's triple,
+        which is how the caller's continuation finds it."""
+        return TxMessage(msg_type, self.node_id, self.txn_id, self.op_id, body)
+
     # -- encoding ---------------------------------------------------------
     def encode(self) -> bytes:
         """Serialize metadata + body (the to-be-encrypted plaintext)."""

@@ -17,9 +17,25 @@ from ..errors import TransactionAborted, TransactionError
 from ..sim.core import Event
 from .types import ReadSet, TxnBuffer, TxnStatus
 
-__all__ = ["LocalTransaction"]
+__all__ = ["LocalTransaction", "overlay"]
 
 Gen = Generator[Event, Any, Any]
+
+
+def overlay(rows, writes, start: bytes, end: Optional[bytes], limit):
+    """Committed ``rows`` of ``[start, end)`` as a transaction holding the
+    buffered ``writes`` sees them (a ``None`` value hides the key)."""
+    merged = dict(rows)
+    for key, value in writes:
+        if key >= start and (end is None or key < end):
+            if value is None:
+                merged.pop(key, None)
+            else:
+                merged[key] = value
+    result = sorted(merged.items())
+    if limit is not None:
+        result = result[:limit]
+    return result
 
 
 class LocalTransaction:
@@ -103,17 +119,7 @@ class LocalTransaction:
         self._check_active()
         yield from self.runtime.op_overhead()
         rows = yield from self.engine.scan(start, end, limit=None)
-        merged = dict(rows)
-        for key, value in self.buffer.items():
-            if key >= start and (end is None or key < end):
-                if value is None:
-                    merged.pop(key, None)
-                else:
-                    merged[key] = value
-        result = sorted(merged.items())
-        if limit is not None:
-            result = result[:limit]
-        return result
+        return overlay(rows, self.buffer.items(), start, end, limit)
 
     # -- lifecycle -------------------------------------------------------------------
     def commit(self) -> Gen:

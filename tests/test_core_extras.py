@@ -95,27 +95,6 @@ class TestGlobalTxnIdEpochs:
         assert GlobalTxnId.decode(gid.encode()) == gid
 
 
-class TestPutMany:
-    def test_batched_multi_shard_put(self):
-        cluster = TreatyCluster(profile=TREATY_ENC).start()
-        pairs = [(b"pm-%02d" % i, b"v%d" % i) for i in range(9)]
-        owners = {cluster.partitioner(k) for k, _ in pairs}
-        assert len(owners) == 3
-
-        def body():
-            txn = cluster.nodes[0].coordinator.begin()
-            yield from txn.put_many(pairs)
-            yield from txn.commit()
-            check = cluster.nodes[0].coordinator.begin()
-            values = []
-            for key, _ in pairs:
-                values.append((yield from check.get(key)))
-            yield from check.commit()
-            return values
-
-        assert cluster.run(body()) == [v for _, v in pairs]
-
-
 def prefix_partitioner(key):
     """Range-style sharding: 's<digit>/...' keys go to shard <digit>.
 

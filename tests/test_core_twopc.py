@@ -8,6 +8,7 @@ from repro.core.trusted_counter import decode_counter_vector
 from repro.core.twopc import ClogRecord
 from repro.errors import TransactionAborted
 from repro.net import MsgType, NetworkAdversary, TxMessage
+from repro.txn.types import TxnStatus
 
 
 def keys_per_node(cluster, count=2, tag=b"k"):
@@ -400,3 +401,91 @@ class TestApplyStep:
         assert [rec["node"] for rec in applies] == [node.name]
         assert gid.encode() not in part.active
         assert cluster.run(node.engine.get(key)) == b"once"
+
+
+# -- the one routing step: every execution-phase failure leaves one way -------
+
+
+def _digit_partitioner(key):
+    """``<digit>/...`` keys live on shard <digit> (scans need ranges)."""
+    return int(key[:1]) % 3
+
+
+_OPS = {
+    "get": lambda txn, key: txn.get(key),
+    "put": lambda txn, key: txn.put(key, b"v"),
+    "delete": lambda txn, key: txn.delete(key),
+    "scan": lambda txn, key: txn.scan(key, key + b"\xff"),
+}
+
+# (operation, how its owner fails, optimistic) — wherever the arm exists:
+# scans take no locks, and OCC execution takes none anywhere (its writes
+# do not even contact the owner), so only a dead owner fails those.
+_EXECUTION_FAILURES = (
+    [(op, "local lock conflict", False) for op in ("get", "put", "delete")]
+    + [(op, "remote FAIL", False) for op in ("get", "put", "delete")]
+    + [(op, "remote NIC down", False) for op in _OPS]
+    + [(op, "remote NIC down", True) for op in ("get", "scan")]
+)
+
+
+class TestExecutionFailure:
+    @pytest.mark.parametrize("op,failure,optimistic", _EXECUTION_FAILURES)
+    def test_one_abort_path(self, op, failure, optimistic):
+        """Coordinator 0 has touched shard 2, then ``op`` fails on its
+        owner (shard 0 = local, shard 1 = remote): the transaction is
+        ABORTED and counted once, shard 2 is told TXN_ABORT and the
+        failed owner is not."""
+        cluster = TreatyCluster(
+            profile=TREATY_ENC, partitioner=_digit_partitioner
+        ).start()
+        coordinator = cluster.nodes[0].coordinator
+        victim = 0 if failure == "local lock conflict" else 1
+        key = b"%d/hot" % victim
+        txn = coordinator.begin(optimistic=optimistic)
+        gid = txn.gid.encode()
+
+        def body():
+            if failure != "remote NIC down":
+                holder = cluster.nodes[2].coordinator.begin()
+                yield from holder.put(key, b"held")
+            yield from txn.put(b"2/touched", b"x")
+            if failure == "remote NIC down":
+                cluster.crash_node(victim)
+            with pytest.raises(TransactionAborted):
+                yield from _OPS[op](txn, key)
+
+        cluster.run(body())
+        assert txn.status == TxnStatus.ABORTED
+        assert coordinator.aborts == 1
+        applied = [node.participant.applied.get(gid) for node in cluster.nodes]
+        assert applied[2] == 2  # shard 2 was instructed to abort ...
+        assert applied[victim] is None  # ... the failed owner was not
+        for node in cluster.nodes:
+            assert gid not in node.participant.active
+        # A scan-only OCC contact leaves no state on its owner: it never
+        # joined the participant set, so nothing would be owed to it.
+        assert txn.remote_participants == (
+            {2} if optimistic and op == "scan" or victim == 0 else {1, 2}
+        )
+
+
+def test_package_keeps_the_module_surface():
+    """``core/twopc.py`` became a package; every public name the module
+    defined is still importable from ``repro.core.twopc``."""
+    import repro.core.twopc as twopc
+
+    module_all = [
+        "ClogRecord", "DecisionRecord", "Participant", "Coordinator",
+        "GlobalTxn", "piggyback", "protect_prepare", "pace", "deliver",
+        "apply_half",
+    ]
+    module_public = module_all + [
+        "validate_occ", "encode_scan_request", "decode_scan_request",
+        "encode_scan_reply", "decode_scan_reply", "encode_occ_prepare",
+        "decode_occ_prepare", "PREPARE_VOTE_TIMEOUT",
+        "RESOLUTION_RETRY_INTERVAL", "Partitioner", "Gen",
+    ]
+    assert set(module_all) <= set(twopc.__all__)
+    for name in twopc.__all__ + module_public:
+        assert hasattr(twopc, name), name

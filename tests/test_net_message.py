@@ -84,6 +84,14 @@ class TestSealing:
     def test_operation_key_identifies_triple(self):
         assert sample_message().operation_key == (3, 42, 7)
 
+    def test_reply_echoes_the_request_triple(self):
+        request = sample_message()
+        reply = request.reply(MsgType.ACK, b"result")
+        assert reply.operation_key == request.operation_key
+        assert (reply.msg_type, reply.body) == (MsgType.ACK, b"result")
+        assert request.reply(MsgType.FAIL).body == b""
+        assert TxMessage.decode(reply.encode()) == reply
+
 
 class TestReplayGuard:
     def test_first_seen_passes(self):

@@ -38,6 +38,8 @@ import pytest
 
 from repro.config import ClusterConfig, TREATY_FULL
 from repro.core import TreatyCluster
+from repro.core.client import ClientTxn
+from repro.core.twopc import GlobalTxn
 from repro.errors import TransactionAborted
 from repro.mc.faults import SCENARIOS, CrashInjector
 from repro.sim.rng import SeededRng
@@ -413,6 +415,47 @@ class TestClientRedirect:
             value = _read_survivor(cluster, key, COORDINATOR)
             if value is not _DEAD:
                 assert value is None
+
+
+    def test_server_abort_quoting_the_phrase_is_not_a_dead_coordinator(
+        self, monkeypatch
+    ):
+        """Only a lost coordinator (``CoordinatorUnreachable``, raised on
+        the client's own NetworkError) starts the survivor poll: a FAIL
+        the live coordinator sent is an answer, whatever its text says."""
+        cluster = TreatyCluster(
+            profile=TREATY_FULL, config=_config(19, "counter-sync"),
+        ).start()
+        session = cluster.session(
+            cluster.client_machine(), coordinator=COORDINATOR
+        )
+        polls = []
+
+        def server_commit(self):
+            yield from self.rollback()
+            raise TransactionAborted("peer said: coordinator unreachable")
+
+        def learn_outcome(self):
+            polls.append(self.gid)
+            return 0
+            yield
+
+        monkeypatch.setattr(GlobalTxn, "commit", server_commit)
+        monkeypatch.setattr(ClientTxn, "_learn_outcome", learn_outcome)
+
+        def body():
+            txn = session.begin()
+            for node in range(cluster.num_nodes):
+                key = _distinct_keys(cluster, node, 1, b"phrase")[0]
+                yield from txn.put(key, b"v")
+            assert txn.gid and session.routes  # the poll's preconditions
+            with pytest.raises(TransactionAborted, match="unreachable"):
+                yield from txn.commit()
+
+        cluster.run(body())
+        assert polls == []
+        assert (session.committed, session.aborted) == (0, 1)
+        assert session.redirected == 0
 
 
 # -- pin: same-instant completer race is exactly-once -------------------------

@@ -1,0 +1,145 @@
+#!/usr/bin/env python3
+"""The refactoring oracle as one command: pinned digests of whole traces.
+
+The simulator is deterministic, so a change that is meant to keep
+behaviour must leave every trace record of a fixed-seed run
+byte-identical.  This tool runs the fixed recipes, hashes what they
+emit and compares with (or writes) a pinned JSON file:
+
+* **protocol × backend**: a 3-node YCSB 50/50 run per ``protocol`` in
+  {paper, optimized} × ``rollback_backend`` in {counter-sync,
+  counter-async, lcm} (seed 11, 400 keys, 12 clients, 0.01 s warm-up +
+  0.1 s; ``counter_shards=2`` for the async backends) — sha256 over
+  ``json.dumps(rec, sort_keys=True)`` of every trace record, in order;
+* **trace exports**: sha256 of the Chrome-trace and JSONL files of
+  ``repro trace --workload demo|ycsb|tpcc --seed 7``.
+
+Usage: ``python tools/trace_digest.py [--write|--check] FILE`` (default
+``--check``; run with ``PYTHONHASHSEED=0``).  ``--check`` exits 1 and
+names every digest that moved.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+)
+
+PROTOCOLS = ("paper", "optimized")
+BACKENDS = ("counter-sync", "counter-async", "lcm")
+TRACE_WORKLOADS = ("demo", "ycsb", "tpcc")
+
+
+def protocol_backend_digest(protocol: str, backend: str) -> dict:
+    from repro.bench.metrics import MetricsCollector
+    from repro.config import TREATY_FULL, ClusterConfig
+    from repro.core import TreatyCluster
+    from repro.workloads import YcsbConfig, bulk_load, run_ycsb
+
+    config = ClusterConfig(
+        tracing=True, seed=11, protocol=protocol, rollback_backend=backend,
+        counter_shards=1 if backend == "counter-sync" else 2,
+    )
+    cluster = TreatyCluster(profile=TREATY_FULL, config=config).start()
+    ycsb = YcsbConfig(read_proportion=0.5, num_keys=400)
+    cluster.run(bulk_load(cluster, ycsb), name="load")
+    run_ycsb(
+        cluster, ycsb, MetricsCollector("digest"),
+        num_clients=12, duration=0.1, warmup=0.01,
+    )
+    digest = hashlib.sha256()
+    records = cluster.obs.records()
+    for record in records:
+        digest.update(json.dumps(record, sort_keys=True).encode())
+    return {"records": len(records), "sha256": digest.hexdigest()}
+
+
+def trace_export_digest(workload: str) -> dict:
+    from repro.cli import main
+
+    with tempfile.TemporaryDirectory() as scratch:
+        chrome = os.path.join(scratch, "trace.json")
+        jsonl = os.path.join(scratch, "trace.jsonl")
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = main([
+                "trace", "--workload", workload, "--seed", "7",
+                "--out", chrome, "--jsonl", jsonl,
+            ])
+        if status:
+            raise SystemExit("repro trace --workload %s failed" % workload)
+        digests = {}
+        for name, path in (("chrome", chrome), ("jsonl", jsonl)):
+            with open(path, "rb") as fp:
+                digests[name] = hashlib.sha256(fp.read()).hexdigest()
+    return digests
+
+
+def compute() -> dict:
+    """Run every recipe, printing each digest as it is ready."""
+    document: dict = {"protocol_backend": {}, "trace_export": {}}
+
+    def done(section: str, key: str, entry: dict) -> None:
+        document[section][key] = entry
+        print("%-28s %s" % (key, json.dumps(entry, sort_keys=True)),
+              flush=True)
+
+    for protocol in PROTOCOLS:
+        for backend in BACKENDS:
+            done("protocol_backend", "%s/%s" % (protocol, backend),
+                 protocol_backend_digest(protocol, backend))
+    for workload in TRACE_WORKLOADS:
+        done("trace_export", workload, trace_export_digest(workload))
+    return document
+
+
+def _flatten(document: dict) -> dict:
+    return {
+        "%s:%s:%s" % (section, key, field): value
+        for section, entries in document.items()
+        for key, entry in entries.items()
+        for field, value in entry.items()
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--write", action="store_true",
+                      help="pin the digests of this checkout into FILE")
+    mode.add_argument("--check", action="store_true",
+                      help="compare this checkout with FILE (default)")
+    parser.add_argument("file", help="the pinned digests (JSON)")
+    args = parser.parse_args(argv)
+
+    document = compute()
+    if args.write:
+        with open(args.file, "w") as fp:
+            json.dump(document, fp, indent=2, sort_keys=True)
+            fp.write("\n")
+        print("wrote", args.file)
+        return 0
+    with open(args.file) as fp:
+        pinned = _flatten(json.load(fp))
+    current = _flatten(document)
+    moved = sorted(
+        key for key in pinned.keys() | current.keys()
+        if pinned.get(key) != current.get(key)
+    )
+    for key in moved:
+        print("MOVED %s: pinned %s, now %s"
+              % (key, pinned.get(key), current.get(key)))
+    print("trace digests:", "FAILED" if moved else "identical")
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
