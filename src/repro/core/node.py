@@ -202,6 +202,16 @@ class TreatyNode:
         )
 
     def _wire_roles(self) -> None:
+        self.participant = Participant(
+            self.runtime,
+            self.manager,
+            self.cluster_rpc,
+            self.numeric_id,
+            self.addresses,
+            self.pipeline,
+            self.ledger,
+            self._resolution_op_id,
+        )
         self.coordinator = Coordinator(
             self.runtime,
             self.manager,
@@ -212,17 +222,8 @@ class TreatyNode:
             self.partitioner,
             self.pipeline,
             self.ledger,
+            self.participant,
             epoch=self.boot_count,
-        )
-        self.participant = Participant(
-            self.runtime,
-            self.manager,
-            self.cluster_rpc,
-            self.numeric_id,
-            self.addresses,
-            self.pipeline,
-            self.ledger,
-            self._resolution_op_id,
         )
         self.frontend = FrontEnd(
             self.runtime, self.coordinator, self.manager, self.front_rpc,

@@ -49,7 +49,6 @@ from ..tee.sgx import SealingKey
 __all__ = [
     "CounterReplica",
     "CounterClient",
-    "encode_counter_msg",
     "encode_counter_vector",
     "decode_counter_vector",
     "shard_of",
@@ -83,16 +82,6 @@ def shard_of(log_name: str, num_shards: int) -> int:
     if num_shards <= 1:
         return 0
     return zlib.crc32(log_name.encode()) % num_shards
-
-
-def encode_counter_msg(log_name: str, value: int) -> bytes:
-    """Single-target payload (kept for sealed state and compatibility)."""
-    return Writer().blob(log_name.encode()).u64(value).getvalue()
-
-
-def decode_counter_msg(data: bytes):
-    reader = Reader(data)
-    return reader.blob().decode(), reader.u64()
 
 
 def encode_counter_vector(targets: Sequence[Target]) -> bytes:

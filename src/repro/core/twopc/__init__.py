@@ -3,9 +3,11 @@
 A client-selected *coordinator* drives each distributed transaction:
 
 1. interactive execution — ``TXNGET``/``TXNPUT`` requests are routed to
-   the participant owning the key's shard (or served locally), each as a
-   sealed :class:`~repro.net.message.TxMessage` carrying the unique
-   ``(node, txn, op)`` triple so it can never be double-executed;
+   the participant owning the key's shard, each as a sealed
+   :class:`~repro.net.message.TxMessage` carrying the unique
+   ``(node, txn, op)`` triple so it can never be double-executed (the
+   coordinator's own shard is its node's participant too, reached by a
+   direct call instead of the wire);
 2. prepare — the coordinator logs the transaction to its Clog, then all
    participants persist prepare records and *delay their ACK until the
    prepare entry is stabilized* (rollback-protected);
@@ -16,10 +18,11 @@ A client-selected *coordinator* drives each distributed transaction:
    this Tx can be committed in the exact same order").
 
 Transactions touching only the coordinator's shard take the single-node
-fast path (§V-B) — no Clog, no 2PC rounds.
+fast path (§V-B) — no Clog, no 2PC rounds: the node's participant
+commits the half in one phase.
 
 One module per seam: :mod:`.codec` (message bodies, Clog and decision
-records), :mod:`.steps` (the shared steps of a decision),
+records), :mod:`.steps` (the steps of a decision several roles run),
 :mod:`.participant`, :mod:`.coordinator` and :mod:`.txn`
 (:class:`GlobalTxn`, the lifecycle above).
 """
@@ -40,13 +43,10 @@ from .steps import (
     PREPARE_VOTE_TIMEOUT,
     RESOLUTION_RETRY_INTERVAL,
     Gen,
-    apply_half,
     deliver,
     pace,
     piggyback,
-    protect_prepare,
     replication,
-    validate_occ,
 )
 from .txn import GlobalTxn
 
@@ -58,8 +58,6 @@ __all__ = [
     "GlobalTxn",
     "piggyback",
     "replication",
-    "protect_prepare",
     "pace",
     "deliver",
-    "apply_half",
 ]

@@ -19,6 +19,7 @@ from ..ids import GlobalTxnId, TxnIdAllocator
 from ..rollback import DecisionLedger
 from ..trusted_counter import Target
 from .codec import ClogRecord, DecisionRecord
+from .participant import Participant
 from .steps import (
     KIND_NAMES,
     RESOLUTION_RETRY_INTERVAL,
@@ -49,6 +50,7 @@ class Coordinator:
         partitioner: Partitioner,
         pipeline,
         ledger: DecisionLedger,
+        participant: Participant,
         epoch: int = 0,
     ):
         self.runtime = runtime
@@ -67,6 +69,9 @@ class Coordinator:
         #: this node's write-once decision slots (shared with its
         #: Participant role, which replicates decisions into them).
         self.ledger = ledger
+        #: this node's Participant role: the coordinator's own shard's
+        #: half lives, votes and applies there, reached by direct call.
+        self.participant = participant
         self.epoch = epoch
         #: per-incarnation decision-replication operation ids: distinct
         #: base from transaction ops and resolution ops, epoch-stamped so

@@ -19,7 +19,7 @@ from ...txn.pessimistic import PessimisticTxn
 from ...txn.types import TxnStatus
 from ..ids import EPOCH_SHIFT, GlobalTxnId
 from ..rollback import DecisionLedger
-from ..trusted_counter import encode_counter_vector
+from ..trusted_counter import Target, encode_counter_vector
 from .codec import (
     ClogRecord,
     DecisionRecord,
@@ -36,18 +36,17 @@ from .steps import (
     PREPARE_VOTE_TIMEOUT,
     RESOLUTION_RETRY_INTERVAL,
     Gen,
-    apply_half,
     deliver,
-    protect_prepare,
+    piggyback,
     replication,
-    validate_occ,
 )
 
 __all__ = ["Participant"]
 
 
 class Participant:
-    """The participant role: executes remote operations for coordinators."""
+    """The participant role: holds this node's half of every distributed
+    transaction — this node's own coordinator's included."""
 
     def __init__(
         self,
@@ -86,7 +85,8 @@ class Participant:
             runtime.config.seed, runtime.name or "participant",
             "completer-watchdog",
         )
-        #: participant-local halves of distributed transactions.
+        #: this node's halves of distributed transactions, from first
+        #: touch to apply — whoever coordinates them.
         self.active: Dict[bytes, PessimisticTxn] = {}
         #: final outcomes this node applied (or was instructed to
         #: apply), keyed by encoded gid.  Answers client ``_OP_STATUS``
@@ -94,7 +94,6 @@ class Participant:
         #: final (appliers verify quorum/decision evidence first), so
         #: reporting it to a redirected client is safe.  Bounded FIFO.
         self.applied: Dict[bytes, int] = {}
-        self.prepares_served = 0
         self.commits_served = 0
         #: completer takeovers this incarnation performed.
         self.takeovers = 0
@@ -111,14 +110,40 @@ class Participant:
         rpc.register(MsgType.DECISION_QUERY, self._on_decision_query)
 
     # -- helpers ------------------------------------------------------------
+    def _watched(self, key: bytes) -> bool:
+        """Whether the half ``key`` gets this node's watchdogs (orphan
+        fuse, decision watchdog): under replication, unless this node
+        coordinates it — the two then share one fate, and recovery
+        resolves the half."""
+        return (
+            replication(self.runtime)
+            and GlobalTxnId.decode(key).node_id != self.numeric_id
+        )
+
     def _open(self, key: bytes, txn: PessimisticTxn) -> None:
-        """Take in a new ACTIVE half; under replication arm its fuse."""
+        """Take in a new ACTIVE half; arm its fuse if it is watched."""
         self.active[key] = txn
-        if replication(self.runtime):
+        if self._watched(key):
             self.runtime.sim.process(
                 self._orphan_fuse(key),
                 name="orphan-fuse@%s" % (self.node or "?"),
             )
+
+    def half(self, key: bytes) -> PessimisticTxn:
+        """This node's 2PL half of ``key``, begun on first touch."""
+        txn = self.active.get(key)
+        if txn is None:
+            txn = self.manager.begin_pessimistic(txn_id=key)
+            self._open(key, txn)
+        return txn
+
+    def drop(self, key: bytes) -> Gen:
+        """Forget a half that never voted YES, rolling it back if it is
+        still ACTIVE.  Silent (presumed abort): no outcome is recorded
+        and no apply event emitted — that is :meth:`apply`."""
+        txn = self.active.pop(key, None)
+        if txn is not None:
+            yield from txn.rollback()
 
     def _message(
         self, msg_type: int, gid: GlobalTxnId, body: bytes = b""
@@ -131,8 +156,7 @@ class Participant:
 
     def _fence(self, key: bytes, coordinator: int, epoch: int) -> Gen:
         """Abort an ACTIVE half whose coordinator forgot it for good."""
-        txn = self.active.pop(key)
-        yield from txn.rollback()
+        yield from self.drop(key)
         self.tracer.event(
             "twopc", "fence_abort", node=self.node, txn=key.hex(),
             coord=coordinator, epoch=epoch,
@@ -160,12 +184,8 @@ class Participant:
         operation that aborts has rolled its half back: the half is
         dropped and the reason travels back in a FAIL."""
         key = GlobalTxnId(message.node_id, message.txn_id).encode()
-        txn = self.active.get(key)
-        if txn is None:
-            txn = self.manager.begin_pessimistic(txn_id=key)
-            self._open(key, txn)
         try:
-            result = yield from operation(txn)
+            result = yield from operation(self.half(key))
         except TransactionAborted as aborted:
             self.active.pop(key, None)
             return message.reply(MsgType.FAIL, str(aborted).encode())
@@ -210,83 +230,139 @@ class Participant:
         )
 
     def _on_prepare(self, message: TxMessage, src: str) -> Gen:
-        """Prepare the local transaction; the ACK waits for (or carries
-        the target of) the prepare record's rollback protection."""
+        """Vote on this node's half: ACK is YES and waits for (or
+        carries the target of) the prepare record's rollback protection;
+        any other reply is NO (a half that failed to prepare is gone).
+        Every vote is cast here — remote coordinators reach it over the
+        sealed wire, this node's own calls it directly."""
         gid = GlobalTxnId(message.node_id, message.txn_id)
+        key = gid.encode()
         if message.body:
             # Distributed OCC: the PREPARE carries this participant's
             # read-set versions and write-set.  The local half is
             # created here — execution was lock-free at the coordinator
             # — and validation runs inside this prepare critical
             # section, riding the piggybacked round below.
-            txn = yield from self._validate_occ(gid, message)
+            txn = yield from self._validate_occ(key, message.body)
             if txn is None:
                 return message.reply(MsgType.FAIL, b"validation conflict")
         else:
-            txn = self.active.get(gid.encode())
+            txn = self.active.get(key)
             if txn is None or txn.status != TxnStatus.ACTIVE:
                 return message.reply(MsgType.FAIL, b"no active local txn")
         try:
             counter, log_name = yield from txn.prepare()
         except TransactionAborted as aborted:
-            self.active.pop(gid.encode(), None)
+            self.active.pop(key, None)
             return message.reply(MsgType.FAIL, str(aborted).encode())
-        self.prepares_served += 1
-        if replication(self.runtime):
+        if self._watched(key):
             # A prepared half is now in doubt: if the decision never
             # arrives (dead coordinator), this node assumes the
             # completer role after the decision timeout.
             self.runtime.sim.process(
-                self._decision_watchdog(gid.encode()),
+                self._decision_watchdog(key),
                 name="decision-watch@%s" % (self.node or "?"),
             )
-        target = yield from protect_prepare(
-            self.runtime, self.pipeline, gid, log_name, counter
+        # §V-A: "Participants delay replying back to the coordinator
+        # until the prepare entry in the log is stabilized."  With
+        # piggybacking the duty moves to the coordinator: the record's
+        # target rides the vote into one group-wide round covering every
+        # prepare record and the decision entry — still stable before
+        # anyone acts on the decision, just via a shared round.
+        body = b""
+        if piggyback(self.runtime):
+            body = encode_counter_vector([(log_name, counter)])
+        else:
+            yield from self.pipeline.stabilize(log_name, counter)
+        self.tracer.event(
+            "twopc", "prepare_target" if body else "prepare_ack",
+            node=self.node, txn=key.hex(), log=log_name, counter=counter,
+            coord=gid.node_id,
         )
-        return message.reply(
-            MsgType.ACK, encode_counter_vector([target]) if target else b""
-        )
+        return message.reply(MsgType.ACK, body)
 
-    def _validate_occ(self, gid: GlobalTxnId, message: TxMessage) -> Gen:
-        """Create + validate the OCC local half inside PREPARE.
+    def _validate_occ(self, key: bytes, body: bytes) -> Gen:
+        """Create, validate + pin the OCC half from its PREPARE body,
+        inside the prepare critical section.
 
         Returns the pinned-and-validated transaction, or ``None`` when
         validation conflicts (the caller NACKs; presumed abort cleans
         up — the conflicting half has already rolled itself back).
         """
-        key = gid.encode()
         if key in self.active:
             # Duplicate PREPARE (retry after a partial round): the half
             # already exists, pins and all; just hand it back.
             txn = self.active[key]
             return txn if txn.status == TxnStatus.ACTIVE else None
-        reads, writes = decode_occ_prepare(message.body)
+        reads, writes = decode_occ_prepare(body)
         txn = self.manager.begin_distributed_occ(txn_id=key)
         txn.load(reads, writes)
         self._open(key, txn)
-        if (yield from validate_occ(self.runtime, txn)):
-            return txn
-        self.active.pop(key, None)
-        return None
+        span = self.tracer.span(
+            "twopc", "validate", node=self.node, txn=key.hex(),
+            reads=len(txn.reads), writes=len(txn.buffer),
+        )
+        try:
+            yield from txn.validate_and_pin()
+        except TransactionAborted:
+            span.close(outcome="conflict")
+            self.runtime.metrics.counter("occ.conflicts").inc()
+            self.active.pop(key, None)
+            return None
+        span.close(outcome="ok")
+        self.runtime.metrics.counter("occ.validated").inc()
+        return txn
+
+    def commit_one_phase(self, key: bytes, occ_body: bytes = b"") -> Gen:
+        """§V-B: commit a transaction whose only participant is this
+        node — no Clog, no vote, no 2PC round.  Under OCC the half is
+        first built and validated from the node's own PREPARE body; a
+        conflict raises TransactionAborted.  Returns the commit
+        record's WAL counter."""
+        if occ_body and (yield from self._validate_occ(key, occ_body)) is None:
+            raise TransactionAborted("validation conflict")
+        counter = yield from self.active.pop(key).commit()
+        return counter
 
     def apply(self, gid_bytes: bytes, kind: int) -> Gen:
         """Apply a final outcome to this node's half — exactly once.
 
-        The coordinator's instruction, a duplicate of it, a completer
-        and recovery's resolution may all race here; whoever pops the
-        ``active`` entry applies, everyone else is told the half was
-        gone (``None``).  Otherwise returns the half's apply-side
-        targets (see :func:`apply_half`).
+        The coordinator (an instruction, or a direct call on its own
+        node), a duplicate instruction, a completer and recovery's
+        resolution may all race here; whoever pops the ``active`` entry
+        applies, everyone else is told the half was gone (``None``) —
+        applied already, or it voted NO and rolled itself back.  The
+        caller has protected the decision; the monitor checks that at
+        the ``commit_apply`` event emitted here.  Nobody waits for the
+        *commit* record's stabilization (§V-A): under ``paper`` it runs
+        in a background fiber, under piggybacking its target is returned
+        instead, to join a group-wide round (empty otherwise).
         """
         self._record_outcome(gid_bytes, kind)
         txn = self.active.pop(gid_bytes, None)
         if txn is None:
-            # Already applied (e.g. duplicate instruction after the
+            # Nothing to finish (e.g. duplicate instruction after the
             # coordinator recovered): "this message is ignored" (§VI).
             return None
-        targets = yield from apply_half(self.runtime, txn, kind)
+        targets: List[Target] = []
         if kind == ClogRecord.COMMIT:
+            if piggyback(self.runtime):
+                counter, log_name = yield from txn.commit_prepared_async(
+                    defer_stabilization=True
+                )
+                targets.append((log_name, counter))
+            else:
+                yield from txn.commit_prepared_async()
             self.commits_served += 1
+        elif txn.status == TxnStatus.PREPARED:
+            yield from txn.abort_prepared()
+        else:
+            yield from txn.rollback()
+        self.tracer.event(
+            "twopc",
+            "commit_apply" if kind == ClogRecord.COMMIT else "abort_apply",
+            node=self.node, txn=gid_bytes.hex(),
+        )
         return targets
 
     def _instructed(self, kind: int, message: TxMessage) -> Gen:

@@ -4,31 +4,26 @@ After the vote there is one sequence (§V-A, Figure 2 steps 5–8): log the
 decision, protect it, deliver it, apply it, record completion.  Whoever
 holds the decision runs it — the coordinator, a completer that took over,
 recovery re-running it from the Clog — so each step is written once:
-SecureRpc.gather, Coordinator.protect, and :func:`deliver` and
-:func:`apply_half` below (docs/PROTOCOL.md lists which driver composes
-which).  The vote's two shared steps (:func:`protect_prepare`,
-:func:`validate_occ`) serve remote and coordinator-local halves alike.
+SecureRpc.gather, Coordinator.protect, :func:`deliver` below and
+Participant.apply (docs/PROTOCOL.md lists which driver composes which).
+The vote and the apply are Participant methods, not steps here: every
+half lives in its node's Participant, the coordinator's own included.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, List, Optional
 
-from ...errors import TransactionAborted
 from ...net.message import MsgType, TxMessage
 from ...net.secure_rpc import SecureRpc
 from ...sim.core import Event
 from ...tee.runtime import NodeRuntime
-from ...txn.pessimistic import PessimisticTxn
-from ...txn.types import TxnStatus
-from ..ids import GlobalTxnId
 from ..trusted_counter import Target, decode_counter_vector
 from .codec import ClogRecord
 
 __all__ = [
     "PREPARE_VOTE_TIMEOUT", "RESOLUTION_RETRY_INTERVAL",
-    "piggyback", "replication", "protect_prepare", "validate_occ",
-    "pace", "deliver", "apply_half",
+    "piggyback", "replication", "pace", "deliver",
 ]
 
 Gen = Generator[Event, Any, Any]
@@ -59,51 +54,6 @@ def replication(runtime: NodeRuntime) -> bool:
     in-doubt halves finish without their coordinator
     (``protocol="optimized"``)."""
     return runtime.config.optimized
-
-
-def protect_prepare(
-    runtime: NodeRuntime, pipeline, gid: GlobalTxnId, log_name: str,
-    counter: int,
-) -> Gen:
-    """Rollback-protect a YES vote's prepare record before it counts.
-
-    §V-A: "Participants delay replying back to the coordinator until
-    the prepare entry in the log is stabilized."  With piggybacking the
-    duty moves to the coordinator: the record's target is returned, to
-    ride the vote into one group-wide round that covers every prepare
-    record and the decision entry — the prepare is still stable before
-    anyone acts on the decision, just via a shared round.  Otherwise
-    returns ``None`` once the record is stable.
-    """
-    fields = dict(
-        node=runtime.name or None, txn=gid.encode().hex(), log=log_name,
-        counter=counter, coord=gid.node_id,
-    )
-    if piggyback(runtime):
-        runtime.tracer.event("twopc", "prepare_target", **fields)
-        return (log_name, counter)
-    yield from pipeline.stabilize(log_name, counter)
-    runtime.tracer.event("twopc", "prepare_ack", **fields)
-    return None
-
-
-def validate_occ(runtime: NodeRuntime, txn) -> Gen:
-    """Validate + pin one node's distributed-OCC half, inside its
-    prepare critical section; False on conflict (the half has rolled
-    itself back)."""
-    span = runtime.tracer.span(
-        "twopc", "validate", node=runtime.name or None,
-        txn=txn.txn_id.hex(), reads=len(txn.reads), writes=len(txn.buffer),
-    )
-    try:
-        yield from txn.validate_and_pin()
-    except TransactionAborted:
-        span.close(outcome="conflict")
-        runtime.metrics.counter("occ.conflicts").inc()
-        return False
-    span.close(outcome="ok")
-    runtime.metrics.counter("occ.validated").inc()
-    return True
 
 
 def pace(sim, round_start: float) -> Gen:
@@ -160,35 +110,3 @@ def deliver(
         if rounds is not None:
             rounds -= 1
         yield from pace(sim, round_start)
-
-
-def apply_half(runtime: NodeRuntime, txn: PessimisticTxn, kind: int) -> Gen:
-    """Commit or abort one node's half of a decided transaction.
-
-    The caller owns exactly-once (it took ``txn`` out of wherever the
-    half lived) and has made sure the decision is protected; the
-    monitor checks the latter at the ``commit_apply`` event emitted
-    here.  Nobody waits for the *commit* record's stabilization (§V-A):
-    under ``paper`` it proceeds in a local background fiber, under
-    piggybacking its target is returned instead, to join a group-wide
-    round.  Returns those targets (empty otherwise).
-    """
-    targets: List[Target] = []
-    if kind == ClogRecord.COMMIT:
-        if piggyback(runtime):
-            counter, log_name = yield from txn.commit_prepared_async(
-                defer_stabilization=True
-            )
-            targets.append((log_name, counter))
-        else:
-            yield from txn.commit_prepared_async()
-    elif txn.status == TxnStatus.PREPARED:
-        yield from txn.abort_prepared()
-    else:
-        yield from txn.rollback()
-    runtime.tracer.event(
-        "twopc",
-        "commit_apply" if kind == ClogRecord.COMMIT else "abort_apply",
-        node=runtime.name or None, txn=txn.txn_id.hex(),
-    )
-    return targets

@@ -30,11 +30,8 @@ from .steps import (
     KIND_NAMES,
     PREPARE_VOTE_TIMEOUT,
     Gen,
-    apply_half,
     deliver,
-    protect_prepare,
     replication,
-    validate_occ,
 )
 
 if TYPE_CHECKING:
@@ -55,10 +52,12 @@ class GlobalTxn:
         self.coordinator = coordinator
         self.runtime = coordinator.runtime
         self.gid = gid
+        #: the encoded gid: names this transaction's half on every node.
+        self.key = gid.encode()
         self._op_seq = 0
-        self._local_txn: Optional[PessimisticTxn] = None
-        #: numeric node ids of remote participants touched so far.
-        self.remote_participants: Set[int] = set()
+        #: numeric ids of the nodes holding (under OCC: owed) a half —
+        #: the coordinator's own node too, once its shard is touched.
+        self.participants: Set[int] = set()
         self.status = TxnStatus.ACTIVE
         #: distributed OCC: execution takes no locks —
         #: reads are stateless versioned snapshots, writes buffer here
@@ -79,12 +78,14 @@ class GlobalTxn:
             msg_type, self.gid.node_id, self.gid.local_seq, self._op_seq, body
         )
 
-    def _local(self) -> PessimisticTxn:
-        if self._local_txn is None:
-            self._local_txn = self.coordinator.manager.begin_pessimistic(
-                txn_id=self.gid.encode()
-            )
-        return self._local_txn
+    @property
+    def remote_participants(self) -> Set[int]:
+        """The participants other than the coordinator's own node."""
+        return self.participants - {self.coordinator.node_numeric_id}
+
+    def _half(self) -> PessimisticTxn:
+        """The own shard's half — in the node's Participant, like any."""
+        return self.coordinator.participant.half(self.key)
 
     def _check_active(self) -> None:
         if self.status != TxnStatus.ACTIVE:
@@ -100,11 +101,11 @@ class GlobalTxn:
     ) -> Gen:
         """Run one operation on the shard that owns ``key`` (Figure 2, 1–2).
 
-        The coordinator's own shard is served by ``local()``; any other
-        owner by the sealed ``request()``, whose ACK body ``decode``
-        turns into the same result.  A contacted owner takes part in the
-        commit, unless ``join`` is false (the contact left no state
-        there).
+        The coordinator's own shard is served by ``local()`` — a direct
+        call, no message built; any other owner by the sealed
+        ``request()``, whose ACK body ``decode`` turns into the same
+        result.  A contacted owner takes part in the commit, unless
+        ``join`` is false (the contact left no state there).
 
         Every failure leaves by one path — a local abort (lock timeout),
         a FAIL reply, or a participant whose NIC detached (crash: the
@@ -116,12 +117,12 @@ class GlobalTxn:
         """
         coordinator = self.coordinator
         owner = coordinator.partitioner(key)
+        if join:
+            self.participants.add(owner)
         try:
             if owner == coordinator.node_numeric_id:
                 result = yield from local()
                 return result
-            if join:
-                self.remote_participants.add(owner)
             try:
                 reply = yield from coordinator.rpc.call(
                     coordinator.addresses[owner], request()
@@ -144,7 +145,7 @@ class GlobalTxn:
             value = yield from self._get_occ(key)
             return value
         value = yield from self._on_owner(
-            key, lambda: self._local().get(key),
+            key, lambda: self._half().get(key),
             lambda: self._message(MsgType.TXN_READ, encode_read(key)),
             decode_value_reply,
         )
@@ -181,7 +182,7 @@ class GlobalTxn:
             rows = yield from self._scan_occ(start, end, limit)
             return rows
         rows = yield from self._on_owner(
-            start, lambda: self._local().scan(start, end, limit),
+            start, lambda: self._half().scan(start, end, limit),
             lambda: self._message(
                 MsgType.TXN_SCAN, encode_scan_request(start, end, limit)
             ),
@@ -220,14 +221,12 @@ class GlobalTxn:
             # round trips for writes.
             yield from self.runtime.op_overhead()
             self._occ_writes[key] = value
-            owner = self.coordinator.partitioner(key)
-            if owner != self.coordinator.node_numeric_id:
-                self.remote_participants.add(owner)
+            self.participants.add(self.coordinator.partitioner(key))
             return
         yield from self._on_owner(
             key,
-            lambda: self._local().delete(key) if value is None
-            else self._local().put(key, value),
+            lambda: self._half().delete(key) if value is None
+            else self._half().put(key, value),
             lambda: self._message(MsgType.TXN_WRITE, encode_write(key, value)),
             lambda _empty: None,
         )
@@ -241,27 +240,30 @@ class GlobalTxn:
         if self.remote_participants:
             yield from self._commit_distributed()
             return 0
-        # Single-node transaction (§V-B): no Clog, no 2PC rounds — under
-        # OCC validate + group commit locally.
+        # Single-node transaction (§V-B): no Clog, no 2PC rounds — the
+        # node's participant commits the half in one phase (under OCC
+        # it validates it first, from the same PREPARE body).
+        coordinator = self.coordinator
         counter = 0
-        if self._local_txn is not None:
-            if self.optimistic:
-                ok = yield from validate_occ(self.runtime, self._local_txn)
-                if not ok:
-                    self.status = TxnStatus.ABORTED
-                    self.coordinator.aborts += 1
-                    raise TransactionAborted("validation conflict")
-            counter = yield from self._local_txn.commit()
+        if self.participants:
+            try:
+                counter = yield from coordinator.participant.commit_one_phase(
+                    self.key,
+                    self._occ_bodies.get(coordinator.node_numeric_id, b""),
+                )
+            except TransactionAborted:
+                self.status = TxnStatus.ABORTED
+                coordinator.aborts += 1
+                raise
         self.status = TxnStatus.COMMITTED
-        self.coordinator.local_commits += 1
+        coordinator.local_commits += 1
         return counter
 
     def _stage_occ(self) -> None:
-        """Group the OCC validate/write sets per owner: the local half is
-        loaded with its share, every remote participant gets its PREPARE
-        body (validation rides PREPARE)."""
+        """Group the OCC validate/write sets per owner: every participant
+        (joined when its key was read or written; the coordinator's own
+        node is one) gets its PREPARE body — validation rides PREPARE."""
         coordinator = self.coordinator
-        local_id = coordinator.node_numeric_id
         reads_by: Dict[int, List[Tuple[bytes, int]]] = {}
         writes_by: Dict[int, List[Tuple[bytes, Optional[bytes]]]] = {}
         for key, seq in self._occ_reads.items():
@@ -272,19 +274,11 @@ class GlobalTxn:
             writes_by.setdefault(coordinator.partitioner(key), []).append(
                 (key, value)
             )
-        owners = set(reads_by) | set(writes_by)
-        self.remote_participants.update(owners - {local_id})
-        if local_id in owners:
-            txn = coordinator.manager.begin_distributed_occ(
-                txn_id=self.gid.encode()
-            )
-            txn.load(reads_by.get(local_id, []), writes_by.get(local_id, []))
-            self._local_txn = txn
         self._occ_bodies = {
             node: encode_occ_prepare(
                 reads_by.get(node, []), writes_by.get(node, [])
             )
-            for node in self.remote_participants
+            for node in self.participants
         }
 
     def _commit_distributed(self) -> Gen:
@@ -294,7 +288,7 @@ class GlobalTxn:
         # in the counter service — chains under this one.  Its duration
         # is the distributed commit latency the critical-path analyzer
         # decomposes.
-        txn_hex = self.gid.encode().hex()
+        txn_hex = self.key.hex()
         root = self.coordinator.tracer.span(
             "twopc", "txn", node=self.coordinator.node, txn=txn_hex,
             trace=txn_hex, participants=len(self.remote_participants),
@@ -311,21 +305,24 @@ class GlobalTxn:
         coordinator = self.coordinator
         tracer = coordinator.tracer
         metrics = self.runtime.metrics
-        txn_hex = self.gid.encode().hex()
-        participants = sorted(self.remote_participants)
-        record_participants = participants + (
-            [coordinator.node_numeric_id] if self._local_txn is not None else []
-        )
+        txn_hex = self.key.hex()
+        own = coordinator.node_numeric_id
+        remote = sorted(self.remote_participants)
+        # The group as the Clog and the decision record name it: the
+        # remote shards in id order, then the coordinator's own.
+        participants = remote + ([own] if own in self.participants else [])
         phase_start = self.runtime.now
         span = tracer.span(
             "twopc", "prepare", node=coordinator.node, txn=txn_hex,
-            participants=len(participants),
+            participants=len(remote),
         )
         # 5: log the prepare intent to the Clog with its trusted counter.
-        prepare_counter = yield from coordinator.log_clog(
-            ClogRecord(ClogRecord.PREPARE, self.gid, record_participants)
+        yield from coordinator.log_clog(
+            ClogRecord(ClogRecord.PREPARE, self.gid, participants)
         )
-        # Prepare everyone (remote prepares batched; local in parallel).
+        # Prepare everyone (remote prepares batched; the own node's
+        # participant votes in parallel — same message, same handler,
+        # called directly: nothing to seal, no wire to oneself).
         # A participant that does not answer within the vote timeout is
         # counted as a NO vote — a crashed participant must not block
         # the decision (it learns the abort when it recovers).  The
@@ -335,50 +332,40 @@ class GlobalTxn:
         # write sets; bodies differ per destination but the broadcast
         # still enqueues them in one instant, so the transport's doorbell
         # window coalesces per destination as before.
-        events = coordinator.rpc.broadcast(
-            [
-                (
-                    coordinator.addresses[node],
-                    self._message(
-                        MsgType.TXN_PREPARE, self._occ_bodies.get(node, b"")
-                    ),
-                )
-                for node in participants
-            ]
-        )
-        if self._local_txn is not None:
-            events.append(
-                self.runtime.sim.process(
-                    self._prepare_local(), name="local-prepare"
-                )
+        def prepare(node: int) -> TxMessage:
+            return self._message(
+                MsgType.TXN_PREPARE, self._occ_bodies.get(node, b"")
             )
+
+        events = coordinator.rpc.broadcast(
+            [(coordinator.addresses[node], prepare(node)) for node in remote]
+        )
+        if own in participants:
+            events.append(self.runtime.sim.process(
+                coordinator.participant._on_prepare(
+                    prepare(own), coordinator.addresses[own]
+                ),
+                name="local-prepare",
+            ))
         yield self.runtime.sim.any_of(
             [
                 self.runtime.sim.all_settled(events),
                 self.runtime.sim.timeout(PREPARE_VOTE_TIMEOUT),
             ]
         )
-        # Harvest votes; under piggybacking a YES vote carries the
-        # voter's prepare-record (log, counter) target — the local
-        # prepare returns the tuple directly, remote ACK bodies carry
-        # an encoded counter vector.
+        # Harvest votes: every vote is a reply message — an ACK is YES
+        # (under piggybacking its body carries the voter's prepare-record
+        # (log, counter) target), anything else, silence included, NO.
         vote_commit = True
         prepare_targets: List[Tuple[str, int]] = []
         for event in events:
-            if not (event.triggered and event.ok):
+            if not (
+                event.triggered and event.ok
+                and event.value.msg_type == MsgType.ACK
+            ):
                 vote_commit = False
-                continue
-            value = event.value
-            if value is True:
-                continue
-            if isinstance(value, tuple):
-                prepare_targets.append(value)
-                continue
-            if getattr(value, "msg_type", None) == MsgType.ACK:
-                if value.body:
-                    prepare_targets.extend(decode_counter_vector(value.body))
-                continue
-            vote_commit = False
+            elif event.value.body:
+                prepare_targets.extend(decode_counter_vector(event.value.body))
         span.close(vote="commit" if vote_commit else "abort")
         metrics.histogram("twopc.prepare_s").observe(
             self.runtime.now - phase_start
@@ -397,39 +384,38 @@ class GlobalTxn:
         if not vote_commit:
             prepare_targets = []
         decision_counter = yield from coordinator.log_clog(
-            ClogRecord(
-                voted, self.gid, record_participants, targets=prepare_targets
-            )
+            ClogRecord(voted, self.gid, participants, targets=prepare_targets)
         )
         decision = yield from coordinator.protect(
-            voted, self.gid, record_participants, prepare_targets,
-            decision_counter,
+            voted, self.gid, participants, prepare_targets, decision_counter,
         )
         span.close()
         metrics.histogram("twopc.decision_s").observe(
             self.runtime.now - phase_start
         )
-        # 8: instruct the participants and apply the local half.
+        # 8: instruct the participants, then apply the own node's half.
         # ``paper`` retries forever: the decision exists only in this
         # coordinator's Clog.  Under decision replication a quorum of
         # slots outlives this coordinator, so delivery is best-effort
         # (two rounds): a participant that misses both finishes via its
         # decision watchdog instead of wedging this fiber on a dead
-        # peer.  The COMMIT ACKs and the local apply return apply-side
-        # targets; nobody waits for those before the client reply.
+        # peer.  The COMMIT ACKs and the own apply return apply-side
+        # targets; nobody waits for those before the client reply.  The
+        # own half may be gone already — it voted NO, or a completer's
+        # instruction reached this node first: nothing to apply then.
         phase_start = self.runtime.now
         span = tracer.span(
             "twopc", KIND_NAMES[decision], node=coordinator.node, txn=txn_hex
         )
         apply_targets = yield from deliver(
-            coordinator.rpc, coordinator.addresses, participants,
+            coordinator.rpc, coordinator.addresses, remote,
             lambda: self._message(INSTRUCTIONS[decision]),
             rounds=2 if replication(self.runtime) else None,
         )
-        if self._local_txn is not None:
-            apply_targets += yield from apply_half(
-                self.runtime, self._local_txn, decision
-            )
+        if own in participants:
+            apply_targets += (
+                yield from coordinator.participant.apply(self.key, decision)
+            ) or []
         span.close()
         if decision != ClogRecord.COMMIT:
             self.status = TxnStatus.ABORTED
@@ -450,31 +436,13 @@ class GlobalTxn:
         # share one more group-wide round.
         def log_complete() -> Gen:
             counter = yield from coordinator.log_clog(
-                ClogRecord(ClogRecord.COMPLETE, self.gid, record_participants)
+                ClogRecord(ClogRecord.COMPLETE, self.gid, participants)
             )
             yield from coordinator._stabilize_entry(
                 counter, apply_targets, txn_hex, "complete"
             )
 
         self.runtime.sim.process(log_complete(), name="clog-complete")
-
-    def _prepare_local(self) -> Gen:
-        txn = self._local()
-        if self.optimistic:
-            # Validation runs inside the same window as the remote
-            # PREPAREs — the local half of the OCC-in-PREPARE rule.
-            ok = yield from validate_occ(self.runtime, txn)
-            if not ok:
-                return False
-        try:
-            counter, log_name = yield from txn.prepare()
-        except TransactionAborted:
-            return False
-        target = yield from protect_prepare(
-            self.runtime, self.coordinator.pipeline, self.gid, log_name,
-            counter,
-        )
-        return target or True
 
     def rollback(self, failed_node: Optional[int] = None) -> Gen:
         """TXNROLLBACK: abort everywhere (presumed abort, nothing logged)."""
@@ -488,5 +456,4 @@ class GlobalTxn:
             lambda: self._message(MsgType.TXN_ABORT),
             rounds=None,
         )
-        if self._local_txn is not None:
-            yield from self._local_txn.rollback()
+        yield from self.coordinator.participant.drop(self.key)

@@ -280,7 +280,3 @@ class TraceController:
     def freeze(self) -> None:
         """Stop perturbing: the harness is auditing end state."""
         self.frozen = True
-
-    def nonzero_choices(self) -> List[Tuple[int, int]]:
-        """``(index, chosen)`` of every executed perturbation."""
-        return [(p.index, p.chosen) for p in self.points if p.chosen != 0]

@@ -88,10 +88,6 @@ class MempoolAllocator:
             placeholder
         )
 
-    def mapped_bytes(self) -> int:
-        """Bytes of region memory this allocator has ever mapped."""
-        return self.region.total_allocated
-
     def recycle_rate(self) -> float:
         if self.alloc_count == 0:
             return 0.0

@@ -28,10 +28,6 @@ class Allocation:
             self._freed = True
             self.region._release(self.nbytes)
 
-    @property
-    def freed(self) -> bool:
-        return self._freed
-
 
 class MemoryRegion:
     """Byte-accounted memory area with optional soft pressure threshold."""

@@ -173,11 +173,6 @@ class Process(Event):
         # Kick off the body at the current instant (single heap entry).
         sim._schedule_call(self._bootstrap_call)
 
-    @property
-    def is_alive(self) -> bool:
-        """Whether the generator has not yet finished."""
-        return not self._triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current instant."""
         if self._triggered:

@@ -24,6 +24,15 @@ def keys_per_node(cluster, count=2, tag=b"k"):
     return result
 
 
+def events_named(cluster, name, gid=None):
+    """The trace's point events called ``name`` (about txn ``gid``)."""
+    return [
+        rec for rec in cluster.obs.records()
+        if rec["type"] == "event" and rec["name"] == name
+        and (gid is None or rec.get("txn") == gid.hex())
+    ]
+
+
 @pytest.fixture(scope="module")
 def full_cluster():
     return TreatyCluster(profile=TREATY_FULL).start()
@@ -56,15 +65,19 @@ class TestDistributedCommit:
         coordinator = cluster.nodes[1].coordinator
         local_key = keys_per_node(cluster, tag=b"b")[1][0]
         clog_before = cluster.nodes[1].clog.last_counter
+        part = cluster.nodes[1].participant
+        txn = coordinator.begin()
 
         def body():
-            txn = coordinator.begin()
             yield from txn.put(local_key, b"local")
+            assert txn.key in part.active
             yield from txn.commit()
 
         cluster.run(body())
         assert cluster.nodes[1].clog.last_counter == clog_before
         assert coordinator.local_commits >= 1
+        # The half lived in the node's Participant and left in one phase.
+        assert txn.key not in part.active
 
     def test_distributed_commit_writes_clog_records(self, full_cluster):
         cluster = full_cluster
@@ -82,6 +95,26 @@ class TestDistributedCommit:
         cluster.run(body())
         # PREPARE + COMMIT + COMPLETE
         assert cluster.nodes[2].clog.last_counter >= clog_before + 3
+
+    def test_own_half_lives_in_the_nodes_participant(self, full_cluster):
+        """The coordinator's own shard is a participant like any other:
+        its half sits in ``participant.active`` from first touch to
+        apply, and the apply is recorded like every other node's."""
+        cluster = full_cluster
+        spread = keys_per_node(cluster, tag=b"own")
+        part = cluster.nodes[0].participant
+        txn = cluster.nodes[0].coordinator.begin()
+
+        def body():
+            yield from txn.put(spread[0][0], b"v")
+            assert txn.key in part.active
+            yield from txn.put(spread[1][0], b"v")
+            yield from txn.commit()
+
+        cluster.run(body())
+        assert txn.participants == {0, 1}
+        assert txn.key not in part.active
+        assert part.applied[txn.key] == 1
 
     def test_remote_read_returns_committed_value(self, full_cluster):
         cluster = full_cluster
@@ -393,14 +426,123 @@ class TestApplyStep:
         assert len(winners) == 1, outcomes
         assert len(winners[0]) == 1  # one (log, counter) target
         assert part.commits_served == before + 1
-        applies = [
-            rec for rec in cluster.obs.records()
-            if rec["type"] == "event" and rec["name"] == "commit_apply"
-            and rec.get("txn") == gid.encode().hex()
-        ]
+        applies = events_named(cluster, "commit_apply", gid.encode())
         assert [rec["node"] for rec in applies] == [node.name]
         assert gid.encode() not in part.active
         assert cluster.run(node.engine.get(key)) == b"once"
+
+
+    def test_completer_instruction_beats_the_coordinators_own_apply(self):
+        """A completer's TXN_COMMIT reaches the coordinator's node after
+        ``protect`` and before the coordinator applies its own half: the
+        instruction applies it, the coordinator's own apply finds the
+        half gone, and the commit finishes as usual."""
+        cluster = TreatyCluster(
+            profile=TREATY_FULL, config=ClusterConfig(tracing=True),
+            partitioner=_digit_partitioner,
+        ).start()
+        sim = cluster.sim
+        node = cluster.nodes[0]
+        coordinator = node.coordinator
+        txn = coordinator.begin()
+        protect = coordinator.protect
+        racers = []
+
+        def protect_then_race(*args, **kwargs):
+            kind = yield from protect(*args, **kwargs)
+            # One hop to node0, against the round trip (plus node2's
+            # apply) the coordinator's delivery round takes.
+            racers.append(sim.process(
+                cluster.nodes[1].participant.instruct(kind, txn.gid, [0]),
+                name="completer-instruct",
+            ))
+            return kind
+
+        coordinator.protect = protect_then_race
+        clog_before = node.clog.last_counter
+
+        def body():
+            yield from txn.put(b"0/own", b"once")
+            yield from txn.put(b"2/remote", b"once")
+            yield from txn.commit()
+            yield sim.timeout(0.05)  # let COMPLETE land
+
+        cluster.run(body())
+        assert txn.status == TxnStatus.COMMITTED
+        applies = events_named(cluster, "commit_apply", txn.key)
+        assert sorted(rec["node"] for rec in applies) == ["node0", "node2"]
+        # The instruction got there first (its ACK carried the commit
+        # record's target); the own apply found no half.
+        assert len(racers[0].value) == 1
+        assert node.participant.commits_served == 1
+        assert txn.key not in node.participant.active
+        # PREPARE + COMMIT + COMPLETE: the completion round still ran.
+        assert node.clog.last_counter == clog_before + 3
+        assert cluster.run(node.engine.get(b"0/own")) == b"once"
+
+
+class TestOwnHalfIsAnOrdinaryHalf:
+    def test_no_watchdogs_for_a_half_this_node_coordinates(self):
+        """Orphan fuse and decision watchdog guard a half against its
+        coordinator's death; the coordinator's own half dies with it
+        (recovery resolves it), so it arms neither."""
+        cluster = TreatyCluster(
+            profile=TREATY_FULL,
+            config=ClusterConfig(tracing=True, protocol="optimized"),
+            partitioner=_digit_partitioner,
+        ).start()
+        cluster.obs.tracer.trace_processes = True
+
+        def body():
+            txn = cluster.nodes[0].coordinator.begin()
+            yield from txn.put(b"0/own", b"v")
+            yield from txn.put(b"1/remote", b"v")
+            yield from txn.commit()
+
+        cluster.run(body())
+        started = [
+            rec["args"]["process"]
+            for rec in events_named(cluster, "process_start")
+        ]
+        watchdogs = sorted(
+            name for name in started
+            if name.startswith(("orphan-fuse@", "decision-watch@"))
+        )
+        assert watchdogs == ["decision-watch@node1", "orphan-fuse@node1"]
+
+    def test_occ_no_vote_leaves_no_abort_apply(self):
+        """Distributed OCC, reads on the own shard and on shard 1 both
+        overwritten before commit, a write on shard 2: shards 0 and 1
+        vote NO (their halves roll themselves back inside PREPARE),
+        shard 2 prepares.  Only the half that had prepared has anything
+        to abort — the own NO vote is treated like the remote one."""
+        cluster = TreatyCluster(
+            profile=TREATY_FULL, config=ClusterConfig(tracing=True),
+            partitioner=_digit_partitioner,
+        ).start()
+        coordinator = cluster.nodes[0].coordinator
+        txn = coordinator.begin(optimistic=True)
+        gid = txn.gid.encode()
+
+        def body():
+            yield from txn.get(b"0/read")
+            yield from txn.get(b"1/read")
+            yield from txn.put(b"2/write", b"v")
+            writer = cluster.nodes[1].coordinator.begin()
+            yield from writer.put(b"0/read", b"newer")
+            yield from writer.put(b"1/read", b"newer")
+            yield from writer.commit()
+            with pytest.raises(TransactionAborted):
+                yield from txn.commit()
+            yield cluster.sim.timeout(0.05)
+
+        cluster.run(body())
+        assert txn.status == TxnStatus.ABORTED
+        assert coordinator.aborts == 1
+        for node in cluster.nodes:
+            assert gid not in node.participant.active
+        aborts = events_named(cluster, "abort_apply", gid)
+        assert [rec["node"] for rec in aborts] == ["node2"]
 
 
 # -- the one routing step: every execution-phase failure leaves one way -------
@@ -472,16 +614,17 @@ class TestExecutionFailure:
 
 def test_package_keeps_the_module_surface():
     """``core/twopc.py`` became a package; every public name the module
-    defined is still importable from ``repro.core.twopc``."""
+    defined is still importable from ``repro.core.twopc`` — except the
+    three steps that folded into ``Participant`` once every half lived
+    there (``protect_prepare``, ``validate_occ``, ``apply_half``)."""
     import repro.core.twopc as twopc
 
     module_all = [
         "ClogRecord", "DecisionRecord", "Participant", "Coordinator",
-        "GlobalTxn", "piggyback", "protect_prepare", "pace", "deliver",
-        "apply_half",
+        "GlobalTxn", "piggyback", "pace", "deliver",
     ]
     module_public = module_all + [
-        "validate_occ", "encode_scan_request", "decode_scan_request",
+        "encode_scan_request", "decode_scan_request",
         "encode_scan_reply", "decode_scan_reply", "encode_occ_prepare",
         "decode_occ_prepare", "PREPARE_VOTE_TIMEOUT",
         "RESOLUTION_RETRY_INTERVAL", "Partitioner", "Gen",
@@ -489,3 +632,5 @@ def test_package_keeps_the_module_surface():
     assert set(module_all) <= set(twopc.__all__)
     for name in twopc.__all__ + module_public:
         assert hasattr(twopc, name), name
+    for folded in ("protect_prepare", "validate_occ", "apply_half"):
+        assert not hasattr(twopc, folded), folded

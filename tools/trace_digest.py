@@ -11,12 +11,16 @@ emit and compares with (or writes) a pinned JSON file:
   counter-async, lcm} (seed 11, 400 keys, 12 clients, 0.01 s warm-up +
   0.1 s; ``counter_shards=2`` for the async backends) — sha256 over
   ``json.dumps(rec, sort_keys=True)`` of every trace record, in order;
+* **distributed OCC**: the same recipe with ``optimistic=True`` on
+  ``counter-async``, per protocol (the ``…/occ`` rows);
 * **trace exports**: sha256 of the Chrome-trace and JSONL files of
   ``repro trace --workload demo|ycsb|tpcc --seed 7``.
 
-Usage: ``python tools/trace_digest.py [--write|--check] FILE`` (default
-``--check``; run with ``PYTHONHASHSEED=0``).  ``--check`` exits 1 and
-names every digest that moved.
+Usage: ``python tools/trace_digest.py [--write|--check] [--dump DIR]
+FILE`` (default ``--check``; run with ``PYTHONHASHSEED=0``).  ``--check``
+exits 1 and names every digest that moved; ``--dump DIR`` also writes
+what each recipe hashed (one JSONL file per row), so ``diff -r`` over the
+dumps of two checkouts shows *which records* moved.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 import tempfile
 
@@ -36,10 +41,19 @@ sys.path.insert(
 
 PROTOCOLS = ("paper", "optimized")
 BACKENDS = ("counter-sync", "counter-async", "lcm")
+#: (backend, optimistic) per protocol; the row key is
+#: ``protocol/backend[/occ]``.
+RECIPES = [(backend, False) for backend in BACKENDS] + [("counter-async", True)]
 TRACE_WORKLOADS = ("demo", "ycsb", "tpcc")
 
 
-def protocol_backend_digest(protocol: str, backend: str) -> dict:
+def _dump_path(dump: str, key: str) -> str:
+    return os.path.join(dump, key.replace("/", "-") + ".jsonl")
+
+
+def protocol_backend_digest(
+    protocol: str, backend: str, optimistic: bool = False, dump_to=None
+) -> dict:
     from repro.bench.metrics import MetricsCollector
     from repro.config import TREATY_FULL, ClusterConfig
     from repro.core import TreatyCluster
@@ -50,7 +64,9 @@ def protocol_backend_digest(protocol: str, backend: str) -> dict:
         counter_shards=1 if backend == "counter-sync" else 2,
     )
     cluster = TreatyCluster(profile=TREATY_FULL, config=config).start()
-    ycsb = YcsbConfig(read_proportion=0.5, num_keys=400)
+    ycsb = YcsbConfig(
+        read_proportion=0.5, num_keys=400, optimistic=optimistic
+    )
     cluster.run(bulk_load(cluster, ycsb), name="load")
     run_ycsb(
         cluster, ycsb, MetricsCollector("digest"),
@@ -58,12 +74,16 @@ def protocol_backend_digest(protocol: str, backend: str) -> dict:
     )
     digest = hashlib.sha256()
     records = cluster.obs.records()
-    for record in records:
-        digest.update(json.dumps(record, sort_keys=True).encode())
+    lines = [json.dumps(record, sort_keys=True) for record in records]
+    for line in lines:
+        digest.update(line.encode())
+    if dump_to:
+        with open(dump_to, "w") as fp:
+            fp.writelines(line + "\n" for line in lines)
     return {"records": len(records), "sha256": digest.hexdigest()}
 
 
-def trace_export_digest(workload: str) -> dict:
+def trace_export_digest(workload: str, dump_to=None) -> dict:
     from repro.cli import main
 
     with tempfile.TemporaryDirectory() as scratch:
@@ -80,12 +100,17 @@ def trace_export_digest(workload: str) -> dict:
         for name, path in (("chrome", chrome), ("jsonl", jsonl)):
             with open(path, "rb") as fp:
                 digests[name] = hashlib.sha256(fp.read()).hexdigest()
+        if dump_to:
+            shutil.copyfile(jsonl, dump_to)
     return digests
 
 
-def compute() -> dict:
-    """Run every recipe, printing each digest as it is ready."""
+def compute(dump=None) -> dict:
+    """Run every recipe, printing each digest as it is ready; with
+    ``dump`` also write each recipe's records under that directory."""
     document: dict = {"protocol_backend": {}, "trace_export": {}}
+    if dump:
+        os.makedirs(dump, exist_ok=True)
 
     def done(section: str, key: str, entry: dict) -> None:
         document[section][key] = entry
@@ -93,11 +118,16 @@ def compute() -> dict:
               flush=True)
 
     for protocol in PROTOCOLS:
-        for backend in BACKENDS:
-            done("protocol_backend", "%s/%s" % (protocol, backend),
-                 protocol_backend_digest(protocol, backend))
+        for backend, optimistic in RECIPES:
+            key = "%s/%s%s" % (protocol, backend, "/occ" if optimistic else "")
+            done("protocol_backend", key, protocol_backend_digest(
+                protocol, backend, optimistic,
+                dump and _dump_path(dump, key),
+            ))
     for workload in TRACE_WORKLOADS:
-        done("trace_export", workload, trace_export_digest(workload))
+        done("trace_export", workload, trace_export_digest(
+            workload, dump and _dump_path(dump, "trace-" + workload)
+        ))
     return document
 
 
@@ -117,10 +147,13 @@ def main(argv=None) -> int:
                       help="pin the digests of this checkout into FILE")
     mode.add_argument("--check", action="store_true",
                       help="compare this checkout with FILE (default)")
+    parser.add_argument("--dump", metavar="DIR",
+                        help="also write each recipe's records as JSONL "
+                             "under DIR (diff two checkouts' dumps)")
     parser.add_argument("file", help="the pinned digests (JSON)")
     args = parser.parse_args(argv)
 
-    document = compute()
+    document = compute(args.dump)
     if args.write:
         with open(args.file, "w") as fp:
             json.dump(document, fp, indent=2, sort_keys=True)
