@@ -36,6 +36,7 @@ from typing import List, Optional
 from .config import PROFILES, ClusterConfig, TREATY_FULL
 from .bench.harness import _attach_phase_breakdown
 from .bench.metrics import MetricsCollector
+from .core.trusted_counter import BACKENDS
 
 
 def _add_profile_argument(parser: argparse.ArgumentParser) -> None:
@@ -1229,7 +1230,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--backend", default=None,
-        choices=["counter-sync", "counter-async", "lcm"],
+        choices=list(BACKENDS),
         help="baseline mode: rollback-protection backend for the run "
              "(default counter-async — the bench frontier; the "
              "per-cluster default stays counter-sync)",
@@ -1288,7 +1289,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "scope replaces --scope); the checker must find a "
                          "counterexample")
     mc.add_argument("--backend", default="counter-sync",
-                    choices=["counter-sync", "counter-async", "lcm"],
+                    choices=list(BACKENDS),
                     help="explore: rollback-protection backend for the "
                          "bounded worlds (coverage backends run with 2 "
                          "counter shards); ignored with --mutate")

@@ -254,19 +254,13 @@ class ClusterConfig:
     cores_per_node: int = 8
     memtable_limit_bytes: int = 8 * 1024 * 1024
     counter_quorum: int = 2
-    #: rollback-protection backend (repro.core.rollback):
-    #: ``"counter-sync"``  — every stabilization request drives (or joins)
-    #: a synchronous two-round echo-broadcast and waits for the quorum
-    #: CONFIRM;
-    #: ``"counter-async"`` — *coverage promises*: per-shard background
-    #: drivers run batched rounds on their own cadence, waiters resolve
-    #: at the round's echo quorum (the value is then held in a quorum's
-    #: protected memory — the LCM argument), the CONFIRM leg completes in
-    #: the background, and a per-shard lease arms a sync fallback when
-    #: the driver is dead or partitioned;
-    #: ``"lcm"``           — Lightweight-Collective-Memory style single
-    #: round: the echo *is* the commit (replicas persist echoed values),
-    #: no CONFIRM leg at all.
+    #: rollback-protection backend — a key of
+    #: ``repro.core.trusted_counter.BACKENDS``, whose row says where
+    #: waiters release, what becomes of the CONFIRM leg and who
+    #: schedules rounds: ``"counter-sync"`` (§VI as written, both legs
+    #: on the commit path), ``"counter-async"`` (coverage promises,
+    #: release at echo quorum, CONFIRM in the background) or ``"lcm"``
+    #: (the echo *is* the commit, no CONFIRM leg).
     rollback_backend: str = "counter-sync"
     #: independent counter groups ("shards") keyed by log-name hash.
     #: Each shard runs its own round pipeline, so disjoint logs stop

@@ -46,6 +46,7 @@ from .twopc import (
     Coordinator,
     Participant,
     deliver,
+    fold_clog,
     pace,
     replication,
 )
@@ -100,7 +101,6 @@ class TreatyNode:
         self.frontend: Optional[FrontEnd] = None
         self.counter_client: Optional[CounterClient] = None
         self.pipeline: Optional[DurabilityPipeline] = None
-        self.rollback = None  # Optional[RollbackProtection], set by _build
         self.ledger: Optional[DecisionLedger] = None
         self.clog: Optional[SecureLog] = None
 
@@ -162,14 +162,12 @@ class TreatyNode:
             self.numeric_id,
             epoch=self.boot_count,
         )
+        # Rebuilt on every boot, round scheduler included: a recovered
+        # incarnation gets fresh per-shard drivers and leases while the
+        # crashed incarnation's zombie fibers die on their detached NIC.
         self.pipeline = DurabilityPipeline(
             self.runtime, self.counter_client, self.config
         )
-        # The rollback-protection backend (sync / coverage promises /
-        # LCM) is rebuilt on every boot: a recovered incarnation gets
-        # fresh per-shard drivers and leases while the crashed
-        # incarnation's zombie fibers die on their detached NIC.
-        self.rollback = self.pipeline.rollback
         # Decision slots are enclave memory: volatile, rebuilt each
         # boot.  A crash forgets them — the quorum of *surviving*
         # holders is what keeps a replicated decision alive, the same
@@ -247,24 +245,11 @@ class TreatyNode:
         if self.config.storage_engine == "null":
             return
         old_clog = self.clog
-        # Determine which 2PC state must survive into the new log.
+        # Which 2PC state must survive into the new log: undecided
+        # prepares and commits whose completion is unrecorded.  Decided
+        # ABORTs are dropped here, though recovery would redrive them.
         entries = yield from old_clog.replay()
-        prepares: Dict[bytes, ClogRecord] = {}
-        undone_commits: Dict[bytes, ClogRecord] = {}
-        for _counter, payload in entries:
-            record = ClogRecord.decode(payload)
-            key = record.gid.encode()
-            if record.kind == ClogRecord.PREPARE:
-                prepares[key] = record
-            elif record.kind == ClogRecord.COMPLETE:
-                undone_commits.pop(key, None)
-            elif record.kind == ClogRecord.COMMIT:
-                prepares.pop(key, None)
-                undone_commits[key] = record
-            else:  # ABORT — may supersede an unacknowledged COMMIT
-                # whose decision quorum turned out unreachable.
-                prepares.pop(key, None)
-                undone_commits.pop(key, None)
+        prepares, undone_commits, _aborts, _decisions = fold_clog(entries)
 
         self._clog_seq += 1
         new_clog = SecureLog(
@@ -398,29 +383,10 @@ class TreatyNode:
 
         # Rebuild coordinator decisions; find unresolved prepares and
         # commits whose completion was never recorded.
-        seen_prepares: Dict[bytes, ClogRecord] = {}
-        incomplete_commits: Dict[bytes, ClogRecord] = {}
-        decided_aborts: Dict[bytes, ClogRecord] = {}
-        for counter, payload in clog_entries:
-            record = ClogRecord.decode(payload)
-            key = record.gid.encode()
-            if record.kind == ClogRecord.PREPARE:
-                seen_prepares[key] = record
-            elif record.kind == ClogRecord.COMPLETE:
-                incomplete_commits.pop(key, None)
-            else:
-                self.coordinator.decisions[key] = (
-                    record.kind, counter, tuple(record.targets)
-                )
-                seen_prepares.pop(key, None)
-                if record.kind == ClogRecord.COMMIT:
-                    incomplete_commits[key] = record
-                else:
-                    # An ABORT can supersede an earlier COMMIT whose
-                    # decision quorum proved unreachable (the later
-                    # entry wins; only the abort was ever observable).
-                    incomplete_commits.pop(key, None)
-                    decided_aborts[key] = record
+        seen_prepares, incomplete_commits, decided_aborts, decisions = (
+            fold_clog(clog_entries)
+        )
+        self.coordinator.decisions.update(decisions)
 
         # Warm the fresh decision ledger with one vectored query burst
         # before any resolve fiber runs: completer fallbacks then start

@@ -4,7 +4,7 @@
 storage engine, the transaction manager and both 2PC roles make a log
 entry rollback-protected through it and through nothing else.  It owns
 the :class:`~repro.txn.group_commit.GroupCommitter`, the configured
-:class:`~repro.core.rollback.RollbackProtection` backend and the
+rollback-protection backend's scheduler and the
 :class:`~repro.core.stabilization.FreshnessWitness`, holds the profile
 gate (a pipeline without stabilization is a no-op that advances no
 simulated time) and the wait statistics, and schedules the layers as
@@ -43,7 +43,7 @@ from ..config import ClusterConfig
 from ..sim.core import Event
 from ..tee.runtime import NodeRuntime
 from ..txn.group_commit import GroupCommitter
-from .rollback import RollbackProtection, make_backend
+from .rollback import PromiseScheduler
 from .stabilization import FreshnessWitness
 from .trusted_counter import CounterClient
 
@@ -55,8 +55,8 @@ Gen = Generator[Event, Any, Any]
 class DurabilityPipeline:
     """One node's unified durability scheduler.
 
-    Construction order mirrors the dependency chain: the pipeline builds
-    the rollback-protection backend over an existing
+    Construction order mirrors the dependency chain: the pipeline puts
+    the backend's round scheduler over an existing
     :class:`CounterClient`, and :meth:`attach_engine` later binds the
     node's storage engine with a pipeline-aware :class:`GroupCommitter`.
     A pipeline built without a counter client (lower-layer unit tests)
@@ -74,13 +74,13 @@ class DurabilityPipeline:
         self.counter_client = counter_client
         self.config = config
         self.tracer = runtime.tracer
-        #: the rollback-protection backend (sync round / coverage
-        #: promises / LCM echo) every stabilization request routes
-        #: through — see :mod:`repro.core.rollback`.
-        self.rollback: Optional[RollbackProtection] = (
-            make_backend(runtime, counter_client, config)
-            if counter_client is not None else None
-        )
+        #: what every stabilization request routes through: the counter
+        #: client itself when its waiters start rounds on demand, the
+        #: coverage-promise scheduler over it when the backend's
+        #: :class:`~repro.core.trusted_counter.RoundShape` says so.
+        self.rollback = counter_client
+        if counter_client is not None and counter_client.shape.promises:
+            self.rollback = PromiseScheduler(runtime, counter_client)
         #: whether stabilization actually runs under this profile.
         self.enabled = (
             runtime.profile.stabilization and self.rollback is not None

@@ -1,49 +1,33 @@
-"""Pluggable rollback-protection backends (§VI, LCM).
+"""Coverage promises and decision slots: what rides on the counter rounds.
 
 Treaty's stabilization contract is narrower than "every transaction runs
 its own counter round": an entry must be *covered* by a stable counter
 value before the client is acknowledged (acked ⇒ covered ⇒ stable before
-externalized).  How coverage is established is a backend decision, and
-Brandenburger et al.'s Lightweight Collective Memory (PAPERS.md) shows
-the same rollback/forking guarantee is reachable with a much cheaper
-echo-only scheme.  This module holds that decision as a
-:class:`RollbackProtection` interface over the node's
-:class:`~repro.core.trusted_counter.CounterClient`, with three
-implementations selected by ``ClusterConfig.rollback_backend``; the
-node's :class:`~repro.core.pipeline.DurabilityPipeline` builds one and
-is its only caller:
+externalized).  What a backend *is* — where waiters release, what becomes
+of the CONFIRM leg, who schedules rounds — is one
+:class:`~repro.core.trusted_counter.RoundShape` row per
+``ClusterConfig.rollback_backend`` value in
+:data:`~repro.core.trusted_counter.BACKENDS`; the round itself is
+:meth:`CounterClient.run_round`.  This module holds the one piece of a
+backend that is *not* round shape: the :class:`PromiseScheduler` that
+decides *when* rounds run under the promise-scheduled rows
+(``counter-async`` and ``lcm``).  The node's
+:class:`~repro.core.pipeline.DurabilityPipeline` routes every
+stabilization request through it there, and straight to the
+:class:`CounterClient` — whose waiters start rounds on demand — under
+``counter-sync``; both answer ``stabilize`` / ``stabilize_many`` /
+``stable_value``.
 
-``counter-sync``
-    The original behavior: the caller's fiber (or a driver it spawns)
-    runs the full two-leg echo-broadcast protocol — UPDATE/echo quorum,
-    then CONFIRM/ack quorum, then seal — and only then releases waiters.
-    Maximally conservative; the counter round sits on the commit
-    critical path.
+*Coverage promises*: per-shard background driver fibers run batched
+group rounds on their own cadence.  A transaction's ``stabilize_many``
+registers its targets and resolves as soon as they are ≤ the shard's
+stable frontier as advanced by an outstanding round — it never starts a
+round of its own.  Each successful round renews a per-shard *lease*; a
+promise that outlives the lease (driver dead, shard partitioned) falls
+back to exactly one synchronous round driven by the waiter itself.
 
-``counter-async``
-    *Coverage promises*: per-shard background driver fibers run batched
-    group rounds on their own cadence.  A transaction's
-    ``stabilize_many`` registers its targets and resolves as soon as
-    they are ≤ the shard's stable frontier as advanced by an outstanding
-    round — it never starts a round of its own.  Waiters release at
-    *echo quorum* (the values are then held in a quorum's protected
-    memory, which is the rollback-protection point for fail-stop +
-    rollback adversaries; recovery reads report echoed values under this
-    backend); the CONFIRM leg — which only freshens the replicas'
-    sealed state — completes in the background off the critical path.
-    Each successful round renews a per-shard *lease*; a promise that
-    outlives the lease (driver dead, shard partitioned) falls back to
-    exactly one synchronous round driven by the waiter itself.
-
-``lcm``
-    LCM-style echo broadcast: round 1 *is* the commit.  Replicas persist
-    the echoed values when they echo (``CounterReplica.echo_commit``),
-    so there is no CONFIRM leg at all — one broadcast, one quorum, one
-    seal per replica.  Coverage promises, leases and the sync fallback
-    work exactly as in ``counter-async``.
-
-Safety: all three backends advance the same per-log
-:class:`~repro.sim.sync.Gate` frontiers and fire the same
+Safety: every backend advances the same per-log
+:class:`~repro.sim.sync.Gate` frontiers and fires the same
 ``stabilize/advance`` trace events, which are the *only* stability
 source for the I1–I5 monitor and the model checker — so the coverage
 backends are checked end-to-end by the existing machinery.  The
@@ -54,104 +38,45 @@ acks without coverage.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Sequence, Tuple
+from typing import Any, Dict, Generator, List, Sequence
 
-from ..config import ClusterConfig
 from ..errors import FreshnessError, NetworkError
 from ..sim.core import Event
 from ..sim.sync import Semaphore
 from ..tee.runtime import NodeRuntime
 from .trusted_counter import COUNTER_RETRY_BACKOFF, CounterClient, Target
 
-__all__ = [
-    "BACKENDS",
-    "RollbackProtection",
-    "CounterSyncBackend",
-    "CounterAsyncBackend",
-    "LcmBackend",
-    "DecisionLedger",
-    "make_backend",
-]
+__all__ = ["PromiseScheduler", "DecisionLedger"]
 
 Gen = Generator[Event, Any, Any]
 
-#: selectable values of ``ClusterConfig.rollback_backend``.
-BACKENDS = ("counter-sync", "counter-async", "lcm")
-
-#: concurrent echo rounds in flight per shard (counter-async/lcm driver
-#: pipelining); 1 would serialize rounds like the sync driver.
+#: concurrent echo rounds in flight per shard (driver pipelining); 1
+#: would serialize rounds like the on-demand driver.
 COUNTER_MAX_INFLIGHT = 4
 
 
-class RollbackProtection:
-    """Interface: make ``(log, counter)`` targets rollback-protected.
+class PromiseScheduler:
+    """Coverage promises: background per-shard drivers, lease-gated waits.
 
-    Implementations share the :class:`CounterClient`'s per-log gates as
-    the stable frontier, so ``stable_value`` and the monitor's view are
-    backend-independent.
+    Per shard, the scheduler keeps a persistent driver fiber woken by a
+    :class:`Semaphore` (no polling — the sim stays quiescent when idle).
+    The driver snapshots unclaimed pending targets, claims them, and
+    spawns up to :data:`COUNTER_MAX_INFLIGHT` concurrent protocol rounds —
+    pipelining removes the "wait for the previous round to finish"
+    pickup latency that serializes the on-demand driver.  Rounds renew
+    the shard lease on success.
+
+    A waiter whose promise outlives ``max(lease_until, entry + lease)``
+    runs :meth:`CounterClient.drive_until_stable` itself — exactly one
+    synchronous fallback per expired promise — so a partitioned or dead
+    driver degrades to on-demand rounds instead of hanging.
     """
-
-    name = "abstract"
 
     def __init__(self, runtime: NodeRuntime, client: CounterClient):
         self.runtime = runtime
         self.client = client
         self.tracer = runtime.tracer
-
-    def stabilize(self, log_name: str, value: int) -> Gen:
-        """Block until ``log_name``'s counter is stable at >= ``value``."""
-        yield from self.stabilize_many([(log_name, value)])
-
-    def stabilize_many(self, targets: Sequence[Target]) -> Gen:
-        raise NotImplementedError
-
-    def stable_value(self, log_name: str) -> int:
-        return self.client.stable_value(log_name)
-
-
-class CounterSyncBackend(RollbackProtection):
-    """Today's behavior: callers drive (or join) a synchronous round and
-    wait out both protocol legs before being released."""
-
-    name = "counter-sync"
-
-    def stabilize(self, log_name: str, value: int) -> Gen:
-        yield from self.client.stabilize(log_name, value)
-
-    def stabilize_many(self, targets: Sequence[Target]) -> Gen:
-        yield from self.client.stabilize_many(targets)
-
-
-class CounterAsyncBackend(RollbackProtection):
-    """Coverage promises: background per-shard drivers, lease-gated waits.
-
-    Per shard, the backend keeps a persistent driver fiber woken by a
-    :class:`Semaphore` (no polling — the sim stays quiescent when idle).
-    The driver snapshots unclaimed pending targets, claims them, and
-    spawns up to :data:`COUNTER_MAX_INFLIGHT` concurrent protocol rounds —
-    pipelining removes the "wait for the previous round to finish"
-    pickup latency that serializes the sync driver.  Rounds release
-    waiters at echo quorum and renew the shard lease on success.
-
-    A waiter whose promise outlives ``max(lease_until, entry + lease)``
-    runs :meth:`CounterClient.drive_until_stable` itself — exactly one
-    synchronous fallback per expired promise — so a partitioned or dead
-    driver degrades to the sync backend's semantics instead of hanging.
-    """
-
-    name = "counter-async"
-    #: run the CONFIRM leg (in the background).  The LCM subclass drops it.
-    confirm = True
-    background_confirm = True
-
-    def __init__(
-        self,
-        runtime: NodeRuntime,
-        client: CounterClient,
-        config: ClusterConfig,
-    ):
-        super().__init__(runtime, client)
-        self.lease_s = config.counter_lease_s
+        self.lease_s = runtime.config.counter_lease_s
         shards = client.num_shards
         #: test hook: park the drivers to force the lease-expiry path.
         self.drivers_enabled = True
@@ -178,18 +103,22 @@ class CounterAsyncBackend(RollbackProtection):
             )
 
     # -- the waiter side ----------------------------------------------------
+    def stable_value(self, log_name: str) -> int:
+        return self.client.stable_value(log_name)
+
+    def stabilize(self, log_name: str, value: int) -> Gen:
+        """Block until ``log_name``'s counter is stable at >= ``value``."""
+        yield from self.stabilize_many([(log_name, value)])
+
     def stabilize_many(self, targets: Sequence[Target]) -> Gen:
+        """Block until every ``(log, value)`` target is covered."""
         client = self.client
-        needed = [
-            (log_name, value)
-            for log_name, value in targets
-            if client._gate(log_name).value < value
-        ]
+        needed = client.unstable(targets)
         if not needed:
             return
         by_shard: Dict[int, List[Target]] = {}
         for log_name, value in needed:
-            shard = client._register(log_name, value, spawn_driver=False)
+            shard = client.register(log_name, value)
             by_shard.setdefault(shard, []).append((log_name, value))
         self.promises += 1
         if self.tracer.enabled:
@@ -215,11 +144,7 @@ class CounterAsyncBackend(RollbackProtection):
         # has never run a round (lease_until still 0 at boot).
         grace = sim.now + self.lease_s
         while True:
-            waits = [
-                client._gate(log_name).wait_for(value)
-                for log_name, value in targets
-                if client._gate(log_name).value < value
-            ]
+            waits = client.waits(targets)
             if not waits:
                 return
             deadline = max(self.lease_until[shard], grace)
@@ -235,11 +160,7 @@ class CounterAsyncBackend(RollbackProtection):
                         epoch=client.epoch, shard=shard, state="expired",
                         targets=len(targets),
                     )
-                yield from client.drive_until_stable(
-                    targets, shard=shard, confirm=self.confirm,
-                    release_at_echo=True,
-                    background_confirm=self.background_confirm,
-                )
+                yield from client.drive_until_stable(shard, targets)
                 return
             yield sim.any_of(
                 [sim.all_of(waits), sim.timeout(deadline - sim.now)]
@@ -250,7 +171,7 @@ class CounterAsyncBackend(RollbackProtection):
         claimed = self._claimed[shard]
         return [
             (log_name, value)
-            for log_name, value in self.client._pending_snapshot(shard)
+            for log_name, value in self.client.pending_snapshot(shard)
             if value > claimed.get(log_name, 0)
         ]
 
@@ -277,14 +198,9 @@ class CounterAsyncBackend(RollbackProtection):
             )
 
     def _round(self, shard: int, targets: List[Target]) -> Gen:
-        client = self.client
         failed = False
         try:
-            yield from client._run_protocol(
-                targets, shard=shard, confirm=self.confirm,
-                release_at_echo=True,
-                background_confirm=self.background_confirm,
-            )
+            yield from self.client.run_round(targets, shard)
         except FreshnessError:
             # Quorum unreachable this round.  Back off before releasing
             # the claim so redrives pace at the retry cadence; do NOT
@@ -295,7 +211,8 @@ class CounterAsyncBackend(RollbackProtection):
             yield self.runtime.sim.timeout(COUNTER_RETRY_BACKOFF)
         except NetworkError:
             # NIC detached: this node crashed and we are a zombie.  Stop
-            # driving — the recovered incarnation builds its own backend.
+            # driving — the recovered incarnation builds its own
+            # scheduler.
             failed = True
             self._dead = True
         finally:
@@ -306,27 +223,11 @@ class CounterAsyncBackend(RollbackProtection):
                     claimed.pop(log_name, None)
             self._round_done[shard].release()
             if not failed:
-                self._renew_lease(shard)
-                # Pending may have been raised past our claim meanwhile.
+                # Renew the lease; pending may have been raised past our
+                # claim meanwhile.
+                self.lease_until[shard] = self.runtime.sim.now + self.lease_s
+                self._lease_renewals.inc()
                 self._wake[shard].release()
-
-    def _renew_lease(self, shard: int) -> None:
-        self.lease_until[shard] = self.runtime.sim.now + self.lease_s
-        self._lease_renewals.inc()
-
-
-class LcmBackend(CounterAsyncBackend):
-    """LCM-style echo broadcast: one leg, the echo is the commit.
-
-    Inherits the whole coverage-promise machinery; the only difference
-    is the round shape — no CONFIRM leg, replicas seal at echo time
-    (``CounterReplica.echo_commit``), the sender seals its own state
-    after the quorum.
-    """
-
-    name = "lcm"
-    confirm = False
-    background_confirm = False
 
 
 class DecisionLedger:
@@ -395,22 +296,3 @@ class DecisionLedger:
 
     def get(self, gid_bytes: bytes):
         return self.slots.get(gid_bytes)
-
-
-def make_backend(
-    runtime: NodeRuntime,
-    client: CounterClient,
-    config: ClusterConfig,
-) -> RollbackProtection:
-    """Build the configured rollback-protection backend for one node."""
-    name = config.rollback_backend
-    if name == "counter-sync":
-        return CounterSyncBackend(runtime, client)
-    if name == "counter-async":
-        return CounterAsyncBackend(runtime, client, config)
-    if name == "lcm":
-        return LcmBackend(runtime, client, config)
-    raise ValueError(
-        "unknown rollback_backend %r (expected one of %s)"
-        % (name, ", ".join(BACKENDS))
-    )

@@ -28,12 +28,18 @@ Implementation notes:
   the end-to-end stabilization latency reproduces ROTE's measured ~2 ms.
   The charge is per *message*, not per target: a vectored round costs
   the same as a single-log round, which is exactly the amortization.
+* A rollback-protection backend (``ClusterConfig.rollback_backend``) is
+  a *row of data*, not a class: :data:`BACKENDS` maps each name to the
+  :class:`RoundShape` its rounds take, and replica and client read
+  their row once, at construction.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Generator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from ..errors import FreshnessError, NetworkError
 from ..net.message import MsgType, TxMessage
@@ -47,6 +53,8 @@ from ..tee.runtime import NodeRuntime
 from ..tee.sgx import SealingKey
 
 __all__ = [
+    "BACKENDS",
+    "RoundShape",
     "CounterReplica",
     "CounterClient",
     "encode_counter_vector",
@@ -70,6 +78,53 @@ COUNTER_ROUND_TIMEOUT = 0.05
 COUNTER_RETRY_BACKOFF = 0.1
 #: retries before a stabilization request gives up (FreshnessError).
 COUNTER_MAX_RETRIES = 100
+
+
+class RoundShape(NamedTuple):
+    """What a rollback-protection backend *is*: the three facts in which
+    one echo-broadcast round differs from another."""
+
+    #: waiters release at the echo quorum — the values then sit in a
+    #: quorum's protected memory, the rollback-protection point for
+    #: fail-stop + rollback adversaries — instead of the CONFIRM quorum.
+    release_at_echo: bool
+    #: the CONFIRM leg: ``"strict"`` (on the round's critical path; a
+    #: missing quorum fails the round), ``"background"`` (detached into
+    #: its own fiber; it only freshens the replicas' sealed state, so a
+    #: failed one is dropped) or ``"none"`` (the echo *is* the commit:
+    #: replicas seal when they echo).
+    confirm: str
+    #: rounds are scheduled by coverage promises — per-shard background
+    #: drivers, leases, a sync fallback (:mod:`repro.core.rollback`) —
+    #: instead of on demand by the first waiter.
+    promises: bool
+
+
+#: ``ClusterConfig.rollback_backend`` → the shape of its rounds.
+#:
+#: ``counter-sync``: §VI as written.  Both legs — UPDATE/echo quorum,
+#: CONFIRM/ack quorum, seal — sit on the commit critical path and only
+#: then are waiters released.  ``counter-async``: waiters release at the
+#: echo quorum and the CONFIRM leg completes off the critical path.
+#: ``lcm``: LCM-style (Brandenburger et al., PAPERS.md) — one broadcast,
+#: one quorum, one seal per replica, no CONFIRM leg at all.
+BACKENDS: Dict[str, RoundShape] = {
+    #                 release_at_echo, confirm, promises
+    "counter-sync": RoundShape(False, "strict", False),
+    "counter-async": RoundShape(True, "background", True),
+    "lcm": RoundShape(True, "none", True),
+}
+
+
+def round_shape(config) -> RoundShape:
+    """The configured backend's row (``ValueError`` for an unknown name)."""
+    try:
+        return BACKENDS[config.rollback_backend]
+    except KeyError:
+        raise ValueError(
+            "unknown rollback_backend %r (expected one of %s)"
+            % (config.rollback_backend, ", ".join(BACKENDS))
+        ) from None
 
 
 def shard_of(log_name: str, num_shards: int) -> int:
@@ -119,18 +174,8 @@ class CounterReplica:
         self.node_name = node_name
         self.rng = rng or SeededRng(0, node_name, "counter-replica")
         self.tracer = runtime.tracer
-        backend = runtime.config.rollback_backend
-        #: async/lcm backends release waiters at echo quorum, so a
-        #: recovery read must report the freshest *echoed* value too —
-        #: an acked entry may be rollback-protected by echoes alone.
-        #: Safe: targets are registered only after the entry is durable
-        #: on the writer's disk, so an echoed value never exceeds an
-        #: honest writer's on-disk state, and reporting it can only make
-        #: the freshness check stricter.
-        self.report_echoed = backend != "counter-sync"
-        #: LCM mode: the echo *is* the commit — round 1 persists the
-        #: value, there is no CONFIRM leg.
-        self.echo_commit = backend == "lcm"
+        #: the configured backend's round shape (:data:`BACKENDS`).
+        self.shape = round_shape(runtime.config)
         #: tentative (echoed) and confirmed counter values per log.
         self.echoed: Dict[str, int] = {}
         self.confirmed: Dict[str, int] = {}
@@ -171,6 +216,31 @@ class CounterReplica:
         jitter = self.runtime.costs.rote_latency_jitter / 2.0
         return max(0.0, self.rng.gauss(mean, jitter))
 
+    def echo(self, targets: Sequence[Target]) -> None:
+        """Store the tentative values in protected memory."""
+        echoed = self.echoed
+        for log_name, value in targets:
+            if value > echoed.get(log_name, 0):
+                echoed[log_name] = value
+
+    def confirm(self, targets: Sequence[Target]) -> Gen:
+        """Advance the confirmed values and persist them.
+
+        One seal covers every confirmed target of the round; a round
+        that advances nothing charges none (and yields no event).
+        """
+        advanced = False
+        for log_name, value in targets:
+            if value > self.confirmed.get(log_name, 0):
+                self.confirmed[log_name] = value
+                advanced = True
+                self.tracer.event(
+                    "counter", "confirm", node=self.node_name,
+                    replica=self.node_name, log=log_name, value=value,
+                )
+        if advanced:
+            yield from self.seal_state()
+
     def _on_update(self, message: TxMessage, src: str) -> Gen:
         """Round 1: store the tentative values, reply with an echo.
 
@@ -181,26 +251,13 @@ class CounterReplica:
         yield self.runtime.sim.timeout(self._processing_delay())
         targets = decode_counter_vector(message.body)
         self.updates_processed += 1
-        echoes = []
-        for log_name, value in targets:
-            if value > self.echoed.get(log_name, 0):
-                self.echoed[log_name] = value
-            echoes.append((log_name, self.echoed[log_name]))
-        if self.echo_commit:
-            # LCM mode: round 1 is the whole protocol.  Persist the
-            # echoed values so rollback protection survives a full-group
-            # restart, exactly as the CONFIRM leg's seal would.
-            advanced = False
-            for log_name, value in targets:
-                if value > self.confirmed.get(log_name, 0):
-                    self.confirmed[log_name] = value
-                    advanced = True
-                    self.tracer.event(
-                        "counter", "confirm", node=self.node_name,
-                        replica=self.node_name, log=log_name, value=value,
-                    )
-            if advanced:
-                yield from self.seal_state()
+        self.echo(targets)
+        echoes = [(log_name, self.echoed[log_name]) for log_name, _ in targets]
+        if self.shape.confirm == "none":
+            # Round 1 is the whole protocol.  Persist the echoed values
+            # so rollback protection survives a full-group restart,
+            # exactly as the CONFIRM leg's seal would.
+            yield from self.confirm(targets)
         return message.reply(MsgType.ACK, encode_counter_vector(echoes))
 
     def _on_confirm(self, message: TxMessage, src: str) -> Gen:
@@ -215,62 +272,32 @@ class CounterReplica:
         for log_name, value in targets:
             if self.echoed.get(log_name, 0) < value:
                 return message.reply(MsgType.FAIL)
-        advanced = False
-        for log_name, value in targets:
-            if value > self.confirmed.get(log_name, 0):
-                self.confirmed[log_name] = value
-                advanced = True
-                self.tracer.event(
-                    "counter", "confirm", node=self.node_name,
-                    replica=self.node_name, log=log_name, value=value,
-                )
-        if advanced:
-            # One seal covers every confirmed target of the round.
-            yield from self.seal_state()
+        yield from self.confirm(targets)
         return message.reply(MsgType.ACK)
 
     def _on_read(self, message: TxMessage, src: str) -> Gen:
-        """Recovery: report the freshest values this replica knows."""
+        """Recovery: report the freshest values this replica knows.
+
+        Backends that release waiters at echo quorum must report the
+        freshest *echoed* value too — an acked entry may be
+        rollback-protected by echoes alone.  Safe: targets are
+        registered only after the entry is durable on the writer's disk,
+        so an echoed value never exceeds an honest writer's on-disk
+        state, and reporting it can only make the freshness check
+        stricter.
+        """
         yield from self.runtime.op_overhead()
-        queried = decode_counter_vector(message.body)
-        if self.report_echoed:
-            values = [
-                (
-                    log_name,
-                    max(
-                        self.echoed.get(log_name, 0),
-                        self.confirmed.get(log_name, 0),
-                    ),
-                )
-                for log_name, _ in queried
-            ]
-        else:
-            values = [
-                (log_name, self.confirmed.get(log_name, 0))
-                for log_name, _ in queried
-            ]
-        return message.reply(
-            MsgType.RECOVERY_REPLY, encode_counter_vector(values)
+        reports = (
+            (self.echoed, self.confirmed) if self.shape.release_at_echo
+            else (self.confirmed,)
         )
-
-    # -- local fast path (the SE's own replica) -----------------------------------
-    def local_echo(self, targets: Sequence[Target]) -> None:
-        for log_name, value in targets:
-            if value > self.echoed.get(log_name, 0):
-                self.echoed[log_name] = value
-
-    def local_confirm(self, targets: Sequence[Target]) -> Gen:
-        advanced = False
-        for log_name, value in targets:
-            if value > self.confirmed.get(log_name, 0):
-                self.confirmed[log_name] = value
-                advanced = True
-                self.tracer.event(
-                    "counter", "confirm", node=self.node_name,
-                    replica=self.node_name, log=log_name, value=value,
-                )
-        if advanced:
-            yield from self.seal_state()
+        return message.reply(
+            MsgType.RECOVERY_REPLY,
+            encode_counter_vector([
+                (log_name, max(seen.get(log_name, 0) for seen in reports))
+                for log_name, _ in decode_counter_vector(message.body)
+            ]),
+        )
 
 
 class CounterClient:
@@ -300,6 +327,8 @@ class CounterClient:
         self.quorum = quorum
         self.node_numeric_id = node_numeric_id
         self.tracer = runtime.tracer
+        #: the shape of every round this client runs — its replica's.
+        self.shape = replica.shape
         #: boot epoch: distinguishes operation ids across restarts so the
         #: peers' replay guards do not reject a recovered node's traffic.
         self.epoch = epoch
@@ -311,7 +340,7 @@ class CounterClient:
         self._pending_target: List[Dict[str, int]] = [
             {} for _ in range(self.num_shards)
         ]
-        #: per-shard driver flags.
+        #: per-shard on-demand driver flags.
         self._driver_active = [False] * self.num_shards
         #: trace context of the first registrant since the last round —
         #: the round span attaches there, so a transaction's counter
@@ -362,14 +391,27 @@ class CounterClient:
         return self._op_seq
 
     # -- stabilization ----------------------------------------------------------
-    def _register(
-        self, log_name: str, value: int, spawn_driver: bool = True
-    ) -> int:
-        """Raise the pending high-water mark; optionally ensure a driver.
+    def unstable(self, targets: Sequence[Target]) -> List[Target]:
+        """The targets above their log's stable frontier, in order."""
+        return [
+            (log_name, value)
+            for log_name, value in targets
+            if value > self._gate(log_name).value
+        ]
 
-        Returns the target's shard.  ``spawn_driver=False`` is the
-        passive registration the async backends use: they run their own
-        per-shard driver fibers and only need the mark recorded.
+    def waits(self, targets: Sequence[Target]) -> List[Event]:
+        """One gate wait per target that is not stable yet."""
+        return [
+            self._gate(log_name).wait_for(value)
+            for log_name, value in self.unstable(targets)
+        ]
+
+    def register(self, log_name: str, value: int) -> int:
+        """Raise the log's pending high-water mark; returns its shard.
+
+        Passive: whoever schedules rounds — :meth:`_request`'s on-demand
+        driver or the coverage-promise scheduler's — finds the mark in
+        its next :meth:`pending_snapshot`.
         """
         shard = self.shard_of(log_name)
         pending = self._pending_target[shard]
@@ -378,22 +420,23 @@ class CounterClient:
             context = self.tracer.current_context()
             if context[0] is not None or context[1]:
                 self._round_ctx[shard] = context
-        if not spawn_driver:
-            return shard
+        return shard
+
+    def _request(self, log_name: str, value: int) -> None:
+        """Register a target and make sure its shard has a round driver."""
+        shard = self.register(log_name, value)
         if not self._driver_active[shard]:
             self._driver_active[shard] = True
             self.runtime.sim.process(
-                self._drive_vectored_rounds(shard),
-                name="counter-se/vector.%d" % shard,
+                self._drive(shard), name="counter-se/vector.%d" % shard
             )
-        return shard
 
     def stabilize(self, log_name: str, value: int) -> Gen:
         """Block until ``log_name``'s counter is stable at >= ``value``."""
         gate = self._gate(log_name)
         if gate.value >= value:
             return
-        self._register(log_name, value)
+        self._request(log_name, value)
         yield gate.wait_for(value)
 
     def stabilize_many(self, targets: Sequence[Target]) -> Gen:
@@ -404,25 +447,17 @@ class CounterClient:
         is what the group-commit leader calls to stabilize its batch's
         WAL counter alongside any pending Clog decisions.
         """
-        waits = []
-        for log_name, value in targets:
-            gate = self._gate(log_name)
-            if gate.value >= value:
-                continue
-            self._register(log_name, value)
-            waits.append(gate.wait_for(value))
-        if waits:
-            yield self.runtime.sim.all_of(waits)
+        needed = self.unstable(targets)
+        for log_name, value in needed:
+            self._request(log_name, value)
+        if needed:
+            yield self.runtime.sim.all_of(self.waits(needed))
 
     # -- round drivers ----------------------------------------------------------
-    def _pending_snapshot(self, shard: int = 0) -> List[Target]:
+    def pending_snapshot(self, shard: int = 0) -> List[Target]:
         """Every log of ``shard`` whose pending target is not yet stable,
         sorted for deterministic wire payloads."""
-        return sorted(
-            (log_name, target)
-            for log_name, target in self._pending_target[shard].items()
-            if target > self._gate(log_name).value
-        )
+        return sorted(self.unstable(self._pending_target[shard].items()))
 
     def _advance(self, targets: Sequence[Target]) -> None:
         for log_name, value in targets:
@@ -436,45 +471,54 @@ class CounterClient:
                     log=log_name, value=value,
                 )
 
-    def _drive_vectored_rounds(self, shard: int = 0) -> Gen:
-        """The round driver: one round covers every pending log of the
-        shard."""
+    def drive_until_stable(
+        self, shard: int, targets: Optional[Sequence[Target]] = None
+    ) -> Gen:
+        """*The* retry loop: run rounds (backing off on an unreachable
+        quorum) until nothing is left to stabilize.
+
+        "Nothing" is every pending mark of ``shard`` — the on-demand
+        driver, one round covering every pending log — or, given
+        ``targets``, exactly those: the synchronous fallback of a
+        coverage promise that outlived its lease.
+        """
         retries = 0
+        while True:
+            remaining = (
+                self.pending_snapshot(shard) if targets is None
+                else self.unstable(targets)
+            )
+            if not remaining:
+                return
+            try:
+                yield from self.run_round(remaining, shard)
+            except FreshnessError:
+                retries += 1
+                if retries > COUNTER_MAX_RETRIES:
+                    raise
+                yield self.runtime.sim.timeout(COUNTER_RETRY_BACKOFF)
+                continue
+            retries = 0
+
+    def _drive(self, shard: int) -> Gen:
+        """The on-demand round driver of one shard."""
         try:
-            while True:
-                targets = self._pending_snapshot(shard)
-                if not targets:
-                    break
-                try:
-                    yield from self._run_protocol(targets, shard=shard)
-                except FreshnessError:
-                    retries += 1
-                    if retries > COUNTER_MAX_RETRIES:
-                        raise
-                    yield self.runtime.sim.timeout(COUNTER_RETRY_BACKOFF)
-                    continue
-                retries = 0
-                self._advance(targets)
+            yield from self.drive_until_stable(shard)
         finally:
             self._driver_active[shard] = False
 
-    def _broadcast(self, msg_type: int, targets: Sequence[Target]) -> Gen:
-        """Send one round to all peers; returns the number of ACKs.
+    def _fan_out(
+        self, msg_type: int, targets: Sequence[Target]
+    ) -> List[Event]:
+        """Enqueue one vector for every peer; returns the reply events.
 
-        Returns as soon as the *quorum* has answered (the local replica
-        counts as one vote, so ``quorum - 1`` remote ACKs complete it):
-        the round's latency is the fastest quorum-completing peer, not
-        the slowest straggler.  Straggler echoes keep arriving in the
-        background and only freshen replica state.  If the quorum is
-        unreachable the wait falls back to every reply settling, bounded
-        by ``round_timeout`` — a crashed peer must not wedge the round.
+        One broadcast enqueues every peer in the same instant, so each
+        peer's message coalesces into the same transport batch as
+        concurrent 2PC traffic headed its way.  A crashed peer fails its
+        event immediately, which simply counts as a missing reply.
         """
         body = encode_counter_vector(targets)
-        # One broadcast enqueues every peer in the same instant, so each
-        # peer's echo message coalesces into the same transport batch as
-        # concurrent 2PC traffic headed its way.  A crashed peer fails
-        # its event immediately, which simply counts as a missing ACK.
-        events = self.rpc.broadcast(
+        return self.rpc.broadcast(
             [
                 (
                     peer,
@@ -487,6 +531,19 @@ class CounterClient:
             ],
             express=True,  # dedicated counter-service enclave thread
         )
+
+    def _broadcast(self, msg_type: int, targets: Sequence[Target]) -> Gen:
+        """Send one round to all peers; returns the number of ACKs.
+
+        Returns as soon as the *quorum* has answered (the local replica
+        counts as one vote, so ``quorum - 1`` remote ACKs complete it):
+        the round's latency is the fastest quorum-completing peer, not
+        the slowest straggler.  Straggler echoes keep arriving in the
+        background and only freshen replica state.  If the quorum is
+        unreachable the wait falls back to every reply settling, bounded
+        by ``round_timeout`` — a crashed peer must not wedge the round.
+        """
+        events = self._fan_out(msg_type, targets)
         acks = 1  # the local replica always participates
         if events:
             yield self.runtime.sim.any_of(
@@ -506,67 +563,42 @@ class CounterClient:
                         acks += 1
         return acks
 
-    def _run_protocol(
-        self,
-        targets: Sequence[Target],
-        shard: int = 0,
-        confirm: bool = True,
-        release_at_echo: bool = False,
-        background_confirm: bool = False,
-    ) -> Gen:
-        """One echo-broadcast execution stabilizing a target vector.
-
-        ``release_at_echo`` advances the stable frontier as soon as the
-        echo quorum is reached — the value is then held in a quorum's
-        protected memory, which is the rollback-protection point the
-        async backends ack on.  ``background_confirm`` detaches the
-        CONFIRM leg into its own fiber so the caller (and the shard's
-        round pipeline) is not serialized behind it; ``confirm=False``
-        drops the leg entirely (LCM mode — the echo is the commit).
-        """
+    def run_round(self, targets: Sequence[Target], shard: int = 0) -> Gen:
+        """One echo-broadcast execution stabilizing a target vector, in
+        the configured :class:`RoundShape`."""
         self.rounds_executed += 1
         self._batch_hist.observe(len(targets))
         # Attach the round to the context captured at registration time
         # (falling back to the driver fiber's inherited context), so the
         # UPDATE/CONFIRM fan-out below — and the replicas' handler spans
         # on the other side of the wire — join that transaction's DAG.
-        context, self._round_ctx[shard] = self._round_ctx[shard], None
-        if context is not None:
-            span = self.tracer.span(
-                "counter", "round", node=self.replica.node_name,
-                trace=context[0], parent=context[1], targets=len(targets),
-            )
-        else:
-            span = self.tracer.span(
-                "counter", "round", node=self.replica.node_name,
-                targets=len(targets),
-            )
+        trace, parent = self._round_ctx[shard] or (None, None)
+        self._round_ctx[shard] = None
+        span = self.tracer.span(
+            "counter", "round", node=self.replica.node_name,
+            trace=trace, parent=parent, targets=len(targets),
+        )
         error = None
         try:
             # Round 1: update + echoes.
-            self.replica.local_echo(targets)
+            self.replica.echo(targets)
             acks = yield from self._broadcast(MsgType.COUNTER_UPDATE, targets)
             if acks < self.quorum:
                 raise FreshnessError(
                     "counter group unavailable: %d/%d echoes for %d targets"
                     % (acks, self.quorum, len(targets))
                 )
-            if release_at_echo:
-                # Echo quorum: the values sit in a quorum's protected
-                # memory — rollback-protected for fail-stop + rollback
-                # adversaries (recovery reads report echoed values under
-                # these backends).  Waiters release here.
+            if self.shape.release_at_echo:
                 self._advance(targets)
-            if not confirm:
-                # LCM mode: seal our own echoed state and stop.
-                yield from self.replica.local_confirm(targets)
-            elif background_confirm:
+            if self.shape.confirm == "background":
+                # Detached, so neither the caller nor the shard's round
+                # pipeline is serialized behind the leg.
                 self.runtime.sim.process(
                     self._confirm_leg(targets),
                     name="counter-confirm/%d" % shard,
                 )
             else:
-                yield from self._confirm_leg(targets, strict=True)
+                yield from self._confirm_leg(targets)
         except FreshnessError:
             error = "freshness"
             raise
@@ -580,65 +612,38 @@ class CounterClient:
                 span.close(error=error)
             else:
                 span.close()
+        if not self.shape.release_at_echo:
+            # Record order is behaviour: a CONFIRM-quorum release lands
+            # after the round span closes, an echo-quorum one inside it.
+            self._advance(targets)
 
-    def _confirm_leg(self, targets: Sequence[Target], strict: bool = False) -> Gen:
-        """Round 2: confirmation + local seal.
+    def _confirm_leg(self, targets: Sequence[Target]) -> Gen:
+        """Round 2 — unless the shape has none — then the local seal.
 
-        ``strict`` raises on a missing quorum (the synchronous protocol);
-        otherwise a failed background confirm is dropped — the echo
-        quorum already rollback-protects the values, the CONFIRM only
-        freshens the replicas' sealed state.
+        A strict leg raises on a missing quorum (the synchronous
+        protocol); a failed background leg is dropped — the echo quorum
+        already rollback-protects the values, the CONFIRM only freshens
+        the replicas' sealed state.
         """
-        try:
-            acks = yield from self._broadcast(MsgType.COUNTER_CONFIRM, targets)
-        except NetworkError:
-            if strict:
-                raise
-            return
-        if acks < self.quorum:
-            if strict:
-                raise FreshnessError(
-                    "counter group unavailable: %d/%d confirms for %d targets"
-                    % (acks, self.quorum, len(targets))
-                )
-            return
-        # Seal own state with the stabilized values (end of protocol).
-        yield from self.replica.local_confirm(targets)
-
-    def drive_until_stable(
-        self,
-        targets: Sequence[Target],
-        shard: int = 0,
-        confirm: bool = True,
-        release_at_echo: bool = False,
-        background_confirm: bool = False,
-    ) -> Gen:
-        """Run protocol rounds (with freshness retries) until every
-        target is stable — the synchronous fallback the async backends
-        use when a coverage promise outlives its lease."""
-        retries = 0
-        while True:
-            remaining = [
-                (log_name, value)
-                for log_name, value in targets
-                if value > self._gate(log_name).value
-            ]
-            if not remaining:
-                return
+        strict = self.shape.confirm == "strict"
+        if self.shape.confirm != "none":
             try:
-                yield from self._run_protocol(
-                    remaining, shard=shard, confirm=confirm,
-                    release_at_echo=release_at_echo,
-                    background_confirm=background_confirm,
+                acks = yield from self._broadcast(
+                    MsgType.COUNTER_CONFIRM, targets
                 )
-            except FreshnessError:
-                retries += 1
-                if retries > COUNTER_MAX_RETRIES:
+            except NetworkError:
+                if strict:
                     raise
-                yield self.runtime.sim.timeout(COUNTER_RETRY_BACKOFF)
-                continue
-            retries = 0
-            self._advance(remaining)
+                return
+            if acks < self.quorum:
+                if strict:
+                    raise FreshnessError(
+                        "counter group unavailable: %d/%d confirms for %d "
+                        "targets" % (acks, self.quorum, len(targets))
+                    )
+                return
+        # Seal own state with the stabilized values (end of protocol).
+        yield from self.replica.confirm(targets)
 
     # -- recovery reads -------------------------------------------------------------
     def read_stable_many(self, log_names: Sequence[str]) -> Gen:
@@ -650,22 +655,8 @@ class CounterClient:
         Returns ``{log_name: value}``.
         """
         log_names = list(log_names)
-        body = encode_counter_vector([(name, 0) for name in log_names])
-        events = self.rpc.broadcast(
-            [
-                (
-                    peer,
-                    TxMessage(
-                        MsgType.RECOVERY_QUERY,
-                        self.node_numeric_id,
-                        self.epoch,
-                        self._next_op(),
-                        body,
-                    ),
-                )
-                for peer in self.peers
-            ],
-            express=True,
+        events = self._fan_out(
+            MsgType.RECOVERY_QUERY, [(name, 0) for name in log_names]
         )
         freshest = {
             name: self.replica.confirmed.get(name, 0) for name in log_names
@@ -690,8 +681,3 @@ class CounterClient:
             raise FreshnessError("cannot reach counter quorum for recovery")
         self._advance(sorted(freshest.items()))
         return freshest
-
-    def read_stable(self, log_name: str) -> Gen:
-        """Quorum-read the freshest stable value for one log."""
-        values = yield from self.read_stable_many([log_name])
-        return values[log_name]

@@ -36,6 +36,7 @@ from .codec import (
     encode_occ_prepare,
     encode_scan_reply,
     encode_scan_request,
+    fold_clog,
 )
 from .coordinator import Coordinator, Partitioner
 from .participant import Participant
@@ -53,6 +54,7 @@ from .txn import GlobalTxn
 __all__ = [
     "ClogRecord",
     "DecisionRecord",
+    "fold_clog",
     "Participant",
     "Coordinator",
     "GlobalTxn",

@@ -6,13 +6,13 @@ access layer shares these codecs with them.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ...storage.format import Reader, Writer
 from ..ids import GlobalTxnId
 
 __all__ = [
-    "ClogRecord", "DecisionRecord",
+    "ClogRecord", "DecisionRecord", "fold_clog",
     "encode_read", "encode_write", "decode_write",
     "encode_value_reply", "decode_value_reply",
     "encode_versioned_reply", "decode_versioned_reply",
@@ -192,6 +192,38 @@ class ClogRecord:
         kind = reader.u32()
         gid = GlobalTxnId.decode(reader.blob())
         return cls(kind, gid, *_take_group(reader))
+
+
+def fold_clog(entries) -> Tuple[dict, dict, dict, dict]:
+    """Fold replayed ``(counter, payload)`` Clog entries into the 2PC
+    state they leave behind, each a dict keyed by gid bytes in log order:
+    undecided PREPAREs, COMMITs whose COMPLETE was never recorded,
+    decided ABORTs, and every decision as ``(kind, counter, targets)``.
+
+    The later entry wins: an ABORT can supersede an earlier COMMIT whose
+    decision quorum proved unreachable (only the abort was ever
+    observable).
+    """
+    prepares: Dict[bytes, ClogRecord] = {}
+    commits: Dict[bytes, ClogRecord] = {}
+    aborts: Dict[bytes, ClogRecord] = {}
+    decisions: Dict[bytes, Tuple[int, int, tuple]] = {}
+    for counter, payload in entries:
+        record = ClogRecord.decode(payload)
+        key = record.gid.encode()
+        if record.kind == ClogRecord.PREPARE:
+            prepares[key] = record
+        elif record.kind == ClogRecord.COMPLETE:
+            commits.pop(key, None)
+        else:
+            decisions[key] = (record.kind, counter, tuple(record.targets))
+            prepares.pop(key, None)
+            if record.kind == ClogRecord.COMMIT:
+                commits[key] = record
+            else:
+                commits.pop(key, None)
+                aborts[key] = record
+    return prepares, commits, aborts, decisions
 
 
 class DecisionRecord:

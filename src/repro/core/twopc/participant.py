@@ -347,12 +347,12 @@ class Participant:
         targets: List[Target] = []
         if kind == ClogRecord.COMMIT:
             if piggyback(self.runtime):
-                counter, log_name = yield from txn.commit_prepared_async(
+                counter, log_name = yield from txn.commit_prepared(
                     defer_stabilization=True
                 )
                 targets.append((log_name, counter))
             else:
-                yield from txn.commit_prepared_async()
+                yield from txn.commit_prepared()
             self.commits_served += 1
         elif txn.status == TxnStatus.PREPARED:
             yield from txn.abort_prepared()

@@ -147,15 +147,7 @@ class DistributedOccTxn(PessimisticTxn):
         result = yield from super().prepare()
         return result
 
-    def commit_prepared(self) -> Gen:
-        if self.status == TxnStatus.PREPARED and not len(self.buffer):
-            yield from self.runtime.op_overhead()
-            self._finalize(TxnStatus.COMMITTED)
-            return 0
-        result = yield from super().commit_prepared()
-        return result
-
-    def commit_prepared_async(self, defer_stabilization: bool = False) -> Gen:
+    def commit_prepared(self, defer_stabilization: bool = False) -> Gen:
         """Commit; a read-only half just releases its pins."""
         if self.status == TxnStatus.PREPARED and not len(self.buffer):
             yield from self.runtime.op_overhead()
@@ -163,7 +155,7 @@ class DistributedOccTxn(PessimisticTxn):
             if defer_stabilization:
                 return 0, self.engine.wal_log_name
             return 0
-        result = yield from super().commit_prepared_async(defer_stabilization)
+        result = yield from super().commit_prepared(defer_stabilization)
         return result
 
     def abort_prepared(self) -> Gen:

@@ -55,24 +55,7 @@ class PessimisticTxn(LocalTransaction):
         self.status = TxnStatus.PREPARED
         return counter, log_name
 
-    def commit_prepared(self) -> Gen:
-        """Resolve a prepared transaction as committed."""
-        if self.status != TxnStatus.PREPARED:
-            raise TransactionError(
-                "commit_prepared on %s transaction" % self.status
-            )
-        writes = self.buffer.items()
-        self.engine.forget_prepared(self.txn_id)
-        counter, _log_name, stable_event = yield from self.manager.group.submit(
-            self.txn_id, writes, None, wait_stable=True
-        )
-        self.wal_counter = counter
-        self._finalize(TxnStatus.COMMITTED)
-        if stable_event is not None:
-            yield stable_event
-        return counter
-
-    def commit_prepared_async(self, defer_stabilization: bool = False) -> Gen:
+    def commit_prepared(self, defer_stabilization: bool = False) -> Gen:
         """Resolve a prepared transaction as committed, without waiting
         for the commit record's stabilization.
 
@@ -87,7 +70,7 @@ class PessimisticTxn(LocalTransaction):
         """
         if self.status != TxnStatus.PREPARED:
             raise TransactionError(
-                "commit_prepared_async on %s transaction" % self.status
+                "commit_prepared on %s transaction" % self.status
             )
         writes = self.buffer.items()
         self.engine.forget_prepared(self.txn_id)

@@ -96,16 +96,18 @@ def test_read_stable_returns_group_max(cluster):
 
     def body():
         yield from writer.counter_client.stabilize("test-log-g", 9)
-        value = yield from reader.counter_client.read_stable("test-log-g")
-        return value
+        values = yield from reader.counter_client.read_stable_many(["test-log-g"])
+        return values["test-log-g"]
 
     assert cluster.run(body()) == 9
 
 
 def test_unknown_log_reads_zero(cluster):
     def body():
-        value = yield from cluster.nodes[0].counter_client.read_stable("never-used")
-        return value
+        values = yield from cluster.nodes[0].counter_client.read_stable_many(
+            ["never-used"]
+        )
+        return values["never-used"]
 
     assert cluster.run(body()) == 0
 
@@ -116,7 +118,9 @@ def test_monotonicity_across_writers(cluster):
     def body():
         yield from node.counter_client.stabilize("test-log-h", 4)
         yield from node.counter_client.stabilize("test-log-h", 10)
-        value = yield from cluster.nodes[1].counter_client.read_stable("test-log-h")
-        return value
+        values = yield from cluster.nodes[1].counter_client.read_stable_many(
+            ["test-log-h"]
+        )
+        return values["test-log-h"]
 
     assert cluster.run(body()) == 10

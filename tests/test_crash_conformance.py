@@ -54,7 +54,7 @@ import pytest
 
 from repro.config import PROTOCOLS, ClusterConfig, TREATY_FULL
 from repro.core import TreatyCluster
-from repro.core.rollback import BACKENDS
+from repro.core.trusted_counter import BACKENDS
 from repro.errors import TransactionAborted
 from repro.mc.faults import SCENARIOS, CrashInjector
 from repro.obs import write_chrome_trace
@@ -78,9 +78,7 @@ def _backend_list():
     """Rollback-protection backends the sweep runs under.  CI narrows
     this to one backend per matrix job with
     ``CRASH_CONFORMANCE_BACKENDS=<name>[,<name>...]``."""
-    spec = os.environ.get(
-        "CRASH_CONFORMANCE_BACKENDS", "counter-sync,counter-async,lcm"
-    )
+    spec = os.environ.get("CRASH_CONFORMANCE_BACKENDS", ",".join(BACKENDS))
     return [name.strip() for name in spec.split(",") if name.strip()]
 
 

@@ -413,7 +413,7 @@ class TestIncidents:
             counter_lease_s=0.005,
         )
         node = cluster.nodes[0]
-        backend = node.rollback
+        backend = node.pipeline.rollback
         backend.drivers_enabled = False  # only the fallback can resolve
 
         def body():

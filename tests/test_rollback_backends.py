@@ -1,25 +1,29 @@
-"""Tests for the pluggable rollback-protection backends.
+"""Tests for the rollback-protection backends.
 
-Covers the coverage-promise machinery (`repro.core.rollback`): shard
-routing determinism and stability across recovery, independent
-per-shard frontiers/leases, the exactly-once sync fallback on lease
-expiry, backend equivalence for committed state, and the span-leak
-regression for crashed stabilizations.
+Covers the backend table (`repro.core.trusted_counter.BACKENDS`): the
+round shape each row produces on the wire, the acked ⇒ found read rule
+and the CONFIRM handler's never-echoed check; and the coverage-promise
+machinery (`repro.core.rollback`): shard routing determinism and
+stability across recovery, independent per-shard frontiers/leases, the
+exactly-once sync fallback on lease expiry, backend equivalence for
+committed state, and the span-leak regression for crashed
+stabilizations.
 """
 
 import pytest
 
 from repro.config import ClusterConfig, TREATY_FULL
 from repro.core import DurabilityPipeline, TreatyCluster
-from repro.core.rollback import (
+from repro.core.ids import GlobalTxnId
+from repro.core.rollback import PromiseScheduler
+from repro.core.trusted_counter import (
     BACKENDS,
-    CounterAsyncBackend,
-    CounterSyncBackend,
-    LcmBackend,
-    make_backend,
+    RoundShape,
+    encode_counter_vector,
+    shard_of,
 )
-from repro.core.trusted_counter import shard_of
 from repro.errors import NetworkError
+from repro.net.message import MsgType, TxMessage
 
 
 def make_cluster(**overrides):
@@ -59,9 +63,12 @@ class TestShardRouting:
         before = [node.counter_client.shard_of(name) for name in names]
 
         def body():
-            yield from node.counter_client.stabilize(names[0], 3)
+            yield from node.pipeline.rollback.stabilize(names[0], 3)
 
         cluster.run(body())
+        # Waiters release at echo quorum here; let the detached CONFIRM
+        # leg land, so the value is sealed before the crash.
+        cluster.sim.run(until=cluster.sim.now + 0.01)
         cluster.crash_node(0)
         cluster.run(cluster.recover_node(0), name="recover")
         node = cluster.nodes[0]
@@ -76,27 +83,39 @@ class TestShardRouting:
 
 class TestBackendSelection:
     def test_registry_matches_config_values(self):
-        assert BACKENDS == ("counter-sync", "counter-async", "lcm")
-
-    def test_make_backend_dispatch(self):
-        expected = {
-            "counter-sync": CounterSyncBackend,
-            "counter-async": CounterAsyncBackend,
-            "lcm": LcmBackend,
+        assert list(BACKENDS) == ["counter-sync", "counter-async", "lcm"]
+        assert BACKENDS == {
+            "counter-sync": RoundShape(
+                release_at_echo=False, confirm="strict", promises=False
+            ),
+            "counter-async": RoundShape(
+                release_at_echo=True, confirm="background", promises=True
+            ),
+            "lcm": RoundShape(
+                release_at_echo=True, confirm="none", promises=True
+            ),
         }
-        for name, cls in expected.items():
-            cluster = make_cluster(rollback_backend=name)
-            node = cluster.nodes[0]
-            assert type(node.rollback) is cls
-            assert node.rollback.name == name
-            assert node.pipeline.rollback is node.rollback
+
+    def test_each_node_runs_its_table_row(self):
+        """The row is read once per node, by replica and client; the
+        pipeline routes through the promise scheduler exactly where the
+        row says rounds are promise-scheduled, else through the client."""
+        for name, shape in BACKENDS.items():
+            for node in make_cluster(rollback_backend=name).nodes:
+                assert node.replica.shape is shape
+                assert node.counter_client.shape is shape
+                scheduler = node.pipeline.rollback
+                if shape.promises:
+                    assert type(scheduler) is PromiseScheduler
+                    assert scheduler.client is node.counter_client
+                else:
+                    assert scheduler is node.counter_client
 
     def test_unknown_backend_rejected(self):
-        cluster = make_cluster()
-        node = cluster.nodes[0]
-        config = ClusterConfig(rollback_backend="no-such-backend")
-        with pytest.raises(ValueError):
-            make_backend(node.runtime, node.counter_client, config)
+        with pytest.raises(ValueError) as raised:
+            make_cluster(rollback_backend="no-such-backend")
+        for name in BACKENDS:
+            assert name in str(raised.value)
 
     def test_no_client_no_backend(self):
         """Without a counter client the pipeline builds no backend and
@@ -108,6 +127,141 @@ class TestBackendSelection:
         assert not pipeline.enabled
 
 
+# -- the round each table row produces -----------------------------------------
+
+
+def _records(cluster, **match):
+    return [
+        record for record in cluster.obs.records()
+        if all(record.get(key) == value for key, value in match.items())
+    ]
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+class TestRoundShape:
+    TARGETS = [("shape/a", 3), ("shape/b", 1)]
+
+    def _stabilize(self, cluster, then=None):
+        """One ``stabilize_many`` through node0's pipeline, inside a
+        traced root (handler spans open only under a trace context);
+        ``then`` runs in the waiter's fiber the instant it resumes."""
+        node = cluster.nodes[0]
+        tracer = cluster.obs.tracer
+        trace = GlobalTxnId(1 << 62, 1).encode().hex()
+
+        def body():
+            with tracer.span("test", "shape", node=node.name, trace=trace,
+                             parent=0):
+                yield from node.pipeline.rollback.stabilize_many(self.TARGETS)
+            result = None
+            if then is not None:
+                result = yield from then()
+            return cluster.sim.now, result
+
+        resumed, result = cluster.run(body())
+        # Let detached CONFIRM legs and straggler echoes land.
+        cluster.sim.run(until=cluster.sim.now + 0.05)
+        return resumed, result
+
+    def test_shape_on_the_wire(self, name):
+        shape = BACKENDS[name]
+        cluster = make_cluster(rollback_backend=name)
+        remotes = cluster.nodes[1:]
+        at_resume = {}
+
+        def snapshot():
+            for peer in remotes:
+                at_resume[peer.name] = dict(peer.replica.confirmed)
+            return
+            yield  # pragma: no cover - generator shape
+
+        resumed, _ = self._stabilize(cluster, then=snapshot)
+        #: remote replicas that had confirmed every target by then.
+        confirmed_at_resume = sum(
+            all(seen.get(log, 0) >= value for log, value in self.TARGETS)
+            for seen in at_resume.values()
+        )
+        quorum = cluster.config.counter_quorum
+        for peer in remotes:
+            (update,) = _records(
+                cluster, type="span", cat="rpc", name="COUNTER_UPDATE",
+                node=peer.name,
+            )
+            legs = _records(
+                cluster, type="span", cat="rpc", name="COUNTER_CONFIRM",
+                node=peer.name,
+            )
+            assert len(legs) == (0 if shape.confirm == "none" else 1)
+            confirms = _records(
+                cluster, type="event", cat="counter", name="confirm",
+                node=peer.name,
+            )
+            assert len(confirms) == len(self.TARGETS)
+            # Only where the echo is the commit does a replica seal the
+            # value while it echoes.
+            sealed_at_echo = all(
+                update["t0"] <= record["t"] <= update["t1"]
+                for record in confirms
+            )
+            assert sealed_at_echo == (shape.confirm == "none")
+            if shape.confirm == "background":
+                # The waiter resumed before any remote CONFIRM landed.
+                assert all(record["t"] > resumed for record in confirms)
+        if shape.confirm == "background":
+            assert confirmed_at_resume == 0
+        else:
+            # Released by the CONFIRM quorum (strict) or by an echo
+            # quorum that sealed as it echoed (none); the sender's own
+            # replica is one vote of either.
+            assert confirmed_at_resume >= quorum - 1
+
+    def test_acked_implies_found(self, name):
+        """The instant the waiter resumes, a recovery read from another
+        node already finds the value — echoed values are reported
+        exactly where waiters release at echo quorum."""
+        cluster = make_cluster(rollback_backend=name)
+        reader = cluster.nodes[1].counter_client
+        logs = [log for log, _ in self.TARGETS]
+        _, found = self._stabilize(
+            cluster, then=lambda: reader.read_stable_many(logs)
+        )
+        for log, value in self.TARGETS:
+            assert found[log] >= value
+        # A value that was only ever echoed (here: by one replica, no
+        # quorum, no waiter released).
+        cluster.nodes[2].replica.echo([("shape/echo-only", 9)])
+
+        def read():
+            values = yield from reader.read_stable_many(["shape/echo-only"])
+            return values["shape/echo-only"]
+
+        expected = 9 if BACKENDS[name].release_at_echo else 0
+        assert cluster.run(read()) == expected
+
+    def test_confirm_refuses_a_never_echoed_target(self, name):
+        """One target this replica never echoed poisons the whole
+        CONFIRM vector: FAIL, and none of it is confirmed."""
+        cluster = make_cluster(rollback_backend=name)
+        replica = cluster.nodes[1].replica
+        replica.echo([("poison/echoed", 2)])
+        message = TxMessage(
+            MsgType.COUNTER_CONFIRM, 0, 1, 1,
+            encode_counter_vector([("poison/echoed", 2), ("poison/never", 5)]),
+        )
+
+        def body():
+            reply = yield from replica._on_confirm(message, "node0")
+            return reply
+
+        assert cluster.run(body()).msg_type == MsgType.FAIL
+        assert "poison/echoed" not in replica.confirmed
+        assert "poison/never" not in replica.confirmed
+        assert not _records(
+            cluster, type="event", cat="counter", name="confirm",
+            node=replica.node_name,
+        )
+
+
 # -- per-shard frontiers and leases --------------------------------------------
 
 
@@ -117,7 +271,7 @@ class TestPerShardFrontiers:
             rollback_backend="counter-async", counter_shards=4
         )
         node = cluster.nodes[0]
-        backend = node.rollback
+        backend = node.pipeline.rollback
         client = node.counter_client
         # Two logs guaranteed to live on different shards.
         log_a = "shard-ind/a"
@@ -153,7 +307,7 @@ class TestPerShardFrontiers:
             rollback_backend="counter-async", counter_shards=4
         )
         node = cluster.nodes[0]
-        backend = node.rollback
+        backend = node.pipeline.rollback
         targets = [("xshard/log-%02d" % i, i + 1) for i in range(8)]
         shards = {node.counter_client.shard_of(log) for log, _ in targets}
         assert len(shards) > 1
@@ -181,7 +335,7 @@ class TestLeaseExpiry:
             counter_lease_s=0.005,
         )
         node = cluster.nodes[0]
-        backend = node.rollback
+        backend = node.pipeline.rollback
         # Park the drivers: promises can only resolve via the waiter's
         # own lease-expiry fallback.
         backend.drivers_enabled = False
@@ -215,7 +369,7 @@ class TestLeaseExpiry:
             rollback_backend="counter-async", counter_shards=2
         )
         node = cluster.nodes[0]
-        backend = node.rollback
+        backend = node.pipeline.rollback
 
         def body():
             for i in range(6):
@@ -308,8 +462,8 @@ class TestSpanLeakOnCrashedStabilization:
             raise NetworkError("NIC detached")
             yield  # pragma: no cover - generator shape
 
-        node.rollback.stabilize = boom
-        node.rollback.stabilize_many = boom
+        node.pipeline.rollback.stabilize = boom
+        node.pipeline.rollback.stabilize_many = boom
 
         def call_single():
             yield from node.pipeline.stabilize("leak/a", 3)

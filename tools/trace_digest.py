@@ -13,6 +13,11 @@ emit and compares with (or writes) a pinned JSON file:
   ``json.dumps(rec, sort_keys=True)`` of every trace record, in order;
 * **distributed OCC**: the same recipe with ``optimistic=True`` on
   ``counter-async``, per protocol (the ``…/occ`` rows);
+* **lease-expiry fallback**: the same recipe on the two promise-scheduled
+  backends with every node's round drivers parked before the run, so
+  every coverage promise outlives its lease and the waiter drives the
+  round itself (the ``…/fallback`` rows, which also pin the number of
+  sync fallbacks);
 * **trace exports**: sha256 of the Chrome-trace and JSONL files of
   ``repro trace --workload demo|ycsb|tpcc --seed 7``.
 
@@ -39,11 +44,17 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
+from repro.core.trusted_counter import BACKENDS  # noqa: E402
+
 PROTOCOLS = ("paper", "optimized")
-BACKENDS = ("counter-sync", "counter-async", "lcm")
-#: (backend, optimistic) per protocol; the row key is
-#: ``protocol/backend[/occ]``.
-RECIPES = [(backend, False) for backend in BACKENDS] + [("counter-async", True)]
+#: (backend, variant) per protocol; the row key is
+#: ``protocol/backend[/variant]``.
+RECIPES = (
+    [(backend, "") for backend in BACKENDS]
+    + [("counter-async", "occ")]
+    + [(backend, "fallback") for backend, shape in BACKENDS.items()
+       if shape.promises]
+)
 TRACE_WORKLOADS = ("demo", "ycsb", "tpcc")
 
 
@@ -52,7 +63,7 @@ def _dump_path(dump: str, key: str) -> str:
 
 
 def protocol_backend_digest(
-    protocol: str, backend: str, optimistic: bool = False, dump_to=None
+    protocol: str, backend: str, variant: str = "", dump_to=None
 ) -> dict:
     from repro.bench.metrics import MetricsCollector
     from repro.config import TREATY_FULL, ClusterConfig
@@ -65,9 +76,12 @@ def protocol_backend_digest(
     )
     cluster = TreatyCluster(profile=TREATY_FULL, config=config).start()
     ycsb = YcsbConfig(
-        read_proportion=0.5, num_keys=400, optimistic=optimistic
+        read_proportion=0.5, num_keys=400, optimistic=variant == "occ"
     )
     cluster.run(bulk_load(cluster, ycsb), name="load")
+    if variant == "fallback":
+        for node in cluster.nodes:
+            node.pipeline.rollback.drivers_enabled = False
     run_ycsb(
         cluster, ycsb, MetricsCollector("digest"),
         num_clients=12, duration=0.1, warmup=0.01,
@@ -80,7 +94,13 @@ def protocol_backend_digest(
     if dump_to:
         with open(dump_to, "w") as fp:
             fp.writelines(line + "\n" for line in lines)
-    return {"records": len(records), "sha256": digest.hexdigest()}
+    entry = {"records": len(records), "sha256": digest.hexdigest()}
+    if variant == "fallback":
+        entry["sync_fallbacks"] = sum(
+            node.pipeline.rollback.sync_fallbacks
+            for node in cluster.nodes
+        )
+    return entry
 
 
 def trace_export_digest(workload: str, dump_to=None) -> dict:
@@ -114,15 +134,14 @@ def compute(dump=None) -> dict:
 
     def done(section: str, key: str, entry: dict) -> None:
         document[section][key] = entry
-        print("%-28s %s" % (key, json.dumps(entry, sort_keys=True)),
+        print("%-36s %s" % (key, json.dumps(entry, sort_keys=True)),
               flush=True)
 
     for protocol in PROTOCOLS:
-        for backend, optimistic in RECIPES:
-            key = "%s/%s%s" % (protocol, backend, "/occ" if optimistic else "")
+        for backend, variant in RECIPES:
+            key = "/".join(filter(None, (protocol, backend, variant)))
             done("protocol_backend", key, protocol_backend_digest(
-                protocol, backend, optimistic,
-                dump and _dump_path(dump, key),
+                protocol, backend, variant, dump and _dump_path(dump, key),
             ))
     for workload in TRACE_WORKLOADS:
         done("trace_export", workload, trace_export_digest(
