@@ -10,24 +10,21 @@
 """
 
 from repro.config import ClusterConfig, TREATY_ENC, TREATY_FULL
-from repro.core import TreatyCluster
 from repro.bench import MetricsCollector
+from repro.bench.harness import loaded, measure
 from repro.bench.reporting import ComparisonTable
 from repro.memory import MempoolAllocator
 from repro.memory.regions import MemoryRegion
-from repro.workloads import YcsbConfig, bulk_load, run_ycsb
+from repro.workloads import YcsbConfig
 
 
 def _ycsb_throughput(config: ClusterConfig) -> MetricsCollector:
     # Write-heavy load on one node at enough concurrency that per-commit
     # WAL device writes would serialize the commit path (§VII-B's
     # motivation for group commit).
-    cluster = TreatyCluster(profile=TREATY_FULL, config=config, num_nodes=1).start()
     ycsb = YcsbConfig(read_proportion=0.2, num_keys=4_000)
-    cluster.run(bulk_load(cluster, ycsb), name="load")
-    metrics = MetricsCollector()
-    run_ycsb(cluster, ycsb, metrics, num_clients=48, duration=0.3, warmup=0.1)
-    return metrics
+    cluster = loaded(TREATY_FULL, ycsb, config, num_nodes=1)
+    return measure(cluster, ycsb, 48, 0.3, warmup=0.1)
 
 
 def test_ablation_group_commit(benchmark):
@@ -184,30 +181,16 @@ def test_ablation_fiber_scheduler(benchmark):
 def test_ablation_storage_io_mechanism(benchmark):
     """§V-A's design choice: async syscalls + page cache beat SPDK when
     the database fits in the page cache (read path dominates)."""
-    from repro.bench.harness import ycsb_single_node
-    from repro.config import TREATY_ENC
-    from dataclasses import replace
-
     results = {}
 
     def run():
+        ycsb = YcsbConfig(read_proportion=0.8, num_keys=6_000)
         for io_mode in ("syscall", "spdk"):
-            from repro.core import TreatyCluster
-            from repro.workloads import YcsbConfig, bulk_load, run_ycsb
-            from repro.bench import MetricsCollector
-
             config = ClusterConfig(storage_io=io_mode)
-            cluster = TreatyCluster(
-                profile=TREATY_ENC, config=config, num_nodes=1
-            ).start()
-            ycsb = YcsbConfig(read_proportion=0.8, num_keys=6_000)
-            cluster.run(bulk_load(cluster, ycsb), name="load")
+            cluster = loaded(TREATY_ENC, ycsb, config, num_nodes=1)
             # Flush so reads actually hit SSTables (the I/O path at stake).
             cluster.run(cluster.nodes[0].engine.flush())
-            metrics = MetricsCollector()
-            run_ycsb(cluster, ycsb, metrics, num_clients=16,
-                     duration=0.25, warmup=0.05)
-            results[io_mode] = metrics
+            results[io_mode] = measure(cluster, ycsb, 16, 0.25, warmup=0.05)
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     table = ComparisonTable(

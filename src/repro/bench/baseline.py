@@ -26,11 +26,9 @@ import json
 from typing import Any, Dict, List, Optional
 
 from ..config import ClusterConfig, TREATY_FULL
-from ..core.cluster import TreatyCluster
 from ..obs.critpath import CATEGORIES, aggregate_critical_paths, percentile
-from ..workloads.ycsb import YcsbConfig, bulk_load, run_ycsb
-from .harness import _attach_phase_breakdown, bench_scale, transport_stats
-from .metrics import MetricsCollector
+from ..workloads.ycsb import YcsbConfig
+from .harness import account, bench_scale, loaded, measure
 
 __all__ = [
     "BASELINE_PATH",
@@ -120,24 +118,12 @@ def run_baseline(
         timeseries=True,
         incidents=True,
     )
-    cluster = TreatyCluster(profile=TREATY_FULL, config=config).start()
     ycsb = YcsbConfig(read_proportion=0.5, num_keys=2_000)
-    cluster.run(bulk_load(cluster, ycsb), name="load")
-    metrics = MetricsCollector("baseline")
-    run_ycsb(
-        cluster,
-        ycsb,
-        metrics,
-        num_clients=num_clients,
-        duration=duration,
-        warmup=duration * 0.25,
-    )
-    _attach_phase_breakdown(metrics, cluster)
+    cluster = loaded(TREATY_FULL, ycsb, config)
+    metrics = measure(cluster, ycsb, num_clients, duration, "baseline")
 
     summary = metrics.summary()
-    committed = max(1, metrics.committed)
-    transport = transport_stats(cluster)
-    durability = metrics.extra_info["obs"]["durability"]
+    cost = account(cluster, metrics)
     records = cluster.obs.records()
     aggregate = aggregate_critical_paths(records)
     obs = cluster.obs
@@ -180,12 +166,10 @@ def run_baseline(
             "mean_commit_latency_ms": round(summary["mean_latency_ms"], 6),
             "committed": metrics.committed,
             "aborted": metrics.aborted,
-            "frames_per_txn": round(
-                transport["delivered_frames"] / committed, 6
-            ),
-            "seal_ops_per_txn": round(transport["seal_ops"] / committed, 6),
+            "frames_per_txn": round(cost["frames_per_txn"], 6),
+            "seal_ops_per_txn": round(cost["seals_per_txn"], 6),
             "counter_rounds_per_txn": round(
-                durability.get("rounds_per_committed_txn", 0.0), 6
+                cost["counter_rounds_per_txn"], 6
             ),
             "tail_amplification_x": tail["amplification_x"],
         },

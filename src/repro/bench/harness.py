@@ -1,28 +1,42 @@
 """Experiment runners shared by the benchmark scripts.
 
-One function per experiment family.  Every runner builds a fresh,
-deterministic cluster, runs the workload for a configurable amount of
-*simulated* time, and returns a :class:`MetricsCollector` (plus
-auxiliary data where a figure needs it).  Scale knobs default to values
-that keep the full benchmark suite's wall-clock time reasonable; the
-``REPRO_BENCH_SCALE=full`` environment variable switches to paper-scale
-client counts and durations.
+A measured run is written once, as two steps a caller can put work
+between and one account of what the run cost:
+
+* :func:`loaded` — start a fresh, deterministic cluster and preload the
+  workload's database (partitioner and loader follow from the
+  workload's type and ``config.storage_engine``);
+* :func:`measure` — closed-loop clients for a warm-up (a quarter of the
+  window unless given) plus ``duration`` *simulated* seconds, returning
+  the :class:`MetricsCollector` with the 2PC phase breakdown and, on a
+  monitored cluster, the invariant monitor's verdict attached;
+* :func:`account` — frames, AEAD seals, counter rounds and cluster-NIC
+  frames per committed transaction, plus the read-only/OCC counters.
+
+Every experiment family below is a parameter row over those three.
+Scale knobs default to values that keep the full benchmark suite's
+wall-clock time reasonable; the ``REPRO_BENCH_SCALE=full`` environment
+variable switches to paper-scale client counts and durations.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
-from ..config import ClusterConfig, EnvProfile
+from ..config import ClusterConfig, EnvProfile, TREATY_FULL
 from ..core.cluster import TreatyCluster
+from ..obs.registry import merge_snapshots
 from ..workloads.tpcc import TpccScale, load_tpcc, run_tpcc, tpcc_partitioner
 from ..workloads.ycsb import YcsbConfig, bulk_load, run_ycsb
 from .metrics import MetricsCollector
 
 __all__ = [
     "bench_scale",
+    "WARMUP_FRACTION",
+    "loaded",
+    "measure",
+    "account",
     "cluster_nic_tx_frames",
     "ycsb_distributed",
     "ycsb_variant_run",
@@ -33,10 +47,13 @@ __all__ = [
     "recovery_experiment",
     "durability_smoke",
     "sweep_group_commit_window",
-    "transport_stats",
     "netbatch_compare",
     "scaleout_sweep",
 ]
+
+#: every measured run warms up for this fraction of its window first,
+#: unless the caller names a warm-up.
+WARMUP_FRACTION = 0.25
 
 
 def bench_scale() -> str:
@@ -48,6 +65,70 @@ def _scaled(quick, full):
     return full if bench_scale() == "full" else quick
 
 
+# --- the recipe: loaded -> measure -> account ---------------------------------
+
+
+def loaded(
+    profile: EnvProfile,
+    workload: Union[YcsbConfig, TpccScale],
+    config: Optional[ClusterConfig] = None,
+    num_nodes: int = 3,
+) -> TreatyCluster:
+    """A started cluster with ``workload``'s initial database preloaded.
+
+    TPC-C (a :class:`TpccScale`) shards by warehouse; YCSB keeps the
+    hash partitioner and, under ``storage_engine="null"``, loads the
+    storage-less engines directly.
+    """
+    config = config or ClusterConfig()
+    if isinstance(workload, TpccScale):
+        partitioner, load = tpcc_partitioner(num_nodes), load_tpcc
+    elif config.storage_engine == "null":
+        partitioner, load = None, bulk_load_null
+    else:
+        partitioner, load = None, bulk_load
+    cluster = TreatyCluster(
+        profile=profile, config=config, num_nodes=num_nodes,
+        partitioner=partitioner,
+    ).start()
+    cluster.run(load(cluster, workload), name="load")
+    return cluster
+
+
+def measure(
+    cluster: TreatyCluster,
+    workload: Union[YcsbConfig, TpccScale],
+    num_clients: int,
+    duration: float,
+    name: str = "",
+    warmup: Optional[float] = None,
+    **run_options,
+) -> MetricsCollector:
+    """Run ``workload`` on a loaded cluster; returns its collector.
+
+    Closed-loop clients run for ``warmup`` (default: a quarter of the
+    window) plus ``duration`` simulated seconds; ``run_options`` go to
+    :func:`run_ycsb` / :func:`run_tpcc` (``arrivals=``, ``optimistic=``).
+    The collector carries the phase breakdown in ``extra_info["obs"]``
+    and, when the cluster runs the I1–I5 invariant monitor, its verdict
+    after a final quiescence check in ``extra_info["monitor"]``.
+    """
+    metrics = MetricsCollector(name)
+    if warmup is None:
+        warmup = duration * WARMUP_FRACTION
+    run = run_tpcc if isinstance(workload, TpccScale) else run_ycsb
+    run(
+        cluster, workload, metrics, num_clients=num_clients,
+        duration=duration, warmup=warmup, **run_options,
+    )
+    _attach_phase_breakdown(metrics, cluster)
+    monitor = cluster.obs.monitor
+    if monitor is not None:
+        monitor.check_quiescent(now=cluster.sim.now)
+        metrics.extra_info["monitor"] = monitor.summary()
+    return metrics
+
+
 def _attach_phase_breakdown(metrics: MetricsCollector, cluster) -> None:
     """Store a cross-node 2PC phase/latency breakdown in ``extra_info``.
 
@@ -56,52 +137,31 @@ def _attach_phase_breakdown(metrics: MetricsCollector, cluster) -> None:
     for free.  Aggregates each phase histogram across nodes to
     ``{count, mean_ms, max_ms}`` plus the enclave counters.
     """
-    snapshot = cluster.obs.snapshot()
+    totals = merge_snapshots(cluster.obs.snapshot())
     phases = {}
     for name in ("twopc.prepare_s", "twopc.decision_s", "twopc.commit_s",
                  "stabilize.wait_s", "locks.wait_s"):
-        count, total, peak = 0, 0.0, 0.0
-        for component in snapshot.values():
-            hist = component.get(name)
-            if not isinstance(hist, dict):
-                continue
-            count += hist["total"]
-            total += hist["sum"]
-            if hist["max"] is not None:
-                peak = max(peak, hist["max"])
-        if count:
+        hist = totals.get(name)
+        if hist and hist["total"]:
             phases[name] = {
-                "count": count,
-                "mean_ms": total / count * 1e3,
-                "max_ms": peak * 1e3,
+                "count": hist["total"],
+                "mean_ms": hist["mean"] * 1e3,
+                "max_ms": hist["max"] * 1e3,
             }
     enclave = {
-        name: sum(
-            component.get(name, 0) for component in snapshot.values()
-        )
+        name: totals.get(name, 0)
         for name in ("tee.transitions", "tee.page_faults")
     }
     durability = {
-        "rounds_executed": sum(
-            component.get("counter.rounds_executed", 0)
-            for component in snapshot.values()
-        )
+        "rounds_executed": totals.get("counter.rounds_executed", 0)
     }
     for name in ("stabilize.batch_size", "group_commit.batch_size"):
-        count, total, peak = 0, 0.0, 0.0
-        for component in snapshot.values():
-            hist = component.get(name)
-            if not isinstance(hist, dict):
-                continue
-            count += hist["total"]
-            total += hist["sum"]
-            if hist["max"] is not None:
-                peak = max(peak, hist["max"])
-        if count:
+        hist = totals.get(name)
+        if hist and hist["total"]:
             durability[name] = {
-                "count": count,
-                "mean": total / count,
-                "max": peak,
+                "count": hist["total"],
+                "mean": hist["mean"],
+                "max": hist["max"],
             }
     if metrics.committed:
         durability["rounds_per_committed_txn"] = (
@@ -112,66 +172,6 @@ def _attach_phase_breakdown(metrics: MetricsCollector, cluster) -> None:
         "enclave": enclave,
         "durability": durability,
     }
-
-
-# --- YCSB ---------------------------------------------------------------------
-
-
-def ycsb_distributed(
-    profile: EnvProfile,
-    read_proportion: float,
-    num_clients: Optional[int] = None,
-    duration: Optional[float] = None,
-    num_keys: int = 10_000,
-    optimistic: bool = False,
-) -> MetricsCollector:
-    """Distributed YCSB on a 3-node cluster (Figures 4 & 5 substrate)."""
-    num_clients = num_clients or _scaled(48, 96)
-    duration = duration or _scaled(0.3, 1.0)
-    cluster = TreatyCluster(profile=profile).start()
-    config = YcsbConfig(
-        read_proportion=read_proportion, num_keys=num_keys, optimistic=optimistic
-    )
-    cluster.run(bulk_load(cluster, config), name="load")
-    metrics = MetricsCollector(profile.name)
-    run_ycsb(
-        cluster,
-        config,
-        metrics,
-        num_clients=num_clients,
-        duration=duration,
-        warmup=duration * 0.25,
-    )
-    _attach_phase_breakdown(metrics, cluster)
-    return metrics
-
-
-def ycsb_single_node(
-    profile: EnvProfile,
-    read_proportion: float,
-    num_clients: Optional[int] = None,
-    duration: Optional[float] = None,
-    optimistic: bool = False,
-) -> MetricsCollector:
-    """Single-node YCSB (Figures 6 & 7): one node, local transactions."""
-    num_clients = num_clients or _scaled(24, 32)
-    duration = duration or _scaled(0.3, 1.0)
-    cluster = TreatyCluster(profile=profile, num_nodes=1).start()
-    config = YcsbConfig(
-        read_proportion=read_proportion, num_keys=10_000, optimistic=optimistic
-    )
-    cluster.run(bulk_load(cluster, config), name="load")
-    metrics = MetricsCollector(profile.name)
-    run_ycsb(
-        cluster,
-        config,
-        metrics,
-        num_clients=num_clients,
-        duration=duration,
-        warmup=duration * 0.25,
-    )
-    _attach_phase_breakdown(metrics, cluster)
-    return metrics
 
 
 def cluster_nic_tx_frames(cluster: TreatyCluster) -> int:
@@ -189,6 +189,107 @@ def cluster_nic_tx_frames(cluster: TreatyCluster) -> int:
     return total
 
 
+def account(
+    cluster: TreatyCluster,
+    metrics: MetricsCollector,
+    nic_frames_before: int = 0,
+) -> dict:
+    """What one measured run cost, per committed transaction.
+
+    The one place the per-transaction costs are computed.  Sums
+    ``net.seal_ops`` (actual AEAD passes) and merges the batch-occupancy
+    histograms over every hub registry *and* every client machine
+    (clients seal too, and their registries are not in the hub); reads
+    the fabric's crash-proof cumulative frame counter; differences the
+    cluster-NIC frames against ``nic_frames_before``
+    (:func:`cluster_nic_tx_frames` taken before :func:`measure`); and
+    carries the read-only/OCC counters and the monitor verdict
+    :func:`measure` attached.
+    """
+    snapshot = cluster.obs.snapshot()
+    for machine in cluster.client_machines:
+        snapshot[machine.name] = machine.runtime.metrics.snapshot()
+    totals = merge_snapshots(snapshot)
+    committed = max(1, metrics.committed)
+    frames = totals["net.delivered_frames"]
+    seal_ops = totals.get("net.seal_ops", 0)
+    cluster_frames = cluster_nic_tx_frames(cluster) - nic_frames_before
+    durability = metrics.extra_info["obs"]["durability"]
+    return {
+        "committed": metrics.committed,
+        "aborted": metrics.aborted,
+        "throughput_tps": metrics.throughput(),
+        "p50_ms": metrics.percentile(50) * 1e3,
+        "p99_ms": metrics.percentile(99) * 1e3,
+        "delivered_frames": frames,
+        "seal_ops": seal_ops,
+        "batch_occupancy": totals.get("net.batch_occupancy"),
+        "frames_per_txn": frames / committed,
+        "seals_per_txn": seal_ops / committed,
+        "counter_rounds_per_txn": durability.get(
+            "rounds_per_committed_txn", 0.0
+        ),
+        "cluster_frames": cluster_frames,
+        "cluster_frames_per_txn": cluster_frames / committed,
+        "counters": {
+            name: totals.get(name, 0)
+            for name in (
+                "txn.readonly.local",
+                "txn.readonly.upgraded",
+                "txn.readonly.conflicts",
+                "occ.validated",
+                "occ.conflicts",
+                "occ.retries",
+            )
+        },
+        "monitor": metrics.extra_info.get("monitor", {}),
+    }
+
+
+# --- YCSB ---------------------------------------------------------------------
+
+
+def ycsb_distributed(
+    profile: EnvProfile,
+    read_proportion: float,
+    num_clients: Optional[int] = None,
+    duration: Optional[float] = None,
+    num_keys: int = 10_000,
+    optimistic: bool = False,
+) -> MetricsCollector:
+    """Distributed YCSB on a 3-node cluster (Figures 4 & 5 substrate)."""
+    ycsb = YcsbConfig(
+        read_proportion=read_proportion, num_keys=num_keys, optimistic=optimistic
+    )
+    return measure(
+        loaded(profile, ycsb),
+        ycsb,
+        num_clients or _scaled(48, 96),
+        duration or _scaled(0.3, 1.0),
+        profile.name,
+    )
+
+
+def ycsb_single_node(
+    profile: EnvProfile,
+    read_proportion: float,
+    num_clients: Optional[int] = None,
+    duration: Optional[float] = None,
+    optimistic: bool = False,
+) -> MetricsCollector:
+    """Single-node YCSB (Figures 6 & 7): one node, local transactions."""
+    ycsb = YcsbConfig(
+        read_proportion=read_proportion, num_keys=10_000, optimistic=optimistic
+    )
+    return measure(
+        loaded(profile, ycsb, num_nodes=1),
+        ycsb,
+        num_clients or _scaled(24, 32),
+        duration or _scaled(0.3, 1.0),
+        profile.name,
+    )
+
+
 def ycsb_variant_run(
     variant: str,
     snapshot: bool,
@@ -201,57 +302,22 @@ def ycsb_variant_run(
     ``snapshot=False`` runs the mix's write-free transactions as
     ordinary locking 2PC transactions instead of coordinator-free
     snapshot reads, so callers can compare the two on the identical
-    seed.  Returns the collector plus a stats dict with
+    seed.  Returns the collector plus its :func:`account`, with
     cluster-fabric frame accounting and the read-only/OCC counters.
     """
-    from ..config import TREATY_FULL
-
-    num_clients = num_clients or _scaled(24, 48)
-    duration = duration or _scaled(0.2, 0.6)
     config = ClusterConfig() if seed is None else ClusterConfig(seed=seed)
-    cluster = TreatyCluster(profile=TREATY_FULL, config=config).start()
     overrides = {} if snapshot else {"read_only": False}
     ycsb = YcsbConfig.variant(variant, num_keys=2_000, **overrides)
-    cluster.run(bulk_load(cluster, ycsb), name="load")
+    cluster = loaded(TREATY_FULL, ycsb, config)
     frames_before = cluster_nic_tx_frames(cluster)
-    metrics = MetricsCollector(
-        "ycsb-%s-%s" % (variant, "snapshot" if snapshot else "locking")
-    )
-    run_ycsb(
+    metrics = measure(
         cluster,
         ycsb,
-        metrics,
-        num_clients=num_clients,
-        duration=duration,
-        warmup=duration * 0.25,
+        num_clients or _scaled(24, 48),
+        duration or _scaled(0.2, 0.6),
+        "ycsb-%s-%s" % (variant, "snapshot" if snapshot else "locking"),
     )
-    frames = cluster_nic_tx_frames(cluster) - frames_before
-    committed = max(1, metrics.committed)
-    counters: dict = {}
-    for node in cluster.nodes:
-        for name in (
-            "txn.readonly.local",
-            "txn.readonly.upgraded",
-            "txn.readonly.conflicts",
-            "occ.validated",
-            "occ.conflicts",
-            "occ.retries",
-        ):
-            counters[name] = (
-                counters.get(name, 0)
-                + node.runtime.metrics.counter(name).value
-            )
-    stats = {
-        "committed": metrics.committed,
-        "aborted": metrics.aborted,
-        "throughput_tps": metrics.throughput(),
-        "p50_ms": metrics.percentile(50) * 1e3,
-        "p99_ms": metrics.percentile(99) * 1e3,
-        "cluster_frames": frames,
-        "cluster_frames_per_txn": frames / committed,
-        "counters": counters,
-    }
-    return metrics, stats
+    return metrics, account(cluster, metrics, frames_before)
 
 
 # --- TPC-C ---------------------------------------------------------------------
@@ -272,23 +338,14 @@ def tpcc_distributed(
     """
     if num_clients is None:
         num_clients = _scaled(10, 20)
-    duration = duration or _scaled(0.5, 1.5)
     scale = TpccScale(warehouses=warehouses)
-    cluster = TreatyCluster(
-        profile=profile, partitioner=tpcc_partitioner(3)
-    ).start()
-    cluster.run(load_tpcc(cluster, scale), name="load")
-    metrics = MetricsCollector(profile.name)
-    run_tpcc(
-        cluster,
+    return measure(
+        loaded(profile, scale),
         scale,
-        metrics,
-        num_clients=num_clients,
-        duration=duration,
-        warmup=duration * 0.25,
+        num_clients,
+        duration or _scaled(0.5, 1.5),
+        profile.name,
     )
-    _attach_phase_breakdown(metrics, cluster)
-    return metrics
 
 
 def tpcc_single_node(
@@ -297,77 +354,19 @@ def tpcc_single_node(
     duration: Optional[float] = None,
     optimistic: bool = False,
 ) -> MetricsCollector:
-    """Single-node TPC-C, 10 warehouses (Figures 6 & 7)."""
-    num_clients = num_clients or _scaled(10, 16)
-    duration = duration or _scaled(0.5, 1.5)
+    """Single-node TPC-C, 10 warehouses (Figures 6 & 7).
+
+    ``optimistic`` (Figure 7): terminals open OCC transactions.
+    """
     scale = TpccScale(warehouses=10)
-    cluster = TreatyCluster(profile=profile, num_nodes=1).start()
-    cluster.run(load_tpcc(cluster, scale), name="load")
-    metrics = MetricsCollector(profile.name)
-    _run_tpcc_mode(
-        cluster, scale, metrics, num_clients, duration, optimistic=optimistic
+    return measure(
+        loaded(profile, scale, num_nodes=1),
+        scale,
+        num_clients or _scaled(10, 16),
+        duration or _scaled(0.5, 1.5),
+        profile.name,
+        optimistic=optimistic,
     )
-    _attach_phase_breakdown(metrics, cluster)
-    return metrics
-
-
-def _run_tpcc_mode(cluster, scale, metrics, num_clients, duration, optimistic):
-    if not optimistic:
-        run_tpcc(
-            cluster,
-            scale,
-            metrics,
-            num_clients=num_clients,
-            duration=duration,
-            warmup=duration * 0.25,
-        )
-        return
-    # Optimistic mode (Figure 7): terminals open OCC sessions.
-    from ..workloads.tpcc import TpccTerminal
-    from ..sim.rng import SeededRng
-    from ..errors import TransactionAborted
-
-    machines = [cluster.client_machine() for _ in range(3)]
-    sim = cluster.sim
-    end_time = sim.now + duration * 1.25
-    metrics.measure_from(sim.now + duration * 0.25)
-
-    class OccSession:
-        """Session wrapper forcing optimistic transactions."""
-
-        def __init__(self, inner):
-            self.inner = inner
-            self.machine = inner.machine
-            self.client_id = inner.client_id
-
-        def begin(self):
-            return self.inner.begin(optimistic=True)
-
-    def terminal_loop(index):
-        machine = machines[index % len(machines)]
-        home_w = (index % scale.warehouses) + 1
-        session = OccSession(cluster.session(machine, coordinator=0))
-        rng = SeededRng(cluster.config.seed, "tpcc-occ", str(index))
-        terminal = TpccTerminal(session, scale, home_w, rng)
-        while sim.now < end_time:
-            txn_type = terminal.choose_type()
-            started = sim.now
-            committed = False
-            for _attempt in range(4):
-                try:
-                    committed = yield from terminal.execute(txn_type)
-                    break
-                except TransactionAborted:
-                    continue
-            if committed:
-                metrics.record(started, sim.now)
-            else:
-                metrics.record_abort(started)
-
-    for i in range(num_clients):
-        sim.process(terminal_loop(i), name="tpcc-occ-%d" % i)
-    sim.run(until=end_time)
-    metrics.finish(sim.now)
 
 
 # --- 2PC-only (Figure 4) ----------------------------------------------------------
@@ -385,23 +384,15 @@ def twopc_only(
     regime with fewer clients on fewer cores — the throughput ratios at
     saturation are independent of the core count.
     """
-    num_clients = num_clients or _scaled(80, 160)
-    duration = duration or _scaled(0.3, 1.0)
     config = ClusterConfig(storage_engine="null", cores_per_node=2)
-    cluster = TreatyCluster(profile=profile, config=config).start()
     ycsb = YcsbConfig(read_proportion=0.5, num_keys=10_000)
-    cluster.run(bulk_load_null(cluster, ycsb), name="load")
-    metrics = MetricsCollector(profile.name)
-    run_ycsb(
-        cluster,
+    return measure(
+        loaded(profile, ycsb, config),
         ycsb,
-        metrics,
-        num_clients=num_clients,
-        duration=duration,
-        warmup=duration * 0.25,
+        num_clients or _scaled(80, 160),
+        duration or _scaled(0.3, 1.0),
+        profile.name,
     )
-    _attach_phase_breakdown(metrics, cluster)
-    return metrics
 
 
 def bulk_load_null(cluster: TreatyCluster, config: YcsbConfig):
@@ -439,8 +430,6 @@ def durability_smoke(
     workload (the simulation is untouched: recording is subscriber-
     driven and adds nothing to the event heap).
     """
-    from ..config import TREATY_FULL
-
     config = ClusterConfig(
         monitor=True,
         monitor_liveness_timeout_s=duration,
@@ -448,22 +437,9 @@ def durability_smoke(
         timeseries=flight_recorder,
         incidents=flight_recorder,
     )
-    cluster = TreatyCluster(profile=TREATY_FULL, config=config).start()
     ycsb = YcsbConfig(read_proportion=0.5, num_keys=2_000)
-    cluster.run(bulk_load(cluster, ycsb), name="load")
-    metrics = MetricsCollector("durability-smoke")
-    run_ycsb(
-        cluster,
-        ycsb,
-        metrics,
-        num_clients=num_clients,
-        duration=duration,
-        warmup=duration * 0.25,
-    )
-    monitor = cluster.obs.monitor
-    monitor.check_quiescent(now=cluster.sim.now)
-    _attach_phase_breakdown(metrics, cluster)
-    metrics.extra_info["monitor"] = monitor.summary()
+    cluster = loaded(TREATY_FULL, ycsb, config)
+    metrics = measure(cluster, ycsb, num_clients, duration, "durability-smoke")
     if flight_recorder:
         obs = cluster.obs
         obs.timeseries.flush()
@@ -490,30 +466,20 @@ def sweep_group_commit_window(
     the YCSB arrival process (``"closed"`` or ``"bursty"`` on-off with
     Pareto idle gaps — the case where the adaptive window's EWMAs move).
     """
-    from ..config import TREATY_FULL
-
     if windows is None:
         windows = [0.0, 5e-5, 1e-4, 2e-4, 4e-4, None]
     num_clients = num_clients or _scaled(32, 64)
     duration = duration or _scaled(0.2, 0.6)
+    ycsb = YcsbConfig(read_proportion=0.5, num_keys=5_000)
     results: List[Tuple[str, MetricsCollector]] = []
     for window in windows:
         label = "adaptive" if window is None else "%.0fus" % (window * 1e6)
-        config = ClusterConfig(group_commit_window=window)
-        cluster = TreatyCluster(profile=TREATY_FULL, config=config).start()
-        ycsb = YcsbConfig(read_proportion=0.5, num_keys=5_000)
-        cluster.run(bulk_load(cluster, ycsb), name="load")
-        metrics = MetricsCollector(label)
-        run_ycsb(
-            cluster,
-            ycsb,
-            metrics,
-            num_clients=num_clients,
-            duration=duration,
-            warmup=duration * 0.25,
-            arrivals=arrivals,
+        cluster = loaded(
+            TREATY_FULL, ycsb, ClusterConfig(group_commit_window=window)
         )
-        _attach_phase_breakdown(metrics, cluster)
+        metrics = measure(
+            cluster, ycsb, num_clients, duration, label, arrivals=arrivals
+        )
         windows_seen = sorted(
             node.manager.group.window_delay() for node in cluster.nodes
         )
@@ -533,57 +499,6 @@ def sweep_group_commit_window(
 # --- transport batching (frames + seal-op accounting) ------------------------
 
 
-def transport_stats(cluster: TreatyCluster) -> dict:
-    """Fabric and AEAD accounting for one finished run.
-
-    Sums the per-runtime transport counters (``net.seal_ops`` — actual
-    AEAD passes; ``net.messages_sealed`` — messages protected;
-    ``net.batches_sent`` / ``net.frames_saved``) across every node and
-    client machine, merges the batch-occupancy histograms, and reads the
-    fabric's crash-proof cumulative frame/byte counters.
-    """
-    from ..net.erpc import BATCH_OCCUPANCY_BUCKETS
-
-    runtimes = [
-        node.runtime for node in cluster.nodes if node.runtime is not None
-    ]
-    runtimes.extend(machine.runtime for machine in cluster.client_machines)
-
-    def total(name: str) -> int:
-        return sum(rt.metrics.counter(name).value for rt in runtimes)
-
-    occupancy = {
-        "edges": list(BATCH_OCCUPANCY_BUCKETS),
-        "counts": [0] * (len(BATCH_OCCUPANCY_BUCKETS) + 1),
-        "total": 0,
-        "sum": 0.0,
-        "max": None,
-    }
-    for rt in runtimes:
-        hist = rt.metrics.histogram(
-            "net.batch_occupancy", edges=BATCH_OCCUPANCY_BUCKETS
-        )
-        for index, count in enumerate(hist.counts):
-            occupancy["counts"][index] += count
-        occupancy["total"] += hist.total
-        occupancy["sum"] += hist.sum
-        if hist.max is not None:
-            occupancy["max"] = max(occupancy["max"] or 0, hist.max)
-    occupancy["mean"] = (
-        occupancy["sum"] / occupancy["total"] if occupancy["total"] else 0.0
-    )
-    return {
-        "delivered_frames": cluster.fabric.delivered_frames,
-        "dropped_frames": cluster.fabric.dropped_frames,
-        "tx_bytes": cluster.fabric.tx_bytes_total,
-        "seal_ops": total("net.seal_ops"),
-        "messages_sealed": total("net.messages_sealed"),
-        "batches_sent": total("net.batches_sent"),
-        "frames_saved": total("net.frames_saved"),
-        "batch_occupancy": occupancy,
-    }
-
-
 def netbatch_compare(
     num_clients: Optional[int] = None,
     duration: Optional[float] = None,
@@ -593,16 +508,16 @@ def netbatch_compare(
     """Same deterministic YCSB run without coalescing, then with.
 
     ``"off"`` is ``net_tx_batch_max=1`` (one message and one AEAD pass
-    per frame), ``"on"`` the default.  Returns per-configuration
-    throughput plus :func:`transport_stats`, and the headline ratios
-    the CI smoke gate asserts on: delivered frames and AEAD seal
-    operations per committed transaction must both shrink with
-    coalescing.
+    per frame), ``"on"`` the default.  Returns each configuration's
+    :func:`account`, and the headline ratios the CI smoke gate asserts
+    on: delivered frames and AEAD seal operations per committed
+    transaction must both shrink with coalescing.
     """
-    from ..config import TREATY_FULL
-
     num_clients = num_clients or _scaled(24, 48)
     duration = duration or _scaled(0.15, 0.5)
+    ycsb = YcsbConfig(
+        read_proportion=read_proportion, num_keys=2_000, locality=locality
+    )
     results: dict = {}
     for label, overrides in (("off", {"net_tx_batch_max": 1}), ("on", {})):
         config = ClusterConfig(
@@ -610,33 +525,11 @@ def netbatch_compare(
             monitor_liveness_timeout_s=duration,
             **overrides,
         )
-        cluster = TreatyCluster(profile=TREATY_FULL, config=config).start()
-        ycsb = YcsbConfig(
-            read_proportion=read_proportion,
-            num_keys=2_000,
-            locality=locality,
+        cluster = loaded(TREATY_FULL, ycsb, config)
+        metrics = measure(
+            cluster, ycsb, num_clients, duration, "netbatch-%s" % label
         )
-        cluster.run(bulk_load(cluster, ycsb), name="load")
-        metrics = MetricsCollector("netbatch-%s" % label)
-        run_ycsb(
-            cluster,
-            ycsb,
-            metrics,
-            num_clients=num_clients,
-            duration=duration,
-            warmup=duration * 0.25,
-        )
-        monitor = cluster.obs.monitor
-        monitor.check_quiescent(now=cluster.sim.now)
-        stats = transport_stats(cluster)
-        stats["committed"] = metrics.committed
-        stats["aborted"] = metrics.aborted
-        stats["throughput"] = metrics.throughput()
-        stats["monitor"] = monitor.summary()
-        committed = max(1, metrics.committed)
-        stats["frames_per_txn"] = stats["delivered_frames"] / committed
-        stats["seals_per_txn"] = stats["seal_ops"] / committed
-        results[label] = stats
+        results[label] = account(cluster, metrics)
     off, on = results["off"], results["on"]
     results["reduction"] = {
         "frames_per_txn": 1.0 - on["frames_per_txn"] / off["frames_per_txn"],
@@ -655,51 +548,24 @@ def scaleout_sweep(
 
     Runs a partitioned YCSB workload (``locality`` fraction of
     transactions single-shard) on TREATY_FULL clusters of growing size
-    and reports, per committed transaction, the counter-round and
-    delivered-frame counts — the quantities that must grow sublinearly
-    with cluster size for batching to pay off at scale.
+    and reports each size's :func:`account` — per committed transaction,
+    the counter-round and delivered-frame counts are the quantities that
+    must grow sublinearly with cluster size for batching to pay off at
+    scale.
     """
-    from ..config import TREATY_FULL
-
     num_clients = num_clients or _scaled(12, 32)
     duration = duration or _scaled(0.08, 0.3)
+    ycsb = YcsbConfig(read_proportion=0.5, num_keys=1_000, locality=locality)
     results: List[Tuple[int, dict]] = []
     for num_nodes in nodes:
         config = ClusterConfig(
             monitor=True, monitor_liveness_timeout_s=duration
         )
-        cluster = TreatyCluster(
-            profile=TREATY_FULL, config=config, num_nodes=num_nodes
-        ).start()
-        ycsb = YcsbConfig(
-            read_proportion=0.5, num_keys=1_000, locality=locality
+        cluster = loaded(TREATY_FULL, ycsb, config, num_nodes=num_nodes)
+        metrics = measure(
+            cluster, ycsb, num_clients, duration, "scaleout-%d" % num_nodes
         )
-        cluster.run(bulk_load(cluster, ycsb), name="load")
-        metrics = MetricsCollector("scaleout-%d" % num_nodes)
-        run_ycsb(
-            cluster,
-            ycsb,
-            metrics,
-            num_clients=num_clients,
-            duration=duration,
-            warmup=duration * 0.25,
-        )
-        monitor = cluster.obs.monitor
-        monitor.check_quiescent(now=cluster.sim.now)
-        _attach_phase_breakdown(metrics, cluster)
-        stats = transport_stats(cluster)
-        stats["committed"] = metrics.committed
-        stats["aborted"] = metrics.aborted
-        stats["throughput"] = metrics.throughput()
-        stats["monitor"] = monitor.summary()
-        committed = max(1, metrics.committed)
-        stats["frames_per_txn"] = stats["delivered_frames"] / committed
-        stats["seals_per_txn"] = stats["seal_ops"] / committed
-        durability = metrics.extra_info["obs"]["durability"]
-        stats["counter_rounds_per_txn"] = (
-            durability.get("rounds_per_committed_txn", 0.0)
-        )
-        results.append((num_nodes, stats))
+        results.append((num_nodes, account(cluster, metrics)))
     return results
 
 

@@ -34,9 +34,10 @@ import sys
 from typing import List, Optional
 
 from .config import PROFILES, ClusterConfig, TREATY_FULL
-from .bench.harness import _attach_phase_breakdown
+from .bench.harness import loaded, measure
 from .bench.metrics import MetricsCollector
 from .core.trusted_counter import BACKENDS
+from .workloads import TpccScale, YcsbConfig
 
 
 def _add_profile_argument(parser: argparse.ArgumentParser) -> None:
@@ -106,50 +107,28 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_ycsb(args: argparse.Namespace) -> int:
-    from .core import TreatyCluster
-    from .workloads import YcsbConfig, bulk_load, run_ycsb
-
     profile = PROFILES[args.profile]
-    cluster = TreatyCluster(profile=profile).start()
-    config = YcsbConfig(
+    ycsb = YcsbConfig(
         read_proportion=args.reads, num_keys=args.keys,
         distribution=args.distribution,
     )
-    cluster.run(bulk_load(cluster, config), name="load")
-    metrics = MetricsCollector(profile.name)
-    run_ycsb(
-        cluster, config, metrics,
-        num_clients=args.clients, duration=args.duration,
-        warmup=args.duration * 0.25,
-    )
-    _attach_phase_breakdown(metrics, cluster)
-    _print_metrics(metrics)
+    _print_metrics(measure(
+        loaded(profile, ycsb), ycsb, args.clients, args.duration, profile.name
+    ))
     return 0
 
 
 def cmd_tpcc(args: argparse.Namespace) -> int:
-    from .core import TreatyCluster
-    from .workloads import TpccScale, load_tpcc, run_tpcc, tpcc_partitioner
-
     profile = PROFILES[args.profile]
     scale = TpccScale(warehouses=args.warehouses)
-    cluster = TreatyCluster(
-        profile=profile, partitioner=tpcc_partitioner(3)
-    ).start()
-    cluster.run(load_tpcc(cluster, scale), name="load")
-    metrics = MetricsCollector(profile.name)
-    run_tpcc(
-        cluster, scale, metrics,
-        num_clients=args.clients, duration=args.duration,
-        warmup=args.duration * 0.25,
-    )
-    _attach_phase_breakdown(metrics, cluster)
-    _print_metrics(metrics)
+    _print_metrics(measure(
+        loaded(profile, scale), scale, args.clients, args.duration,
+        profile.name,
+    ))
     return 0
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from .core import TreatyCluster
     from .obs import write_chrome_trace, write_jsonl
 
     if args.mode == "critical-path" and args.from_jsonl:
@@ -161,32 +140,19 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     profile = PROFILES[args.profile]
     config = ClusterConfig(tracing=True, seed=args.seed)
-    if args.workload == "tpcc":
-        from .workloads import TpccScale, load_tpcc, run_tpcc, tpcc_partitioner
-
-        scale = TpccScale(warehouses=3)
-        cluster = TreatyCluster(
-            profile=profile, config=config, partitioner=tpcc_partitioner(3)
-        ).start()
-        cluster.run(load_tpcc(cluster, scale), name="load")
-        metrics = MetricsCollector(profile.name)
-        run_tpcc(
-            cluster, scale, metrics,
-            num_clients=args.clients, duration=args.duration,
+    if args.workload != "demo":
+        # The workloads' own default warm-ups, not the quarter-window
+        # rule: the pinned trace exports (tools/trace_digest.py) are
+        # runs of this length.
+        workload, warmup = (
+            (TpccScale(warehouses=3), 0.5) if args.workload == "tpcc"
+            else (YcsbConfig(read_proportion=0.5, num_keys=1_000), 0.2)
         )
-    elif args.workload == "ycsb":
-        from .workloads import YcsbConfig, bulk_load, run_ycsb
-
-        ycsb = YcsbConfig(read_proportion=0.5, num_keys=1_000)
-        cluster = TreatyCluster(profile=profile, config=config).start()
-        cluster.run(bulk_load(cluster, ycsb), name="load")
-        metrics = MetricsCollector(profile.name)
-        run_ycsb(
-            cluster, ycsb, metrics,
-            num_clients=args.clients, duration=args.duration,
-        )
+        cluster = loaded(profile, workload, config)
+        measure(cluster, workload, args.clients, args.duration,
+                profile.name, warmup=warmup)
     else:  # demo: a few multi-shard transactions plus a crash/recovery
-        from .core import crash_and_recover
+        from .core import TreatyCluster, crash_and_recover
 
         cluster = TreatyCluster(profile=profile, config=config).start()
 
@@ -238,8 +204,6 @@ def _run_observed_workload(
     incident detection, on TREATY_FULL.  Returns the finished cluster
     with its time series flushed.
     """
-    from .core import TreatyCluster
-
     config = ClusterConfig(
         seed=seed,
         flight_recorder=True,
@@ -248,18 +212,17 @@ def _run_observed_workload(
         incidents=True,
         tail_warmup=8,
     )
-    cluster = TreatyCluster(profile=TREATY_FULL, config=config).start()
     if workload == "ycsb":
-        from .bench.metrics import MetricsCollector as Collector
-        from .workloads import YcsbConfig, bulk_load, run_ycsb
-
         ycsb = YcsbConfig(read_proportion=0.5, num_keys=1_000)
-        cluster.run(bulk_load(cluster, ycsb), name="load")
-        run_ycsb(
-            cluster, ycsb, Collector("report"),
-            num_clients=clients, duration=duration,
-        )
+        cluster = loaded(TREATY_FULL, ycsb, config)
+        # run_ycsb's default 0.2 s warm-up, not the quarter-window rule:
+        # the pinned `report` / `metrics export` stdout digests are runs
+        # of this length.
+        measure(cluster, ycsb, clients, duration, "report", warmup=0.2)
     else:  # demo: a few multi-shard transactions
+        from .core import TreatyCluster
+
+        cluster = TreatyCluster(profile=TREATY_FULL, config=config).start()
         session = cluster.session(cluster.client_machine())
 
         def body():
@@ -330,9 +293,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     incident_counts = incidents.counts()
     if incident_counts:
         incidents.link_exemplars()
-        print("incidents    : "
-              + "  ".join("%s=%d" % item
-                          for item in sorted(incident_counts.items())))
+        print(_incidents_line(incident_counts))
         for incident in incidents.incidents[:12]:
             exemplar = incident.get("exemplar")
             suffix = (
@@ -626,17 +587,109 @@ def _mc_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .obs import MonitorViolation
+
     if args.mode == "smoke":
-        if args.net_batch:
-            return _bench_netbatch(args)
-        if args.read_mostly:
-            return _bench_read_mostly(args)
-        return _bench_smoke(args)
-    if args.mode == "scale-out":
-        return _bench_scaleout(args)
-    if args.mode == "baseline":
-        return _bench_baseline(args)
-    return _bench_sweep_window(args)
+        run = (_bench_netbatch if args.net_batch
+               else _bench_read_mostly if args.read_mostly else _bench_smoke)
+    else:
+        run = {"scale-out": _bench_scaleout, "baseline": _bench_baseline,
+               "sweep-window": _bench_sweep_window}[args.mode]
+    try:
+        return run(args)
+    except MonitorViolation as exc:  # the strict monitor raises mid-run
+        print("MONITOR VIOLATION: %s" % exc, file=sys.stderr)
+        return 1
+
+
+def _incidents_line(counts: dict) -> str:
+    return "incidents    : " + "  ".join(
+        "%s=%d" % item for item in sorted(counts.items())
+    )
+
+
+def _print_timeline(timeline: dict, incidents: dict) -> None:
+    """The time-series headline and incident counts of one run."""
+    print("timeline     : %d windows, tps mean %.0f peak %.0f, %d stalled"
+          % (timeline.get("windows", 0), timeline.get("tps_mean", 0.0),
+             timeline.get("tps_peak", 0.0),
+             timeline.get("stalled_windows", 0)))
+    if incidents:
+        print(_incidents_line(incidents))
+
+
+# -- gate rules: pure functions from ``bench.harness.account`` dicts (and
+# -- monitor verdicts) to failure lines; ``_gate`` turns them into an exit
+# -- status.
+
+
+def monitor_failures(verdicts) -> List[str]:
+    """All gates: every ``(label, monitor summary)`` must be green."""
+    return [
+        "MONITOR VIOLATION (%s): %s" % (label, violation)
+        for label, monitor in verdicts
+        for violation in monitor.get("violations", ())
+    ]
+
+
+def read_mostly_failures(snap: dict, lock: dict) -> List[str]:
+    """YCSB-C snapshot reads vs locking 2PC on the same seed."""
+    failures = []
+    if snap["cluster_frames_per_txn"] > 0.5:
+        failures.append(
+            "FAIL: read-only transactions touched the cluster fabric "
+            "(%.3f frames/txn)" % snap["cluster_frames_per_txn"])
+    if snap["p50_ms"] >= lock["p50_ms"]:
+        failures.append(
+            "FAIL: snapshot reads did not reduce YCSB-C p50 "
+            "(%.3f ms >= %.3f ms)" % (snap["p50_ms"], lock["p50_ms"]))
+    if snap["throughput_tps"] <= lock["throughput_tps"]:
+        failures.append(
+            "FAIL: snapshot reads lost throughput (%.0f tps <= %.0f tps)"
+            % (snap["throughput_tps"], lock["throughput_tps"]))
+    return failures
+
+
+def netbatch_failures(results: dict) -> List[str]:
+    """Coalescing must strictly reduce frames and seal ops per txn."""
+    failures = monitor_failures(
+        ("batching %s" % label, results[label]["monitor"])
+        for label in ("off", "on")
+    )
+    reduction = results["reduction"]
+    if reduction["frames_per_txn"] <= 0.0 or reduction["seals_per_txn"] <= 0.0:
+        failures.append(
+            "FAIL: batching did not reduce frames and seal ops per txn")
+    return failures
+
+
+def _scaleout_growth(results) -> tuple:
+    """(node-count ratio, frames/txn ratio), smallest to largest cluster."""
+    (first_nodes, first), (last_nodes, last) = results[0], results[-1]
+    return (
+        last_nodes / first_nodes,
+        last["frames_per_txn"] / max(1e-9, first["frames_per_txn"]),
+    )
+
+
+def scaleout_failures(results) -> List[str]:
+    """Frames per txn must grow by less than the node-count ratio."""
+    failures = monitor_failures(
+        ("%d nodes" % num_nodes, stats["monitor"])
+        for num_nodes, stats in results
+    )
+    if len(results) >= 2:
+        node_ratio, frame_ratio = _scaleout_growth(results)
+        if frame_ratio >= node_ratio:
+            failures.append(
+                "FAIL: frames per txn grew superlinearly with cluster size")
+    return failures
+
+
+def _gate(failures: List[str]) -> int:
+    for failure in failures:
+        print(failure, file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _bench_baseline(args: argparse.Namespace) -> int:
@@ -667,15 +720,7 @@ def _bench_baseline(args: argparse.Namespace) -> int:
     print("frames/txn   : %.2f   seals/txn: %.2f   counter rounds/txn: %.3f"
           % (headline["frames_per_txn"], headline["seal_ops_per_txn"],
              headline["counter_rounds_per_txn"]))
-    timeline = document["timeline"]
-    print("timeline     : %d windows, tps mean %.0f peak %.0f, %d stalled"
-          % (timeline.get("windows", 0), timeline.get("tps_mean", 0.0),
-             timeline.get("tps_peak", 0.0),
-             timeline.get("stalled_windows", 0)))
-    if timeline.get("incidents"):
-        print("incidents    : "
-              + "  ".join("%s=%d" % item
-                          for item in sorted(timeline["incidents"].items())))
+    _print_timeline(document["timeline"], document["timeline"]["incidents"])
     print()
     print(format_phase_table(document["_aggregate"]))
     print()
@@ -754,38 +799,25 @@ def _write_report_artifacts(document: dict, report_dir: str) -> None:
 def _bench_smoke(args: argparse.Namespace) -> int:
     """Short full-pipeline run under the strict monitor (CI gate)."""
     from .bench.harness import durability_smoke
-    from .obs import MonitorViolation
 
-    try:
-        metrics = durability_smoke(
-            num_clients=args.clients or 24, duration=args.duration or 0.2,
-            flight_recorder=args.flight_recorder,
-        )
-    except MonitorViolation as exc:
-        print("MONITOR VIOLATION: %s" % exc, file=sys.stderr)
-        return 1
+    metrics = durability_smoke(
+        num_clients=args.clients or 24, duration=args.duration or 0.2,
+        flight_recorder=args.flight_recorder,
+    )
     _print_metrics(metrics)
     if args.flight_recorder:
         flight = metrics.extra_info["flight"]
-        recorder, timeline = flight["recorder"], flight["timeline"]
+        recorder = flight["recorder"]
         print("flight rec.  : %d commits, p50 %.3f ms, p99 %.3f ms, "
               "%d exemplars, %d ring-evicted"
               % (recorder["commits"], recorder["p50_ms"],
                  recorder["tail_ms"], recorder["exemplars"],
                  recorder["ring_evicted"]))
-        print("timeline     : %d windows, tps mean %.0f peak %.0f, "
-              "%d stalled"
-              % (timeline.get("windows", 0), timeline.get("tps_mean", 0.0),
-                 timeline.get("tps_peak", 0.0),
-                 timeline.get("stalled_windows", 0)))
-        if flight["incidents"]:
-            print("incidents    : "
-                  + "  ".join("%s=%d" % item
-                              for item in sorted(flight["incidents"].items())))
-    monitor = metrics.extra_info.get("monitor", {})
+        _print_timeline(flight["timeline"], flight["incidents"])
+    monitor = metrics.extra_info["monitor"]
     durability = metrics.extra_info["obs"].get("durability", {})
     print("monitor      : %d events, %d violations"
-          % (monitor.get("events_seen", 0), len(monitor.get("violations", []))))
+          % (monitor["events_seen"], len(monitor["violations"])))
     if "rounds_per_committed_txn" in durability:
         print("counter rounds/committed txn : %.3f"
               % durability["rounds_per_committed_txn"])
@@ -793,11 +825,7 @@ def _bench_smoke(args: argparse.Namespace) -> int:
     if batch:
         print("stabilize batch size         : mean %.2f  max %d"
               % (batch["mean"], batch["max"]))
-    if not monitor.get("green", True):
-        for violation in monitor["violations"]:
-            print("MONITOR VIOLATION: %s" % violation, file=sys.stderr)
-        return 1
-    return 0
+    return _gate(monitor_failures([("smoke", monitor)]))
 
 
 def _bench_read_mostly(args: argparse.Namespace) -> int:
@@ -833,23 +861,7 @@ def _bench_read_mostly(args: argparse.Namespace) -> int:
           % (counters["txn.readonly.local"],
              counters["txn.readonly.upgraded"],
              counters["txn.readonly.conflicts"]))
-    failed = 0
-    if snap["cluster_frames_per_txn"] > 0.5:
-        print("FAIL: read-only transactions touched the cluster fabric "
-              "(%.3f frames/txn)" % snap["cluster_frames_per_txn"],
-              file=sys.stderr)
-        failed = 1
-    if snap["p50_ms"] >= lock["p50_ms"]:
-        print("FAIL: snapshot reads did not reduce YCSB-C p50 "
-              "(%.3f ms >= %.3f ms)" % (snap["p50_ms"], lock["p50_ms"]),
-              file=sys.stderr)
-        failed = 1
-    if snap["throughput_tps"] <= lock["throughput_tps"]:
-        print("FAIL: snapshot reads lost throughput "
-              "(%.0f tps <= %.0f tps)"
-              % (snap["throughput_tps"], lock["throughput_tps"]),
-              file=sys.stderr)
-        failed = 1
+    failed = _gate(read_mostly_failures(snap, lock))
     if not failed:
         print("read-mostly gate PASSED: %.3f frames/txn, p50 %.3f ms "
               "vs locking %.3f ms"
@@ -870,24 +882,19 @@ def _bench_netbatch(args: argparse.Namespace) -> int:
 
     from .bench.harness import netbatch_compare
     from .bench.reporting import format_table
-    from .obs import MonitorViolation
 
-    try:
-        results = netbatch_compare(
-            num_clients=args.clients,
-            duration=args.duration,
-            locality=0.0 if args.locality is None else args.locality,
-        )
-    except MonitorViolation as exc:
-        print("MONITOR VIOLATION: %s" % exc, file=sys.stderr)
-        return 1
+    results = netbatch_compare(
+        num_clients=args.clients,
+        duration=args.duration,
+        locality=0.0 if args.locality is None else args.locality,
+    )
     rows = []
     for label in ("off", "on"):
         stats = results[label]
         rows.append((
             label,
             "%d" % stats["committed"],
-            "%.0f" % stats["throughput"],
+            "%.0f" % stats["throughput_tps"],
             "%.1f" % stats["frames_per_txn"],
             "%.1f" % stats["seals_per_txn"],
             "%.2f" % stats["batch_occupancy"]["mean"],
@@ -906,45 +913,28 @@ def _bench_netbatch(args: argparse.Namespace) -> int:
         with open(args.hist_out, "w") as fh:
             json.dump(results["on"]["batch_occupancy"], fh, indent=2)
         print("occupancy histogram written to %s" % args.hist_out)
-    failed = 0
-    for label in ("off", "on"):
-        monitor = results[label]["monitor"]
-        if not monitor.get("green", True):
-            for violation in monitor["violations"]:
-                print("MONITOR VIOLATION (batching %s): %s"
-                      % (label, violation), file=sys.stderr)
-            failed = 1
-    if reduction["frames_per_txn"] <= 0.0 or reduction["seals_per_txn"] <= 0.0:
-        print("FAIL: batching did not reduce frames and seal ops per txn",
-              file=sys.stderr)
-        failed = 1
-    return failed
+    return _gate(netbatch_failures(results))
 
 
 def _bench_scaleout(args: argparse.Namespace) -> int:
     """Cluster-size sweep: per-txn frame/counter-round growth."""
     from .bench.harness import scaleout_sweep
     from .bench.reporting import format_table
-    from .obs import MonitorViolation
 
     nodes = tuple(int(token) for token in args.nodes.split(","))
     locality = 0.9 if args.locality is None else args.locality
-    try:
-        results = scaleout_sweep(
-            nodes=nodes,
-            num_clients=args.clients,
-            duration=args.duration,
-            locality=locality,
-        )
-    except MonitorViolation as exc:
-        print("MONITOR VIOLATION: %s" % exc, file=sys.stderr)
-        return 1
+    results = scaleout_sweep(
+        nodes=nodes,
+        num_clients=args.clients,
+        duration=args.duration,
+        locality=locality,
+    )
     rows = []
     for num_nodes, stats in results:
         rows.append((
             "%d" % num_nodes,
             "%d" % stats["committed"],
-            "%.0f" % stats["throughput"],
+            "%.0f" % stats["throughput_tps"],
             "%.1f" % stats["frames_per_txn"],
             "%.1f" % stats["seals_per_txn"],
             "%.3f" % stats["counter_rounds_per_txn"],
@@ -956,30 +946,10 @@ def _bench_scaleout(args: argparse.Namespace) -> int:
          "seals/txn", "rounds/txn"),
         rows,
     ))
-    failed = 0
-    for num_nodes, stats in results:
-        monitor = stats["monitor"]
-        if not monitor.get("green", True):
-            for violation in monitor["violations"]:
-                print("MONITOR VIOLATION (%d nodes): %s"
-                      % (num_nodes, violation), file=sys.stderr)
-            failed = 1
-    # Sublinear growth gate: frames per txn from the smallest to the
-    # largest cluster must grow by less than the node-count ratio.
     if len(results) >= 2:
-        first_nodes, first = results[0]
-        last_nodes, last = results[-1]
-        node_ratio = last_nodes / first_nodes
-        frame_ratio = last["frames_per_txn"] / max(
-            1e-9, first["frames_per_txn"]
-        )
         print("growth       : nodes x%.2f  frames/txn x%.2f"
-              % (node_ratio, frame_ratio))
-        if frame_ratio >= node_ratio:
-            print("FAIL: frames per txn grew superlinearly with cluster size",
-                  file=sys.stderr)
-            failed = 1
-    return failed
+              % _scaleout_growth(results))
+    return _gate(scaleout_failures(results))
 
 
 def _bench_sweep_window(args: argparse.Namespace) -> int:
@@ -1096,7 +1066,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write raw records as JSON lines")
     trace.add_argument("--clients", type=int, default=8)
     trace.add_argument("--duration", type=float, default=0.05,
-                       help="simulated seconds of workload")
+                       help="measured window in simulated seconds; a "
+                            "0.2 s (ycsb) / 0.5 s (tpcc) warm-up runs first")
     trace.add_argument("--seed", type=int, default=7)
     trace.set_defaults(func=cmd_trace)
 
@@ -1110,7 +1081,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("--clients", type=int, default=16)
     report.add_argument("--duration", type=float, default=0.1,
-                        help="simulated seconds of workload")
+                        help="measured window in simulated seconds; a "
+                             "0.2 s warm-up runs first")
     report.add_argument("--seed", type=int, default=7)
     report.add_argument("--window", type=float, default=5.0,
                         help="time-series window width in milliseconds")
@@ -1140,7 +1112,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workload", default="demo", choices=["ycsb", "demo"]
     )
     metrics.add_argument("--clients", type=int, default=8)
-    metrics.add_argument("--duration", type=float, default=0.05)
+    metrics.add_argument("--duration", type=float, default=0.05,
+                         help="measured window in simulated seconds; a "
+                              "0.2 s warm-up runs first")
     metrics.add_argument("--seed", type=int, default=7)
     metrics.set_defaults(func=cmd_metrics)
 

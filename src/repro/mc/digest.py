@@ -18,10 +18,11 @@ would make every state unique and the cache useless.
 
 Disk files are append-mostly (:class:`repro.storage.disk.Disk` extends
 a per-file ``bytearray`` in place), so the CRC is computed
-incrementally: a cache keyed by ``(node, filename)`` remembers the
-buffer identity, consumed length and running CRC, and only the suffix
-appended since the previous digest is hashed.  A rewritten file (new
-buffer object or truncation) falls back to a full pass.
+incrementally: a cache keyed by ``(node, filename)`` holds the buffer
+(the object, not its ``id()`` — a freed buffer's address is recycled by
+the next run's disk), consumed length and running CRC, and only the
+suffix appended since the previous digest is hashed.  A rewritten file
+(new buffer object or truncation) falls back to a full pass.
 
 Digests are combined with Python's ``hash`` on nested tuples, which is
 stable within one process — all the cache ever needs.  For stable
@@ -41,22 +42,22 @@ class DiskCrcCache:
     """Incremental per-file CRC32 over a node's append-mostly disk."""
 
     def __init__(self):
-        # (node_name, filename) -> (buffer id, bytes consumed, crc)
-        self._entries: Dict[Tuple[str, str], Tuple[int, int, int]] = {}
+        # (node_name, filename) -> (buffer, bytes consumed, crc)
+        self._entries: Dict[Tuple[str, str], Tuple[Any, int, int]] = {}
 
     def file_crc(self, node_name: str, filename: str, data) -> int:
         key = (node_name, filename)
         entry = self._entries.get(key)
         length = len(data)
         if entry is not None:
-            buf_id, consumed, crc = entry
-            if buf_id == id(data) and length >= consumed:
+            buffer, consumed, crc = entry
+            if buffer is data and length >= consumed:
                 if length > consumed:
                     crc = zlib.crc32(memoryview(data)[consumed:], crc)
-                    self._entries[key] = (buf_id, length, crc)
+                    self._entries[key] = (data, length, crc)
                 return crc
         crc = zlib.crc32(bytes(data))
-        self._entries[key] = (id(data), length, crc)
+        self._entries[key] = (data, length, crc)
         return crc
 
 

@@ -55,6 +55,7 @@ from .registry import (
     MetricsRegistry,
     SIZE_BUCKETS_BYTES,
     bucket_quantile,
+    merge_snapshots,
 )
 from .timeseries import TimeSeriesRecorder
 from .tracer import NULL_TRACER, NullTracer, Span, Tracer, tracer_of
@@ -71,6 +72,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricsHub",
+    "merge_snapshots",
     "LATENCY_BUCKETS_S",
     "SIZE_BUCKETS_BYTES",
     "InvariantMonitor",

@@ -13,7 +13,9 @@ publication styles keep the hot paths cheap:
   surfaced with zero added cost on the paths that maintain them.
 
 A :class:`MetricsHub` aggregates one registry per node (plus the fabric
-and other cluster-wide components) and snapshots them all for reports.
+and other cluster-wide components) and snapshots them all for reports;
+:func:`merge_snapshots` folds such a snapshot into one deployment-wide
+value per metric name.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricsHub",
+    "merge_snapshots",
     "LATENCY_BUCKETS_S",
     "SIZE_BUCKETS_BYTES",
     "bucket_quantile",
@@ -255,3 +258,40 @@ class MetricsHub:
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         return {name: self._registries[name].snapshot()
                 for name in sorted(self._registries)}
+
+
+def merge_snapshots(registries: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
+    """One deployment-wide value per metric name.
+
+    ``registries`` maps component names to registry snapshots (a
+    :meth:`MetricsHub.snapshot`, possibly with more registries added).
+    This is the one definition of how a metric is summed over a
+    deployment: scalars add up by name; histograms (same edges in every
+    registry) merge bucket-wise into the :meth:`Histogram.as_dict`
+    shape.  Components are folded in the mapping's order, so float sums
+    are reproducible.
+    """
+    merged: Dict[str, Any] = {}
+    for metrics in registries.values():
+        for name, value in metrics.items():
+            seen = merged.get(name)
+            if not isinstance(value, dict):
+                merged[name] = value if seen is None else seen + value
+            elif seen is None:
+                merged[name] = dict(value, counts=list(value["counts"]))
+            else:
+                seen["total"] += value["total"]
+                seen["sum"] += value["sum"]
+                seen["counts"] = [
+                    a + b for a, b in zip(seen["counts"], value["counts"])
+                ]
+                for key, pick in (("min", min), ("max", max)):
+                    if value[key] is not None:
+                        seen[key] = (
+                            value[key] if seen[key] is None
+                            else pick(seen[key], value[key])
+                        )
+                seen["mean"] = (
+                    seen["sum"] / seen["total"] if seen["total"] else 0.0
+                )
+    return merged

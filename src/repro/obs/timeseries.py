@@ -32,6 +32,7 @@ import json
 from typing import Any, Callable, Dict, IO, List, Optional, Union
 
 from .critpath import percentile
+from .registry import merge_snapshots
 
 __all__ = ["TimeSeriesRecorder", "WINDOW_FIELDS"]
 
@@ -55,39 +56,6 @@ WINDOW_FIELDS = (
     "counter_pending",
     "decision_slots",
 )
-
-
-def _scalar_total(snapshot: Dict[str, Dict[str, Any]], name: str) -> float:
-    """Sum one scalar metric across every component registry."""
-    total = 0.0
-    for metrics in snapshot.values():
-        value = metrics.get(name)
-        if isinstance(value, (int, float)):
-            total += value
-    return total
-
-
-def _prefixed_total(snapshot: Dict[str, Dict[str, Any]], prefix: str) -> float:
-    """Sum every scalar metric whose name starts with ``prefix``."""
-    total = 0.0
-    for metrics in snapshot.values():
-        for name, value in metrics.items():
-            if name.startswith(prefix) and isinstance(value, (int, float)):
-                total += value
-    return total
-
-
-def _histogram_totals(snapshot: Dict[str, Dict[str, Any]],
-                      name: str) -> Dict[str, float]:
-    """Cluster-wide (total observations, sum) of one histogram metric."""
-    count = 0.0
-    value_sum = 0.0
-    for metrics in snapshot.values():
-        hist = metrics.get(name)
-        if isinstance(hist, dict) and "counts" in hist:
-            count += hist["total"]
-            value_sum += hist["sum"]
-    return {"total": count, "sum": value_sum}
 
 
 class TimeSeriesRecorder:
@@ -120,15 +88,20 @@ class TimeSeriesRecorder:
 
     # -- sampling ------------------------------------------------------------
     def _sample(self) -> Dict[str, float]:
-        snapshot = self.hub.snapshot()
-        group_commit = _histogram_totals(snapshot, "group_commit.batch_size")
+        totals = merge_snapshots(self.hub.snapshot())
+        group_commit = totals.get(
+            "group_commit.batch_size", {"total": 0, "sum": 0.0}
+        )
         return {
-            "frames": _scalar_total(snapshot, "net.delivered_frames"),
-            "seal_ops": _scalar_total(snapshot, "net.seal_ops"),
-            "counter_rounds": _scalar_total(snapshot, "counter.rounds_executed"),
-            "occ_conflicts": _scalar_total(snapshot, "occ.conflicts"),
-            "counter_pending": _prefixed_total(snapshot, "counter.pending."),
-            "decision_slots": _scalar_total(snapshot, "decision.slots"),
+            "frames": totals.get("net.delivered_frames", 0),
+            "seal_ops": totals.get("net.seal_ops", 0),
+            "counter_rounds": totals.get("counter.rounds_executed", 0),
+            "occ_conflicts": totals.get("occ.conflicts", 0),
+            "counter_pending": sum(
+                value for name, value in totals.items()
+                if name.startswith("counter.pending.")
+            ),
+            "decision_slots": totals.get("decision.slots", 0),
             "gc_batches": group_commit["total"],
             "gc_txns": group_commit["sum"],
         }

@@ -12,6 +12,7 @@ crash-fault vocabulary shared with the conformance sweep.
 import inspect
 import json
 import os
+import zlib
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.mc import (
     save_counterexample,
     shrink_trace,
 )
+from repro.mc.digest import DiskCrcCache
 from repro.mc.harness import Scope, mutation_scope
 from repro.net.adversary import ENUMERATED_DELAY, NetworkAdversary
 from repro.obs.monitor import InvariantMonitor
@@ -377,6 +379,27 @@ class TestFoundBugsStayGreen:
             )
         ))
         assert result.green, result.violations
+
+
+# -- visited-state digest -----------------------------------------------------
+
+class TestDiskCrcCache:
+    def test_fresh_equal_length_buffers_are_hashed_in_full(self):
+        """One cache digests one run's disk after another's: each fresh
+        buffer usually lands at the freed previous one's address, and a
+        cache keyed by ``id()`` then returned the previous CRC."""
+        cache = DiskCrcCache()
+        for i in range(50):
+            data = bytearray(b"%04d" % i * 64)
+            assert cache.file_crc("node0", "wal", data) == zlib.crc32(data)
+            del data
+
+    def test_appended_suffix_continues_the_crc(self):
+        cache = DiskCrcCache()
+        data = bytearray(b"head")
+        cache.file_crc("node0", "wal", data)
+        data.extend(b"-tail")
+        assert cache.file_crc("node0", "wal", data) == zlib.crc32(data)
 
 
 # -- monitor reset / reuse ----------------------------------------------------

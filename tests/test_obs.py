@@ -11,11 +11,13 @@ from repro.net import NetworkAdversary
 from repro.obs import (
     Histogram,
     InvariantMonitor,
+    MetricsHub,
     MetricsRegistry,
     MonitorViolation,
     Tracer,
     chrome_trace,
     load_chrome_trace,
+    merge_snapshots,
     to_jsonl,
     write_chrome_trace,
 )
@@ -78,6 +80,36 @@ class TestHistogram:
         snap = registry.snapshot()
         assert snap["a"] == 3
         assert snap["b"] == 9
+
+    def test_merge_snapshots_equals_the_hand_sum(self):
+        hub = MetricsHub()
+        observed = {"node0": (0.5, 3.0), "node1": (1.5, 9.0, 2.0)}
+        for name, values in observed.items():
+            registry = hub.registry(name)
+            registry.counter("ops").inc(len(values))
+            registry.gauge("load").set(values[0])
+            registry.histogram("empty_s")
+            for value in values:
+                registry.histogram("wait_s", edges=[1.0, 2.0, 4.0]).observe(value)
+        hub.registry("node1").counter("only_here").inc(7)
+
+        snapshot = hub.snapshot()
+        merged = merge_snapshots(snapshot)
+        assert merged["ops"] == 5
+        assert merged["load"] == 0.5 + 1.5
+        assert merged["only_here"] == 7
+        wait = merged["wait_s"]
+        assert wait["total"] == 5
+        assert wait["sum"] == (0.5 + 3.0) + (1.5 + 9.0 + 2.0)
+        assert wait["mean"] == wait["sum"] / 5
+        assert wait["counts"] == [1, 2, 1, 1]
+        assert (wait["min"], wait["max"]) == (0.5, 9.0)
+        empty = merged["empty_s"]
+        assert empty["total"] == 0 and empty["max"] is None
+        assert empty["mean"] == 0.0
+        # Merging copies: the snapshot passed in is untouched.
+        assert snapshot["node0"]["wait_s"]["counts"] == [1, 0, 1, 0]
+        assert snapshot["node0"]["wait_s"]["total"] == 2
 
 
 # -- tracer --------------------------------------------------------------------

@@ -388,3 +388,19 @@ class TestTpccDriver:
         metrics = MetricsCollector()
         run_tpcc(cluster, scale, metrics, num_clients=4, duration=0.3, warmup=0.05)
         assert metrics.committed > 5
+
+    def test_optimistic_driver_opens_occ_transactions(self):
+        scale = TpccScale(
+            warehouses=2, districts_per_warehouse=2,
+            customers_per_district=5, items=20, initial_orders_per_district=2,
+        )
+        cluster = TreatyCluster(profile=DS_ROCKSDB, num_nodes=1).start()
+        cluster.run(load_tpcc(cluster, scale), name="load")
+        validated = cluster.nodes[0].runtime.metrics.counter("occ.validated")
+        metrics = MetricsCollector()
+        run_tpcc(cluster, scale, metrics, num_clients=2, duration=0.05,
+                 warmup=0.01)
+        assert metrics.committed > 0 and validated.value == 0
+        run_tpcc(cluster, scale, metrics, num_clients=2, duration=0.05,
+                 warmup=0.01, optimistic=True)
+        assert validated.value > 0

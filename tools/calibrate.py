@@ -23,30 +23,16 @@ from repro.config import ClusterConfig, CostModel, PROFILES
 
 def run_experiment(name: str, config: ClusterConfig, profile_name: str):
     profile = PROFILES[profile_name]
-    if name == "ycsb-distributed":
-        from repro.core import TreatyCluster
-        from repro.bench.metrics import MetricsCollector
-        from repro.workloads import YcsbConfig, bulk_load, run_ycsb
+    if name in ("ycsb-distributed", "ycsb-single"):
+        from repro.bench.harness import loaded, measure
+        from repro.workloads import YcsbConfig
 
-        cluster = TreatyCluster(profile=profile, config=config).start()
+        num_nodes, clients = (3, 48) if name == "ycsb-distributed" else (1, 16)
         ycsb = YcsbConfig(read_proportion=0.2, num_keys=4_000)
-        cluster.run(bulk_load(cluster, ycsb), name="load")
-        metrics = MetricsCollector()
-        run_ycsb(cluster, ycsb, metrics, num_clients=48, duration=0.25, warmup=0.05)
-        return {
-            "tps": metrics.throughput(),
-            "lat_ms": metrics.mean_latency() * 1e3,
-        }
-    if name == "ycsb-single":
-        from repro.core import TreatyCluster
-        from repro.bench.metrics import MetricsCollector
-        from repro.workloads import YcsbConfig, bulk_load, run_ycsb
-
-        cluster = TreatyCluster(profile=profile, config=config, num_nodes=1).start()
-        ycsb = YcsbConfig(read_proportion=0.2, num_keys=4_000)
-        cluster.run(bulk_load(cluster, ycsb), name="load")
-        metrics = MetricsCollector()
-        run_ycsb(cluster, ycsb, metrics, num_clients=16, duration=0.25, warmup=0.05)
+        metrics = measure(
+            loaded(profile, ycsb, config, num_nodes), ycsb, clients, 0.25,
+            warmup=0.05,
+        )
         return {
             "tps": metrics.throughput(),
             "lat_ms": metrics.mean_latency() * 1e3,

@@ -19,7 +19,11 @@ emit and compares with (or writes) a pinned JSON file:
   round itself (the ``…/fallback`` rows, which also pin the number of
   sync fallbacks);
 * **trace exports**: sha256 of the Chrome-trace and JSONL files of
-  ``repro trace --workload demo|ycsb|tpcc --seed 7``.
+  ``repro trace --workload demo|ycsb|tpcc --seed 7``;
+* **CLI stdout**: sha256 of everything five short ``repro`` commands
+  print (``ycsb``, ``tpcc``, ``report``, ``metrics export``, ``bench
+  smoke`` — the ``cli/…`` rows), so a refactor of the bench harness or of
+  the report formatting cannot move a printed number unnoticed.
 
 Usage: ``python tools/trace_digest.py [--write|--check] [--dump DIR]
 FILE`` (default ``--check``; run with ``PYTHONHASHSEED=0``).  ``--check``
@@ -56,36 +60,41 @@ RECIPES = (
        if shape.promises]
 )
 TRACE_WORKLOADS = ("demo", "ycsb", "tpcc")
+#: row name -> ``repro`` argv whose whole stdout is hashed.
+CLI_COMMANDS = {
+    "cli/ycsb": ["ycsb", "--clients", "8", "--duration", "0.05"],
+    "cli/tpcc": ["tpcc", "--clients", "4", "--duration", "0.05",
+                 "--warehouses", "3"],
+    "cli/report": ["report", "--workload", "ycsb", "--clients", "8",
+                   "--duration", "0.05"],
+    "cli/metrics-export": ["metrics", "export", "--workload", "ycsb"],
+    "cli/bench-smoke": ["bench", "smoke"],
+}
 
 
-def _dump_path(dump: str, key: str) -> str:
-    return os.path.join(dump, key.replace("/", "-") + ".jsonl")
+def _dump_path(dump: str, key: str, suffix: str = ".jsonl") -> str:
+    return os.path.join(dump, key.replace("/", "-") + suffix)
 
 
 def protocol_backend_digest(
     protocol: str, backend: str, variant: str = "", dump_to=None
 ) -> dict:
-    from repro.bench.metrics import MetricsCollector
+    from repro.bench.harness import loaded, measure
     from repro.config import TREATY_FULL, ClusterConfig
-    from repro.core import TreatyCluster
-    from repro.workloads import YcsbConfig, bulk_load, run_ycsb
+    from repro.workloads import YcsbConfig
 
     config = ClusterConfig(
         tracing=True, seed=11, protocol=protocol, rollback_backend=backend,
         counter_shards=1 if backend == "counter-sync" else 2,
     )
-    cluster = TreatyCluster(profile=TREATY_FULL, config=config).start()
     ycsb = YcsbConfig(
         read_proportion=0.5, num_keys=400, optimistic=variant == "occ"
     )
-    cluster.run(bulk_load(cluster, ycsb), name="load")
+    cluster = loaded(TREATY_FULL, ycsb, config)
     if variant == "fallback":
         for node in cluster.nodes:
             node.pipeline.rollback.drivers_enabled = False
-    run_ycsb(
-        cluster, ycsb, MetricsCollector("digest"),
-        num_clients=12, duration=0.1, warmup=0.01,
-    )
+    measure(cluster, ycsb, 12, 0.1, "digest", warmup=0.01)
     digest = hashlib.sha256()
     records = cluster.obs.records()
     lines = [json.dumps(record, sort_keys=True) for record in records]
@@ -125,10 +134,30 @@ def trace_export_digest(workload: str, dump_to=None) -> dict:
     return digests
 
 
+def cli_stdout_digest(argv, dump_to=None) -> dict:
+    from repro.cli import main
+
+    captured = io.StringIO()
+    with contextlib.redirect_stdout(captured):
+        status = main(list(argv))
+    if status:
+        raise SystemExit("repro %s failed" % " ".join(argv))
+    text = captured.getvalue()
+    if dump_to:
+        with open(dump_to, "w") as fp:
+            fp.write(text)
+    return {
+        "lines": text.count("\n"),
+        "sha256": hashlib.sha256(text.encode()).hexdigest(),
+    }
+
+
 def compute(dump=None) -> dict:
     """Run every recipe, printing each digest as it is ready; with
     ``dump`` also write each recipe's records under that directory."""
-    document: dict = {"protocol_backend": {}, "trace_export": {}}
+    document: dict = {
+        "protocol_backend": {}, "trace_export": {}, "stdout": {},
+    }
     if dump:
         os.makedirs(dump, exist_ok=True)
 
@@ -146,6 +175,10 @@ def compute(dump=None) -> dict:
     for workload in TRACE_WORKLOADS:
         done("trace_export", workload, trace_export_digest(
             workload, dump and _dump_path(dump, "trace-" + workload)
+        ))
+    for name, argv in CLI_COMMANDS.items():
+        done("stdout", name, cli_stdout_digest(
+            argv, dump and _dump_path(dump, name, ".txt")
         ))
     return document
 
