@@ -428,7 +428,7 @@ def durability_smoke(
     stores its summaries in ``extra_info["flight"]`` — the CI overhead
     gate runs the smoke this way to prove the recorder does not move the
     workload (the simulation is untouched: recording is subscriber-
-    driven and adds nothing to the event heap).
+    driven and adds nothing to the simulator's queues).
     """
     config = ClusterConfig(
         monitor=True,

@@ -11,9 +11,11 @@ The controller is consulted at every nondeterministic choice point:
   :mod:`repro.mc.faults` vocabulary) was emitted.  Options are "no
   crash" plus one victim per configured offset, option 0 always "no
   crash".
-* **tie points** — optional (``Scope.tie_window > 1``): several heap
-  entries are runnable at the same instant and the simulator asks which
-  to run first.  Option 0 is the uncontrolled order.
+* **tie points** — optional (``Scope.tie_window > 1``): several
+  simulator entries (heap timeouts due then, ready-queue work) are
+  runnable at the same instant and the simulator asks which to run
+  first.  Option ``k`` is the ``k``-th in the uncontrolled order, so
+  option 0 is the uncontrolled order.
 
 The trace is a list of option indices, indexed by consultation order.
 Points beyond the end of the trace choose option 0 (no perturbation),

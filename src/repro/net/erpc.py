@@ -118,7 +118,6 @@ class ErpcEndpoint:
         self._req_seq = itertools.count(1)
         self.requests_sent = 0
         self.requests_served = 0
-        self._rx_running = False
         # -- transport batching -------------------------------------------
         self.batch_max = max(1, runtime.config.net_tx_batch_max)
         #: optional secure batch codec (installed by SecureRpc): seals a
@@ -147,10 +146,10 @@ class ErpcEndpoint:
         self.start()
 
     def start(self) -> None:
-        """Start the polling loop (idempotent)."""
-        if not self._rx_running:
-            self._rx_running = True
-            self.sim.process(self._rx_loop(), name="erpc-rx@%s" % self.nic.address)
+        """Start receiving: the NIC hands every frame, those already
+        waiting in its inbox first, to :meth:`_on_frame` (idempotent)."""
+        if self.nic.on_frame is None:
+            self.nic.set_receiver(self._on_frame)
 
     # -- client side -----------------------------------------------------------
     def enqueue_request(
@@ -308,7 +307,7 @@ class ErpcEndpoint:
         finally:
             msgbuf.release()
         if is_request and dst not in self.fabric._nics:
-            # The destination is already gone: the delivery fiber will
+            # The destination is already gone: the fabric's delivery will
             # drop the frame, so fail the batch's continuations now
             # instead of letting retry loops leak pending entries.
             self._fail_subs(
@@ -317,19 +316,17 @@ class ErpcEndpoint:
             )
 
     # -- RX ----------------------------------------------------------------------
-    def _rx_loop(self):
-        """The polling loop: RxBurst, dispatch, repeat (Figure 2 step 4).
+    def _on_frame(self, frame: Frame) -> None:
+        """RxBurst, dispatch (Figure 2 step 4), at the frame's arrival.
 
-        Per-message processing runs in a spawned fiber so that, like
-        real eRPC with multiple server threads, message handling can
-        spread across the node's cores instead of serializing behind
-        one event loop.
+        Per-frame processing runs in a spawned fiber so that, like real
+        eRPC with multiple server threads, message handling can spread
+        across the node's cores instead of serializing behind one event
+        loop.
         """
-        while True:
-            frame = yield self.nic.receive()
-            self.sim.process(
-                self._dispatch(frame), name="erpc-rx@%s" % self.nic.address
-            )
+        self.sim.process(
+            self._dispatch(frame), name="erpc-rx@%s" % self.nic.address
+        )
 
     def _dispatch(self, frame: Frame):
         if self.runtime.profile.in_enclave:

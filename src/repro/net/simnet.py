@@ -4,9 +4,10 @@ The testbed (§VIII-A) connects Treaty nodes over a 40 GbE QSFP+ switch
 and clients over a secondary 1 Gb/s NIC.  A :class:`Fabric` routes
 messages between :class:`Nic` endpoints; each NIC serializes its egress
 at its link bandwidth and then the message propagates to the destination
-inbox.  Everything an adversary may do to the untrusted network — drop,
-delay, reorder, duplicate, tamper (§III) — is implemented by installing
-an :class:`~repro.net.adversary.NetworkAdversary` on the fabric.
+NIC (a timeout callback, no fiber per frame).  Everything an adversary
+may do to the untrusted network — drop, delay, reorder, duplicate,
+tamper (§III) — is implemented by installing an
+:class:`~repro.net.adversary.NetworkAdversary` on the fabric.
 """
 
 from __future__ import annotations
@@ -40,7 +41,12 @@ class Frame:
 
 
 class Nic:
-    """A network endpoint with an egress link and an inbox."""
+    """A network endpoint with an egress link and an inbox.
+
+    Arriving frames go to ``on_frame`` once :meth:`set_receiver` installed
+    one (the eRPC endpoint's RX dispatch, called at the arrival instant),
+    otherwise into ``inbox`` for :meth:`receive` (the socket stacks).
+    """
 
     def __init__(
         self,
@@ -54,6 +60,7 @@ class Nic:
         self.bandwidth = bandwidth
         self.propagation = propagation
         self.inbox: Store = Store(fabric.sim)
+        self.on_frame: Optional[Callable[[Frame], None]] = None
         self._egress = Resource(fabric.sim, capacity=1)
         self.tx_bytes = 0
         self.rx_bytes = 0
@@ -91,10 +98,21 @@ class Nic:
         """Event that fires with the next inbound frame."""
         return self.inbox.get()
 
+    def set_receiver(self, receiver: Callable[[Frame], None]) -> None:
+        """Hand every arriving frame to ``receiver`` from now on, starting
+        with the frames that reached the inbox before (in arrival order):
+        a recovering node's NIC is attached before its endpoint starts."""
+        self.on_frame = receiver
+        for frame in self.inbox.drain():
+            receiver(frame)
+
     def _deliver(self, frame: Frame) -> None:
         self.rx_bytes += frame.wire_bytes
         self.rx_frames += 1
-        self.inbox.put(frame)
+        if self.on_frame is not None:
+            self.on_frame(frame)
+        else:
+            self.inbox.put(frame)
 
 
 class Fabric:
@@ -187,8 +205,7 @@ class Fabric:
         if chooser is not None:
             chooser.frame_sent(frame)
 
-        def deliver():
-            yield self.sim.timeout(delay)
+        def deliver(_arrival: Event) -> None:
             if chooser is not None:
                 chooser.frame_delivered(frame)
             destination = self._nics.get(frame.dst)
@@ -198,4 +215,4 @@ class Fabric:
             self.delivered_frames += 1
             destination._deliver(frame)
 
-        self.sim.process(deliver(), name="deliver->%s" % frame.dst)
+        self.sim.timeout(delay).add_callback(deliver)

@@ -13,9 +13,9 @@ Sampling is **subscriber-driven**: the recorder watches the tracer's
 record stream and closes windows as records cross boundaries, sampling
 the :class:`~repro.obs.registry.MetricsHub` at each close and diffing
 against the previous sample.  No fiber, no timer — the recorder adds
-nothing to the simulator's event heap, so it cannot perturb the
+nothing to the simulator's queues, so it cannot perturb the
 simulation (enabling it leaves every simulated result bit-identical)
-and cannot mask a genuine deadlock by keeping the heap non-empty.  The
+and cannot mask a genuine deadlock by keeping the simulator busy.  The
 cost is boundary resolution: a window closes at the first record past
 its end, so metric deltas landing in the inter-record gap are credited
 to the window containing the records that caused them — exactly the

@@ -132,6 +132,12 @@ class Store:
             self._getters.append(event)
         return event
 
+    def drain(self) -> List[Any]:
+        """Remove and return every waiting item, oldest first."""
+        items = list(self._items)
+        self._items.clear()
+        return items
+
     def __len__(self) -> int:
         return len(self._items)
 

@@ -76,6 +76,40 @@ class TestCrashRecovery:
         for i, key in spread.items():
             assert read_local(cluster, 0, key) == b"distributed"
 
+    def test_client_request_reaching_a_recovering_node_is_served(self):
+        """The front NIC is attached early in recovery, the front end only
+        at its end: a client request arriving in between waits in the
+        NIC and is served once recovery finishes."""
+        cluster = TreatyCluster(profile=TREATY_FULL).start()
+        sim, node = cluster.sim, cluster.nodes[0]
+        session = cluster.session(cluster.client_machine(), coordinator=0)
+        key = local_keys(cluster, 0, 1, tag=b"rw")[0]
+        cluster.crash_node(0)
+        boots, stale_frontend = node.boot_count, node.frontend
+        recovery = sim.process(cluster.recover_node(0))
+        arrived_before_front_end = []
+
+        def write():
+            txn = session.begin()
+            yield from txn.put(key, b"sent-during-recovery")
+            yield from txn.commit()
+
+        def client():
+            while node.boot_count == boots:  # fresh NICs not attached yet
+                yield sim.timeout(1e-5)
+            nic = node.front_endpoint.nic
+            writer = sim.process(write())
+            while nic.rx_frames == 0:
+                yield sim.timeout(1e-6)
+            arrived_before_front_end.append(node.frontend is stale_frontend)
+            yield writer
+
+        done = sim.process(client())
+        sim.run(until=sim.now + 2.0)
+        assert arrived_before_front_end == [True]
+        assert recovery.triggered and done.triggered and done.ok
+        assert read_local(cluster, 0, key) == b"sent-during-recovery"
+
     def test_double_crash_recovery(self):
         cluster = TreatyCluster(profile=TREATY_FULL).start()
         keys = local_keys(cluster, 0, tag=b"dd")

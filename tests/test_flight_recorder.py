@@ -12,7 +12,7 @@ Pins the PR's acceptance properties:
 * same seed ⇒ byte-identical timeline JSONL/CSV, incident log, and
   exemplar export;
 * enabling the recorder/time-series/incident layer leaves the simulated
-  execution bit-identical (subscriber-driven: no heap entries);
+  execution bit-identical (subscriber-driven: no simulator entries);
 * a coordinator death produces exactly the matching completer-takeover
   incidents; a parked counter driver produces exactly one
   lease-expiry-fallback incident;
@@ -394,7 +394,7 @@ class TestDeterminism:
             return cluster
 
         plain, observed = run(False), run(True)
-        # Subscriber-driven observation adds no heap entries: the
+        # Subscriber-driven observation adds no simulator entries: the
         # simulated execution — every record, every timestamp — is
         # bit-identical with the whole layer enabled.
         assert plain.sim.now == observed.sim.now

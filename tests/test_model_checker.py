@@ -167,6 +167,17 @@ class TestExplorer:
         assert counterexample is None
         assert stats.runs > 1
 
+    def test_depth_one_tie_reorderings_stay_green(self):
+        """The chooser's tie points under the explorer: single
+        reorderings of same-instant entries keep every check green."""
+        stats, counterexample = explore(
+            Scope(tie_window=2), depth=1, max_runs=40
+        )
+        assert counterexample is None
+        assert stats.runs >= 40
+        root = run_one(Scope(tie_window=2), [])
+        assert sum(1 for p in root.points if p.kind == "tie") > 100
+
     def test_depth_one_crash_only_scope_exhausts(self):
         scope = Scope(
             actions=(),

@@ -1,10 +1,14 @@
 """Tests for the discrete-event simulation kernel."""
 
+import random
+from heapq import heappop, heappush
+
 import pytest
 
 from repro.sim import (
     AllOf,
     AnyOf,
+    Event,
     Interrupt,
     SimulationError,
     Simulator,
@@ -55,6 +59,16 @@ def test_equal_time_ties_broken_by_schedule_order(sim):
 def test_negative_timeout_rejected(sim):
     with pytest.raises(SimulationError):
         sim.timeout(-0.1)
+
+
+def test_timeout_sets_every_event_slot(sim):
+    """``Timeout.__init__`` sets the ``Event`` slots itself instead of
+    calling ``Event.__init__``: a slot added to ``Event`` must be set
+    there too."""
+    timeout, event = sim.timeout(1.0, "v"), sim.event()
+    for slot in Event.__slots__:
+        expected = "v" if slot == "_value" else getattr(event, slot)
+        assert getattr(timeout, slot) == expected, slot
 
 
 def test_process_returns_value(sim):
@@ -224,6 +238,23 @@ def test_run_until_stops_clock(sim):
     assert sim.now == 10
 
 
+def test_run_until_in_the_past_is_rejected(sim):
+    sim.timeout(1.0)
+    sim.timeout(5.0)
+    sim.run(until=1.0)
+    assert sim.now == 1.0
+    with pytest.raises(SimulationError, match="earlier than the clock"):
+        sim.run(until=0.5)
+    assert sim.now == 1.0  # the clock never moves backwards
+    assert sim.run() == 5.0
+
+
+def test_run_until_keeps_clock_when_everything_drains(sim):
+    sim.timeout(2.0)
+    assert sim.run(until=10.0) == 2.0
+    assert sim.now == 2.0
+
+
 def test_deadlock_detected_by_run_process(sim):
     def stuck():
         yield sim.event()  # never triggered
@@ -248,3 +279,212 @@ def test_determinism_same_seed_same_history():
         return log
 
     assert run_once() == run_once()
+
+
+# -- order equivalence: the ready queue against one heap ----------------------
+
+
+class _IntoHeap:
+    """Stands in for the ready queue: same-instant work joins the heap."""
+
+    def __init__(self, sim):
+        self.sim = sim
+
+    def append(self, entry):
+        heappush(self.sim._heap, (self.sim.now, next(self.sim._seq), entry))
+
+    def __len__(self):
+        return 0
+
+
+class HeapOnlySimulator(Simulator):
+    """The reference scheduler: one heap ordered by ``(when, seq)`` holds
+    every entry — future timeouts, triggered events, process bootstraps,
+    late callbacks — and the chooser picks among the first
+    ``tie_window`` entries that share the head's timestamp."""
+
+    def __init__(self):
+        super().__init__()
+        self._ready = _IntoHeap(self)
+
+    def step(self):
+        heap = self._heap
+        window = getattr(self.chooser, "tie_window", 0)
+        ties = [heappop(heap)]
+        while len(ties) < window and heap and heap[0][0] == ties[0][0]:
+            ties.append(heappop(heap))
+        index = self.chooser.pick_ready(len(ties)) if len(ties) > 1 else 0
+        when, _seq, entry = ties.pop(index)
+        for tie in ties:
+            heappush(heap, tie)
+        self.now = when
+        if not isinstance(entry, Event):
+            entry()
+            return
+        entry._triggered = True
+        callbacks, entry._callbacks = entry._callbacks or [], None
+        if not entry._ok and not callbacks and not entry._defused:
+            raise entry._value
+        for callback in callbacks:
+            callback(entry)
+
+
+class ScriptedChooser:
+    """A stub controlled scheduler: seeded (or scripted) tie picks."""
+
+    def __init__(self, window, seed=None, picks=()):
+        self.tie_window = window
+        self.rng = random.Random(seed) if seed is not None else None
+        self.picks = list(picks)
+        self.counts = []
+
+    def pick_ready(self, count):
+        self.counts.append(count)
+        if self.rng is not None:
+            return self.rng.randrange(count)
+        return self.picks.pop(0) if self.picks else 0
+
+
+#: dyadic delays, so timeouts created at different instants meet on
+#: exactly equal timestamps; 1e-17 is below the clock's resolution past 1.
+DELAYS = (0.0, 0.0, 1e-17, 0.25, 0.5, 1.0)
+
+
+def random_program(sim, seed, workers=6, steps=10):
+    """Run a seeded program mixing every scheduling shape on ``sim``;
+    returns the log of callbacks and resumes in the order they ran."""
+    rng = random.Random(seed)
+    log, shared, procs, started = [], [], [], set()
+
+    def note(*what):
+        log.append((sim.now,) + what)
+
+    def watch(event, tag):
+        event.add_callback(lambda ev: note("callback", tag, ev.ok))
+
+    def child(tag):
+        yield sim.timeout(rng.choice(DELAYS))
+        note("child", tag)
+        return tag
+
+    def worker(wid):
+        started.add(wid)
+        for step in range(steps):
+            tag, op = (wid, step), rng.randrange(8)
+            try:
+                if op == 0:  # zero, sub-resolution and equal-when timeouts
+                    yield sim.timeout(rng.choice(DELAYS))
+                elif op == 1:  # succeed before the waiter yields
+                    event = sim.event()
+                    watch(event, tag)
+                    event.succeed(tag)
+                    yield event
+                elif op == 2:  # join a process, maybe after it finished
+                    proc = sim.process(child(tag))
+                    watch(proc, tag)
+                    yield sim.timeout(rng.choice(DELAYS))
+                    yield proc
+                    watch(proc, tag)  # late: the process already dispatched
+                elif op == 3:  # interrupt; the victim's old wait goes stale
+                    victims = [p for w, p in enumerate(procs) if w in started]
+                    rng.choice(victims).interrupt(tag)
+                    yield sim.timeout(rng.choice(DELAYS))
+                elif op == 4:  # failed-then-defused, nobody waiting
+                    event = sim.event()
+                    event.fail(ValueError(repr(tag)))
+                    event.defuse()
+                    yield sim.timeout(0)
+                    watch(event, tag)
+                elif op == 5:  # wait on a shared event other workers settle
+                    event = sim.event()
+                    shared.append(event)
+                    watch(event, tag)
+                    yield sim.any_of([event, sim.timeout(rng.choice(DELAYS))])
+                elif op == 6:  # settle a shared event: succeed or fail
+                    pending = [e for e in shared if not e.triggered]
+                    if pending:
+                        event = rng.choice(pending)
+                        if rng.random() < 0.5:
+                            event.succeed(tag)
+                        else:
+                            event.fail(ValueError(repr(tag)))
+                    yield sim.timeout(rng.choice(DELAYS))
+                else:  # AnyOf / QuorumOf over fresh timeouts
+                    events = [sim.timeout(rng.choice(DELAYS), value=i)
+                              for i in range(3)]
+                    if rng.random() < 0.5:
+                        first = yield sim.any_of(events)
+                        note("any", tag, first.value)
+                    else:
+                        yield sim.quorum_of(events, rng.randrange(4),
+                                            accept=lambda value: value != 1)
+                note("step", tag, op)
+            except Interrupt as interrupt:
+                note("interrupted", tag, interrupt.cause)
+            except ValueError as exc:
+                note("failed", tag, str(exc))
+
+    for wid in range(workers):
+        procs.append(sim.process(worker(wid)))
+    sim.run(until=1.5)
+    sim.run()
+    return log
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_ready_queue_runs_entries_in_heap_order(seed):
+    assert random_program(Simulator(), seed) == random_program(
+        HeapOnlySimulator(), seed)
+
+
+def test_random_programs_cover_every_shape():
+    ops, kinds = set(), set()
+    for seed in range(40):
+        for entry in random_program(Simulator(), seed):
+            kinds.add(entry[1])
+            if entry[1] == "step":
+                ops.add(entry[3])
+    assert ops == set(range(8))
+    assert {"callback", "child", "any", "interrupted", "failed"} <= kinds
+
+
+@pytest.mark.parametrize("window", [2, 3, 5])
+@pytest.mark.parametrize("seed", range(8))
+def test_chooser_picks_match_the_heap_only_scheduler(seed, window):
+    ours = ScriptedChooser(window, seed=seed)
+    reference = ScriptedChooser(window, seed=seed)
+    sim, heap_only = Simulator(), HeapOnlySimulator()
+    sim.chooser, heap_only.chooser = ours, reference
+    assert random_program(sim, seed) == random_program(heap_only, seed)
+    assert ours.counts == reference.counts
+    assert max(ours.counts) == window
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_chooser_picking_zero_is_the_uncontrolled_order(seed):
+    sim = Simulator()
+    sim.chooser = ScriptedChooser(3)
+    assert random_program(sim, seed) == random_program(Simulator(), seed)
+    assert max(sim.chooser.counts) == 3
+
+
+def test_chooser_pick_runs_kth_entry_in_heap_then_ready_order(sim):
+    """At t=1 the heap holds timeouts A and B; A readies C and D.  The
+    candidates are then [B, C, D]: pick 2 runs D, and the unchosen B and C
+    keep their order."""
+    log = []
+    c, d = sim.event(), sim.event()
+    c.add_callback(lambda event: log.append("C"))
+    d.add_callback(lambda event: log.append("D"))
+
+    def fire_a(event):
+        log.append("A")
+        c.succeed()
+        d.succeed()
+
+    sim.timeout(1.0).add_callback(fire_a)
+    sim.timeout(1.0).add_callback(lambda event: log.append("B"))
+    sim.chooser = ScriptedChooser(4, picks=[0, 2, 0])
+    sim.run()
+    assert log == ["A", "D", "B", "C"]
+    assert sim.chooser.counts == [2, 3, 2]

@@ -16,6 +16,11 @@ Usage::
     python tools/profile.py ycsb-a-dist --seed 3 --top 40 --sort cumtime
     python tools/profile.py ycsb-w-single --callers 'read_range|aead.py.*seal'
 
+The header line also counts ``Simulator.step`` calls per committed
+transaction (one per kernel entry, from the profile's call counts): the
+number a simulator-kernel change moves, without the benchmark's layer
+pass.
+
 ``--callers REGEX`` adds, for every profiled function whose
 ``file:line(name)`` matches, who called it and how often: a hot leaf
 (an AEAD seal, a disk read) is fixed at its call sites.
@@ -44,6 +49,19 @@ import pstats
 
 import workloads
 
+#: where ``Simulator.step`` lives, as cProfile names it.
+SIM_STEP = (os.path.join("repro", "sim", "core.py"), "step")
+
+
+def sim_steps(stats: pstats.Stats) -> int:
+    """``Simulator.step`` calls in the profile: one per kernel entry."""
+    return sum(
+        total_calls
+        for (filename, _line, name), (_prim, total_calls, *_rest)
+        in stats.stats.items()
+        if name == SIM_STEP[1] and filename.endswith(SIM_STEP[0])
+    )
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -63,10 +81,12 @@ def main(argv=None) -> int:
     cluster = workloads.set_up(workload, args.seed)
     profiler = cProfile.Profile()
     result = profiler.runcall(workloads.run_pass, workload, cluster, seconds)
-    print("%s  seed %d  committed %d  failed %d  obs records %d"
-          % (workload.name, args.seed, result.committed, result.failed,
-             result.obs_records))
     stats = pstats.Stats(profiler)
+    print("%s  seed %d  committed %d  failed %d  obs records %d  "
+          "sim steps/txn %.0f"
+          % (workload.name, args.seed, result.committed, result.failed,
+             result.obs_records,
+             sim_steps(stats) / max(result.committed, 1)))
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
     if args.callers:
         stats.print_callers(args.callers)

@@ -23,7 +23,11 @@ emit and compares with (or writes) a pinned JSON file:
 * **CLI stdout**: sha256 of everything five short ``repro`` commands
   print (``ycsb``, ``tpcc``, ``report``, ``metrics export``, ``bench
   smoke`` — the ``cli/…`` rows), so a refactor of the bench harness or of
-  the report formatting cannot move a printed number unnoticed.
+  the report formatting cannot move a printed number unnoticed;
+* **model-checker ties**: every trace record of one small ``repro.mc``
+  world whose controlled scheduler reorders same-instant entries
+  (``tie_window=2``) under a scripted trace (the ``mc/tie`` row), so the
+  simulator's chooser path is under the oracle too.
 
 Usage: ``python tools/trace_digest.py [--write|--check] [--dump DIR]
 FILE`` (default ``--check``; run with ``PYTHONHASHSEED=0``).  ``--check``
@@ -70,10 +74,30 @@ CLI_COMMANDS = {
     "cli/metrics-export": ["metrics", "export", "--workload", "ycsb"],
     "cli/bench-smoke": ["bench", "smoke"],
 }
+#: the ``mc/tie`` row's choice trace: option 1 at the 18th and 31st
+#: choice points (all ties: the world enumerates no adversary actions or
+#: crashes).  The 18th reorders two entries that do not commute and so
+#: changes the world; the 31st lands on commuting entries.  The row
+#: guards later changes to the chooser path; the evidence that the
+#: chooser keeps the tie order is the seeded reference-scheduler tests in
+#: ``tests/test_sim_core.py``.
+MC_TIE_TRACE = [0] * 17 + [1] + [0] * 12 + [1]
 
 
 def _dump_path(dump: str, key: str, suffix: str = ".jsonl") -> str:
     return os.path.join(dump, key.replace("/", "-") + suffix)
+
+
+def records_digest(records, dump_to=None) -> dict:
+    """sha256 over every trace record, in order (optionally dumped)."""
+    digest = hashlib.sha256()
+    lines = [json.dumps(record, sort_keys=True) for record in records]
+    for line in lines:
+        digest.update(line.encode())
+    if dump_to:
+        with open(dump_to, "w") as fp:
+            fp.writelines(line + "\n" for line in lines)
+    return {"records": len(records), "sha256": digest.hexdigest()}
 
 
 def protocol_backend_digest(
@@ -95,20 +119,24 @@ def protocol_backend_digest(
         for node in cluster.nodes:
             node.pipeline.rollback.drivers_enabled = False
     measure(cluster, ycsb, 12, 0.1, "digest", warmup=0.01)
-    digest = hashlib.sha256()
-    records = cluster.obs.records()
-    lines = [json.dumps(record, sort_keys=True) for record in records]
-    for line in lines:
-        digest.update(line.encode())
-    if dump_to:
-        with open(dump_to, "w") as fp:
-            fp.writelines(line + "\n" for line in lines)
-    entry = {"records": len(records), "sha256": digest.hexdigest()}
+    entry = records_digest(cluster.obs.records(), dump_to)
     if variant == "fallback":
         entry["sync_fallbacks"] = sum(
             node.pipeline.rollback.sync_fallbacks
             for node in cluster.nodes
         )
+    return entry
+
+
+def mc_tie_digest(dump_to=None) -> dict:
+    from repro.mc.harness import Scope, run_one
+
+    result = run_one(
+        Scope(tie_window=2, actions=(), crash_points=()), MC_TIE_TRACE,
+        tracing=True, keep_cluster=True,
+    )
+    entry = records_digest(result.cluster.obs.records(), dump_to)
+    entry["outcomes"] = result.outcomes
     return entry
 
 
@@ -156,7 +184,7 @@ def compute(dump=None) -> dict:
     """Run every recipe, printing each digest as it is ready; with
     ``dump`` also write each recipe's records under that directory."""
     document: dict = {
-        "protocol_backend": {}, "trace_export": {}, "stdout": {},
+        "protocol_backend": {}, "trace_export": {}, "stdout": {}, "mc": {},
     }
     if dump:
         os.makedirs(dump, exist_ok=True)
@@ -180,6 +208,7 @@ def compute(dump=None) -> dict:
         done("stdout", name, cli_stdout_digest(
             argv, dump and _dump_path(dump, name, ".txt")
         ))
+    done("mc", "mc/tie", mc_tie_digest(dump and _dump_path(dump, "mc/tie")))
     return document
 
 
