@@ -100,8 +100,8 @@ def network_throughput(
                 count(frame.wire_bytes)
 
         for _ in range(streams):
-            sim.process(send_loop())
-            sim.process(recv_loop())  # parallel streams, parallel readers
+            sim.spawn(send_loop())
+            sim.spawn(recv_loop())  # parallel streams, parallel readers
     else:
         endpoint_s = ErpcEndpoint(sender_rt, fabric, sender_nic)
         endpoint_r = ErpcEndpoint(receiver_rt, fabric, receiver_nic)
@@ -138,7 +138,7 @@ def network_throughput(
                     window = [e for e in window if not e.triggered]
 
             for i in range(streams):
-                sim.process(send_loop(i + 1))
+                sim.spawn(send_loop(i + 1))
         else:
 
             def handler(payload, src):
@@ -163,7 +163,7 @@ def network_throughput(
                     window = [e for e in window if not e.triggered]
 
             for _ in range(streams):
-                sim.process(send_loop())
+                sim.spawn(send_loop())
 
     sim.run(until=end_time)
     return delivered["bytes"] * 8 / duration / 1e9

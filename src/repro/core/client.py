@@ -120,7 +120,7 @@ class FrontEnd:
         # Waking the (idle) per-client fiber costs a SCONE scheduler
         # dispatch when the enclave is under storage-engine pressure.
         if self.runtime.profile.in_enclave and self.runtime.heavy_enclave:
-            yield self.runtime.sim.timeout(
+            yield self.runtime.sim.sleep(
                 self.runtime.costs.scone_request_dispatch
             )
         self.runtime.active_requests += 1
@@ -473,7 +473,7 @@ class ClientTxn:
                     return outcome
             if sim.now >= deadline:
                 return _STATUS_UNKNOWN
-            yield sim.timeout(_STATUS_RETRY_INTERVAL)
+            yield sim.sleep(_STATUS_RETRY_INTERVAL)
 
     def rollback(self) -> Gen:
         if self._routed:

@@ -279,10 +279,10 @@ class TreatyNode:
                     new_clog.log_name, new_clog.last_counter
                 )
             else:
-                yield self.sim.timeout(0.05)
+                yield self.sim.sleep(0.05)
             self.disk.delete(old_filename)
 
-        self.sim.process(gc(), name="clog-gc@%s" % self.name)
+        self.sim.spawn(gc(), name="clog-gc@%s" % self.name)
 
     # -- lifecycle -----------------------------------------------------------------
     def start(self, cas: ConfigurationService) -> Gen:
@@ -379,7 +379,7 @@ class TreatyNode:
         # never-prepared transaction halves (nothing on any disk records
         # them, so Clog replay below cannot resolve them — without the
         # fence their locks would be held forever).
-        self.sim.process(self._fence_peers(), name="fence@%s" % self.name)
+        self.sim.spawn(self._fence_peers(), name="fence@%s" % self.name)
 
         # Rebuild coordinator decisions; find unresolved prepares and
         # commits whose completion was never recorded.
@@ -404,7 +404,7 @@ class TreatyNode:
         for txn_id in prepared_ids:
             writes = self.engine.prepared_txns[txn_id]
             yield from self._adopt_prepared(txn_id, writes)
-            self.sim.process(
+            self.sim.spawn(
                 self._resolve_prepared(txn_id), name="resolve@%s" % self.name
             )
 
@@ -414,15 +414,15 @@ class TreatyNode:
         # crashed mid-commit converge ("if a node has already committed
         # the Tx, this message is ignored").
         for key, record in seen_prepares.items():
-            self.sim.process(
+            self.sim.spawn(
                 self._abort_undecided(record), name="re-abort@%s" % self.name
             )
         for key, record in incomplete_commits.items():
-            self.sim.process(
+            self.sim.spawn(
                 self._redrive_commit(record), name="re-commit@%s" % self.name
             )
         for key, record in decided_aborts.items():
-            self.sim.process(
+            self.sim.spawn(
                 self._redrive_abort(record), name="re-abort@%s" % self.name
             )
         self.is_up = True

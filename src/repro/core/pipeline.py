@@ -220,7 +220,7 @@ class DurabilityPipeline:
         """Fire-and-forget stabilization (commit records, GC edits)."""
         if not self.enabled or counter <= 0:
             return
-        self.runtime.sim.process(
+        self.runtime.sim.spawn(
             self.stabilize(log_name, counter),
             name="stabilize-bg/%s" % log_name,
         )

@@ -98,7 +98,7 @@ class PromiseScheduler:
         self._lease_expiries = metrics.counter("counter.lease.expired")
         metrics.probe("counter.sync_fallbacks", lambda: self.sync_fallbacks)
         for shard in range(shards):
-            runtime.sim.process(
+            runtime.sim.spawn(
                 self._drive(shard), name="rollback-driver/%d" % shard
             )
 
@@ -193,7 +193,7 @@ class PromiseScheduler:
             for log_name, value in fresh:
                 claimed[log_name] = max(claimed.get(log_name, 0), value)
             self._inflight[shard] += 1
-            sim.process(
+            sim.spawn(
                 self._round(shard, fresh), name="rollback-round/%d" % shard
             )
 
@@ -208,7 +208,7 @@ class PromiseScheduler:
             # or by a waiter's lease-expiry fallback, which bounds a
             # partitioned shard's retry traffic.
             failed = True
-            yield self.runtime.sim.timeout(COUNTER_RETRY_BACKOFF)
+            yield self.runtime.sim.sleep(COUNTER_RETRY_BACKOFF)
         except NetworkError:
             # NIC detached: this node crashed and we are a zombie.  Stop
             # driving — the recovered incarnation builds its own

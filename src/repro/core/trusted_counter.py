@@ -248,7 +248,7 @@ class CounterReplica:
         transition and protected-memory update dominate, not the
         per-target bookkeeping.
         """
-        yield self.runtime.sim.timeout(self._processing_delay())
+        yield self.runtime.sim.sleep(self._processing_delay())
         targets = decode_counter_vector(message.body)
         self.updates_processed += 1
         self.echo(targets)
@@ -267,7 +267,7 @@ class CounterReplica:
         a Byzantine-suspicious SE must not smuggle an unechoed value in
         next to legitimate ones.
         """
-        yield self.runtime.sim.timeout(self._processing_delay())
+        yield self.runtime.sim.sleep(self._processing_delay())
         targets = decode_counter_vector(message.body)
         for log_name, value in targets:
             if self.echoed.get(log_name, 0) < value:
@@ -427,7 +427,7 @@ class CounterClient:
         shard = self.register(log_name, value)
         if not self._driver_active[shard]:
             self._driver_active[shard] = True
-            self.runtime.sim.process(
+            self.runtime.sim.spawn(
                 self._drive(shard), name="counter-se/vector.%d" % shard
             )
 
@@ -496,7 +496,7 @@ class CounterClient:
                 retries += 1
                 if retries > COUNTER_MAX_RETRIES:
                     raise
-                yield self.runtime.sim.timeout(COUNTER_RETRY_BACKOFF)
+                yield self.runtime.sim.sleep(COUNTER_RETRY_BACKOFF)
                 continue
             retries = 0
 
@@ -593,7 +593,7 @@ class CounterClient:
             if self.shape.confirm == "background":
                 # Detached, so neither the caller nor the shard's round
                 # pipeline is serialized behind the leg.
-                self.runtime.sim.process(
+                self.runtime.sim.spawn(
                     self._confirm_leg(targets),
                     name="counter-confirm/%d" % shard,
                 )

@@ -171,7 +171,7 @@ class Coordinator:
             def drain() -> Gen:
                 yield sim.all_settled(list(events.values()))
 
-            sim.process(drain(), name="decision-drain@%s" % (self.node or "?"))
+            sim.spawn(drain(), name="decision-drain@%s" % (self.node or "?"))
             return True
         needed = ledger.commit_quorum - 1
         acks = 0

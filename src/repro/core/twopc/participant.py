@@ -124,7 +124,7 @@ class Participant:
         """Take in a new ACTIVE half; arm its fuse if it is watched."""
         self.active[key] = txn
         if self._watched(key):
-            self.runtime.sim.process(
+            self.runtime.sim.spawn(
                 self._orphan_fuse(key),
                 name="orphan-fuse@%s" % (self.node or "?"),
             )
@@ -259,7 +259,7 @@ class Participant:
             # A prepared half is now in doubt: if the decision never
             # arrives (dead coordinator), this node assumes the
             # completer role after the decision timeout.
-            self.runtime.sim.process(
+            self.runtime.sim.spawn(
                 self._decision_watchdog(key),
                 name="decision-watch@%s" % (self.node or "?"),
             )
@@ -448,7 +448,7 @@ class Participant:
     def _decision_watchdog(self, gid_bytes: bytes) -> Gen:
         """Armed per prepared half: take over if no decision arrives."""
         config = self.runtime.config
-        yield self.runtime.sim.timeout(
+        yield self.runtime.sim.sleep(
             config.decision_timeout_s
             + self._rng.uniform(0.0, RESOLUTION_RETRY_INTERVAL)
         )
@@ -471,7 +471,7 @@ class Participant:
         sim = self.runtime.sim
         fuse = PREPARE_VOTE_TIMEOUT + self.runtime.config.decision_timeout_s
         while True:
-            yield sim.timeout(
+            yield sim.sleep(
                 fuse + self._rng.uniform(0.0, RESOLUTION_RETRY_INTERVAL)
             )
             txn = self.active.get(gid_bytes)
@@ -552,7 +552,7 @@ class Participant:
                         else ledger.get(gid_bytes),
                     )
                     return
-                yield sim.timeout(
+                yield sim.sleep(
                     RESOLUTION_RETRY_INTERVAL
                     + self._rng.uniform(0.0, RESOLUTION_RETRY_INTERVAL)
                 )

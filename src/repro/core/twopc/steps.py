@@ -64,7 +64,7 @@ def pace(sim, round_start: float) -> Gen:
     """
     remainder = RESOLUTION_RETRY_INTERVAL - (sim.now - round_start)
     if remainder > 0.0:
-        yield sim.timeout(remainder)
+        yield sim.sleep(remainder)
 
 
 def deliver(

@@ -442,7 +442,7 @@ class GlobalTxn:
                 counter, apply_targets, txn_hex, "complete"
             )
 
-        self.runtime.sim.process(log_complete(), name="clog-complete")
+        self.runtime.sim.spawn(log_complete(), name="clog-complete")
 
     def rollback(self, failed_node: Optional[int] = None) -> Gen:
         """TXNROLLBACK: abort everywhere (presumed abort, nothing logged)."""

@@ -399,7 +399,7 @@ def _run_one(scope, trace, remaining_budget, visited, sleep0, crc_cache,
     violations: List[str] = []
 
     def drive(index, coord, pairs):
-        yield sim.timeout(index * 1e-3)
+        yield sim.sleep(index * 1e-3)
         txn = cluster.nodes[coord].coordinator.begin()
         put_done = [False]
 
@@ -420,7 +420,7 @@ def _run_one(scope, trace, remaining_budget, visited, sleep0, crc_cache,
             return
         if not put_done[0]:
             outcomes[index] = "stuck"
-            sim.process(txn.rollback(), name="mc-giveup-%d" % index)
+            sim.spawn(txn.rollback(), name="mc-giveup-%d" % index)
             return
         try:
             yield from txn.commit()

@@ -240,7 +240,7 @@ class ErpcEndpoint:
         queue.append(sub)
         if key not in self._flushers:
             self._flushers.add(key)
-            self.sim.process(
+            self.sim.spawn(
                 self._flush_loop(dst, is_request),
                 name="erpc-txq@%s->%s" % (self.nic.address, dst),
             )
@@ -256,7 +256,7 @@ class ErpcEndpoint:
         try:
             while queue:
                 if len(queue) < self.batch_max:
-                    yield self.sim.timeout(TX_BATCH_WINDOW)
+                    yield self.sim.sleep(TX_BATCH_WINDOW)
                 batch: List[_SubMsg] = []
                 while queue and len(batch) < self.batch_max:
                     batch.append(queue.popleft())
@@ -324,7 +324,7 @@ class ErpcEndpoint:
         across the node's cores instead of serializing behind one event
         loop.
         """
-        self.sim.process(
+        self.sim.spawn(
             self._dispatch(frame), name="erpc-rx@%s" % self.nic.address
         )
 
@@ -356,7 +356,7 @@ class ErpcEndpoint:
             parts = frame.payload
         for sub_meta, part in zip(subs, parts):
             if is_request:
-                self.sim.process(
+                self.sim.spawn(
                     self._serve_one(
                         sub_meta["req_type"], part, frame.src, sub_meta["req_id"]
                     ),

@@ -240,7 +240,7 @@ class SecureRpc:
         shared fiber scheduler's resume delay.
         """
         outcome = self.runtime.sim.event()
-        self.runtime.sim.process(
+        self.runtime.sim.spawn(
             self._exchange(dst, message, outcome, express),
             name="securerpc@%d" % self.node_numeric_id,
         )
@@ -329,7 +329,7 @@ class SecureRpc:
             if not express:
                 resume_delay = self.runtime.fiber_resume_delay()
                 if resume_delay > 0.0:
-                    yield self.runtime.sim.timeout(resume_delay)
+                    yield self.runtime.sim.sleep(resume_delay)
             decoded = TxMessage.decode(reply.payload)
         except Exception as exc:  # noqa: BLE001 - propagate to the waiter
             span.close(bytes=nbytes, error=type(exc).__name__)

@@ -78,7 +78,7 @@ class Nic:
         """
         yield self._egress.request()
         try:
-            yield self.fabric.sim.timeout(frame.wire_bytes / self.bandwidth)
+            yield self.fabric.sim.sleep(frame.wire_bytes / self.bandwidth)
         finally:
             self._egress.release()
         if self.fabric._nics.get(self.address) is not self:

@@ -76,7 +76,7 @@ class SocketStack:
             # Fragmented datagram: lost under sustained load.  The wire
             # time is still spent (the fragments were transmitted).
             self.dropped_messages += 1
-            yield self.runtime.sim.timeout(nbytes / self.nic.bandwidth)
+            yield self.runtime.sim.sleep(nbytes / self.nic.bandwidth)
             return False
 
         frame = Frame(

@@ -162,7 +162,7 @@ class FiberScheduler:
                     yield sim.any_of([self._wakeup, backoff])
                     self._wakeup = None
                 else:
-                    yield sim.timeout(min(delay, idle_backoff))
+                    yield sim.sleep(min(delay, idle_backoff))
                 idle_backoff = min(idle_backoff * 2, _IDLE_BACKOFF_MAX)
                 continue
             idle_backoff = _IDLE_BACKOFF_START

@@ -48,7 +48,7 @@ class CpuPool:
         else:
             yield resource.request()
         try:
-            yield self.sim.timeout(scaled)
+            yield self.sim.sleep(scaled)
             self.busy_seconds += scaled
         finally:
             resource.release()

@@ -406,11 +406,11 @@ class LSMEngine:
                     self.manifest_log_name, after_manifest_counter
                 )
             else:
-                yield self.runtime.sim.timeout(_DELETE_GRACE)
+                yield self.runtime.sim.sleep(_DELETE_GRACE)
             for filename in filenames:
                 self.disk.delete(filename)
 
-        self.runtime.sim.process(gc(), name="gc@%s" % self.name)
+        self.runtime.sim.spawn(gc(), name="gc@%s" % self.name)
 
     # -- recovery -----------------------------------------------------------------
     def recover(self, stable_counters=None) -> Gen:

@@ -56,7 +56,7 @@ class IntelAttestationService:
         self, quote: Quote, expected_measurement: bytes
     ) -> Generator[Event, Any, bool]:
         """Verify a quote over the (slow) IAS round trip."""
-        yield self.sim.timeout(self.costs.ias_round_trip)
+        yield self.sim.sleep(self.costs.ias_round_trip)
         self.verifications += 1
         verify_key = self._platforms.get(quote.authority_id)
         if verify_key is None:

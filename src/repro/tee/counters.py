@@ -43,7 +43,7 @@ class HardwareMonotonicCounter:
         """Increment and return the new value (blocks ~100 ms simulated)."""
         if self.writes >= self.wear_limit:
             raise StorageError("monotonic counter worn out (NVRAM exhausted)")
-        yield self.sim.timeout(self.costs.sgx_counter_increment)
+        yield self.sim.sleep(self.costs.sgx_counter_increment)
         self.writes += 1
         self.value += 1
         return self.value

@@ -169,7 +169,7 @@ class NodeRuntime:
             yield from self.cpu.consume(self.costs.spdk_submit_cpu)
         else:
             yield from self.syscall(nbytes)
-        yield self.sim.timeout(self.costs.ssd_write_cost(nbytes))
+        yield self.sim.sleep(self.costs.ssd_write_cost(nbytes))
 
     def ssd_read(self, nbytes: int, cached: bool = True) -> Gen:
         """Read ``nbytes``.
@@ -181,10 +181,10 @@ class NodeRuntime:
         """
         if self._spdk:
             yield from self.cpu.consume(self.costs.spdk_submit_cpu)
-            yield self.sim.timeout(self.costs.ssd_read_cost(nbytes, cached=False))
+            yield self.sim.sleep(self.costs.ssd_read_cost(nbytes, cached=False))
         else:
             yield from self.syscall(nbytes)
-            yield self.sim.timeout(self.costs.ssd_read_cost(nbytes, cached=cached))
+            yield self.sim.sleep(self.costs.ssd_read_cost(nbytes, cached=cached))
 
     # -- convenience ----------------------------------------------------------------
     @property

@@ -181,7 +181,7 @@ class GroupCommitter:
                 self._leader_active = True
                 # This fiber becomes the leader and drives the batch;
                 # "defer logging (yield) at commit" lets more requests join.
-                yield self.runtime.sim.timeout(self.window_delay())
+                yield self.runtime.sim.sleep(self.window_delay())
                 yield from self._lead()
             result = yield outcome
         except BaseException as exc:
@@ -284,6 +284,6 @@ class GroupCommitter:
                 self._stab_ewma += _STAB_ALPHA * (wait - self._stab_ewma)
             stable_event.succeed(True)
 
-        self.runtime.sim.process(
+        self.runtime.sim.spawn(
             run(), name="gc-stabilize/%s" % log_name
         )

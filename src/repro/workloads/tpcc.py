@@ -578,6 +578,6 @@ def run_tpcc(
                 metrics.record_abort(started)
 
     for i in range(num_clients):
-        sim.process(terminal_loop(i), name="%s-%d" % (label, i))
+        sim.spawn(terminal_loop(i), name="%s-%d" % (label, i))
     sim.run(until=end_time)
     metrics.finish(sim.now)

@@ -277,7 +277,7 @@ def run_ycsb(
         while sim.now < end_time:
             if arrivals == "bursty":
                 if burst_left <= 0:
-                    yield sim.timeout(_pareto_gap(burst_rng))
+                    yield sim.sleep(_pareto_gap(burst_rng))
                     burst_left = 1 + int(
                         burst_rng.random() * 2 * _BURST_MEAN_TXNS
                     )
@@ -313,7 +313,7 @@ def run_ycsb(
                 metrics.record_abort(txn_start)
 
     workers = [
-        sim.process(client_loop(i), name="ycsb-client-%d" % i)
+        sim.spawn(client_loop(i), name="ycsb-client-%d" % i)
         for i in range(num_clients)
     ]
     sim.run(until=end_time)

@@ -1,7 +1,9 @@
 """Tests for the discrete-event simulation kernel."""
 
+import ast
 import random
 from heapq import heappop, heappush
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from repro.sim import (
     AnyOf,
     Event,
     Interrupt,
+    Process,
     SimulationError,
     Simulator,
 )
@@ -69,6 +72,16 @@ def test_timeout_sets_every_event_slot(sim):
     for slot in Event.__slots__:
         expected = "v" if slot == "_value" else getattr(event, slot)
         assert getattr(timeout, slot) == expected, slot
+
+
+def test_process_sets_every_event_slot(sim):
+    """``Process.__init__`` sets the ``Event`` slots itself, too."""
+    def body():
+        yield sim.sleep(1.0)
+
+    process, event = sim.process(body()), sim.event()
+    for slot in Event.__slots__:
+        assert getattr(process, slot) == getattr(event, slot), slot
 
 
 def test_process_returns_value(sim):
@@ -281,16 +294,129 @@ def test_determinism_same_seed_same_history():
     assert run_once() == run_once()
 
 
+# -- sleep and spawn: a fiber's own wait and exit build no event --------------
+
+
+def test_sleep_outside_a_process_is_rejected(sim):
+    with pytest.raises(SimulationError, match="outside a process"):
+        sim.sleep(1.0)
+    # a plain callback is not a process step either
+    sim.timeout(0.5).add_callback(lambda event: sim.sleep(1.0))
+    with pytest.raises(SimulationError, match="outside a process"):
+        sim.run()
+
+
+def test_negative_sleep_is_rejected(sim):
+    def body():
+        yield sim.sleep(-0.1)
+
+    with pytest.raises(SimulationError, match="negative sleep"):
+        sim.run_process(body())
+
+
+@pytest.mark.parametrize("at, delay", [(0.0, 0.0), (1.0, 1e-17)])
+def test_due_now_sleep_keeps_its_ready_position(at, delay):
+    """A sleep due now (zero, or below the clock's resolution) runs
+    between what was readied before it and what is readied after it,
+    exactly like a due-now timeout."""
+    def run(wait):
+        sim, log = Simulator(), []
+        first, second = sim.event(), sim.event()
+        first.add_callback(lambda event: log.append("first"))
+        second.add_callback(lambda event: log.append("second"))
+
+        def sleeper():
+            yield sim.sleep(at)
+            first.succeed()
+            yield wait(sim)(delay)
+            log.append(("woke", sim.now))
+
+        def other():
+            yield sim.sleep(at)
+            second.succeed()
+
+        sim.process(sleeper())
+        sim.process(other())
+        sim.run()
+        return log
+
+    expected = ["first", ("woke", at), "second"]
+    assert run(lambda sim: sim.sleep) == run(lambda sim: sim.timeout) == expected
+
+
+def test_stale_sleep_wake_after_interrupt_is_ignored(sim):
+    """Interrupted sleeps leave their heap entries behind: the one popping
+    at t=5 must not end the event wait, the one at t=16 not the later
+    sleep."""
+    gate, resumes = sim.event(), []
+
+    def sleeper():
+        for wait in (lambda: sim.sleep(5), lambda: gate, lambda: sim.sleep(10)):
+            try:
+                value = yield wait()
+                resumes.append(("woke", sim.now, value))
+            except Interrupt:
+                resumes.append(("interrupted", sim.now))
+        yield sim.sleep(20)
+        resumes.append(("slept", sim.now))
+
+    proc = sim.process(sleeper())
+
+    def driver():
+        yield sim.sleep(1)
+        proc.interrupt()
+        yield sim.sleep(5)
+        gate.succeed("open")
+        yield sim.sleep(1)
+        proc.interrupt()
+
+    sim.process(driver())
+    sim.run()
+    assert resumes == [("interrupted", 1), ("woke", 6, "open"),
+                       ("interrupted", 7), ("slept", 27)]
+
+
+def test_failing_spawned_fiber_surfaces_from_run(sim):
+    def bad():
+        yield sim.sleep(1)
+        raise RuntimeError("unhandled")
+
+    assert sim.spawn(bad()) is None
+    with pytest.raises(RuntimeError, match="unhandled"):
+        sim.run()
+
+
+@pytest.mark.parametrize("start, entries", [("spawn", 2), ("process", 3)])
+def test_spawned_fiber_exits_without_an_entry(start, entries):
+    """Bootstrap and one wake: a spawned fiber's finish adds no third
+    entry, a joinable process's does (its dispatch)."""
+    sim, steps = Simulator(), []
+    original = sim.step
+    sim.step = lambda: steps.append(original())
+
+    def body():
+        yield sim.sleep(1)
+        return "done"
+
+    getattr(sim, start)(body())
+    sim.run()
+    assert len(steps) == entries
+
+
 # -- order equivalence: the ready queue against one heap ----------------------
 
 
 class _IntoHeap:
-    """Stands in for the ready queue: same-instant work joins the heap."""
+    """Stands in for the ready queue: same-instant work joins the heap,
+    except a spawned process's successful finish, which nobody awaits."""
 
     def __init__(self, sim):
         self.sim = sim
 
     def append(self, entry):
+        if entry in self.sim.spawned and entry.ok:
+            entry._callbacks = None  # dispatched, with no entry
+            return
         heappush(self.sim._heap, (self.sim.now, next(self.sim._seq), entry))
 
     def __len__(self):
@@ -301,11 +427,22 @@ class HeapOnlySimulator(Simulator):
     """The reference scheduler: one heap ordered by ``(when, seq)`` holds
     every entry — future timeouts, triggered events, process bootstraps,
     late callbacks — and the chooser picks among the first
-    ``tie_window`` entries that share the head's timestamp."""
+    ``tie_window`` entries that share the head's timestamp.  A sleep is a
+    timeout; a spawned process is a plain process whose successful
+    finish queues no entry."""
 
     def __init__(self):
         super().__init__()
         self._ready = _IntoHeap(self)
+        self.spawned = set()
+
+    def sleep(self, delay):
+        if self.current_process is None:
+            raise SimulationError("sleep() outside a process step")
+        return self.timeout(delay)
+
+    def spawn(self, body, name=""):
+        self.spawned.add(self.process(body, name))
 
     def step(self):
         heap = self._heap
@@ -362,18 +499,23 @@ def random_program(sim, seed, workers=6, steps=10):
     def watch(event, tag):
         event.add_callback(lambda ev: note("callback", tag, ev.ok))
 
-    def child(tag):
-        yield sim.timeout(rng.choice(DELAYS))
-        note("child", tag)
+    def pause():
+        """A fiber's own wait: mostly a sleep, sometimes a timeout."""
+        delay = rng.choice(DELAYS)
+        return sim.sleep(delay) if rng.random() < 0.75 else sim.timeout(delay)
+
+    def child(tag, kind="child"):
+        yield pause()
+        note(kind, tag)
         return tag
 
     def worker(wid):
         started.add(wid)
         for step in range(steps):
-            tag, op = (wid, step), rng.randrange(8)
+            tag, op = (wid, step), rng.randrange(9)
             try:
-                if op == 0:  # zero, sub-resolution and equal-when timeouts
-                    yield sim.timeout(rng.choice(DELAYS))
+                if op == 0:  # zero, sub-resolution and equal-when waits
+                    yield pause()
                 elif op == 1:  # succeed before the waiter yields
                     event = sim.event()
                     watch(event, tag)
@@ -382,18 +524,18 @@ def random_program(sim, seed, workers=6, steps=10):
                 elif op == 2:  # join a process, maybe after it finished
                     proc = sim.process(child(tag))
                     watch(proc, tag)
-                    yield sim.timeout(rng.choice(DELAYS))
+                    yield pause()
                     yield proc
                     watch(proc, tag)  # late: the process already dispatched
                 elif op == 3:  # interrupt; the victim's old wait goes stale
                     victims = [p for w, p in enumerate(procs) if w in started]
                     rng.choice(victims).interrupt(tag)
-                    yield sim.timeout(rng.choice(DELAYS))
+                    yield pause()
                 elif op == 4:  # failed-then-defused, nobody waiting
                     event = sim.event()
                     event.fail(ValueError(repr(tag)))
                     event.defuse()
-                    yield sim.timeout(0)
+                    yield sim.sleep(0)
                     watch(event, tag)
                 elif op == 5:  # wait on a shared event other workers settle
                     event = sim.event()
@@ -408,8 +550,8 @@ def random_program(sim, seed, workers=6, steps=10):
                             event.succeed(tag)
                         else:
                             event.fail(ValueError(repr(tag)))
-                    yield sim.timeout(rng.choice(DELAYS))
-                else:  # AnyOf / QuorumOf over fresh timeouts
+                    yield pause()
+                elif op == 7:  # AnyOf / QuorumOf over fresh timeouts
                     events = [sim.timeout(rng.choice(DELAYS), value=i)
                               for i in range(3)]
                     if rng.random() < 0.5:
@@ -418,6 +560,10 @@ def random_program(sim, seed, workers=6, steps=10):
                     else:
                         yield sim.quorum_of(events, rng.randrange(4),
                                             accept=lambda value: value != 1)
+                else:  # spawned fibers: nobody joins them
+                    for index in range(rng.randrange(1, 3)):
+                        sim.spawn(child((wid, step, index), "spawned"))
+                    yield pause()
                 note("step", tag, op)
             except Interrupt as interrupt:
                 note("interrupted", tag, interrupt.cause)
@@ -437,15 +583,27 @@ def test_ready_queue_runs_entries_in_heap_order(seed):
         HeapOnlySimulator(), seed)
 
 
-def test_random_programs_cover_every_shape():
+def test_random_programs_cover_every_shape(monkeypatch):
+    victims = []  # per interrupt delivered: was the victim asleep?
+    deliver = Process._deliver_interrupt
+
+    def recording(process, event):
+        if not process.triggered:
+            victims.append((process._sleep_seq, process) in [
+                (seq, entry) for _when, seq, entry in process.sim._heap])
+        deliver(process, event)
+
+    monkeypatch.setattr(Process, "_deliver_interrupt", recording)
     ops, kinds = set(), set()
     for seed in range(40):
         for entry in random_program(Simulator(), seed):
             kinds.add(entry[1])
             if entry[1] == "step":
                 ops.add(entry[3])
-    assert ops == set(range(8))
-    assert {"callback", "child", "any", "interrupted", "failed"} <= kinds
+    assert ops == set(range(9))
+    assert {"callback", "child", "spawned", "any", "interrupted",
+            "failed"} <= kinds
+    assert True in victims and False in victims
 
 
 @pytest.mark.parametrize("window", [2, 3, 5])
@@ -488,3 +646,54 @@ def test_chooser_pick_runs_kth_entry_in_heap_then_ready_order(sim):
     sim.run()
     assert log == ["A", "D", "B", "C"]
     assert sim.chooser.counts == [2, 3, 2]
+
+
+# -- the cheap idioms stay in use ---------------------------------------------
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: (statement is a yield, method called) -> the fix.  The first two
+#: build a kernel object nobody needs; a sleep that is not yielded would
+#: wake its process later, in the middle of some other wait.
+SLOW_IDIOMS = {
+    (True, "timeout"): "yield <sim>.sleep(d), not a timeout",
+    (False, "process"): "<sim>.spawn(...) when nobody keeps the handle",
+    (False, "sleep"): "a sleep must be yielded",
+}
+
+
+def _slow_idioms(tree):
+    """(line, fix) for every expression statement in ``SLOW_IDIOMS``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Expr):
+            continue
+        yielded = isinstance(node.value, ast.Yield)
+        call = node.value.value if yielded else node.value
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute):
+            fix = SLOW_IDIOMS.get((yielded, call.func.attr))
+            if fix is not None:
+                yield node.lineno, fix
+
+
+def test_src_uses_sleep_and_spawn():
+    offenders = [
+        "%s:%d: %s" % (path.relative_to(SRC), line, fix)
+        for path in sorted(SRC.rglob("*.py"))
+        for line, fix in _slow_idioms(ast.parse(path.read_text()))
+    ]
+    assert offenders == []
+
+
+def test_slow_idioms_are_recognised():
+    source = (
+        "def body(sim):\n"
+        "    yield sim.timeout(1)\n"
+        "    sim.process(body(sim))\n"
+        "    sim.sleep(1)\n"
+        "    yield sim.sleep(1)\n"
+        "    yield sim.any_of([sim.timeout(1)])\n"
+        "    handle = sim.process(body(sim))\n"
+        "    sim.spawn(body(sim))\n"
+    )
+    assert [line for line, _ in _slow_idioms(ast.parse(source))] == [2, 3, 4]

@@ -15,6 +15,7 @@ Usage::
     python tools/profile.py ycsb-a-traced
     python tools/profile.py ycsb-a-dist --seed 3 --top 40 --sort cumtime
     python tools/profile.py ycsb-w-single --callers 'read_range|aead.py.*seal'
+    python tools/profile.py ycsb-a-dist --entries
 
 The header line also counts ``Simulator.step`` calls per committed
 transaction (one per kernel entry, from the profile's call counts): the
@@ -24,6 +25,15 @@ pass.
 ``--callers REGEX`` adds, for every profiled function whose
 ``file:line(name)`` matches, who called it and how often: a hot leaf
 (an AEAD seal, a disk read) is fixed at its call sites.
+
+``--entries`` runs the pass unprofiled instead and prints the kernel
+entries per committed transaction *by kind* — what each
+``Simulator.step`` is about to run, classified by a wrapper installed
+from outside: a sleeping process waking, a process bootstrap, an event
+dispatch that wakes a live waiter or runs a callback, a no-op dispatch
+(an event nobody waits on), a stale wake-up (a timeout or sleep whose
+process was interrupted and moved on), and a plain callable.  A kernel
+lever starts from this count: it names the entries worth removing.
 
 ``perf/`` is imported read-only; this file lives outside ``src/repro``,
 where ``tools/lint_determinism.py`` bans the host clock.
@@ -43,14 +53,20 @@ sys.path[:] = [entry for entry in sys.path
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perf")]
 
 import argparse
+import collections
 import cProfile
 import json
 import pstats
 
 import workloads
+from repro.sim.core import Event, Process, Simulator
 
 #: where ``Simulator.step`` lives, as cProfile names it.
 SIM_STEP = (os.path.join("repro", "sim", "core.py"), "step")
+
+#: the kinds of kernel entry ``--entries`` counts, in print order.
+ENTRY_KINDS = ("sleep wake", "process bootstrap", "event, live waiter",
+               "event, no-op", "stale wake", "plain callable")
 
 
 def sim_steps(stats: pstats.Stats) -> int:
@@ -63,6 +79,52 @@ def sim_steps(stats: pstats.Stats) -> int:
     )
 
 
+def _stale(callback, event: Event) -> bool:
+    """A process resume that will find its process gone or moved on."""
+    process = getattr(callback, "__self__", None)
+    return (getattr(callback, "__func__", None) is Process._resume
+            and (process._triggered or process._waiting_on is not event))
+
+
+def entry_kind(sim: Simulator) -> str:
+    """The kind of entry the next ``sim.step()`` runs (no chooser)."""
+    ready, heap = sim._ready, sim._heap
+    if ready and not (heap and heap[0][0] == sim.now):
+        seq, entry = None, ready[0]
+    else:
+        _when, seq, entry = heap[0]
+    if seq is not None and type(entry) is Process:
+        return "sleep wake" if entry._sleep_seq == seq else "stale wake"
+    if isinstance(entry, Event):
+        callbacks = entry._callbacks
+        if not callbacks:
+            return "event, no-op"
+        if all(_stale(callback, entry) for callback in callbacks):
+            return "stale wake"
+        return "event, live waiter"
+    if getattr(entry, "__func__", None) is Process._bootstrap_call:
+        return "process bootstrap"
+    return "plain callable"
+
+
+def count_entries(workload, cluster, seconds: float):
+    """Run the pass with every kernel entry classified just before it
+    runs; returns the pass result and the count per kind."""
+    counts: collections.Counter = collections.Counter()
+    step = Simulator.step
+
+    def classified(sim: Simulator) -> None:
+        counts[entry_kind(sim)] += 1
+        step(sim)
+
+    Simulator.step = classified
+    try:
+        result = workloads.run_pass(workload, cluster, seconds)
+    finally:
+        Simulator.step = step
+    return result, counts
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
@@ -73,12 +135,26 @@ def main(argv=None) -> int:
                         default="tottime")
     parser.add_argument("--callers", metavar="REGEX",
                         help="also print the callers of matching functions")
+    parser.add_argument("--entries", action="store_true",
+                        help="count kernel entries per txn by kind "
+                             "instead of profiling")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fp:
         seconds = json.load(fp)["run_seconds"]
     workload = workloads.WORKLOADS[args.workload]
     cluster = workloads.set_up(workload, args.seed)
+    if args.entries:
+        result, counts = count_entries(workload, cluster, seconds)
+        txns = max(result.committed, 1)
+        total = sum(counts.values())
+        print("%s  seed %d  committed %d  kernel entries/txn %.0f"
+              % (workload.name, args.seed, result.committed, total / txns))
+        for kind in ENTRY_KINDS:
+            print("  %-20s %8.1f /txn  %5.1f %%"
+                  % (kind, counts[kind] / txns,
+                     100.0 * counts[kind] / max(total, 1)))
+        return 0
     profiler = cProfile.Profile()
     result = profiler.runcall(workloads.run_pass, workload, cluster, seconds)
     stats = pstats.Stats(profiler)

@@ -76,8 +76,8 @@ CLI_COMMANDS = {
 }
 #: the ``mc/tie`` row's choice trace: option 1 at the 18th and 31st
 #: choice points (all ties: the world enumerates no adversary actions or
-#: crashes).  The 18th reorders two entries that do not commute and so
-#: changes the world; the 31st lands on commuting entries.  The row
+#: crashes).  The 18th lands on commuting entries; the 31st reorders two
+#: entries that do not commute and so changes the world.  The row
 #: guards later changes to the chooser path; the evidence that the
 #: chooser keeps the tie order is the seeded reference-scheduler tests in
 #: ``tests/test_sim_core.py``.
