@@ -119,7 +119,7 @@ class FrontEnd:
         self.requests += 1
         # Waking the (idle) per-client fiber costs a SCONE scheduler
         # dispatch when the enclave is under storage-engine pressure.
-        if self.runtime.profile.in_enclave and self.runtime.heavy_enclave:
+        if self.runtime.in_enclave and self.runtime.heavy_enclave:
             yield self.runtime.sim.sleep(
                 self.runtime.costs.scone_request_dispatch
             )

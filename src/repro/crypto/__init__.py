@@ -1,7 +1,7 @@
 """Cryptographic primitives: AEAD, log chains, key hierarchy, signatures."""
 
 from .aead import IV_BYTES, KEY_BYTES, MAC_BYTES, Aead, xor_bytes
-from .hashing import DIGEST_BYTES, ChainState, LogChain, digest
+from .hashing import DIGEST_BYTES, ChainState, HmacSha256, LogChain, digest
 from .keys import KeyRing, derive_key
 from .signature import SIGNATURE_BYTES, SigningKey, VerifyKey, generate_keypair
 
@@ -9,6 +9,7 @@ __all__ = [
     "Aead",
     "ChainState",
     "DIGEST_BYTES",
+    "HmacSha256",
     "IV_BYTES",
     "KEY_BYTES",
     "KeyRing",

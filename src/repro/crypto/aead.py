@@ -7,7 +7,8 @@ from stdlib primitives — a SHAKE-256 keystream plus an encrypt-then-MAC
 HMAC-SHA256 tag — with exactly the paper's wire sizes.  Like the paper's
 AES-NI path, a seal is a constant number of native calls whatever the
 message length: one extendable-output digest of ``enc_key || IV`` for the
-keystream, and a tag that starts from a copy of an HMAC state keyed once.
+keystream, and a tag from copies of two SHA-256 states keyed once per
+cipher (:class:`~repro.crypto.hashing.HmacSha256`).
 Security properties relevant to the reproduction hold functionally:
 ciphertext reveals nothing without the key, and any bit flip in IV,
 ciphertext or associated data fails authentication.  This is a stream
@@ -23,15 +24,18 @@ from __future__ import annotations
 
 import hmac
 import struct
-from hashlib import sha256, shake_256
+from hashlib import shake_256
 
 from ..errors import IntegrityError
+from .hashing import HmacSha256
 
 __all__ = ["IV_BYTES", "MAC_BYTES", "KEY_BYTES", "Aead", "xor_bytes"]
 
 IV_BYTES = 12  # §VII-A: 12 B initialization vector
 MAC_BYTES = 16  # §VII-A: 16 B MAC
 KEY_BYTES = 32
+
+_LENGTHS = struct.Struct("<II")  # the tag's length header: |aad|, |ciphertext|
 
 
 def xor_bytes(data: bytes, keystream: bytes) -> bytes:
@@ -58,19 +62,18 @@ class Aead:
             raise ValueError("AEAD key must be %d bytes" % KEY_BYTES)
         # Independent subkeys for the keystream and the MAC, derived the
         # usual KDF way so a single 32-byte master key is enough.
-        self._enc_key = hmac.new(key, b"treaty-enc", sha256).digest()
-        mac_key = hmac.new(key, b"treaty-mac", sha256).digest()
-        self._mac = hmac.new(mac_key, digestmod=sha256)  # copied per tag
+        master = HmacSha256(key)
+        self._enc_key = master.digest(b"treaty-enc")
+        self._mac = HmacSha256(master.digest(b"treaty-mac"))
 
     # -- internals -----------------------------------------------------------
     def _keystream(self, iv: bytes, length: int) -> bytes:
         return shake_256(self._enc_key + iv).digest(length)
 
     def _tag(self, iv: bytes, aad: bytes, ciphertext: bytes) -> bytes:
-        mac = self._mac.copy()
-        mac.update(struct.pack("<II", len(aad), len(ciphertext)) + iv + aad)
-        mac.update(ciphertext)
-        return mac.digest()[:MAC_BYTES]
+        return self._mac.digest(
+            _LENGTHS.pack(len(aad), len(ciphertext)) + iv + aad + ciphertext
+        )[:MAC_BYTES]
 
     # -- public API -----------------------------------------------------------
     def seal(self, iv: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:

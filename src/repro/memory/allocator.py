@@ -22,10 +22,10 @@ _MAX_CLASS = 8 * 1024 * 1024
 
 
 def _size_class(nbytes: int) -> int:
-    size = _MIN_CLASS
-    while size < nbytes:
-        size *= 2
-    return size
+    """The smallest power of two >= ``nbytes``, at least ``_MIN_CLASS``."""
+    if nbytes <= _MIN_CLASS:
+        return _MIN_CLASS
+    return 1 << (nbytes - 1).bit_length()
 
 
 class PooledBuffer:

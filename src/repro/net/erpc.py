@@ -277,7 +277,7 @@ class ErpcEndpoint:
         wire_bytes = payload_bytes + HEADER_BYTES
         msgbuf = self.msgbuf_pool.alloc(max(wire_bytes, 1))
         try:
-            if self.runtime.profile.in_enclave:
+            if self.runtime.in_enclave:
                 yield from self.runtime.msgbuf_shield(wire_bytes)
             yield from self.runtime.compute(self._tx_cpu_cost(wire_bytes))
             frame = Frame(
@@ -329,7 +329,7 @@ class ErpcEndpoint:
         )
 
     def _dispatch(self, frame: Frame):
-        if self.runtime.profile.in_enclave:
+        if self.runtime.in_enclave:
             yield from self.runtime.msgbuf_shield(frame.wire_bytes)
         yield from self.runtime.compute(self._tx_cpu_cost(frame.wire_bytes))
         meta = frame.meta

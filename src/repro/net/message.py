@@ -12,7 +12,6 @@ enforce at-most-once execution against duplicated/replayed packets.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set, Tuple
 
 from ..crypto.aead import IV_BYTES, MAC_BYTES, Aead
@@ -37,18 +36,18 @@ PAD_BYTES = 4  # §VII-A: 4 B payload for memory alignment
 METADATA_BYTES = 80  # §VII-A: 80 B Tx metadata
 
 _AAD = b"treaty-msg-v1"
-# node id (8) + txn id (8) + op id (8) + msg type (4) + body length (4)
-# + trace context + reserved padding up to 80 bytes.
-_META_STRUCT = struct.Struct("<QQQiI")
-# Trace context (rides the formerly reserved metadata bytes, so the wire
-# size is unchanged): 16 B trace id (the transaction's GlobalTxnId
-# encoding; all-zero = no context) + parent span id (8 B) + origin node
-# id (8 B).  Sealed with the rest of the metadata, so the causal chain a
-# receiver adopts is covered by the frame's MAC.
-_TRACE_STRUCT = struct.Struct("<16sQQ")
-_TRACE_OFFSET = _META_STRUCT.size
+# The 80 B head, packed and unpacked in one call: node id (8) + txn id
+# (8) + op id (8) + msg type (4) + body length (4), then the trace
+# context, then reserved zero padding.  The trace context rides the
+# formerly reserved bytes, so the wire size is unchanged: 16 B trace id
+# (the transaction's GlobalTxnId encoding; all-zero = no context) +
+# parent span id (8 B) + origin node id (8 B).  Sealed with the rest of
+# the metadata, so the causal chain a receiver adopts is covered by the
+# frame's MAC.
+_HEAD = struct.Struct("<QQQiI16sQQ16x")
+_TRACE_OFFSET = 32  # where the trace context starts in the head
+_TRACE_BYTES = 32
 _NO_TRACE = b"\x00" * 16
-_META_RESERVED = METADATA_BYTES - _META_STRUCT.size - _TRACE_STRUCT.size
 
 
 class MsgType:
@@ -114,20 +113,49 @@ class MsgType:
     }
 
 
-@dataclass(frozen=True)
 class TxMessage:
-    """One transaction-protocol message before sealing."""
+    """One transaction-protocol message before sealing.
 
-    msg_type: int
-    node_id: int  # coordinator node's id (8 B)
-    txn_id: int  # coordinator-local monotonic transaction id (8 B)
-    op_id: int  # unique per request within the transaction (8 B)
-    body: bytes = b""
-    #: trace context (32 B of the metadata's reserved region; excluded
-    #: from equality so replay/identity semantics are unchanged).
-    trace: Optional[str] = field(default=None, compare=False)
-    trace_parent: int = field(default=0, compare=False)
-    trace_origin: int = field(default=0, compare=False)
+    Treat it as immutable.  Equality and hash cover the identity triple,
+    the type and the body; the trace context (32 B of the metadata's
+    reserved region) is excluded, so replay/identity semantics do not
+    depend on it.
+    """
+
+    __slots__ = ("msg_type", "node_id", "txn_id", "op_id", "body",
+                 "trace", "trace_parent", "trace_origin")
+
+    def __init__(
+        self,
+        msg_type: int,
+        node_id: int,  # coordinator node's id (8 B)
+        txn_id: int,  # coordinator-local monotonic transaction id (8 B)
+        op_id: int,  # unique per request within the transaction (8 B)
+        body: bytes = b"",
+        trace: Optional[str] = None,
+        trace_parent: int = 0,
+        trace_origin: int = 0,
+    ):
+        self.msg_type = msg_type
+        self.node_id = node_id
+        self.txn_id = txn_id
+        self.op_id = op_id
+        self.body = body
+        self.trace = trace
+        self.trace_parent = trace_parent
+        self.trace_origin = trace_origin
+
+    def _identity(self) -> Tuple[int, int, int, int, bytes]:
+        return (self.msg_type, self.node_id, self.txn_id, self.op_id,
+                self.body)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not TxMessage:
+            return NotImplemented
+        return self._identity() == other._identity()
+
+    def __hash__(self) -> int:
+        return hash(self._identity())
 
     # -- identity --------------------------------------------------------
     @property
@@ -140,37 +168,35 @@ class TxMessage:
         which is how the caller's continuation finds it."""
         return TxMessage(msg_type, self.node_id, self.txn_id, self.op_id, body)
 
+    def with_trace(self, trace: str, parent: int, origin: int) -> "TxMessage":
+        """This message carrying a trace context (same identity)."""
+        return TxMessage(self.msg_type, self.node_id, self.txn_id, self.op_id,
+                         self.body, trace, parent, origin)
+
     # -- encoding ---------------------------------------------------------
     def encode(self) -> bytes:
         """Serialize metadata + body (the to-be-encrypted plaintext)."""
-        meta = _META_STRUCT.pack(
-            self.node_id, self.txn_id, self.op_id, self.msg_type, len(self.body)
-        )
         raw_trace = bytes.fromhex(self.trace) if self.trace else _NO_TRACE
         if len(raw_trace) != 16:
             raise IntegrityError("trace id must encode to 16 bytes")
-        trace_blob = _TRACE_STRUCT.pack(
-            raw_trace, self.trace_parent, self.trace_origin
-        )
-        return meta + trace_blob + b"\x00" * _META_RESERVED + self.body
+        body = self.body
+        return _HEAD.pack(
+            self.node_id, self.txn_id, self.op_id, self.msg_type, len(body),
+            raw_trace, self.trace_parent, self.trace_origin,
+        ) + body
 
     @classmethod
     def decode(cls, plaintext: bytes) -> "TxMessage":
         if len(plaintext) < METADATA_BYTES:
             raise IntegrityError("message shorter than its metadata")
-        node_id, txn_id, op_id, msg_type, body_len = _META_STRUCT.unpack_from(
-            plaintext
-        )
-        raw_trace, trace_parent, trace_origin = _TRACE_STRUCT.unpack_from(
-            plaintext, _TRACE_OFFSET
-        )
+        (node_id, txn_id, op_id, msg_type, body_len,
+         raw_trace, trace_parent, trace_origin) = _HEAD.unpack_from(plaintext)
         body = plaintext[METADATA_BYTES:]
         if len(body) != body_len:
             raise IntegrityError("message body length mismatch")
         trace = raw_trace.hex() if raw_trace != _NO_TRACE else None
         return cls(msg_type, node_id, txn_id, op_id, body,
-                   trace=trace, trace_parent=trace_parent,
-                   trace_origin=trace_origin)
+                   trace, trace_parent, trace_origin)
 
     # -- sealing -----------------------------------------------------------
     def seal(self, aead: Aead, iv: bytes) -> bytes:
@@ -250,7 +276,7 @@ def peek_trace(encoded: bytes) -> Optional[str]:
     trace of its first context-carrying sub-message without paying a
     full decode.
     """
-    if len(encoded) < _TRACE_OFFSET + _TRACE_STRUCT.size:
+    if len(encoded) < _TRACE_OFFSET + _TRACE_BYTES:
         return None
     raw = encoded[_TRACE_OFFSET : _TRACE_OFFSET + 16]
     return raw.hex() if raw != _NO_TRACE else None
@@ -293,7 +319,11 @@ class ReplayGuard:
 
     def check(self, message: TxMessage) -> None:
         """Record the message; raise :class:`ReplayError` if seen before."""
-        key = message.operation_key
+        self.check_key(message.operation_key)
+
+    def check_key(self, key: Tuple[int, int, int]) -> None:
+        """Record an operation triple; raise :class:`ReplayError` if seen
+        before.  Batch sequence numbers enter as ``(src, -1, batch_id)``."""
         if key in self._seen:
             self.rejected += 1
             raise ReplayError(

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import struct
-from dataclasses import replace
 from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 from ..crypto.keys import KeyRing
@@ -150,11 +149,9 @@ class _SecureBatchCodec:
         # duplicated/replayed frame is rejected before any sub-message
         # dispatches — atomically, as the adversary delivered it.
         try:
-            rpc.replay_guard.check(
-                TxMessage(
-                    0, meta.get("batch_src", 0), _BATCH_TXN_SENTINEL,
-                    meta.get("batch_id", 0),
-                )
+            rpc.replay_guard.check_key(
+                (meta.get("batch_src", 0), _BATCH_TXN_SENTINEL,
+                 meta.get("batch_id", 0))
             )
         except ReplayError:
             return None
@@ -181,6 +178,8 @@ class SecureRpc:
         #: as replays of) its pre-crash ones.
         self.epoch = epoch
         self._aead = keyring.network_aead()
+        #: the profile is frozen, so this is read once.
+        self._encrypted = runtime.encryption
         #: IV prefix: which endpoint sealed.  ``channel`` tells apart the
         #: endpoints one node runs under one id (cluster = 0, front = 1).
         self._iv_sealer = struct.pack(
@@ -204,10 +203,6 @@ class SecureRpc:
         endpoint.batch_codec = _SecureBatchCodec(self)
 
     # -- encoding -----------------------------------------------------------
-    @property
-    def _encrypted(self) -> bool:
-        return self.runtime.profile.encryption
-
     def _next_batch_id(self) -> int:
         return (self.epoch << 40) | next(self._batch_seq)
 
@@ -311,9 +306,8 @@ class SecureRpc:
         # receiving fiber adopts it, chaining its handler span under this
         # rpc span — the cross-node edge of the transaction's DAG.
         if self.tracer.enabled and span.trace is not None:
-            message = replace(
-                message, trace=span.trace, trace_parent=span.sid,
-                trace_origin=self.node_numeric_id,
+            message = message.with_trace(
+                span.trace, span.sid, self.node_numeric_id
             )
         nbytes = 0
         try:

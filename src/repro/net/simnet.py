@@ -4,7 +4,7 @@ The testbed (§VIII-A) connects Treaty nodes over a 40 GbE QSFP+ switch
 and clients over a secondary 1 Gb/s NIC.  A :class:`Fabric` routes
 messages between :class:`Nic` endpoints; each NIC serializes its egress
 at its link bandwidth and then the message propagates to the destination
-NIC (a timeout callback, no fiber per frame).  Everything an adversary
+NIC (one heap callable per frame, no fiber and no event).  Everything an adversary
 may do to the untrusted network — drop, delay, reorder, duplicate,
 tamper (§III) — is implemented by installing an
 :class:`~repro.net.adversary.NetworkAdversary` on the fabric.
@@ -12,8 +12,6 @@ tamper (§III) — is implemented by installing an
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from ..errors import NetworkError
@@ -24,20 +22,35 @@ from ..sim.sync import Resource, Store
 __all__ = ["Frame", "Nic", "Fabric"]
 
 
-@dataclass
 class Frame:
     """One message in flight (sized for cost modelling).
 
     ``payload`` is the application object; ``wire_bytes`` is what the link
-    serializes (header + payload + any crypto framing).
+    serializes (header + payload + any crypto framing).  ``kind`` is
+    "msg" for datagram-like, "stream" for TCP-like traffic.
     """
 
-    src: str
-    dst: str
-    wire_bytes: int
-    payload: Any
-    kind: str = "msg"  # "msg" for datagram-like, "stream" for TCP-like
-    meta: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("src", "dst", "wire_bytes", "payload", "kind", "meta")
+
+    def __init__(
+        self,
+        src: str,
+        dst: str,
+        wire_bytes: int,
+        payload: Any,
+        kind: str = "msg",
+        meta: Optional[Dict[str, Any]] = None,
+    ):
+        self.src = src
+        self.dst = dst
+        self.wire_bytes = wire_bytes
+        self.payload = payload
+        self.kind = kind
+        self.meta = {} if meta is None else meta
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "<Frame %s %s->%s %dB>" % (
+            self.kind, self.src, self.dst, self.wire_bytes)
 
 
 class Nic:
@@ -168,7 +181,7 @@ class Fabric:
 
     def frames_for(self, nbytes: int) -> int:
         """Number of MTU-sized frames an ``nbytes`` message occupies."""
-        return max(1, math.ceil(nbytes / self.mtu))
+        return max(1, -(-nbytes // self.mtu))
 
     def route(self, frame: Frame, propagation: float) -> None:
         """Move a frame toward its destination, adversary permitting."""
@@ -205,7 +218,7 @@ class Fabric:
         if chooser is not None:
             chooser.frame_sent(frame)
 
-        def deliver(_arrival: Event) -> None:
+        def deliver() -> None:
             if chooser is not None:
                 chooser.frame_delivered(frame)
             destination = self._nics.get(frame.dst)
@@ -215,4 +228,4 @@ class Fabric:
             self.delivered_frames += 1
             destination._deliver(frame)
 
-        self.sim.timeout(delay).add_callback(deliver)
+        self.sim.call_later(delay, deliver)

@@ -420,17 +420,18 @@ class Simulator:
     with the same seed replay an identical history.
 
     Two queues hold the pending work.  A heap holds the *future* timeouts
-    as ``(when, seq, timeout)`` and the sleeping processes as ``(when,
-    seq, process)``, ordered by time and then by a strictly increasing
-    sequence number.  A FIFO ready queue holds what is due *now*:
-    triggered events (whose callbacks are to run), process bootstraps,
-    callbacks added to an already-dispatched event, and timeouts and
-    sleeps due at the current instant.  Anything scheduled for the
-    current instant is scheduled after every entry already in the heap,
-    so "heap entries due now, then the ready queue, then advance the
-    clock" is exactly scheduling order — the order one heap keyed by
-    ``(when, seq)`` over all entries would give, without paying for the
-    heap on same-instant work.
+    as ``(when, seq, timeout)``, the sleeping processes as ``(when, seq,
+    process)`` and the :meth:`call_later` callables as ``(when, seq,
+    fn)``, ordered by time and then by a strictly increasing sequence
+    number.  A FIFO ready queue holds what is due *now*: triggered events
+    (whose callbacks are to run), process bootstraps, callbacks added to
+    an already-dispatched event, and timeouts, sleeps and callables due
+    at the current instant.  Anything scheduled for the current instant
+    is scheduled after every entry already in the heap, so "heap entries
+    due now, then the ready queue, then advance the clock" is exactly
+    scheduling order — the order one heap keyed by ``(when, seq)`` over
+    all entries would give, without paying for the heap on same-instant
+    work.
     """
 
     def __init__(self):
@@ -488,6 +489,25 @@ class Simulator:
         process._sleep_seq = seq
         heappush(self._heap, (when, seq, process))
         return _ASLEEP
+
+    def call_later(self, delay: float, fn: Callable[[], None]) -> None:
+        """Run ``fn()`` ``delay`` simulated seconds from now.
+
+        One heap entry, ``(when, seq, fn)``, and nothing to wait on or
+        cancel: the cheap form of ``timeout(delay).add_callback(...)`` when
+        nobody else needs the event.  It routes exactly as :meth:`sleep`
+        and :class:`Timeout` do: due now (zero delay, or one below the
+        clock's resolution) it joins the ready queue, and a negative delay
+        raises :class:`SimulationError`.
+        """
+        if delay < 0:
+            raise SimulationError("negative call_later delay: %r" % (delay,))
+        now = self.now
+        when = now + delay
+        if when == now:
+            self._ready.append(fn)
+        else:
+            heappush(self._heap, (when, next(self._seq), fn))
 
     def process(self, body: ProcessBody, name: str = "") -> Process:
         """Start running ``body`` as a process at the current instant."""
@@ -559,7 +579,7 @@ class Simulator:
             elif not entry._ok and not entry._defused:
                 raise entry._value
         else:
-            entry()  # a process bootstrap or a late callback
+            entry()  # a process bootstrap, a late callback or a call_later
 
     def _pop_with_chooser(self) -> Any:
         """Let the controlled scheduler pick among same-instant entries.

@@ -60,7 +60,7 @@ class SecureLog:
     # -- helpers -----------------------------------------------------------
     @property
     def secured(self) -> bool:
-        return self.runtime.profile.encryption
+        return self.runtime.encryption
 
     @property
     def last_counter(self) -> int:

@@ -153,7 +153,7 @@ class MemTable:
 
     @property
     def encrypted(self) -> bool:
-        return self.runtime.profile.encryption
+        return self.runtime.encryption
 
     def __len__(self) -> int:
         return len(self._skip)
@@ -180,7 +180,7 @@ class MemTable:
             self.runtime.enclave.memory.allocate(len(key) + _NODE_OVERHEAD)
         )
         self._allocations.append(self.runtime.host_memory.allocate(len(stored)))
-        if self.runtime.profile.in_enclave:
+        if self.runtime.in_enclave:
             yield from self.runtime.touch_enclave(len(key) + _NODE_OVERHEAD)
         self._skip.insert(key, entry)
         self.approximate_bytes += len(key) + len(stored) + _NODE_OVERHEAD
@@ -206,7 +206,7 @@ class MemTable:
         Returns ``None`` when the key is absent from this MemTable,
         ``(TOMBSTONE, seq)`` for a deletion marker, or ``(value, seq)``.
         """
-        if self.runtime.profile.in_enclave:
+        if self.runtime.in_enclave:
             yield from self.runtime.touch_enclave(len(key) + _NODE_OVERHEAD)
         entry = self._skip.get(key)
         if entry is None:

@@ -116,7 +116,7 @@ def build_sstable(
     """
     if not entries:
         raise StorageError("refusing to build an empty SSTable")
-    encrypted = runtime.profile.encryption
+    encrypted = runtime.encryption
     aead = keyring.storage_aead(runtime.name, "sstable")
     # A crash between writing a table and recording it re-issues the
     # file number, so the boot epoch is part of every IV's derivation.
@@ -207,7 +207,7 @@ class SSTableReader:
 
     @property
     def encrypted(self) -> bool:
-        return self.runtime.profile.encryption
+        return self.runtime.encryption
 
     # -- footer ------------------------------------------------------------
     def _load_footer(self) -> Gen:

@@ -39,6 +39,9 @@ class NodeRuntime:
                  config: ClusterConfig, name: str = "", epoch: int = 0):
         self.sim = sim
         self.profile = profile
+        #: the profile is frozen: its two hot-path switches are read once.
+        self.in_enclave = profile.in_enclave
+        self.encryption = profile.encryption
         self.config = config
         #: owning node's name; labels trace records ("" for anonymous
         #: runtimes such as client machines and unit-test harnesses).
@@ -47,9 +50,7 @@ class NodeRuntime:
         #: is rebuilt on every boot); makes :meth:`iv` restart-safe.
         self.epoch = epoch
         self.costs: CostModel = config.costs
-        factor = (
-            self.costs.enclave_speed_factor if profile.in_enclave else 1.0
-        )
+        factor = self.costs.enclave_speed_factor if self.in_enclave else 1.0
         self.cpu = CpuPool(sim, config.cores_per_node, speed_factor=factor)
         self.enclave = Enclave(self.costs)
         self.host_memory = HostMemory()
@@ -90,7 +91,7 @@ class NodeRuntime:
 
     def fiber_resume_delay(self) -> float:
         """Scheduling delay before a blocked enclave fiber runs again."""
-        if not self.profile.in_enclave or not self.heavy_enclave:
+        if not self.in_enclave or not self.heavy_enclave:
             return 0.0
         load = min(self.active_requests, self.costs.scone_resume_load_cap)
         return load * self.costs.scone_fiber_resume_quantum
@@ -102,7 +103,7 @@ class NodeRuntime:
 
     def touch_enclave(self, nbytes: int) -> Gen:
         """Charge paging for touching enclave-resident data under pressure."""
-        cost = self.enclave.touch_cost(nbytes) if self.profile.in_enclave else 0.0
+        cost = self.enclave.touch_cost(nbytes) if self.in_enclave else 0.0
         if cost > 0.0:
             self.tracer.event("tee", "epc_paging", node=self.name or None,
                               bytes=nbytes, cost=round(cost, 9))
@@ -113,12 +114,12 @@ class NodeRuntime:
         """One syscall moving ``nbytes`` through the kernel boundary."""
         self.syscalls += 1
         yield from self.cpu.consume(
-            self.costs.syscall_cost(self.profile.in_enclave, nbytes)
+            self.costs.syscall_cost(self.in_enclave, nbytes)
         )
 
     def world_switch(self) -> Gen:
         """A full enclave exit/enter (only on naive OCALL paths)."""
-        if self.profile.in_enclave:
+        if self.in_enclave:
             cost = self.enclave.transition_cost()
             self.tracer.event("tee", "world_switch", node=self.name or None,
                               cost=round(cost, 9))
@@ -131,7 +132,7 @@ class NodeRuntime:
         memory (§VII-A) so the enclave copies payloads across the
         boundary instead of paging EPC.
         """
-        if self.profile.in_enclave and nbytes > 0:
+        if self.in_enclave and nbytes > 0:
             cost = (
                 self.costs.scone_net_handling
                 + nbytes * self.costs.scone_msgbuf_copy_per_byte
@@ -143,13 +144,13 @@ class NodeRuntime:
     # -- cryptography ----------------------------------------------------------
     def seal_cost(self, nbytes: int) -> Gen:
         """Charge one AEAD seal/open if the profile encrypts."""
-        if self.profile.encryption:
+        if self.encryption:
             self.crypto_ops += 1
             yield from self.cpu.consume(self.costs.aead_cost(nbytes))
 
     def hash_cost(self, nbytes: int) -> Gen:
         """Charge one integrity hash if the profile encrypts."""
-        if self.profile.encryption:
+        if self.encryption:
             self.crypto_ops += 1
             yield from self.cpu.consume(self.costs.hash_cost(nbytes))
 

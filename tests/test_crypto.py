@@ -1,9 +1,15 @@
 """Tests for the crypto layer: AEAD, log chains, key ring, signatures."""
 
+import hmac
+import random
+import struct
+from hashlib import sha256, shake_256
+
 import pytest
 
 from repro.crypto import (
     Aead,
+    HmacSha256,
     KeyRing,
     LogChain,
     SigningKey,
@@ -12,6 +18,7 @@ from repro.crypto import (
     generate_keypair,
 )
 from repro.crypto import aead as aead_module
+from repro.crypto import hashing as hashing_module
 from repro.crypto.aead import IV_BYTES, KEY_BYTES, MAC_BYTES, xor_bytes
 from repro.errors import AuthenticationError, IntegrityError
 
@@ -112,9 +119,10 @@ class TestAead:
             aead.open(sealed[:IV_BYTES] + rest, aad=b"aad" + first)
 
     def test_hash_objects_per_message_do_not_grow_with_length(self, monkeypatch):
-        """Cost guard by count: one seal + one open construct the same
-        hash objects for 64 B as for 64 KiB (a keystream call and a copy
-        of the pre-keyed tag state each) and key no HMAC per message."""
+        """Cost guard by count: one seal + one open build the same native
+        hash objects for 64 B as for 64 KiB (a keystream call each, and
+        a copy of the two pre-keyed tag states each) and key nothing per
+        message: no SHA-256 state and no ``hmac`` object is built."""
         built = []
 
         class Counted:
@@ -137,8 +145,9 @@ class TestAead:
 
             return build
 
+        monkeypatch.setattr(hmac, "new", counting("hmac.new", hmac.new))
         monkeypatch.setattr(
-            aead_module.hmac, "new", counting("hmac.new", aead_module.hmac.new)
+            hashing_module, "sha256", counting("sha256", hashing_module.sha256)
         )
         monkeypatch.setattr(
             aead_module, "shake_256", counting("shake_256", aead_module.shake_256)
@@ -149,7 +158,63 @@ class TestAead:
             del built[:]
             assert aead.open(aead.seal(IV, b"m" * length)) == b"m" * length
             counts.append(sorted(built))
-        assert counts[0] == counts[1] == ["copy", "copy", "shake_256", "shake_256"]
+        assert counts[0] == counts[1] == ["copy"] * 4 + ["shake_256"] * 2
+
+    @pytest.mark.parametrize("length", [0, 1, 63, 64, 400, 5000])
+    def test_seal_bytes_equal_the_stdlib_hmac_formula(self, length):
+        """The sealed bytes are the ones a per-message ``hmac.new`` tag
+        gives: the keyed-state helper changes no ciphertext or MAC byte."""
+        rng = random.Random(length)
+        key, iv = rng.randbytes(KEY_BYTES), rng.randbytes(IV_BYTES)
+        plaintext, aad = rng.randbytes(length), rng.randbytes(rng.randrange(40))
+        enc_key = hmac.new(key, b"treaty-enc", sha256).digest()
+        mac_key = hmac.new(key, b"treaty-mac", sha256).digest()
+        stream = shake_256(enc_key + iv).digest(length)
+        ciphertext = bytes(p ^ k for p, k in zip(plaintext, stream))
+        tag = hmac.new(
+            mac_key,
+            struct.pack("<II", len(aad), length) + iv + aad + ciphertext,
+            sha256,
+        ).digest()[:MAC_BYTES]
+        assert Aead(key).seal(iv, plaintext, aad) == iv + ciphertext + tag
+
+
+#: RFC 4231 §4.2-§4.8: (key, data, HMAC-SHA-256 hex; case 5 is truncated
+#: to 128 bits)
+RFC_4231 = [
+    (b"\x0b" * 20, b"Hi There",
+     "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"),
+    (b"Jefe", b"what do ya want for nothing?",
+     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"),
+    (b"\xaa" * 20, b"\xdd" * 50,
+     "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"),
+    (bytes(range(1, 26)), b"\xcd" * 50,
+     "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"),
+    (b"\x0c" * 20, b"Test With Truncation",
+     "a3b6167473100ee06e0c796c2955552b"),
+    (b"\xaa" * 131, b"Test Using Larger Than Block-Size Key - Hash Key First",
+     "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"),
+    (b"\xaa" * 131,
+     b"This is a test using a larger than block-size key and a larger than "
+     b"block-size data. The key needs to be hashed before being used by the "
+     b"HMAC algorithm.",
+     "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"),
+]
+
+
+class TestHmacSha256:
+    @pytest.mark.parametrize("key, data, expected", RFC_4231)
+    def test_rfc_4231_known_answers(self, key, data, expected):
+        assert HmacSha256(key).digest(data).hex().startswith(expected)
+
+    @pytest.mark.parametrize("key_len", [0, 1, 32, 63, 64, 65, 200])
+    def test_equals_stdlib_hmac_and_is_reusable(self, key_len):
+        rng = random.Random(key_len)
+        key = rng.randbytes(key_len)
+        mac = HmacSha256(key)
+        for data_len in (0, 1, 55, 64, 1000):
+            data = rng.randbytes(data_len)
+            assert mac.digest(data) == hmac.new(key, data, sha256).digest()
 
 
 class TestXorBytes:
@@ -205,6 +270,19 @@ class TestLogChain:
         reader = LogChain(KEY)
         with pytest.raises(IntegrityError):
             reader.verify_next(6, b"body", tag)
+
+    def test_tags_equal_stdlib_hmac(self):
+        """Chains written before the keyed-state helper still verify:
+        every tag is ``HMAC(key, previous || counter || body)``."""
+        rng = random.Random(7)
+        writer, previous = LogChain(KEY), b"\x00" * 32
+        for _ in range(20):
+            counter, body = rng.randrange(2**64), rng.randbytes(rng.randrange(300))
+            expected = hmac.new(
+                KEY, previous + counter.to_bytes(8, "little") + body, sha256
+            ).digest()
+            assert writer.append(counter, body) == expected
+            previous = expected
 
 
 class TestKeys:

@@ -8,6 +8,7 @@ from repro.memory import (
     MempoolAllocator,
     MemoryRegion,
 )
+from repro.memory.allocator import _size_class
 
 
 class TestRegions:
@@ -64,6 +65,18 @@ class TestMempoolAllocator:
         buffer = pool.alloc(65)
         assert buffer.size_class == 128
         assert pool.alloc(64).size_class == 64
+
+    def test_size_class_matches_the_doubling_loop(self):
+        def doubling(nbytes):
+            size = 64
+            while size < nbytes:
+                size *= 2
+            return size
+
+        sizes = list(range(0, 4200)) + [
+            (1 << shift) + delta for shift in range(12, 24) for delta in (-1, 0, 1)
+        ]
+        assert [_size_class(n) for n in sizes] == [doubling(n) for n in sizes]
 
     def test_distinct_heaps_do_not_share_free_lists(self):
         region = MemoryRegion("host")

@@ -1,5 +1,7 @@
 """Tests for Treaty's secure message format and the replay guard."""
 
+import struct
+
 import pytest
 
 from repro.crypto import Aead
@@ -93,7 +95,71 @@ class TestSealing:
         assert TxMessage.decode(reply.encode()) == reply
 
 
+TRACE = "0123456789abcdef" * 2
+
+
+def fields(message):
+    return (message.msg_type, message.node_id, message.txn_id, message.op_id,
+            message.body, message.trace, message.trace_parent,
+            message.trace_origin)
+
+
+class TestTxMessageContract:
+    def test_equality_and_hash_ignore_the_trace(self):
+        plain = sample_message()
+        traced = plain.with_trace(TRACE, 5, 9)
+        assert plain == traced and hash(plain) == hash(traced)
+        assert len({plain, traced}) == 1
+        for other in (sample_message(b"other"),
+                      TxMessage(MsgType.TXN_READ, 3, 42, 7, b"key=value"),
+                      TxMessage(MsgType.TXN_WRITE, 3, 42, 8, b"key=value")):
+            assert other != plain
+        assert plain != fields(plain)
+
+    def test_with_trace_keeps_the_identity(self):
+        plain = sample_message()
+        traced = plain.with_trace(TRACE, 5, 9)
+        assert fields(traced) == fields(plain)[:5] + (TRACE, 5, 9)
+        assert traced.operation_key == plain.operation_key
+        assert fields(plain)[5:] == (None, 0, 0)
+
+    @pytest.mark.parametrize("trace", [None, TRACE])
+    def test_decode_encode_round_trips_every_field(self, trace):
+        message = sample_message()
+        if trace is not None:
+            message = message.with_trace(trace, 2**64 - 1, 12)
+        assert fields(TxMessage.decode(message.encode())) == fields(message)
+
+    @pytest.mark.parametrize("trace", [None, TRACE])
+    def test_head_layout(self, trace):
+        """Node, txn, op, type, body length; trace id, parent, origin;
+        16 reserved zero bytes; the body."""
+        message = TxMessage(MsgType.TXN_PREPARE, 1, 2, 3, b"xyz",
+                            trace, 4 if trace else 0, 5 if trace else 0)
+        raw_trace = bytes.fromhex(trace) if trace else bytes(16)
+        assert message.encode() == (
+            struct.pack("<QQQiI", 1, 2, 3, MsgType.TXN_PREPARE, 3)
+            + struct.pack("<16sQQ", raw_trace, message.trace_parent,
+                          message.trace_origin)
+            + bytes(16) + b"xyz"
+        )
+
+    def test_bad_trace_id_rejected(self):
+        with pytest.raises(IntegrityError):
+            sample_message().with_trace("abcd", 1, 1).encode()
+
+
 class TestReplayGuard:
+    def test_batch_keys_share_the_guard_with_messages(self):
+        guard = ReplayGuard()
+        guard.check_key((3, -1, 42))
+        guard.check(sample_message())  # (3, 42, 7): a different triple
+        with pytest.raises(ReplayError):
+            guard.check_key((3, -1, 42))
+        with pytest.raises(ReplayError):
+            guard.check_key(sample_message().operation_key)
+        assert (len(guard), guard.rejected) == (2, 2)
+
     def test_first_seen_passes(self):
         guard = ReplayGuard()
         guard.check(sample_message())

@@ -512,7 +512,7 @@ def random_program(sim, seed, workers=6, steps=10):
     def worker(wid):
         started.add(wid)
         for step in range(steps):
-            tag, op = (wid, step), rng.randrange(9)
+            tag, op = (wid, step), rng.randrange(10)
             try:
                 if op == 0:  # zero, sub-resolution and equal-when waits
                     yield pause()
@@ -560,9 +560,13 @@ def random_program(sim, seed, workers=6, steps=10):
                     else:
                         yield sim.quorum_of(events, rng.randrange(4),
                                             accept=lambda value: value != 1)
-                else:  # spawned fibers: nobody joins them
+                elif op == 8:  # spawned fibers: nobody joins them
                     for index in range(rng.randrange(1, 3)):
                         sim.spawn(child((wid, step, index), "spawned"))
+                    yield pause()
+                else:  # heap callables, due now or later
+                    sim.call_later(rng.choice(DELAYS),
+                                   lambda tag=tag: note("later", tag))
                     yield pause()
                 note("step", tag, op)
             except Interrupt as interrupt:
@@ -600,9 +604,9 @@ def test_random_programs_cover_every_shape(monkeypatch):
             kinds.add(entry[1])
             if entry[1] == "step":
                 ops.add(entry[3])
-    assert ops == set(range(9))
+    assert ops == set(range(10))
     assert {"callback", "child", "spawned", "any", "interrupted",
-            "failed"} <= kinds
+            "failed", "later"} <= kinds
     assert True in victims and False in victims
 
 
@@ -646,6 +650,43 @@ def test_chooser_pick_runs_kth_entry_in_heap_then_ready_order(sim):
     sim.run()
     assert log == ["A", "D", "B", "C"]
     assert sim.chooser.counts == [2, 3, 2]
+
+
+@pytest.mark.parametrize("make", [Simulator, HeapOnlySimulator])
+def test_call_later_takes_a_due_now_timeouts_place(make):
+    """A zero or sub-resolution ``call_later`` runs where a due-now
+    timeout would: in scheduling order with the other same-instant work;
+    a future one runs at its instant, in scheduling order too."""
+    sim, log = make(), []
+
+    def mark(tag):
+        return lambda *_event: log.append((sim.now, tag))
+
+    def body():
+        yield sim.sleep(1.0)
+        sim.timeout(0).add_callback(mark("timeout-0"))
+        sim.call_later(0, mark("later-0"))
+        sim.timeout(1e-17).add_callback(mark("timeout-tiny"))
+        sim.call_later(1e-17, mark("later-tiny"))
+        sim.call_later(0.5, mark("later-0.5"))
+        sim.timeout(0.5).add_callback(mark("timeout-0.5"))
+        sim.event().succeed()
+        sim.call_later(0, mark("later-last"))
+
+    sim.spawn(body())
+    sim.run()
+    assert log == [(1.0, "timeout-0"), (1.0, "later-0"),
+                   (1.0, "timeout-tiny"), (1.0, "later-tiny"),
+                   (1.0, "later-last"),
+                   (1.5, "later-0.5"), (1.5, "timeout-0.5")]
+
+
+@pytest.mark.parametrize("make", [Simulator, HeapOnlySimulator])
+def test_call_later_rejects_a_negative_delay(make):
+    sim = make()
+    with pytest.raises(SimulationError):
+        sim.call_later(-1e-9, lambda: None)
+    assert not sim._heap
 
 
 # -- the cheap idioms stay in use ---------------------------------------------

@@ -16,6 +16,7 @@ Usage::
     python tools/profile.py ycsb-a-dist --seed 3 --top 40 --sort cumtime
     python tools/profile.py ycsb-w-single --callers 'read_range|aead.py.*seal'
     python tools/profile.py ycsb-a-dist --entries
+    python tools/profile.py ycsb-a-dist --sample
 
 The header line also counts ``Simulator.step`` calls per committed
 transaction (one per kernel entry, from the profile's call counts): the
@@ -32,8 +33,18 @@ entries per committed transaction *by kind* — what each
 from outside: a sleeping process waking, a process bootstrap, an event
 dispatch that wakes a live waiter or runs a callback, a no-op dispatch
 (an event nobody waits on), a stale wake-up (a timeout or sleep whose
-process was interrupted and moved on), and a plain callable.  A kernel
+process was interrupted and moved on), and a plain callable (a
+``call_later`` such as a fabric delivery, or a late callback).  A kernel
 lever starts from this count: it names the entries worth removing.
+
+``--sample`` runs the pass unprofiled under a statistical sampler
+instead: ``signal.setitimer(ITIMER_PROF)`` interrupts every millisecond
+of process CPU time and the innermost Python frame is charged one
+sample, so native work (a SHA-256 update, a ``struct`` pack) counts
+toward the Python function that called it.  It prints self time by
+file and by function.  Unlike cProfile it adds no cost per call, so a
+call-heavy function (a generator resumed a million times) is not
+inflated: size a lever with it before cutting.
 
 ``perf/`` is imported read-only; this file lives outside ``src/repro``,
 where ``tools/lint_determinism.py`` bans the host clock.
@@ -57,12 +68,16 @@ import collections
 import cProfile
 import json
 import pstats
+import signal
 
 import workloads
 from repro.sim.core import Event, Process, Simulator
 
 #: where ``Simulator.step`` lives, as cProfile names it.
 SIM_STEP = (os.path.join("repro", "sim", "core.py"), "step")
+
+#: ``--sample``'s interval, in seconds of process CPU time.
+SAMPLE_S = 1e-3
 
 #: the kinds of kernel entry ``--entries`` counts, in print order.
 ENTRY_KINDS = ("sleep wake", "process bootstrap", "event, live waiter",
@@ -125,6 +140,44 @@ def count_entries(workload, cluster, seconds: float):
     return result, counts
 
 
+def sample(fn, *args):
+    """Run ``fn(*args)`` under the ITIMER_PROF sampler; returns its
+    result and the samples per ``(file, function)`` of the innermost
+    frame, one per :data:`SAMPLE_S` of process CPU time."""
+    samples: collections.Counter = collections.Counter()
+
+    def tick(_signum, frame) -> None:
+        if frame is not None:
+            code = frame.f_code
+            samples[(code.co_filename, code.co_name)] += 1
+
+    previous = signal.signal(signal.SIGPROF, tick)
+    signal.setitimer(signal.ITIMER_PROF, SAMPLE_S, SAMPLE_S)
+    try:
+        result = fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0, 0)
+        signal.signal(signal.SIGPROF, previous)
+    return result, samples
+
+
+def self_time(samples, top: int):
+    """(by file, by function): the ``top`` largest ``(share, name)`` rows
+    of each; a file is named from the repository root or by basename."""
+    total = max(sum(samples.values()), 1)
+    by_file: collections.Counter = collections.Counter()
+    by_function: collections.Counter = collections.Counter()
+    for (filename, function), count in samples.items():
+        path = os.path.relpath(filename, ROOT)
+        if path.startswith(os.pardir):
+            path = os.path.basename(filename)
+        by_file[path] += count
+        by_function["%s:%s" % (path, function)] += count
+    return tuple(
+        [(count / total, name) for name, count in table.most_common(top)]
+        for table in (by_file, by_function))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
@@ -135,9 +188,13 @@ def main(argv=None) -> int:
                         default="tottime")
     parser.add_argument("--callers", metavar="REGEX",
                         help="also print the callers of matching functions")
-    parser.add_argument("--entries", action="store_true",
-                        help="count kernel entries per txn by kind "
-                             "instead of profiling")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--entries", action="store_true",
+                      help="count kernel entries per txn by kind "
+                           "instead of profiling")
+    mode.add_argument("--sample", action="store_true",
+                      help="sample self time by file and function "
+                           "instead of profiling")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fp:
@@ -154,6 +211,17 @@ def main(argv=None) -> int:
             print("  %-20s %8.1f /txn  %5.1f %%"
                   % (kind, counts[kind] / txns,
                      100.0 * counts[kind] / max(total, 1)))
+        return 0
+    if args.sample:
+        result, samples = sample(workloads.run_pass, workload, cluster, seconds)
+        print("%s  seed %d  committed %d  samples %d (%g ms of CPU each)"
+              % (workload.name, args.seed, result.committed,
+                 sum(samples.values()), SAMPLE_S * 1e3))
+        for title, rows in zip(("file", "function"),
+                               self_time(samples, args.top)):
+            print("self time by %s:" % title)
+            for share, name in rows:
+                print("  %5.1f %%  %s" % (100.0 * share, name))
         return 0
     profiler = cProfile.Profile()
     result = profiler.runcall(workloads.run_pass, workload, cluster, seconds)
