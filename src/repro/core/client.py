@@ -7,7 +7,7 @@ channel" (§IV-A) over a secondary 1 Gb/s NIC (§VIII-A).  A
 (``BEGINTXN`` / ``TXNGET`` / ``TXNPUT`` / ``TXNCOMMIT`` /
 ``TXNROLLBACK``) against a chosen coordinator node.  The node-side
 :class:`FrontEnd` executes each operation through the coordinator's
-global transactions (or a local optimistic transaction when requested).
+global transactions, optimistic ones (distributed OCC) when requested.
 """
 
 from __future__ import annotations

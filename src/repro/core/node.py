@@ -87,7 +87,6 @@ class TreatyNode:
         self.qe = PlatformQuotingEnclave(name, platform_secret)
         self.las: Optional[LocalAttestationService] = None
         self.boot_count = 0
-        self._clog_seq = 1
         self.cluster_address = name
         self.front_address = name + ".front"
         self.is_up = False
@@ -230,59 +229,7 @@ class TreatyNode:
 
     @property
     def clog_path(self) -> str:
-        return "%s/clog-%06d.log" % (self.name, self._clog_seq)
-
-    def rotate_clog(self) -> Gen:
-        """Garbage-collect the coordinator log (§V-A / §VII-B).
-
-        "The Clog is deleted as long as there are no unstable entries
-        and does not contain any unfinished prepared transaction entry."
-        Unresolved protocol state (undecided prepares, commits whose
-        completion is unrecorded) is carried into the fresh Clog; the
-        old file is deleted once the MANIFEST edits recording the
-        rotation are stabilized.
-        """
-        if self.config.storage_engine == "null":
-            return
-        old_clog = self.clog
-        # Which 2PC state must survive into the new log: undecided
-        # prepares and commits whose completion is unrecorded.  Decided
-        # ABORTs are dropped here, though recovery would redrive them.
-        entries = yield from old_clog.replay()
-        prepares, undone_commits, _aborts, _decisions = fold_clog(entries)
-
-        self._clog_seq += 1
-        new_clog = SecureLog(
-            self.runtime, self.disk, self.clog_path, self.keyring,
-            log_name=self.clog_path,
-        )
-        for record in list(prepares.values()) + list(undone_commits.values()):
-            yield from new_clog.append(record.encode())
-        yield from self.engine.manifest.record(
-            ManifestEdit.new_log("clog", new_clog.filename)
-        )
-        counter = yield from self.engine.manifest.record(
-            ManifestEdit.del_log("clog", old_clog.filename)
-        )
-        self.clog = new_clog
-        if self.coordinator is not None:
-            self.coordinator.clog = new_clog
-
-        old_filename = old_clog.filename
-
-        def gc():
-            if self.pipeline.enabled:
-                yield from self.pipeline.stabilize(
-                    self.engine.manifest_log_name, counter
-                )
-                yield from self.pipeline.stabilize(
-                    new_clog.log_name, new_clog.last_counter
-                )
-            else:
-                yield self.sim.sleep(0.05)
-            self.disk.delete(old_filename)
-
-        self.sim.spawn(gc(), name="clog-gc@%s" % self.name)
+        return "%s/clog-000001.log" % self.name
 
     # -- lifecycle -----------------------------------------------------------------
     def start(self, cas: ConfigurationService) -> Gen:
@@ -354,9 +301,6 @@ class TreatyNode:
 
         # Clog: replay the 2PC state (§VI "Lastly, Clog is replayed").
         clog_path = state.live_clogs[-1] if state.live_clogs else self.clog_path
-        stem = clog_path.rsplit("/", 1)[1]
-        if stem.startswith("clog-"):
-            self._clog_seq = max(self._clog_seq, int(stem[5:11]))
         self.clog = SecureLog(
             self.runtime, self.disk, clog_path, self.keyring, log_name=clog_path
         )

@@ -66,9 +66,6 @@ class ChainState:
         self.tag = tag
         self.count = count
 
-    def copy(self) -> "ChainState":
-        return ChainState(self.tag, self.count)
-
 
 class LogChain:
     """HMAC chain over log entries, keyed with the log's authentication key.

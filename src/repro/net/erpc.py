@@ -268,13 +268,13 @@ class ErpcEndpoint:
         """Seal (optionally), charge and transmit one coalesced frame."""
         meta_extra: Dict[str, Any] = {}
         if self.batch_codec is not None:
-            payload, payload_bytes, meta_extra = yield from self.batch_codec.encode_batch(
+            payload, payload_nbytes, meta_extra = yield from self.batch_codec.encode_batch(
                 [sub.payload for sub in batch]
             )
         else:
             payload = [sub.payload for sub in batch]
-            payload_bytes = sum(sub.nbytes for sub in batch)
-        wire_bytes = payload_bytes + HEADER_BYTES
+            payload_nbytes = sum(sub.nbytes for sub in batch)
+        wire_bytes = payload_nbytes + HEADER_BYTES
         msgbuf = self.msgbuf_pool.alloc(max(wire_bytes, 1))
         try:
             if self.runtime.in_enclave:

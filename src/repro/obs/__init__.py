@@ -8,7 +8,7 @@ The observability subsystem has five parts:
   transaction's cross-node span DAG, attributing commit latency to
   network / crypto / counter / lock / group-commit / storage / TEE /
   compute;
-* :mod:`repro.obs.registry` — per-node counters/gauges/histograms plus
+* :mod:`repro.obs.registry` — per-node counters/histograms plus
   snapshot-time probes, aggregated by a :class:`MetricsHub`;
 * :mod:`repro.obs.export` — JSONL, Chrome ``chrome://tracing`` trace
   events, and plain-text summary tables;
@@ -48,13 +48,11 @@ from .monitor import InvariantMonitor, MonitorViolation
 from .recorder import FlightRecorder, P2Quantile
 from .registry import (
     Counter,
-    Gauge,
     Histogram,
     LATENCY_BUCKETS_S,
     MetricsHub,
     MetricsRegistry,
     SIZE_BUCKETS_BYTES,
-    bucket_quantile,
     merge_snapshots,
 )
 from .timeseries import TimeSeriesRecorder
@@ -68,7 +66,6 @@ __all__ = [
     "Span",
     "tracer_of",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "MetricsHub",
@@ -92,7 +89,6 @@ __all__ = [
     "write_jsonl",
     "summary_table",
     "prometheus_text",
-    "bucket_quantile",
     "FlightRecorder",
     "P2Quantile",
     "TimeSeriesRecorder",
@@ -191,10 +187,6 @@ class Observability:
             if self.monitor is not None:
                 self.monitor.on_violation = self.incidents.monitor_violation
         sim.obs = self
-
-    @property
-    def tracing(self) -> bool:
-        return self.tracer is not None and self.tracer.record
 
     def records(self):
         return self.tracer.records if self.tracer is not None else []

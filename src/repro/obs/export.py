@@ -17,8 +17,8 @@ Three output formats:
   snapshots for terminals and bench reports.
 * **Prometheus text exposition** — renders a :class:`MetricsHub` in the
   ``text/plain; version=0.0.4`` format so the simulated cluster's
-  metrics drop into real dashboards: counters as ``_total``, probes and
-  gauges as gauges, histograms as cumulative ``_bucket{le=...}`` series
+  metrics drop into real dashboards: counters as ``_total``, probes as
+  gauges, histograms as cumulative ``_bucket{le=...}`` series
   with ``_sum``/``_count``, every sample labelled with its component.
 """
 
@@ -225,8 +225,8 @@ def prometheus_text(hub) -> str:
     text exposition (``text/plain; version=0.0.4``).
 
     One family per metric name, components as a label.  Counters get the
-    ``_total`` suffix; probes (sampled at snapshot time) and gauges
-    export as gauges; histograms become cumulative ``_bucket`` series
+    ``_total`` suffix; probes (sampled at snapshot time) export as
+    gauges; histograms become cumulative ``_bucket`` series
     plus ``_sum`` and ``_count``.  Deterministic: families and samples
     are emitted in sorted order.
     """
@@ -237,8 +237,6 @@ def prometheus_text(hub) -> str:
         registry = hub._registries[component]
         for name, counter in registry._counters.items():
             counters.setdefault(name, []).append((component, counter.value))
-        for name, gauge in registry._gauges.items():
-            gauges.setdefault(name, []).append((component, gauge.value))
         for name, fn in registry._probes.items():
             value = fn()
             if isinstance(value, (int, float)) and not isinstance(value, bool):

@@ -1,4 +1,4 @@
-"""Per-node metrics registry: counters, gauges, fixed-bucket histograms.
+"""Per-node metrics registry: counters, probes, fixed-bucket histograms.
 
 Components publish where simulated time and bytes go — 2PC phase
 latencies, stabilization round trips, enclave transitions, lock waits,
@@ -21,18 +21,16 @@ value per metric name.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "MetricsHub",
     "merge_snapshots",
     "LATENCY_BUCKETS_S",
     "SIZE_BUCKETS_BYTES",
-    "bucket_quantile",
 ]
 
 #: default latency bucket upper edges, in simulated seconds (1 µs – 10 s).
@@ -47,50 +45,6 @@ SIZE_BUCKETS_BYTES = (
 )
 
 
-def bucket_quantile(
-    edges: Sequence[float],
-    counts: Sequence[int],
-    q: float,
-    lo: Optional[float] = None,
-    hi: Optional[float] = None,
-) -> float:
-    """Interpolated quantile over fixed-bucket counts.
-
-    ``counts[i]`` counts observations ``<= edges[i]`` (``counts[-1]`` is
-    the overflow bucket).  The estimate interpolates linearly *within*
-    the covering bucket — between its lower and upper edge, proportional
-    to the rank's position among the bucket's observations — the same
-    estimator :func:`repro.obs.critpath.percentile` applies to raw
-    samples, so registry and critical-path percentiles agree to within
-    one bucket's resolution instead of the old upper-edge bias.
-
-    ``lo``/``hi`` bound the first bucket's lower edge and the overflow
-    bucket's upper edge (typically the observed min/max).
-    """
-    total = sum(counts)
-    if total == 0:
-        return 0.0
-    rank = q * total
-    running = 0
-    for index, count in enumerate(counts):
-        below = running
-        running += count
-        if running >= rank and count > 0:
-            if index < len(edges):
-                upper = edges[index]
-                lower = edges[index - 1] if index > 0 else (
-                    lo if lo is not None else 0.0
-                )
-            else:
-                lower = edges[-1]
-                upper = hi if hi is not None else edges[-1]
-            lower = min(lower, upper)
-            fraction = (rank - below) / count
-            return lower + (upper - lower) * fraction
-    last = hi if hi is not None else edges[-1]
-    return last
-
-
 class Counter:
     """A monotonically increasing count."""
 
@@ -101,21 +55,6 @@ class Counter:
 
     def inc(self, amount: int = 1) -> None:
         self.value += amount
-
-
-class Gauge:
-    """A value that can move in either direction."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def add(self, delta: float) -> None:
-        self.value += delta
 
 
 class Histogram:
@@ -153,26 +92,6 @@ class Histogram:
     def mean(self) -> float:
         return self.sum / self.total if self.total else 0.0
 
-    def quantile(self, q: float) -> float:
-        """Interpolated quantile within the covering bucket.
-
-        Previously this returned the covering bucket's *upper edge*,
-        biasing every estimate high by up to a full bucket width (a
-        2.1 ms p50 reported as 5 ms with the default latency edges).
-        Now it interpolates (:func:`bucket_quantile`), clamped to the
-        observed min/max.
-        """
-        if self.total == 0:
-            return 0.0
-        estimate = bucket_quantile(
-            self.edges, self.counts, q, lo=self.min, hi=self.max
-        )
-        if self.min is not None:
-            estimate = max(estimate, self.min)
-        if self.max is not None:
-            estimate = min(estimate, self.max)
-        return estimate
-
     def as_dict(self) -> Dict[str, Any]:
         return {
             "total": self.total,
@@ -191,7 +110,6 @@ class MetricsRegistry:
     def __init__(self, name: str = ""):
         self.name = name
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._probes: Dict[str, Callable[[], Any]] = {}
 
@@ -201,12 +119,6 @@ class MetricsRegistry:
         if counter is None:
             counter = self._counters[name] = Counter()
         return counter
-
-    def gauge(self, name: str) -> Gauge:
-        gauge = self._gauges.get(name)
-        if gauge is None:
-            gauge = self._gauges[name] = Gauge()
-        return gauge
 
     def histogram(self, name: str,
                   edges: Sequence[float] = LATENCY_BUCKETS_S) -> Histogram:
@@ -225,8 +137,6 @@ class MetricsRegistry:
         out: Dict[str, Any] = {}
         for name, counter in self._counters.items():
             out[name] = counter.value
-        for name, gauge in self._gauges.items():
-            out[name] = gauge.value
         for name, fn in self._probes.items():
             out[name] = fn()
         for name, histogram in self._histograms.items():
@@ -251,9 +161,6 @@ class MetricsHub:
         if registry is None:
             registry = self._registries[name] = MetricsRegistry(name)
         return registry
-
-    def names(self) -> List[str]:
-        return sorted(self._registries)
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         return {name: self._registries[name].snapshot()

@@ -53,11 +53,6 @@ class CpuPool:
         finally:
             resource.release()
 
-    @property
-    def queue_length(self) -> int:
-        """Number of processes waiting for a core (saturation indicator)."""
-        return self._resource.queue_length
-
     def utilization(self, elapsed: float) -> float:
         """Average core utilization over ``elapsed`` simulated seconds."""
         if elapsed <= 0:

@@ -9,7 +9,7 @@ mutexes/lock tables (:class:`Resource`), message queues between fibers
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List, Tuple
+from typing import Any, Deque, List, Tuple
 
 from .core import Event, Simulator
 
@@ -73,10 +73,6 @@ class Resource:
         else:
             grant.succeed(None)  # mark consumed; release() skips it
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
 
 class Semaphore:
     """A counting semaphore (no FIFO guarantee needed by callers)."""
@@ -138,9 +134,6 @@ class Store:
         self._items.clear()
         return items
 
-    def __len__(self) -> int:
-        return len(self._items)
-
 
 class Gate:
     """A broadcast condition: processes wait until the gate value passes a mark.
@@ -176,13 +169,3 @@ class Gate:
         else:
             self._waiters.append((mark, event))
         return event
-
-
-def hold(resource: Resource, work: Generator[Event, Any, Any]):
-    """Run ``work`` while holding one slot of ``resource`` (generator helper)."""
-    yield resource.request()
-    try:
-        result = yield from work
-    finally:
-        resource.release()
-    return result

@@ -68,7 +68,3 @@ class WalRecord:
             seq = reader.u64()
             writes.append((key, None if flags & _TOMBSTONE_FLAG else value, seq))
         return cls(kind, txn_id, writes)
-
-    def payload_bytes(self) -> int:
-        """Approximate serialized size (for cost estimation)."""
-        return sum(len(k) + len(v or b"") + 16 for k, v, _ in self.writes) + 16

@@ -195,8 +195,3 @@ class NodeRuntime:
     def op_overhead(self) -> Gen:
         """Fixed request-handling bookkeeping per KV operation."""
         yield from self.cpu.consume(self.costs.op_base_cpu)
-
-    def copy(self, nbytes: int) -> Gen:
-        """Charge a memory copy of ``nbytes``."""
-        if nbytes > 0:
-            yield from self.cpu.consume(nbytes * self.costs.copy_per_byte)

@@ -4,7 +4,6 @@ from .base import LocalTransaction
 from .group_commit import GroupCommitter
 from .locks import LockMode, LockTable
 from .manager import TransactionManager
-from .optimistic import OptimisticTxn
 from .pessimistic import PessimisticTxn
 from .types import ReadSet, TxnBuffer, TxnStatus
 
@@ -13,7 +12,6 @@ __all__ = [
     "LocalTransaction",
     "LockMode",
     "LockTable",
-    "OptimisticTxn",
     "PessimisticTxn",
     "ReadSet",
     "TransactionManager",

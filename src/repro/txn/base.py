@@ -60,10 +60,6 @@ class LocalTransaction:
         return
         yield  # pragma: no cover
 
-    def _commit_validator(self):
-        """Return a validator generator-factory for OCC, or None."""
-        return None
-
     # -- operations ---------------------------------------------------------------
     def _check_active(self) -> None:
         if self.status != TxnStatus.ACTIVE:
@@ -134,13 +130,9 @@ class LocalTransaction:
         if not writes:
             self._finalize(TxnStatus.COMMITTED)
             return 0
-        try:
-            counter, _log_name, stable_event = yield from self.manager.group.submit(
-                self.txn_id, writes, self._commit_validator(), wait_stable=True
-            )
-        except TransactionAborted:
-            yield from self.rollback()
-            raise
+        counter, _log_name, stable_event = yield from self.manager.group.submit(
+            self.txn_id, writes, wait_stable=True
+        )
         self.wal_counter = counter
         # Release locks *before* the stabilization wait (§VIII-C).
         self._finalize(TxnStatus.COMMITTED)

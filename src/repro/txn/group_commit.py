@@ -9,12 +9,11 @@ A commit request enters the queue; whichever fiber finds no active
 leader becomes the leader, waits out the commit window (adaptive by
 default: a bounded multiple of the observed submit arrival gap, so a
 burst is collected without penalizing an idle node), drains up to
-``max_group`` requests (its own included), performs optional OCC
-validation, assigns sequence numbers, writes one batched WAL record set,
-applies everything to the MemTable and wakes each follower with its
-outcome.  Validation + sequence assignment + MemTable application happen
-inside the leader's critical section, which is what makes OCC validation
-atomic.
+``max_group`` requests (its own included), assigns sequence numbers,
+writes one batched WAL record set, applies everything to the MemTable
+and wakes each follower with its outcome.  Sequence assignment and
+MemTable application happen inside the leader's critical section, so
+sequence order is apply order.
 
 The committer is built by (and bound to) the node's
 :class:`~repro.core.pipeline.DurabilityPipeline`: under stabilization the
@@ -28,9 +27,8 @@ while the ~2 ms counter round is in flight.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Generator, List, Optional, Tuple
 
-from ..errors import ConflictError, TransactionAborted
 from ..sim.core import Event
 from ..storage.engine import LSMEngine
 from ..tee.runtime import NodeRuntime
@@ -38,11 +36,6 @@ from ..tee.runtime import NodeRuntime
 __all__ = ["CommitRequest", "GroupCommitter", "GROUP_COMMIT_WINDOW_CAP"]
 
 Gen = Generator[Event, Any, Any]
-
-# Validation callback: runs inside the leader's critical section, raises
-# ConflictError to veto the commit.  It is a generator (it may read the
-# engine to compare versions).
-Validator = Callable[[], Generator[Event, Any, None]]
 
 #: upper bound on the adaptive group-commit window.
 GROUP_COMMIT_WINDOW_CAP = 4.0e-4
@@ -66,19 +59,17 @@ _BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
 class CommitRequest:
     """One transaction's commit submission."""
 
-    __slots__ = ("txn_id", "writes", "validator", "outcome", "wait_stable")
+    __slots__ = ("txn_id", "writes", "outcome", "wait_stable")
 
     def __init__(
         self,
         txn_id: bytes,
         writes: List[Tuple[bytes, Optional[bytes]]],
-        validator: Optional[Validator],
         outcome: Event,
         wait_stable: bool = False,
     ):
         self.txn_id = txn_id
         self.writes = writes
-        self.validator = validator
         self.outcome = outcome
         self.wait_stable = wait_stable
 
@@ -111,7 +102,7 @@ class GroupCommitter:
         self._batch_hist = runtime.metrics.histogram(
             "group_commit.batch_size", edges=_BATCH_BUCKETS
         )
-        #: batch occupancy = admitted / max_group, one observation per
+        #: batch occupancy = batch size / max_group, one observation per
         #: batch: how full groups run under the current window policy.
         self._occupancy_hist = runtime.metrics.histogram(
             "group_commit.occupancy",
@@ -151,7 +142,6 @@ class GroupCommitter:
         self,
         txn_id: bytes,
         writes: List[Tuple[bytes, Optional[bytes]]],
-        validator: Optional[Validator] = None,
         wait_stable: bool = False,
     ) -> Gen:
         """Commit ``writes`` durably.
@@ -163,8 +153,6 @@ class GroupCommitter:
         wait for).  The outcome fires as
         soon as the batch's WAL write is durable, so callers can release
         locks *before* waiting out rollback protection (§VIII-C).
-
-        Raises :class:`ConflictError` if the validator vetoes.
         """
         self._observe_arrival()
         # Covers queue wait + window + WAL write up to the outcome — the
@@ -175,7 +163,7 @@ class GroupCommitter:
         try:
             outcome = self.runtime.sim.event()
             self._queue.append(
-                CommitRequest(txn_id, writes, validator, outcome, wait_stable)
+                CommitRequest(txn_id, writes, outcome, wait_stable)
             )
             if not self._leader_active:
                 self._leader_active = True
@@ -201,39 +189,21 @@ class GroupCommitter:
             self._leader_active = False
 
     def _process(self, batch: List[CommitRequest]) -> Gen:
-        # Validate -> sequence -> apply, one request at a time, so each
-        # validation observes the writes of earlier batch members (an
-        # OCC transaction must conflict with a same-batch writer too).
-        admitted: List[CommitRequest] = []
         records = []
         for request in batch:
-            if request.validator is not None:
-                try:
-                    yield from request.validator()
-                except TransactionAborted as conflict:
-                    if not request.outcome.triggered:
-                        request.outcome.fail(conflict)
-                        # The submitter may not be waiting yet (the
-                        # leader's own request fails before it yields);
-                        # it picks the failure up at its `yield`.
-                        request.outcome.defuse()
-                    continue
             writes = [
                 (key, value, self.engine.next_seq())
                 for key, value in request.writes
             ]
             yield from self.engine.apply_writes(writes)
-            admitted.append(request)
             records.append((request.txn_id, writes))
-        if not admitted:
-            return
         # One batched WAL write for the whole group; durability order
         # equals apply order because WAL appends are sequential, so a
         # crash can never persist a later batch without this one.
         counters = yield from self.engine.log_commits(records)
         log_name = self.engine.wal_log_name
-        self._batch_hist.observe(len(admitted))
-        self._occupancy_hist.observe(len(admitted) / self.max_group)
+        self._batch_hist.observe(len(batch))
+        self._occupancy_hist.observe(len(batch) / self.max_group)
         # Seqs were assigned in batch order before the WAL counters,
         # and batches are serialized by the leader critical section,
         # so this watermark is monotone in both coordinates — the
@@ -246,21 +216,20 @@ class GroupCommitter:
         stable_event = None
         if self.pipeline.enabled:
             top = max(
-                (counter for request, counter in zip(admitted, counters)
+                (counter for request, counter in zip(batch, counters)
                  if request.wait_stable),
                 default=0,
             )
             if top > 0:
                 stable_event = self.runtime.sim.event()
                 self._spawn_batch_stabilize(log_name, top, stable_event)
-        for request, counter in zip(admitted, counters):
+        for request, counter in zip(batch, counters):
             self.committed += 1
-            if not request.outcome.triggered:
-                request.outcome.succeed((
-                    counter,
-                    log_name,
-                    stable_event if request.wait_stable else None,
-                ))
+            request.outcome.succeed((
+                counter,
+                log_name,
+                stable_event if request.wait_stable else None,
+            ))
 
     def _spawn_batch_stabilize(
         self, log_name: str, counter: int, stable_event: Event

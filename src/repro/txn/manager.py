@@ -17,7 +17,7 @@ from ..sim.core import Event
 from ..storage.engine import LSMEngine
 from ..tee.runtime import NodeRuntime
 from .locks import LockTable
-from .optimistic import DistributedOccTxn, OptimisticTxn
+from .optimistic import DistributedOccTxn
 from .pessimistic import PessimisticTxn
 from .readonly import ReadOnlySnapshotTxn
 
@@ -73,11 +73,6 @@ class TransactionManager:
         """BEGINTXN with two-phase locking."""
         self.begun += 1
         return PessimisticTxn(self, txn_id or self._next_txn_id("p"))
-
-    def begin_optimistic(self, txn_id: Optional[bytes] = None) -> OptimisticTxn:
-        """BEGINTXN with optimistic concurrency control."""
-        self.begun += 1
-        return OptimisticTxn(self, txn_id or self._next_txn_id("o"))
 
     def begin_distributed_occ(
         self, txn_id: Optional[bytes] = None

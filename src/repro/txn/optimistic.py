@@ -4,21 +4,15 @@
 phase.  For optimistic Txs, each key has a seq. number showing its latest
 version and is atomically increased during the commit phase."
 
-Execution takes no locks.  At commit, inside the group-commit leader's
-critical section, the transaction validates that (a) every key it read
-still carries the version it observed, and (b) no key it writes has been
-committed past the transaction's begin snapshot.  Either violation
-raises :class:`~repro.errors.ConflictError` and the transaction aborts
-(callers typically retry).
-
-:class:`DistributedOccTxn` is the participant-local half of a
-*distributed* OCC transaction: the coordinator executes lock-free (stateless versioned reads, writes
-buffered coordinator-side) and ships each participant its read-set
-versions and write-set inside the PREPARE message.  The participant
-loads them into this transaction and validates inside its prepare
-critical section — no-wait version pins plus sequence comparison — so a
-conflict turns into a PREPARE NACK and presumed abort, never a blocked
-lock queue.
+OCC runs in one place, for one node or many: the coordinator executes
+lock-free (stateless versioned reads, writes buffered coordinator-side)
+and ships each participant its read-set versions and write-set inside
+the PREPARE message — its own shard included, which commits in one phase
+when it is the only one.  :class:`DistributedOccTxn` is that
+participant-local half: it loads the sets and validates inside its
+prepare critical section — no-wait version pins plus sequence
+comparison — so a conflict turns into a PREPARE NACK and presumed abort,
+never a blocked lock queue.
 """
 
 from __future__ import annotations
@@ -27,39 +21,13 @@ from typing import Any, Generator, List, Optional, Tuple
 
 from ..errors import ConflictError, TransactionAborted
 from ..sim.core import Event
-from .base import LocalTransaction
 from .locks import LockMode
 from .pessimistic import PessimisticTxn
 from .types import TxnStatus
 
-__all__ = ["OptimisticTxn", "DistributedOccTxn"]
+__all__ = ["DistributedOccTxn"]
 
 Gen = Generator[Event, Any, Any]
-
-
-class OptimisticTxn(LocalTransaction):
-    """An OCC transaction over one node's storage engine."""
-
-    def __init__(self, manager, txn_id: bytes):
-        super().__init__(manager, txn_id)
-        #: versions committed after this point conflict with our writes.
-        self.snapshot_seq = manager.engine.current_seq()
-
-    def _commit_validator(self):
-        def validate() -> Gen:
-            for key, observed_seq in self.reads.items():
-                current = yield from self.engine.seq_of(key)
-                if current != observed_seq:
-                    raise ConflictError(key)
-            for key in self.buffer.keys():
-                if key in self.reads:
-                    continue  # already validated above
-                current = yield from self.engine.seq_of(key)
-                if current > self.snapshot_seq:
-                    raise ConflictError(key)
-            return
-
-        return validate
 
 
 class DistributedOccTxn(PessimisticTxn):
@@ -88,16 +56,6 @@ class DistributedOccTxn(PessimisticTxn):
     ``_finalize``.  A participant that only *read* for this transaction
     prepares nothing (counter 0) and its commit is a pure release.
     """
-
-    # Execution already happened lock-free at the coordinator; the local
-    # half never reads or writes through the normal operation path.
-    def _before_read(self, key: bytes) -> Gen:
-        return
-        yield  # pragma: no cover
-
-    def _before_write(self, key: bytes) -> Gen:
-        return
-        yield  # pragma: no cover
 
     def load(
         self,

@@ -78,7 +78,7 @@ class PessimisticTxn(LocalTransaction):
         # protection before the client reply, so this request must not
         # join the batch's shared stabilization wait either.
         counter, log_name, _ = yield from self.manager.group.submit(
-            self.txn_id, writes, None, wait_stable=False
+            self.txn_id, writes, wait_stable=False
         )
         self.wal_counter = counter
         self._finalize(TxnStatus.COMMITTED)

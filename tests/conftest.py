@@ -80,15 +80,11 @@ class TxnHarness(StorageHarness):
             self.runtime, self.engine, self.config, self.pipeline, name=name
         )
 
-    def txn_put(self, pairs, optimistic=False):
+    def txn_put(self, pairs):
         """One transaction writing all pairs; returns the WAL counter."""
 
         def body():
-            txn = (
-                self.manager.begin_optimistic()
-                if optimistic
-                else self.manager.begin_pessimistic()
-            )
+            txn = self.manager.begin_pessimistic()
             for key, value in pairs:
                 if value is None:
                     yield from txn.delete(key)

@@ -612,6 +612,93 @@ class TestExecutionFailure:
         )
 
 
+def test_occ_scan_on_a_remote_owner_is_stateless_and_overlaid():
+    """An OCC scan of a range shard 1 owns, from coordinator 0: shard 1
+    answers without joining the transaction, and the rows come back
+    overlaid with the transaction's buffered writes."""
+    cluster = TreatyCluster(
+        profile=TREATY_ENC, partitioner=_digit_partitioner
+    ).start()
+    coordinator = cluster.nodes[0].coordinator
+    owner = cluster.nodes[1].participant
+
+    def load():
+        txn = coordinator.begin()
+        for key in (b"1/a", b"1/b", b"1/c"):
+            yield from txn.put(key, b"old")
+        yield from txn.commit()
+
+    cluster.run(load())
+    txn = coordinator.begin(optimistic=True)
+
+    def body():
+        plain = yield from txn.scan(b"1/", b"1/\xff")
+        assert txn.participants == set()
+        assert txn.key not in owner.active
+        yield from txn.delete(b"1/a")
+        yield from txn.put(b"1/b", b"new")
+        yield from txn.put(b"1/d", b"new")
+        overlaid = yield from txn.scan(b"1/", b"1/\xff", limit=3)
+        yield from txn.commit()
+        return plain, overlaid
+
+    plain, overlaid = cluster.run(body())
+    assert plain == [(b"1/a", b"old"), (b"1/b", b"old"), (b"1/c", b"old")]
+    assert overlaid == [(b"1/b", b"new"), (b"1/c", b"old"), (b"1/d", b"new")]
+
+
+class TestFence:
+    """An ACTIVE half whose coordinator crashed before PREPARE is known
+    to no log: a fence must abort it and free its locks."""
+
+    def _orphan(self):
+        """Coordinator 0 writes on shard 1, then crashes before commit."""
+        cluster = TreatyCluster(
+            profile=TREATY_ENC, config=ClusterConfig(tracing=True),
+            partitioner=_digit_partitioner,
+        ).start()
+        txn = cluster.nodes[0].coordinator.begin()
+
+        def body():
+            yield from txn.put(b"1/orphan", b"v")
+
+        cluster.run(body())
+        assert cluster.nodes[1].manager.locks.total_locked_keys() == 1
+        cluster.crash_node(0)
+        return cluster, txn
+
+    def _assert_fenced(self, cluster, txn, epoch):
+        fences = events_named(cluster, "fence_abort", txn.key)
+        assert [
+            (rec["node"], rec["args"]["coord"], rec["args"]["epoch"])
+            for rec in fences
+        ] == [("node1", 0, epoch)]
+        assert txn.key not in cluster.nodes[1].participant.active
+        assert cluster.nodes[1].manager.locks.total_locked_keys() == 0
+
+    def _idle(self, cluster, seconds):
+        def body():
+            yield cluster.sim.timeout(seconds)
+
+        cluster.run(body())
+
+    def test_restarted_coordinator_fences_its_old_epoch(self):
+        cluster, txn = self._orphan()
+        cluster.run(cluster.recover_node(0))
+        self._idle(cluster, 0.5)
+        # The recovered incarnation is boot 2: halves of boot 1 go.
+        self._assert_fenced(cluster, txn, epoch=2)
+
+    def test_orphan_fuse_fences_a_coordinator_that_never_returns(self):
+        cluster, txn = self._orphan()
+        self._idle(cluster, 1.0)
+        assert txn.key in cluster.nodes[1].participant.active
+        # The fuse burns out, finds the coordinator unreachable and
+        # fences the half itself (epoch 0: no recovery told it to).
+        self._idle(cluster, 10.0)
+        self._assert_fenced(cluster, txn, epoch=0)
+
+
 def test_package_keeps_the_module_surface():
     """``core/twopc.py`` became a package; every public name the module
     defined is still importable from ``repro.core.twopc`` — except the

@@ -31,13 +31,11 @@ from repro.errors import TransactionAborted
 from repro.mc.faults import CrashInjector
 from repro.obs import (
     FlightRecorder,
-    Histogram,
     IncidentLog,
     MetricsHub,
     P2Quantile,
     TimeSeriesRecorder,
     Tracer,
-    bucket_quantile,
     prometheus_text,
     to_jsonl,
 )
@@ -151,41 +149,6 @@ class TestP2Quantile:
             a.add(value)
             b.add(value)
         assert a.value() == b.value()
-
-
-# -- bucket quantile interpolation (the upper-edge-bias fix) -------------------
-
-
-class TestBucketQuantile:
-    def test_interpolates_within_covering_bucket(self):
-        # rank 3 of 6 lands mid-way through the (1, 2] bucket.
-        assert bucket_quantile((1.0, 2.0, 4.0), (2, 2, 2, 0), 0.5) == 1.5
-
-    def test_histogram_no_longer_reports_upper_edge(self):
-        hist = Histogram([0.005, 0.01])
-        for _ in range(100):
-            hist.observe(0.002)
-        # The old estimator returned the covering bucket's upper edge
-        # (0.005) — 2.5x the true value.  Clamped interpolation is exact
-        # for a point mass.
-        assert hist.quantile(0.5) == 0.002
-
-    def test_agrees_with_raw_percentile_within_bucket_resolution(self):
-        samples = [0.1 * i for i in range(1, 101)]  # uniform (0, 10]
-        edges = [float(e) for e in range(1, 11)]
-        hist = Histogram(edges)
-        for sample in samples:
-            hist.observe(sample)
-        for p in (10, 50, 90, 99):
-            raw = percentile(samples, p)
-            assert abs(hist.quantile(p / 100.0) - raw) <= 1.0
-
-    def test_clamped_to_observed_extremes(self):
-        hist = Histogram([1.0, 10.0])
-        hist.observe(4.0)
-        hist.observe(6.0)
-        assert 4.0 <= hist.quantile(0.01)
-        assert hist.quantile(0.999) <= 6.0
 
 
 # -- bounded ring buffer -------------------------------------------------------
@@ -545,7 +508,7 @@ class TestPrometheusText:
         hub = MetricsHub()
         registry = hub.registry("node0")
         registry.counter("txn.committed").inc(3)
-        registry.gauge("decision.pending").set(2)
+        registry.probe("decision.pending", lambda: 2)
         registry.probe("decision.slots", lambda: 4)
         registry.histogram("latency", edges=(0.001, 0.01)).observe(0.002)
         hub.registry("node1").counter("txn.committed").inc(5)

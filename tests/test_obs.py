@@ -87,7 +87,7 @@ class TestHistogram:
         for name, values in observed.items():
             registry = hub.registry(name)
             registry.counter("ops").inc(len(values))
-            registry.gauge("load").set(values[0])
+            registry.probe("load", lambda load=values[0]: load)
             registry.histogram("empty_s")
             for value in values:
                 registry.histogram("wait_s", edges=[1.0, 2.0, 4.0]).observe(value)

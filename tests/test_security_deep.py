@@ -223,7 +223,6 @@ class TestIvDiscipline:
             yield from cluster.recover_node(1)
 
         commit_round(b"before")
-        cluster.run(cluster.nodes[1].rotate_clog())
         cluster.run(crash_mid_transaction())
         commit_round(b"after")
 

@@ -94,7 +94,7 @@ class _Recorder:
         return result
 
 
-def run_random_history(seed, num_txns=40, num_keys=8, optimistic=False):
+def run_random_history(seed, num_txns=40, num_keys=8):
     harness = TxnHarness(profile=TREATY_ENC).boot()
     recorder = _Recorder(harness.engine)
     rng = SeededRng(seed, "ser")
@@ -106,12 +106,7 @@ def run_random_history(seed, num_txns=40, num_keys=8, optimistic=False):
     def worker(index):
         local_rng = rng.child(str(index))
         yield sim.timeout(local_rng.random() * 0.002)
-        begin = (
-            harness.manager.begin_optimistic
-            if optimistic
-            else harness.manager.begin_pessimistic
-        )
-        txn = begin()
+        txn = harness.manager.begin_pessimistic()
         reads = {}
         try:
             for _ in range(local_rng.randint(1, 4)):
@@ -147,7 +142,9 @@ def test_pessimistic_histories_are_conflict_serializable(seed):
 
 @pytest.mark.parametrize("seed", [3, 9, 77])
 def test_optimistic_histories_are_conflict_serializable(seed):
-    histories = run_random_history(seed, optimistic=True)
+    """Single-node OCC: one-phase commits validated from the node's own
+    PREPARE body."""
+    histories = run_distributed_occ_history(seed, num_nodes=1)
     assert len(histories) > 5
     named = [("t%d" % i, r, w) for i, (_, r, w) in enumerate(histories)]
     assert_acyclic(build_conflict_graph(named))
@@ -157,7 +154,7 @@ def test_optimistic_histories_are_conflict_serializable(seed):
 
 
 def run_distributed_occ_history(
-    seed, num_txns=30, num_keys=12, mix_pessimistic=False
+    seed, num_txns=30, num_keys=12, mix_pessimistic=False, num_nodes=3
 ):
     """Random concurrent global transactions through the full cluster.
 
@@ -169,7 +166,7 @@ def run_distributed_occ_history(
 
     config = ClusterConfig(seed=seed)
     cluster = TreatyCluster(
-        profile=TREATY_ENC, config=config, num_nodes=3
+        profile=TREATY_ENC, config=config, num_nodes=num_nodes
     ).start()
     recorders = [_Recorder(node.engine) for node in cluster.nodes]
     keys = [b"k%02d" % i for i in range(num_keys)]
@@ -188,7 +185,7 @@ def run_distributed_occ_history(
     def worker(index):
         local_rng = rng.child(str(index))
         yield sim.timeout(local_rng.random() * 0.002)
-        coordinator = cluster.nodes[index % 3].coordinator
+        coordinator = cluster.nodes[index % num_nodes].coordinator
         pessimistic = mix_pessimistic and local_rng.random() < 0.5
         txn = coordinator.begin(optimistic=not pessimistic)
         reads = {}

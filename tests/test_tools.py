@@ -78,3 +78,77 @@ def test_table_has_one_line_per_metric():
     assert header.split()[0] == "metric"
     assert line.split()[0] == "host_ms_per_txn"
     assert "-10.0%" in line and "5/5" in line and line.endswith("better")
+
+
+# -- live_lines: function keys and the prod / tests-only / never classifier --
+
+live_lines = _load("live_lines")
+
+LIVE_SOURCE = '''\
+import functools
+
+
+@functools.lru_cache()
+def decorated():
+    return 1
+
+
+def outer():
+    def inner():
+        return 2
+
+    return inner()
+
+
+class Box:
+    def method(self):
+        return 3
+
+    def only_tested(self):
+        return 4
+
+
+def never():
+    return 5
+'''
+
+
+def test_functions_keyed_as_code_objects_are():
+    """A decorated def is keyed by its decorator's line, as its code
+    object's ``co_firstlineno`` is; a nested def's lines are its own."""
+    defs = live_lines.functions("m.py", LIVE_SOURCE)
+    assert [(line, name, size) for _, line, name, size in defs] == [
+        (4, "decorated", 3), (9, "outer", 3), (10, "outer.inner", 2),
+        (17, "Box.method", 2), (20, "Box.only_tested", 2), (24, "never", 2),
+    ]
+    space = {}
+    exec(compile(LIVE_SOURCE, "m.py", "exec"), space)
+    outer_code = space["outer"].__code__
+    inner_code = next(const for const in outer_code.co_consts
+                      if hasattr(const, "co_firstlineno"))
+    firstlines = [
+        space["decorated"].__wrapped__.__code__.co_firstlineno,
+        outer_code.co_firstlineno, inner_code.co_firstlineno,
+        space["Box"].method.__code__.co_firstlineno,
+        space["Box"].only_tested.__code__.co_firstlineno,
+        space["never"].__code__.co_firstlineno,
+    ]
+    assert firstlines == [line for _, line, _, _ in defs]
+
+
+@pytest.mark.parametrize("prod, tests, states", [
+    # production reaches all but two; tier-1 reaches one of those
+    ({4, 9, 10, 17}, {4, 20}, ["prod", "prod", "prod", "prod",
+                               "tests-only", "never"]),
+    # a nested def is its own function: the outer one being live is not
+    ({9}, {10}, ["never", "prod", "tests-only", "never", "never", "never"]),
+    # production wins over tests; nothing called is never
+    ({24}, {24}, ["never"] * 5 + ["prod"]),
+])
+def test_classify(prod, tests, states):
+    defs = live_lines.functions("m.py", LIVE_SOURCE)
+    classified = live_lines.classify(
+        defs, {("m.py", line) for line in prod},
+        {("m.py", line) for line in tests})
+    assert [state for state, _ in classified] == states
+    assert [d for _, d in classified] == defs

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.config import ClusterConfig, TREATY_ENC
-from repro.errors import ConflictError, LockTimeout, TransactionError
+from repro.core import TreatyCluster
+from repro.errors import LockTimeout, TransactionAborted, TransactionError
 from repro.txn import TxnStatus
 
 from tests.conftest import TxnHarness
@@ -224,99 +225,134 @@ class TestPrepared:
             harness.run(body())
 
 
-class TestOptimistic:
-    def test_basic_commit(self, harness):
-        harness.txn_put([(b"k", b"v")], optimistic=True)
-        assert harness.get(b"k") == b"v"
+@pytest.fixture
+def occ_cluster():
+    """One node: optimistic transactions commit in one phase through the
+    node's Participant, validated from their own PREPARE body."""
+    return TreatyCluster(profile=TREATY_ENC, num_nodes=1).start()
 
-    def test_no_locks_taken(self, harness):
+
+def occ_get(cluster, key):
+    return cluster.run(cluster.nodes[0].engine.get(key))
+
+
+def occ_put(cluster, key, value):
+    def body():
+        txn = cluster.nodes[0].coordinator.begin(optimistic=True)
+        yield from txn.put(key, value)
+        yield from txn.commit()
+
+    cluster.run(body())
+
+
+class TestOptimistic:
+    def test_basic_commit(self, occ_cluster):
+        occ_put(occ_cluster, b"k", b"v")
+        assert occ_get(occ_cluster, b"k") == b"v"
+
+    def test_no_locks_taken(self, occ_cluster):
+        node = occ_cluster.nodes[0]
+
         def body():
-            txn = harness.manager.begin_optimistic()
+            txn = node.coordinator.begin(optimistic=True)
             yield from txn.put(b"k", b"v")
             yield from txn.get(b"other")
-            assert harness.manager.locks.total_locked_keys() == 0
+            assert node.manager.locks.total_locked_keys() == 0
             yield from txn.commit()
 
-        harness.run(body())
+        occ_cluster.run(body())
+        assert occ_get(occ_cluster, b"k") == b"v"
 
-    def test_read_write_conflict_detected(self, harness):
-        harness.txn_put([(b"x", b"0")])
+    def test_read_write_conflict_detected(self, occ_cluster):
+        occ_put(occ_cluster, b"x", b"0")
+        coordinator = occ_cluster.nodes[0].coordinator
 
         def body():
-            reader = harness.manager.begin_optimistic()
+            reader = coordinator.begin(optimistic=True)
             value = yield from reader.get(b"x")
             # Concurrent writer commits between read and commit.
-            writer = harness.manager.begin_optimistic()
+            writer = coordinator.begin(optimistic=True)
             yield from writer.put(b"x", b"1")
             yield from writer.commit()
             yield from reader.put(b"y", value + b"-derived")
             yield from reader.commit()
 
-        with pytest.raises(ConflictError):
-            harness.run(body())
-        assert harness.get(b"y") is None
+        with pytest.raises(TransactionAborted):
+            occ_cluster.run(body())
+        assert occ_get(occ_cluster, b"y") is None
 
-    def test_write_write_conflict_detected(self, harness):
+    def test_write_write_conflict_detected(self, occ_cluster):
+        """Two *blind* writers of one key are no conflict: OCC validates
+        reads only, and blind writes serialize in commit order, so both
+        commit and the later one wins."""
+        coordinator = occ_cluster.nodes[0].coordinator
+
         def body():
-            first = harness.manager.begin_optimistic()
-            second = harness.manager.begin_optimistic()
+            first = coordinator.begin(optimistic=True)
+            second = coordinator.begin(optimistic=True)
             yield from first.put(b"w", b"1")
             yield from second.put(b"w", b"2")
             yield from first.commit()
             yield from second.commit()
+            return first.status, second.status
 
-        with pytest.raises(ConflictError):
-            harness.run(body())
-        assert harness.get(b"w") == b"1"
+        assert occ_cluster.run(body()) == (
+            TxnStatus.COMMITTED, TxnStatus.COMMITTED
+        )
+        assert occ_get(occ_cluster, b"w") == b"2"
 
-    def test_disjoint_txns_both_commit(self, harness):
+    def test_disjoint_txns_both_commit(self, occ_cluster):
+        coordinator = occ_cluster.nodes[0].coordinator
+
         def body():
-            first = harness.manager.begin_optimistic()
-            second = harness.manager.begin_optimistic()
+            first = coordinator.begin(optimistic=True)
+            second = coordinator.begin(optimistic=True)
             yield from first.put(b"a", b"1")
             yield from second.put(b"b", b"2")
             yield from first.commit()
             yield from second.commit()
 
-        harness.run(body())
-        assert harness.get(b"a") == b"1"
-        assert harness.get(b"b") == b"2"
+        occ_cluster.run(body())
+        assert occ_get(occ_cluster, b"a") == b"1"
+        assert occ_get(occ_cluster, b"b") == b"2"
 
-    def test_conflict_aborts_and_retry_succeeds(self, harness):
-        harness.txn_put([(b"cnt", b"0")])
+    def test_conflict_aborts_and_retry_succeeds(self, occ_cluster):
+        occ_put(occ_cluster, b"cnt", b"0")
+        coordinator = occ_cluster.nodes[0].coordinator
 
         def body():
-            txn = harness.manager.begin_optimistic()
+            txn = coordinator.begin(optimistic=True)
             value = yield from txn.get(b"cnt")
-            interferer = harness.manager.begin_optimistic()
+            interferer = coordinator.begin(optimistic=True)
             yield from interferer.put(b"cnt", b"9")
             yield from interferer.commit()
             yield from txn.put(b"cnt", value + b"+1")
             try:
                 yield from txn.commit()
                 return "committed"
-            except ConflictError:
-                retry = harness.manager.begin_optimistic()
+            except TransactionAborted:
+                retry = coordinator.begin(optimistic=True)
                 value = yield from retry.get(b"cnt")
                 yield from retry.put(b"cnt", value + b"+1")
                 yield from retry.commit()
                 return "retried"
 
-        assert harness.run(body()) == "retried"
-        assert harness.get(b"cnt") == b"9+1"
+        assert occ_cluster.run(body()) == "retried"
+        assert occ_get(occ_cluster, b"cnt") == b"9+1"
 
-    def test_repeated_read_unchanged_ok(self, harness):
-        harness.txn_put([(b"k", b"v")])
+    def test_repeated_read_unchanged_ok(self, occ_cluster):
+        occ_put(occ_cluster, b"k", b"v")
+        coordinator = occ_cluster.nodes[0].coordinator
 
         def body():
-            txn = harness.manager.begin_optimistic()
+            txn = coordinator.begin(optimistic=True)
             for _ in range(3):
                 yield from txn.get(b"k")
             yield from txn.put(b"out", b"done")
             yield from txn.commit()
 
-        harness.run(body())
-        assert harness.get(b"out") == b"done"
+        occ_cluster.run(body())
+        assert occ_get(occ_cluster, b"out") == b"done"
 
 
 class TestGroupCommit:
@@ -355,39 +391,41 @@ class TestGroupCommit:
 
 
 class TestGroupCommitConflicts:
-    def test_leader_conflict_in_multi_request_batch(self):
-        """Regression: a leader whose own OCC validation fails mid-batch
-        must not crash the simulation (its outcome fails before it is
-        being waited on)."""
-        harness = TxnHarness().boot()
-        harness.txn_put([(b"hot-occ", b"0")])
-        sim = harness.sim
+    def test_leader_conflict_in_multi_request_batch(self, occ_cluster):
+        """A conflicting OCC commit beside four concurrent followers: the
+        followers commit, the conflict is raised, ``dep`` stays
+        unwritten."""
+        occ_put(occ_cluster, b"hot-occ", b"0")
+        coordinator = occ_cluster.nodes[0].coordinator
+        sim = occ_cluster.sim
         outcomes = []
 
-        def conflicted_leader():
-            txn = harness.manager.begin_optimistic()
+        def conflicted():
+            txn = coordinator.begin(optimistic=True)
             value = yield from txn.get(b"hot-occ")
             # Another txn invalidates the read before we commit.
-            writer = harness.manager.begin_optimistic()
+            writer = coordinator.begin(optimistic=True)
             yield from writer.put(b"hot-occ", b"9")
             yield from writer.commit()
             yield from txn.put(b"dep", value + b"x")
             try:
                 yield from txn.commit()
                 outcomes.append("committed")
-            except ConflictError:
+            except TransactionAborted:
                 outcomes.append("conflict")
 
         def follower(i):
-            txn = harness.manager.begin_optimistic()
+            txn = coordinator.begin(optimistic=True)
             yield from txn.put(b"other-%d" % i, b"v")
             yield from txn.commit()
             outcomes.append("follower-%d" % i)
 
-        sim.process(conflicted_leader())
+        sim.process(conflicted())
         for i in range(4):
             sim.process(follower(i))
         sim.run()
         assert "conflict" in outcomes
         assert sum(1 for o in outcomes if o.startswith("follower")) == 4
-        assert harness.get(b"dep") is None
+        assert occ_get(occ_cluster, b"dep") is None
+        for i in range(4):
+            assert occ_get(occ_cluster, b"other-%d" % i) == b"v"
