@@ -1,6 +1,6 @@
 """Cryptographic primitives: AEAD, log chains, key hierarchy, signatures."""
 
-from .aead import IV_BYTES, KEY_BYTES, MAC_BYTES, Aead, xor_bytes
+from .aead import IV_BYTES, KEY_BYTES, MAC_BYTES, Aead
 from .hashing import DIGEST_BYTES, ChainState, HmacSha256, LogChain, digest
 from .keys import KeyRing, derive_key
 from .signature import SIGNATURE_BYTES, SigningKey, VerifyKey, generate_keypair
@@ -21,5 +21,4 @@ __all__ = [
     "derive_key",
     "digest",
     "generate_keypair",
-    "xor_bytes",
 ]

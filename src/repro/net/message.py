@@ -33,9 +33,11 @@ __all__ = [
 ]
 
 PAD_BYTES = 4  # §VII-A: 4 B payload for memory alignment
+# The pad sits between the IV and the ciphertext, outside the MAC'd
+# region as in the paper: it carries no information.
+_PAD = b"\x00" * PAD_BYTES
 METADATA_BYTES = 80  # §VII-A: 80 B Tx metadata
 
-_AAD = b"treaty-msg-v1"
 # The 80 B head, packed and unpacked in one call: node id (8) + txn id
 # (8) + op id (8) + msg type (4) + body length (4), then the trace
 # context, then reserved zero padding.  The trace context rides the
@@ -198,21 +200,6 @@ class TxMessage:
         return cls(msg_type, node_id, txn_id, op_id, body,
                    trace, trace_parent, trace_origin)
 
-    # -- sealing -----------------------------------------------------------
-    def seal(self, aead: Aead, iv: bytes) -> bytes:
-        """Encrypt+authenticate into the full wire layout."""
-        sealed = aead.seal(iv, self.encode(), aad=_AAD)
-        # Insert the 4 B alignment pad after the IV, outside the MAC'd
-        # region exactly as in the paper (it carries no information).
-        return sealed[:IV_BYTES] + b"\x00" * PAD_BYTES + sealed[IV_BYTES:]
-
-    @classmethod
-    def unseal(cls, aead: Aead, wire: bytes) -> "TxMessage":
-        if len(wire) < IV_BYTES + PAD_BYTES + MAC_BYTES:
-            raise IntegrityError("sealed message too short")
-        stripped = wire[:IV_BYTES] + wire[IV_BYTES + PAD_BYTES :]
-        return cls.decode(aead.open(stripped, aad=_AAD))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         name = MsgType.NAMES.get(self.msg_type, str(self.msg_type))
         return "<TxMessage %s node=%d txn=%d op=%d body=%dB>" % (
@@ -286,16 +273,16 @@ def seal_batch(
     aead: Aead, iv: bytes, parts: Sequence[bytes], aad: bytes
 ) -> bytes:
     """One AEAD pass over a whole batch (single IV, single MAC)."""
-    sealed = aead.seal(iv, pack_parts(parts), aad=aad)
-    return sealed[:IV_BYTES] + b"\x00" * PAD_BYTES + sealed[IV_BYTES:]
+    return iv + _PAD + aead.encrypt(iv, pack_parts(parts), aad)
 
 
 def unseal_batch(aead: Aead, wire: bytes, aad: bytes) -> List[bytes]:
     """Verify/decrypt a sealed batch and split it into payloads."""
     if len(wire) < IV_BYTES + PAD_BYTES + MAC_BYTES:
         raise IntegrityError("sealed batch too short")
-    stripped = wire[:IV_BYTES] + wire[IV_BYTES + PAD_BYTES :]
-    return unpack_parts(aead.open(stripped, aad=aad))
+    return unpack_parts(
+        aead.decrypt(wire[:IV_BYTES], wire[IV_BYTES + PAD_BYTES :], aad)
+    )
 
 
 def batch_wire_size(part_lens: Sequence[int], encrypted: bool) -> int:

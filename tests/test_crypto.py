@@ -2,10 +2,10 @@
 
 import hmac
 import random
-import struct
-from hashlib import sha256, shake_256
+from hashlib import sha256
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from repro.crypto import (
     Aead,
@@ -17,9 +17,7 @@ from repro.crypto import (
     digest,
     generate_keypair,
 )
-from repro.crypto import aead as aead_module
-from repro.crypto import hashing as hashing_module
-from repro.crypto.aead import IV_BYTES, KEY_BYTES, MAC_BYTES, xor_bytes
+from repro.crypto.aead import IV_BYTES, KEY_BYTES, MAC_BYTES
 from repro.errors import AuthenticationError, IntegrityError
 
 KEY = bytes(range(32))
@@ -118,65 +116,67 @@ class TestAead:
         with pytest.raises(IntegrityError):
             aead.open(sealed[:IV_BYTES] + rest, aad=b"aad" + first)
 
-    def test_hash_objects_per_message_do_not_grow_with_length(self, monkeypatch):
-        """Cost guard by count: one seal + one open build the same native
-        hash objects for 64 B as for 64 KiB (a keystream call each, and
-        a copy of the two pre-keyed tag states each) and key nothing per
-        message: no SHA-256 state and no ``hmac`` object is built."""
-        built = []
+    def test_one_native_call_per_seal_and_per_open(self):
+        """Cost guard by count: one seal is one native encrypt and one open
+        one native decrypt, for 64 B as for 64 KiB."""
+        calls = []
 
         class Counted:
-            """Proxy for a hash object that also counts its copies."""
-
             def __init__(self, inner):
                 self._inner = inner
 
-            def copy(self):
-                built.append("copy")
-                return Counted(self._inner.copy())
+            def encrypt(self, *args):
+                calls.append("encrypt")
+                return self._inner.encrypt(*args)
 
-            def __getattr__(self, name):
-                return getattr(self._inner, name)
+            def decrypt(self, *args):
+                calls.append("decrypt")
+                return self._inner.decrypt(*args)
 
-        def counting(name, factory):
-            def build(*args, **kwargs):
-                built.append(name)
-                return Counted(factory(*args, **kwargs))
-
-            return build
-
-        monkeypatch.setattr(hmac, "new", counting("hmac.new", hmac.new))
-        monkeypatch.setattr(
-            hashing_module, "sha256", counting("sha256", hashing_module.sha256)
-        )
-        monkeypatch.setattr(
-            aead_module, "shake_256", counting("shake_256", aead_module.shake_256)
-        )
         aead = Aead(KEY)
-        counts = []
+        aead._gcm = Counted(aead._gcm)
         for length in (64, 64 * 1024):
-            del built[:]
-            assert aead.open(aead.seal(IV, b"m" * length)) == b"m" * length
-            counts.append(sorted(built))
-        assert counts[0] == counts[1] == ["copy"] * 4 + ["shake_256"] * 2
+            sealed = aead.seal(IV, b"m" * length)
+            assert calls == ["encrypt"]
+            assert aead.open(sealed) == b"m" * length
+            assert calls == ["encrypt", "decrypt"]
+            del calls[:]
 
-    @pytest.mark.parametrize("length", [0, 1, 63, 64, 400, 5000])
-    def test_seal_bytes_equal_the_stdlib_hmac_formula(self, length):
-        """The sealed bytes are the ones a per-message ``hmac.new`` tag
-        gives: the keyed-state helper changes no ciphertext or MAC byte."""
-        rng = random.Random(length)
+    @pytest.mark.parametrize("plaintext, sealed_hex", [
+        # McGrew & Viega, "The Galois/Counter Mode of Operation", test
+        # case 13 (empty plaintext) and 14 (16 zero bytes): key and IV zero
+        (b"", "530f8afbc74536b9a963b4f1c4cb738b"),
+        (bytes(16), "cea7403d4d606b6e074ec5d3baf39d18"
+                    "d0d1c8a799996bf0265b98b5d48ab919"),
+    ])
+    def test_gcm_known_answers(self, plaintext, sealed_hex):
+        """The primitive behind :class:`Aead` is AES-256-GCM, and a seal is
+        the IV followed by exactly its output."""
+        zero_iv = bytes(IV_BYTES)
+        assert AESGCM(bytes(32)).encrypt(zero_iv, plaintext, b"").hex() == (
+            sealed_hex)
+        aead = Aead(KEY)
+        aead._gcm = AESGCM(bytes(32))
+        sealed = aead.seal(zero_iv, plaintext)
+        assert sealed == zero_iv + bytes.fromhex(sealed_hex)
+        assert aead.open(sealed) == plaintext
+
+    @pytest.mark.parametrize("lengths", [
+        range(0, 16), range(16, 64), range(64, 256), range(256, 1024),
+        range(1024, 4096), range(4096, 5001),
+    ], ids=lambda lengths: "%d-%d" % (lengths[0], lengths[-1]))
+    def test_seal_is_iv_then_aes_gcm_under_the_hmac_subkey(self, lengths):
+        """For every length 0-5000: ``IV || AESGCM(subkey).encrypt(...)``,
+        the subkey ``HMAC-SHA256(key, "treaty-enc")``."""
+        rng = random.Random(lengths[0])
         key, iv = rng.randbytes(KEY_BYTES), rng.randbytes(IV_BYTES)
-        plaintext, aad = rng.randbytes(length), rng.randbytes(rng.randrange(40))
-        enc_key = hmac.new(key, b"treaty-enc", sha256).digest()
-        mac_key = hmac.new(key, b"treaty-mac", sha256).digest()
-        stream = shake_256(enc_key + iv).digest(length)
-        ciphertext = bytes(p ^ k for p, k in zip(plaintext, stream))
-        tag = hmac.new(
-            mac_key,
-            struct.pack("<II", len(aad), length) + iv + aad + ciphertext,
-            sha256,
-        ).digest()[:MAC_BYTES]
-        assert Aead(key).seal(iv, plaintext, aad) == iv + ciphertext + tag
+        data, aad = rng.randbytes(lengths[-1]), rng.randbytes(40)
+        gcm = AESGCM(hmac.new(key, b"treaty-enc", sha256).digest())
+        aead = Aead(key)
+        for length in lengths:
+            plaintext = data[:length]
+            sealed = aead.seal(iv, plaintext, aad[: length % 41])
+            assert sealed == iv + gcm.encrypt(iv, plaintext, aad[: length % 41])
 
 
 #: RFC 4231 §4.2-§4.8: (key, data, HMAC-SHA-256 hex; case 5 is truncated
@@ -215,17 +215,6 @@ class TestHmacSha256:
         for data_len in (0, 1, 55, 64, 1000):
             data = rng.randbytes(data_len)
             assert mac.digest(data) == hmac.new(key, data, sha256).digest()
-
-
-class TestXorBytes:
-    def test_xor_roundtrip_and_longer_keystream(self):
-        assert xor_bytes(b"\x0f\xf0", b"\xff\xff\xff") == b"\xf0\x0f"
-        assert xor_bytes(b"", b"") == b""
-
-    def test_short_keystream_rejected(self):
-        """Never emit a tail of plaintext XOR 0."""
-        with pytest.raises(ValueError):
-            xor_bytes(b"abcd", b"\x01\x02\x03")
 
 
 class TestLogChain:

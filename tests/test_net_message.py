@@ -7,15 +7,32 @@ import pytest
 from repro.crypto import Aead
 from repro.errors import IntegrityError, ReplayError
 from repro.net import MsgType, ReplayGuard, TxMessage, wire_size
-from repro.net.message import METADATA_BYTES, PAD_BYTES
+from repro.net.message import (
+    METADATA_BYTES,
+    PAD_BYTES,
+    batch_wire_size,
+    seal_batch,
+    unseal_batch,
+)
 from repro.crypto.aead import IV_BYTES, MAC_BYTES
 
 KEY = bytes(range(32))
 IV = b"\x07" * IV_BYTES
+AAD = b"batch-aad"
 
 
 def sample_message(body=b"key=value"):
     return TxMessage(MsgType.TXN_WRITE, node_id=3, txn_id=42, op_id=7, body=body)
+
+
+def seal(message, aead):
+    """A one-message batch frame, the unit production seals."""
+    return seal_batch(aead, IV, [message.encode()], AAD)
+
+
+def unseal(aead, wire):
+    (part,) = unseal_batch(aead, wire, AAD)
+    return TxMessage.decode(part)
 
 
 class TestEncoding:
@@ -44,44 +61,46 @@ class TestSealing:
     def test_sealed_roundtrip(self):
         aead = Aead(KEY)
         message = sample_message()
-        wire = message.seal(aead, IV)
-        assert TxMessage.unseal(aead, wire) == message
+        wire = seal(message, aead)
+        assert unseal(aead, wire) == message
 
     def test_wire_layout_matches_paper(self):
         aead = Aead(KEY)
         body = b"x" * 100
-        wire = sample_message(body).seal(aead, IV)
-        # IV(12) + pad(4) + metadata(80) + data(100) + MAC(16)
-        assert len(wire) == IV_BYTES + PAD_BYTES + METADATA_BYTES + 100 + MAC_BYTES
-        assert len(wire) == wire_size(100, encrypted=True)
+        wire = seal(sample_message(body), aead)
+        # IV(12) + pad(4) + part length(4) + metadata(80) + data(100) + MAC(16)
+        assert len(wire) == (
+            IV_BYTES + PAD_BYTES + 4 + METADATA_BYTES + 100 + MAC_BYTES)
+        assert len(wire) == wire_size(100, encrypted=True) + 4
+        assert len(wire) == batch_wire_size([METADATA_BYTES + 100], True)
 
     def test_plaintext_wire_size(self):
         assert wire_size(100, encrypted=False) == METADATA_BYTES + 100
 
     def test_metadata_not_visible_on_wire(self):
         aead = Aead(KEY)
-        wire = sample_message(b"secret-body").seal(aead, IV)
+        wire = seal(sample_message(b"secret-body"), aead)
         assert b"secret-body" not in wire
 
     @pytest.mark.parametrize("offset", [0, 11, 13, 20, 95, -1])
     def test_any_tamper_detected(self, offset):
         aead = Aead(KEY)
-        wire = bytearray(sample_message().seal(aead, IV))
+        wire = bytearray(seal(sample_message(), aead))
         if offset in (13,):  # inside the 4 B alignment pad: NOT authenticated
             pytest.skip("alignment pad carries no information")
         wire[offset] ^= 0x01
         with pytest.raises(IntegrityError):
-            TxMessage.unseal(aead, bytes(wire))
+            unseal(aead, bytes(wire))
 
     def test_pad_is_outside_authenticated_region(self):
         aead = Aead(KEY)
-        wire = bytearray(sample_message().seal(aead, IV))
+        wire = bytearray(seal(sample_message(), aead))
         wire[IV_BYTES] ^= 0xFF  # flip pad byte
-        assert TxMessage.unseal(aead, bytes(wire)) == sample_message()
+        assert unseal(aead, bytes(wire)) == sample_message()
 
     def test_short_wire_rejected(self):
         with pytest.raises(IntegrityError):
-            TxMessage.unseal(Aead(KEY), b"short")
+            unseal(Aead(KEY), b"short")
 
     def test_operation_key_identifies_triple(self):
         assert sample_message().operation_key == (3, 42, 7)

@@ -7,7 +7,7 @@ from repro.config import ClusterConfig, DS_ROCKSDB, TREATY_ENC
 from repro.crypto import Aead, LogChain
 from repro.crypto.aead import IV_BYTES
 from repro.errors import IntegrityError
-from repro.net.message import MsgType, TxMessage
+from repro.net.message import MsgType, TxMessage, seal_batch, unseal_batch
 from repro.sim import SeededRng, Simulator
 from repro.storage import SkipList, Writer, Reader
 from repro.storage.records import WalRecord
@@ -95,8 +95,9 @@ class TestCodecProperties:
         message = TxMessage(msg_type, node, txn, op, body)
         assert TxMessage.decode(message.encode()) == message
         aead = Aead(KEY)
-        wire = message.seal(aead, b"\x09" * IV_BYTES)
-        assert TxMessage.unseal(aead, wire) == message
+        wire = seal_batch(aead, b"\x09" * IV_BYTES, [message.encode()], b"a")
+        (part,) = unseal_batch(aead, wire, b"a")
+        assert TxMessage.decode(part) == message
 
     @_SETTINGS
     @given(

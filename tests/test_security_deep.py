@@ -164,30 +164,32 @@ class TestRuntimeHostMemoryTamper:
 
 
 class TestIvDiscipline:
-    """The AEAD is a stream cipher: a ``(key, IV)`` pair sealed twice
-    hands the adversary the XOR of two plaintexts."""
+    """AES-GCM is counter mode: a ``(key, IV)`` pair sealed twice hands
+    the adversary the XOR of two plaintexts and the GHASH key."""
 
     def test_no_key_iv_pair_is_sealed_twice(self, monkeypatch):
         """Every sealer, across flushes, a Clog rotation, and a participant
         that crashes mid-transaction and restarts (recovery re-seals its
         logs and replays its WAL into a fresh MemTable)."""
         sites = {}
-        real_seal = Aead.seal
+        real_encrypt = Aead.encrypt
 
-        def recording_seal(aead, iv, plaintext, aad=b""):
+        def recording_encrypt(aead, iv, plaintext, aad=b""):
             # Keyed by key *bytes*: every node derives its own Aead
             # objects, and cluster-wide keys are equal across nodes.
             caller = sys._getframe(1)
-            if caller.f_code.co_name == "seal_batch":
+            # Skip the framings: Aead.seal and net.message.seal_batch.
+            while caller.f_code.co_filename.endswith(
+                    ("crypto/aead.py", "net/message.py")):
                 caller = caller.f_back
             site = "%s:%s" % (
                 caller.f_code.co_filename.rsplit("repro/", 1)[-1],
                 caller.f_code.co_name,
             )
-            sites.setdefault((aead._enc_key, iv), []).append(site)
-            return real_seal(aead, iv, plaintext, aad)
+            sites.setdefault((aead._key, iv), []).append(site)
+            return real_encrypt(aead, iv, plaintext, aad)
 
-        monkeypatch.setattr(Aead, "seal", recording_seal)
+        monkeypatch.setattr(Aead, "encrypt", recording_encrypt)
         # A 2 KiB MemTable flushes every few transactions: SSTable block
         # and footer IVs and fresh WALs are in play, not only messages.
         cluster = TreatyCluster(

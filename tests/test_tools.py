@@ -71,6 +71,20 @@ def test_model_rows_must_be_bit_equal():
     assert not abtest.model_bit_equal(moved)
 
 
+def test_each_tree_runs_on_its_own_bytecode_cache(monkeypatch):
+    """Both sides compile into a cache of their own, never into or from
+    a tree's ``__pycache__``; nothing else in the environment changes."""
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", "/elsewhere")
+    monkeypatch.setenv("ABTEST_PROBE", "kept")
+    env = abtest.run_env("/tmp/x/base-pyc")
+    assert env["PYTHONPYCACHEPREFIX"] == "/tmp/x/base-pyc"
+    assert "PYTHONDONTWRITEBYTECODE" not in env
+    assert env["ABTEST_PROBE"] == "kept"
+    assert abtest.run_env("/tmp/x/change-pyc")["PYTHONPYCACHEPREFIX"] == (
+        "/tmp/x/change-pyc")
+
+
 def test_table_has_one_line_per_metric():
     rows = abtest.summarize(runs(BASE), runs([9.0, 9.1, 8.9, 9.05, 8.95]),
                             [HOST])

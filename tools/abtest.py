@@ -9,7 +9,11 @@ Usage::
 REF is ``git archive``d into a temporary directory; the change is this
 checkout's working tree.  Each pair runs ``perf/bench.py --trace 0`` once
 in each tree, each in a fresh process, and who runs first alternates
-from pair to pair.  Every run's host metrics are printed as it finishes;
+from pair to pair.  Each tree reads and writes bytecode only in a cache
+of its own (``PYTHONPYCACHEPREFIX``), which one untimed run per tree
+warms before pair 1: a tree with a warm ``__pycache__`` beside one
+without would skew ``setup_s`` and RSS.  Every run's host metrics are
+printed as it finishes;
 then one table gives, per ``BENCHMARK.json`` end-to-end metric:
 
 * each side's median and [q1, q3];
@@ -113,13 +117,23 @@ def extract(ref: str, dest: str) -> None:
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> Run:
+def run_env(cache: str) -> Dict[str, str]:
+    """This process's environment, with bytecode read from and written to
+    ``cache`` only."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+def run_once(tree: str, cache: str, workload: str, seed: int,
+             seconds: float) -> Run:
     """One timed run of ``tree``'s ``perf/bench.py`` in a fresh process."""
     done = subprocess.run(
         [sys.executable, os.path.join(tree, "perf", "bench.py"),
          "--workload", workload, "--seed", str(seed),
          "--seconds", repr(seconds), "--trace", "0"],
-        cwd=tree, stdout=subprocess.PIPE, text=True, check=True)
+        cwd=tree, env=run_env(cache), stdout=subprocess.PIPE, text=True,
+        check=True)
     lines = done.stdout.strip().splitlines()
     result = json.loads(lines[-1])
     detail = json.loads(lines[-2][len("detail: "):])
@@ -148,16 +162,23 @@ def main(argv=None) -> int:
                     if not row["name"].startswith("model_")]
     base: List[Run] = []
     change: List[Run] = []
-    with tempfile.TemporaryDirectory(prefix="abtest-") as base_tree:
+    with tempfile.TemporaryDirectory(prefix="abtest-") as tmp:
+        base_tree = os.path.join(tmp, "base")
+        os.mkdir(base_tree)
         extract(args.ref, base_tree)
+        trees = {"base": (base_tree, os.path.join(tmp, "base-pyc")),
+                 "change": (ROOT, os.path.join(tmp, "change-pyc"))}
         print("abtest %s  seed %d  %d pairs  base %s, change: working tree"
               % (args.workload, args.seed, args.pairs, args.ref))
+        for tree, cache in trees.values():  # warm-up, not timed
+            run_once(tree, cache, args.workload, args.seed,
+                     spec["run_seconds"])
         for pair in range(args.pairs):
-            sides = [("base", base_tree, base), ("change", ROOT, change)]
+            sides = [("base", base), ("change", change)]
             if pair % 2:
                 sides.reverse()
-            for side, tree, runs in sides:
-                runs.append(run_once(tree, args.workload, args.seed,
+            for side, runs in sides:
+                runs.append(run_once(*trees[side], args.workload, args.seed,
                                      spec["run_seconds"]))
                 print("  pair %d %-6s %s" % (pair + 1, side, "  ".join(
                     "%s %.6g" % (name, runs[-1]["metrics"][name])
