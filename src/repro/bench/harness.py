@@ -108,7 +108,7 @@ def measure(
 
     Closed-loop clients run for ``warmup`` (default: a quarter of the
     window) plus ``duration`` simulated seconds; ``run_options`` go to
-    :func:`run_ycsb` / :func:`run_tpcc` (``arrivals=``, ``optimistic=``).
+    :func:`run_ycsb` / :func:`run_tpcc` (TPC-C's ``optimistic=``).
     The collector carries the phase breakdown in ``extra_info["obs"]``
     and, when the cluster runs the I1–I5 invariant monitor, its verdict
     after a final quiescence check in ``extra_info["monitor"]``.
@@ -455,16 +455,13 @@ def sweep_group_commit_window(
     windows: Optional[List[Optional[float]]] = None,
     num_clients: Optional[int] = None,
     duration: Optional[float] = None,
-    arrivals: str = "closed",
 ) -> List[Tuple[str, MetricsCollector]]:
     """Sweep the group-commit window and report the latency/throughput
     frontier.
 
     ``None`` in ``windows`` selects the adaptive (trace-informed)
     window; ``0.0`` is the legacy immediate-dispatch behaviour; positive
-    values are fixed windows in simulated seconds.  ``arrivals`` picks
-    the YCSB arrival process (``"closed"`` or ``"bursty"`` on-off with
-    Pareto idle gaps — the case where the adaptive window's EWMAs move).
+    values are fixed windows in simulated seconds.
     """
     if windows is None:
         windows = [0.0, 5e-5, 1e-4, 2e-4, 4e-4, None]
@@ -477,9 +474,7 @@ def sweep_group_commit_window(
         cluster = loaded(
             TREATY_FULL, ycsb, ClusterConfig(group_commit_window=window)
         )
-        metrics = measure(
-            cluster, ycsb, num_clients, duration, label, arrivals=arrivals
-        )
+        metrics = measure(cluster, ycsb, num_clients, duration, label)
         windows_seen = sorted(
             node.manager.group.window_delay() for node in cluster.nodes
         )

@@ -108,10 +108,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 def cmd_ycsb(args: argparse.Namespace) -> int:
     profile = PROFILES[args.profile]
-    ycsb = YcsbConfig(
-        read_proportion=args.reads, num_keys=args.keys,
-        distribution=args.distribution,
-    )
+    ycsb = YcsbConfig(read_proportion=args.reads, num_keys=args.keys)
     _print_metrics(measure(
         loaded(profile, ycsb), ycsb, args.clients, args.duration, profile.name
     ))
@@ -965,7 +962,6 @@ def _bench_sweep_window(args: argparse.Namespace) -> int:
         ]
     results = sweep_group_commit_window(
         windows=windows, num_clients=args.clients, duration=args.duration,
-        arrivals=args.arrivals,
     )
     rows = []
     for label, metrics in results:
@@ -1025,9 +1021,6 @@ def build_parser() -> argparse.ArgumentParser:
     ycsb.add_argument("--keys", type=int, default=10_000)
     ycsb.add_argument("--clients", type=int, default=24)
     ycsb.add_argument("--duration", type=float, default=0.3)
-    ycsb.add_argument(
-        "--distribution", default="uniform", choices=["uniform", "zipfian"]
-    )
     ycsb.set_defaults(func=cmd_ycsb)
 
     tpcc = subparsers.add_parser("tpcc", help="run a TPC-C experiment")
@@ -1138,11 +1131,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated window values in microseconds for "
              "sweep-window ('adaptive' selects the EWMA window), "
              "e.g. '0,50,100,adaptive'",
-    )
-    bench.add_argument(
-        "--arrivals", default="closed", choices=["closed", "bursty"],
-        help="sweep-window arrival process: closed loop or bursty "
-             "(on-off with Pareto idle gaps)",
     )
     bench.add_argument(
         "--flight-recorder", action="store_true",

@@ -86,7 +86,6 @@ class ConfigurationService:
         self._root_key = root_key
         self._node_addresses = dict(node_addresses)
         self._trusted_las: Dict[str, VerifyKey] = {}
-        self._authenticated_clients: set = set()
         self.attested_instances = 0
         self.cas_attested = False
         #: §VI: "CAS can be a single point of failure.  In case CAS
@@ -151,15 +150,3 @@ class ConfigurationService:
             node_addresses=dict(self._node_addresses),
             counter_peers=peers,
         )
-
-    # -- client authentication -------------------------------------------------------
-    def authenticate_client(self, client_id: str, secret: bytes) -> Gen:
-        """Authenticate a client and admit it to the cluster (§IV-A)."""
-        yield from self.runtime.compute(self.runtime.costs.signature_op)
-        if not secret or secret == b"wrong":
-            raise AttestationError("client %r failed authentication" % client_id)
-        self._authenticated_clients.add(client_id)
-        return True
-
-    def is_authenticated(self, client_id: str) -> bool:
-        return client_id in self._authenticated_clients

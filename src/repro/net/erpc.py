@@ -171,13 +171,6 @@ class ErpcEndpoint:
         )
         return continuation
 
-    def call(
-        self, dst: str, req_type: int, payload: Any, nbytes: int
-    ) -> Generator[Event, Any, RpcReply]:
-        """Synchronous-style helper: enqueue and wait for the reply."""
-        reply = yield self.enqueue_request(dst, req_type, payload, nbytes)
-        return reply
-
     # -- crash handling ---------------------------------------------------------
     def _on_peer_detach(self, address: str) -> None:
         """Fail continuations of requests whose destination just crashed.

@@ -4,7 +4,6 @@ from .core import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
@@ -20,7 +19,6 @@ __all__ = [
     "CpuPool",
     "Event",
     "Gate",
-    "Interrupt",
     "Process",
     "Resource",
     "SeededRng",

@@ -33,7 +33,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "AnyOf",
     "AllOf",
     "AllSettled",
@@ -52,18 +51,6 @@ _ASLEEP = object()
 
 class SimulationError(RuntimeError):
     """Raised when the simulation itself is misused (not a modelled fault)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt` (e.g. a lock-timeout marker).
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -183,7 +170,7 @@ class Process(Event):
     successful finish marks it dispatched without a kernel entry.
     """
 
-    __slots__ = ("_body", "_waiting_on", "_sleep_seq", "_detached", "name")
+    __slots__ = ("_body", "_detached", "name")
 
     def __init__(self, sim: "Simulator", body: ProcessBody, name: str = "",
                  detached: bool = False):
@@ -199,10 +186,6 @@ class Process(Event):
         self._triggered = False
         self._defused = False
         self._body = body
-        self._waiting_on: Optional[Event] = None
-        #: heap sequence number of the pending ``sim.sleep`` wake-up; an
-        #: interrupt clears it, which makes that wake-up stale.
-        self._sleep_seq: Optional[int] = None
         self._detached = detached
         self.name = name or getattr(body, "__name__", "process")
         if sim.tracer is not None:
@@ -210,30 +193,10 @@ class Process(Event):
         # Kick off the body at the current instant (one ready entry).
         sim._ready.append(self._bootstrap_call)
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current instant."""
-        if self._triggered:
-            return
-        interrupt_event = Event(self.sim)
-        interrupt_event.add_callback(self._deliver_interrupt)
-        interrupt_event.succeed(cause)
-
-    def _deliver_interrupt(self, event: Event) -> None:
-        if self._triggered:
-            return
-        # Detach from whatever we were waiting on; the stale callback or
-        # heap wake-up becomes a no-op because neither matches any more.
-        self._waiting_on = None
-        self._sleep_seq = None
-        self._step(throw=Interrupt(event.value))
-
     def _bootstrap_call(self) -> None:
         self._step(send=None)
 
     def _resume(self, event: Event) -> None:
-        if self._triggered or self._waiting_on is not event:
-            return  # stale wake-up (e.g. after an interrupt)
-        self._waiting_on = None
         if event._ok:
             self._step(event._value)
         else:
@@ -282,7 +245,6 @@ class Process(Event):
                 )
             )
             return
-        self._waiting_on = target
         # add_callback inlined for the common pending target: ~2 % of
         # host time on ycsb-a-dist (Xeon, 2 vCPU).
         callbacks = target._callbacks
@@ -485,9 +447,7 @@ class Simulator:
         when = now + delay
         if when == now:
             return Timeout(self, delay)
-        seq = next(self._seq)
-        process._sleep_seq = seq
-        heappush(self._heap, (when, seq, process))
+        heappush(self._heap, (when, next(self._seq), process))
         return _ASLEEP
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
@@ -554,19 +514,19 @@ class Simulator:
         entry, else the next heap entry (advancing the clock to it)."""
         chooser = self.chooser
         if chooser is not None and getattr(chooser, "tie_window", 0) > 1:
-            seq, entry = self._pop_with_chooser()
+            entry = self._pop_with_chooser()
         else:
             ready = self._ready
             heap = self._heap
             if ready and not (heap and heap[0][0] == self.now):
-                seq, entry = None, ready.popleft()
+                entry = ready.popleft()
             else:
-                when, seq, entry = heappop(heap)
+                when, _seq, entry = heappop(heap)
                 self.now = when
-        if seq is not None and entry.__class__ is Process:
-            # A sleeping process wakes, unless an interrupt made it stale.
-            if entry._sleep_seq == seq:
-                entry._step()
+        if entry.__class__ is Process and not entry._triggered:
+            # A sleeping process wakes: a process enters the ready queue
+            # only once it has triggered (to dispatch to its joiners).
+            entry._step()
         elif isinstance(entry, Event):
             # A triggered event, or a timeout that is due: it triggers now
             # (an explicitly triggered timeout keeps its own outcome).
@@ -589,8 +549,7 @@ class Simulator:
         entries due then (by sequence number), then the ready queue.  The
         heap entries not chosen go back with their sequence numbers and
         the ready entries not chosen stay where they are, so the residual
-        order is exactly the uncontrolled one.  Returns ``(seq, entry)``,
-        ``seq`` None for a ready entry.
+        order is exactly the uncontrolled one.  Returns the entry.
         """
         window = self.chooser.tie_window
         heap, ready = self._heap, self._ready
@@ -601,15 +560,15 @@ class Simulator:
         count = len(ties) + min(window - len(ties), len(ready))
         index = self.chooser.pick_ready(count) if count > 1 else 0
         if index < len(ties):
-            when, seq, entry = ties.pop(index)
+            when, _seq, entry = ties.pop(index)
             self.now = when
         else:
             index -= len(ties)
-            seq, entry = None, ready[index]
+            entry = ready[index]
             del ready[index]
         for tie in ties:
             heappush(heap, tie)
-        return seq, entry
+        return entry
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until nothing is pending or the clock passes ``until``.

@@ -53,25 +53,10 @@ class Resource:
         if self.in_use <= 0:
             raise RuntimeError("release() without a matching request()")
         # Hand the slot over directly so in_use never dips below reality.
-        while self._waiters:
-            waiter = self._waiters.popleft()
-            if waiter.triggered:  # cancelled waiter (e.g. timed out)
-                continue
-            waiter.succeed(self)
-            return
-        self.in_use -= 1
-
-    def cancel(self, grant: Event) -> None:
-        """Withdraw a request (used for lock timeouts).
-
-        Safe against the race where the grant fired in the same instant
-        as the caller's timeout: an already-granted slot is released.
-        """
-        if grant.triggered:
-            if grant.value is self:
-                self.release()
+        if self._waiters:
+            self._waiters.popleft().succeed(self)
         else:
-            grant.succeed(None)  # mark consumed; release() skips it
+            self.in_use -= 1
 
 
 class Semaphore:

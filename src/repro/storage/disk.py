@@ -41,11 +41,6 @@ class Disk:
         self.bytes_written = 0
 
     # -- normal operation ---------------------------------------------------
-    def create(self, filename: str) -> None:
-        if filename in self._files:
-            raise StorageError("file %r already exists" % filename)
-        self._files[filename] = bytearray()
-
     def append(self, filename: str, data: bytes) -> int:
         """Append ``data``; returns the offset it was written at."""
         if filename not in self._files:

@@ -219,10 +219,6 @@ class LSMEngine:
                     break
         return (None, 0)
 
-    def get(self, key: bytes) -> Gen:
-        value, _seq = yield from self.get_with_seq(key)
-        return value
-
     def scan(
         self, start: bytes, end: Optional[bytes], limit: Optional[int] = None
     ) -> Gen:

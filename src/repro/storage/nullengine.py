@@ -116,10 +116,6 @@ class NullStorageEngine:
         value, seq = self._data.get(key, (None, 0))
         return (value, seq)
 
-    def get(self, key: bytes) -> Gen:
-        value, _seq = yield from self.get_with_seq(key)
-        return value
-
     def seq_of(self, key: bytes) -> Gen:
         _value, seq = yield from self.get_with_seq(key)
         return seq

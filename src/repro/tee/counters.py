@@ -47,7 +47,3 @@ class HardwareMonotonicCounter:
         self.writes += 1
         self.value += 1
         return self.value
-
-    def read(self) -> int:
-        """Reads are fast and do not wear the counter."""
-        return self.value

@@ -1,4 +1,4 @@
-"""Benchmark workloads: YCSB and TPC-C, plus key distributions."""
+"""Benchmark workloads: YCSB and TPC-C."""
 
 from .tpcc import (
     TpccScale,
@@ -8,16 +8,12 @@ from .tpcc import (
     tpcc_partitioner,
 )
 from .ycsb import YcsbConfig, YcsbWorkload, bulk_load, run_ycsb
-from .zipf import ScrambledZipfianGenerator, UniformGenerator, ZipfianGenerator
 
 __all__ = [
-    "ScrambledZipfianGenerator",
     "TpccScale",
     "TpccTerminal",
-    "UniformGenerator",
     "YcsbConfig",
     "YcsbWorkload",
-    "ZipfianGenerator",
     "bulk_load",
     "load_tpcc",
     "run_tpcc",

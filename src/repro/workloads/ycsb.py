@@ -18,11 +18,6 @@ from ..core.cluster import TreatyCluster
 from ..errors import TransactionAborted
 from ..sim.core import Event
 from ..sim.rng import SeededRng
-from .zipf import (
-    ScrambledZipfianGenerator,
-    UniformGenerator,
-    ZipfianGenerator,
-)
 
 __all__ = [
     "YcsbConfig",
@@ -43,7 +38,6 @@ class YcsbConfig:
     ops_per_txn: int = 10
     value_size: int = 1000
     num_keys: int = 10_000
-    distribution: str = "uniform"  # or "zipfian"
     key_prefix: bytes = b"usertable/"
     optimistic: bool = False
     #: fraction of transactions whose keys all live on the client's
@@ -51,31 +45,21 @@ class YcsbConfig:
     #: (ROADMAP: partitioned workloads) keeps ~90 % of transactions
     #: single-shard; the rest fan out through 2PC as usual.
     locality: float = 0.0
-    #: probability that an operation is a range scan (YCSB-E); drawn
-    #: before the read/update split.
-    scan_proportion: float = 0.0
-    #: scan lengths are zipf-bounded in ``[1, max_scan_length]`` (short
-    #: scans dominate, the standard YCSB-E shape).
-    max_scan_length: int = 100
     #: run transactions that turn out write-free as coordinator-free
     #: snapshot reads (client-routed).
     read_only: bool = False
 
-    #: the standard YCSB mixes.  E replaces inserts with updates (the
-    #: simulated keyspace is fixed); B/C/E default to the read-only
-    #: snapshot path for their write-free transactions.
+    #: the standard YCSB mixes; B/C default to the read-only snapshot
+    #: path for their write-free transactions.
     VARIANTS = {
         "a": dict(read_proportion=0.5),
         "b": dict(read_proportion=0.95, read_only=True),
         "c": dict(read_proportion=1.0, read_only=True),
-        "e": dict(
-            read_proportion=0.0, scan_proportion=0.95, read_only=True
-        ),
     }
 
     @classmethod
     def variant(cls, name: str, **overrides) -> "YcsbConfig":
-        """The named standard mix ("a"/"b"/"c"/"e"), with overrides."""
+        """The named standard mix ("a"/"b"/"c"), with overrides."""
         params = dict(cls.VARIANTS[name.lower()])
         params.update(overrides)
         return cls(**params)
@@ -105,7 +89,7 @@ class YcsbWorkload:
     With ``config.locality > 0`` and ``shard_keys``/``home_shard`` set,
     that fraction of transactions draws every key uniformly from the
     home shard's slice of the keyspace (single-shard commit path); the
-    remainder uses the global key generator and crosses shards.
+    remainder draws from the whole keyspace and crosses shards.
     """
 
     def __init__(
@@ -117,21 +101,7 @@ class YcsbWorkload:
     ):
         self.config = config
         self.rng = rng
-        if config.distribution == "uniform":
-            self._keygen = UniformGenerator(config.num_keys, rng.child("keys"))
-        elif config.distribution == "zipfian":
-            self._keygen = ScrambledZipfianGenerator(
-                config.num_keys, rng.child("keys")
-            )
-        else:
-            raise ValueError("unknown distribution %r" % config.distribution)
-        self._scan_len: Optional[ZipfianGenerator] = None
-        if config.scan_proportion > 0.0:
-            # Plain (unscrambled) zipfian so rank 0 — the hottest draw —
-            # maps to the shortest scan: short ranges dominate.
-            self._scan_len = ZipfianGenerator(
-                config.max_scan_length, rng.child("scan-len")
-            )
+        self._keys = rng.child("keys")
         self._home_keys: Optional[List[int]] = None
         if config.locality > 0.0 and shard_keys is not None:
             if home_shard is None:
@@ -141,12 +111,8 @@ class YcsbWorkload:
         self._op_counter = 0
 
     def next_transaction(self) -> List[Tuple[str, bytes, Any]]:
-        """A list of (kind, key, argument) operations.
-
-        Kinds: ``('read', key, None)``, ``('update', key, value)``,
-        ``('scan', start_key, length)`` — the scan length is the third
-        slot (zipf-bounded; short ranges dominate).
-        """
+        """A list of ``('read', key, None)`` and ``('update', key,
+        value)`` operations; keys are uniform over the keyspace."""
         local = (
             self._home_keys is not None
             and self.rng.random() < self.config.locality
@@ -157,14 +123,9 @@ class YcsbWorkload:
                 home = self._home_keys
                 index = home[int(self.rng.random() * len(home)) % len(home)]
             else:
-                index = self._keygen.next()
+                index = self._keys.randrange(self.config.num_keys)
             key = self.config.key(index)
-            if (
-                self._scan_len is not None
-                and self.rng.random() < self.config.scan_proportion
-            ):
-                ops.append(("scan", key, 1 + self._scan_len.next()))
-            elif self.rng.random() < self.config.read_proportion:
+            if self.rng.random() < self.config.read_proportion:
                 ops.append(("read", key, None))
             else:
                 self._op_counter += 1
@@ -208,23 +169,6 @@ def bulk_load(cluster: TreatyCluster, config: YcsbConfig) -> Gen:
         node.pipeline.witness.advance_floor(engine.current_seq())
 
 
-#: bursty arrivals: mean transactions per on-burst (geometric).
-_BURST_MEAN_TXNS = 8
-#: bursty arrivals: Pareto idle-gap scale (seconds) and shape.  Shape
-#: 1.5 gives the heavy tail that makes arrival-gap EWMAs actually move.
-_BURST_IDLE_SCALE = 2.0e-3
-_BURST_IDLE_SHAPE = 1.5
-#: cap on a single idle gap so a run is not one long silence.
-_BURST_IDLE_CAP = 5.0e-2
-
-
-def _pareto_gap(rng: SeededRng) -> float:
-    """One Pareto(shape, scale) idle gap via inverse-transform sampling."""
-    u = rng.random()
-    gap = _BURST_IDLE_SCALE * (1.0 - u) ** (-1.0 / _BURST_IDLE_SHAPE)
-    return min(gap, _BURST_IDLE_CAP)
-
-
 def run_ycsb(
     cluster: TreatyCluster,
     config: YcsbConfig,
@@ -233,23 +177,13 @@ def run_ycsb(
     duration: float = 2.0,
     warmup: float = 0.2,
     max_retries: int = 3,
-    arrivals: str = "closed",
 ) -> None:
     """Run closed-loop YCSB clients until ``duration`` simulated seconds.
 
     Clients are spread over three client machines (the testbed's layout)
     and round-robin across coordinator nodes.  ``metrics`` receives one
     sample per committed transaction.
-
-    ``arrivals`` selects the arrival process: ``"closed"`` is the
-    classic closed loop (next transaction immediately after the last);
-    ``"bursty"`` is an on-off process — geometric bursts of back-to-back
-    transactions separated by Pareto-distributed idle gaps, the
-    heavy-tailed shape under which an adaptive group-commit window has
-    something to adapt to.
     """
-    if arrivals not in ("closed", "bursty"):
-        raise ValueError("unknown arrival process %r" % arrivals)
     machines = [cluster.client_machine() for _ in range(3)]
     sim = cluster.sim
     start_time = sim.now
@@ -272,17 +206,7 @@ def run_ycsb(
         workload = YcsbWorkload(
             config, rng, shard_keys=shard_keys, home_shard=coordinator
         )
-        burst_rng = rng.child("arrivals")
-        burst_left = 1 + int(burst_rng.random() * 2 * _BURST_MEAN_TXNS)
         while sim.now < end_time:
-            if arrivals == "bursty":
-                if burst_left <= 0:
-                    yield sim.sleep(_pareto_gap(burst_rng))
-                    burst_left = 1 + int(
-                        burst_rng.random() * 2 * _BURST_MEAN_TXNS
-                    )
-                    continue
-                burst_left -= 1
             ops = workload.next_transaction()
             read_only = config.read_only and YcsbWorkload.is_read_only(ops)
             txn_start = sim.now
@@ -296,8 +220,6 @@ def run_ycsb(
                     for kind, key, value in ops:
                         if kind == "read":
                             yield from txn.get(key)
-                        elif kind == "scan":
-                            yield from txn.scan(key, None, limit=value)
                         else:
                             yield from txn.put(key, value)
                     yield from txn.commit()
@@ -312,9 +234,7 @@ def run_ycsb(
             else:
                 metrics.record_abort(txn_start)
 
-    workers = [
+    for i in range(num_clients):
         sim.spawn(client_loop(i), name="ycsb-client-%d" % i)
-        for i in range(num_clients)
-    ]
     sim.run(until=end_time)
     metrics.finish(sim.now)

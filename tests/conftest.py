@@ -52,7 +52,8 @@ class StorageHarness:
         self.run(body())
 
     def get(self, key):
-        return self.run(self.engine.get(key))
+        value, _seq = self.run(self.engine.get_with_seq(key))
+        return value
 
     def reopen(self, profile=None, stable_counters=None):
         """Simulate a crash: new runtime/engine over the same disk."""

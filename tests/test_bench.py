@@ -98,7 +98,8 @@ class TestNullEngine:
             writes = [(b"k", b"v", engine.next_seq())]
             yield from engine.log_commit(b"t", writes)
             yield from engine.apply_writes(writes)
-            return (yield from engine.get(b"k"))
+            value, _seq = yield from engine.get_with_seq(b"k")
+            return value
 
         assert sim.run_process(body()) == b"v"
 

@@ -19,10 +19,9 @@ class TestParser:
     def test_ycsb_options(self):
         args = build_parser().parse_args(
             ["ycsb", "--profile", "DS-RocksDB", "--reads", "0.8",
-             "--clients", "4", "--duration", "0.1", "--distribution", "zipfian"]
+             "--clients", "4", "--duration", "0.1"]
         )
         assert args.reads == 0.8
-        assert args.distribution == "zipfian"
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(SystemExit):

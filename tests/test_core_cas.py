@@ -108,24 +108,6 @@ def test_las_registration_requires_cas_attested():
         sim.run_process(body())
 
 
-def test_client_authentication():
-    cluster = TreatyCluster(profile=TREATY_FULL).start()
-
-    def good():
-        ok = yield from cluster.cas.authenticate_client("c1", b"valid-secret")
-        return ok
-
-    assert cluster.run(good())
-    assert cluster.cas.is_authenticated("c1")
-
-    def bad():
-        yield from cluster.cas.authenticate_client("c2", b"wrong")
-
-    with pytest.raises(AttestationError):
-        cluster.run(bad())
-    assert not cluster.cas.is_authenticated("c2")
-
-
 def test_ias_bootstrap_is_slow_las_quotes_are_fast():
     cluster = TreatyCluster(profile=TREATY_FULL)
     start = cluster.sim.now

@@ -429,7 +429,7 @@ class TestApplyStep:
         applies = events_named(cluster, "commit_apply", gid.encode())
         assert [rec["node"] for rec in applies] == [node.name]
         assert gid.encode() not in part.active
-        assert cluster.run(node.engine.get(key)) == b"once"
+        assert cluster.run(node.engine.get_with_seq(key))[0] == b"once"
 
 
     def test_completer_instruction_beats_the_coordinators_own_apply(self):
@@ -478,7 +478,7 @@ class TestApplyStep:
         assert txn.key not in node.participant.active
         # PREPARE + COMMIT + COMPLETE: the completion round still ran.
         assert node.clog.last_counter == clog_before + 3
-        assert cluster.run(node.engine.get(b"0/own")) == b"once"
+        assert cluster.run(node.engine.get_with_seq(b"0/own"))[0] == b"once"
 
 
 class TestOwnHalfIsAnOrdinaryHalf:

@@ -246,7 +246,7 @@ class TestGroupCommitWindow:
         assert client.rounds_executed - before == 1
 
     def test_bursty_arrivals_move_the_adaptive_window(self):
-        """On-off (Pareto) arrivals exercise the feedback loop: the
+        """Closed-loop YCSB clients exercise the feedback loop: the
         arrival-gap EWMA moves off its idle default and the observed
         stabilization wait sets a floor under the window."""
         from repro.bench import MetricsCollector
@@ -255,9 +255,9 @@ class TestGroupCommitWindow:
         cluster = make_cluster()  # group_commit_window=None -> adaptive
         ycsb = YcsbConfig(num_keys=300, value_size=64, ops_per_txn=4)
         cluster.run(bulk_load(cluster, ycsb), name="load")
-        metrics = MetricsCollector("bursty")
+        metrics = MetricsCollector("closed-loop")
         run_ycsb(cluster, ycsb, metrics, num_clients=8, duration=0.3,
-                 warmup=0.05, arrivals="bursty")
+                 warmup=0.05)
         assert metrics.committed > 0
         groups = [node.manager.group for node in cluster.nodes]
         moved = [g for g in groups if g._gap_ewma is not None]

@@ -349,7 +349,7 @@ class TestCrashFailFast:
         harness.endpoints[1].register_handler(1, echo_handler)
 
         def body():
-            yield from harness.endpoints[0].call("node1", 1, b"x" * 100, 100)
+            yield harness.endpoints[0].enqueue_request("node1", 1, b"x" * 100, 100)
 
         harness.run(body())
         before = harness.fabric.metrics.snapshot()["net.tx_bytes"]

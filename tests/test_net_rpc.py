@@ -28,7 +28,7 @@ class TestErpc:
         server.register_handler(1, echo_handler)
 
         def body():
-            reply = yield from harness.endpoints[0].call(
+            reply = yield harness.endpoints[0].enqueue_request(
                 "node1", 1, b"ping", 4
             )
             return reply.payload
@@ -90,7 +90,7 @@ class TestErpc:
 
         def body():
             for _ in range(20):
-                yield from client.call("node1", 1, b"x" * 100, 100)
+                yield client.enqueue_request("node1", 1, b"x" * 100, 100)
 
         harness.run(body())
         assert client.msgbuf_pool.recycle_rate() > 0.5
@@ -103,7 +103,9 @@ class TestErpc:
 
             def body():
                 for _ in range(10):
-                    yield from harness.endpoints[0].call("node1", 1, b"x" * 1000, 1000)
+                    yield harness.endpoints[0].enqueue_request(
+                        "node1", 1, b"x" * 1000, 1000
+                    )
                 return harness.sim.now
 
             return harness.run(body())

@@ -11,8 +11,6 @@ from repro.sim import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
-    Process,
     SimulationError,
     Simulator,
 )
@@ -173,47 +171,6 @@ def test_yield_from_composition(sim):
     assert sim.now == 2
 
 
-def test_interrupt_wakes_sleeping_process(sim):
-    def sleeper():
-        try:
-            yield sim.timeout(100)
-            return "slept"
-        except Interrupt as interrupt:
-            return ("interrupted", interrupt.cause, sim.now)
-
-    proc = sim.process(sleeper())
-
-    def interrupter():
-        yield sim.timeout(3)
-        proc.interrupt("wake up")
-
-    sim.process(interrupter())
-    sim.run()
-    assert proc.value == ("interrupted", "wake up", 3)
-
-
-def test_stale_wakeup_after_interrupt_is_ignored(sim):
-    resumes = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(5)
-        except Interrupt:
-            pass
-        yield sim.timeout(10)  # the old timeout at t=5 must not resume this
-        resumes.append(sim.now)
-
-    proc = sim.process(sleeper())
-
-    def interrupter():
-        yield sim.timeout(1)
-        proc.interrupt()
-
-    sim.process(interrupter())
-    sim.run()
-    assert resumes == [11]
-
-
 def test_any_of_returns_first(sim):
     def body():
         fast = sim.timeout(1, value="fast")
@@ -344,38 +301,6 @@ def test_due_now_sleep_keeps_its_ready_position(at, delay):
     assert run(lambda sim: sim.sleep) == run(lambda sim: sim.timeout) == expected
 
 
-def test_stale_sleep_wake_after_interrupt_is_ignored(sim):
-    """Interrupted sleeps leave their heap entries behind: the one popping
-    at t=5 must not end the event wait, the one at t=16 not the later
-    sleep."""
-    gate, resumes = sim.event(), []
-
-    def sleeper():
-        for wait in (lambda: sim.sleep(5), lambda: gate, lambda: sim.sleep(10)):
-            try:
-                value = yield wait()
-                resumes.append(("woke", sim.now, value))
-            except Interrupt:
-                resumes.append(("interrupted", sim.now))
-        yield sim.sleep(20)
-        resumes.append(("slept", sim.now))
-
-    proc = sim.process(sleeper())
-
-    def driver():
-        yield sim.sleep(1)
-        proc.interrupt()
-        yield sim.sleep(5)
-        gate.succeed("open")
-        yield sim.sleep(1)
-        proc.interrupt()
-
-    sim.process(driver())
-    sim.run()
-    assert resumes == [("interrupted", 1), ("woke", 6, "open"),
-                       ("interrupted", 7), ("slept", 27)]
-
-
 def test_failing_spawned_fiber_surfaces_from_run(sim):
     def bad():
         yield sim.sleep(1)
@@ -491,7 +416,7 @@ def random_program(sim, seed, workers=6, steps=10):
     """Run a seeded program mixing every scheduling shape on ``sim``;
     returns the log of callbacks and resumes in the order they ran."""
     rng = random.Random(seed)
-    log, shared, procs, started = [], [], [], set()
+    log, shared = [], []
 
     def note(*what):
         log.append((sim.now,) + what)
@@ -510,9 +435,8 @@ def random_program(sim, seed, workers=6, steps=10):
         return tag
 
     def worker(wid):
-        started.add(wid)
         for step in range(steps):
-            tag, op = (wid, step), rng.randrange(10)
+            tag, op = (wid, step), rng.randrange(9)
             try:
                 if op == 0:  # zero, sub-resolution and equal-when waits
                     yield pause()
@@ -527,22 +451,18 @@ def random_program(sim, seed, workers=6, steps=10):
                     yield pause()
                     yield proc
                     watch(proc, tag)  # late: the process already dispatched
-                elif op == 3:  # interrupt; the victim's old wait goes stale
-                    victims = [p for w, p in enumerate(procs) if w in started]
-                    rng.choice(victims).interrupt(tag)
-                    yield pause()
-                elif op == 4:  # failed-then-defused, nobody waiting
+                elif op == 3:  # failed-then-defused, nobody waiting
                     event = sim.event()
                     event.fail(ValueError(repr(tag)))
                     event.defuse()
                     yield sim.sleep(0)
                     watch(event, tag)
-                elif op == 5:  # wait on a shared event other workers settle
+                elif op == 4:  # wait on a shared event other workers settle
                     event = sim.event()
                     shared.append(event)
                     watch(event, tag)
                     yield sim.any_of([event, sim.timeout(rng.choice(DELAYS))])
-                elif op == 6:  # settle a shared event: succeed or fail
+                elif op == 5:  # settle a shared event: succeed or fail
                     pending = [e for e in shared if not e.triggered]
                     if pending:
                         event = rng.choice(pending)
@@ -551,7 +471,7 @@ def random_program(sim, seed, workers=6, steps=10):
                         else:
                             event.fail(ValueError(repr(tag)))
                     yield pause()
-                elif op == 7:  # AnyOf / QuorumOf over fresh timeouts
+                elif op == 6:  # AnyOf / QuorumOf over fresh timeouts
                     events = [sim.timeout(rng.choice(DELAYS), value=i)
                               for i in range(3)]
                     if rng.random() < 0.5:
@@ -560,7 +480,7 @@ def random_program(sim, seed, workers=6, steps=10):
                     else:
                         yield sim.quorum_of(events, rng.randrange(4),
                                             accept=lambda value: value != 1)
-                elif op == 8:  # spawned fibers: nobody joins them
+                elif op == 7:  # spawned fibers: nobody joins them
                     for index in range(rng.randrange(1, 3)):
                         sim.spawn(child((wid, step, index), "spawned"))
                     yield pause()
@@ -569,13 +489,11 @@ def random_program(sim, seed, workers=6, steps=10):
                                    lambda tag=tag: note("later", tag))
                     yield pause()
                 note("step", tag, op)
-            except Interrupt as interrupt:
-                note("interrupted", tag, interrupt.cause)
             except ValueError as exc:
                 note("failed", tag, str(exc))
 
     for wid in range(workers):
-        procs.append(sim.process(worker(wid)))
+        sim.process(worker(wid))
     sim.run(until=1.5)
     sim.run()
     return log
@@ -587,27 +505,16 @@ def test_ready_queue_runs_entries_in_heap_order(seed):
         HeapOnlySimulator(), seed)
 
 
-def test_random_programs_cover_every_shape(monkeypatch):
-    victims = []  # per interrupt delivered: was the victim asleep?
-    deliver = Process._deliver_interrupt
-
-    def recording(process, event):
-        if not process.triggered:
-            victims.append((process._sleep_seq, process) in [
-                (seq, entry) for _when, seq, entry in process.sim._heap])
-        deliver(process, event)
-
-    monkeypatch.setattr(Process, "_deliver_interrupt", recording)
+def test_random_programs_cover_every_shape():
     ops, kinds = set(), set()
     for seed in range(40):
         for entry in random_program(Simulator(), seed):
             kinds.add(entry[1])
             if entry[1] == "step":
                 ops.add(entry[3])
-    assert ops == set(range(10))
-    assert {"callback", "child", "spawned", "any", "interrupted",
-            "failed", "later"} <= kinds
-    assert True in victims and False in victims
+    assert ops == set(range(9))
+    assert {"callback", "child", "spawned", "any", "failed",
+            "later"} <= kinds
 
 
 @pytest.mark.parametrize("window", [2, 3, 5])

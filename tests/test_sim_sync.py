@@ -38,22 +38,6 @@ class TestResource:
         with pytest.raises(RuntimeError):
             resource.release()
 
-    def test_cancel_pending_request(self, sim):
-        resource = Resource(sim, capacity=1)
-        resource.request()  # take the slot
-        pending = resource.request()
-        resource.cancel(pending)
-        resource.release()
-        # The cancelled waiter must be skipped: a new request succeeds.
-        assert resource.request().triggered
-
-    def test_cancel_after_grant_releases_slot(self, sim):
-        resource = Resource(sim, capacity=1)
-        grant = resource.request()
-        assert grant.triggered
-        resource.cancel(grant)  # caller decided too late; slot is returned
-        assert resource.in_use == 0
-
     def test_capacity_validation(self, sim):
         with pytest.raises(ValueError):
             Resource(sim, capacity=0)

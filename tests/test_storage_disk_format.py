@@ -39,12 +39,6 @@ class TestDisk:
         assert not disk.exists("f")
         disk.delete("f")  # idempotent
 
-    def test_create_duplicate_rejected(self):
-        disk = Disk()
-        disk.create("f")
-        with pytest.raises(StorageError):
-            disk.create("f")
-
     def test_list_files_with_prefix(self):
         disk = Disk()
         disk.write("node0/a", b"")

@@ -170,7 +170,7 @@ class TestHardwareCounter:
 
         assert sim.run_process(bump()) == 1
         assert sim.now == pytest.approx(costs.sgx_counter_increment)
-        assert counter.read() == 1
+        assert counter.value == 1
 
     def test_wear_out(self, sim, costs):
         counter = HardwareMonotonicCounter(sim, costs, wear_limit=2)

@@ -233,7 +233,8 @@ def occ_cluster():
 
 
 def occ_get(cluster, key):
-    return cluster.run(cluster.nodes[0].engine.get(key))
+    value, _seq = cluster.run(cluster.nodes[0].engine.get_with_seq(key))
+    return value
 
 
 def occ_put(cluster, key, value):

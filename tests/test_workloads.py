@@ -1,4 +1,4 @@
-"""Tests for workload generators: distributions, YCSB, TPC-C."""
+"""Tests for workload generators: YCSB key choice and mixes, TPC-C."""
 
 import pytest
 
@@ -7,12 +7,9 @@ from repro.core import TreatyCluster
 from repro.bench import MetricsCollector
 from repro.sim import SeededRng
 from repro.workloads import (
-    ScrambledZipfianGenerator,
     TpccScale,
-    UniformGenerator,
     YcsbConfig,
     YcsbWorkload,
-    ZipfianGenerator,
     bulk_load,
     load_tpcc,
     run_tpcc,
@@ -23,40 +20,31 @@ from repro.workloads import tpcc
 
 
 class TestDistributions:
+    """YCSB keys are uniform (§VIII-A), drawn from the ``keys`` child
+    stream of the client's rng."""
+
     def test_uniform_bounds_and_spread(self):
-        gen = UniformGenerator(100, SeededRng(1, "u"))
-        samples = [gen.next() for _ in range(5000)]
-        assert min(samples) >= 0 and max(samples) < 100
-        assert len(set(samples)) > 90
-
-    def test_zipfian_bounds_and_skew(self):
-        gen = ZipfianGenerator(1000, SeededRng(1, "z"))
-        samples = [gen.next() for _ in range(20000)]
-        assert min(samples) >= 0 and max(samples) < 1000
-        # Rank-0 must be far more popular than the uniform expectation.
-        share = samples.count(0) / len(samples)
-        assert share > 0.02  # uniform would be 0.001
-
-    def test_scrambled_zipfian_spreads_hot_keys(self):
-        gen = ScrambledZipfianGenerator(1000, SeededRng(1, "sz"))
-        samples = [gen.next() for _ in range(20000)]
-        hottest = max(set(samples), key=samples.count)
-        assert 0 <= hottest < 1000
-        # Still skewed...
-        assert samples.count(hottest) / len(samples) > 0.02
-        # ...but the hottest key need not be rank 0.
-        assert len(set(samples)) > 300
+        config = YcsbConfig(num_keys=100)
+        workload = YcsbWorkload(config, SeededRng(1, "u"))
+        keys = [key for _ in range(500)
+                for _, key, _ in workload.next_transaction()]
+        assert set(keys) <= {config.key(i) for i in range(100)}
+        assert len(set(keys)) > 90
 
     def test_determinism(self):
-        a = ZipfianGenerator(500, SeededRng(7, "d"))
-        b = ZipfianGenerator(500, SeededRng(7, "d"))
-        assert [a.next() for _ in range(100)] == [b.next() for _ in range(100)]
+        config = YcsbConfig(num_keys=500)
+        a = YcsbWorkload(config, SeededRng(7, "d"))
+        b = YcsbWorkload(config, SeededRng(7, "d"))
+        ops = [a.next_transaction() for _ in range(10)]
+        assert ops == [b.next_transaction() for _ in range(10)]
+        stream = SeededRng(7, "d").child("keys")
+        assert [key for txn in ops for _, key, _ in txn] == [
+            config.key(stream.randrange(500)) for _ in range(100)]
 
     def test_validation(self):
+        workload = YcsbWorkload(YcsbConfig(num_keys=0), SeededRng(1, "x"))
         with pytest.raises(ValueError):
-            UniformGenerator(0, SeededRng(1, "x"))
-        with pytest.raises(ValueError):
-            ZipfianGenerator(0, SeededRng(1, "x"))
+            workload.next_transaction()
 
 
 class TestYcsbGenerator:
@@ -85,10 +73,6 @@ class TestYcsbGenerator:
         keys = {key for _ in range(100) for _, key, _ in workload.next_transaction()}
         assert keys <= {config.key(i) for i in range(50)}
 
-    def test_unknown_distribution_rejected(self):
-        with pytest.raises(ValueError):
-            YcsbWorkload(YcsbConfig(distribution="pareto"), SeededRng(1, "y4"))
-
     def test_variants_match_standard_mixes(self):
         assert YcsbConfig.variant("a").read_proportion == 0.5
         assert not YcsbConfig.variant("a").read_only
@@ -96,10 +80,9 @@ class TestYcsbGenerator:
         assert b.read_proportion == 0.95 and b.read_only
         c = YcsbConfig.variant("C")  # case-insensitive
         assert c.read_proportion == 1.0 and c.read_only
-        e = YcsbConfig.variant("e")
-        assert e.scan_proportion == 0.95 and e.read_only
-        with pytest.raises(KeyError):
-            YcsbConfig.variant("f")
+        for unknown in ("e", "f"):
+            with pytest.raises(KeyError):
+                YcsbConfig.variant(unknown)
 
     def test_variant_overrides_apply(self):
         config = YcsbConfig.variant("c", num_keys=77, read_only=False)
@@ -107,31 +90,9 @@ class TestYcsbGenerator:
         assert config.read_proportion == 1.0
         assert not config.read_only
 
-    def test_scan_lengths_zipf_bounded(self):
-        config = YcsbConfig.variant("e", max_scan_length=40)
-        workload = YcsbWorkload(config, SeededRng(5, "y5"))
-        lengths = [
-            value
-            for _ in range(200)
-            for kind, _, value in workload.next_transaction()
-            if kind == "scan"
-        ]
-        assert lengths, "YCSB-E must emit scans"
-        assert all(1 <= length <= 40 for length in lengths)
-        # Zipf-shaped: short scans dominate the draw.
-        short = sum(1 for length in lengths if length <= 5)
-        assert short / len(lengths) > 0.5
-
-    def test_scan_proportion_respected(self):
-        config = YcsbConfig.variant("e")
-        workload = YcsbWorkload(config, SeededRng(6, "y6"))
-        ops = [op for _ in range(300) for op in workload.next_transaction()]
-        scans = sum(1 for kind, _, _ in ops if kind == "scan")
-        assert 0.90 < scans / len(ops) <= 1.0
-
     def test_is_read_only(self):
         assert YcsbWorkload.is_read_only(
-            [("read", b"k", None), ("scan", b"k", 5)]
+            [("read", b"k", None), ("read", b"j", None)]
         )
         assert not YcsbWorkload.is_read_only(
             [("read", b"k", None), ("update", b"k", b"v")]
@@ -156,21 +117,6 @@ class TestYcsbDriver:
         assert metrics.throughput() > 0
         assert metrics.mean_latency() > 0
 
-    def test_bursty_arrivals_run_end_to_end(self):
-        cluster = TreatyCluster(profile=DS_ROCKSDB).start()
-        config = YcsbConfig(num_keys=200, value_size=100)
-        cluster.run(bulk_load(cluster, config), name="load")
-        metrics = MetricsCollector()
-        run_ycsb(cluster, config, metrics, num_clients=4, duration=0.2,
-                 warmup=0.05, arrivals="bursty")
-        assert metrics.committed > 0
-
-    def test_unknown_arrival_process_rejected(self):
-        cluster = TreatyCluster(profile=DS_ROCKSDB).start()
-        config = YcsbConfig(num_keys=50, value_size=32)
-        with pytest.raises(ValueError):
-            run_ycsb(cluster, config, MetricsCollector(), arrivals="poisson")
-
     def test_snapshot_reads_use_zero_cluster_frames(self):
         # The tentpole claim, pinned: a pure-read workload in snapshot
         # mode performs ZERO coordinator rounds — no frame crosses the
@@ -190,17 +136,26 @@ class TestYcsbDriver:
         assert cluster_nic_tx_frames(cluster) == frames_before
 
     def test_ycsb_e_scans_commit_via_snapshot_reads(self):
+        """Read-only sessions scan ranges across every shard (the
+        snapshot-scan fan-out TPC-C's scans take) and commit."""
         cluster = TreatyCluster(profile=TREATY_ENC).start()
-        config = YcsbConfig.variant(
-            "e", num_keys=200, value_size=100, max_scan_length=20
-        )
+        config = YcsbConfig(num_keys=200, value_size=100)
         cluster.run(bulk_load(cluster, config), name="load")
-        metrics = MetricsCollector()
-        run_ycsb(
-            cluster, config, metrics, num_clients=4, duration=0.3,
-            warmup=0.05,
-        )
-        assert metrics.committed > 5
+        rng = SeededRng(5, "scans")
+
+        def scans():
+            session = cluster.session(cluster.client_machine())
+            for _ in range(8):
+                first, length = rng.randrange(180), 1 + rng.randrange(20)
+                txn = session.begin(read_only=True)
+                rows = yield from txn.scan(config.key(first), None,
+                                           limit=length)
+                yield from txn.commit()
+                assert rows == [(config.key(index), config.value(index, 0))
+                                for index in range(first, first + length)]
+            return session.committed
+
+        assert cluster.run(scans()) == 8
 
     def test_bulk_load_visible_through_transactions(self):
         cluster = TreatyCluster(profile=TREATY_ENC).start()

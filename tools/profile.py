@@ -31,11 +31,10 @@ pass.
 entries per committed transaction *by kind* — what each
 ``Simulator.step`` is about to run, classified by a wrapper installed
 from outside: a sleeping process waking, a process bootstrap, an event
-dispatch that wakes a live waiter or runs a callback, a no-op dispatch
-(an event nobody waits on), a stale wake-up (a timeout or sleep whose
-process was interrupted and moved on), and a plain callable (a
-``call_later`` such as a fabric delivery, or a late callback).  A kernel
-lever starts from this count: it names the entries worth removing.
+dispatch that wakes a waiter or runs a callback, a no-op dispatch (an
+event nobody waits on), and a plain callable (a ``call_later`` such as
+a fabric delivery, or a late callback).  A kernel lever starts from
+this count: it names the entries worth removing.
 
 ``--sample`` runs the pass unprofiled under a statistical sampler
 instead: ``signal.setitimer(ITIMER_PROF)`` interrupts every millisecond
@@ -81,7 +80,7 @@ SAMPLE_S = 1e-3
 
 #: the kinds of kernel entry ``--entries`` counts, in print order.
 ENTRY_KINDS = ("sleep wake", "process bootstrap", "event, live waiter",
-               "event, no-op", "stale wake", "plain callable")
+               "event, no-op", "plain callable")
 
 
 def sim_steps(stats: pstats.Stats) -> int:
@@ -94,29 +93,17 @@ def sim_steps(stats: pstats.Stats) -> int:
     )
 
 
-def _stale(callback, event: Event) -> bool:
-    """A process resume that will find its process gone or moved on."""
-    process = getattr(callback, "__self__", None)
-    return (getattr(callback, "__func__", None) is Process._resume
-            and (process._triggered or process._waiting_on is not event))
-
-
 def entry_kind(sim: Simulator) -> str:
     """The kind of entry the next ``sim.step()`` runs (no chooser)."""
     ready, heap = sim._ready, sim._heap
     if ready and not (heap and heap[0][0] == sim.now):
-        seq, entry = None, ready[0]
+        entry = ready[0]
     else:
-        _when, seq, entry = heap[0]
-    if seq is not None and type(entry) is Process:
-        return "sleep wake" if entry._sleep_seq == seq else "stale wake"
+        _when, _seq, entry = heap[0]
+    if type(entry) is Process and not entry._triggered:
+        return "sleep wake"
     if isinstance(entry, Event):
-        callbacks = entry._callbacks
-        if not callbacks:
-            return "event, no-op"
-        if all(_stale(callback, entry) for callback in callbacks):
-            return "stale wake"
-        return "event, live waiter"
+        return "event, live waiter" if entry._callbacks else "event, no-op"
     if getattr(entry, "__func__", None) is Process._bootstrap_call:
         return "process bootstrap"
     return "plain callable"
