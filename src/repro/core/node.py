@@ -9,7 +9,6 @@ LAS, log replay, freshness checks, prepared-transaction resolution).
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Dict, Generator, Optional
 
 from ..config import ClusterConfig, EnvProfile
@@ -41,21 +40,17 @@ from .pipeline import DurabilityPipeline
 from .rollback import DecisionLedger
 from .trusted_counter import CounterClient, CounterReplica
 from .twopc import (
-    RESOLUTION_RETRY_INTERVAL,
     ClogRecord,
     Coordinator,
     Participant,
     deliver,
     fold_clog,
-    pace,
     replication,
 )
 
 __all__ = ["TreatyNode"]
 
 Gen = Generator[Event, Any, Any]
-
-_RESOLUTION_OP_BASE = 1 << 60
 
 
 class TreatyNode:
@@ -90,7 +85,6 @@ class TreatyNode:
         self.cluster_address = name
         self.front_address = name + ".front"
         self.is_up = False
-        self._resolution_ops = itertools.count(1)
         # Volatile components (built at start/recover).
         self.runtime: Optional[NodeRuntime] = None
         self.engine: Optional[LSMEngine] = None
@@ -207,7 +201,6 @@ class TreatyNode:
             self.addresses,
             self.pipeline,
             self.ledger,
-            self._resolution_op_id,
         )
         self.coordinator = Coordinator(
             self.runtime,
@@ -325,11 +318,9 @@ class TreatyNode:
         # fence their locks would be held forever).
         self.sim.spawn(self._fence_peers(), name="fence@%s" % self.name)
 
-        # Rebuild coordinator decisions; find unresolved prepares and
-        # commits whose completion was never recorded.
-        seen_prepares, incomplete_commits, decided_aborts, decisions = (
-            fold_clog(clog_entries)
-        )
+        # Rebuild coordinator decisions from the Clog: what it last
+        # recorded per transaction, and which commits it recorded COMPLETE.
+        records, completed, decisions = fold_clog(clog_entries)
         self.coordinator.decisions.update(decisions)
 
         # Warm the fresh decision ledger with one vectored query burst
@@ -344,41 +335,49 @@ class TreatyNode:
 
         # Re-adopt prepared participant-local transactions (§VI: "each
         # node will re-initialize all prepared Txs that are not yet
-        # committed") and resolve them with their coordinators.
+        # committed").
         for txn_id in prepared_ids:
             writes = self.engine.prepared_txns[txn_id]
             yield from self._adopt_prepared(txn_id, writes)
-            self.sim.spawn(
-                self._resolve_prepared(txn_id), name="resolve@%s" % self.name
-            )
 
-        # Coordinator half: undecided transactions are presumed aborted
-        # (their decision was never stable, so no client saw success);
-        # decided-commit transactions are re-driven so participants that
+        # One fiber per transaction left to finish.  A half of another
+        # node's transaction asks that coordinator how it ended.  This
+        # node's own transactions re-run what the Clog says — undecided
+        # ones abort (their decision was never protected, so no client
+        # saw success), decided ones are re-driven so participants that
         # crashed mid-commit converge ("if a node has already committed
-        # the Tx, this message is ignored").
-        for key, record in seen_prepares.items():
-            self.sim.spawn(
-                self._abort_undecided(record), name="re-abort@%s" % self.name
-            )
-        for key, record in incomplete_commits.items():
-            self.sim.spawn(
-                self._redrive_commit(record), name="re-commit@%s" % self.name
-            )
-        for key, record in decided_aborts.items():
-            self.sim.spawn(
-                self._redrive_abort(record), name="re-abort@%s" % self.name
-            )
+        # the Tx, this message is ignored") — and that fiber applies the
+        # own half if it came back prepared, COMPLETE or not.
+        redriven = 0
+        for key in dict.fromkeys([*records, *prepared_ids]):
+            gid = GlobalTxnId.decode(key)
+            if gid.node_id != self.numeric_id:
+                self.sim.spawn(
+                    self.participant.resolve(key),
+                    name="resolve@%s" % self.name,
+                )
+            elif key not in completed or key in self.participant.active:
+                # Presumed abort: the Clog decided nothing it does not name.
+                record = records.get(key) or ClogRecord(
+                    ClogRecord.PREPARE, gid, []
+                )
+                self.sim.spawn(
+                    self.coordinator.replay(record, key in completed),
+                    name="replay@%s" % self.name,
+                )
+                redriven += (
+                    record.kind == ClogRecord.COMMIT and key not in completed
+                )
         self.is_up = True
         if self.sim.tracer is not None:
             self.sim.tracer.event(
                 "node", "recover_done", node=self.name,
                 prepared=sorted(txn_id.hex() for txn_id in prepared_ids),
-                redriven=len(incomplete_commits),
+                redriven=redriven,
             )
         if recovery_span is not None:
             recovery_span.close(
-                prepared=len(prepared_ids), redriven=len(incomplete_commits)
+                prepared=len(prepared_ids), redriven=redriven
             )
         return state
 
@@ -392,22 +391,6 @@ class TreatyNode:
             txn.buffer.record(key, value)
         txn.status = TxnStatus.PREPARED
         self.participant.active[txn_id] = txn
-
-    def _resolution_op_id(self) -> int:
-        # The replay guard dedups on (node, txn, op) where node/txn name
-        # the *coordinator's* transaction — but resolution op ids are
-        # allocated by the *asking* node.  Two recovered participants at
-        # the same boot epoch asking about the same transaction would
-        # otherwise mint identical triples, and the coordinator would
-        # drop the second genuine query as a replay (leaving that
-        # participant's prepared half, and its locks, parked forever).
-        # Folding the asker's id into the op makes the triple unique.
-        return (
-            _RESOLUTION_OP_BASE
-            | (self.numeric_id << 50)
-            | (self.boot_count << 40)
-            | next(self._resolution_ops)
-        )
 
     def _fence_peers(self) -> Gen:
         """Tell every peer this node's pre-crash epoch is dead.
@@ -424,132 +407,7 @@ class TreatyNode:
             self.cluster_rpc, self.addresses, self.participant.peers,
             lambda: TxMessage(
                 MsgType.TXN_FENCE, self.numeric_id, self.boot_count,
-                self._resolution_op_id(),
+                self.participant.op_id(),
             ),
             rounds=10,
-        )
-
-    def _resolve_prepared(self, txn_id: bytes) -> Gen:
-        """Learn how a recovered prepared half was decided; apply it."""
-        gid = GlobalTxnId.decode(txn_id)
-        replicated = replication(self.runtime)
-        own = gid.node_id == self.numeric_id
-        if own and replicated:
-            # This node's own Clog decision is necessary but no longer
-            # sufficient: a COMMIT whose replication round never reached
-            # quorum may have been superseded by a completer abort
-            # quorum while this node was down.  The completer state
-            # machine re-derives the final outcome from the slot quorum
-            # (the redrive fiber re-confirms the decision and drives the
-            # group in parallel).
-            yield from self.participant.complete(txn_id)
-            return
-        if own:
-            # Ask this node's coordinator role, which answers only once
-            # the decision entry is protected — it may sit in the
-            # replayed Clog's unstable suffix.
-            kind = yield from self.coordinator.resolve(txn_id)
-        else:
-            # The coordinator may be down, or the question or its answer
-            # lost.  Without decision replication its answer is the only
-            # safe way to decide, so ask until it comes; with
-            # replication a quorum of peers holds the decision, so once
-            # the decision timeout elapses hand the transaction to the
-            # completer state machine instead of blocking on a dead
-            # coordinator.
-            deadline = self.sim.now + self.config.decision_timeout_s
-            while True:
-                round_start = self.sim.now
-                (reply,) = yield from self.cluster_rpc.gather(
-                    [(
-                        self.addresses[gid.node_id],
-                        TxMessage(
-                            MsgType.TXN_RESOLVE, gid.node_id, gid.local_seq,
-                            self._resolution_op_id(),
-                        ),
-                    )],
-                    timeout=RESOLUTION_RETRY_INTERVAL,
-                )
-                if reply is not None:
-                    break
-                if replicated and self.sim.now >= deadline:
-                    yield from self.participant.complete(txn_id)
-                    return
-                yield from pace(self.sim, round_start)
-            kind = (
-                ClogRecord.COMMIT if reply.body == b"commit"
-                else ClogRecord.ABORT
-            )
-        targets = yield from self.participant.apply(txn_id, kind)
-        if targets is None:
-            # A coordinator redrive resolved this transaction while the
-            # query was in flight (the coordinator can recover and
-            # re-broadcast concurrently with our retries).
-            return
-        if self.sim.tracer is not None:
-            self.sim.tracer.event(
-                "twopc", "prepared_resolved", node=self.name,
-                txn=txn_id.hex(),
-                outcome="commit" if kind == ClogRecord.COMMIT else "abort",
-            )
-        yield from self.pipeline.stabilize_group(
-            targets, txn=txn_id.hex(), phase="resolve-apply"
-        )
-
-    def _abort_undecided(self, record: ClogRecord) -> Gen:
-        counter = yield from self.coordinator.log_clog(
-            ClogRecord(ClogRecord.ABORT, record.gid, record.participants)
-        )
-        self.pipeline.background(self.clog.log_name, counter)
-        yield from self.participant.instruct(
-            ClogRecord.ABORT, record.gid, record.participants
-        )
-
-    def _redrive_abort(self, record: ClogRecord) -> Gen:
-        """Re-instruct participants of a decided-abort transaction.
-
-        Aborts log no COMPLETE record (presumed abort), so recovery
-        re-broadcasts every one: the pre-crash coordinator may have
-        logged the ABORT decision but died before any participant heard
-        it, and their prepared halves (with their locks) would wait
-        forever.  Participants that already aborted — or never heard of
-        the transaction — acknowledge and ignore the duplicate.
-        """
-        yield from self.participant.instruct(
-            ClogRecord.ABORT, record.gid, record.participants
-        )
-
-    def _redrive_commit(self, record: ClogRecord) -> Gen:
-        """Re-run a decided commit from its Clog entry: protect, deliver.
-
-        Participants that already committed ignore the message; ones
-        that recovered with the transaction still prepared commit it.
-        The decision entry may sit in the replayed Clog's unstable
-        suffix (the pre-crash coordinator logged it but died before
-        stabilizing), so it is protected again before any participant
-        is told to commit — together with any piggybacked prepare
-        targets the pre-crash coordinator collected but never saw
-        stabilized (a participant may hold its matching prepare record
-        in *its* unstable WAL suffix, waiting on exactly this round).
-
-        Under decision replication protecting also *re-confirms* the
-        decision quorum: while this coordinator was down a completer
-        abort quorum may have formed (a COMMIT entry whose replication
-        round never reached quorum is unobservable — no client saw it
-        succeed), in which case the cluster already converged on abort
-        and the redrive logs a superseding ABORT and follows.
-        """
-        key = record.gid.encode()
-        _kind, counter, targets = self.coordinator.decisions[key]
-        kind = yield from self.coordinator.protect(
-            ClogRecord.COMMIT, record.gid, record.participants,
-            list(targets), counter, phase="redrive",
-        )
-        # Apply-side targets piggybacked on the re-driven COMMIT ACKs
-        # still deserve stabilization (off the critical path).
-        apply_targets = yield from self.participant.instruct(
-            kind, record.gid, record.participants
-        )
-        yield from self.pipeline.stabilize_group(
-            apply_targets, txn=key.hex(), phase="redrive-apply"
         )

@@ -98,17 +98,18 @@ class StableCounterResolver:
 class DecisionResolver:
     """Warm a recovering node's decision ledger in one vectored burst.
 
-    Recovery re-adopts every prepared transaction half and spawns one
-    resolve fiber each; under ``protocol="optimized"`` a fiber whose
-    coordinator stays unreachable falls back to the completer state
-    machine, which opens with a decision-query round of its own.  This
-    resolver front-loads that work: one DECISION_QUERY per (peer,
-    in-doubt transaction), all enqueued in the same instant so the
-    transport's doorbell window coalesces them into one sealed frame
-    per peer — the decision-ledger analogue of
+    Recovery re-adopts every prepared transaction half and finishes each
+    in a fiber of its own; under ``protocol="optimized"`` the fiber of a
+    half whose coordinator stays unreachable falls back to the completer
+    state machine, which opens with a decision-query round of its own,
+    and a recovering coordinator re-protecting its own commit reads its
+    own slot first.  This resolver front-loads that work: one
+    DECISION_QUERY per (peer, in-doubt transaction), all enqueued in the
+    same instant so the transport's doorbell window coalesces them into
+    one sealed frame per peer — the decision-ledger analogue of
     :class:`StableCounterResolver`'s vectored quorum read.  Every
-    answered record lands in the node's write-once ledger, so resolve
-    fibers and completer takeovers start from warmed slots.
+    answered record lands in the node's write-once ledger, so those
+    fibers start from warmed slots.
     """
 
     def __init__(self, participant):
@@ -130,7 +131,7 @@ class DecisionResolver:
                     part.addresses[node],
                     TxMessage(
                         MsgType.DECISION_QUERY, gid.node_id,
-                        gid.local_seq, part.op_ids(),
+                        gid.local_seq, part.op_id(),
                     ),
                 )
                 for _txn_id, gid, node in asked

@@ -194,36 +194,29 @@ class ClogRecord:
         return cls(kind, gid, *_take_group(reader))
 
 
-def fold_clog(entries) -> Tuple[dict, dict, dict, dict]:
+def fold_clog(entries) -> Tuple[dict, set, dict]:
     """Fold replayed ``(counter, payload)`` Clog entries into the 2PC
-    state they leave behind, each a dict keyed by gid bytes in log order:
-    undecided PREPAREs, COMMITs whose COMPLETE was never recorded,
-    decided ABORTs, and every decision as ``(kind, counter, targets)``.
+    state they leave behind: per gid (bytes, in log order) the last
+    PREPARE / COMMIT / ABORT record, the gids whose COMMIT was recorded
+    COMPLETE, and every decision as ``(kind, counter, targets)``.
 
     The later entry wins: an ABORT can supersede an earlier COMMIT whose
     decision quorum proved unreachable (only the abort was ever
     observable).
     """
-    prepares: Dict[bytes, ClogRecord] = {}
-    commits: Dict[bytes, ClogRecord] = {}
-    aborts: Dict[bytes, ClogRecord] = {}
+    records: Dict[bytes, ClogRecord] = {}
+    completed = set()
     decisions: Dict[bytes, Tuple[int, int, tuple]] = {}
     for counter, payload in entries:
         record = ClogRecord.decode(payload)
         key = record.gid.encode()
-        if record.kind == ClogRecord.PREPARE:
-            prepares[key] = record
-        elif record.kind == ClogRecord.COMPLETE:
-            commits.pop(key, None)
-        else:
+        if record.kind == ClogRecord.COMPLETE:
+            completed.add(key)
+            continue
+        records[key] = record
+        if record.kind != ClogRecord.PREPARE:
             decisions[key] = (record.kind, counter, tuple(record.targets))
-            prepares.pop(key, None)
-            if record.kind == ClogRecord.COMMIT:
-                commits[key] = record
-            else:
-                commits.pop(key, None)
-                aborts[key] = record
-    return prepares, commits, aborts, decisions
+    return records, completed, decisions
 
 
 class DecisionRecord:

@@ -1,7 +1,8 @@
 """The coordinator role: owns the Clog, makes a logged decision safe to
 act on (stabilized under ``protocol="paper"``, replicated to a quorum of
-decision slots under ``"optimized"``) and tells recovering participants
-how a transaction ended.  The transactions it begins are
+decision slots under ``"optimized"``), re-runs the decisions its Clog
+left open after a crash and tells recovering participants how a
+transaction ended.  The transactions it begins are
 :class:`~.txn.GlobalTxn` handles.
 """
 
@@ -22,8 +23,10 @@ from .codec import ClogRecord, DecisionRecord
 from .participant import Participant
 from .steps import (
     KIND_NAMES,
+    REPLAYED,
     RESOLUTION_RETRY_INTERVAL,
     Gen,
+    finish,
     pace,
     piggyback,
     replication,
@@ -71,7 +74,9 @@ class Coordinator:
         self.ledger = ledger
         #: this node's Participant role: the coordinator's own shard's
         #: half lives, votes and applies there, reached by direct call.
+        #: The participant finishes decisions through this role too.
         self.participant = participant
+        participant.coordinator = self
         self.epoch = epoch
         #: per-incarnation decision-replication operation ids: distinct
         #: base from transaction ops and resolution ops, epoch-stamped so
@@ -259,50 +264,88 @@ class Coordinator:
         else:
             yield from self.pipeline.stabilize(self.clog.log_name, counter)
 
-    def protect(
-        self,
-        kind: int,
-        gid: GlobalTxnId,
-        participants: List[int],
-        targets: List[Target],
-        counter: int,
-        phase: str = "decision",
-    ) -> Gen:
+    def protect(self, record: DecisionRecord, phase: str) -> Gen:
         """Make a logged decision safe to act on (Figure 2, steps 6–7).
 
-        ``paper``: stabilize the decision's Clog entry (``counter``).
-        ``optimized``: replicate the decision record to the whole
-        cluster, riding the group round that rollback-protects the
-        entry and the piggybacked prepare ``targets``, and for a COMMIT
-        wait for a quorum of slot acknowledgements — any participant can
-        then finish the transaction without this coordinator.  If
-        completer abort slots beat the replication, the commit can never
-        reach its quorum, so no client was (or ever will be)
-        acknowledged: a superseding ABORT is logged.
+        ``paper``: stabilize the decision's Clog entry.  ``optimized``:
+        replicate the decision record to the whole cluster, riding the
+        group round that rollback-protects the entry and the piggybacked
+        prepare targets, and for a COMMIT wait for a quorum of slot
+        acknowledgements — any participant can then finish the
+        transaction without this coordinator.  If completer abort slots
+        beat the replication, the commit can never reach its quorum, so
+        no client was (or ever will be) acknowledged: a superseding
+        ABORT is logged.
 
         Returns the kind that is final — the one to deliver and apply.
         """
         if not replication(self.runtime):
-            yield from self.pipeline.stabilize(self.clog.log_name, counter)
-            return kind
+            yield from self.pipeline.stabilize(
+                self.clog.log_name, record.counter
+            )
+            return record.kind
         replicated = yield from self._replicate_decision(
-            DecisionRecord(
-                kind, gid, participants, targets, self.clog.log_name,
-                counter, self.node_numeric_id,
-            ),
-            gid.encode().hex(), phase,
+            record, record.gid.encode().hex(), phase
         )
         if replicated:
-            return kind
-        superseded = yield from self.log_clog(
+            return record.kind
+        kind = yield from self.supersede(record.gid, record.participants)
+        return kind
+
+    def supersede(self, gid: GlobalTxnId, participants: List[int]) -> Gen:
+        """Log ABORT for ``gid``; its stabilization runs in the background
+        (presumed abort: nobody waits on an abort being protected)."""
+        counter = yield from self.log_clog(
             ClogRecord(ClogRecord.ABORT, gid, participants)
         )
-        self.pipeline.background(self.clog.log_name, superseded)
+        self.pipeline.background(self.clog.log_name, counter)
         return ClogRecord.ABORT
 
-    # -- recovery support ------------------------------------------------------------
-    def resolve(self, gid_bytes: bytes) -> Gen:
-        """How ``gid`` was decided, once that is safe to act on.
+    def log_complete(
+        self, record: DecisionRecord, targets: List[Target], phase: str
+    ) -> Gen:
+        """Record that every participant was told: log COMPLETE, and
+        under piggybacking stabilize it with the apply-side ``targets``
+        in one more group-wide round."""
+        counter = yield from self.log_clog(
+            ClogRecord(ClogRecord.COMPLETE, record.gid, record.participants)
+        )
+        yield from self._stabilize_entry(
+            counter, targets, record.gid.encode().hex(), phase
+        )
+
+    # -- recovery ------------------------------------------------------------------
+    def replay(self, record: ClogRecord, complete: bool) -> Gen:
+        """The ``replayed`` entry: finish what the replayed Clog says of
+        one of this node's transactions.
+
+        Undecided: presumed abort.  A COMMIT is protected again: its
+        entry or piggybacked targets may be unstable, and under
+        ``optimized`` a completer abort quorum may have superseded it.
+        Aborts log no COMPLETE, so each recovery re-broadcasts them.  The
+        group is told in one round (§VI: duplicates are ignored) — not
+        at all once COMPLETE is recorded, when only the own half may be
+        left, back prepared because its commit record was unstable.
+        """
+        _kind, counter, targets = self.decisions.get(
+            record.gid.encode(), (record.kind, 0, ())
+        )
+        yield from finish(
+            self, REPLAYED,
+            DecisionRecord(
+                record.kind, record.gid, record.participants, list(targets),
+                self.clog.log_name, counter, self.node_numeric_id,
+            ),
+            [] if complete else [
+                node for node in record.participants
+                if node != self.node_numeric_id
+            ],
+            self.participant.op_id,
+        )
+
+    def _on_resolve(self, message: TxMessage, src: str) -> Gen:
+        """A recovering participant asks how ``gid`` was decided; answer
+        once that is safe to act on.
 
         Presumed abort: with no logged commit decision the transaction
         cannot have been acknowledged, so ABORT is always safe.  A
@@ -316,6 +359,8 @@ class Coordinator:
         recovered prepare record must be rollback-protected before its
         half commits on this answer.
         """
+        yield from self.runtime.op_overhead()
+        gid_bytes = GlobalTxnId(message.node_id, message.txn_id).encode()
         kind, counter, targets = self.decisions.get(
             gid_bytes, (ClogRecord.ABORT, 0, ())
         )
@@ -323,14 +368,6 @@ class Coordinator:
             yield from self._stabilize_entry(
                 counter, targets, gid_bytes.hex(), "resolve"
             )
-        return kind
-
-    def _on_resolve(self, message: TxMessage, src: str) -> Gen:
-        """A recovering participant asks how ``gid`` was decided."""
-        yield from self.runtime.op_overhead()
-        kind = yield from self.resolve(
-            GlobalTxnId(message.node_id, message.txn_id).encode()
-        )
         return message.reply(
             MsgType.TXN_RESOLVE_REPLY, KIND_NAMES[kind].encode()
         )

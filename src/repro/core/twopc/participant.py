@@ -1,11 +1,13 @@
 """The participant role: executes coordinators' operations on this
-node's shard, votes in PREPARE, applies the decision exactly once — and,
-under ``protocol="optimized"``, finishes an in-doubt transaction in a
-dead coordinator's stead (the completer).
+node's shard, votes in PREPARE, applies the decision exactly once, asks
+the coordinator how a recovered in-doubt half ended — and, under
+``protocol="optimized"``, finishes an in-doubt transaction in a dead
+coordinator's stead (the completer).
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, Dict, List, Optional
 
 from ...errors import NetworkError, TransactionAborted
@@ -31,12 +33,14 @@ from .codec import (
     encode_versioned_reply,
 )
 from .steps import (
-    INSTRUCTIONS,
+    ANSWERED,
     KIND_NAMES,
     PREPARE_VOTE_TIMEOUT,
+    QUORUM_FINAL,
     RESOLUTION_RETRY_INTERVAL,
     Gen,
-    deliver,
+    finish,
+    pace,
     piggyback,
     replication,
 )
@@ -57,7 +61,6 @@ class Participant:
         addresses: Dict[int, str],
         pipeline,
         ledger: DecisionLedger,
-        op_ids: Callable[[], int],
     ):
         self.runtime = runtime
         self.manager = manager
@@ -75,11 +78,10 @@ class Participant:
         #: write-once decision slots (non-blocking commit), shared with
         #: the node's Coordinator role.
         self.ledger = ledger
-        #: mints cluster-unique operation ids for completer- and
-        #: recovery-driven messages (asker-folded, see
-        #: ``TreatyNode._resolution_op_id``), so two racing completers
-        #: never collide in a peer's replay guard.
-        self.op_ids = op_ids
+        #: this node's Coordinator role, which wires itself in: the
+        #: decisions this role finishes are protected through it.
+        self.coordinator = None
+        self._ops = itertools.count(1)
         #: deterministic jitter de-synchronizing simultaneous watchdogs.
         self._rng = SeededRng(
             runtime.config.seed, runtime.name or "participant",
@@ -145,13 +147,34 @@ class Participant:
         if txn is not None:
             yield from txn.rollback()
 
+    def op_id(self) -> int:
+        """A cluster-unique operation id for a message this node sends
+        about a transaction it may not coordinate (completer, recovery,
+        fence).
+
+        The replay guard dedups on ``(node, txn, op)`` where node/txn
+        name the *coordinator's* transaction, but these ids are minted
+        by the *asking* node.  Two recovered participants at the same
+        boot epoch asking about the same transaction would otherwise
+        mint identical triples, and the coordinator would drop the
+        second genuine query as a replay (leaving that participant's
+        prepared half, and its locks, parked forever).  Folding the
+        asker's id and boot epoch into the op makes the triple unique.
+        """
+        return (
+            (1 << 60)
+            | (self.numeric_id << 50)
+            | (self.runtime.epoch << 40)
+            | next(self._ops)
+        )
+
     def _message(
         self, msg_type: int, gid: GlobalTxnId, body: bytes = b""
     ) -> TxMessage:
         """A completer- or recovery-driven message about ``gid``, under
         a fresh cluster-unique operation id."""
         return TxMessage(
-            msg_type, gid.node_id, gid.local_seq, self.op_ids(), body
+            msg_type, gid.node_id, gid.local_seq, self.op_id(), body
         )
 
     def _fence(self, key: bytes, coordinator: int, epoch: int) -> Gen:
@@ -489,16 +512,51 @@ class Participant:
             return
         yield from self._fence(gid_bytes, gid.node_id, 0)
 
+    # -- a recovered half of another node's transaction ---------------------
+    def resolve(self, gid_bytes: bytes) -> Gen:
+        """Ask the coordinator how a half that recovered prepared ended,
+        then finish it (the ``answered`` entry).
+
+        The coordinator may be down, or the question or its answer lost.
+        Without decision replication its answer is the only safe way to
+        decide, so ask until it comes; with replication a quorum of peers
+        holds the decision, so once the decision timeout elapses take
+        over as the completer instead of blocking on a dead coordinator.
+        """
+        sim = self.runtime.sim
+        gid = GlobalTxnId.decode(gid_bytes)
+        deadline = sim.now + self.runtime.config.decision_timeout_s
+        while True:
+            round_start = sim.now
+            (reply,) = yield from self._ask(
+                MsgType.TXN_RESOLVE, gid, [gid.node_id]
+            )
+            if reply is not None:
+                break
+            if replication(self.runtime) and sim.now >= deadline:
+                yield from self.complete(gid_bytes)
+                return
+            yield from pace(sim, round_start)
+        kind = (
+            ClogRecord.COMMIT if reply.body == b"commit"
+            else ClogRecord.ABORT
+        )
+        yield from finish(
+            self.coordinator, ANSWERED,
+            DecisionRecord(kind, gid, [], [], "", 0, gid.node_id),
+            [], self.op_id,
+        )
+
     # -- the completer state machine -----------------------------------------
     def complete(self, gid_bytes: bytes) -> Gen:
         """Assume the completer role for an in-doubt prepared half.
 
         Tally the cluster's decision slots each round: once COMMIT holds
-        a majority of slots the decision is final and this node applies
-        it (rollback-protecting the whole group first) and drives the
-        rest of the group; once enough conflicting slots make commit
-        unreachable, abort is final (presumed abort: a commit that never
-        reached its quorum was never acknowledged to any client).  With
+        a majority of slots the decision is final and this node finishes
+        it (rollback-protects the whole group, drives the rest of the
+        group, applies its own half); once enough conflicting slots make
+        commit unreachable, abort is final (presumed abort: a commit that
+        never reached its quorum was never acknowledged to any client).  With
         neither final, spread the best record we saw — or propose abort —
         into every reachable empty slot and retally after a jittered
         backoff.  Races between completers (and a recovering
@@ -545,11 +603,24 @@ class Participant:
                         kinds[node] = stored.kind
                     final = self._final(kinds)
                 if final is not None:
+                    # The ``quorum-final`` entry: protect a COMMIT with
+                    # the group round the coordinator would have run,
+                    # tell the group the record names (one round: every
+                    # prepared peer runs its own watchdog anyway), then
+                    # apply here.
                     outcome = KIND_NAMES[final]
-                    yield from self._finish(
-                        gid_bytes, final,
-                        commit_record if final == ClogRecord.COMMIT
-                        else ledger.get(gid_bytes),
+                    record = commit_record
+                    if final != ClogRecord.COMMIT:
+                        held = ledger.get(gid_bytes)
+                        record = DecisionRecord(
+                            final, gid, held.participants if held else [],
+                            [], "", 0, self.numeric_id,
+                        )
+                    yield from finish(
+                        self.coordinator, QUORUM_FINAL, record,
+                        [node for node in record.participants
+                         if node != self.numeric_id],
+                        self.op_id,
                     )
                     return
                 yield sim.sleep(
@@ -625,42 +696,3 @@ class Participant:
             node for node, reply in zip(nodes, replies)
             if reply is not None and reply.msg_type == MsgType.ACK
         ]
-
-    def instruct(self, kind: int, gid: GlobalTxnId, participants) -> Gen:
-        """Deliver a final decision to the group's other members, once.
-
-        One round only — this is the completer's and recovery's
-        delivery: unreachable peers complete via their own watchdogs or
-        resolve against the coordinator when they recover, and duplicate
-        instructions are absorbed by the receivers' exactly-once
-        :meth:`apply`.  Returns the piggybacked apply-side targets.
-        """
-        return deliver(
-            self.rpc, self.addresses,
-            [node for node in participants if node != self.numeric_id],
-            lambda: self._message(INSTRUCTIONS[kind], gid),
-        )
-
-    def _finish(
-        self, gid_bytes: bytes, kind: int, record: Optional[DecisionRecord]
-    ) -> Gen:
-        """Finish a quorum-final decision in the coordinator's stead:
-        protect, apply here, deliver to the peers the record names (best
-        effort — every prepared peer runs its own watchdog anyway)."""
-        txn_hex = gid_bytes.hex()
-        if kind == ClogRecord.COMMIT and record is not None:
-            # I1: the group's prepare records and the decision entry must
-            # be rollback-protected before anyone applies the commit —
-            # the same group round the coordinator would have run.
-            yield from self.pipeline.stabilize_group(
-                record.targets + [(record.log_name, record.counter)],
-                txn=txn_hex, phase="complete",
-            )
-        targets = (yield from self.apply(gid_bytes, kind)) or []
-        if record is not None:
-            targets += yield from self.instruct(
-                kind, record.gid, record.participants
-            )
-        yield from self.pipeline.stabilize_group(
-            targets, txn=txn_hex, phase="complete"
-        )

@@ -17,6 +17,7 @@ from ..ids import GlobalTxnId
 from ..trusted_counter import decode_counter_vector
 from .codec import (
     ClogRecord,
+    DecisionRecord,
     decode_scan_reply,
     decode_value_reply,
     decode_versioned_reply,
@@ -26,12 +27,12 @@ from .codec import (
     encode_write,
 )
 from .steps import (
-    INSTRUCTIONS,
+    DECIDED,
     KIND_NAMES,
     PREPARE_VOTE_TIMEOUT,
     Gen,
     deliver,
-    replication,
+    finish,
 )
 
 if TYPE_CHECKING:
@@ -72,10 +73,13 @@ class GlobalTxn:
         self._occ_bodies: Dict[int, bytes] = {}
 
     # -- helpers -----------------------------------------------------------------
-    def _message(self, msg_type: int, body: bytes = b"") -> TxMessage:
+    def _op_id(self) -> int:
         self._op_seq += 1
+        return self._op_seq
+
+    def _message(self, msg_type: int, body: bytes = b"") -> TxMessage:
         return TxMessage(
-            msg_type, self.gid.node_id, self.gid.local_seq, self._op_seq, body
+            msg_type, self.gid.node_id, self.gid.local_seq, self._op_id(), body
         )
 
     @property
@@ -370,12 +374,14 @@ class GlobalTxn:
         metrics.histogram("twopc.prepare_s").observe(
             self.runtime.now - phase_start
         )
-        # 6-7: log + protect the decision before acting on it.  With
-        # piggybacking the participants' prepare targets fold into the
-        # same group-wide round: one echo broadcast rollback-protects
-        # every prepare record *and* the Clog decision entry.  Aborted
-        # prepares need no rollback protection (presumed abort): only a
-        # commit decision carries the group.
+        # 6-8: log the decision, then finish it (the ``decided`` entry).
+        # With piggybacking the prepare targets ride the protecting group
+        # round, which rollback-protects every prepare record *and* the
+        # decision entry; an abort carries no group (presumed abort).
+        # ``paper`` delivers until every shard ACKs: the decision exists
+        # only in this Clog.  Under decision replication a quorum of
+        # slots outlives this coordinator, so two rounds are enough: a
+        # participant that misses both finishes via its watchdog.
         phase_start = self.runtime.now
         span = tracer.span(
             "twopc", "decision_log", node=coordinator.node, txn=txn_hex
@@ -386,37 +392,26 @@ class GlobalTxn:
         decision_counter = yield from coordinator.log_clog(
             ClogRecord(voted, self.gid, participants, targets=prepare_targets)
         )
-        decision = yield from coordinator.protect(
-            voted, self.gid, participants, prepare_targets, decision_counter,
+
+        def protected(kind: int):
+            nonlocal phase_start
+            span.close()
+            metrics.histogram("twopc.decision_s").observe(
+                self.runtime.now - phase_start
+            )
+            phase_start = self.runtime.now
+            return tracer.span(
+                "twopc", KIND_NAMES[kind], node=coordinator.node, txn=txn_hex
+            )
+
+        decision = yield from finish(
+            coordinator, DECIDED,
+            DecisionRecord(
+                voted, self.gid, participants, prepare_targets,
+                coordinator.clog.log_name, decision_counter, own,
+            ),
+            remote, self._op_id, protected,
         )
-        span.close()
-        metrics.histogram("twopc.decision_s").observe(
-            self.runtime.now - phase_start
-        )
-        # 8: instruct the participants, then apply the own node's half.
-        # ``paper`` retries forever: the decision exists only in this
-        # coordinator's Clog.  Under decision replication a quorum of
-        # slots outlives this coordinator, so delivery is best-effort
-        # (two rounds): a participant that misses both finishes via its
-        # decision watchdog instead of wedging this fiber on a dead
-        # peer.  The COMMIT ACKs and the own apply return apply-side
-        # targets; nobody waits for those before the client reply.  The
-        # own half may be gone already — it voted NO, or a completer's
-        # instruction reached this node first: nothing to apply then.
-        phase_start = self.runtime.now
-        span = tracer.span(
-            "twopc", KIND_NAMES[decision], node=coordinator.node, txn=txn_hex
-        )
-        apply_targets = yield from deliver(
-            coordinator.rpc, coordinator.addresses, remote,
-            lambda: self._message(INSTRUCTIONS[decision]),
-            rounds=2 if replication(self.runtime) else None,
-        )
-        if own in participants:
-            apply_targets += (
-                yield from coordinator.participant.apply(self.key, decision)
-            ) or []
-        span.close()
         if decision != ClogRecord.COMMIT:
             self.status = TxnStatus.ABORTED
             coordinator.aborts += 1
@@ -429,20 +424,6 @@ class GlobalTxn:
         )
         self.status = TxnStatus.COMMITTED
         coordinator.distributed_commits += 1
-
-        # Off the critical path: record that every participant committed,
-        # so recovery does not re-drive this transaction.  Under
-        # piggybacking the COMPLETE entry and every apply-side target
-        # share one more group-wide round.
-        def log_complete() -> Gen:
-            counter = yield from coordinator.log_clog(
-                ClogRecord(ClogRecord.COMPLETE, self.gid, participants)
-            )
-            yield from coordinator._stabilize_entry(
-                counter, apply_targets, txn_hex, "complete"
-            )
-
-        self.runtime.sim.spawn(log_complete(), name="clog-complete")
 
     def rollback(self, failed_node: Optional[int] = None) -> Gen:
         """TXNROLLBACK: abort everywhere (presumed abort, nothing logged)."""

@@ -35,9 +35,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..config import ClusterConfig, TREATY_FULL
 from ..core import TreatyCluster
-from ..core.node import TreatyNode
 from ..core.pipeline import DurabilityPipeline
-from ..core.twopc import Coordinator
+from ..core.twopc import ClogRecord, Coordinator
 from ..errors import NetworkError, TransactionAborted
 from ..net.adversary import ENUMERATED_DELAY
 from ..net.message import MsgType
@@ -156,13 +155,18 @@ def parse_scope(spec: str, **overrides: Any) -> Scope:
 
 # -- mutations: recovery rules the checker should catch when broken ----------
 
-def _disable(owner: type, name: str, doc: str, result: Any = None):
+def _disable(
+    owner: type, name: str, doc: str, result: Any = None,
+    kind: Optional[int] = None,
+):
     """A context manager that stubs out generator method ``owner.name``.
 
     The patched methods are all spawned as fibers (or yielded from), so
     the stub is a generator function too: it does nothing and returns
-    ``result``.  ``patch.target`` names the seam, so a test can check
-    that every mutation still points at a method that exists.
+    ``result``.  With ``kind``, only calls whose first argument is a
+    record of that kind are stubbed; the others run the method.
+    ``patch.target`` names the seam, so a test can check that every
+    mutation still points at a method that exists.
     """
 
     @contextlib.contextmanager
@@ -170,8 +174,8 @@ def _disable(owner: type, name: str, doc: str, result: Any = None):
         original = getattr(owner, name)
 
         def stub(self, *args, **kwargs):
-            if False:
-                yield
+            if kind is not None and args[0].kind != kind:
+                return (yield from original(self, *args, **kwargs))
             return result
 
         stub.__doc__ = doc
@@ -189,19 +193,23 @@ def _disable(owner: type, name: str, doc: str, result: Any = None):
 MUTATIONS = {
     # §VI: a recovering coordinator must re-broadcast decided aborts —
     # the pre-crash coordinator may have logged ABORT and died before
-    # any participant heard it.  Disabled, a participant prepared under
-    # a twice-crashed coordinator holds its locks forever.
+    # any participant heard it.  Disabled (the ``replayed`` entry skips
+    # a Clog ABORT), a participant prepared under a twice-crashed
+    # coordinator holds its locks forever.
     "no-abort-rebroadcast": _disable(
-        TreatyNode, "_redrive_abort",
+        Coordinator, "replay",
         "mutation: decided aborts are not re-broadcast",
+        kind=ClogRecord.ABORT,
     ),
     # §VI: a recovering coordinator re-drives decided commits so
-    # participants that never heard the decision converge.  Disabled, a
-    # coordinator that logged COMMIT and died before broadcasting leaves
-    # every participant's prepared half (and its locks) in doubt forever.
+    # participants that never heard the decision converge.  Disabled
+    # (the ``replayed`` entry skips a Clog COMMIT), a coordinator that
+    # logged COMMIT and died before broadcasting leaves every
+    # participant's prepared half (and its locks) in doubt forever.
     "no-commit-redrive": _disable(
-        TreatyNode, "_redrive_commit",
+        Coordinator, "replay",
         "mutation: decided commits are not re-driven",
+        kind=ClogRecord.COMMIT,
     ),
     # §VI + coverage promises: a transaction must not be acknowledged
     # before its targets are covered by a stable counter frontier

@@ -252,10 +252,6 @@ class InvariantMonitor:
         if prepared:
             self.unresolved.setdefault(rec["node"], set()).update(prepared)
 
-    def _on_prepared_resolved(self, rec: Dict[str, Any]) -> None:
-        self._resolve(rec["node"], rec["txn"])
-        self.awaiting_decision.pop(rec["txn"], None)
-
     def _on_crash(self, rec: Dict[str, Any]) -> None:
         # I5 promises bounded liveness *absent crashes* — but only the
         # crashed coordinator's obligations are excused: a bystander's
@@ -346,6 +342,5 @@ _HANDLERS = {
     ("twopc", "commit_apply"): InvariantMonitor._on_commit_apply,
     ("twopc", "abort_apply"): InvariantMonitor._on_abort_apply,
     ("node", "recover_done"): InvariantMonitor._on_recover_done,
-    ("twopc", "prepared_resolved"): InvariantMonitor._on_prepared_resolved,
     ("node", "crash"): InvariantMonitor._on_crash,
 }

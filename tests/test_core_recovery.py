@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.config import DS_ROCKSDB, TREATY_ENC, TREATY_FULL
+from repro.config import (
+    DS_ROCKSDB,
+    PROTOCOLS,
+    TREATY_ENC,
+    TREATY_FULL,
+    ClusterConfig,
+)
 from repro.core import (
     TreatyCluster,
     crash_and_recover,
@@ -193,6 +199,83 @@ class TestAtomicityAcrossCrashes:
         # Recovery resolved with the coordinator: the write must be there.
         assert read_local(cluster, 1, spread[1]) == b"decided"
         assert read_local(cluster, 0, spread[0]) == b"decided"
+
+
+class TestOwnHalfOfACompletedCommit:
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_committed_exactly_once_on_recovery(self, protocol):
+        """The coordinator logs COMPLETE and crashes before its own
+        half's commit record is stable: the Clog says COMMIT + COMPLETE,
+        the WAL replay brings the half back prepared.  Recovery commits
+        it exactly once, without a completer takeover, I1-I5 green.
+
+        ``optimized`` crashes at the tail's group round (phase
+        ``complete``), which carries the own commit record's target;
+        ``paper`` crashes once the COMPLETE entry is on disk, while the
+        commit record's background stabilization is still in flight."""
+        cluster = TreatyCluster(
+            profile=TREATY_FULL,
+            config=ClusterConfig(tracing=True, protocol=protocol),
+            partitioner=lambda key: int(key[:1]) % 3,
+        ).start()
+        node = cluster.nodes[0]
+        clog = node.clog.log_name
+        clog_appends = []
+
+        def crash_after_complete(rec):
+            if not node.is_up or rec.get("node") != node.name:
+                return
+            if protocol == "optimized":
+                hit = (
+                    rec["type"] == "event"
+                    and (rec["cat"], rec["name"]) == ("stabilize", "group_begin")
+                    and rec["args"]["phase"] == "complete"
+                )
+            else:
+                # PREPARE, COMMIT, COMPLETE: the third Clog append.
+                hit = (
+                    rec["type"] == "span"
+                    and (rec["cat"], rec["name"]) == ("storage", "log_append")
+                    and rec["args"]["log"] == clog
+                )
+                if hit:
+                    clog_appends.append(rec)
+                    hit = len(clog_appends) == 3
+            if hit:
+                cluster.crash_node(0)
+
+        cluster.obs.tracer.subscribe(crash_after_complete)
+        txn = node.coordinator.begin()
+
+        def body():
+            yield from txn.put(b"0/own", b"once")
+            yield from txn.put(b"1/remote", b"once")
+            yield from txn.commit()
+
+        cluster.run(body())
+        cluster.sim.run(until=cluster.sim.now + 0.5)
+        assert not node.is_up
+        crashed_at = len(list(cluster.obs.records()))
+        cluster.run(cluster.recover_node(0))
+        cluster.sim.run(until=cluster.sim.now + 5.0)
+
+        after = list(cluster.obs.records())[crashed_at:]
+        done = [rec for rec in after if rec.get("name") == "recover_done"]
+        assert done[0]["args"]["prepared"] == [txn.key.hex()]
+        applies = [
+            (rec["node"], rec["name"]) for rec in after
+            if rec["type"] == "event" and rec.get("txn") == txn.key.hex()
+            and rec["name"] in ("commit_apply", "abort_apply")
+        ]
+        assert applies == [("node0", "commit_apply")]
+        assert node.participant.commits_served == 1
+        assert node.participant.takeovers == 0
+        assert txn.key not in node.participant.active
+        monitor = cluster.obs.monitor
+        monitor.check_quiescent(now=cluster.sim.now)
+        assert monitor.green, monitor.violations
+        assert read_local(cluster, 0, b"0/own") == b"once"
+        assert read_local(cluster, 1, b"1/remote") == b"once"
 
 
 class TestRollbackProtection:

@@ -5,7 +5,8 @@ import pytest
 from repro.config import ClusterConfig, DS_ROCKSDB, TREATY_ENC, TREATY_FULL
 from repro.core import GlobalTxnId, TreatyCluster
 from repro.core.trusted_counter import decode_counter_vector
-from repro.core.twopc import ClogRecord
+from repro.core.twopc import ClogRecord, deliver
+from repro.core.twopc.steps import INSTRUCTIONS
 from repro.errors import TransactionAborted
 from repro.net import MsgType, NetworkAdversary, TxMessage
 from repro.txn.types import TxnStatus
@@ -452,8 +453,12 @@ class TestApplyStep:
             kind = yield from protect(*args, **kwargs)
             # One hop to node0, against the round trip (plus node2's
             # apply) the coordinator's delivery round takes.
+            completer = cluster.nodes[1].participant
             racers.append(sim.process(
-                cluster.nodes[1].participant.instruct(kind, txn.gid, [0]),
+                deliver(
+                    completer.rpc, completer.addresses, [0],
+                    lambda: completer._message(INSTRUCTIONS[kind], txn.gid),
+                ),
                 name="completer-instruct",
             ))
             return kind

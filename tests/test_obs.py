@@ -322,9 +322,9 @@ class TestMonitorTrips:
                      prepared=["ab12"], redriven=0)
         monitor.check_quiescent()
         assert any(v.startswith("I4") for v in monitor.violations)
-        # resolving clears the obligation
+        # applying the recovered half clears the obligation (an abort:
+        # this test logged no decision a commit apply could rest on)
         monitor.violations.clear()
-        tracer.event("twopc", "prepared_resolved", node="node1", txn="ab12",
-                     outcome="commit")
+        tracer.event("twopc", "abort_apply", node="node1", txn="ab12")
         monitor.check_quiescent()
         assert monitor.green
