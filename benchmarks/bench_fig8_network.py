@@ -29,6 +29,7 @@ def _run_and_render(extra_info):
         [stack] + ["%.1f" % results[stack][size] for size in SIZES]
         for stack in STACKS
     ]
+    print()
     print(
         format_table(
             "Figure 8: throughput (Gbit/s) by message size",

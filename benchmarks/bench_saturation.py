@@ -61,7 +61,7 @@ def test_saturation_client_scaling(benchmark):
             + [str(_saturation_point(curve))]
         )
     publish(
-        format_table(
+        "\n" + format_table(
             "Saturation: YCSB 80%R throughput (tps) vs client count",
             ["system"] + ["%dc" % count for count in CLIENT_COUNTS] + ["knee"],
             rows,

@@ -62,6 +62,7 @@ def main():
         for name, count in terminal.per_type_commits.items():
             per_type[name] = per_type.get(name, 0) + count
     rows = [(name, count) for name, count in sorted(per_type.items())]
+    print()
     print(format_table("commits by transaction type", ["type", "commits"], rows))
     summary = metrics.summary()
     print("throughput : %.0f tps" % summary["throughput_tps"])

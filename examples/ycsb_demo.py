@@ -40,6 +40,7 @@ def main():
         )
         for summary in results
     ]
+    print()
     print(
         format_table(
             "YCSB read-heavy, 24 clients, 3 nodes",

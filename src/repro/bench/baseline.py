@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Optional
 
 from ..config import ClusterConfig, TREATY_FULL
 from ..obs.critpath import CATEGORIES, aggregate_critical_paths, percentile
+from ..obs.export import format_table
 from ..workloads.ycsb import YcsbConfig
 from .harness import account, bench_scale, loaded, measure
 
@@ -98,12 +99,10 @@ def run_baseline(
     seed: int = 11,
     backend: Optional[str] = None,
     shards: Optional[int] = None,
-    workloads: bool = True,
 ) -> Dict[str, Any]:
-    """One traced YCSB run on TREATY_FULL; returns the baseline document.
-
-    ``workloads`` additionally records the read-mostly per-workload
-    sections (:func:`run_workload_profiles`).
+    """One traced YCSB run on TREATY_FULL, then the read-mostly
+    per-workload sections (:func:`run_workload_profiles`); returns the
+    baseline document.
     """
     num_clients = num_clients or 24
     duration = duration or (0.2 if bench_scale() == "quick" else 0.6)
@@ -180,11 +179,10 @@ def run_baseline(
         "_timeseries": obs.timeseries,
         "_incidents": obs.incidents,
         "_recorder": obs.recorder,
-    }
-    if workloads:
-        document["workloads"] = run_workload_profiles(
+        "workloads": run_workload_profiles(
             num_clients=num_clients, duration=duration, seed=seed
-        )
+        ),
+    }
     return document
 
 
@@ -309,8 +307,6 @@ def format_baseline_deltas(
     against its allowed band, plus critical-path category share drift
     (informational — share shifts are not gated).
     """
-    from .reporting import format_table
-
     current_metrics = current["metrics"]
     reference_metrics = reference["metrics"]
     rows = []
@@ -374,7 +370,8 @@ def format_baseline_deltas(
             ("category", "baseline", "current", "delta"),
             share_rows,
         ))
-    return "\n\n".join(lines)
+    # A blank line before the first table, two between tables.
+    return "\n" + "\n\n\n".join(lines)
 
 
 def _gate_one(

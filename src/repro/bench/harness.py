@@ -566,11 +566,13 @@ def scaleout_sweep(
 
 # --- recovery (Table I) --------------------------------------------------------------
 
+#: bytes per WAL entry of the recovery experiment (the paper's ~100 B).
+RECOVERY_ENTRY_BYTES = 100
+
 
 def recovery_experiment(
     profile: EnvProfile,
     num_entries: Optional[int] = None,
-    entry_bytes: int = 100,
 ) -> Tuple[float, int]:
     """Write ``num_entries`` small WAL records, crash, time the recovery.
 
@@ -585,7 +587,7 @@ def recovery_experiment(
 
     def fill():
         batch_size = 200
-        payload = b"x" * (entry_bytes - 28)
+        payload = b"x" * (RECOVERY_ENTRY_BYTES - 28)
         index = 0
         for _ in range(num_entries // batch_size):
             records = []

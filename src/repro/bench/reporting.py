@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
+
+from ..obs.export import format_table
 
 __all__ = [
     "PaperRow",
@@ -32,36 +34,19 @@ class PaperRow:
         return low <= self.value <= high
 
 
-def format_table(
-    title: str, headers: Sequence[str], rows: Sequence[Sequence[str]]
-) -> str:
-    """Fixed-width text table (what the benchmark scripts print)."""
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(str(cell)))
-    lines = ["", "=== %s ===" % title]
-    lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append(
-            "  ".join(str(cell).ljust(widths[i]) for i, cell in enumerate(row))
-        )
-    return "\n".join(lines)
-
-
 def format_phase_breakdown(obs_info: dict) -> str:
     """Render a harness ``extra_info["obs"]`` phase/enclave breakdown.
 
     ``obs_info`` is the dict produced by the bench harness: per-phase
-    ``{count, mean_ms, max_ms}`` aggregates plus enclave counters.
+    ``{count, mean_ms, max_ms}`` aggregates plus enclave counters.  The
+    text opens with a blank line, like :meth:`ComparisonTable.render`.
     """
     rows = [
         (name, str(stats["count"]), "%.3f" % stats["mean_ms"],
          "%.3f" % stats["max_ms"])
         for name, stats in sorted(obs_info.get("phases", {}).items())
     ]
-    text = format_table(
+    text = "\n" + format_table(
         "2PC phase breakdown", ["phase", "count", "mean ms", "max ms"], rows
     )
     enclave = obs_info.get("enclave", {})
@@ -107,7 +92,7 @@ class ComparisonTable:
                     row.note,
                 )
             )
-        return format_table(
+        return "\n" + format_table(
             self.title,
             ["system", self.metric_name, "paper", "match", "note"],
             table_rows,

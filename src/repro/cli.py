@@ -37,6 +37,7 @@ from .config import PROFILES, ClusterConfig, TREATY_FULL
 from .bench.harness import loaded, measure
 from .bench.metrics import MetricsCollector
 from .core.trusted_counter import BACKENDS
+from .obs import format_table
 from .workloads import TpccScale, YcsbConfig
 
 
@@ -192,7 +193,6 @@ def _run_observed_workload(
     clients: int,
     duration: float,
     seed: int,
-    window_s: float,
 ):
     """One workload run with the full observability stack on.
 
@@ -205,7 +205,6 @@ def _run_observed_workload(
         seed=seed,
         flight_recorder=True,
         timeseries=True,
-        timeseries_window_s=window_s,
         incidents=True,
         tail_warmup=8,
     )
@@ -238,11 +237,8 @@ def _run_observed_workload(
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Timeline + incidents + tail-exemplar report for one workload run."""
-    from .bench.reporting import format_table
-
     cluster = _run_observed_workload(
-        args.workload, args.clients, args.duration, args.seed,
-        args.window * 1e-3,
+        args.workload, args.clients, args.duration, args.seed
     )
     obs = cluster.obs
     timeseries, recorder, incidents = obs.timeseries, obs.recorder, obs.incidents
@@ -279,6 +275,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     ) for w in shown]
     title = "timeline (last %d of %d active windows)" % (len(shown),
                                                          len(active))
+    print()
     print(format_table(
         title,
         ("win", "t0 ms", "commit", "abort", "tps", "frames/s",
@@ -315,6 +312,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             "%.3f" % (row["mean_latency_s"] * 1e3),
             "%.0f%%" % (row["mean_share"] * 100),
         ) for row in table]
+        print()
         print(format_table(
             "tail exemplars by dominant category (%d captured)"
             % len(recorder.exemplars),
@@ -351,7 +349,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     from .obs import prometheus_text, summary_table
 
     cluster = _run_observed_workload(
-        args.workload, args.clients, args.duration, args.seed, 5e-3
+        args.workload, args.clients, args.duration, args.seed
     )
     if args.prom:
         text = prometheus_text(cluster.obs.hub)
@@ -721,6 +719,7 @@ def _bench_baseline(args: argparse.Namespace) -> int:
     print()
     print(format_phase_table(document["_aggregate"]))
     print()
+    print()
     print(_format_tail_table(document["tail"]))
     if args.report_dir:
         _write_report_artifacts(document, args.report_dir)
@@ -756,8 +755,6 @@ def _bench_baseline(args: argparse.Namespace) -> int:
 
 def _format_tail_table(tail: dict) -> str:
     """The baseline's p99-vs-p50 critical-path tail comparison."""
-    from .bench.reporting import format_table
-
     rows = []
     for category, entry in sorted(
         tail.get("categories", {}).items(),
@@ -835,7 +832,6 @@ def _bench_read_mostly(args: argparse.Namespace) -> int:
     not lose throughput against the locking path.
     """
     from .bench.harness import ycsb_variant_run
-    from .bench.reporting import format_table
 
     _, snap = ycsb_variant_run("c", True, args.clients, args.duration)
     _, lock = ycsb_variant_run("c", False, args.clients, args.duration)
@@ -848,6 +844,7 @@ def _bench_read_mostly(args: argparse.Namespace) -> int:
             "%.3f" % stats["p50_ms"],
             "%.3f" % stats["cluster_frames_per_txn"],
         ))
+    print()
     print(format_table(
         "read-mostly fast path (YCSB-C, Treaty full)",
         ("mode", "committed", "tput (tps)", "p50 ms", "cluster frames/txn"),
@@ -878,7 +875,6 @@ def _bench_netbatch(args: argparse.Namespace) -> int:
     import json
 
     from .bench.harness import netbatch_compare
-    from .bench.reporting import format_table
 
     results = netbatch_compare(
         num_clients=args.clients,
@@ -896,6 +892,7 @@ def _bench_netbatch(args: argparse.Namespace) -> int:
             "%.1f" % stats["seals_per_txn"],
             "%.2f" % stats["batch_occupancy"]["mean"],
         ))
+    print()
     print(format_table(
         "transport batching comparison (YCSB 50/50, Treaty full)",
         ("batching", "committed", "tput (tps)", "frames/txn",
@@ -916,7 +913,6 @@ def _bench_netbatch(args: argparse.Namespace) -> int:
 def _bench_scaleout(args: argparse.Namespace) -> int:
     """Cluster-size sweep: per-txn frame/counter-round growth."""
     from .bench.harness import scaleout_sweep
-    from .bench.reporting import format_table
 
     nodes = tuple(int(token) for token in args.nodes.split(","))
     locality = 0.9 if args.locality is None else args.locality
@@ -936,6 +932,7 @@ def _bench_scaleout(args: argparse.Namespace) -> int:
             "%.1f" % stats["seals_per_txn"],
             "%.3f" % stats["counter_rounds_per_txn"],
         ))
+    print()
     print(format_table(
         "scale-out sweep (partitioned YCSB, locality %.0f%%)"
         % (locality * 100),
@@ -952,7 +949,6 @@ def _bench_scaleout(args: argparse.Namespace) -> int:
 def _bench_sweep_window(args: argparse.Namespace) -> int:
     """Sweep the group-commit window; print the latency/throughput frontier."""
     from .bench.harness import sweep_group_commit_window
-    from .bench.reporting import format_table
 
     windows: Optional[List[Optional[float]]] = None
     if args.windows:
@@ -976,6 +972,7 @@ def _bench_sweep_window(args: argparse.Namespace) -> int:
             "%.2f" % batch.get("mean", 1.0),
             "%.3f" % durability.get("rounds_per_committed_txn", 0.0),
         ))
+    print()
     print(format_table(
         "group-commit window sweep (YCSB 50/50, Treaty w/ Enc w/ Stab)",
         ("window", "tput (tps)", "mean (ms)", "p99 (ms)",
@@ -1077,8 +1074,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="measured window in simulated seconds; a "
                              "0.2 s warm-up runs first")
     report.add_argument("--seed", type=int, default=7)
-    report.add_argument("--window", type=float, default=5.0,
-                        help="time-series window width in milliseconds")
     report.add_argument("--timeline-out", default=None,
                         help="write the per-window timeline (JSONL, or "
                              "CSV with --csv)")

@@ -250,10 +250,8 @@ PROTOCOLS = ("paper", "optimized")
 class ClusterConfig:
     """Static deployment parameters (mirrors the paper's testbed)."""
 
-    num_nodes: int = 3
     cores_per_node: int = 8
     memtable_limit_bytes: int = 8 * 1024 * 1024
-    counter_quorum: int = 2
     #: rollback-protection backend — a key of
     #: ``repro.core.trusted_counter.BACKENDS``, whose row says where
     #: waiters release, what becomes of the CONFIRM leg and who
@@ -266,10 +264,6 @@ class ClusterConfig:
     #: Each shard runs its own round pipeline, so disjoint logs stop
     #: serializing through one quorum round.  1 = a single group.
     counter_shards: int = 1
-    #: coverage-promise lease duration (counter-async/lcm): a successful
-    #: echo quorum renews the shard's lease; a waiter whose promise
-    #: outlives the lease runs one synchronous round itself.
-    counter_lease_s: float = 0.02
     #: the commit protocol, one of :data:`PROTOCOLS`.
     #: ``"paper"`` is §V as published: each participant stabilizes its
     #: own prepare entry before PREPARE-ACK, the coordinator stabilizes
@@ -335,17 +329,11 @@ class ClusterConfig:
     monitor: Optional[bool] = None
     #: always-on flight recorder (repro.obs.recorder): bounded trace
     #: ring + streaming tail estimate + p99 outlier exemplars.  Safe to
-    #: leave on — memory is capped by ``trace_ring_spans``.
+    #: leave on — memory is capped by ``repro.obs.TRACE_RING_SPANS``.
     flight_recorder: bool = False
-    #: span-record cap for the flight recorder's ring buffer (FIFO
-    #: eviction); 0 = unbounded.  Ignored when full ``tracing`` is on
-    #: (explicit tracing keeps the complete buffer for export).
-    trace_ring_spans: int = 50_000
     #: windowed time-series recorder (repro.obs.timeseries): per-window
     #: tps / abort / frame / seal rates and queue gauges.
     timeseries: bool = False
-    #: time-series window width, simulated seconds.
-    timeseries_window_s: float = 0.005
     #: structured incident detection (repro.obs.incidents): takeovers,
     #: lease-expiry fallbacks, OCC retry storms, lock convoys, stalls.
     incidents: bool = False

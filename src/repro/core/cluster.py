@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Optional
 from ..config import PROTOCOLS, ClusterConfig, EnvProfile, TREATY_FULL
 from ..crypto.keys import KeyRing, derive_key
 from ..net.simnet import Fabric
-from ..obs import Observability, monitor_enabled_by_default
+from ..obs import Observability
 from ..sim.core import Simulator
 from ..tee.attestation import IntelAttestationService
 from ..tee.runtime import NodeRuntime
@@ -40,7 +40,7 @@ class TreatyCluster:
         self,
         profile: EnvProfile = TREATY_FULL,
         config: Optional[ClusterConfig] = None,
-        num_nodes: Optional[int] = None,
+        num_nodes: int = 3,
         partitioner: Optional[Callable[[bytes], int]] = None,
     ):
         self.config = config or ClusterConfig()
@@ -49,37 +49,12 @@ class TreatyCluster:
                 "unknown protocol %r (expected one of %s)"
                 % (self.config.protocol, ", ".join(PROTOCOLS))
             )
-        if num_nodes is None:
-            num_nodes = self.config.num_nodes
         self.num_nodes = num_nodes
-        if self.config.counter_quorum > num_nodes:
-            # A protection group cannot require more members than exist
-            # (single-node deployments still get rollback protection,
-            # with correspondingly weaker fault tolerance).
-            from dataclasses import replace as _replace
-
-            self.config = _replace(self.config, counter_quorum=num_nodes)
         self.profile = profile
         self.sim = Simulator()
         # Observability goes in before any component is built so that
         # everything caching ``tracer_of(sim)`` at construction sees it.
-        self.obs = Observability(
-            self.sim,
-            tracing=self.config.tracing,
-            monitor=(
-                self.config.monitor
-                if self.config.monitor is not None
-                else monitor_enabled_by_default()
-            ),
-            require_stabilization=profile.stabilization,
-            liveness_timeout=self.config.monitor_liveness_timeout_s,
-            flight_recorder=self.config.flight_recorder,
-            trace_ring_spans=self.config.trace_ring_spans,
-            timeseries=self.config.timeseries,
-            timeseries_window_s=self.config.timeseries_window_s,
-            incidents=self.config.incidents,
-            tail_warmup=self.config.tail_warmup,
-        )
+        self.obs = Observability(self.sim, self.config, profile)
         self.fabric = Fabric(self.sim, mtu=self.config.costs.net_mtu)
         self.obs.hub.add("fabric", self.fabric.metrics)
         seed_bytes = self.config.seed.to_bytes(8, "little") * 4

@@ -151,7 +151,6 @@ class TreatyNode:
             self.cluster_rpc,
             self.replica,
             credentials.counter_peers,
-            self.config.counter_quorum,
             self.numeric_id,
             epoch=self.boot_count,
         )
@@ -167,7 +166,7 @@ class TreatyNode:
         # trust shape as the counter protocol's echo memory.  Shared
         # between the node's Coordinator and Participant roles so the
         # coordinator's own slot counts toward the quorum.
-        self.ledger = DecisionLedger(self.config.num_nodes)
+        self.ledger = DecisionLedger(len(self.addresses))
         self.ledger.install_metrics(self.runtime.metrics)
         if self.config.storage_engine == "null":
             from ..storage.nullengine import NullStorageEngine

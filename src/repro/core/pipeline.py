@@ -7,7 +7,7 @@ the :class:`~repro.txn.group_commit.GroupCommitter`, the configured
 rollback-protection backend's scheduler and the
 :class:`~repro.core.stabilization.FreshnessWitness`, holds the profile
 gate (a pipeline without stabilization is a no-op that advances no
-simulated time) and the wait statistics, and schedules the layers as
+simulated time) and the wait histogram, and schedules the layers as
 one pipeline, so a layer never hands the next one request per
 transaction:
 
@@ -85,8 +85,6 @@ class DurabilityPipeline:
         self.enabled = (
             runtime.profile.stabilization and self.rollback is not None
         )
-        self.waits = 0
-        self.total_wait_time = 0.0
         #: stable-sequence frontier for coordinator-free snapshot reads
         #: — fed by the group committer's WAL
         #: watermarks, queried by read-only transaction commits.
@@ -106,7 +104,7 @@ class DurabilityPipeline:
 
     # -- stabilization entry points ------------------------------------------
     def _wait(self, log: str, counter: int, protect: Gen) -> Gen:
-        """Run one backend wait under its span and the wait statistics."""
+        """Run one backend wait under its span and the wait histogram."""
         start = self.runtime.now
         span = self.tracer.span(
             "stabilize", "wait", node=self.runtime.name or None,
@@ -118,8 +116,6 @@ class DurabilityPipeline:
             # A NetworkError out of a detached NIC (zombie fiber after a
             # crash) must not leak the span.
             span.close()
-        self.waits += 1
-        self.total_wait_time += self.runtime.now - start
         self.runtime.metrics.histogram("stabilize.wait_s").observe(
             self.runtime.now - start
         )
@@ -194,28 +190,6 @@ class DurabilityPipeline:
             "stabilize.group_size", edges=(1, 2, 4, 8, 16, 32)
         ).observe(len(targets))
 
-    def decision_round(
-        self,
-        targets: Sequence[Tuple[str, int]],
-        enqueue,
-        txn: Optional[str] = None,
-        phase: str = "decision",
-    ) -> Gen:
-        """One group round that doubles as decision replication.
-
-        ``enqueue`` is called synchronously *before* the counter
-        round's first frames are enqueued, so the transport's doorbell
-        window coalesces the DECISION_RECORD broadcast and the round's
-        COUNTER frames to each peer into the same sealed frames —
-        replicating the decision adds no frames on an idle window.
-        Returns whatever ``enqueue`` returned (the broadcast events);
-        the stabilization itself still covers ``targets`` exactly as
-        :meth:`stabilize_group` would.
-        """
-        events = enqueue()
-        yield from self.stabilize_group(targets, txn=txn, phase=phase)
-        return events
-
     def background(self, log_name: str, counter: int) -> None:
         """Fire-and-forget stabilization (commit records, GC edits)."""
         if not self.enabled or counter <= 0:
@@ -224,8 +198,3 @@ class DurabilityPipeline:
             self.stabilize(log_name, counter),
             name="stabilize-bg/%s" % log_name,
         )
-
-    def mean_wait(self) -> float:
-        if self.waits == 0:
-            return 0.0
-        return self.total_wait_time / self.waits

@@ -44,7 +44,12 @@ from ..errors import FreshnessError, NetworkError
 from ..sim.core import Event
 from ..sim.sync import Semaphore
 from ..tee.runtime import NodeRuntime
-from .trusted_counter import COUNTER_RETRY_BACKOFF, CounterClient, Target
+from .trusted_counter import (
+    COUNTER_RETRY_BACKOFF,
+    CounterClient,
+    Target,
+    majority,
+)
 
 __all__ = ["PromiseScheduler", "DecisionLedger"]
 
@@ -53,6 +58,10 @@ Gen = Generator[Event, Any, Any]
 #: concurrent echo rounds in flight per shard (driver pipelining); 1
 #: would serialize rounds like the on-demand driver.
 COUNTER_MAX_INFLIGHT = 4
+#: coverage-promise lease: a successful echo quorum renews the shard's
+#: lease; a waiter whose promise outlives it runs one synchronous round
+#: itself.
+COUNTER_LEASE_S = 0.02
 
 
 class PromiseScheduler:
@@ -76,7 +85,7 @@ class PromiseScheduler:
         self.runtime = runtime
         self.client = client
         self.tracer = runtime.tracer
-        self.lease_s = runtime.config.counter_lease_s
+        self.lease_s = COUNTER_LEASE_S
         shards = client.num_shards
         #: test hook: park the drivers to force the lease-expiry path.
         self.drivers_enabled = True
@@ -279,7 +288,7 @@ class DecisionLedger:
     @property
     def commit_quorum(self) -> int:
         """Majority of all nodes (the coordinator's slot counts)."""
-        return self.num_nodes // 2 + 1
+        return majority(self.num_nodes)
 
     @property
     def abort_quorum(self) -> int:

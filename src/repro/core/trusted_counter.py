@@ -127,6 +127,11 @@ def round_shape(config) -> RoundShape:
         ) from None
 
 
+def majority(members: int) -> int:
+    """The smallest quorum of ``members`` any two of which intersect."""
+    return members // 2 + 1
+
+
 def shard_of(log_name: str, num_shards: int) -> int:
     """Route a log to its counter group by name hash.
 
@@ -316,7 +321,6 @@ class CounterClient:
         rpc: SecureRpc,
         replica: CounterReplica,
         peers: List[str],
-        quorum: int,
         node_numeric_id: int,
         epoch: int = 0,
     ):
@@ -324,7 +328,9 @@ class CounterClient:
         self.rpc = rpc
         self.replica = replica
         self.peers = peers  # other group members' addresses
-        self.quorum = quorum
+        #: a majority of the group, so that a round's write quorum and
+        #: recovery's read quorum (:meth:`read_stable_many`) intersect.
+        self.quorum = majority(len(peers) + 1)
         self.node_numeric_id = node_numeric_id
         self.tracer = runtime.tracer
         #: the shape of every round this client runs — its replica's.

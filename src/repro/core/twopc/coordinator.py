@@ -165,9 +165,15 @@ class Coordinator:
                 event.defuse()
             return dict(zip(nodes, sends))
 
-        events = yield from self.pipeline.decision_round(
+        # The broadcast is enqueued *before* the counter round's first
+        # frames, so the transport's doorbell window coalesces the
+        # DECISION_RECORD and the round's COUNTER frames to each peer
+        # into the same sealed frames: replicating the decision adds no
+        # frames on an idle window.
+        events = send(self.peers)
+        yield from self.pipeline.stabilize_group(
             record.targets + [(self.clog.log_name, record.counter)],
-            lambda: send(self.peers), txn=txn_hex, phase=phase,
+            txn=txn_hex, phase=phase,
         )
         if record.kind != ClogRecord.COMMIT:
             # Presumed abort: no quorum needed before answering the

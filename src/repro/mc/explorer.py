@@ -122,7 +122,6 @@ def explore(scope: Scope, *, depth: int = 2,
             budget_s: Optional[float] = None,
             max_runs: Optional[int] = None,
             mutation: Optional[str] = None,
-            shrink: bool = True,
             progress: Optional[Callable[[ExploreStats], None]] = None,
             ) -> Tuple[ExploreStats, Optional[Dict[str, Any]]]:
     """Iterative-deepening exhaustive pass over ``scope``.
@@ -189,13 +188,10 @@ def explore(scope: Scope, *, depth: int = 2,
         return stats, None
 
     stats.violation = failing.violations[0]
-    trace = _trim(failing.trace)
-    if shrink:
-        trace, failing, shrink_runs = shrink_trace(
-            scope, trace, mutation=mutation
-        )
-        stats.shrink_runs = shrink_runs
-        stats.elapsed_s = time.monotonic() - started
+    trace, failing, stats.shrink_runs = shrink_trace(
+        scope, _trim(failing.trace), mutation=mutation
+    )
+    stats.elapsed_s = time.monotonic() - started
     return stats, build_counterexample(scope, trace, failing, mutation)
 
 

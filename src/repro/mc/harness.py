@@ -382,7 +382,6 @@ def _run_one(scope, trace, remaining_budget, visited, sleep0, crc_cache,
              tracing, keep_cluster) -> RunResult:
     config = ClusterConfig(
         seed=scope.seed,
-        num_nodes=scope.nodes,
         tracing=tracing,
         monitor=True,
         protocol=scope.protocol,
@@ -391,7 +390,9 @@ def _run_one(scope, trace, remaining_budget, visited, sleep0, crc_cache,
         monitor_liveness_timeout_s=scope.liveness_timeout,
         decision_timeout_s=scope.decision_timeout,
     )
-    cluster = TreatyCluster(profile=TREATY_FULL, config=config).start()
+    cluster = TreatyCluster(
+        profile=TREATY_FULL, config=config, num_nodes=scope.nodes
+    ).start()
     sim = cluster.sim
     controller = TraceController(
         cluster, scope, trace,

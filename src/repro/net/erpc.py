@@ -99,7 +99,6 @@ class ErpcEndpoint:
         runtime: NodeRuntime,
         fabric: Fabric,
         nic: Nic,
-        msgbuf_pool: Optional[MempoolAllocator] = None,
     ):
         self.runtime = runtime
         self.sim: Simulator = runtime.sim
@@ -107,7 +106,7 @@ class ErpcEndpoint:
         self.nic = nic
         # §VII-A: "place all message buffers in the host memory (in
         # hugepages of 2 MiB), thus reducing the EPC pressure".
-        self.msgbuf_pool = msgbuf_pool or MempoolAllocator(
+        self.msgbuf_pool = MempoolAllocator(
             runtime.host_memory, heaps=runtime.config.cores_per_node
         )
         self._handlers: Dict[int, Handler] = {}

@@ -17,13 +17,14 @@ The observability subsystem has five parts:
 
 :class:`Observability` bundles them and installs onto a simulator;
 :class:`~repro.core.cluster.TreatyCluster` builds one from its
-:class:`~repro.config.ClusterConfig` (``tracing`` / ``monitor`` fields).
+:class:`~repro.config.ClusterConfig` and profile.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from ..config import ClusterConfig, EnvProfile
 from .critpath import (
     CATEGORIES,
     CriticalPath,
@@ -36,6 +37,7 @@ from .critpath import (
 )
 from .export import (
     chrome_trace,
+    format_table,
     load_chrome_trace,
     prometheus_text,
     summary_table,
@@ -85,6 +87,7 @@ __all__ = [
     "chrome_trace",
     "write_chrome_trace",
     "load_chrome_trace",
+    "format_table",
     "to_jsonl",
     "write_jsonl",
     "summary_table",
@@ -97,6 +100,11 @@ __all__ = [
     "enable_monitor_by_default",
     "monitor_enabled_by_default",
 ]
+
+#: span-record cap of the flight recorder's ring buffer (FIFO eviction);
+#: 0 = unbounded.  Ignored when full ``tracing`` is on (explicit tracing
+#: keeps the complete buffer for export).
+TRACE_RING_SPANS = 50_000
 
 #: process-wide default for new clusters; the test suite flips it on in
 #: ``tests/conftest.py`` so every existing test runs under the monitor.
@@ -116,29 +124,18 @@ def monitor_enabled_by_default() -> bool:
 class Observability:
     """One deployment's tracer + metrics hub + invariant monitor.
 
+    Built from the cluster's :class:`~repro.config.ClusterConfig`:
     ``tracing`` retains records for export; ``monitor`` runs the
-    invariant checks.  Either alone installs a tracer on the simulator
-    (the monitor consumes the event stream without recording it); with
-    both off the simulator keeps ``tracer = None`` and instrumented
-    components fall back to the free null tracer.
+    invariant checks (``None`` defers to
+    :func:`monitor_enabled_by_default`), requiring counter stability
+    when the ``profile`` stabilizes.  Any instrument installs a tracer
+    on the simulator (the monitor consumes the event stream without
+    recording it); with all of them off the simulator keeps
+    ``tracer = None`` and instrumented components fall back to the
+    free null tracer.
     """
 
-    def __init__(
-        self,
-        sim,
-        tracing: bool = False,
-        monitor: bool = False,
-        require_stabilization: bool = False,
-        strict_monitor: bool = True,
-        trace_processes: bool = False,
-        liveness_timeout: Optional[float] = None,
-        flight_recorder: bool = False,
-        trace_ring_spans: int = 50_000,
-        timeseries: bool = False,
-        timeseries_window_s: float = 0.005,
-        incidents: bool = False,
-        tail_warmup: int = 32,
-    ):
+    def __init__(self, sim, config: ClusterConfig, profile: EnvProfile):
         self.sim = sim
         self.hub = MetricsHub()
         self.tracer: Optional[Tracer] = None
@@ -146,37 +143,38 @@ class Observability:
         self.recorder: Optional[FlightRecorder] = None
         self.timeseries: Optional[TimeSeriesRecorder] = None
         self.incidents: Optional[IncidentLog] = None
-        need_tracer = (tracing or monitor or flight_recorder
-                       or timeseries or incidents)
-        if need_tracer:
+        tracing = config.tracing
+        monitor = (config.monitor if config.monitor is not None
+                   else monitor_enabled_by_default())
+        flight_recorder = config.flight_recorder
+        if (tracing or monitor or flight_recorder or config.timeseries
+                or config.incidents):
             # The flight recorder needs retained records to retro-dump
             # exemplars from; without full tracing it runs on a bounded
-            # ring (`trace_ring_spans`, 0 = unbounded) so it is safe to
+            # ring (`TRACE_RING_SPANS`, 0 = unbounded) so it is safe to
             # leave on.  Explicit tracing keeps the full buffer — the
             # export tests byte-compare complete traces.
-            ring = (trace_ring_spans or None) if (
+            ring = (TRACE_RING_SPANS or None) if (
                 flight_recorder and not tracing
             ) else None
             self.tracer = Tracer(
-                sim, record=tracing or flight_recorder,
-                trace_processes=trace_processes, ring_max=ring,
+                sim, record=tracing or flight_recorder, ring_max=ring,
             )
             sim.tracer = self.tracer
         if monitor:
             self.monitor = InvariantMonitor(
-                require_stabilization=require_stabilization,
-                strict=strict_monitor,
-                liveness_timeout=liveness_timeout,
+                require_stabilization=profile.stabilization,
+                liveness_timeout=config.monitor_liveness_timeout_s,
             ).attach(self.tracer)
         if flight_recorder:
             self.recorder = FlightRecorder(
-                self.tracer, warmup=tail_warmup
+                self.tracer, warmup=config.tail_warmup
             ).attach()
-        if timeseries:
-            self.timeseries = TimeSeriesRecorder(
-                sim, self.hub, window_s=timeseries_window_s
-            ).attach(self.tracer)
-        if incidents:
+        if config.timeseries:
+            self.timeseries = TimeSeriesRecorder(sim, self.hub).attach(
+                self.tracer
+            )
+        if config.incidents:
             self.incidents = IncidentLog(
                 recorder=self.recorder
             ).attach(self.tracer)

@@ -53,6 +53,8 @@ from typing import (
     Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
 )
 
+from .export import format_table
+
 __all__ = [
     "CATEGORIES",
     "COUNTER_CATEGORIES",
@@ -417,21 +419,6 @@ def aggregate_critical_paths(
 
 # -- rendering -----------------------------------------------------------------
 
-def _table(title: str, headers: Sequence[str],
-           rows: Sequence[Sequence[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for index, cell in enumerate(row):
-            widths[index] = max(widths[index], len(cell))
-    lines = ["=== %s ===" % title,
-             "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-             "  ".join("-" * w for w in widths)]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i])
-                               for i, cell in enumerate(row)))
-    return "\n".join(lines)
-
-
 def format_breakdown(path: CriticalPath) -> str:
     """One transaction's critical path as a per-category table."""
     rows = []
@@ -448,7 +435,7 @@ def format_breakdown(path: CriticalPath) -> str:
     title = "critical path: txn %s (%s, %d spans)" % (
         path.trace, path.outcome or "?", path.span_count
     )
-    return _table(title, ("category", "ms", "share"), rows)
+    return format_table(title, ("category", "ms", "share"), rows)
 
 
 def format_phase_table(aggregate: Dict[str, Any]) -> str:
@@ -474,4 +461,4 @@ def format_phase_table(aggregate: Dict[str, Any]) -> str:
     ))
     title = ("critical path: where does a millisecond go "
              "(%d committed distributed txns)" % aggregate["count"])
-    return _table(title, ("category", "p50 ms", "p99 ms", "share"), rows)
+    return format_table(title, ("category", "p50 ms", "p99 ms", "share"), rows)

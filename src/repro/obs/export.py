@@ -13,8 +13,9 @@ Three output formats:
   nodes (a handler span adopted from a remote sender) additionally emit
   ``"s"``/``"f"`` flow events so the viewer draws the causal arrows of
   the transaction's span DAG.
-* **summary table** — a fixed-width text rendering of registry
-  snapshots for terminals and bench reports.
+* **fixed-width tables** — :func:`format_table`, the one text-table
+  renderer (critical-path breakdowns, bench reports, CLI output), and
+  :func:`summary_table`, a registry snapshot through it.
 * **Prometheus text exposition** — renders a :class:`MetricsHub` in the
   ``text/plain; version=0.0.4`` format so the simulated cluster's
   metrics drop into real dashboards: counters as ``_total``, probes as
@@ -25,7 +26,7 @@ Three output formats:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, IO, Iterable, List, Optional, Union
+from typing import Any, Dict, IO, Iterable, List, Optional, Sequence, Union
 
 __all__ = [
     "to_jsonl",
@@ -33,6 +34,7 @@ __all__ = [
     "chrome_trace",
     "write_chrome_trace",
     "load_chrome_trace",
+    "format_table",
     "summary_table",
     "prometheus_text",
 ]
@@ -321,15 +323,23 @@ def summary_table(snapshot: Dict[str, Dict[str, Any]],
             else:
                 rendered = _format_value(value)
             rows.append([_clip(component), _clip(name), rendered])
-    headers = ["component", "metric", "value"]
+    return format_table(title, ("component", "metric", "value"), rows)
+
+
+def format_table(title: str, headers: Sequence[str],
+                 rows: Iterable[Sequence[Any]]) -> str:
+    """A ``=== title ===`` line, then headers, a rule and one line per
+    row, every cell left-aligned in a column as wide as its widest cell
+    and columns two spaces apart.  Cells render with ``str``."""
+    cells = [[str(cell) for cell in row] for row in rows]
     widths = [len(h) for h in headers]
-    for row in rows:
+    for row in cells:
         for index, cell in enumerate(row):
             widths[index] = max(widths[index], len(cell))
     lines = ["=== %s ===" % title,
              "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
              "  ".join("-" * w for w in widths)]
-    for row in rows:
+    for row in cells:
         lines.append("  ".join(cell.ljust(widths[i])
                                for i, cell in enumerate(row)))
     return "\n".join(lines)

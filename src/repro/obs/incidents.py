@@ -36,6 +36,9 @@ INCIDENT_KINDS = (
     "monitor-violation",
 )
 
+#: a lock wait at least this long (simulated seconds) is a convoy.
+LOCK_CONVOY_S = 0.01
+
 
 class IncidentLog:
     """Stream-driven incident detection + a deterministic incident log.
@@ -50,12 +53,9 @@ class IncidentLog:
     exists for that transaction.
     """
 
-    def __init__(self, recorder=None,
-                 occ_storm_conflicts: int = 20,
-                 lock_convoy_s: float = 0.01):
+    def __init__(self, recorder=None, occ_storm_conflicts: int = 20):
         self.recorder = recorder
         self.occ_storm_conflicts = max(1, occ_storm_conflicts)
-        self.lock_convoy_s = lock_convoy_s
         self.incidents: List[Dict[str, Any]] = []
         self._seen_commit_window = False
 
@@ -119,8 +119,7 @@ class IncidentLog:
                     epoch=args.get("epoch"),
                 )
             return
-        if (rec["cat"] == "locks" and self.lock_convoy_s > 0.0
-                and rec["t1"] - rec["t0"] >= self.lock_convoy_s):
+        if rec["cat"] == "locks" and rec["t1"] - rec["t0"] >= LOCK_CONVOY_S:
             self._emit(
                 rec["t1"], "lock-convoy", rec.get("node"), rec.get("trace"),
                 txn=rec.get("txn"),

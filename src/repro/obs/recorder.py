@@ -120,13 +120,17 @@ class P2Quantile:
         return self._heights[2]
 
 
+#: the streaming quantile a commit must exceed to be captured.
+TAIL_QUANTILE = 0.99
+
+
 class FlightRecorder:
     """Captures p99 outlier exemplars from the tracer's (ring) buffer.
 
     Subscribe it to a tracer (:meth:`attach`).  Every committed
     distributed transaction's root span feeds the streaming p50/p99
     estimators; once ``warmup`` commits have been seen, any commit whose
-    latency exceeds the running ``tail_quantile`` estimate is captured:
+    latency exceeds the running :data:`TAIL_QUANTILE` estimate is captured:
     its span DAG is copied out of the tracer's record buffer (the ring
     may evict it seconds later — the copy is the flight recorder's whole
     point) and its critical-path breakdown computed.  At most
@@ -134,14 +138,12 @@ class FlightRecorder:
     so the retained set is always the worst tail observed.
     """
 
-    def __init__(self, tracer, tail_quantile: float = 0.99,
-                 warmup: int = 32, max_exemplars: int = 16):
+    def __init__(self, tracer, warmup: int = 32, max_exemplars: int = 16):
         self.tracer = tracer
-        self.tail_quantile = tail_quantile
         self.warmup = max(1, warmup)
         self.max_exemplars = max(1, max_exemplars)
         self.p50 = P2Quantile(0.5)
-        self.tail = P2Quantile(tail_quantile)
+        self.tail = P2Quantile(TAIL_QUANTILE)
         self.commits_seen = 0
         self.exemplars_dropped = 0
         #: captured exemplars in capture order (deterministic).
@@ -249,7 +251,7 @@ class FlightRecorder:
             "commits": self.commits_seen,
             "p50_ms": self.p50.value() * 1e3,
             "tail_ms": self.tail.value() * 1e3,
-            "tail_quantile": self.tail_quantile,
+            "tail_quantile": TAIL_QUANTILE,
             "exemplars": len(self.exemplars),
             "exemplars_dropped": self.exemplars_dropped,
             "ring_evicted": getattr(self.tracer, "records_evicted", 0),

@@ -414,10 +414,10 @@ class LSMEngine:
 
         ``stable_counters`` bounds each log's recovery to its trusted
         stable prefix (entries beyond it were never acknowledged).  It
-        may be ``None`` (trust everything — native baselines), a mapping
-        ``log_name -> value``, or a *resolver*: a generator function
-        ``(log_name) -> Optional[int]`` that queries the trusted counter
-        service lazily (used by :mod:`repro.core.recovery`).
+        is ``None`` (trust everything — native baselines) or a
+        *resolver*: a generator function ``(log_name) -> Optional[int]``
+        that queries the trusted counter service lazily (used by
+        :mod:`repro.core.recovery`).
 
         Freshness (§VI): for every log with a known stable value, the
         bytes on disk must reach that value; a rolled-back disk raises
@@ -432,10 +432,8 @@ class LSMEngine:
         def limit_for(log_name: str) -> Gen:
             if stable_counters is None:
                 return None
-            if callable(stable_counters):
-                value = yield from stable_counters(log_name)
-                return value
-            return stable_counters.get(log_name)
+            value = yield from stable_counters(log_name)
+            return value
 
         def check_fresh(log: SecureLog, stable: Optional[int]) -> None:
             if stable is not None and log.on_disk_max_counter() < stable:

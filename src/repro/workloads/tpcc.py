@@ -26,6 +26,7 @@ from ..core.cluster import TreatyCluster
 from ..errors import TransactionAborted
 from ..sim.core import Event
 from ..sim.rng import SeededRng
+from .ycsb import MAX_RETRIES
 
 __all__ = [
     "TpccScale",
@@ -540,7 +541,6 @@ def run_tpcc(
     num_clients: int = 10,
     duration: float = 5.0,
     warmup: float = 0.5,
-    max_retries: int = 3,
     optimistic: bool = False,
 ) -> None:
     """Run closed-loop TPC-C terminals for ``duration`` simulated seconds.
@@ -566,7 +566,7 @@ def run_tpcc(
             txn_type = terminal.choose_type()
             started = sim.now
             committed = False
-            for _attempt in range(max_retries + 1):
+            for _attempt in range(MAX_RETRIES + 1):
                 try:
                     committed = yield from terminal.execute(txn_type)
                     break

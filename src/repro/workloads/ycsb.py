@@ -29,6 +29,9 @@ __all__ = [
 
 Gen = Generator[Event, Any, Any]
 
+#: re-runs of an aborted transaction before a client records it failed.
+MAX_RETRIES = 3
+
 
 @dataclass(frozen=True)
 class YcsbConfig:
@@ -176,7 +179,6 @@ def run_ycsb(
     num_clients: int = 32,
     duration: float = 2.0,
     warmup: float = 0.2,
-    max_retries: int = 3,
 ) -> None:
     """Run closed-loop YCSB clients until ``duration`` simulated seconds.
 
@@ -211,7 +213,7 @@ def run_ycsb(
             read_only = config.read_only and YcsbWorkload.is_read_only(ops)
             txn_start = sim.now
             committed = False
-            for _attempt in range(max_retries + 1):
+            for _attempt in range(MAX_RETRIES + 1):
                 txn = session.begin(
                     optimistic=config.optimistic and not read_only,
                     read_only=read_only,
@@ -226,7 +228,7 @@ def run_ycsb(
                     committed = True
                     break
                 except TransactionAborted:
-                    if _attempt < max_retries:
+                    if _attempt < MAX_RETRIES:
                         retry_counter.inc()
                     continue
             if committed:

@@ -56,14 +56,23 @@ class StorageHarness:
         return value
 
     def reopen(self, profile=None, stable_counters=None):
-        """Simulate a crash: new runtime/engine over the same disk."""
+        """Simulate a crash: new runtime/engine over the same disk.
+
+        ``stable_counters`` maps log names to their trusted stable
+        values; the engine is handed a resolver over it."""
         fresh = StorageHarness(
             profile=profile or self.runtime.profile,
             config=self.config,
             name=self.name,
             disk=self.disk,
         )
-        fresh.run(fresh.engine.recover(stable_counters))
+        resolver = None
+        if stable_counters is not None:
+            def resolver(log_name):
+                return stable_counters.get(log_name)
+                yield  # a generator function, as recover() expects
+
+        fresh.run(fresh.engine.recover(resolver))
         return fresh
 
 

@@ -67,7 +67,7 @@ class TestReportCommand:
         args = build_parser().parse_args(["report"])
         assert args.workload == "ycsb"
         assert args.clients == 16
-        assert args.window == 5.0
+        assert not hasattr(args, "window")  # no --window: 5 ms windows
         assert args.timeline_out is None
 
     def test_metrics_export_parses(self):

@@ -10,6 +10,11 @@ from repro.sim import Simulator
 from repro.tee import NodeRuntime
 
 
+def wait_histogram(runtime):
+    """The ``stabilize.wait_s`` histogram; ``None`` before the first wait."""
+    return runtime.metrics.snapshot().get("stabilize.wait_s")
+
+
 class TestPipelineStabilization:
     def test_disabled_pipeline_is_a_noop(self):
         """No counter client (and no stabilization profile): every entry
@@ -25,8 +30,7 @@ class TestPipelineStabilization:
         pipeline.background("log", 9)
         sim.run()
         assert sim.now == 0.0
-        assert pipeline.waits == 0
-        assert pipeline.mean_wait() == 0.0
+        assert wait_histogram(runtime) is None
         assert pipeline.witness.covers(10 ** 9)
 
     def test_stabilization_profile_without_client_stays_disabled(self):
@@ -35,15 +39,16 @@ class TestPipelineStabilization:
         pipeline = DurabilityPipeline(runtime, None, ClusterConfig())
         assert not pipeline.enabled
         sim.run_process(pipeline.stabilize("log", 5))
-        assert sim.now == 0.0 and pipeline.waits == 0
+        assert sim.now == 0.0 and wait_histogram(runtime) is None
 
     def test_enabled_waits_and_records(self):
         cluster = TreatyCluster(profile=TREATY_FULL).start()
         node = cluster.nodes[0]
         start = cluster.sim.now
         cluster.run(node.pipeline.stabilize("extras-log", 1))
-        assert node.pipeline.waits == 1
-        assert node.pipeline.mean_wait() > 0
+        waits = wait_histogram(node.runtime)
+        assert waits["total"] == 1
+        assert waits["sum"] > 0
         assert cluster.sim.now > start
 
     def test_zero_counter_is_noop(self):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.obs
 from repro.bench.metrics import MetricsCollector
 from repro.config import ClusterConfig, TREATY_FULL
 from repro.core import TreatyCluster
@@ -333,10 +334,10 @@ class TestTraceIndex:
         assert CountingLog.iterations == 1
         assert len(totals) == 128
 
-    def test_ring_eviction_keeps_the_index_exact(self):
+    def test_ring_eviction_keeps_the_index_exact(self, monkeypatch):
+        monkeypatch.setattr(repro.obs, "TRACE_RING_SPANS", 1500)
         cluster = contended_ycsb(
             "optimized", flight_recorder=True, tracing=False,
-            trace_ring_spans=1500,
         )
         log = cluster.obs.records()
         assert cluster.obs.tracer.records_evicted > 0

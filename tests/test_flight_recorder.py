@@ -26,7 +26,7 @@ import json
 import pytest
 
 from repro.config import ClusterConfig, TREATY_FULL
-from repro.core import TreatyCluster
+from repro.core import TreatyCluster, rollback
 from repro.errors import TransactionAborted
 from repro.mc.faults import CrashInjector
 from repro.obs import (
@@ -369,11 +369,11 @@ class TestDeterminism:
 
 
 class TestIncidents:
-    def test_lease_expiry_fallback_incident(self):
+    def test_lease_expiry_fallback_incident(self, monkeypatch):
+        monkeypatch.setattr(rollback, "COUNTER_LEASE_S", 0.005)
         cluster = obs_cluster(
             seed=5, tracing=True, monitor=True,
             rollback_backend="counter-async", counter_shards=2,
-            counter_lease_s=0.005,
         )
         node = cluster.nodes[0]
         backend = node.pipeline.rollback

@@ -458,7 +458,7 @@ class TestMonitorReuse:
         assert summaries[0]["events_seen"] == summaries[1]["events_seen"]
 
     def test_cluster_monitor_is_fresh_per_cluster(self):
-        config = ClusterConfig(seed=2022, num_nodes=3, monitor=True)
+        config = ClusterConfig(seed=2022, monitor=True)
         first = TreatyCluster(profile=TREATY_FULL, config=config).start()
         assert first.obs.monitor.green
         second = TreatyCluster(profile=TREATY_FULL, config=config).start()

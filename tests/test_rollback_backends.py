@@ -13,7 +13,7 @@ stabilizations.
 import pytest
 
 from repro.config import ClusterConfig, TREATY_FULL
-from repro.core import DurabilityPipeline, TreatyCluster
+from repro.core import DurabilityPipeline, TreatyCluster, rollback
 from repro.core.ids import GlobalTxnId
 from repro.core.rollback import PromiseScheduler
 from repro.core.trusted_counter import (
@@ -127,6 +127,25 @@ class TestBackendSelection:
         assert not pipeline.enabled
 
 
+# -- quorum sizes --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("num_nodes, quorum", [(1, 1), (3, 2), (5, 3)])
+def test_quorums_follow_the_cluster_size(num_nodes, quorum):
+    """The counter group's echo quorum and both decision-ledger quorums
+    are one majority of the nodes actually built: any two counter
+    quorums intersect, and commit + abort quorums exceed the node count
+    so at most one decision outcome becomes final."""
+    cluster = TreatyCluster(
+        profile=TREATY_FULL, config=ClusterConfig(), num_nodes=num_nodes
+    ).start()
+    assert len(cluster.nodes) == num_nodes
+    for node in cluster.nodes:
+        assert node.ledger.commit_quorum == quorum
+        assert node.ledger.abort_quorum == quorum
+        assert node.counter_client.quorum == quorum
+
+
 # -- the round each table row produces -----------------------------------------
 
 
@@ -181,7 +200,7 @@ class TestRoundShape:
             all(seen.get(log, 0) >= value for log, value in self.TARGETS)
             for seen in at_resume.values()
         )
-        quorum = cluster.config.counter_quorum
+        quorum = cluster.nodes[0].counter_client.quorum
         for peer in remotes:
             (update,) = _records(
                 cluster, type="span", cat="rpc", name="COUNTER_UPDATE",
@@ -328,11 +347,12 @@ class TestPerShardFrontiers:
 
 class TestLeaseExpiry:
     @pytest.mark.parametrize("backend_name", ["counter-async", "lcm"])
-    def test_expired_promise_falls_back_exactly_once(self, backend_name):
+    def test_expired_promise_falls_back_exactly_once(self, backend_name,
+                                                     monkeypatch):
+        monkeypatch.setattr(rollback, "COUNTER_LEASE_S", 0.005)
         cluster = make_cluster(
             rollback_backend=backend_name,
             counter_shards=2,
-            counter_lease_s=0.005,
         )
         node = cluster.nodes[0]
         backend = node.pipeline.rollback

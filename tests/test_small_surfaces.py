@@ -1,5 +1,6 @@
 """Small-surface unit tests: rng derivation, fingerprints, misc APIs."""
 
+import ast
 import dataclasses
 import pathlib
 import re
@@ -9,6 +10,7 @@ import pytest
 import repro
 
 from repro.config import ClusterConfig, CostModel, EnvProfile, PROFILES
+from repro.core import TreatyCluster
 from repro.crypto import generate_keypair
 from repro.sim import SeededRng, derive_seed
 
@@ -43,6 +45,35 @@ class TestVerifyKeyFingerprint:
         assert len(v1.fingerprint()) == 16
 
 
+#: ClusterConfig fields no file outside tests/ sets, and why they stay.
+SET_ONLY_BY_TESTS = {
+    "block_bytes": "storage geometry: tests shrink it to force many blocks",
+    "memtable_limit_bytes": "storage geometry: tests shrink it to force "
+                            "flushes and compactions",
+}
+
+
+def _config_keywords_set(text):
+    """Names a module sets on a config (see the test below)."""
+    nodes = list(ast.walk(ast.parse(text)))
+    calls = [
+        node for node in nodes
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        in ("ClusterConfig", "replace", "dict")
+    ]
+    names = {kw.arg for call in calls for kw in call.keywords if kw.arg}
+    if any(kw.arg is None for call in calls for kw in call.keywords):
+        names |= {
+            key.value
+            for node in nodes
+            if isinstance(node, ast.Dict)
+            for key in node.keys
+            if isinstance(key, ast.Constant) and isinstance(key.value, str)
+        }
+    return names
+
+
 class TestConfigSurface:
     def test_profiles_registry_complete(self):
         assert len(PROFILES) == 6
@@ -69,7 +100,7 @@ class TestConfigSurface:
 
     def test_cluster_config_defaults(self):
         config = ClusterConfig()
-        assert config.num_nodes == 3
+        assert TreatyCluster().num_nodes == 3
         assert config.storage_engine == "lsm"
         assert config.storage_io == "syscall"
 
@@ -88,6 +119,22 @@ class TestConfigSurface:
             if not re.search(r"\b%s\b" % f.name, source)
         ]
         assert not unread, "ClusterConfig fields nothing reads: %s" % unread
+
+        # ...and a knob only tests set is a constant: each field must be
+        # set outside tests/ — a keyword of a ClusterConfig / replace /
+        # dict call, or a string key of a dict literal in a file that
+        # spreads a mapping into one — or be allowlisted here.
+        set_outside_tests = set()
+        for directory in ("src", "benchmarks", "perf", "tools", "examples"):
+            for path in sorted((root.parents[1] / directory).rglob("*.py")):
+                set_outside_tests |= _config_keywords_set(path.read_text())
+        unset = [
+            f.name
+            for f in dataclasses.fields(ClusterConfig)
+            if f.name not in set_outside_tests
+            and f.name not in SET_ONLY_BY_TESTS
+        ]
+        assert not unset, "ClusterConfig fields only tests set: %s" % unset
 
 
 class TestFrameAndFabricSurface:
