@@ -1,7 +1,8 @@
 """The post-vote sequence of a 2PC decision, written once.
 
 After the vote there is one sequence (§V-A, Figure 2 steps 6–8):
-protect the logged decision, deliver it, apply this node's half, run one
+protect the logged decision; deliver it and apply this node's half side
+by side (nothing after the protect waits on the remote ACKs); run one
 apply-side counter round.  Whoever holds the decision runs it through
 :func:`finish` — the coordinator, a completer that took over, recovery
 re-running it from the Clog, a recovered half its coordinator answered —
@@ -186,16 +187,18 @@ def finish(
     ops: Callable[[], int],
     on_protected: Optional[Callable[[int], Any]] = None,
 ) -> Gen:
-    """Protect ``record``'s decision, deliver it to ``nodes``, apply this
-    node's half, then run one round for the apply-side targets.
+    """Protect ``record``'s decision, deliver it to ``nodes`` while this
+    node's half is applied, then run one round for the apply-side targets.
 
     ``coordinator`` is this node's Coordinator role (its Participant,
     pipeline and wire come with it); ``ops`` mints the operation id of
     each instruction sent.  ``on_protected(kind)`` is the coordinator's
     phase bookkeeping: called once the decision is safe to act on, it
     returns the span to close once this node's half is applied.  The
-    own half is applied *after* delivery, and only if this node holds
-    it or the record names this node.  Returns the final kind.
+    own half's apply starts, as a process joined after delivery, in the
+    instant the delivery round does, and only if this node holds the
+    half or the record names this node.  The targets are delivery's,
+    then the own half's.  Returns the final kind.
     """
     runtime = coordinator.runtime
     participant = coordinator.participant
@@ -206,18 +209,32 @@ def finish(
     if protect is not None:
         kind = yield from protect(coordinator, record, entry.phase)
     span = on_protected(kind) if on_protected is not None else None
-    targets = yield from deliver(
-        coordinator.rpc, coordinator.addresses, nodes,
-        lambda: TxMessage(
-            INSTRUCTIONS[kind], gid.node_id, gid.local_seq, ops()
-        ),
-        rounds=entry.rounds[replication(runtime)],
-    )
+    own = None
     if (
         coordinator.node_numeric_id in record.participants
         or key in participant.active
     ):
-        targets += (yield from participant.apply(key, kind)) or []
+        own = runtime.sim.process(participant.apply(key, kind), "own-apply")
+        # It may fail before delivery returns and anyone waits on it: it
+        # is joined below whatever delivery does, so its failure is
+        # raised there, once, and never by Simulator.run.
+        own.defuse()
+    try:
+        targets = yield from deliver(
+            coordinator.rpc, coordinator.addresses, nodes,
+            lambda: TxMessage(
+                INSTRUCTIONS[kind], gid.node_id, gid.local_seq, ops()
+            ),
+            rounds=entry.rounds[replication(runtime)],
+        )
+    except Exception:
+        # (Not GeneratorExit: a fiber abandoned at the end of a run has
+        # nothing left to join.)
+        if own is not None:
+            yield own
+        raise
+    if own is not None:
+        targets += (yield own) or []
     if span is not None:
         span.close()
     if not entry.logs_complete:

@@ -278,6 +278,94 @@ class TestOwnHalfOfACompletedCommit:
         assert read_local(cluster, 1, b"1/remote") == b"once"
 
 
+class TestCrashWithTheOwnApplyInFlight:
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_own_half_and_delivery_in_flight(self, protocol):
+        """The own half's apply runs beside the delivery round: the
+        coordinator crashes once a participant has received its
+        TXN_COMMIT, while the own half's group-commit WAL append is still
+        on the disk.  The append lands, but its commit record is never
+        stabilized, so the WAL brings the half back prepared.  Recovery
+        commits it exactly once, the remote halves commit from the
+        delivery that was in flight, no completer takes over, I1-I5
+        green."""
+        cluster = TreatyCluster(
+            profile=TREATY_FULL,
+            config=ClusterConfig(tracing=True, protocol=protocol),
+            partitioner=lambda key: int(key[:1]) % 3,
+        ).start()
+        node = cluster.nodes[0]
+        txn = node.coordinator.begin()
+        gid = txn.key.hex()
+        seen = {"protected": False, "crashed_at": None}
+
+        def crash_once_delivered(rec):
+            if gid not in (rec.get("trace"), rec.get("txn")):
+                return
+            what = (rec["node"], rec["cat"], rec["name"])
+            if what == ("node0", "twopc", "decision_log"):
+                seen["protected"] = True  # the span closes at protect
+            elif (seen["protected"] and node.is_up
+                  and what[1:] == ("crypto", "open_batch")
+                  and what[0] != "node0"):
+                seen["crashed_at"] = cluster.sim.now
+                cluster.crash_node(0)
+
+        cluster.obs.tracer.subscribe(crash_once_delivered)
+
+        def body():
+            for shard in (b"0", b"1", b"2"):
+                yield from txn.put(shard + b"/key", b"once")
+            yield from txn.commit()
+
+        cluster.sim.process(body())
+        cluster.sim.run(until=cluster.sim.now + 0.5)
+        crashed_at = seen["crashed_at"]
+        assert crashed_at is not None and not node.is_up
+        before = list(cluster.obs.records())
+        # Both were in flight at the crash: the own half's WAL append
+        # had started and not ended, and no own apply had happened.
+        wal = node.engine.wal.log_name
+        own_appends = [
+            rec for rec in before
+            if rec.get("name") == "log_append" and rec["node"] == "node0"
+            and rec["args"]["log"] == wal and rec.get("trace") == gid
+            and rec["t0"] < crashed_at < rec["t1"]
+        ]
+        assert len(own_appends) == 1
+        assert not any(
+            rec["node"] == "node0" and rec.get("name") == "commit_apply"
+            and rec.get("txn") == gid and rec["t"] < crashed_at
+            for rec in before
+        )
+        cluster.run(cluster.recover_node(0))
+        cluster.sim.run(until=cluster.sim.now + 5.0)
+
+        after = list(cluster.obs.records())[len(before):]
+        done = [rec for rec in after if rec.get("name") == "recover_done"]
+        assert done[0]["args"]["prepared"] == [gid]
+        recovered = [
+            rec["node"] for rec in after
+            if rec.get("name") in ("commit_apply", "abort_apply")
+            and rec.get("txn") == gid and rec["t"] >= done[0]["t"]
+        ]
+        assert recovered == ["node0"]
+        remote = sorted(
+            rec["node"] for rec in cluster.obs.records()
+            if rec.get("name") == "commit_apply" and rec.get("txn") == gid
+            and rec["node"] != "node0"
+        )
+        assert remote == ["node1", "node2"]
+        assert node.participant.commits_served == 1
+        assert [n.participant.takeovers for n in cluster.nodes] == [0, 0, 0]
+        assert txn.key not in node.participant.active
+        monitor = cluster.obs.monitor
+        monitor.check_quiescent(now=cluster.sim.now)
+        assert monitor.green, monitor.violations
+        for index, shard in enumerate((b"0", b"1", b"2")):
+            assert read_local(cluster, index, shard + b"/key") == b"once"
+
+
 class TestRollbackProtection:
     def test_rollback_attack_detected(self):
         cluster = TreatyCluster(profile=TREATY_FULL).start()

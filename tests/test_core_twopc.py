@@ -433,11 +433,18 @@ class TestApplyStep:
         assert cluster.run(node.engine.get_with_seq(key))[0] == b"once"
 
 
-    def test_completer_instruction_beats_the_coordinators_own_apply(self):
-        """A completer's TXN_COMMIT reaches the coordinator's node after
-        ``protect`` and before the coordinator applies its own half: the
-        instruction applies it, the coordinator's own apply finds the
-        half gone, and the commit finishes as usual."""
+    @staticmethod
+    def _race_the_own_apply(instruct_first):
+        """Commit a 2-shard transaction from node0 while node1, as a
+        completer, instructs node0 to commit the coordinator's own half.
+
+        The instruction is sent once the decision is protected.  With
+        ``instruct_first`` the coordinator goes on only after it was
+        applied and ACKed, so it lands before the own apply starts;
+        otherwise it is sent in the instant the own apply starts beside
+        delivery and arrives a hop later.  Returns the completer's
+        delivery process.
+        """
         cluster = TreatyCluster(
             profile=TREATY_FULL, config=ClusterConfig(tracing=True),
             partitioner=_digit_partitioner,
@@ -449,10 +456,7 @@ class TestApplyStep:
         protect = coordinator.protect
         racers = []
 
-        def protect_then_race(*args, **kwargs):
-            kind = yield from protect(*args, **kwargs)
-            # One hop to node0, against the round trip (plus node2's
-            # apply) the coordinator's delivery round takes.
+        def instruct(kind):
             completer = cluster.nodes[1].participant
             racers.append(sim.process(
                 deliver(
@@ -461,9 +465,16 @@ class TestApplyStep:
                 ),
                 name="completer-instruct",
             ))
+            return racers[-1]
+
+        def racing_protect(record, phase):
+            kind = yield from protect(record, phase)
+            racer = instruct(kind)
+            if instruct_first:
+                yield racer  # applied and ACKed before finish goes on
             return kind
 
-        coordinator.protect = protect_then_race
+        coordinator.protect = racing_protect
         clog_before = node.clog.last_counter
 
         def body():
@@ -474,16 +485,71 @@ class TestApplyStep:
 
         cluster.run(body())
         assert txn.status == TxnStatus.COMMITTED
+        # Whoever won, each node applied its half exactly once.
         applies = events_named(cluster, "commit_apply", txn.key)
         assert sorted(rec["node"] for rec in applies) == ["node0", "node2"]
-        # The instruction got there first (its ACK carried the commit
-        # record's target); the own apply found no half.
-        assert len(racers[0].value) == 1
         assert node.participant.commits_served == 1
         assert txn.key not in node.participant.active
         # PREPARE + COMMIT + COMPLETE: the completion round still ran.
         assert node.clog.last_counter == clog_before + 3
         assert cluster.run(node.engine.get_with_seq(b"0/own"))[0] == b"once"
+        return racers[0]
+
+    def test_completer_instruction_beats_the_coordinators_own_apply(self):
+        """A completer's TXN_COMMIT that reaches the coordinator's node
+        before its own apply starts applies the own half; the own apply
+        finds the half gone, and the commit finishes as usual."""
+        racer = self._race_the_own_apply(instruct_first=True)
+        # Its ACK carried the commit record's target.
+        assert len(racer.value) == 1
+
+    def test_the_coordinators_own_apply_beats_a_completer_instruction(self):
+        """The own apply starts beside delivery, in the instant
+        ``protect`` returns: a completer's TXN_COMMIT sent then is a hop
+        late, finds the half gone and its ACK is empty."""
+        racer = self._race_the_own_apply(instruct_first=False)
+        assert racer.value == []
+
+    @pytest.mark.parametrize("failing", ["deliver", "own-apply"])
+    def test_a_failure_beside_the_own_apply_is_raised_once(
+        self, failing, monkeypatch
+    ):
+        """``finish`` joins the own apply whatever delivery did: a
+        failure on either side reaches the committing caller once and is
+        never left for ``Simulator.run`` to raise; a delivery failure
+        still lets the own apply finish."""
+        from repro.core.twopc import steps
+
+        cluster = TreatyCluster(
+            profile=TREATY_FULL, config=ClusterConfig(tracing=True),
+            partitioner=_digit_partitioner,
+        ).start()
+        sim = cluster.sim
+        participant = cluster.nodes[0].participant
+
+        def fail(*args, **kwargs):
+            yield sim.timeout(0.0)
+            raise RuntimeError(failing)
+
+        if failing == "deliver":
+            monkeypatch.setattr(steps, "deliver", fail)
+        else:
+            monkeypatch.setattr(participant, "apply", fail)
+        txn = cluster.nodes[0].coordinator.begin()
+
+        def body():
+            yield from txn.put(b"0/own", b"v")
+            yield from txn.put(b"2/remote", b"v")
+            yield from txn.commit()
+
+        with pytest.raises(RuntimeError, match=failing):
+            cluster.run(body())
+        sim.run(until=sim.now + 0.5)  # nothing left to raise
+        own_applies = [
+            rec["node"] for rec in events_named(cluster, "commit_apply", txn.key)
+            if rec["node"] == "node0"
+        ]
+        assert own_applies == (["node0"] if failing == "deliver" else [])
 
 
 class TestOwnHalfIsAnOrdinaryHalf:

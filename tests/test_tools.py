@@ -1,6 +1,7 @@
 """Table tests for the pure parts of the scripts under ``tools/``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -166,3 +167,143 @@ def test_classify(prod, tests, states):
         {("m.py", line) for line in tests})
     assert [state for state, _ in classified] == states
     assert [d for _, d in classified] == defs
+
+
+# -- trace_digest --explain: which records two dumps disagree on -------------
+
+trace_digest = _load("trace_digest")
+
+
+def gid(node_id, seq=1):
+    return (node_id.to_bytes(8, "little") + seq.to_bytes(8, "little")).hex()
+
+
+def event(name, node, txn, t, cat="twopc", **args):
+    return {"args": args, "cat": cat, "name": name, "node": node, "t": t,
+            "trace": txn, "txn": txn, "type": "event"}
+
+
+def span(name, node, txn, t0, t1, sid, cat="twopc", **args):
+    return {"args": args, "cat": cat, "name": name, "node": node,
+            "parent": 0, "sid": sid, "t0": t0, "t1": t1, "trace": txn,
+            "txn": txn, "type": "span"}
+
+
+@pytest.mark.parametrize("record, role", [
+    (event("commit_apply", "node1", gid(1), 0.0), "coordinator"),
+    (event("commit_apply", "node2", gid(1), 0.0), "participant"),
+    # a span with no txn of its own takes its trace's gid
+    (dict(event("log_append", "node0", None, 0.0), trace=gid(0)),
+     "coordinator"),
+    (event("replay", "node2", gid((1 << 63) | 2), 0.0), "recovery"),
+    (event("log_append", "node0", None, 0.0), "-"),
+])
+def test_node_role_comes_from_the_gid(record, role):
+    assert trace_digest.node_role(record) == role
+
+
+#: one committed transaction coordinated by node0, half on node1
+OLD_RUN = [
+    span("prepare", "node0", gid(0), 1.0, 2.0, 1),
+    span("group_commit", "node1", gid(0), 2.1, 2.4, 2, cat="storage"),
+    event("commit_apply", "node1", gid(0), 2.4),
+    span("group_commit", "node0", gid(0), 2.5, 2.8, 3, cat="storage"),
+    event("commit_apply", "node0", gid(0), 2.8),
+    span("commit", "node0", gid(0), 2.05, 2.9, 4),
+    span("txn", "node0", gid(0), 0.5, 2.9, 5, outcome="commit"),
+]
+#: the coordinator's own apply now runs beside delivery: the same
+#: records earlier and in another order, plus one more committed txn
+NEW_RUN = [
+    OLD_RUN[0],
+    span("group_commit", "node0", gid(0), 2.1, 2.4, 2, cat="storage"),
+    event("commit_apply", "node0", gid(0), 2.4),
+    span("group_commit", "node1", gid(0), 2.1, 2.4, 3, cat="storage"),
+    event("commit_apply", "node1", gid(0), 2.4),
+    span("commit", "node0", gid(0), 2.05, 2.45, 4),
+    span("txn", "node0", gid(0), 0.5, 2.45, 5, outcome="commit"),
+    event("commit_apply", "node2", gid(2, 7), 2.6),
+    span("txn", "node2", gid(2, 7), 2.0, 2.6, 6, outcome="commit"),
+]
+
+
+def test_explain_records_names_what_moved_and_where():
+    result = trace_digest.explain_records(OLD_RUN, NEW_RUN)
+    assert result["first"] == 1
+    assert result["commits"] == (1, 2)
+    # Retimed and reordered records match; only the new txn's two
+    # records are added.
+    assert result["rows"] == [
+        (("twopc", "commit_apply", "coordinator"), 0, 1),
+        (("twopc", "txn", "coordinator"), 0, 1),
+    ]
+    assert trace_digest.explain_records(OLD_RUN, list(OLD_RUN)) == {
+        "first": None, "commits": (1, 1), "rows": []}
+    # A record lost at the end counts too.
+    assert trace_digest.explain_records(OLD_RUN, OLD_RUN[:-1])["rows"] == [
+        (("twopc", "txn", "coordinator"), 1, 0)]
+
+
+def test_phase_is_the_innermost_open_twopc_span():
+    # node0's group_commit at 2.5 lies in its commit span [2.05, 2.9]
+    assert trace_digest.phase_of(OLD_RUN, OLD_RUN[3]) == "commit"
+    assert trace_digest.phase_of(
+        OLD_RUN, dict(OLD_RUN[3], t0=1.5)) == "prepare"
+    # node1 has no phase spans of its own; another txn's record none
+    assert trace_digest.phase_of(OLD_RUN, OLD_RUN[1]) == "-"
+    assert trace_digest.phase_of(
+        OLD_RUN, dict(OLD_RUN[3], trace=gid(2), txn=gid(2))) == "-"
+
+
+def _dump(directory, rows):
+    directory.mkdir()
+    for name, lines in rows.items():
+        (directory / name).write_text("".join(
+            (line if isinstance(line, str) else json.dumps(
+                line, sort_keys=True)) + "\n"
+            for line in lines))
+    return str(directory)
+
+
+def test_explain_reports_each_moved_row(tmp_path):
+    old = _dump(tmp_path / "old", {
+        "paper-lcm.jsonl": OLD_RUN,
+        "optimized-lcm.jsonl": OLD_RUN,
+        "cli-ycsb.txt": ["tps 10", "p50 3.0", "p99 9.0"],
+        "trace-demo.jsonl": OLD_RUN,
+    })
+    new = _dump(tmp_path / "new", {
+        "paper-lcm.jsonl": NEW_RUN,
+        "optimized-lcm.jsonl": OLD_RUN,
+        "cli-ycsb.txt": ["tps 10", "p50 2.9", "p99 9.0", "done"],
+    })
+    lines = trace_digest.explain(old, new)
+    heads = [line for line in lines if not line.startswith(" ")]
+    assert heads == [
+        "cli-ycsb.txt: 3 -> 4 lines, 1 removed, 2 added",
+        "paper-lcm.jsonl: 7 -> 9 records, 1 -> 2 committed distributed txns",
+        "trace-demo.jsonl: only in the old dump",
+        "3 of 4 dumped rows moved",
+    ]
+    text = "\n".join(lines)
+    assert "first difference at line 2:" in text
+    assert "first divergence at record 1:" in text
+    assert ("old: storage/group_commit on node1 (participant), txn %s, "
+            "phase -" % gid(0)) in text
+    assert ("new: storage/group_commit on node0 (coordinator), txn %s, "
+            "phase commit" % gid(0)) in text
+    row = next(line for line in lines
+               if "twopc/commit_apply" in line).split()
+    assert row == ["twopc/commit_apply", "coordinator", "0", "1",
+                   "0.000", "0.500"]
+    assert lines[lines.index("trace-demo.jsonl: only in the old dump")
+                 - 1].split() == ["total", "0", "2", "0.000", "1.000"]
+
+
+def test_explain_runs_no_recipe(tmp_path, capsys):
+    old = _dump(tmp_path / "old", {"paper-lcm.jsonl": OLD_RUN})
+    new = _dump(tmp_path / "new", {"paper-lcm.jsonl": OLD_RUN})
+    assert trace_digest.main(["--explain", old, new]) == 0
+    assert capsys.readouterr().out == "0 of 1 dumped rows moved\n"
+    with pytest.raises(SystemExit):
+        trace_digest.main([])  # --check needs FILE

@@ -32,8 +32,20 @@ emit and compares with (or writes) a pinned JSON file:
 Usage: ``python tools/trace_digest.py [--write|--check] [--dump DIR]
 FILE`` (default ``--check``; run with ``PYTHONHASHSEED=0``).  ``--check``
 exits 1 and names every digest that moved; ``--dump DIR`` also writes
-what each recipe hashed (one JSONL file per row), so ``diff -r`` over the
-dumps of two checkouts shows *which records* moved.
+what each recipe hashed (one JSONL file per row, a ``.txt`` file per
+stdout row).
+
+``python tools/trace_digest.py --explain OLD_DIR NEW_DIR`` reads two such
+dumps (say, of a parent and of a change) and says, for each row that
+moved, *which records* moved: per ``(cat, name, node role)`` how many
+records were removed and added, raw and per committed distributed
+transaction, and the first record where the two runs part.  A record
+counts as the same in both runs when it differs only in its timestamps
+and span ids, so work that merely moved in time is neither added nor
+removed.  The node role comes from the record's gid: ``coordinator``
+when the record's node is the one that coordinates the transaction,
+``participant`` otherwise (``recovery`` under a recovery trace id,
+``-`` for a record of no transaction).
 """
 
 from __future__ import annotations
@@ -47,6 +59,7 @@ import os
 import shutil
 import sys
 import tempfile
+from collections import Counter
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -212,6 +225,192 @@ def compute(dump=None) -> dict:
     return document
 
 
+# -- --explain: which records two dumps disagree on --------------------------
+
+#: span ids: numbered in opening order, so one extra span renumbers every
+#: later one; the first divergence is looked for without them.
+ID_FIELDS = ("sid", "parent")
+#: the fields that say when a record happened and which span ids it got,
+#: not what it is; ``--explain`` matches records without them.
+WHEN_FIELDS = ("t", "t0", "t1") + ID_FIELDS
+
+
+def node_role(record: dict) -> str:
+    """``coordinator``, ``participant``, ``recovery`` or ``-``: the part
+    the record's node plays in the transaction its gid names."""
+    gid = record.get("txn") or record.get("trace")
+    if not gid:
+        return "-"
+    node_id = int.from_bytes(bytes.fromhex(gid)[:8], "little")
+    if node_id >> 63:
+        return "recovery"  # a recovery span DAG's synthetic trace id
+    return "coordinator" if record.get("node") == "node%d" % node_id \
+        else "participant"
+
+
+def record_key(record: dict) -> tuple:
+    return (record["cat"], record["name"], node_role(record))
+
+
+def committed(records) -> int:
+    """Committed distributed transactions: ``twopc/txn`` roots that
+    closed with outcome commit."""
+    return sum(
+        1 for record in records
+        if record["cat"] == "twopc" and record["name"] == "txn"
+        and record.get("args", {}).get("outcome") == "commit"
+    )
+
+
+def phase_of(records, record: dict) -> str:
+    """The innermost ``twopc`` phase span (not the ``txn`` root) of the
+    record's transaction on the record's node that was open when the
+    record started; ``-`` when none was."""
+    gid = record.get("txn") or record.get("trace")
+    start = record.get("t", record.get("t0"))
+    best = None
+    for other in records:
+        if (
+            other["cat"] == "twopc" and other.get("type") == "span"
+            and other["name"] != "txn" and other.get("node") == record.get("node")
+            and (other.get("txn") or other.get("trace")) == gid
+            and other["t0"] <= start <= other["t1"]
+            and (best is None or other["t0"] >= best["t0"])
+        ):
+            best = other
+    return best["name"] if best is not None else "-"
+
+
+def _first_difference(old: list, new: list, same=None):
+    """Index of the first entry where two lists differ (None if equal);
+    ``same(a, b)`` replaces ``==``."""
+    for index, (a, b) in enumerate(zip(old, new)):
+        if not (a == b if same is None else same(a, b)):
+            return index
+    return None if len(old) == len(new) else min(len(old), len(new))
+
+
+def _same_but_ids(a: dict, b: dict) -> bool:
+    return all(
+        a.get(field) == b.get(field)
+        for field in a.keys() | b.keys() if field not in ID_FIELDS
+    )
+
+
+def explain_records(old: list, new: list) -> dict:
+    """What separates two runs' trace records.
+
+    Returns ``first`` (index of the first record that differs other than
+    in its span ids, None when none does), ``commits`` ``(old, new)`` and
+    ``rows``: one ``(key, removed, added)`` per ``(cat, name, role)`` key
+    with any, sorted by key.  A record is removed (added) when its content
+    outside :data:`WHEN_FIELDS` has more copies in ``old`` (``new``).
+    """
+    keys = {}
+
+    def content(record: dict) -> str:
+        text = json.dumps(
+            {k: v for k, v in record.items() if k not in WHEN_FIELDS},
+            sort_keys=True,
+        )
+        keys.setdefault(text, record_key(record))
+        return text
+
+    before = Counter(content(record) for record in old)
+    after = Counter(content(record) for record in new)
+    tally: dict = {}
+    for diff, column in ((before - after, 0), (after - before, 1)):
+        for text, count in diff.items():
+            tally.setdefault(keys[text], [0, 0])[column] += count
+    return {
+        "first": _first_difference(old, new, _same_but_ids),
+        "commits": (committed(old), committed(new)),
+        "rows": [(key, r, a) for key, (r, a) in sorted(tally.items())],
+    }
+
+
+def _per(count: int, commits: int) -> str:
+    return "%.3f" % (count / commits) if commits else "-"
+
+
+def _clip(text: str, width: int = 240) -> str:
+    return text if len(text) <= width else text[: width - 3] + "..."
+
+
+def explain_row(name: str, old_text: str, new_text: str) -> list:
+    """The report lines for one dumped row that moved."""
+    old_lines = old_text.splitlines()
+    new_lines = new_text.splitlines()
+    if not name.endswith(".jsonl"):
+        # A stdout row: lines, not records.
+        first = _first_difference(old_lines, new_lines)
+        removed = sum((Counter(old_lines) - Counter(new_lines)).values())
+        added = sum((Counter(new_lines) - Counter(old_lines)).values())
+        out = ["%s: %d -> %d lines, %d removed, %d added"
+               % (name, len(old_lines), len(new_lines), removed, added)]
+        if first is not None:
+            out.append("  first difference at line %d:" % (first + 1))
+            for side, lines in (("old", old_lines), ("new", new_lines)):
+                out.append("    %s: %s" % (side, _clip(
+                    lines[first] if first < len(lines) else "<end>")))
+        return out
+    old = [json.loads(line) for line in old_lines]
+    new = [json.loads(line) for line in new_lines]
+    result = explain_records(old, new)
+    (old_commits, new_commits), first = result["commits"], result["first"]
+    out = ["%s: %d -> %d records, %d -> %d committed distributed txns"
+           % (name, len(old), len(new), old_commits, new_commits)]
+    if first is not None:
+        out.append("  first divergence at record %d:" % first)
+        for side, records, lines in (("old", old, old_lines),
+                                     ("new", new, new_lines)):
+            if first >= len(records):
+                out.append("    %s: <end>" % side)
+                continue
+            record = records[first]
+            cat, rec_name, role = record_key(record)
+            out.append("    %s: %s/%s on %s (%s), txn %s, phase %s" % (
+                side, cat, rec_name, record.get("node"), role,
+                record.get("txn") or record.get("trace"),
+                phase_of(records, record)))
+            out.append("      " + _clip(lines[first]))
+    out.append("  %-34s %-12s %8s %8s %11s %9s" % (
+        "cat/name", "role", "removed", "added", "removed/txn", "added/txn"))
+    rows = [("%s/%s" % (cat, rec_name), role, removed, added)
+            for (cat, rec_name, role), removed, added in result["rows"]]
+    rows.append(("total", "", sum(row[2] for row in rows),
+                 sum(row[3] for row in rows)))
+    for label, role, removed, added in rows:
+        out.append("  %-34s %-12s %8d %8d %11s %9s" % (
+            label, role, removed, added,
+            _per(removed, old_commits), _per(added, new_commits)))
+    return out
+
+
+def explain(old_dir: str, new_dir: str) -> list:
+    """Report lines for every dumped row that differs between two
+    ``--dump`` directories (rows on one side only are named)."""
+    names = sorted(set(os.listdir(old_dir)) | set(os.listdir(new_dir)))
+    out = []
+    moved = 0
+    for name in names:
+        paths = [os.path.join(d, name) for d in (old_dir, new_dir)]
+        if not all(os.path.exists(path) for path in paths):
+            side = "old" if os.path.exists(paths[0]) else "new"
+            out.append("%s: only in the %s dump" % (name, side))
+            moved += 1
+            continue
+        texts = []
+        for path in paths:
+            with open(path) as fp:
+                texts.append(fp.read())
+        if texts[0] != texts[1]:
+            out.extend(explain_row(name, *texts))
+            moved += 1
+    out.append("%d of %d dumped rows moved" % (moved, len(names)))
+    return out
+
+
 def _flatten(document: dict) -> dict:
     return {
         "%s:%s:%s" % (section, key, field): value
@@ -228,11 +427,19 @@ def main(argv=None) -> int:
                       help="pin the digests of this checkout into FILE")
     mode.add_argument("--check", action="store_true",
                       help="compare this checkout with FILE (default)")
+    mode.add_argument("--explain", nargs=2, metavar=("OLD_DIR", "NEW_DIR"),
+                      help="say which records moved between two --dump "
+                           "directories (runs no recipe)")
     parser.add_argument("--dump", metavar="DIR",
                         help="also write each recipe's records as JSONL "
-                             "under DIR (diff two checkouts' dumps)")
-    parser.add_argument("file", help="the pinned digests (JSON)")
+                             "under DIR (for --explain)")
+    parser.add_argument("file", nargs="?", help="the pinned digests (JSON)")
     args = parser.parse_args(argv)
+    if args.explain:
+        print("\n".join(explain(*args.explain)))
+        return 0
+    if args.file is None:
+        parser.error("FILE is required unless --explain is given")
 
     document = compute(args.dump)
     if args.write:
