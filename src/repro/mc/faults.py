@@ -113,7 +113,8 @@ class CrashInjector:
         self.crashed = None  # node index, once fired
 
     def arm(self):
-        self.cluster.obs.tracer.subscribe(self._on_record)
+        self.cluster.obs.tracer.subscribe(
+            self._on_record, [("event",) + self.point])
         return self
 
     def _on_record(self, rec):

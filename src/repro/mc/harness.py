@@ -400,7 +400,9 @@ def _run_one(scope, trace, remaining_budget, visited, sleep0, crc_cache,
         sleep0=sleep0, crc_cache=crc_cache or DiskCrcCache(),
     )
     sim.chooser = controller
-    cluster.obs.tracer.subscribe(controller.on_record)
+    cluster.obs.tracer.subscribe(controller.on_record, [
+        ("event", cat, name) for cat, name in scope.crash_points
+    ])
 
     txns = _scope_txns(cluster, scope.txns)
     outcomes = ["pending"] * len(txns)

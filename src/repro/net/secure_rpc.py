@@ -95,11 +95,13 @@ class _SecureBatchCodec:
         # Attribute the frame's single AEAD pass to the first sub-message
         # carrying a trace context (batch-shared cost; parent is resolved
         # by interval containment in the critical-path analyzer).
-        span = rpc.tracer.span(
-            "crypto", "seal_batch", node=rpc.runtime.name or None,
-            parent=0, trace=_parts_trace(parts),
-            seal_ops=1, parts=len(parts),
-        )
+        tracer = rpc.tracer
+        if tracer.enabled:
+            span = tracer.span(
+                "crypto", "seal_batch", node=rpc.runtime.name or None,
+                parent=0, trace=_parts_trace(parts),
+                seal_ops=1, parts=len(parts),
+            )
         # The IV names the sealer (every endpoint shares the network key)
         # and reuses the batch id, which is unique per endpoint and boot.
         iv = rpc._iv_sealer + struct.pack("<Q", batch_id)
@@ -107,7 +109,8 @@ class _SecureBatchCodec:
         rpc.seal_ops += 1
         rpc._seal_ops_counter.inc()
         yield from rpc.runtime.seal_cost(len(blob))
-        span.close(bytes=len(blob))
+        if tracer.enabled:
+            span.close(bytes=len(blob))
         return blob, len(blob), {
             "batch_src": rpc.node_numeric_id,
             "batch_id": batch_id,
@@ -119,10 +122,12 @@ class _SecureBatchCodec:
         if not rpc._encrypted:
             return unpack_parts(payload)
             yield  # pragma: no cover - keeps this a generator
-        span = rpc.tracer.span(
-            "crypto", "open_batch", node=rpc.runtime.name or None,
-            parent=0, trace=None, seal_ops=1, bytes=len(payload),
-        )
+        tracer = rpc.tracer
+        if tracer.enabled:
+            span = tracer.span(
+                "crypto", "open_batch", node=rpc.runtime.name or None,
+                parent=0, trace=None, seal_ops=1, bytes=len(payload),
+            )
         yield from rpc.runtime.seal_cost(len(payload))
         aad = _AAD_BATCH + struct.pack(
             "<QQ", meta.get("batch_src", 0) & 0xFFFFFFFFFFFFFFFF,
@@ -131,17 +136,18 @@ class _SecureBatchCodec:
         try:
             parts = unseal_batch(rpc._aead, payload, aad)
         except Exception:
-            span.close(error="auth_failure")
+            if tracer.enabled:
+                span.close(error="auth_failure")
             rpc.auth_failures += 1
             rpc._auth_fail_counter.inc()
-            rpc.tracer.event(
+            tracer.event(
                 "net", "auth_failure", node=rpc.runtime.name or None, src=src,
             )
             raise
         # Only after decryption do we know which trace pays for the pass.
-        if rpc.tracer.enabled:
+        if tracer.enabled:
             span.trace = _parts_trace(parts)
-        span.close(parts=len(parts))
+            span.close(parts=len(parts))
         rpc.seal_ops += 1
         rpc._seal_ops_counter.inc()
         # Batch-level at-most-once: the (sender, batch sequence) pair is
@@ -298,17 +304,20 @@ class SecureRpc:
     def _exchange(
         self, dst: str, message: TxMessage, outcome: Event, express: bool = False
     ):
-        span = self.tracer.span(
-            "net", "rpc", node=self.runtime.name or None,
-            dst=dst, msg_type=message.msg_type,
-        )
-        # Stamp this fiber's trace context into the sealed metadata: the
-        # receiving fiber adopts it, chaining its handler span under this
-        # rpc span — the cross-node edge of the transaction's DAG.
-        if self.tracer.enabled and span.trace is not None:
-            message = message.with_trace(
-                span.trace, span.sid, self.node_numeric_id
+        tracing = self.tracer.enabled
+        if tracing:
+            span = self.tracer.span(
+                "net", "rpc", node=self.runtime.name or None,
+                dst=dst, msg_type=message.msg_type,
             )
+            # Stamp this fiber's trace context into the sealed metadata:
+            # the receiving fiber adopts it, chaining its handler span
+            # under this rpc span — the cross-node edge of the
+            # transaction's DAG.
+            if span.trace is not None:
+                message = message.with_trace(
+                    span.trace, span.sid, self.node_numeric_id
+                )
         nbytes = 0
         try:
             # The batch codec seals the coalesced frame in one AEAD
@@ -326,11 +335,13 @@ class SecureRpc:
                     yield self.runtime.sim.sleep(resume_delay)
             decoded = TxMessage.decode(reply.payload)
         except Exception as exc:  # noqa: BLE001 - propagate to the waiter
-            span.close(bytes=nbytes, error=type(exc).__name__)
+            if tracing:
+                span.close(bytes=nbytes, error=type(exc).__name__)
             if not outcome.triggered:
                 outcome.fail(exc)
             return
-        span.close(bytes=nbytes)
+        if tracing:
+            span.close(bytes=nbytes)
         if not outcome.triggered:
             outcome.succeed(decoded)
 

@@ -60,7 +60,11 @@ class IncidentLog:
         self._seen_commit_window = False
 
     def attach(self, tracer) -> "IncidentLog":
-        tracer.subscribe(self.observe_record)
+        tracer.subscribe(self.observe_record, [
+            ("event", "twopc", "completer_takeover"),
+            ("event", "counter", "lease"),
+            ("span", "locks", None),
+        ])
         return self
 
     # -- emission ------------------------------------------------------------

@@ -106,7 +106,8 @@ class InvariantMonitor:
 
     # -- wiring ------------------------------------------------------------
     def attach(self, tracer) -> "InvariantMonitor":
-        tracer.subscribe(self.on_record)
+        # Every event: each one advances the I5 liveness horizon.
+        tracer.subscribe(self.on_record, [("event", None, None)])
         return self
 
     @property

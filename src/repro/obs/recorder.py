@@ -150,7 +150,8 @@ class FlightRecorder:
         self.exemplars: List[Dict[str, Any]] = []
 
     def attach(self, tracer=None) -> "FlightRecorder":
-        (tracer or self.tracer).subscribe(self.observe_record)
+        (tracer or self.tracer).subscribe(
+            self.observe_record, [("span", "twopc", "txn")])
         return self
 
     # -- the subscriber ------------------------------------------------------

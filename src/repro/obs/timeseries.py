@@ -83,7 +83,11 @@ class TimeSeriesRecorder:
         self._flushed_through = 0.0
 
     def attach(self, tracer) -> "TimeSeriesRecorder":
-        tracer.subscribe(self.observe_record)
+        """Close windows on the tracer's clock; count the spans
+        :meth:`observe_record` counts."""
+        tracer.on_clock(self._tick, self._due())
+        tracer.subscribe(self.observe_record,
+                         [("span", "twopc", "txn"), ("span", "locks", None)])
         return self
 
     # -- sampling ------------------------------------------------------------
@@ -120,10 +124,18 @@ class TimeSeriesRecorder:
         elif rec["cat"] == "locks":
             self._lock_waits.append(rec["t1"] - rec["t0"])
 
+    def _due(self) -> float:
+        """When the current window ends."""
+        return (self._index + 1) * self.window_s
+
     def _roll_to(self, t: float) -> None:
         """Close every window that ends at or before ``t``."""
         while t >= (self._index + 1) * self.window_s:
             self._close_window()
+
+    def _tick(self, now: float) -> float:
+        self._roll_to(now)
+        return self._due()
 
     def _close_window(self) -> None:
         current = self._sample()

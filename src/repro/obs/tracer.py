@@ -5,12 +5,14 @@ Every timestamp a span or event carries is the *simulated* time of the
 with the same seed produce byte-identical trace files — the property the
 export tests pin down.  Wall-clock time never enters a record.
 
-Zero cost when disabled: components resolve their tracer once (at
+Near zero cost when disabled: components resolve their tracer once (at
 construction) via :func:`tracer_of`, which returns the shared
 :data:`NULL_TRACER` when no tracer is installed on the simulator.  The
 null tracer's methods are no-ops and its spans are a single reusable
-object, so the instrumentation in the hot paths costs one attribute
-lookup plus one no-op call.
+object.  A call to it still evaluates its arguments and builds its
+keyword dict, so the hot paths (the batch codec, the RPC exchange, the
+TEE charges) test ``tracer.enabled`` first and compute nothing that only
+a record would keep: with tracing off they cost one attribute test.
 
 Records are plain dicts with two shapes:
 
@@ -36,20 +38,54 @@ context into the sealed message metadata and the receiving fiber calls
 format.  ``trace`` is the transaction-scoped trace id (the hex global
 transaction id for 2PC work) grouping one causal DAG per transaction.
 
-Subscribers (the invariant monitor) receive every record as it is
-finalized, whether or not the tracer retains records for export.
+Subscribers (the invariant monitor, the flight recorder, the time
+series, the incident log) receive the records they asked for as each is
+finalized, whether or not the tracer retains records for export.  A
+subscriber names its records by ``(type, cat, name)`` keys, ``None``
+matching anything in its position; each record is routed once through a
+table cached per key, in subscription order.  A clock hook
+(:meth:`Tracer.on_clock`) runs, at its place in that order, for the
+first record at or past the sim time it asked for: the time series
+closes its windows this way at the cost of one float comparison per
+record.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["Span", "TraceLog", "Tracer", "NullTracer", "NULL_TRACER",
            "tracer_of"]
 
 Subscriber = Callable[[Dict[str, Any]], None]
+#: which records a subscriber receives: ``(type, cat, name)``, where
+#: ``None`` matches any value in its position.
+Key = Tuple[Optional[str], Optional[str], Optional[str]]
+#: ``hook(now)`` runs for the first record at or past its due time and
+#: returns the next due time.
+ClockHook = Callable[[float], float]
+
+
+class _Clock:
+    """A clock hook and the sim time it next wants to run at."""
+
+    __slots__ = ("hook", "due")
+
+    def __init__(self, hook: ClockHook, due: float):
+        self.hook = hook
+        self.due = due
+
+
+def _matches(keys: Optional[Tuple[Key, ...]], record_key: Key) -> bool:
+    if keys is None:
+        return True
+    return any(
+        all(part is None or part == value
+            for part, value in zip(key, record_key))
+        for key in keys
+    )
 
 
 class TraceLog(deque):
@@ -150,7 +186,14 @@ class Tracer:
         #: exactly as deterministic as emission).  ``None`` = unbounded.
         self.ring_max = ring_max
         self.records = TraceLog(ring_max)
-        self.subscribers: List[Subscriber] = []
+        #: ``(subscriber, keys)`` (``keys`` None: every record) and
+        #: ``(clock, None)`` entries, in subscription order.
+        self._subscriptions: List[Tuple[Any, Optional[Tuple[Key, ...]]]] = []
+        #: record key -> the subscribers it reaches, in order; cleared
+        #: whenever a subscription is added.
+        self._routes: Dict[Key, Tuple[Subscriber, ...]] = {}
+        #: the earliest due time over every clock hook.
+        self._clock_due = float("inf")
         self._ids = itertools.count(1)
         #: open-span stack for code running outside any process.
         self._open: List[Span] = []
@@ -167,15 +210,57 @@ class Tracer:
         return self.records.evicted
 
     # -- wiring ------------------------------------------------------------
-    def subscribe(self, subscriber: Subscriber) -> None:
-        """Call ``subscriber(record)`` for every finalized record."""
-        self.subscribers.append(subscriber)
+    def subscribe(self, subscriber: Subscriber,
+                  keys: Optional[Iterable[Key]] = None) -> None:
+        """Call ``subscriber(record)`` for every finalized record whose
+        ``(type, cat, name)`` matches one of ``keys`` (None: every
+        record)."""
+        self._subscriptions.append(
+            (subscriber, None if keys is None else tuple(keys)))
+        self._routes.clear()
 
-    def _emit(self, rec: Dict[str, Any]) -> None:
+    def on_clock(self, hook: ClockHook, due: float) -> None:
+        """Call ``hook(now)`` before the first record finalized at or
+        after sim time ``due``; it returns its next due time.
+
+        The hook runs at its place among the subscribers, so a record's
+        subscribers added before it see the record first.
+        """
+        self._subscriptions.append((_Clock(hook, due), None))
+        self._clock_due = min(self._clock_due, due)
+
+    def _route(self, key: Key) -> Tuple[Subscriber, ...]:
+        route = self._routes[key] = tuple(
+            subscriber for subscriber, keys in self._subscriptions
+            if subscriber.__class__ is not _Clock and _matches(keys, key)
+        )
+        return route
+
+    def _emit(self, rec: Dict[str, Any], key: Key) -> None:
         if self.record:
             self.records.append(rec)
-        for subscriber in self.subscribers:
+        if self.sim.now >= self._clock_due:
+            self._emit_with_clocks(rec, key)
+            return
+        route = self._routes.get(key)
+        if route is None:
+            route = self._route(key)
+        for subscriber in route:
             subscriber(rec)
+
+    def _emit_with_clocks(self, rec: Dict[str, Any], key: Key) -> None:
+        """:meth:`_emit`'s dispatch when a clock hook is due: the hooks
+        run in subscription order among the record's subscribers."""
+        now = self.sim.now
+        due = float("inf")
+        for entry, keys in list(self._subscriptions):
+            if entry.__class__ is _Clock:
+                if now >= entry.due:
+                    entry.due = entry.hook(now)
+                due = min(due, entry.due)
+            elif _matches(keys, key):
+                entry(rec)
+        self._clock_due = due
 
     # -- fiber-local context -----------------------------------------------
     def _current_stack(self) -> List[Span]:
@@ -252,12 +337,13 @@ class Tracer:
                 break
         span._stack = None
         self.spans_closed += 1
+        cat, name = span.cat, span.name
         self._emit({
-            "type": "span", "cat": span.cat, "name": span.name,
+            "type": "span", "cat": cat, "name": name,
             "t0": span.start, "t1": self.sim.now, "node": span.node,
             "txn": span.txn, "trace": span.trace, "sid": span.sid,
             "parent": span.parent, "args": span.args,
-        })
+        }, ("span", cat, name))
 
     # -- point events ------------------------------------------------------
     def event(self, cat: str, name: str, node: Optional[str] = None,
@@ -275,7 +361,7 @@ class Tracer:
         self._emit({
             "type": "event", "cat": cat, "name": name, "t": self.sim.now,
             "node": node, "txn": txn, "trace": trace, "args": args,
-        })
+        }, ("event", cat, name))
 
     # -- sim process hooks (called from repro.sim.core) --------------------
     def process_started(self, process) -> None:
@@ -328,7 +414,8 @@ class NullTracer:
 
     __slots__ = ()
 
-    def subscribe(self, subscriber: Subscriber) -> None:
+    def subscribe(self, subscriber: Subscriber,
+                  keys: Optional[Iterable[Key]] = None) -> None:
         raise RuntimeError("cannot subscribe to the null tracer")
 
     def span(self, cat: str, name: str, node: Optional[str] = None,

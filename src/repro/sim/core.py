@@ -24,6 +24,7 @@ without a kernel entry.
 
 from __future__ import annotations
 
+import gc
 import itertools
 from collections import deque
 from heapq import heappop, heappush
@@ -577,6 +578,13 @@ class Simulator:
         beyond it; when everything drains first it stays at the last
         entry's time.  An ``until`` earlier than the clock is an error.
         Returns the final simulation time.
+
+        For the length of the call the cyclic collector ignores every
+        object that existed before it (``gc.freeze``): a loaded cluster
+        and the trace records it already retained are walked by no
+        collector pass of the run, while garbage the run itself makes is
+        collected as usual.  ``gc.unfreeze`` hands them back on the way
+        out, also when a process raises out of the run.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
@@ -587,6 +595,7 @@ class Simulator:
         self._running = True
         ready, heap = self._ready, self._heap
         step = self.step
+        gc.freeze()
         try:
             while ready or heap:
                 if until is not None and not ready and heap[0][0] > until:
@@ -594,6 +603,7 @@ class Simulator:
                     break
                 step()
         finally:
+            gc.unfreeze()
             self._running = False
         return self.now
 

@@ -105,8 +105,9 @@ class NodeRuntime:
         """Charge paging for touching enclave-resident data under pressure."""
         cost = self.enclave.touch_cost(nbytes) if self.in_enclave else 0.0
         if cost > 0.0:
-            self.tracer.event("tee", "epc_paging", node=self.name or None,
-                              bytes=nbytes, cost=round(cost, 9))
+            if self.tracer.enabled:
+                self.tracer.event("tee", "epc_paging", node=self.name or None,
+                                  bytes=nbytes, cost=round(cost, 9))
             yield from self.cpu.consume(cost)
 
     # -- syscalls ------------------------------------------------------------
@@ -121,8 +122,9 @@ class NodeRuntime:
         """A full enclave exit/enter (only on naive OCALL paths)."""
         if self.in_enclave:
             cost = self.enclave.transition_cost()
-            self.tracer.event("tee", "world_switch", node=self.name or None,
-                              cost=round(cost, 9))
+            if self.tracer.enabled:
+                self.tracer.event("tee", "world_switch",
+                                  node=self.name or None, cost=round(cost, 9))
             yield from self.cpu.consume(cost)
 
     def msgbuf_shield(self, nbytes: int) -> Gen:
@@ -137,8 +139,10 @@ class NodeRuntime:
                 self.costs.scone_net_handling
                 + nbytes * self.costs.scone_msgbuf_copy_per_byte
             )
-            self.tracer.event("tee", "msgbuf_shield", node=self.name or None,
-                              bytes=nbytes, cost=round(cost, 9))
+            if self.tracer.enabled:
+                self.tracer.event("tee", "msgbuf_shield",
+                                  node=self.name or None,
+                                  bytes=nbytes, cost=round(cost, 9))
             yield from self.cpu.consume(cost)
 
     # -- cryptography ----------------------------------------------------------

@@ -1,19 +1,26 @@
 """The observability subsystem: tracer, registry, exporters, monitor."""
 
+import collections
 import json
+import sys
 
 import pytest
 
+from repro.bench.metrics import MetricsCollector
 from repro.config import ClusterConfig, TREATY_FULL
 from repro.core import TreatyCluster, crash_and_recover
 from repro.core.pipeline import DurabilityPipeline
-from repro.net import NetworkAdversary
+from repro.net import NetworkAdversary, secure_rpc
 from repro.obs import (
+    FlightRecorder,
     Histogram,
+    IncidentLog,
     InvariantMonitor,
     MetricsHub,
     MetricsRegistry,
     MonitorViolation,
+    NullTracer,
+    TimeSeriesRecorder,
     Tracer,
     chrome_trace,
     load_chrome_trace,
@@ -22,6 +29,8 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.sim import Simulator
+from repro.tee import runtime as tee_runtime
+from repro.workloads.ycsb import YcsbConfig, run_ycsb
 
 
 def local_key(cluster, node_index, tag=b"obs"):
@@ -153,6 +162,133 @@ class TestTracer:
         cluster = TreatyCluster(profile=TREATY_FULL, config=config).start()
         assert cluster.sim.tracer is None
         assert cluster.obs.records() == []
+
+
+# -- routing: each record reaches the subscribers that asked for it ------------
+
+
+class TestRouting:
+    def test_keyed_subscriber_added_late_sees_only_its_records(self):
+        sim = Simulator()
+        tracer = Tracer(sim)
+        everything, locks = [], []
+        tracer.subscribe(everything.append)
+
+        def emit():
+            tracer.event("twopc", "decision", txn="t")
+            tracer.span("locks", "wait").close()
+            tracer.span("locks", "hold").close()
+            tracer.event("locks", "grant")
+
+        emit()  # fills the route cache with every key once
+        tracer.subscribe(locks.append, [("span", "locks", None)])
+        emit()
+        assert [(r["type"], r["cat"], r["name"]) for r in everything] == [
+            ("event", "twopc", "decision"), ("span", "locks", "wait"),
+            ("span", "locks", "hold"), ("event", "locks", "grant"),
+        ] * 2
+        assert [r["name"] for r in locks] == ["wait", "hold"]
+        assert all(r is everything[5 + i] for i, r in enumerate(locks))
+
+    def test_clock_hook_runs_when_due_at_its_place(self):
+        sim = Simulator()
+        tracer = Tracer(sim)
+        seen = []
+        tracer.subscribe(lambda rec: seen.append(("first", rec["t"])))
+
+        def hook(now):
+            seen.append(("clock", now))
+            return now + 1.0
+
+        tracer.on_clock(hook, 1.0)
+        tracer.subscribe(lambda rec: seen.append(("last", rec["t"])))
+
+        def body():
+            for _ in range(3):
+                tracer.event("t", "tick")
+                yield sim.sleep(0.75)
+
+        sim.run_process(body())
+        assert seen == [
+            ("first", 0.0), ("last", 0.0),
+            ("first", 0.75), ("last", 0.75),
+            ("first", 1.5), ("clock", 1.5), ("last", 1.5),
+        ]
+
+    def test_routed_instruments_equal_instruments_fed_every_record(self):
+        """The flight recorder, incident log and time series subscribe
+        to a few keys and close windows on the tracer's clock.  A
+        catch-all subscriber replays every record of the same run, as it
+        is emitted, into a fresh set fed the whole stream: exemplars,
+        windows and incidents come out equal."""
+        config = ClusterConfig(
+            seed=7, tracing=True, monitor=True, flight_recorder=True,
+            timeseries=True, incidents=True, tail_warmup=4,
+        )
+        cluster = TreatyCluster(profile=TREATY_FULL, config=config)
+        obs = cluster.obs
+        recorder = FlightRecorder(obs.tracer, warmup=4)
+        timeseries = TimeSeriesRecorder(cluster.sim, obs.hub)
+        incidents = IncidentLog(recorder=recorder)
+        timeseries.on_window.append(incidents.observe_window)
+        stream = []
+
+        def replay(rec):
+            stream.append(rec)
+            recorder.observe_record(rec)
+            timeseries.observe_record(rec)
+            incidents.observe_record(rec)
+
+        obs.tracer.subscribe(replay)
+        cluster.start()
+        run_ycsb(cluster, YcsbConfig(num_keys=200), MetricsCollector(),
+                 num_clients=8, duration=0.15, warmup=0.005)
+        obs.timeseries.flush()
+        timeseries.flush()
+        assert len(stream) == len(obs.records())
+        assert recorder.exemplars and recorder.exemplars == \
+            obs.recorder.exemplars
+        assert len(timeseries.windows) > 4
+        assert timeseries.windows == obs.timeseries.windows
+        counts = incidents.counts()
+        assert counts.get("lock-convoy") and counts.get("stalled-window")
+        assert incidents.to_jsonl() == obs.incidents.to_jsonl()
+
+
+def test_tracing_off_computes_nothing_for_the_null_tracer(monkeypatch):
+    """With tracing off, the hot call sites evaluate no trace-only
+    argument (a batch's trace id, a rounded cost) and make no call to
+    the null tracer."""
+    calls = collections.Counter()
+
+    def counted(what, fn):
+        def wrapper(*args, **kwargs):
+            calls[what, sys._getframe(1).f_code.co_name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(secure_rpc, "peek_trace",
+                        counted("peek_trace", secure_rpc.peek_trace))
+    monkeypatch.setattr(tee_runtime, "round", counted("round", round),
+                        raising=False)
+    monkeypatch.setattr(Tracer, "_emit", counted("record", Tracer._emit))
+    for method in ("span", "event"):
+        monkeypatch.setattr(NullTracer, method,
+                            counted("null " + method, getattr(NullTracer, method)))
+    config = ClusterConfig(monitor=False)
+    cluster = TreatyCluster(profile=TREATY_FULL, config=config).start()
+    cluster.run(spread_txn(cluster)())
+    runtime = cluster.nodes[0].runtime
+    runtime.enclave.memory.allocate(10**10)  # EPC pressure: paging costs
+    cluster.run(runtime.touch_enclave(1 << 20))
+    cluster.run(runtime.world_switch())
+    assert runtime.enclave.page_faults > 0
+    swept = {"encode_batch", "decode_batch", "_exchange", "msgbuf_shield",
+             "touch_enclave", "world_switch"}
+    assert {key: count for key, count in calls.items()
+            if key[0] in ("peek_trace", "record") or key[1] in swept} == {}
+    # the null tracer is still called elsewhere: the counters count
+    assert sum(calls.values()) > 0
 
 
 # -- exporters -----------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Tests for the discrete-event simulation kernel."""
 
 import ast
+import gc
 import random
+import weakref
 from heapq import heappop, heappush
 from pathlib import Path
 
@@ -309,6 +311,66 @@ def test_failing_spawned_fiber_surfaces_from_run(sim):
     assert sim.spawn(bad()) is None
     with pytest.raises(RuntimeError, match="unhandled"):
         sim.run()
+
+
+# -- the collector policy of run() ---------------------------------------------
+
+
+def test_run_freezes_what_existed_before_it(sim):
+    counts = []
+
+    def body():
+        counts.append(gc.get_freeze_count())
+        yield sim.sleep(1)
+        counts.append(gc.get_freeze_count())
+
+    sim.spawn(body())
+    sim.run()
+    assert counts[0] > 0 and counts[1] > 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_run_unfreezes_when_a_process_raises_out_of_it(sim):
+    def bad():
+        yield sim.sleep(1)
+        assert gc.get_freeze_count() > 0
+        raise RuntimeError("unhandled")
+
+    sim.spawn(bad())
+    with pytest.raises(RuntimeError, match="unhandled"):
+        sim.run()
+    assert gc.get_freeze_count() == 0
+
+
+def test_a_cycle_dropped_during_a_run_is_reclaimed(sim):
+    """A collection inside a run reclaims the run's own garbage; a cycle
+    that existed before the run waits for a collection after it."""
+
+    class Node:
+        pass
+
+    older = Node()
+    older.self = older
+    old_ref = weakref.ref(older)
+    holder = [older]
+    del older
+    alive = []
+
+    def body():
+        node = Node()
+        node.self = node
+        new_ref = weakref.ref(node)
+        del node
+        holder.clear()
+        yield sim.sleep(1)
+        gc.collect()
+        alive.append((old_ref() is not None, new_ref() is not None))
+
+    sim.spawn(body())
+    sim.run()
+    assert alive == [(True, False)]
+    gc.collect()
+    assert old_ref() is None
 
 
 @pytest.mark.parametrize("start, entries", [("spawn", 2), ("process", 3)])

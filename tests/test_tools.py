@@ -1,7 +1,9 @@
 """Table tests for the pure parts of the scripts under ``tools/``."""
 
+import gc
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,8 +11,9 @@ import pytest
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / ("%s.py" % name))
+def _load(name, module_name=None):
+    spec = importlib.util.spec_from_file_location(
+        module_name or name, TOOLS / ("%s.py" % name))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -307,3 +310,48 @@ def test_explain_runs_no_recipe(tmp_path, capsys):
     assert capsys.readouterr().out == "0 of 1 dumped rows moved\n"
     with pytest.raises(SystemExit):
         trace_digest.main([])  # --check needs FILE
+
+
+# -- profile: the collector's passes, in every mode -----------------------------
+
+_saved_path = list(sys.path)
+profile = _load("profile", "tools_profile")  # not the stdlib's profile
+sys.path[:] = _saved_path  # it puts src/ and perf/ first
+
+
+@pytest.mark.parametrize("passes, seconds, collected, wall_s, lines", [
+    # the PR-34 ycsb-a-traced shape: five full passes of nothing
+    ([120, 10, 5], [0.04, 0.01, 0.57], [0, 0, 0], 5.5, [
+        "collector: 135 passes, 0.620 s (11.3 % of 5.50 s wall), "
+        "0 objects reclaimed",
+        "  gen 0     120 passes     0.040 s          0 reclaimed",
+        "  gen 1      10 passes     0.010 s          0 reclaimed",
+        "  gen 2       5 passes     0.570 s          0 reclaimed",
+    ]),
+    # no pass at all, and a zero wall time does not divide by zero
+    ([0, 0, 0], [0.0, 0.0, 0.0], [0, 0, 0], 0.0, [
+        "collector: 0 passes, 0.000 s (0.0 % of 0.00 s wall), "
+        "0 objects reclaimed",
+        "  gen 0       0 passes     0.000 s          0 reclaimed",
+        "  gen 1       0 passes     0.000 s          0 reclaimed",
+        "  gen 2       0 passes     0.000 s          0 reclaimed",
+    ]),
+])
+def test_format_collector(passes, seconds, collected, wall_s, lines):
+    assert profile.format_collector(passes, seconds, collected,
+                                    wall_s) == lines
+
+
+def test_collector_passes_count_a_forced_pass():
+    class Node:
+        pass
+
+    with profile.collector_passes() as counted:
+        node = Node()
+        node.self = node
+        del node
+        gc.collect()
+    assert counted.passes[2] >= 1
+    assert counted.collected[2] >= 1
+    assert counted.seconds[2] > 0.0
+    assert counted not in gc.callbacks

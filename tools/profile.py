@@ -45,6 +45,19 @@ file and by function.  Unlike cProfile it adds no cost per call, so a
 call-heavy function (a generator resumed a million times) is not
 inflated: size a lever with it before cutting.
 
+Every mode ends with the cyclic collector's passes over the pass, per
+generation: how many ran, their host seconds (also as a share of the
+pass's wall time) and the objects they reclaimed, read through
+``gc.callbacks``.  Neither cProfile nor a sampler has a collector row:
+the collector runs when an allocation crosses a threshold, so both
+charge its time to whichever frame allocated — an object's
+``__init__``.  Before ``Simulator.run`` froze the loaded cluster,
+``sim/core.py:__init__`` (the ``Timeout`` and ``Process``
+constructors) read 3.3 % of ``--sample`` self time on ``ycsb-a-dist``
+at seed 11, part of it collector time.  With the callbacks installed, a
+sample that lands in a collection is charged to the first Python frame
+after it, ``CollectorPasses.__call__``.
+
 ``perf/`` is imported read-only; this file lives outside ``src/repro``,
 where ``tools/lint_determinism.py`` bans the host clock.
 """
@@ -64,10 +77,13 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perf")]
 
 import argparse
 import collections
+import contextlib
 import cProfile
+import gc
 import json
 import pstats
 import signal
+import time
 
 import workloads
 from repro.sim.core import Event, Process, Simulator
@@ -81,6 +97,50 @@ SAMPLE_S = 1e-3
 #: the kinds of kernel entry ``--entries`` counts, in print order.
 ENTRY_KINDS = ("sleep wake", "process bootstrap", "event, live waiter",
                "event, no-op", "plain callable")
+
+
+class CollectorPasses:
+    """A ``gc.callbacks`` entry: passes, host seconds and objects
+    reclaimed per generation while it is installed."""
+
+    def __init__(self):
+        self.passes = [0] * 3
+        self.seconds = [0.0] * 3
+        self.collected = [0] * 3
+        self._started = 0.0
+
+    def __call__(self, phase: str, info) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        generation = info["generation"]
+        self.passes[generation] += 1
+        self.seconds[generation] += time.perf_counter() - self._started
+        self.collected[generation] += info["collected"]
+
+
+@contextlib.contextmanager
+def collector_passes():
+    """Count the collector's passes over the ``with`` body."""
+    passes = CollectorPasses()
+    gc.callbacks.append(passes)
+    try:
+        yield passes
+    finally:
+        gc.callbacks.remove(passes)
+
+
+def format_collector(passes, seconds, collected, wall_s: float):
+    """The collector lines: one total, then one row per generation."""
+    total_s = sum(seconds)
+    lines = ["collector: %d passes, %.3f s (%.1f %% of %.2f s wall), "
+             "%d objects reclaimed"
+             % (sum(passes), total_s, 100.0 * total_s / max(wall_s, 1e-9),
+                wall_s, sum(collected))]
+    for generation, row in enumerate(zip(passes, seconds, collected)):
+        lines.append("  gen %d  %6d passes  %8.3f s  %9d reclaimed"
+                     % ((generation,) + row))
+    return lines
 
 
 def sim_steps(stats: pstats.Stats) -> int:
@@ -188,8 +248,19 @@ def main(argv=None) -> int:
         seconds = json.load(fp)["run_seconds"]
     workload = workloads.WORKLOADS[args.workload]
     cluster = workloads.set_up(workload, args.seed)
+    started = time.perf_counter()
+    with collector_passes() as collector:
+        if args.entries:
+            result, counts = count_entries(workload, cluster, seconds)
+        elif args.sample:
+            result, samples = sample(workloads.run_pass, workload, cluster,
+                                     seconds)
+        else:
+            profiler = cProfile.Profile()
+            result = profiler.runcall(workloads.run_pass, workload, cluster,
+                                      seconds)
+    wall_s = time.perf_counter() - started
     if args.entries:
-        result, counts = count_entries(workload, cluster, seconds)
         txns = max(result.committed, 1)
         total = sum(counts.values())
         print("%s  seed %d  committed %d  kernel entries/txn %.0f"
@@ -198,9 +269,7 @@ def main(argv=None) -> int:
             print("  %-20s %8.1f /txn  %5.1f %%"
                   % (kind, counts[kind] / txns,
                      100.0 * counts[kind] / max(total, 1)))
-        return 0
-    if args.sample:
-        result, samples = sample(workloads.run_pass, workload, cluster, seconds)
+    elif args.sample:
         print("%s  seed %d  committed %d  samples %d (%g ms of CPU each)"
               % (workload.name, args.seed, result.committed,
                  sum(samples.values()), SAMPLE_S * 1e3))
@@ -209,18 +278,18 @@ def main(argv=None) -> int:
             print("self time by %s:" % title)
             for share, name in rows:
                 print("  %5.1f %%  %s" % (100.0 * share, name))
-        return 0
-    profiler = cProfile.Profile()
-    result = profiler.runcall(workloads.run_pass, workload, cluster, seconds)
-    stats = pstats.Stats(profiler)
-    print("%s  seed %d  committed %d  failed %d  obs records %d  "
-          "sim steps/txn %.0f"
-          % (workload.name, args.seed, result.committed, result.failed,
-             result.obs_records,
-             sim_steps(stats) / max(result.committed, 1)))
-    stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
-    if args.callers:
-        stats.print_callers(args.callers)
+    else:
+        stats = pstats.Stats(profiler)
+        print("%s  seed %d  committed %d  failed %d  obs records %d  "
+              "sim steps/txn %.0f"
+              % (workload.name, args.seed, result.committed, result.failed,
+                 result.obs_records,
+                 sim_steps(stats) / max(result.committed, 1)))
+        stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
+        if args.callers:
+            stats.print_callers(args.callers)
+    print("\n".join(format_collector(collector.passes, collector.seconds,
+                                     collector.collected, wall_s)))
     return 0
 
 
