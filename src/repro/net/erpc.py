@@ -119,7 +119,7 @@ class ErpcEndpoint:
         self.requests_served = 0
         # -- transport batching -------------------------------------------
         self.batch_max = max(1, runtime.config.net_tx_batch_max)
-        #: optional secure batch codec (installed by SecureRpc): seals a
+        #: optional secure batch codec (a SecureRpc installs itself): seals a
         #: whole batch in one AEAD pass and unseals/replay-checks it on
         #: receive.  Without a codec the batch travels as a payload list.
         self.batch_codec: Optional[Any] = None

@@ -26,7 +26,7 @@ __all__ = [
     "wire_size",
     "pack_parts",
     "unpack_parts",
-    "peek_trace",
+    "peek_context",
     "seal_batch",
     "unseal_batch",
     "batch_wire_size",
@@ -48,7 +48,7 @@ METADATA_BYTES = 80  # §VII-A: 80 B Tx metadata
 # frame's MAC.
 _HEAD = struct.Struct("<QQQiI16sQQ16x")
 _TRACE_OFFSET = 32  # where the trace context starts in the head
-_TRACE_BYTES = 32
+_CONTEXT = struct.Struct("<16sQ")  # its trace id + parent span id
 _NO_TRACE = b"\x00" * 16
 
 
@@ -256,17 +256,17 @@ def unpack_parts(blob: bytes) -> List[bytes]:
     return parts
 
 
-def peek_trace(encoded: bytes) -> Optional[str]:
-    """Read the trace id out of an encoded (plaintext) message, if any.
+def peek_context(encoded: bytes) -> Tuple[Optional[str], int]:
+    """Read ``(trace, parent sid)`` out of an encoded (plaintext) message.
 
-    Used by the batch codec to label a whole frame's AEAD span with the
-    trace of its first context-carrying sub-message without paying a
-    full decode.
+    ``(None, 0)`` when the message carries no context.  The batch codec
+    files a whole frame's AEAD pass under its first context-carrying
+    sub-message without paying a full decode.
     """
-    if len(encoded) < _TRACE_OFFSET + _TRACE_BYTES:
-        return None
-    raw = encoded[_TRACE_OFFSET : _TRACE_OFFSET + 16]
-    return raw.hex() if raw != _NO_TRACE else None
+    if len(encoded) < _TRACE_OFFSET + _CONTEXT.size:
+        return None, 0
+    raw, parent = _CONTEXT.unpack_from(encoded, _TRACE_OFFSET)
+    return (raw.hex(), parent) if raw != _NO_TRACE else (None, 0)
 
 
 def seal_batch(

@@ -6,9 +6,9 @@ layout before it enters the untrusted host memory and NIC, and every
 received request passes the replay guard so that a duplicated or
 re-injected packet can never double-execute an operation.
 
-Sealing happens in a batch codec installed on the eRPC endpoint: the
-endpoint hands the codec every coalesced batch and ONE AEAD pass (single
-IV, length-prefixed concatenation, single MAC) protects all of it.  The
+A :class:`SecureRpc` is its eRPC endpoint's batch codec: the endpoint
+hands it every coalesced batch and ONE AEAD pass (single IV,
+length-prefixed concatenation, single MAC) protects all of it.  The
 batch AAD binds the sender and a per-sender batch sequence number, and a
 batch-level replay-guard entry rejects a replayed frame as a unit —
 drop/duplicate/delay of a coalesced frame affects the whole batch
@@ -39,7 +39,7 @@ from .message import (
     TxMessage,
     batch_wire_size,
     pack_parts,
-    peek_trace,
+    peek_context,
     seal_batch,
     unpack_parts,
     unseal_batch,
@@ -61,107 +61,14 @@ _AAD_BATCH = b"treaty-batch-v1"
 _BATCH_TXN_SENTINEL = -1
 
 
-def _parts_trace(parts: Sequence[bytes]) -> Optional[str]:
-    """Trace id of the first context-carrying part of a batch (or None)."""
+def _parts_context(parts: Sequence[bytes]) -> Tuple[Optional[str], int]:
+    """``(trace, parent sid)`` of a batch's first context-carrying part,
+    else ``(None, 0)``: the one context a whole frame is filed under."""
     for part in parts:
-        trace = peek_trace(part)
-        if trace is not None:
-            return trace
-    return None
-
-
-class _SecureBatchCodec:
-    """Seals/unseals coalesced batches for one :class:`SecureRpc`.
-
-    Both directions charge exactly one AEAD cost for the whole batch.
-    """
-
-    __slots__ = ("rpc",)
-
-    def __init__(self, rpc: "SecureRpc"):
-        self.rpc = rpc
-
-    def encode_batch(self, parts: Sequence[bytes]):
-        """One AEAD pass over the whole batch; returns (blob, nbytes, meta)."""
-        rpc = self.rpc
-        if not rpc._encrypted:
-            blob = pack_parts(parts)
-            return blob, len(blob), {}
-            yield  # pragma: no cover - keeps this a generator
-        batch_id = rpc._next_batch_id()
-        aad = _AAD_BATCH + struct.pack(
-            "<QQ", rpc.node_numeric_id & 0xFFFFFFFFFFFFFFFF, batch_id
-        )
-        # Attribute the frame's single AEAD pass to the first sub-message
-        # carrying a trace context (batch-shared cost; parent is resolved
-        # by interval containment in the critical-path analyzer).
-        tracer = rpc.tracer
-        if tracer.enabled:
-            span = tracer.span(
-                "crypto", "seal_batch", node=rpc.runtime.name or None,
-                parent=0, trace=_parts_trace(parts),
-                seal_ops=1, parts=len(parts),
-            )
-        # The IV names the sealer (every endpoint shares the network key)
-        # and reuses the batch id, which is unique per endpoint and boot.
-        iv = rpc._iv_sealer + struct.pack("<Q", batch_id)
-        blob = seal_batch(rpc._aead, iv, parts, aad)
-        rpc.seal_ops += 1
-        rpc._seal_ops_counter.inc()
-        yield from rpc.runtime.seal_cost(len(blob))
-        if tracer.enabled:
-            span.close(bytes=len(blob))
-        return blob, len(blob), {
-            "batch_src": rpc.node_numeric_id,
-            "batch_id": batch_id,
-        }
-
-    def decode_batch(self, payload: bytes, src: str, meta: dict):
-        """Unseal + batch-replay-check; ``None`` drops the batch as a unit."""
-        rpc = self.rpc
-        if not rpc._encrypted:
-            return unpack_parts(payload)
-            yield  # pragma: no cover - keeps this a generator
-        tracer = rpc.tracer
-        if tracer.enabled:
-            span = tracer.span(
-                "crypto", "open_batch", node=rpc.runtime.name or None,
-                parent=0, trace=None, seal_ops=1, bytes=len(payload),
-            )
-        yield from rpc.runtime.seal_cost(len(payload))
-        aad = _AAD_BATCH + struct.pack(
-            "<QQ", meta.get("batch_src", 0) & 0xFFFFFFFFFFFFFFFF,
-            meta.get("batch_id", 0),
-        )
-        try:
-            parts = unseal_batch(rpc._aead, payload, aad)
-        except Exception:
-            if tracer.enabled:
-                span.close(error="auth_failure")
-            rpc.auth_failures += 1
-            rpc._auth_fail_counter.inc()
-            tracer.event(
-                "net", "auth_failure", node=rpc.runtime.name or None, src=src,
-            )
-            raise
-        # Only after decryption do we know which trace pays for the pass.
-        if tracer.enabled:
-            span.trace = _parts_trace(parts)
-            span.close(parts=len(parts))
-        rpc.seal_ops += 1
-        rpc._seal_ops_counter.inc()
-        # Batch-level at-most-once: the (sender, batch sequence) pair is
-        # recorded in the same replay guard as per-message triples, so a
-        # duplicated/replayed frame is rejected before any sub-message
-        # dispatches — atomically, as the adversary delivered it.
-        try:
-            rpc.replay_guard.check_key(
-                (meta.get("batch_src", 0), _BATCH_TXN_SENTINEL,
-                 meta.get("batch_id", 0))
-            )
-        except ReplayError:
-            return None
-        return parts
+        context = peek_context(part)
+        if context[0] is not None:
+            return context
+    return None, 0
 
 
 class SecureRpc:
@@ -206,18 +113,15 @@ class SecureRpc:
         self._wire_hist = runtime.metrics.histogram(
             "net.wire_bytes", SIZE_BUCKETS_BYTES
         )
-        endpoint.batch_codec = _SecureBatchCodec(self)
+        endpoint.batch_codec = self
 
     # -- encoding -----------------------------------------------------------
-    def _next_batch_id(self) -> int:
-        return (self.epoch << 40) | next(self._batch_seq)
-
     def _encode_part(self, message: TxMessage) -> Tuple[bytes, int]:
-        """Encode one plaintext part; the batch codec seals it per frame.
+        """Encode one plaintext part; :meth:`encode_batch` seals it per frame.
 
         The returned size is the message's *standalone* wire size (what
         it would cost unbatched) — the endpoint uses it as the baseline
-        for the frames-saved accounting, and the batch codec replaces it
+        for the frames-saved accounting, and :meth:`encode_batch` replaces it
         with the true coalesced size at seal time.
         """
         if self._encrypted:
@@ -227,6 +131,94 @@ class SecureRpc:
         nbytes = wire_size(len(message.body), self._encrypted)
         self._wire_hist.observe(nbytes)
         return wire, nbytes
+
+    # -- batch codec: one AEAD pass per coalesced frame ------------------------
+    def encode_batch(self, parts: Sequence[bytes]):
+        """One AEAD pass over the whole batch; returns (blob, nbytes, meta)."""
+        tracer = self.tracer
+        if tracer.enabled:
+            # The flusher fiber works for the frame's first message that
+            # carries a context: its seal span, the shielding charge and
+            # any adversary verdict chain under that message's rpc span.
+            # A frame with none (a batch of replies) records no trace.
+            tracer.adopt(*_parts_context(parts))
+        if not self._encrypted:
+            blob = pack_parts(parts)
+            return blob, len(blob), {}
+            yield  # pragma: no cover - keeps this a generator
+        batch_id = (self.epoch << 40) | next(self._batch_seq)
+        aad = _AAD_BATCH + struct.pack(
+            "<QQ", self.node_numeric_id & 0xFFFFFFFFFFFFFFFF, batch_id
+        )
+        if tracer.enabled:
+            span = tracer.span(
+                "crypto", "seal_batch", node=self.runtime.name or None,
+                seal_ops=1, parts=len(parts),
+            )
+        # The IV names the sealer (every endpoint shares the network key)
+        # and reuses the batch id, which is unique per endpoint and boot.
+        iv = self._iv_sealer + struct.pack("<Q", batch_id)
+        blob = seal_batch(self._aead, iv, parts, aad)
+        self.seal_ops += 1
+        self._seal_ops_counter.inc()
+        yield from self.runtime.seal_cost(len(blob))
+        if tracer.enabled:
+            span.close(bytes=len(blob))
+        return blob, len(blob), {
+            "batch_src": self.node_numeric_id,
+            "batch_id": batch_id,
+        }
+
+    def decode_batch(self, payload: bytes, src: str, meta: dict):
+        """Unseal + batch-replay-check; ``None`` drops the batch as a unit."""
+        if not self._encrypted:
+            return unpack_parts(payload)
+            yield  # pragma: no cover - keeps this a generator
+        tracer = self.tracer
+        if tracer.enabled:
+            span = tracer.span(
+                "crypto", "open_batch", node=self.runtime.name or None,
+                seal_ops=1, bytes=len(payload),
+            )
+        yield from self.runtime.seal_cost(len(payload))
+        aad = _AAD_BATCH + struct.pack(
+            "<QQ", meta.get("batch_src", 0) & 0xFFFFFFFFFFFFFFFF,
+            meta.get("batch_id", 0),
+        )
+        try:
+            parts = unseal_batch(self._aead, payload, aad)
+        except Exception:
+            if tracer.enabled:
+                span.close(error="auth_failure")
+            self.auth_failures += 1
+            self._auth_fail_counter.inc()
+            tracer.event(
+                "net", "auth_failure", node=self.runtime.name or None, src=src,
+            )
+            raise
+        else:
+            # Only after decryption do we know which message the pass
+            # served: the span joins the sender's rpc span, as the seal
+            # span did on the sending node.
+            if tracer.enabled:
+                span.trace, span.parent = _parts_context(parts)
+                span.close(parts=len(parts))
+        finally:
+            # The pass is made whether or not the MAC verifies.
+            self.seal_ops += 1
+            self._seal_ops_counter.inc()
+        # Batch-level at-most-once: the (sender, batch sequence) pair is
+        # recorded in the same replay guard as per-message triples, so a
+        # duplicated/replayed frame is rejected before any sub-message
+        # dispatches — atomically, as the adversary delivered it.
+        try:
+            self.replay_guard.check_key(
+                (meta.get("batch_src", 0), _BATCH_TXN_SENTINEL,
+                 meta.get("batch_id", 0))
+            )
+        except ReplayError:
+            return None
+        return parts
 
     # -- client side -------------------------------------------------------------
     def enqueue(self, dst: str, message: TxMessage, express: bool = False) -> Event:

@@ -14,7 +14,7 @@ Categories (the paper's §VIII decomposition):
   fiber resume delays (cat ``net``; gaps inside an rpc span between its
   crypto/handler children).
 * ``crypto``     — AEAD seal/open passes (cat ``crypto``): the batch
-  codec's one-pass frame sealing or per-message sealing.
+  codec's one-pass frame sealing.
 * ``counter-wait``  — time a transaction fiber spends *blocked on
   coverage*: the ``stabilize/wait`` and ``stabilize/group_round`` spans
   (cat ``stabilize``).  Under the async backends this is the promise
@@ -38,11 +38,6 @@ Categories (the paper's §VIII decomposition):
   ``cost`` argument on cat ``tee`` events.
 * ``compute``    — everything else: protocol logic inside handler spans,
   2PC bookkeeping (cats ``twopc``/``node``/``rpc`` own time).
-
-Spans whose parent is outside the trace (the batch codec's crypto spans
-are emitted with ``parent=0`` on purpose — a frame has no single owning
-fiber) are *grafted* into the smallest same-trace span whose interval
-contains them, deterministically, before the walk.
 """
 
 from __future__ import annotations
@@ -179,43 +174,25 @@ def _find_root(spans: Sequence[Record]) -> Optional[Record]:
     return best
 
 
-def _graft_orphans(spans: Sequence[Record], root: Record) -> Dict[int, int]:
-    """Resolve every span's effective parent within the trace.
+def _parents(spans: Sequence[Record], root: Record) -> Dict[int, int]:
+    """Every span's parent within the trace: ``sid -> parent sid``.
 
-    Returns ``sid -> parent sid`` (0 for the root).  A span whose
-    recorded parent is not a same-trace span is grafted into the
-    smallest same-trace span whose interval contains it (ties broken by
-    sid; identical intervals graft later sids under earlier ones, which
-    also keeps the relation acyclic).  Orphans nothing contains become
-    children of the root.
+    A span's parent is its recorded parent when that span is in the
+    trace, else the root (a parent not recorded: still open when the
+    analysis runs, or evicted from a ring); the root's is 0.  Parents
+    open before their children, so the map is acyclic and every chain
+    ends at the root.
     """
+    root_sid = root["sid"]
     sids = {span["sid"] for span in spans}
-    parents: Dict[int, int] = {}
-    for span in spans:
-        sid = span["sid"]
-        if sid == root["sid"]:
-            parents[sid] = 0
-            continue
-        parent = span["parent"]
-        if parent in sids and parent != sid:
-            parents[sid] = parent
-            continue
-        best = None
-        for candidate in spans:
-            if candidate["sid"] == sid:
-                continue
-            if not (candidate["t0"] <= span["t0"]
-                    and span["t1"] <= candidate["t1"]):
-                continue
-            same = (candidate["t0"] == span["t0"]
-                    and candidate["t1"] == span["t1"])
-            if same and candidate["sid"] > sid:
-                continue  # the earlier sid hosts; avoids a 2-cycle
-            key = (candidate["t1"] - candidate["t0"], candidate["sid"])
-            if best is None or key < best[0]:
-                best = (key, candidate)
-        parents[sid] = best[1]["sid"] if best is not None else root["sid"]
-    return parents
+    return {
+        span["sid"]: (
+            0 if span["sid"] == root_sid
+            else span["parent"] if span["parent"] in sids
+            else root_sid
+        )
+        for span in spans
+    }
 
 
 def span_dag(
@@ -223,14 +200,13 @@ def span_dag(
 ) -> Tuple[Record, Dict[int, int]]:
     """The trace's span DAG: ``(root record, sid -> parent sid)``.
 
-    The parent map is post-grafting, so in a well-formed trace every
-    span's parent chain terminates at the root (parent 0).
+    Every span's parent chain terminates at the root (parent 0).
     """
     spans = trace_spans(records, trace)
     if not spans:
         raise ValueError("no spans recorded for trace %r" % trace)
     root = _find_root(spans)
-    return root, _graft_orphans(spans, root)
+    return root, _parents(spans, root)
 
 
 class CriticalPath:
@@ -267,7 +243,7 @@ def _critical_path(trace: str, bucket: Iterable[Record]) -> CriticalPath:
     if not spans:
         raise ValueError("no spans recorded for trace %r" % trace)
     root = _find_root(spans)
-    parents = _graft_orphans(spans, root)
+    parents = _parents(spans, root)
     children: Dict[int, List[Record]] = {}
     for span in spans:
         if span["sid"] != root["sid"]:

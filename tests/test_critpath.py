@@ -8,8 +8,8 @@ import repro.obs
 from repro.bench.metrics import MetricsCollector
 from repro.config import ClusterConfig, TREATY_FULL
 from repro.core import TreatyCluster
-from repro.net import NetworkAdversary
-from repro.net.message import MsgType
+from repro.net import NetworkAdversary, secure_rpc
+from repro.net.message import MsgType, TxMessage
 from repro.obs import (
     aggregate_critical_paths,
     critical_path,
@@ -116,19 +116,105 @@ class TestTracePropagation:
         assert len(prepares) == cluster.num_nodes - 1
 
     def test_tracing_off_adds_no_trace_to_wire(self):
-        from repro.net.message import MsgType, TxMessage, peek_trace
+        from repro.net.message import MsgType, TxMessage, peek_context
 
         message = TxMessage(MsgType.TXN_PREPARE, 1, 2, 3, b"x")
-        assert peek_trace(message.encode()) is None
+        assert peek_context(message.encode()) == (None, 0)
         carried = TxMessage(
             MsgType.TXN_PREPARE, 1, 2, 3, b"x", trace="ab" * 16,
             trace_parent=9,
         )
+        assert peek_context(carried.encode()) == ("ab" * 16, 9)
         decoded = TxMessage.decode(carried.encode())
         assert decoded.trace == "ab" * 16
         assert decoded.trace_parent == 9
         # trace fields are transparent to equality / replay identity
         assert decoded == message
+
+
+class TestCryptoSpanParents:
+    """A frame's AEAD passes are filed under the message they served: the
+    ``net/rpc`` span that sent the frame's first context-carrying
+    message, read back here with a full decode of the frame's parts."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        cluster = traced_cluster()
+        log = cluster.obs.records()
+        passes = []  # (crypto span record, expected (trace, parent))
+
+        def first_context(parts):
+            for part in parts:
+                message = TxMessage.decode(part)
+                if message.trace is not None:
+                    return message.trace, message.trace_parent
+            return None, 0
+
+        encode = secure_rpc.SecureRpc.encode_batch
+        decode = secure_rpc.SecureRpc.decode_batch
+
+        def encode_batch(self, parts):
+            expected = first_context(parts)
+            result = yield from encode(self, parts)
+            passes.append((log[-1], expected))  # its seal span just closed
+            return result
+
+        def decode_batch(self, payload, src, meta):
+            parts = yield from decode(self, payload, src, meta)
+            if parts is not None:
+                passes.append((log[-1], first_context(parts)))
+            return parts
+
+        patch = pytest.MonkeyPatch()
+        patch.setattr(secure_rpc.SecureRpc, "encode_batch", encode_batch)
+        patch.setattr(secure_rpc.SecureRpc, "decode_batch", decode_batch)
+        try:
+            cluster.run(spread_txn(cluster)())
+            cluster.sim.run(until=cluster.sim.now + 0.5)
+        finally:
+            patch.undo()
+        return log, passes
+
+    def test_crypto_spans_parent_to_the_sending_rpc_span(self, run):
+        log, passes = run
+        spans = {rec["sid"]: rec for rec in log if rec["type"] == "span"}
+        traced = 0
+        for span, (trace, parent) in passes:
+            assert span["cat"] == "crypto"
+            assert span["trace"] == trace
+            if trace is None:
+                continue
+            traced += 1
+            assert span["parent"] == parent
+            rpc = spans[parent]
+            assert (rpc["cat"], rpc["name"], rpc["trace"]) == (
+                "net", "rpc", trace)
+            if span["name"] == "seal_batch":
+                assert rpc["node"] == span["node"]
+            else:
+                assert span["name"] == "open_batch"
+                assert rpc["node"] != span["node"]
+        assert traced > 0
+        names = {span["name"] for span, _ in passes}
+        assert names == {"seal_batch", "open_batch"}
+
+    def test_frames_without_a_context_record_no_trace(self, run):
+        _log, passes = run
+        untraced = [span for span, (trace, _) in passes
+                    if span["name"] == "seal_batch" and trace is None]
+        assert untraced
+        assert all(span["trace"] is None for span in untraced)
+
+    def test_committed_traces_have_no_parent_outside_them(self, run):
+        log, _passes = run
+        for trace in transaction_traces(log, outcome="commit"):
+            spans = trace_spans(log, trace)
+            root = critpath._find_root(spans)
+            sids = {span["sid"] for span in spans}
+            assert root["parent"] == 0
+            outside = [span for span in spans
+                       if span is not root and span["parent"] not in sids]
+            assert outside == []
 
 
 # -- critical-path attribution -------------------------------------------------
@@ -223,9 +309,20 @@ def reference_path(records, trace):
 
 
 def reference_dag(records, trace):
+    """Each span's recorded parent when that span is in the trace, else
+    the root; the root's parent is 0."""
     spans = scan_for_spans(records, trace)
     root = critpath._find_root(spans)
-    return root, critpath._graft_orphans(spans, root)
+    sids = {span["sid"] for span in spans}
+    parents = {}
+    for span in spans:
+        if span is root:
+            parents[span["sid"]] = 0
+        elif span["parent"] in sids:
+            parents[span["sid"]] = span["parent"]
+        else:
+            parents[span["sid"]] = root["sid"]
+    return root, parents
 
 
 def contended_ycsb(protocol, duration=0.03, seed=5, **obs):

@@ -9,6 +9,7 @@ from repro.net import (
     NetworkAdversary,
     SocketStack,
     TxMessage,
+    flip_payload_byte,
 )
 from repro.sim import Simulator
 from repro.tee import NodeRuntime
@@ -229,6 +230,24 @@ class TestSecureRpc:
 
         with pytest.raises(IntegrityError):
             secure_harness.run(body())
+
+    def test_failed_open_counts_as_an_aead_pass(self, secure_harness):
+        self.install_echo(secure_harness)
+        adversary = NetworkAdversary()
+        adversary.tamper_matching(
+            lambda f: f.meta.get("is_request", False), flip_payload_byte
+        )
+        secure_harness.fabric.adversary = adversary
+        receiver = secure_harness.secure[1]
+        assert (receiver.seal_ops, receiver.auth_failures) == (0, 0)
+
+        def body():
+            yield from secure_harness.secure[0].call("node1", self.request())
+
+        with pytest.raises(IntegrityError):
+            secure_harness.run(body())
+        assert adversary.tampered == 1
+        assert (receiver.seal_ops, receiver.auth_failures) == (1, 1)
 
     def test_duplicated_request_executes_once(self, secure_harness):
         executions = []

@@ -257,7 +257,7 @@ class TestRouting:
 
 def test_tracing_off_computes_nothing_for_the_null_tracer(monkeypatch):
     """With tracing off, the hot call sites evaluate no trace-only
-    argument (a batch's trace id, a rounded cost) and make no call to
+    argument (a batch's trace context, a rounded cost) and make no call to
     the null tracer."""
     calls = collections.Counter()
 
@@ -267,8 +267,8 @@ def test_tracing_off_computes_nothing_for_the_null_tracer(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(secure_rpc, "peek_trace",
-                        counted("peek_trace", secure_rpc.peek_trace))
+    monkeypatch.setattr(secure_rpc, "peek_context",
+                        counted("peek_context", secure_rpc.peek_context))
     monkeypatch.setattr(tee_runtime, "round", counted("round", round),
                         raising=False)
     monkeypatch.setattr(Tracer, "_emit", counted("record", Tracer._emit))
@@ -286,7 +286,7 @@ def test_tracing_off_computes_nothing_for_the_null_tracer(monkeypatch):
     swept = {"encode_batch", "decode_batch", "_exchange", "msgbuf_shield",
              "touch_enclave", "world_switch"}
     assert {key: count for key, count in calls.items()
-            if key[0] in ("peek_trace", "record") or key[1] in swept} == {}
+            if key[0] in ("peek_context", "record") or key[1] in swept} == {}
     # the null tracer is still called elsewhere: the counters count
     assert sum(calls.values()) > 0
 

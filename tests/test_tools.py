@@ -247,6 +247,46 @@ def test_explain_records_names_what_moved_and_where():
         (("twopc", "txn", "coordinator"), 1, 0)]
 
 
+@pytest.mark.parametrize("edit, expected", [
+    # nothing moved
+    ({}, []),
+    # a re-parent: ids only, invisible to the removed/added table
+    ({1: {"parent": 4}}, [("storage/group_commit", "parent", 1)]),
+    # re-filed under no trace, and retimed
+    ({2: {"trace": None}, 3: {"t0": 2.6, "t1": 2.7}},
+     [("storage/group_commit", "t0", 1), ("storage/group_commit", "t1", 1),
+      ("twopc/commit_apply", "trace", 1)]),
+    # two records of one kind, one field each; a new field counts too
+    ({1: {"parent": 4}, 3: {"parent": 4, "error": "x"}},
+     [("storage/group_commit", "error", 1),
+      ("storage/group_commit", "parent", 2)]),
+])
+def test_fields_moved_counts_index_aligned_differences(edit, expected):
+    new = [dict(record, **edit.get(index, {}))
+           for index, record in enumerate(OLD_RUN)]
+    assert trace_digest.fields_moved(OLD_RUN, new) == expected
+
+
+def test_explain_shows_a_reparent_only_row(tmp_path):
+    reparented = [dict(record, parent=5) if record.get("sid") == 2
+                  else record for record in OLD_RUN]
+    old = _dump(tmp_path / "old", {"paper-lcm.jsonl": OLD_RUN})
+    new = _dump(tmp_path / "new", {"paper-lcm.jsonl": reparented})
+    lines = trace_digest.explain(old, new)
+    assert lines[0] == ("paper-lcm.jsonl: 7 -> 7 records, "
+                        "1 -> 1 committed distributed txns")
+    assert "first divergence" not in "\n".join(lines)
+    table = lines[lines.index("  fields moved, index-aligned:") + 1:-1]
+    assert [line.split() for line in table] == [
+        ["cat/name", "field", "records"],
+        ["storage/group_commit", "parent", "1"],
+    ]
+    # unequal counts: the records do not align, so no such table
+    lines = trace_digest.explain(old, _dump(tmp_path / "short", {
+        "paper-lcm.jsonl": OLD_RUN[:-1]}))
+    assert "  fields moved, index-aligned:" not in lines
+
+
 def test_phase_is_the_innermost_open_twopc_span():
     # node0's group_commit at 2.5 lies in its commit span [2.05, 2.9]
     assert trace_digest.phase_of(OLD_RUN, OLD_RUN[3]) == "commit"

@@ -45,7 +45,11 @@ and span ids, so work that merely moved in time is neither added nor
 removed.  The node role comes from the record's gid: ``coordinator``
 when the record's node is the one that coordinates the transaction,
 ``participant`` otherwise (``recovery`` under a recovery trace id,
-``-`` for a record of no transaction).
+``-`` for a record of no transaction).  When both runs have the same
+number of records, a "fields moved" table also counts, per ``(cat/name,
+field)``, the index-aligned records that differ in that field — span
+ids and timestamps included — so a change that only re-parents or
+re-files records shows what it moved.
 """
 
 from __future__ import annotations
@@ -329,6 +333,19 @@ def explain_records(old: list, new: list) -> dict:
     }
 
 
+def fields_moved(old: list, new: list) -> list:
+    """``(cat/name, field, records)`` for every field in which
+    index-aligned records of two equally long runs differ, timestamps and
+    span ids included, sorted; a record counts under its old cat/name."""
+    tally: Counter = Counter()
+    for a, b in zip(old, new):
+        for field in a.keys() | b.keys():
+            if a.get(field) != b.get(field):
+                tally["%s/%s" % (a["cat"], a["name"]), field] += 1
+    return [(label, field, count)
+            for (label, field), count in sorted(tally.items())]
+
+
 def _per(count: int, commits: int) -> str:
     return "%.3f" % (count / commits) if commits else "-"
 
@@ -384,6 +401,12 @@ def explain_row(name: str, old_text: str, new_text: str) -> list:
         out.append("  %-34s %-12s %8d %8d %11s %9s" % (
             label, role, removed, added,
             _per(removed, old_commits), _per(added, new_commits)))
+    if len(old) == len(new):
+        # Equal counts: say what moved in place, re-parenting included.
+        out.append("  fields moved, index-aligned:")
+        out.append("  %-34s %-12s %8s" % ("cat/name", "field", "records"))
+        for label, field, count in fields_moved(old, new):
+            out.append("  %-34s %-12s %8d" % (label, field, count))
     return out
 
 
