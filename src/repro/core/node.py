@@ -37,11 +37,11 @@ from .cas import (
 from .client import FrontEnd
 from .ids import GlobalTxnId
 from .pipeline import DurabilityPipeline
-from .rollback import DecisionLedger
 from .trusted_counter import CounterClient, CounterReplica
 from .twopc import (
     ClogRecord,
     Coordinator,
+    DecisionLedger,
     Participant,
     deliver,
     fold_clog,
@@ -326,11 +326,7 @@ class TreatyNode:
         # before any resolve fiber runs: completer fallbacks then start
         # from learned slots instead of cold query rounds.
         if replication(self.runtime) and prepared_ids:
-            from .recovery import DecisionResolver
-
-            yield from DecisionResolver(self.participant).prefetch(
-                sorted(prepared_ids)
-            )
+            yield from self.participant.learn_decisions(sorted(prepared_ids))
 
         # Re-adopt prepared participant-local transactions (§VI: "each
         # node will re-initialize all prepared Txs that are not yet

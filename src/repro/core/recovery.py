@@ -12,18 +12,14 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Sequence
 
-from ..net.message import MsgType, TxMessage
 from ..sim.core import Event
 from ..storage.disk import DiskSnapshot
 from .cluster import TreatyCluster
-from .ids import GlobalTxnId
 from .node import TreatyNode
 from .trusted_counter import CounterClient
-from .twopc import RESOLUTION_RETRY_INTERVAL, DecisionRecord
 
 __all__ = [
     "StableCounterResolver",
-    "DecisionResolver",
     "crash_and_recover",
     "rollback_attack",
     "tamper_attack",
@@ -93,57 +89,6 @@ class StableCounterResolver:
         if log_name not in self._cache:
             yield from self.prefetch([log_name])
         return self._cache[log_name]
-
-
-class DecisionResolver:
-    """Warm a recovering node's decision ledger in one vectored burst.
-
-    Recovery re-adopts every prepared transaction half and finishes each
-    in a fiber of its own; under ``protocol="optimized"`` the fiber of a
-    half whose coordinator stays unreachable falls back to the completer
-    state machine, which opens with a decision-query round of its own,
-    and a recovering coordinator re-protecting its own commit reads its
-    own slot first.  This resolver front-loads that work: one
-    DECISION_QUERY per (peer, in-doubt transaction), all enqueued in the
-    same instant so the transport's doorbell window coalesces them into
-    one sealed frame per peer — the decision-ledger analogue of
-    :class:`StableCounterResolver`'s vectored quorum read.  Every
-    answered record lands in the node's write-once ledger, so those
-    fibers start from warmed slots.
-    """
-
-    def __init__(self, participant):
-        self.participant = participant
-        #: decision records actually learned (for tests/metrics).
-        self.warmed = 0
-
-    def prefetch(self, txn_ids: Sequence[bytes]) -> Gen:
-        part = self.participant
-        asked = [
-            (txn_id, GlobalTxnId.decode(txn_id), node)
-            for txn_id in txn_ids for node in part.peers
-        ]
-        # Down peers fail fast; bound the round so one slow straggler
-        # cannot stall the whole recovery pass.
-        replies = yield from part.rpc.gather(
-            [
-                (
-                    part.addresses[node],
-                    TxMessage(
-                        MsgType.DECISION_QUERY, gid.node_id,
-                        gid.local_seq, part.op_id(),
-                    ),
-                )
-                for _txn_id, gid, node in asked
-            ],
-            timeout=RESOLUTION_RETRY_INTERVAL,
-        )
-        for (txn_id, _gid, _node), reply in zip(asked, replies):
-            if reply is None or not reply.body:
-                continue
-            record = DecisionRecord.decode(reply.body)
-            if part.ledger.record(txn_id, record) is record:
-                self.warmed += 1
 
 
 def crash_and_recover(cluster: TreatyCluster, index: int) -> Gen:

@@ -1,4 +1,4 @@
-"""Coverage promises and decision slots: what rides on the counter rounds.
+"""Coverage promises: the scheduler that decides when counter rounds run.
 
 Treaty's stabilization contract is narrower than "every transaction runs
 its own counter round": an entry must be *covered* by a stable counter
@@ -9,9 +9,9 @@ of the CONFIRM leg, who schedules rounds — is one
 ``ClusterConfig.rollback_backend`` value in
 :data:`~repro.core.trusted_counter.BACKENDS`; the round itself is
 :meth:`CounterClient.run_round`.  This module holds the one piece of a
-backend that is *not* round shape: the :class:`PromiseScheduler` that
-decides *when* rounds run under the promise-scheduled rows
-(``counter-async`` and ``lcm``).  The node's
+backend that is *not* round shape, and nothing else: the
+:class:`PromiseScheduler` that decides *when* rounds run under the
+promise-scheduled rows (``counter-async`` and ``lcm``).  The node's
 :class:`~repro.core.pipeline.DurabilityPipeline` routes every
 stabilization request through it there, and straight to the
 :class:`CounterClient` — whose waiters start rounds on demand — under
@@ -48,10 +48,9 @@ from .trusted_counter import (
     COUNTER_RETRY_BACKOFF,
     CounterClient,
     Target,
-    majority,
 )
 
-__all__ = ["PromiseScheduler", "DecisionLedger"]
+__all__ = ["PromiseScheduler"]
 
 Gen = Generator[Event, Any, Any]
 
@@ -237,71 +236,3 @@ class PromiseScheduler:
                 self.lease_until[shard] = self.runtime.sim.now + self.lease_s
                 self._lease_renewals.inc()
                 self._wake[shard].release()
-
-
-class DecisionLedger:
-    """Write-once per-transaction decision slots (``protocol="optimized"``).
-
-    The non-blocking commit extension replicates the coordinator's
-    commit/abort decision across the cluster before the client is
-    acknowledged; this ledger is one node's slot store.  Slots live in
-    the enclave's protected memory — the same trust model as the counter
-    replicas' echo memory: a value held by a quorum of live enclaves is
-    rollback-protected, and the coordinator's own slot is additionally
-    durable through its Clog entry.
-
-    Slots are *write-once*: the first record for a transaction wins and
-    every later write of a conflicting kind is rejected (the caller
-    learns the stored record instead).  Because slots never change, the
-    quorum conditions below are monotone — once a kind reaches its
-    quorum it stays there, and every evaluator converges on the same
-    outcome:
-
-    * **commit is final** once ``commit_quorum`` (a majority) of slots
-      hold a COMMIT record — only then may the client be acknowledged;
-    * **abort is final** once ``abort_quorum`` slots hold ABORT: that
-      many conflicting slots make the commit quorum arithmetically
-      unreachable, and presumed abort makes aborting safe for any
-      transaction that was never acknowledged.
-
-    The two thresholds overlap (``commit_quorum + abort_quorum = n + 1``),
-    so at most one outcome can ever become final.
-    """
-
-    def __init__(self, num_nodes: int):
-        self.num_nodes = num_nodes
-        #: gid bytes -> decision record (duck-typed: anything with a
-        #: ``.kind`` attribute; :class:`~repro.core.twopc.DecisionRecord`).
-        self.slots: Dict[bytes, Any] = {}
-        #: slots written by a remote record (metric feed).
-        self.replicated = 0
-
-    def install_metrics(self, metrics) -> None:
-        """Expose live slot occupancy (``decision.slots``) as a probe.
-
-        Slots are enclave memory that persists for the deployment's
-        lifetime, so the gauge doubles as a leak watch: it should track
-        committed-transaction count, never run ahead of it.
-        """
-        metrics.probe("decision.slots", lambda: len(self.slots))
-
-    @property
-    def commit_quorum(self) -> int:
-        """Majority of all nodes (the coordinator's slot counts)."""
-        return majority(self.num_nodes)
-
-    @property
-    def abort_quorum(self) -> int:
-        """Enough conflicting slots to make commit unreachable."""
-        return self.num_nodes - self.commit_quorum + 1
-
-    def record(self, gid_bytes: bytes, record) -> Any:
-        """Write-once store; returns the record the slot holds now."""
-        existing = self.slots.get(gid_bytes)
-        if existing is not None:
-            return existing
-        self.slots[gid_bytes] = record
-        return record
-
-    def get(self, gid_bytes: bytes):
-        return self.slots.get(gid_bytes)

@@ -22,7 +22,8 @@ fast path (§V-B) — no Clog, no 2PC rounds: the node's participant
 commits the half in one phase.
 
 One module per seam: :mod:`.codec` (message bodies, Clog and decision
-records), :mod:`.steps` (the steps of a decision several roles run),
+records), :mod:`.steps` (the steps of a decision several roles run,
+and the decision slots they write and count),
 :mod:`.participant`, :mod:`.coordinator` and :mod:`.txn`
 (:class:`GlobalTxn`, the lifecycle above).
 """
@@ -43,6 +44,7 @@ from .participant import Participant
 from .steps import (
     PREPARE_VOTE_TIMEOUT,
     RESOLUTION_RETRY_INTERVAL,
+    DecisionLedger,
     Gen,
     deliver,
     pace,
@@ -54,6 +56,7 @@ from .txn import GlobalTxn
 __all__ = [
     "ClogRecord",
     "DecisionRecord",
+    "DecisionLedger",
     "fold_clog",
     "Participant",
     "Coordinator",

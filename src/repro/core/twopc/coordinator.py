@@ -8,7 +8,6 @@ transaction ended.  The transactions it begins are
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Dict, List, Tuple
 
 from ...net.message import MsgType, TxMessage
@@ -17,7 +16,6 @@ from ...storage.log import SecureLog
 from ...tee.runtime import NodeRuntime
 from ...txn.manager import TransactionManager
 from ..ids import GlobalTxnId, TxnIdAllocator
-from ..rollback import DecisionLedger
 from ..trusted_counter import Target
 from .codec import ClogRecord, DecisionRecord
 from .participant import Participant
@@ -25,11 +23,13 @@ from .steps import (
     KIND_NAMES,
     REPLAYED,
     RESOLUTION_RETRY_INTERVAL,
+    DecisionLedger,
     Gen,
     finish,
     pace,
     piggyback,
     replication,
+    slot_held,
 )
 from .txn import GlobalTxn
 
@@ -77,12 +77,6 @@ class Coordinator:
         #: The participant finishes decisions through this role too.
         self.participant = participant
         participant.coordinator = self
-        self.epoch = epoch
-        #: per-incarnation decision-replication operation ids: distinct
-        #: base from transaction ops and resolution ops, epoch-stamped so
-        #: a recovered coordinator's re-replication never collides with
-        #: its pre-crash broadcasts in a peer's replay guard.
-        self._decision_ops = itertools.count(1)
         self.tracer = runtime.tracer
         self.node = runtime.name or None
         self.allocator = TxnIdAllocator(node_numeric_id, epoch)
@@ -103,13 +97,6 @@ class Coordinator:
         return GlobalTxn(self, self.allocator.next(), optimistic=optimistic)
 
     # -- Clog ---------------------------------------------------------------------
-    def _decision_op_id(self) -> int:
-        return (
-            (1 << 59)
-            | (self.epoch << 40)
-            | next(self._decision_ops)
-        )
-
     def _replicate_decision(
         self, record: DecisionRecord, txn_hex: str, phase: str = "decision"
     ) -> Gen:
@@ -119,29 +106,31 @@ class Coordinator:
         the group stabilization round's first frames go out, so the
         transport's doorbell window seals both into one frame per peer —
         the decision rides the piggybacked round instead of costing its
-        own.  The quorum-acknowledgement wait then overlaps the counter
-        round.  The coordinator's own slot counts as one ack (it is
-        backed by the durable Clog entry).
+        own.  The quorum wait then overlaps the counter round.
+
+        The slots are counted in one map, holder -> kind, and
+        :meth:`DecisionLedger.final` decides: the coordinator's own slot
+        (backed by the durable Clog entry) and each peer's as its reply
+        says (:func:`~.steps.slot_held`).  After every retry interval the
+        record is re-sent to each peer that has not answered — a failed
+        send, or a record or reply the network lost.
 
         Returns True once the decision is final.  For a COMMIT record,
-        False means conflicting completer slots made the commit quorum
-        unreachable — the caller must supersede with an abort, which is
-        safe because a commit that cannot reach quorum was never (and
-        will never be) acknowledged to the client.
+        False means completer abort slots made ABORT final — the caller
+        must supersede with an abort, which is safe because a commit
+        that cannot reach quorum was never (and will never be)
+        acknowledged to the client.
         """
         sim = self.runtime.sim
         ledger = self.ledger
-        gid_bytes = record.gid.encode()
-        stored = ledger.record(gid_bytes, record)
+        stored = ledger.record(record.gid.encode(), record)
         if record.kind == ClogRecord.COMMIT and stored.kind != record.kind:
             # A completer abort proposal already occupies this node's
             # own slot (a peer's watchdog fired while we were still
-            # deciding, or a local completer raced this redrive).  The
-            # quorum arithmetic below counts our own slot as one commit
-            # ack, which would be a lie here — and the abort side may
-            # already be one slot from finality.  Give up immediately:
-            # the client was never acknowledged, so the superseding
-            # abort the caller logs is safe.
+            # deciding, or a local completer raced this redrive), and
+            # the abort side may already be one slot from finality.
+            # Give up immediately: the client was never acknowledged, so
+            # the superseding abort the caller logs is safe.
             return False
         body = record.encode()
 
@@ -151,7 +140,7 @@ class Coordinator:
                     self.addresses[node],
                     TxMessage(
                         MsgType.DECISION_RECORD, record.gid.node_id,
-                        record.gid.local_seq, self._decision_op_id(), body,
+                        record.gid.local_seq, self.participant.op_id(), body,
                     ),
                 )
                 for node in nodes
@@ -184,62 +173,47 @@ class Coordinator:
 
             sim.spawn(drain(), name="decision-drain@%s" % (self.node or "?"))
             return True
+        kinds = {self.node_numeric_id: record.kind}
         needed = ledger.commit_quorum - 1
         acks = 0
-        conflicts = 0
         span = self.tracer.span(
             "twopc", "decision_wait", node=self.node, txn=txn_hex,
             needed=needed,
         )
+        final = ledger.final(kinds)
         try:
-            while acks < needed:
+            while final is None:
                 round_start = self.runtime.now
                 yield sim.any_of([
                     sim.all_settled(list(events.values())),
                     sim.timeout(RESOLUTION_RETRY_INTERVAL),
                 ])
-                retry = []
-                for node, event in list(events.items()):
-                    if not event.triggered:
+                for node, event in events.items():
+                    held = slot_held(
+                        event.value if event.triggered and event.ok
+                        else None,
+                        record,
+                    )
+                    if held is None:
                         continue
-                    del events[node]
-                    reply = event.value if event.ok else None
-                    if (
-                        reply is not None
-                        and reply.msg_type == MsgType.ACK
-                    ):
+                    kinds[node] = held.kind
+                    if held.kind == record.kind:
                         acks += 1
                         self.tracer.event(
                             "twopc", "decision-quorum", node=self.node,
                             txn=txn_hex, peer=node, acks=acks,
                             needed=needed,
                         )
-                        continue
-                    if (
-                        reply is not None
-                        and reply.msg_type == MsgType.FAIL
-                        and reply.body
-                    ):
-                        # Write-once conflict: a completer already
-                        # proposed abort into that peer's slot.
-                        conflicts += 1
-                        continue
-                    retry.append(node)
-                if acks >= needed:
-                    break
-                undecided = len(self.peers) - acks - conflicts
-                if 1 + acks + undecided < ledger.commit_quorum:
-                    return False
-                if retry:
+                final = ledger.final(kinds)
+                if final is None:
                     yield from pace(sim, round_start)
-                    events.update(send(retry))
-                elif not events:
-                    # Everyone settled, quorum still short and commit
-                    # still "reachable" — impossible by arithmetic, but
-                    # never spin on it.
-                    return False
+                    events = send([
+                        node for node in self.peers if node not in kinds
+                    ])
         finally:
-            span.close(acks=acks, conflicts=conflicts)
+            span.close(acks=acks, conflicts=len(kinds) - 1 - acks)
+        if final != ClogRecord.COMMIT:
+            return False
         self.runtime.metrics.counter("decision.replicated").inc()
         return True
 

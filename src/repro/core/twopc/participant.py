@@ -8,7 +8,7 @@ coordinator's stead (the completer).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ...errors import NetworkError, TransactionAborted
 from ...net.message import MsgType, TxMessage
@@ -20,7 +20,6 @@ from ...txn.manager import TransactionManager
 from ...txn.pessimistic import PessimisticTxn
 from ...txn.types import TxnStatus
 from ..ids import EPOCH_SHIFT, GlobalTxnId
-from ..rollback import DecisionLedger
 from ..trusted_counter import Target, encode_counter_vector
 from .codec import (
     ClogRecord,
@@ -38,11 +37,13 @@ from .steps import (
     PREPARE_VOTE_TIMEOUT,
     QUORUM_FINAL,
     RESOLUTION_RETRY_INTERVAL,
+    DecisionLedger,
     Gen,
     finish,
     pace,
     piggyback,
     replication,
+    slot_held,
 )
 
 __all__ = ["Participant"]
@@ -447,7 +448,6 @@ class Participant:
         gid_bytes = record.gid.encode()
         stored = self.ledger.record(gid_bytes, record)
         if stored is record:
-            self.ledger.replicated += 1
             self.runtime.metrics.counter("decision.replicated").inc()
             self.tracer.event(
                 "twopc", "decision_replicated", node=self.node,
@@ -584,7 +584,7 @@ class Participant:
                 kinds, commit_record = yield from self._decision_round(
                     gid_bytes, gid
                 )
-                final = self._final(kinds)
+                final = ledger.final(kinds)
                 if final is None:
                     proposal = commit_record
                     if proposal is None:
@@ -598,10 +598,13 @@ class Participant:
                         node for node, kind in kinds.items()
                         if kind is None and node != self.numeric_id
                     ]
-                    accepted = yield from self._spread(gid, stored, empty)
-                    for node in accepted:
-                        kinds[node] = stored.kind
-                    final = self._final(kinds)
+                    held = yield from self._spread(gid, stored, empty)
+                    for node, slot in held.items():
+                        # A FAIL may carry a COMMIT that beat the spread.
+                        kinds[node] = slot.kind
+                        if slot.kind == ClogRecord.COMMIT:
+                            commit_record = commit_record or slot
+                    final = ledger.final(kinds)
                 if final is not None:
                     # The ``quorum-final`` entry: protect a COMMIT with
                     # the group round the coordinator would have run,
@@ -629,15 +632,6 @@ class Participant:
                 )
         finally:
             span.close(outcome=outcome)
-
-    def _final(self, kinds: Dict[int, Optional[int]]) -> Optional[int]:
-        """The kind whose quorum the tallied slots reach, if either."""
-        held = list(kinds.values())
-        if held.count(ClogRecord.COMMIT) >= self.ledger.commit_quorum:
-            return ClogRecord.COMMIT
-        if held.count(ClogRecord.ABORT) >= self.ledger.abort_quorum:
-            return ClogRecord.ABORT
-        return None
 
     def _ask(
         self, msg_type: int, gid: GlobalTxnId, nodes: List[int],
@@ -685,14 +679,45 @@ class Participant:
                 commit_record = record
         return kinds, commit_record
 
+    def learn_decisions(self, keys: Sequence[bytes]) -> Gen:
+        """Warm a recovering node's ledger in one bounded, vectored round.
+
+        A recovered half whose coordinator stays unreachable falls back
+        to :meth:`complete`, which opens with a :meth:`_decision_round`.
+        This front-loads those rounds: one DECISION_QUERY per (peer,
+        in-doubt transaction), enqueued in one instant so the doorbell
+        window seals them into one frame per peer; every answered record
+        lands in the write-once ledger.
+        """
+        asked = [(key, node) for key in keys for node in self.peers]
+        replies = yield from self.rpc.gather(
+            [
+                (
+                    self.addresses[node],
+                    self._message(
+                        MsgType.DECISION_QUERY, GlobalTxnId.decode(key)
+                    ),
+                )
+                for key, node in asked
+            ],
+            timeout=RESOLUTION_RETRY_INTERVAL,
+        )
+        for (key, _node), reply in zip(asked, replies):
+            if reply is not None and reply.body:
+                self.ledger.record(key, DecisionRecord.decode(reply.body))
+
     def _spread(
         self, gid: GlobalTxnId, record: DecisionRecord, nodes: List[int]
     ) -> Gen:
-        """Write ``record`` into peers' empty slots; returns acceptors."""
+        """Write ``record`` into peers' empty slots, in one bounded round;
+        returns node -> the record its slot holds, for each peer that
+        answered (:func:`~.steps.slot_held`)."""
         replies = yield from self._ask(
             MsgType.DECISION_RECORD, gid, nodes, record.encode()
         )
-        return [
-            node for node, reply in zip(nodes, replies)
-            if reply is not None and reply.msg_type == MsgType.ACK
-        ]
+        held = {}
+        for node, reply in zip(nodes, replies):
+            slot = slot_held(reply, record)
+            if slot is not None:
+                held[node] = slot
+        return held

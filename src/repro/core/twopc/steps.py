@@ -12,6 +12,11 @@ reads (docs/PROTOCOL.md §1.2 has the table).  The steps themselves are
 SecureRpc.gather, Coordinator.protect, :func:`deliver` below and
 Participant.apply.  The vote and the apply are Participant methods: every
 half lives in its node's Participant, the coordinator's own included.
+
+The decision slots of non-blocking commit live here too, for every role
+that writes or counts them: :class:`DecisionLedger` with the one quorum
+rule, :meth:`DecisionLedger.final`, and :func:`slot_held`, the one rule
+for reading the reply to a slot write.
 """
 
 from __future__ import annotations
@@ -22,11 +27,12 @@ from ...net.message import MsgType, TxMessage
 from ...net.secure_rpc import SecureRpc
 from ...sim.core import Event
 from ...tee.runtime import NodeRuntime
-from ..trusted_counter import Target, decode_counter_vector
+from ..trusted_counter import Target, decode_counter_vector, majority
 from .codec import ClogRecord, DecisionRecord
 
 __all__ = [
     "PREPARE_VOTE_TIMEOUT", "RESOLUTION_RETRY_INTERVAL",
+    "DecisionLedger", "slot_held",
     "piggyback", "replication", "pace", "deliver",
     "Entry", "DECIDED", "QUORUM_FINAL", "REPLAYED", "ANSWERED", "finish",
 ]
@@ -44,6 +50,98 @@ INSTRUCTIONS = {
     ClogRecord.COMMIT: MsgType.TXN_COMMIT,
     ClogRecord.ABORT: MsgType.TXN_ABORT,
 }
+
+
+class DecisionLedger:
+    """Write-once per-transaction decision slots (``protocol="optimized"``).
+
+    The non-blocking commit extension replicates the coordinator's
+    commit/abort decision across the cluster before the client is
+    acknowledged; this ledger is one node's slot store.  Slots live in
+    the enclave's protected memory — the same trust model as the counter
+    replicas' echo memory: a value held by a quorum of live enclaves is
+    rollback-protected, and the coordinator's own slot is additionally
+    durable through its Clog entry.
+
+    Slots are *write-once*: the first record for a transaction wins and
+    every later write of a conflicting kind is rejected (the caller
+    learns the stored record instead).  Because slots never change, the
+    quorum rule :meth:`final` is monotone — once a kind reaches its
+    quorum it stays there, and every evaluator converges on the same
+    outcome:
+
+    * **commit is final** once ``commit_quorum`` (a majority) of slots
+      hold a COMMIT record — only then may the client be acknowledged;
+    * **abort is final** once ``abort_quorum`` slots hold ABORT: that
+      many conflicting slots make the commit quorum unreachable, and
+      presumed abort makes aborting safe for any transaction that was
+      never acknowledged.
+
+    The two thresholds overlap (``commit_quorum + abort_quorum = n + 1``),
+    so at most one outcome can ever become final.
+    """
+
+    def __init__(self, num_nodes: int):
+        self.num_nodes = num_nodes
+        #: gid bytes -> decision record.
+        self.slots: Dict[bytes, DecisionRecord] = {}
+
+    def install_metrics(self, metrics) -> None:
+        """Expose live slot occupancy (``decision.slots``) as a probe.
+
+        Slots are enclave memory that persists for the deployment's
+        lifetime, so the gauge doubles as a leak watch: it should track
+        committed-transaction count, never run ahead of it.
+        """
+        metrics.probe("decision.slots", lambda: len(self.slots))
+
+    @property
+    def commit_quorum(self) -> int:
+        """Majority of all nodes (the coordinator's slot counts)."""
+        return majority(self.num_nodes)
+
+    @property
+    def abort_quorum(self) -> int:
+        """Enough conflicting slots to make commit unreachable."""
+        return self.num_nodes - self.commit_quorum + 1
+
+    def record(self, gid_bytes: bytes, record: DecisionRecord) -> DecisionRecord:
+        """Write-once store; returns the record the slot holds now."""
+        return self.slots.setdefault(gid_bytes, record)
+
+    def get(self, gid_bytes: bytes) -> Optional[DecisionRecord]:
+        return self.slots.get(gid_bytes)
+
+    def final(self, kinds: Dict[int, Optional[int]]) -> Optional[int]:
+        """The kind whose quorum the counted slots reach: COMMIT, ABORT
+        or None.  ``kinds`` maps slot holder -> the kind its slot holds
+        (``None``: empty); a holder not in it has not answered."""
+        held = list(kinds.values())
+        if held.count(ClogRecord.COMMIT) >= self.commit_quorum:
+            return ClogRecord.COMMIT
+        if held.count(ClogRecord.ABORT) >= self.abort_quorum:
+            return ClogRecord.ABORT
+        return None
+
+
+def slot_held(
+    reply: Optional[TxMessage], sent: DecisionRecord
+) -> Optional[DecisionRecord]:
+    """What a peer's slot holds, read from its reply to a
+    DECISION_RECORD carrying ``sent``.
+
+    ACK: ``sent`` (the slot holds its kind, written now or before).
+    FAIL carrying a record: that record, which won the write-once slot
+    first.  Anything else — no reply, a failed send, a FAIL without a
+    record — ``None``: the peer has not answered.
+    """
+    if reply is None:
+        return None
+    if reply.msg_type == MsgType.ACK:
+        return sent
+    if reply.msg_type == MsgType.FAIL and reply.body:
+        return DecisionRecord.decode(reply.body)
+    return None
 
 
 def piggyback(runtime: NodeRuntime) -> bool:

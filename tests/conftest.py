@@ -18,6 +18,19 @@ from repro.tee import NodeRuntime
 ROOT_KEY = bytes(range(32))
 
 
+def carries(frame, msg_type):
+    """Whether an eRPC frame carries a ``msg_type`` message anywhere in
+    its batch.
+
+    A batch frame's top-level ``meta["req_type"]`` names its first
+    message only: one coalesced behind another type shows in
+    ``meta["batch"]`` alone.  A response carries the type of the request
+    it answers."""
+    return frame.kind == "erpc" and any(
+        sub["req_type"] == msg_type for sub in frame.meta.get("batch", ())
+    )
+
+
 class StorageHarness:
     """One node's storage stack on a fresh simulated disk."""
 

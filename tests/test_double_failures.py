@@ -6,6 +6,8 @@ from repro.config import TREATY_FULL
 from repro.core import TreatyCluster
 from repro.errors import TransactionAborted
 from repro.net import NetworkAdversary
+from repro.net.message import MsgType
+from tests.conftest import carries
 
 
 def local_key(cluster, node_index, tag=b"df"):
@@ -55,8 +57,8 @@ class TestTwoNodeCrash:
         cluster = TreatyCluster(profile=TREATY_FULL).start()
         adversary = NetworkAdversary()
         adversary.drop_matching(
-            lambda f: f.kind == "erpc" and f.meta.get("is_request")
-            and f.meta.get("req_type") == 4  # all TXN_COMMITs
+            lambda f: f.meta.get("is_request")
+            and carries(f, MsgType.TXN_COMMIT)  # all TXN_COMMITs
         )
         cluster.fabric.adversary = adversary
         keys = {i: local_key(cluster, i, tag=b"cm") for i in range(3)}

@@ -42,7 +42,10 @@ from repro.core.client import ClientTxn
 from repro.core.twopc import GlobalTxn
 from repro.errors import TransactionAborted
 from repro.mc.faults import SCENARIOS, CrashInjector
+from repro.net import NetworkAdversary
+from repro.net.message import MsgType
 from repro.sim.rng import SeededRng
+from tests.conftest import carries
 
 COORDINATOR = 0
 
@@ -312,6 +315,71 @@ class TestNoSpuriousTakeover:
             == ("twopc", "completer_takeover")
         ]
         assert not takeover_events
+
+
+# -- pin: a lost slot write is re-sent, not waited on forever -----------------
+
+
+@pytest.mark.parametrize("lost", ["record", "reply"])
+@pytest.mark.parametrize("backend", ["counter-sync", "counter-async", "lcm"])
+def test_lost_decision_record_is_resent(backend, lost):
+    """The adversary drops the first frame to each peer that carries a
+    DECISION_RECORD (``record``), or the first frame from each peer that
+    answers one (``reply``).  Both peers then stay silent to the
+    coordinator's quorum wait; it re-sends to them after one retry
+    interval, so ``commit()`` returns well inside a second and no
+    completer takes over."""
+    cluster = TreatyCluster(
+        profile=TREATY_FULL,
+        config=ClusterConfig(
+            seed=3, tracing=True, monitor=True, rollback_backend=backend,
+        ),
+    ).start()
+    sim = cluster.sim
+    requests = lost == "record"
+    hit = set()
+
+    def first_per_peer(frame):
+        if frame.meta.get("is_request") != requests:
+            return False
+        if not carries(frame, MsgType.DECISION_RECORD):
+            return False
+        peer = frame.dst if requests else frame.src
+        if peer in hit:
+            return False
+        hit.add(peer)
+        return True
+
+    adversary = NetworkAdversary()
+    adversary.drop_matching(first_per_peer)
+    cluster.fabric.adversary = adversary
+    pairs = [
+        (_distinct_keys(cluster, i, 1, b"lost")[0], b"lost-val")
+        for i in range(cluster.num_nodes)
+    ]
+    took = []
+
+    def body():
+        txn = cluster.nodes[COORDINATOR].coordinator.begin()
+        for key, value in pairs:
+            yield from txn.put(key, value)
+        start = sim.now
+        yield from txn.commit()
+        took.append(sim.now - start)
+
+    sim.process(body(), name="lost-record-client")
+    # Past every decision watchdog (timeout + jitter): a commit left
+    # hanging would show as a takeover here.
+    sim.run(until=sim.now + 5.0)
+
+    assert adversary.dropped == cluster.num_nodes - 1
+    assert took and took[0] < 1.0, took
+    assert _takeovers(cluster) == 0
+    for key, expected in pairs:
+        assert _read_survivor(cluster, key, None) == expected
+    monitor = cluster.obs.monitor
+    monitor.check_quiescent(now=sim.now)
+    assert monitor.green, monitor.violations
 
 
 # -- completer-driven client redirect -----------------------------------------

@@ -10,10 +10,12 @@ committed state, and the span-leak regression for crashed
 stabilizations.
 """
 
+import itertools
+
 import pytest
 
 from repro.config import ClusterConfig, TREATY_FULL
-from repro.core import DurabilityPipeline, TreatyCluster, rollback
+from repro.core import ClogRecord, DurabilityPipeline, TreatyCluster, rollback
 from repro.core.ids import GlobalTxnId
 from repro.core.rollback import PromiseScheduler
 from repro.core.trusted_counter import (
@@ -144,6 +146,34 @@ def test_quorums_follow_the_cluster_size(num_nodes, quorum):
         assert node.ledger.commit_quorum == quorum
         assert node.ledger.abort_quorum == quorum
         assert node.counter_client.quorum == quorum
+    # ``final`` over every assignment of the n slots: COMMIT, ABORT,
+    # empty (None) or unreachable (no entry in the map).
+    commit, abort, unreachable = ClogRecord.COMMIT, ClogRecord.ABORT, "-"
+    ledger = cluster.nodes[0].ledger
+    for slots in itertools.product(
+        (commit, abort, None, unreachable), repeat=num_nodes
+    ):
+        kinds = {
+            node: kind for node, kind in enumerate(slots)
+            if kind != unreachable
+        }
+        commits, aborts = slots.count(commit), slots.count(abort)
+        final = ledger.final(kinds)
+        assert (final == commit) == (commits >= quorum), slots
+        assert (final == abort) == (
+            aborts >= num_nodes - quorum + 1
+        ), slots
+        assert not (commits >= quorum and aborts >= num_nodes - quorum + 1)
+        if slots[0] == commit:
+            # Node 0 as the coordinator, its own slot COMMIT: the quorum
+            # wait's former arithmetic, over its peers' answers.
+            acks = commits - 1
+            conflicts = aborts
+            undecided = (num_nodes - 1) - acks - conflicts
+            assert (final == commit) == (acks >= quorum - 1), slots
+            assert (final == abort) == (
+                1 + acks + undecided < quorum
+            ), slots
 
 
 # -- the round each table row produces -----------------------------------------
