@@ -307,36 +307,13 @@ def format_baseline_deltas(
     against its allowed band, plus critical-path category share drift
     (informational — share shifts are not gated).
     """
-    current_metrics = current["metrics"]
-    reference_metrics = reference["metrics"]
     rows = []
-    gated = [
-        (name, direction, current_metrics, reference_metrics)
-        for name, direction in GATED_METRICS
-    ]
-    reference_workloads = reference.get("workloads") or {}
-    for workload, section in (current.get("workloads") or {}).items():
-        ref_section = reference_workloads.get(workload) or {}
-        for name, direction in WORKLOAD_GATED_METRICS:
-            gated.append((
-                "%s.%s" % (workload, name),
-                direction,
-                section["metrics"],
-                ref_section.get("metrics", {}),
-            ))
-    for name, direction, cur_metrics, ref_metrics in gated:
-        short = name.rsplit(".", 1)[-1]
-        if short not in ref_metrics:
-            rows.append((name, "-", "%.3f" % float(cur_metrics[short]),
-                         "-", direction, "n/a"))
+    for name, direction, cur, ref in _gated(current, reference):
+        if ref is None:
+            rows.append((name, "-", "%.3f" % cur, "-", direction, "n/a"))
             continue
-        ref = float(ref_metrics[short])
-        cur = float(cur_metrics[short])
         delta = (cur - ref) / ref if ref else 0.0
-        if direction == "min":
-            regressed = cur < ref * (1.0 - tolerance)
-        else:
-            regressed = cur > ref * (1.0 + tolerance) and cur - ref > 1e-9
+        regressed = _gate_one(name, cur, ref, direction, tolerance)
         rows.append((
             name,
             "%.3f" % ref,
@@ -374,32 +351,52 @@ def format_baseline_deltas(
     return "\n" + "\n\n\n".join(lines)
 
 
+def _gated(current: Dict[str, Any], reference: Dict[str, Any]):
+    """``(name, direction, current, reference or None)`` per gated
+    metric: the headline ones, then each current workload's."""
+    sections = [("", current["metrics"], reference["metrics"], GATED_METRICS)]
+    reference_workloads = reference.get("workloads") or {}
+    for workload, section in (current.get("workloads") or {}).items():
+        ref_section = reference_workloads.get(workload) or {}
+        sections.append((
+            workload + ".", section["metrics"],
+            ref_section.get("metrics", {}), WORKLOAD_GATED_METRICS,
+        ))
+    for prefix, cur, ref, gated in sections:
+        for name, direction in gated:
+            yield (
+                prefix + name, direction, float(cur[name]),
+                float(ref[name]) if name in ref else None,
+            )
+
+
 def _gate_one(
     name: str,
     cur: float,
     ref: float,
     direction: str,
     tolerance: float,
-    failures: List[str],
-) -> None:
-    """Apply one direction-aware band check, appending any failure."""
+) -> Optional[str]:
+    """The one direction-aware band check: the failure description, or
+    None when ``cur`` is inside the band."""
     if direction == "min":
         floor = ref * (1.0 - tolerance)
         if cur < floor:
-            failures.append(
+            return (
                 "%s regressed: %.3f < %.3f (baseline %.3f - %.0f%%)"
                 % (name, cur, floor, ref, tolerance * 100)
             )
-    else:
-        ceiling = ref * (1.0 + tolerance)
-        # An absolute epsilon keeps near-zero baselines (e.g. a
-        # profile without stabilization, or the snapshot path's ~0
-        # frames/txn) from gating on noise.
-        if cur > ceiling and cur - ref > 1e-9:
-            failures.append(
-                "%s regressed: %.3f > %.3f (baseline %.3f + %.0f%%)"
-                % (name, cur, ceiling, ref, tolerance * 100)
-            )
+        return None
+    ceiling = ref * (1.0 + tolerance)
+    # An absolute epsilon keeps near-zero baselines (e.g. a profile
+    # without stabilization, or the snapshot path's ~0 frames/txn) from
+    # gating on noise.
+    if cur > ceiling and cur - ref > 1e-9:
+        return (
+            "%s regressed: %.3f > %.3f (baseline %.3f + %.0f%%)"
+            % (name, cur, ceiling, ref, tolerance * 100)
+        )
+    return None
 
 
 def check_baseline(
@@ -413,34 +410,9 @@ def check_baseline(
     gated on :data:`WORKLOAD_GATED_METRICS` in addition to the headline
     metrics; failure names carry the workload prefix.
     """
-    failures: List[str] = []
-    current_metrics = current["metrics"]
-    reference_metrics = reference["metrics"]
-    for name, direction in GATED_METRICS:
-        if name not in reference_metrics:
-            continue  # older baseline file: nothing to gate against
-        _gate_one(
-            name,
-            float(current_metrics[name]),
-            float(reference_metrics[name]),
-            direction,
-            tolerance,
-            failures,
-        )
-    reference_workloads = reference.get("workloads") or {}
-    for workload, section in (current.get("workloads") or {}).items():
-        ref_section = reference_workloads.get(workload)
-        if not ref_section:
-            continue  # new workload: nothing to gate against yet
-        for name, direction in WORKLOAD_GATED_METRICS:
-            if name not in ref_section["metrics"]:
-                continue
-            _gate_one(
-                "%s.%s" % (workload, name),
-                float(section["metrics"][name]),
-                float(ref_section["metrics"][name]),
-                direction,
-                tolerance,
-                failures,
-            )
-    return failures
+    failures = (
+        _gate_one(name, cur, ref, direction, tolerance)
+        for name, direction, cur, ref in _gated(current, reference)
+        if ref is not None  # an older baseline, a new workload: no gate
+    )
+    return [failure for failure in failures if failure is not None]

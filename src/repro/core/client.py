@@ -39,6 +39,7 @@ from .twopc.codec import (
     encode_scan_request,
     encode_value_reply,
 )
+from .twopc.steps import RESOLUTION_RETRY_INTERVAL
 
 __all__ = ["ClientMachine", "ClientSession", "ClientTxn", "FrontEnd"]
 
@@ -64,9 +65,6 @@ _FLAG_READONLY = 2
 _STATUS_UNKNOWN = 0
 _STATUS_COMMITTED = 1
 _STATUS_ABORTED = 2
-
-#: how often a redirected client re-polls the survivors.
-_STATUS_RETRY_INTERVAL = 0.5
 
 
 def _encode_op(kind: int, flags: int, key: bytes = b"", value: bytes = b"") -> bytes:
@@ -444,6 +442,7 @@ class ClientTxn:
         A completer replicates and applies the outcome within the
         decision timeout, so a bounded poll of the survivors' applied
         records answers "did my commit land?" without the coordinator.
+        A survivor silent for ``RESOLUTION_RETRY_INTERVAL`` is skipped.
         """
         machine = self.session.machine
         sim = machine.sim
@@ -463,9 +462,11 @@ class ClientTxn:
                     _encode_op(_OP_STATUS, 0, self.gid),
                 )
                 try:
-                    reply = yield from machine.rpc.call(address, message)
+                    reply = yield from machine.rpc.call(
+                        address, message, timeout=RESOLUTION_RETRY_INTERVAL
+                    )
                 except NetworkError:
-                    continue  # that node is down too; try the next
+                    continue  # down too, or silent: try the next
                 if reply.msg_type != MsgType.CLIENT_REPLY:
                     continue
                 outcome = Reader(Reader(reply.body).blob()).u32()
@@ -473,7 +474,7 @@ class ClientTxn:
                     return outcome
             if sim.now >= deadline:
                 return _STATUS_UNKNOWN
-            yield sim.sleep(_STATUS_RETRY_INTERVAL)
+            yield sim.sleep(RESOLUTION_RETRY_INTERVAL)
 
     def rollback(self) -> Gen:
         if self._routed:

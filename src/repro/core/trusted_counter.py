@@ -43,7 +43,7 @@ from typing import (
 
 from ..errors import FreshnessError, NetworkError
 from ..net.message import MsgType, TxMessage
-from ..net.secure_rpc import SecureRpc
+from ..net.secure_rpc import SecureRpc, replies
 from ..sim.core import Event
 from ..sim.rng import SeededRng
 from ..sim.sync import Gate
@@ -71,8 +71,8 @@ Target = Tuple[str, int]
 #: vectored round).
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
 
-#: how long one counter round waits for stragglers beyond the quorum; a
-#: crashed group member must not wedge the protocol (§VI).
+#: the deadline of every counter request; a crashed or silent group
+#: member must not wedge the protocol (§VI).
 COUNTER_ROUND_TIMEOUT = 0.05
 #: backoff between counter-round retries when the quorum is unreachable.
 COUNTER_RETRY_BACKOFF = 0.1
@@ -513,61 +513,47 @@ class CounterClient:
         finally:
             self._driver_active[shard] = False
 
-    def _fan_out(
+    def _requests(
         self, msg_type: int, targets: Sequence[Target]
-    ) -> List[Event]:
-        """Enqueue one vector for every peer; returns the reply events.
-
-        One broadcast enqueues every peer in the same instant, so each
-        peer's message coalesces into the same transport batch as
-        concurrent 2PC traffic headed its way.  A crashed peer fails its
-        event immediately, which simply counts as a missing reply.
-        """
+    ) -> List[Tuple[str, TxMessage]]:
+        """One vector for every peer: a round's ``(peer, message)`` pairs."""
         body = encode_counter_vector(targets)
-        return self.rpc.broadcast(
-            [
-                (
-                    peer,
-                    TxMessage(
-                        msg_type, self.node_numeric_id, self.epoch,
-                        self._next_op(), body,
-                    ),
-                )
-                for peer in self.peers
-            ],
-            express=True,  # dedicated counter-service enclave thread
-        )
+        return [
+            (peer, TxMessage(
+                msg_type, self.node_numeric_id, self.epoch, self._next_op(),
+                body,
+            ))
+            for peer in self.peers
+        ]
 
     def _broadcast(self, msg_type: int, targets: Sequence[Target]) -> Gen:
         """Send one round to all peers; returns the number of ACKs.
 
-        Returns as soon as the *quorum* has answered (the local replica
-        counts as one vote, so ``quorum - 1`` remote ACKs complete it):
-        the round's latency is the fastest quorum-completing peer, not
-        the slowest straggler.  Straggler echoes keep arriving in the
-        background and only freshen replica state.  If the quorum is
-        unreachable the wait falls back to every reply settling, bounded
-        by ``round_timeout`` — a crashed peer must not wedge the round.
+        One broadcast enqueues every peer in the same instant, so each
+        peer's message coalesces into the same transport batch as
+        concurrent 2PC traffic headed its way.  Returns as soon as the
+        *quorum* has answered (the local replica counts as one vote, so
+        ``quorum - 1`` remote ACKs complete it): the round's latency is
+        the fastest quorum-completing peer, not the slowest straggler.
+        Straggler echoes keep arriving in the background and only
+        freshen replica state.  If the quorum is unreachable the wait
+        ends once every request has settled (at its deadline, at worst).
         """
-        events = self._fan_out(msg_type, targets)
-        acks = 1  # the local replica always participates
+        events = self.rpc.broadcast(
+            self._requests(msg_type, targets),
+            express=True,  # dedicated counter-service enclave thread
+            timeout=COUNTER_ROUND_TIMEOUT,
+        )
         if events:
-            yield self.runtime.sim.any_of(
-                [
-                    self.runtime.sim.quorum_of(
-                        events,
-                        max(0, self.quorum - acks),
-                        accept=lambda reply: reply.msg_type == MsgType.ACK,
-                    ),
-                    self.runtime.sim.timeout(COUNTER_ROUND_TIMEOUT),
-                ]
+            yield self.runtime.sim.quorum_of(
+                events, self.quorum - 1,
+                accept=lambda reply: reply.msg_type == MsgType.ACK,
             )
-            for event in events:
-                if event.triggered and event.ok:
-                    reply = event.value
-                    if reply.msg_type == MsgType.ACK:
-                        acks += 1
-        return acks
+        # The local replica always participates.
+        return 1 + sum(
+            1 for reply in replies(events)
+            if reply is not None and reply.msg_type == MsgType.ACK
+        )
 
     def run_round(self, targets: Sequence[Target], shard: int = 0) -> Gen:
         """One echo-broadcast execution stabilizing a target vector, in
@@ -661,28 +647,22 @@ class CounterClient:
         Returns ``{log_name: value}``.
         """
         log_names = list(log_names)
-        events = self._fan_out(
-            MsgType.RECOVERY_QUERY, [(name, 0) for name in log_names]
+        answers = yield from self.rpc.gather(
+            self._requests(
+                MsgType.RECOVERY_QUERY, [(name, 0) for name in log_names]
+            ),
+            COUNTER_ROUND_TIMEOUT, express=True,
         )
         freshest = {
             name: self.replica.confirmed.get(name, 0) for name in log_names
         }
         responders = 1  # the local replica always answers
-        if events:
-            yield self.runtime.sim.any_of(
-                [
-                    self.runtime.sim.all_settled(events),
-                    self.runtime.sim.timeout(COUNTER_ROUND_TIMEOUT),
-                ]
-            )
-        for event in events:
-            if event.triggered and event.ok:
-                reply = event.value
-                if reply.msg_type == MsgType.RECOVERY_REPLY:
-                    responders += 1
-                    for log_name, value in decode_counter_vector(reply.body):
-                        if value > freshest.get(log_name, 0):
-                            freshest[log_name] = value
+        for reply in answers:
+            if reply is not None and reply.msg_type == MsgType.RECOVERY_REPLY:
+                responders += 1
+                for log_name, value in decode_counter_vector(reply.body):
+                    if value > freshest.get(log_name, 0):
+                        freshest[log_name] = value
         if responders < self.quorum:
             raise FreshnessError("cannot reach counter quorum for recovery")
         self._advance(sorted(freshest.items()))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Tuple
 
 from ...net.message import MsgType, TxMessage
-from ...net.secure_rpc import SecureRpc
+from ...net.secure_rpc import SecureRpc, replies
 from ...storage.log import SecureLog
 from ...tee.runtime import NodeRuntime
 from ...txn.manager import TransactionManager
@@ -135,31 +135,19 @@ class Coordinator:
         body = record.encode()
 
         def send(nodes):
-            sends = self.rpc.broadcast([
-                (
-                    self.addresses[node],
-                    TxMessage(
-                        MsgType.DECISION_RECORD, record.gid.node_id,
-                        record.gid.local_seq, self.participant.op_id(), body,
-                    ),
-                )
+            return nodes, self.rpc.broadcast([
+                (self.addresses[node], self.participant._message(
+                    MsgType.DECISION_RECORD, record.gid, body
+                ))
                 for node in nodes
-            ])
-            for event in sends:
-                # A send to a down peer fails fast — possibly before the
-                # quorum loop attaches its first settle barrier (the
-                # stabilization round runs in between under piggyback).
-                # Defuse so the uncovered failure never surfaces at the
-                # simulator; the loop reads event.ok itself.
-                event.defuse()
-            return dict(zip(nodes, sends))
+            ], timeout=RESOLUTION_RETRY_INTERVAL)
 
         # The broadcast is enqueued *before* the counter round's first
         # frames, so the transport's doorbell window coalesces the
         # DECISION_RECORD and the round's COUNTER frames to each peer
         # into the same sealed frames: replicating the decision adds no
         # frames on an idle window.
-        events = send(self.peers)
+        sent, events = send(self.peers)
         yield from self.pipeline.stabilize_group(
             record.targets + [(self.clog.log_name, record.counter)],
             txn=txn_hex, phase=phase,
@@ -167,11 +155,7 @@ class Coordinator:
         if record.kind != ClogRecord.COMMIT:
             # Presumed abort: no quorum needed before answering the
             # client — a peer that misses the record learns the abort
-            # from its own watchdog round.  Drain the acks off-path.
-            def drain() -> Gen:
-                yield sim.all_settled(list(events.values()))
-
-            sim.spawn(drain(), name="decision-drain@%s" % (self.node or "?"))
+            # from its own watchdog round.  The acks settle unwatched.
             return True
         kinds = {self.node_numeric_id: record.kind}
         needed = ledger.commit_quorum - 1
@@ -184,16 +168,9 @@ class Coordinator:
         try:
             while final is None:
                 round_start = self.runtime.now
-                yield sim.any_of([
-                    sim.all_settled(list(events.values())),
-                    sim.timeout(RESOLUTION_RETRY_INTERVAL),
-                ])
-                for node, event in events.items():
-                    held = slot_held(
-                        event.value if event.triggered and event.ok
-                        else None,
-                        record,
-                    )
+                yield sim.all_settled(events)
+                for node, reply in zip(sent, replies(events)):
+                    held = slot_held(reply, record)
                     if held is None:
                         continue
                     kinds[node] = held.kind
@@ -207,7 +184,7 @@ class Coordinator:
                 final = ledger.final(kinds)
                 if final is None:
                     yield from pace(sim, round_start)
-                    events = send([
+                    sent, events = send([
                         node for node in self.peers if node not in kinds
                     ])
         finally:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from ...errors import NetworkError, TransactionAborted
+from ...errors import NetworkError, RequestTimeout, TransactionAborted
 from ...net.message import MsgType, TxMessage
 from ...net.secure_rpc import SecureRpc
 from ...sim.rng import SeededRng
@@ -206,8 +206,12 @@ class Participant:
         """Run one execution-phase operation on the coordinator's half
         here (created on first contact) and ACK its encoded result.  An
         operation that aborts has rolled its half back: the half is
-        dropped and the reason travels back in a FAIL."""
+        dropped and the reason travels back in a FAIL.  So does a request
+        for a transaction whose outcome this node already applied — one
+        held back past its deadline must not open a half nobody ends."""
         key = GlobalTxnId(message.node_id, message.txn_id).encode()
+        if key in self.applied:
+            return message.reply(MsgType.FAIL, b"transaction already ended")
         try:
             result = yield from operation(self.half(key))
         except TransactionAborted as aborted:
@@ -486,9 +490,10 @@ class Participant:
 
         Presumed abort makes this safe: an ACTIVE half never voted YES,
         so the group's decision — if one exists at all — can only be
-        abort.  A *reachable* coordinator re-arms the fuse instead: the
-        transaction may simply be slow, and aborting its half here would
-        let a later operation silently recreate a partial one.
+        abort.  A coordinator that answers the probe, or stays silent
+        past its deadline (the probe or answer may be lost), re-arms the
+        fuse instead: aborting a live coordinator's half here would let
+        a later operation silently recreate a partial one.
         """
         gid = GlobalTxnId.decode(gid_bytes)
         sim = self.runtime.sim
@@ -504,9 +509,12 @@ class Participant:
                 yield from self.rpc.call(
                     self.addresses[gid.node_id],
                     self._message(MsgType.TXN_RESOLVE, gid),
+                    timeout=RESOLUTION_RETRY_INTERVAL,
                 )
+            except RequestTimeout:
+                continue  # silence: the probe or its answer was lost
             except NetworkError:
-                break  # coordinator unreachable: fence the orphan
+                break  # coordinator crashed: fence the orphan
         txn = self.active.get(gid_bytes)
         if txn is None or txn.status != TxnStatus.ACTIVE:
             return

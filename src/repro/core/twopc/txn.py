@@ -8,8 +8,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ...errors import NetworkError, TransactionAborted, TransactionError
+from ...errors import (
+    NetworkError, RequestTimeout, TransactionAborted, TransactionError,
+)
 from ...net.message import MsgType, TxMessage
+from ...net.secure_rpc import replies
 from ...txn.base import overlay
 from ...txn.pessimistic import PessimisticTxn
 from ...txn.types import TxnStatus
@@ -112,25 +115,32 @@ class GlobalTxn:
         ``join`` is false (the contact left no state there).
 
         Every failure leaves by one path — a local abort (lock timeout),
-        a FAIL reply, or a participant whose NIC detached (crash: the
-        transport fails the continuation instead of leaking it):
-        :meth:`rollback` tells every *other* touched participant (the
-        owner's half has rolled itself back, or died with its node), sets
-        the status and counts the abort; the reason propagates as
-        TransactionAborted.
+        a FAIL reply, a participant whose NIC detached (crash: the
+        transport fails the continuation instead of leaking it), or
+        silence past the request's ``PREPARE_VOTE_TIMEOUT`` deadline:
+        :meth:`rollback` tells every touched participant but a failed or
+        crashed owner (its half has rolled itself back, or died with its
+        node), sets the status and counts the abort; the reason
+        propagates as TransactionAborted.  A silent owner is told: its
+        reply may be what was lost, and then it holds a half.
         """
         coordinator = self.coordinator
         owner = coordinator.partitioner(key)
         if join:
             self.participants.add(owner)
+        failed: Optional[int] = owner
         try:
             if owner == coordinator.node_numeric_id:
                 result = yield from local()
                 return result
             try:
                 reply = yield from coordinator.rpc.call(
-                    coordinator.addresses[owner], request()
+                    coordinator.addresses[owner], request(),
+                    timeout=PREPARE_VOTE_TIMEOUT,
                 )
+            except RequestTimeout as exc:
+                failed = None
+                raise TransactionAborted(str(exc))
             except NetworkError as exc:
                 raise TransactionAborted(str(exc))
             if reply.msg_type != MsgType.ACK:
@@ -138,7 +148,7 @@ class GlobalTxn:
                     reply.body.decode() or "remote operation failed"
                 )
         except TransactionAborted:
-            yield from self.rollback(failed_node=owner)
+            yield from self.rollback(failed_node=failed)
             raise
         return decode(reply.body)
 
@@ -327,7 +337,7 @@ class GlobalTxn:
         # Prepare everyone (remote prepares batched; the own node's
         # participant votes in parallel — same message, same handler,
         # called directly: nothing to seal, no wire to oneself).
-        # A participant that does not answer within the vote timeout is
+        # A participant that does not answer by the vote deadline is
         # counted as a NO vote — a crashed participant must not block
         # the decision (it learns the abort when it recovers).  The
         # broadcast enqueues every destination in one instant, so each
@@ -336,40 +346,50 @@ class GlobalTxn:
         # write sets; bodies differ per destination but the broadcast
         # still enqueues them in one instant, so the transport's doorbell
         # window coalesces per destination as before.
+        sim = self.runtime.sim
+
         def prepare(node: int) -> TxMessage:
             return self._message(
                 MsgType.TXN_PREPARE, self._occ_bodies.get(node, b"")
             )
 
         events = coordinator.rpc.broadcast(
-            [(coordinator.addresses[node], prepare(node)) for node in remote]
+            [(coordinator.addresses[node], prepare(node)) for node in remote],
+            timeout=PREPARE_VOTE_TIMEOUT,
         )
         if own in participants:
-            events.append(self.runtime.sim.process(
-                coordinator.participant._on_prepare(
-                    prepare(own), coordinator.addresses[own]
-                ),
-                name="local-prepare",
-            ))
-        yield self.runtime.sim.any_of(
-            [
-                self.runtime.sim.all_settled(events),
-                self.runtime.sim.timeout(PREPARE_VOTE_TIMEOUT),
-            ]
-        )
+            # The own vote settles like a request: with the reply, or as
+            # no vote (NO) if it fails or misses the same deadline.
+            own_vote = sim.event()
+
+            def settle(vote: Optional[TxMessage] = None) -> None:
+                if not own_vote.triggered:
+                    own_vote.succeed(vote)
+
+            def own_prepare() -> Gen:
+                try:
+                    settle((yield from coordinator.participant._on_prepare(
+                        prepare(own), coordinator.addresses[own]
+                    )))
+                except Exception:  # noqa: BLE001 - a failed vote is a NO
+                    settle()
+
+            sim.spawn(own_prepare(), name="local-prepare")
+            sim.call_later(PREPARE_VOTE_TIMEOUT, settle)
+            events.append(own_vote)
+        yield sim.all_settled(events)
         # Harvest votes: every vote is a reply message — an ACK is YES
         # (under piggybacking its body carries the voter's prepare-record
         # (log, counter) target), anything else, silence included, NO.
-        vote_commit = True
-        prepare_targets: List[Tuple[str, int]] = []
-        for event in events:
-            if not (
-                event.triggered and event.ok
-                and event.value.msg_type == MsgType.ACK
-            ):
-                vote_commit = False
-            elif event.value.body:
-                prepare_targets.extend(decode_counter_vector(event.value.body))
+        votes = replies(events)
+        vote_commit = all(
+            vote is not None and vote.msg_type == MsgType.ACK
+            for vote in votes
+        )
+        prepare_targets: List[Tuple[str, int]] = [
+            target for vote in (votes if vote_commit else []) if vote.body
+            for target in decode_counter_vector(vote.body)
+        ]
         span.close(vote="commit" if vote_commit else "abort")
         metrics.histogram("twopc.prepare_s").observe(
             self.runtime.now - phase_start
@@ -387,8 +407,6 @@ class GlobalTxn:
             "twopc", "decision_log", node=coordinator.node, txn=txn_hex
         )
         voted = ClogRecord.COMMIT if vote_commit else ClogRecord.ABORT
-        if not vote_commit:
-            prepare_targets = []
         decision_counter = yield from coordinator.log_clog(
             ClogRecord(voted, self.gid, participants, targets=prepare_targets)
         )

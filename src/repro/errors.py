@@ -24,6 +24,7 @@ __all__ = [
     "StorageError",
     "CorruptLogError",
     "NetworkError",
+    "RequestTimeout",
 ]
 
 
@@ -107,3 +108,8 @@ class CorruptLogError(StorageError):
 
 class NetworkError(ReproError):
     """Transport-level failure (timeouts, unreachable peer)."""
+
+
+class RequestTimeout(NetworkError):
+    """A request's reply did not arrive by its deadline: the request,
+    its reply, or the peer was lost on the way (the peer may be alive)."""

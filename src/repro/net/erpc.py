@@ -15,6 +15,9 @@ host hugepages.  This module reproduces those semantics:
   design §VII-A calls out;
 * request handlers run as freshly spawned fibers on the destination node
   (``ExecuteTxnReqHandler`` in Figure 2);
+* a request may carry a **deadline**: a continuation still pending then
+  fails (:class:`~repro.errors.RequestTimeout`), as one whose
+  destination crashed does at once;
 * **transport batching**: concurrent messages to the same destination
   are coalesced per TX queue during a short doorbell window (eRPC's
   TxBurst), so a 2PC fan-out storm or a counter echo round pays one
@@ -31,9 +34,10 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Set, Tuple
 
-from ..errors import NetworkError
+from ..errors import NetworkError, RequestTimeout
 from ..memory.allocator import MempoolAllocator
 from ..sim.core import Event, Simulator
 from ..tee.runtime import NodeRuntime
@@ -152,17 +156,22 @@ class ErpcEndpoint:
 
     # -- client side -----------------------------------------------------------
     def enqueue_request(
-        self, dst: str, req_type: int, payload: Any, nbytes: int
+        self, dst: str, req_type: int, payload: Any, nbytes: int,
+        timeout: Optional[float] = None,
     ) -> Event:
         """Enqueue a request; the returned event fires with an :class:`RpcReply`.
 
         Mirrors Figure 2 steps 1–2: allocate message buffers, enqueue, and
         let the caller yield/poll.  The message buffer stays allocated
-        until the reply arrives (step 3's "FreeMsgBuffers").
+        until the reply arrives (step 3's "FreeMsgBuffers").  With a
+        ``timeout`` the event fails with :class:`RequestTimeout` if no
+        reply has arrived ``timeout`` seconds from now.
         """
         self.start()
         req_id = next(self._req_seq)
         continuation = self.sim.event()
+        if timeout is not None:
+            self.sim.call_later(timeout, partial(self._expire, req_id))
         self._pending[req_id] = (dst, continuation)
         self.requests_sent += 1
         self._enqueue_tx(
@@ -170,7 +179,13 @@ class ErpcEndpoint:
         )
         return continuation
 
-    # -- crash handling ---------------------------------------------------------
+    # -- unanswered requests ----------------------------------------------------
+    def _expire(self, req_id: int) -> None:
+        """A request's deadline: fail it if it is still pending.  A
+        crashed node's endpoint expires nothing — its fibers park."""
+        if self.fabric._nics.get(self.nic.address) is self.nic:
+            self._fail(req_id, RequestTimeout("no reply in time"))
+
     def _on_peer_detach(self, address: str) -> None:
         """Fail continuations of requests whose destination just crashed.
 
@@ -182,32 +197,22 @@ class ErpcEndpoint:
         """
         if address == self.nic.address:
             return
-        stale = [
-            req_id
-            for req_id, (dst, _) in self._pending.items()
-            if dst == address
-        ]
-        for req_id in stale:
-            _, continuation = self._pending.pop(req_id)
-            self._fail_continuation(
-                continuation, NetworkError("destination %r crashed" % address)
-            )
+        exc = NetworkError("destination %r crashed" % address)
+        for req_id in [
+            req_id for req_id, entry in self._pending.items()
+            if entry[0] == address
+        ]:
+            self._fail(req_id, exc)
 
-    @staticmethod
-    def _fail_continuation(continuation: Event, exc: BaseException) -> None:
-        if continuation.triggered:
-            return
-        continuation.fail(exc)
-        # Defuse so an un-awaited continuation (fire-and-forget caller)
-        # does not crash the simulator; an awaiting fiber still gets the
-        # exception thrown into it.
-        continuation.defuse()
-
-    def _fail_subs(self, subs: List[Dict[str, Any]], exc: BaseException) -> None:
-        for sub_meta in subs:
-            entry = self._pending.pop(sub_meta.get("req_id"), None)
-            if entry is not None:
-                self._fail_continuation(entry[1], exc)
+    def _fail(self, req_id: Any, exc: BaseException) -> None:
+        """Fail a pending request's continuation and forget the request.
+        Defused, so an un-awaited continuation (fire-and-forget caller)
+        does not crash the simulator; an awaiting fiber still gets the
+        exception thrown into it."""
+        entry = self._pending.pop(req_id, None)
+        if entry is not None and not entry[1].triggered:
+            entry[1].fail(exc)
+            entry[1].defuse()
 
     # -- data path ----------------------------------------------------------------
     def _tx_cpu_cost(self, wire_bytes: int) -> float:
@@ -302,10 +307,9 @@ class ErpcEndpoint:
             # The destination is already gone: the fabric's delivery will
             # drop the frame, so fail the batch's continuations now
             # instead of letting retry loops leak pending entries.
-            self._fail_subs(
-                [sub.meta() for sub in batch],
-                NetworkError("destination %r unreachable" % dst),
-            )
+            exc = NetworkError("destination %r unreachable" % dst)
+            for sub in batch:
+                self._fail(sub.req_id, exc)
 
     # -- RX ----------------------------------------------------------------------
     def _on_frame(self, frame: Frame) -> None:
@@ -339,7 +343,8 @@ class ErpcEndpoint:
                     # A corrupted *response* batch fails every waiting
                     # continuation (the senders see the integrity error);
                     # a corrupted request surfaces at the receiving node.
-                    self._fail_subs(subs, exc)
+                    for sub_meta in subs:
+                        self._fail(sub_meta.get("req_id"), exc)
                     return
                 raise
             if parts is None:

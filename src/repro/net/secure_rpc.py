@@ -46,7 +46,7 @@ from .message import (
     wire_size,
 )
 
-__all__ = ["SecureRpc"]
+__all__ = ["SecureRpc", "replies"]
 
 # Handler signature: (TxMessage, src_address) -> generator -> TxMessage.
 SecureHandler = Callable[[TxMessage, str], Generator[Event, Any, TxMessage]]
@@ -69,6 +69,12 @@ def _parts_context(parts: Sequence[bytes]) -> Tuple[Optional[str], int]:
         if context[0] is not None:
             return context
     return None, 0
+
+
+def replies(events: Sequence[Event]) -> List[Optional[TxMessage]]:
+    """The reply each request event carries: ``None`` for a request that
+    failed (crash, deadline) or is still pending."""
+    return [event.value if event.ok else None for event in events]
 
 
 class SecureRpc:
@@ -221,7 +227,10 @@ class SecureRpc:
         return parts
 
     # -- client side -------------------------------------------------------------
-    def enqueue(self, dst: str, message: TxMessage, express: bool = False) -> Event:
+    def enqueue(
+        self, dst: str, message: TxMessage, express: bool = False,
+        timeout: Optional[float] = None,
+    ) -> Event:
         """Seal and enqueue a request; the event fires with the reply TxMessage.
 
         Like eRPC's ``enqueue_request``, this returns immediately so a
@@ -230,11 +239,12 @@ class SecureRpc:
 
         ``express`` marks traffic served by a dedicated enclave thread
         (the asynchronous trusted-counter service, §VI) that skips the
-        shared fiber scheduler's resume delay.
+        shared fiber scheduler's resume delay.  ``timeout`` is the
+        request's deadline (:meth:`ErpcEndpoint.enqueue_request`).
         """
         outcome = self.runtime.sim.event()
         self.runtime.sim.spawn(
-            self._exchange(dst, message, outcome, express),
+            self._exchange(dst, message, outcome, express, timeout),
             name="securerpc@%d" % self.node_numeric_id,
         )
         return outcome
@@ -243,6 +253,7 @@ class SecureRpc:
         self,
         pairs: Sequence[Tuple[str, TxMessage]],
         express: bool = False,
+        timeout: Optional[float] = None,
     ) -> List[Event]:
         """Enqueue one message per destination in the same instant.
 
@@ -252,49 +263,48 @@ class SecureRpc:
         caller yields, each destination's traffic lands in the same
         doorbell window and coalesces with any concurrent rounds headed
         the same way.  Returns one outcome event per destination, in
-        input order.
+        input order, defused: a straggler failing after its round stopped
+        waiting (at a quorum) is no error.
         """
-        return [
-            self.enqueue(dst, message, express=express)
+        events = [
+            self.enqueue(dst, message, express, timeout)
             for dst, message in pairs
         ]
+        for event in events:
+            event.defuse()
+        return events
 
     def gather(
         self,
         pairs: Sequence[Tuple[str, TxMessage]],
         timeout: Optional[float] = None,
+        express: bool = False,
     ) -> Generator[Event, Any, List[Optional[TxMessage]]]:
-        """:meth:`broadcast`, then wait for the replies — in input order.
+        """:meth:`broadcast`, then wait for every request to settle;
+        returns :func:`replies`, in input order.
 
         A destination whose request failed (its NIC is detached: the
-        transport fails the continuation at once) or that stayed silent
-        for ``timeout`` seconds yields ``None``: to a fan-out round a
+        transport fails the continuation at once) or stayed silent past
+        its ``timeout`` deadline yields ``None``: to a fan-out round a
         crashed or slow peer is a missing answer, not an error.
-        ``timeout=None`` waits until every request has settled.  A
-        straggler that fails after the timeout is still defused.
         """
         if not pairs:
             return []
-        sim = self.runtime.sim
-        events = self.broadcast(pairs)
-        settled = sim.all_settled(events)
-        if timeout is not None:
-            settled = sim.any_of([settled, sim.timeout(timeout)])
-        yield settled
-        return [
-            event.value if event.triggered and event.ok else None
-            for event in events
-        ]
+        events = self.broadcast(pairs, express, timeout)
+        yield self.runtime.sim.all_settled(events)
+        return replies(events)
 
     def call(
-        self, dst: str, message: TxMessage
+        self, dst: str, message: TxMessage, timeout: Optional[float] = None
     ) -> Generator[Event, Any, TxMessage]:
-        """Send one request and wait for its verified reply."""
-        reply = yield self.enqueue(dst, message)
+        """Send one request and wait for its verified reply (NetworkError,
+        RequestTimeout past ``timeout``, if none comes)."""
+        reply = yield self.enqueue(dst, message, timeout=timeout)
         return reply
 
     def _exchange(
-        self, dst: str, message: TxMessage, outcome: Event, express: bool = False
+        self, dst: str, message: TxMessage, outcome: Event,
+        express: bool = False, timeout: Optional[float] = None,
     ):
         tracing = self.tracer.enabled
         if tracing:
@@ -316,7 +326,7 @@ class SecureRpc:
             # pass and charges its cost once, on both directions.
             wire, nbytes = self._encode_part(message)
             reply = yield self.endpoint.enqueue_request(
-                dst, message.msg_type, wire, nbytes
+                dst, message.msg_type, wire, nbytes, timeout
             )
             # Under SCONE, the fiber that blocked on this RPC waits for
             # the userland scheduler to run it again; the delay grows

@@ -542,6 +542,58 @@ class TestBaseline:
             assert name in reference["metrics"]
 
 
+class TestBaselineBand:
+    """``--check``'s failures and the deltas table's FAIL rows come from
+    one band rule, on both sides of each direction's band edge."""
+
+    #: (metric, direction's reference, current, fails?)
+    CASES = [
+        ("throughput_tps", 100.0, 70.0, True),     # min: below the floor
+        ("throughput_tps", 100.0, 75.0, False),    # min: at the floor
+        ("throughput_tps", 100.0, 130.0, False),   # min: above the band
+        ("frames_per_txn", 10.0, 7.0, False),      # max: below the band
+        ("frames_per_txn", 10.0, 12.5, False),     # max: at the ceiling
+        ("frames_per_txn", 10.0, 13.0, True),      # max: above it
+        ("seal_ops_per_txn", 0.0, 1e-10, False),   # near zero: epsilon
+        ("seal_ops_per_txn", 0.0, 1e-6, True),     # near zero: past it
+    ]
+
+    @staticmethod
+    def documents(metric, ref, cur):
+        from repro.bench.baseline import GATED_METRICS, WORKLOAD_GATED_METRICS
+
+        def document(value, workload_value):
+            metrics = {name: 1.0 for name, _ in GATED_METRICS}
+            metrics[metric] = value
+            section = {name: 1.0 for name, _ in WORKLOAD_GATED_METRICS}
+            if metric in section:
+                section[metric] = workload_value
+            return {"metrics": metrics,
+                    "workloads": {"w": {"metrics": section}}}
+
+        return document(cur, cur), document(ref, ref)
+
+    @pytest.mark.parametrize("metric,ref,cur,fails", CASES)
+    def test_table_fails_exactly_what_check_fails(self, metric, ref, cur, fails):
+        from repro.bench.baseline import check_baseline, format_baseline_deltas
+
+        current, reference = self.documents(metric, ref, cur)
+        checked = {
+            failure.split(" ", 1)[0]
+            for failure in check_baseline(current, reference)
+        }
+        table = format_baseline_deltas(current, reference)
+        failed_rows = {
+            line.split()[0] for line in table.splitlines()
+            if line.split() and line.split()[-1] == "FAIL"
+        }
+        assert failed_rows == checked
+        expected = {metric} | (
+            {"w." + metric} if metric == "throughput_tps" else set()
+        )
+        assert checked == (expected if fails else set())
+
+
 # -- summary-table truncation --------------------------------------------------
 
 

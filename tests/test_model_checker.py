@@ -205,16 +205,22 @@ class TestMutationCounterexample:
         stats, counterexample = found
         assert counterexample is not None
         assert stats.violation
-        # delta debugging leaves a single necessary perturbation: the
-        # coordinator crash at its own prepare point, under the paper
-        # protocol (optimized converges via the completer instead).
+        # delta debugging leaves two necessary perturbations, under the
+        # paper protocol (optimized converges via the completer
+        # instead): node1 crashes at its own prepare point, so node0's
+        # concurrent transaction loses node1's vote, and node0 crashes
+        # as it logs that ABORT — a decided abort only the recovering
+        # coordinator can re-broadcast.  (A crashed node's fibers park:
+        # node1's own transaction never logs a decision after its crash.)
         nonzeros = [c for c in counterexample["trace"] if c]
-        assert len(nonzeros) == 1
-        assert len(counterexample["choices"]) == 1
-        assert counterexample["choices"][0]["kind"] == "crash"
-        assert counterexample["choices"][0]["label"] == (
-            "twopc/prepare_ack@node1"
-        )
+        assert len(nonzeros) == 2
+        assert [
+            (choice["kind"], choice["label"])
+            for choice in counterexample["choices"]
+        ] == [
+            ("crash", "twopc/prepare_ack@node1"),
+            ("crash", "twopc/decision@node0"),
+        ]
         assert counterexample["scope"]["protocol"] == "paper"
 
     def test_mutated_replay_reproduces(self, found):

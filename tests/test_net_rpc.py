@@ -369,15 +369,45 @@ class TestGather:
         assert replies[1] is None
         assert now == pytest.approx(0.05)
 
-    def test_straggler_failing_after_the_timeout_is_defused(self):
-        """node3 is still working when the round times out, then its NIC
-        detaches: the request fails with nobody waiting on it any more.
-        An undefused failure would crash the simulator."""
+    def test_dropped_request_is_none_at_its_deadline(self):
+        """The adversary drops node1's request frame: its request fails
+        at the deadline and leaves ``_pending``, instead of holding the
+        round until the run ends."""
         harness = self.harness()
-        replies, now = self.gather(harness, [3], timeout=0.05)
-        assert replies == [None]
+        adversary = NetworkAdversary()
+        adversary.drop_matching(
+            lambda frame: frame.dst == "node1" and frame.meta.get("is_request")
+        )
+        harness.fabric.adversary = adversary
+        replies, now = self.gather(harness, [1, 2], timeout=0.05)
+        assert replies[0] is None
+        assert replies[1].body == b"from-2"
+        assert now == pytest.approx(0.05)
+        assert adversary.dropped == 1
+        assert harness.endpoints[0]._pending == {}
+
+    def test_straggler_failing_after_the_timeout_is_defused(self):
+        """A round stops waiting before node3 answers (the decision
+        round of a presumed abort leaves its acks unwatched), then node3's
+        NIC detaches: its request fails with nobody waiting on it.
+        ``broadcast`` defuses its events — an undefused failure would
+        crash the simulator."""
+        harness = self.harness()
+
+        def body():
+            events = harness.secure[0].broadcast([
+                ("node%d" % node, TxMessage(MsgType.TXN_WRITE, 0, 1, node, b"x"))
+                for node in (1, 3)
+            ])
+            yield harness.sim.sleep(0.05)
+            return events, harness.sim.now
+
+        events, now = harness.run(body())
+        assert events[0].ok and not events[1].triggered
         harness.fabric.detach("node3")
         harness.sim.run(until=now + 1.0)
+        assert events[1].triggered and not events[1].ok
+        assert harness.endpoints[0]._pending == {}
 
     def test_empty_round_yields_nothing(self):
         harness = self.harness()

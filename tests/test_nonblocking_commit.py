@@ -438,6 +438,75 @@ class TestClientRedirect:
         monitor.check_quiescent(now=sim.now)
         assert monitor.green, monitor.violations
 
+    def test_lost_status_reply_moves_on_to_the_next_survivor(self):
+        """As above, but the first survivor's answer to the first
+        ``_OP_STATUS`` poll made after it applied the commit is dropped.
+        That poll fails at its ``RESOLUTION_RETRY_INTERVAL`` deadline
+        and the client asks the next survivor, which answers COMMITTED:
+        the client returns success instead of waiting forever."""
+        cluster = TreatyCluster(
+            profile=TREATY_FULL,
+            config=_config(13, "counter-sync"),
+        ).start()
+        sim = cluster.sim
+        machine = cluster.client_machine()
+        session = cluster.session(machine, coordinator=COORDINATOR)
+        pairs = [
+            (_distinct_keys(cluster, i, 1, b"redir")[0], b"redir-val")
+            for i in range(cluster.num_nodes)
+        ]
+        injector = CrashInjector(
+            cluster, ("twopc", "decision-quorum"), 1, 0,
+            victim=COORDINATOR, permanent=True,
+        ).arm()
+        survivors = [
+            node for i, node in enumerate(cluster.nodes) if i != COORDINATOR
+        ]
+        first = survivors[0]
+        polled, dropped = [], []
+
+        def status_reply(frame):
+            # After the crash, the only traffic to the client is status
+            # polls and their answers.
+            if injector.crashed is None or frame.dst != machine.name:
+                return False
+            polled.append(frame.src)
+            if dropped or frame.src != first.front_address:
+                return False
+            if not first.participant.applied:
+                return False
+            dropped.append(frame)
+            return True
+
+        adversary = NetworkAdversary()
+        adversary.drop_matching(status_reply)
+        cluster.fabric.adversary = adversary
+        result = {}
+
+        def body():
+            txn = session.begin()
+            for key, value in pairs:
+                yield from txn.put(key, value)
+            try:
+                yield from txn.commit()
+                result["outcome"] = "committed"
+            except TransactionAborted as exc:
+                result["outcome"] = "aborted: %s" % exc
+
+        sim.process(body(), name="redirect-client-lost-status")
+        sim.run(until=sim.now + 12.0)
+
+        assert injector.crashed == COORDINATOR
+        assert adversary.dropped == 1
+        assert result.get("outcome") == "committed"
+        assert session.redirected == 1
+        # The answer that counted came from the next survivor.
+        assert polled[-1] == survivors[1].front_address
+        assert machine.rpc.endpoint._pending == {}
+        monitor = cluster.obs.monitor
+        monitor.check_quiescent(now=sim.now)
+        assert monitor.green, monitor.violations
+
     def test_unknown_outcome_still_aborts(self):
         """If the coordinator dies before any decision exists, the poll
         drains UNKNOWN until its deadline and the client sees the abort
