@@ -262,21 +262,32 @@ class ErpcEndpoint:
             self._flushers.discard(key)
 
     def _transmit_batch(self, dst: str, batch: List[_SubMsg], is_request: bool):
-        """Seal (optionally), charge and transmit one coalesced frame."""
-        meta_extra: Dict[str, Any] = {}
-        if self.batch_codec is not None:
-            payload, payload_nbytes, meta_extra = yield from self.batch_codec.encode_batch(
-                [sub.payload for sub in batch]
-            )
+        """Seal (optionally), charge and transmit one coalesced frame.
+
+        The frame's CPU work — the batch seal, the message-buffer
+        shielding and the driver — is one core hold: the flusher fiber
+        keeps its core from the first charge to the last.
+        """
+        runtime = self.runtime
+        codec = self.batch_codec
+        parts = [sub.payload for sub in batch]
+        if codec is not None:
+            payload, payload_nbytes, meta_extra, seal_s = codec.encode_batch(parts)
         else:
-            payload = [sub.payload for sub in batch]
+            payload, meta_extra, seal_s = parts, {}, 0.0
             payload_nbytes = sum(sub.nbytes for sub in batch)
         wire_bytes = payload_nbytes + HEADER_BYTES
         msgbuf = self.msgbuf_pool.alloc(max(wire_bytes, 1))
         try:
-            if self.runtime.in_enclave:
-                yield from self.runtime.msgbuf_shield(wire_bytes)
-            yield from self.runtime.compute(self._tx_cpu_cost(wire_bytes))
+            shield_s = runtime.msgbuf_shield(wire_bytes)
+            start = yield from runtime.compute(
+                seal_s, shield_s, self._tx_cpu_cost(wire_bytes)
+            )
+            if runtime.tracer.enabled:
+                sealed = start + seal_s / runtime.cpu.speed_factor
+                if codec is not None:
+                    codec.trace_seal(start, sealed, payload_nbytes, len(batch))
+                runtime.trace_shield(wire_bytes, shield_s, sealed)
             frame = Frame(
                 src=self.nic.address,
                 dst=dst,
@@ -325,32 +336,38 @@ class ErpcEndpoint:
         )
 
     def _dispatch(self, frame: Frame):
-        if self.runtime.in_enclave:
-            yield from self.runtime.msgbuf_shield(frame.wire_bytes)
-        yield from self.runtime.compute(self._tx_cpu_cost(frame.wire_bytes))
+        """Receive one frame: its shielding, driver and AEAD open are one
+        core hold, then the batch is unsealed and its messages served."""
+        runtime = self.runtime
         meta = frame.meta
         subs = meta.get("batch")
-        if subs is None:
-            return  # not an eRPC batch frame: ignore (hardened endpoint)
-        is_request = meta.get("is_request", False)
-        if self.batch_codec is not None:
-            try:
-                parts = yield from self.batch_codec.decode_batch(
-                    frame.payload, frame.src, meta
-                )
-            except Exception as exc:  # noqa: BLE001 - modelled tampering
-                if not is_request:
-                    # A corrupted *response* batch fails every waiting
-                    # continuation (the senders see the integrity error);
-                    # a corrupted request surfaces at the receiving node.
-                    for sub_meta in subs:
-                        self._fail(sub_meta.get("req_id"), exc)
-                    return
-                raise
-            if parts is None:
-                return  # replayed batch: rejected atomically, as a unit
+        # A frame that is not an eRPC batch is charged and then ignored
+        # (hardened endpoint): it has nothing to open.
+        codec = None if subs is None else self.batch_codec
+        wire_bytes = frame.wire_bytes
+        shield_s = runtime.msgbuf_shield(wire_bytes)
+        driver_s = self._tx_cpu_cost(wire_bytes)
+        open_s = 0.0 if codec is None else codec.open_seconds(frame.payload)
+        start = yield from runtime.compute(shield_s, driver_s, open_s)
+        tracing = runtime.tracer.enabled
+        if codec is None:
+            parts = None if subs is None else frame.payload
         else:
-            parts = frame.payload
+            opened = None
+            if tracing:
+                speed = runtime.cpu.speed_factor
+                opened = start + shield_s / speed + driver_s / speed
+            parts = self._open(codec, frame, opened)
+        if tracing:
+            # Recorded once the frame is unsealed, so receive-side
+            # shielding joins the trace its open pass serves.
+            trace = None
+            if codec is not None and parts is not None:
+                trace = codec.frame_context(parts)[0]
+            runtime.trace_shield(wire_bytes, shield_s, start, trace)
+        if parts is None:
+            return
+        is_request = meta.get("is_request", False)
         for sub_meta, part in zip(subs, parts):
             if is_request:
                 self.sim.spawn(
@@ -363,6 +380,20 @@ class ErpcEndpoint:
                 self._complete(
                     sub_meta["req_id"], part, sub_meta.get("nbytes", 0), frame.src
                 )
+
+    def _open(self, codec: Any, frame: Frame, opened: Optional[float]):
+        """Unseal a batch frame; ``None`` drops it: a replayed batch, or a
+        corrupted *response* batch, which fails every waiting
+        continuation (the senders see the integrity error).  A corrupted
+        request surfaces at the receiving node."""
+        try:
+            return codec.decode_batch(frame.payload, frame.src, frame.meta, opened)
+        except Exception as exc:  # noqa: BLE001 - modelled tampering
+            if frame.meta.get("is_request", False):
+                raise
+            for sub_meta in frame.meta["batch"]:
+                self._fail(sub_meta.get("req_id"), exc)
+            return None
 
     def _complete(
         self, req_id: Any, payload: Any, nbytes: int, src: str

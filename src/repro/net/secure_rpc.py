@@ -139,54 +139,74 @@ class SecureRpc:
         return wire, nbytes
 
     # -- batch codec: one AEAD pass per coalesced frame ------------------------
-    def encode_batch(self, parts: Sequence[bytes]):
-        """One AEAD pass over the whole batch; returns (blob, nbytes, meta)."""
-        tracer = self.tracer
-        if tracer.enabled:
+    def encode_batch(
+        self, parts: Sequence[bytes]
+    ) -> Tuple[bytes, int, dict, float]:
+        """One AEAD pass over the whole batch; returns (blob, nbytes,
+        meta, seconds).  ``seconds`` is the pass's CPU cost: the endpoint
+        pays it in the frame's one core hold, and :meth:`trace_seal`
+        records it once the hold is over."""
+        if self.tracer.enabled:
             # The flusher fiber works for the frame's first message that
             # carries a context: its seal span, the shielding charge and
             # any adversary verdict chain under that message's rpc span.
             # A frame with none (a batch of replies) records no trace.
-            tracer.adopt(*_parts_context(parts))
+            self.tracer.adopt(*_parts_context(parts))
         if not self._encrypted:
             blob = pack_parts(parts)
-            return blob, len(blob), {}
-            yield  # pragma: no cover - keeps this a generator
+            return blob, len(blob), {}, 0.0
         batch_id = (self.epoch << 40) | next(self._batch_seq)
         aad = _AAD_BATCH + struct.pack(
             "<QQ", self.node_numeric_id & 0xFFFFFFFFFFFFFFFF, batch_id
         )
-        if tracer.enabled:
-            span = tracer.span(
-                "crypto", "seal_batch", node=self.runtime.name or None,
-                seal_ops=1, parts=len(parts),
-            )
         # The IV names the sealer (every endpoint shares the network key)
         # and reuses the batch id, which is unique per endpoint and boot.
         iv = self._iv_sealer + struct.pack("<Q", batch_id)
         blob = seal_batch(self._aead, iv, parts, aad)
         self.seal_ops += 1
         self._seal_ops_counter.inc()
-        yield from self.runtime.seal_cost(len(blob))
-        if tracer.enabled:
-            span.close(bytes=len(blob))
         return blob, len(blob), {
             "batch_src": self.node_numeric_id,
             "batch_id": batch_id,
-        }
+        }, self.runtime.aead_seconds(len(blob))
 
-    def decode_batch(self, payload: bytes, src: str, meta: dict):
-        """Unseal + batch-replay-check; ``None`` drops the batch as a unit."""
+    def trace_seal(self, start: float, end: float, nbytes: int,
+                   count: int) -> None:
+        """Record a frame's seal pass, ``[start, end)`` of its core hold,
+        under the context :meth:`encode_batch` adopted (tracing on)."""
+        if self._encrypted:
+            self.tracer.span(
+                "crypto", "seal_batch", node=self.runtime.name or None,
+                at=start, seal_ops=1, parts=count,
+            ).close(at=end, bytes=nbytes)
+
+    @staticmethod
+    def frame_context(parts: Sequence[bytes]) -> Tuple[Optional[str], int]:
+        """The context a received frame's records are filed under: its
+        first context-carrying part's, as ``crypto/open_batch`` adopts."""
+        return _parts_context(parts)
+
+    def open_seconds(self, payload: bytes) -> float:
+        """CPU seconds of :meth:`decode_batch`'s AEAD pass, which the
+        endpoint pays in the frame's core hold before it decodes."""
+        return self.runtime.aead_seconds(len(payload))
+
+    def decode_batch(self, payload: bytes, src: str, meta: dict,
+                     opened_at: Optional[float] = None):
+        """Unseal + batch-replay-check; ``None`` drops the batch as a unit.
+
+        ``opened_at`` (tracing on) is the instant the AEAD share of the
+        frame's core hold began: its ``crypto/open_batch`` span runs
+        from there to now, the end of the hold.
+        """
         if not self._encrypted:
             return unpack_parts(payload)
-            yield  # pragma: no cover - keeps this a generator
         tracer = self.tracer
         if tracer.enabled:
             span = tracer.span(
                 "crypto", "open_batch", node=self.runtime.name or None,
-                seal_ops=1, bytes=len(payload),
+                at=opened_at, seal_ops=1, bytes=len(payload),
             )
-        yield from self.runtime.seal_cost(len(payload))
         aad = _AAD_BATCH + struct.pack(
             "<QQ", meta.get("batch_src", 0) & 0xFFFFFFFFFFFFFFFF,
             meta.get("batch_id", 0),
@@ -323,7 +343,7 @@ class SecureRpc:
         nbytes = 0
         try:
             # The batch codec seals the coalesced frame in one AEAD
-            # pass and charges its cost once, on both directions.
+            # pass, paid once per frame in each side's core hold.
             wire, nbytes = self._encode_part(message)
             reply = yield self.endpoint.enqueue_request(
                 dst, message.msg_type, wire, nbytes, timeout
@@ -352,8 +372,8 @@ class SecureRpc:
         """Install a verified-message handler for ``msg_type`` requests."""
 
         def wrapped(payload: bytes, src: str):
-            # The batch codec already verified/decrypted the frame and
-            # charged its one AEAD cost; parts are plaintext.
+            # The batch codec already verified/decrypted the frame (its
+            # one AEAD pass paid in the frame's core hold); plaintext.
             try:
                 message = TxMessage.decode(payload)
             except Exception:

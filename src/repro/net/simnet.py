@@ -87,13 +87,16 @@ class Nic:
 
         The caller (a fiber) blocks for the serialization time — wire
         occupancy is what saturates links in Figure 8 — but not for the
-        propagation delay.
+        propagation delay.  A free link is taken at once, with no grant
+        event; frames queued behind a busy one go out in FIFO order.
         """
-        yield self._egress.request()
+        egress = self._egress
+        if not egress.try_acquire():
+            yield egress.request()
         try:
             yield self.fabric.sim.sleep(frame.wire_bytes / self.bandwidth)
         finally:
-            self._egress.release()
+            egress.release()
         if self.fabric._nics.get(self.address) is not self:
             # Fail-stop: this NIC was detached (node crash).  Fibers of
             # the crashed node keep running until they block forever,

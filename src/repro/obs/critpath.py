@@ -289,7 +289,9 @@ def _carve_tee(path: CriticalPath, bucket: Iterable[Record],
     critical-path segment (same trace: ``bucket`` is the trace's own
     records; same node, timestamp inside the segment) and its cost —
     capped at the segment's length — moves from the segment's category
-    into ``tee``.  The total is preserved.
+    into ``tee``.  The total is preserved.  A ``network`` segment, an
+    RPC's wait on its sender, also takes the receiver's events: the
+    receiving node shields the request frame inside that wait.
     """
     events = [
         rec for rec in bucket
@@ -311,7 +313,8 @@ def _carve_tee(path: CriticalPath, bucket: Iterable[Record],
             if not (t0 <= t < t1 or (t == t1 == path.root["t1"])):
                 continue
             span = by_sid.get(sid)
-            if span is not None and span.get("node") != node:
+            if (span is not None and span.get("node") != node
+                    and category != "network"):
                 continue
             carve = min(
                 float((event.get("args") or {}).get("cost", 0.0)),

@@ -149,14 +149,15 @@ class Span:
         self._stack = stack
         self._closed = False
 
-    def close(self, **extra: Any) -> None:
-        """Finalize the span at the current simulated instant."""
+    def close(self, at: Optional[float] = None, **extra: Any) -> None:
+        """Finalize the span at the current simulated instant, or at an
+        earlier instant ``at`` (a sub-instant of a core hold)."""
         if self._closed:
             return
         self._closed = True
         if extra:
             self.args.update(extra)
-        self.tracer._close_span(self)
+        self.tracer._close_span(self, at)
 
     def __enter__(self) -> "Span":
         return self
@@ -308,12 +309,16 @@ class Tracer:
     # -- spans -------------------------------------------------------------
     def span(self, cat: str, name: str, node: Optional[str] = None,
              txn: Optional[str] = None, parent: Optional[int] = None,
-             trace: Optional[str] = None, **args: Any) -> Span:
-        """Open a span at the current instant; ``close()`` ends it.
+             trace: Optional[str] = None, at: Optional[float] = None,
+             **args: Any) -> Span:
+        """Open a span at the current instant (or at an earlier ``at``);
+        ``close()`` ends it.
 
         ``parent``/``trace`` override the fiber-local context — used at
         adoption points (RPC handlers, counter round drivers) to attach
-        a span to an explicitly carried remote context.
+        a span to an explicitly carried remote context.  ``at`` stamps
+        work recorded after the fact: a frame's AEAD share of the core
+        hold it shares with the shielding and driver charges.
         """
         if parent is None or trace is None:
             inherited_trace, inherited_parent = self.current_context()
@@ -322,12 +327,13 @@ class Tracer:
             if trace is None:
                 trace = inherited_trace
         stack = self._current_stack()
-        span = Span(self, cat, name, node, txn, self.sim.now, args,
+        span = Span(self, cat, name, node, txn,
+                    self.sim.now if at is None else at, args,
                     next(self._ids), parent, trace, stack)
         stack.append(span)
         return span
 
-    def _close_span(self, span: Span) -> None:
+    def _close_span(self, span: Span, at: Optional[float]) -> None:
         # Remove by identity from the owning fiber's stack: a span may be
         # closed from a different fiber (or after its fiber finished).
         stack = span._stack
@@ -340,7 +346,8 @@ class Tracer:
         cat, name = span.cat, span.name
         self._emit({
             "type": "span", "cat": cat, "name": name,
-            "t0": span.start, "t1": self.sim.now, "node": span.node,
+            "t0": span.start, "t1": self.sim.now if at is None else at,
+            "node": span.node,
             "txn": span.txn, "trace": span.trace, "sid": span.sid,
             "parent": span.parent, "args": span.args,
         }, ("span", cat, name))
@@ -348,8 +355,9 @@ class Tracer:
     # -- point events ------------------------------------------------------
     def event(self, cat: str, name: str, node: Optional[str] = None,
               txn: Optional[str] = None, trace: Optional[str] = None,
-              **args: Any) -> None:
-        """Emit a point event at the current instant.
+              at: Optional[float] = None, **args: Any) -> None:
+        """Emit a point event at the current instant, or at an earlier
+        instant ``at`` (a sub-instant of a core hold).
 
         The event is stamped with the current fiber's trace id unless an
         explicit ``trace`` is given, so point events (counter advances,
@@ -359,7 +367,8 @@ class Tracer:
             trace = self.current_context()[0]
         self.events_emitted += 1
         self._emit({
-            "type": "event", "cat": cat, "name": name, "t": self.sim.now,
+            "type": "event", "cat": cat, "name": name,
+            "t": self.sim.now if at is None else at,
             "node": node, "txn": txn, "trace": trace, "args": args,
         }, ("event", cat, name))
 
@@ -390,7 +399,7 @@ class _NullSpan:
     parent = 0
     trace = None
 
-    def close(self, **extra: Any) -> None:
+    def close(self, at: Optional[float] = None, **extra: Any) -> None:
         pass
 
     def __enter__(self) -> "_NullSpan":
@@ -420,12 +429,13 @@ class NullTracer:
 
     def span(self, cat: str, name: str, node: Optional[str] = None,
              txn: Optional[str] = None, parent: Optional[int] = None,
-             trace: Optional[str] = None, **args: Any) -> _NullSpan:
+             trace: Optional[str] = None, at: Optional[float] = None,
+             **args: Any) -> _NullSpan:
         return _NULL_SPAN
 
     def event(self, cat: str, name: str, node: Optional[str] = None,
               txn: Optional[str] = None, trace: Optional[str] = None,
-              **args: Any) -> None:
+              at: Optional[float] = None, **args: Any) -> None:
         pass
 
     def current_context(self) -> Tuple[Optional[str], int]:

@@ -31,27 +31,36 @@ class CpuPool:
         self._resource = Resource(sim, capacity=cores)
         self.busy_seconds = 0.0  # accumulated utilization for reporting
 
-    def consume(self, seconds: float) -> Generator[Event, Any, None]:
-        """Occupy one core for ``seconds`` of work (scaled by speed factor).
+    def consume(self, *charges: float) -> Generator[Event, Any, float]:
+        """Occupy one core for the sum of ``charges`` seconds of work, each
+        scaled by the speed factor, in one hold.
 
-        Usage inside a process: ``yield from cpu.consume(cost)``.
+        Usage inside a process: ``yield from cpu.consume(cost)``.  The
+        fiber keeps its core across the charges: no other fiber runs on
+        it between them.  The hold ends where back-to-back holds of the
+        same charges would on a free core (the scaled charges are added
+        to the start left to right).  Returns the instant the core was
+        granted, from which a caller stamps its charges' sub-instants.
         """
-        if seconds < 0:
-            raise ValueError("negative CPU time: %r" % (seconds,))
-        if seconds == 0:
-            return
-        scaled = seconds / self.speed_factor
+        if min(charges) < 0:
+            raise ValueError("negative CPU time: %r" % (charges,))
+        sim = self.sim
+        if not any(charges):
+            return sim.now
         resource = self._resource
-        if resource.in_use < resource.capacity:
-            # Fast path: a core is free — skip the grant event entirely.
-            resource.in_use += 1
-        else:
+        if not resource.try_acquire():
             yield resource.request()
+        factor = self.speed_factor
+        start = end = sim.now
+        for seconds in charges:
+            end += seconds / factor
         try:
-            yield self.sim.sleep(scaled)
-            self.busy_seconds += scaled
+            yield sim.sleep(end - start)
+            for seconds in charges:
+                self.busy_seconds += seconds / factor
         finally:
             resource.release()
+        return start
 
     def utilization(self, elapsed: float) -> float:
         """Average core utilization over ``elapsed`` simulated seconds."""

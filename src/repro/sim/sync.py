@@ -38,11 +38,24 @@ class Resource:
         self.in_use = 0
         self._waiters: Deque[Event] = deque()
 
+    def try_acquire(self) -> bool:
+        """Take a free slot at once, with no grant event and so no kernel
+        entry; ``False`` when every slot is taken.  A free slot means
+        nobody waits (:meth:`release` hands a slot straight to the oldest
+        waiter), so the fast path keeps FIFO admission.  The usual form::
+
+            if not resource.try_acquire():
+                yield resource.request()
+        """
+        if self.in_use < self.capacity:
+            self.in_use += 1
+            return True
+        return False
+
     def request(self) -> Event:
         """Ask for a slot; the returned event fires when granted."""
         grant = self.sim.event()
-        if self.in_use < self.capacity:
-            self.in_use += 1
+        if self.try_acquire():
             grant.succeed(self)
         else:
             self._waiters.append(grant)

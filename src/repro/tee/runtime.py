@@ -17,7 +17,7 @@ w/ Stab" — exactly how the paper isolates its overheads.
 from __future__ import annotations
 
 import struct
-from typing import Any, Generator
+from typing import Any, Generator, Optional
 
 from ..config import ClusterConfig, CostModel, EnvProfile
 from ..memory.regions import HostMemory
@@ -97,9 +97,15 @@ class NodeRuntime:
         return load * self.costs.scone_fiber_resume_quantum
 
     # -- basic CPU ---------------------------------------------------------
-    def compute(self, seconds: float) -> Gen:
-        """Charge ``seconds`` of CPU work (enclave-scaled via the pool)."""
-        yield from self.cpu.consume(seconds)
+    def compute(self, *charges: float) -> Generator[Event, Any, float]:
+        """Charge CPU work (enclave-scaled via the pool), every charge in
+        one core hold; returns the instant the core was granted.
+
+        It hands back the pool's hold itself (``yield from`` runs it):
+        a generator of its own here would be one more frame for every
+        resume of every hold.
+        """
+        return self.cpu.consume(*charges)
 
     def touch_enclave(self, nbytes: int) -> Gen:
         """Charge paging for touching enclave-resident data under pressure."""
@@ -127,30 +133,44 @@ class NodeRuntime:
                                   node=self.name or None, cost=round(cost, 9))
             yield from self.cpu.consume(cost)
 
-    def msgbuf_shield(self, nbytes: int) -> Gen:
-        """Stage message-buffer bytes between enclave and host hugepages.
+    def msgbuf_shield(self, nbytes: int) -> float:
+        """CPU seconds to stage message-buffer bytes between enclave and
+        host hugepages; the eRPC endpoint pays them in its frame's core
+        hold.
 
-        Only charged under SCONE: the DMA-able buffers live in host
+        Only nonzero under SCONE: the DMA-able buffers live in host
         memory (§VII-A) so the enclave copies payloads across the
         boundary instead of paging EPC.
         """
         if self.in_enclave and nbytes > 0:
-            cost = (
+            return (
                 self.costs.scone_net_handling
                 + nbytes * self.costs.scone_msgbuf_copy_per_byte
             )
-            if self.tracer.enabled:
-                self.tracer.event("tee", "msgbuf_shield",
-                                  node=self.name or None,
-                                  bytes=nbytes, cost=round(cost, 9))
-            yield from self.cpu.consume(cost)
+        return 0.0
+
+    def trace_shield(self, nbytes: int, cost: float, at: float,
+                     trace: Optional[str] = None) -> None:
+        """Record a frame's shielding charge at ``at``, the sub-instant of
+        the frame's core hold where it falls (tracing on only)."""
+        if cost > 0.0:
+            self.tracer.event("tee", "msgbuf_shield", node=self.name or None,
+                              trace=trace, at=at, bytes=nbytes,
+                              cost=round(cost, 9))
 
     # -- cryptography ----------------------------------------------------------
+    def aead_seconds(self, nbytes: int) -> float:
+        """CPU seconds of one AEAD seal/open (0 if the profile does not
+        encrypt), counted as a crypto op; the caller charges them."""
+        if not self.encryption:
+            return 0.0
+        self.crypto_ops += 1
+        return self.costs.aead_cost(nbytes)
+
     def seal_cost(self, nbytes: int) -> Gen:
         """Charge one AEAD seal/open if the profile encrypts."""
         if self.encryption:
-            self.crypto_ops += 1
-            yield from self.cpu.consume(self.costs.aead_cost(nbytes))
+            yield from self.cpu.consume(self.aead_seconds(nbytes))
 
     def hash_cost(self, nbytes: int) -> Gen:
         """Charge one integrity hash if the profile encrypts."""

@@ -151,22 +151,28 @@ class TestCryptoSpanParents:
             return None, 0
 
         encode = secure_rpc.SecureRpc.encode_batch
+        trace_seal = secure_rpc.SecureRpc.trace_seal
         decode = secure_rpc.SecureRpc.decode_batch
+        sealing = {}  # flusher fiber -> its frame's expected context
 
         def encode_batch(self, parts):
-            expected = first_context(parts)
-            result = yield from encode(self, parts)
-            passes.append((log[-1], expected))  # its seal span just closed
-            return result
+            sealing[cluster.sim.current_process] = first_context(parts)
+            return encode(self, parts)
 
-        def decode_batch(self, payload, src, meta):
-            parts = yield from decode(self, payload, src, meta)
+        def traced_seal(self, *args):
+            trace_seal(self, *args)  # after the frame's core hold
+            expected = sealing.pop(cluster.sim.current_process)
+            passes.append((log[-1], expected))  # its seal span just closed
+
+        def decode_batch(self, payload, src, meta, opened_at=None):
+            parts = decode(self, payload, src, meta, opened_at)
             if parts is not None:
                 passes.append((log[-1], first_context(parts)))
             return parts
 
         patch = pytest.MonkeyPatch()
         patch.setattr(secure_rpc.SecureRpc, "encode_batch", encode_batch)
+        patch.setattr(secure_rpc.SecureRpc, "trace_seal", traced_seal)
         patch.setattr(secure_rpc.SecureRpc, "decode_batch", decode_batch)
         try:
             cluster.run(spread_txn(cluster)())
@@ -236,6 +242,35 @@ class TestCriticalPath:
         assert segments[-1][1] == pytest.approx(path.root["t1"], abs=1e-12)
         for (_, end, _, _), (start, _, _, _) in zip(segments, segments[1:]):
             assert start == pytest.approx(end, abs=1e-12)
+
+    def test_tee_events_carve_their_own_nodes_segments_and_rpc_waits(self):
+        """A tee event's cost leaves the segment it falls in when that
+        segment is on the event's node, or is an RPC's wait (``network``)
+        on another: the receiver shields the request frame inside it."""
+
+        def span(sid, parent, cat, name, t0, t1):
+            return {"type": "span", "cat": cat, "name": name, "t0": t0,
+                    "t1": t1, "node": "node0", "txn": None, "trace": "t",
+                    "sid": sid, "parent": parent, "args": {}}
+
+        def shield(node, t, cost):
+            return {"type": "event", "cat": "tee", "name": "msgbuf_shield",
+                    "t": t, "node": node, "txn": None, "trace": "t",
+                    "args": {"cost": cost}}
+
+        records = [
+            span(2, 1, "net", "rpc", 1.0, 5.0),
+            span(3, 1, "storage", "log_append", 6.0, 8.0),
+            shield("node1", 2.0, 0.5),  # the receiver, inside the rpc wait
+            shield("node1", 7.0, 0.5),  # another node's, inside storage
+            shield("node0", 7.5, 0.25),
+            span(1, 0, "twopc", "txn", 0.0, 10.0),
+        ]
+        path = critical_path(records, "t")
+        assert path.breakdown["tee"] == 0.75
+        assert path.breakdown["network"] == 3.5
+        assert path.breakdown["storage"] == 1.75
+        assert sum(path.breakdown.values()) == path.total == 10.0
 
     def test_expected_categories_show_up(self):
         cluster = traced_cluster()

@@ -281,16 +281,10 @@ class TestSecureRpc:
     def test_distinct_ivs_used(self, secure_harness):
         codec = secure_harness.endpoints[0].batch_codec
 
-        def body():
-            blobs = []
-            for op_id in (1, 2):
-                blob, _, _ = yield from codec.encode_batch(
-                    [self.request(op_id=op_id).encode()]
-                )
-                blobs.append(blob)
-            return blobs
-
-        first, second = secure_harness.run(body())
+        first, second = (
+            codec.encode_batch([self.request(op_id=op_id).encode()])[0]
+            for op_id in (1, 2)
+        )
         assert first[:12] != second[:12]
 
     def test_encryption_adds_latency(self):

@@ -284,11 +284,57 @@ def test_tracing_off_computes_nothing_for_the_null_tracer(monkeypatch):
     cluster.run(runtime.world_switch())
     assert runtime.enclave.page_faults > 0
     swept = {"encode_batch", "decode_batch", "_exchange", "msgbuf_shield",
-             "touch_enclave", "world_switch"}
+             "touch_enclave", "world_switch", "_transmit_batch", "_dispatch",
+             "_open", "open_seconds", "aead_seconds"}
     assert {key: count for key, count in calls.items()
             if key[0] in ("peek_context", "record") or key[1] in swept} == {}
     # the null tracer is still called elsewhere: the counters count
     assert sum(calls.values()) > 0
+
+
+# -- a frame's core hold in the trace ------------------------------------------
+
+
+class TestFrameHoldRecords:
+    """A frame's CPU charges are one core hold, recorded afterwards at the
+    sub-instants the charges fall on."""
+
+    @pytest.fixture(scope="class")
+    def log(self):
+        cluster = traced_cluster()
+        cluster.run(spread_txn(cluster)())
+        # the enclave nodes (the client machine runs native)
+        nodes = {node.runtime.name for node in cluster.nodes}
+        return cluster.obs.records(), cluster.nodes[0].runtime.costs, nodes
+
+    def test_crypto_spans_cover_their_aead_share_of_the_hold(self, log):
+        records, costs, nodes = log
+        spans = [rec for rec in records if rec["type"] == "span"
+                 and rec["cat"] == "crypto" and rec["node"] in nodes]
+        assert {span["name"] for span in spans} == {"seal_batch",
+                                                    "open_batch"}
+        for span in spans:
+            assert span["t1"] - span["t0"] == pytest.approx(
+                costs.aead_cost(span["args"]["bytes"])
+                / costs.enclave_speed_factor, rel=1e-9)
+
+    def test_receive_side_shielding_carries_the_frames_trace(self, log):
+        records, _costs, nodes = log
+        shields = [rec for rec in records if rec["type"] == "event"
+                   and rec["name"] == "msgbuf_shield"]
+        crypto = [rec for rec in records if rec["type"] == "span"
+                  and rec["cat"] == "crypto" and rec["node"] in nodes
+                  and rec["trace"] is not None]
+        opened = [span for span in crypto if span["name"] == "open_batch"]
+        assert opened
+        for span in opened:
+            # the frame's shielding: same node, same trace, earlier in
+            # the same hold
+            assert any(rec["node"] == span["node"]
+                       and rec["trace"] == span["trace"]
+                       and rec["t"] < span["t0"] for rec in shields)
+        # one traced shielding per traced seal and per traced open
+        assert sum(rec["trace"] is not None for rec in shields) == len(crypto)
 
 
 # -- exporters -----------------------------------------------------------------

@@ -395,3 +395,37 @@ def test_collector_passes_count_a_forced_pass():
     assert counted.collected[2] >= 1
     assert counted.seconds[2] > 0.0
     assert counted not in gc.callbacks
+
+
+def test_charges_count_holds_by_site_and_back_to_back(monkeypatch):
+    """``--charges``: one hold per nonzero charge, filed under the
+    ``NodeRuntime`` method and its caller; a hold is back to back when
+    the fiber's previous hold ended in the same kernel entry."""
+    from types import SimpleNamespace
+
+    from repro.config import ClusterConfig, TREATY_ENC
+    from repro.sim import Simulator
+    from repro.tee import NodeRuntime
+
+    def run_pass(_workload, runtime, _seconds):
+        def fiber():
+            yield from runtime.seal_cost(64)
+            yield from runtime.hash_cost(64)  # right after: back to back
+            yield runtime.sim.sleep(1e-3)  # blocks
+            yield from runtime.compute(1e-6, 0.0, 2e-6)  # one hold
+            yield from runtime.compute(0.0)  # no hold
+
+        runtime.sim.spawn(fiber())
+        runtime.sim.spawn(fiber())  # its holds interleave with the first's
+        runtime.sim.run()
+        return "result"
+
+    monkeypatch.setattr(profile, "workloads", SimpleNamespace(run_pass=run_pass))
+    runtime = NodeRuntime(Simulator(), TREATY_ENC, ClusterConfig())
+    result, holds, chained = profile.count_charges(None, runtime, 1.0)
+    assert result == "result"
+    sites = {site.split(" → ")[0]: (count, chained[site])
+             for site, count in holds.items()}
+    assert sites == {"seal_cost": (2, 0), "hash_cost": (2, 2),
+                     "compute": (2, 0)}
+    assert all(site.endswith("test_tools.py:fiber") for site in holds)

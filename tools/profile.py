@@ -16,6 +16,7 @@ Usage::
     python tools/profile.py ycsb-a-dist --seed 3 --top 40 --sort cumtime
     python tools/profile.py ycsb-w-single --callers 'read_range|aead.py.*seal'
     python tools/profile.py ycsb-a-dist --entries
+    python tools/profile.py ycsb-a-dist --charges
     python tools/profile.py ycsb-a-dist --sample
 
 The header line also counts ``Simulator.step`` calls per committed
@@ -35,6 +36,15 @@ dispatch that wakes a waiter or runs a callback, a no-op dispatch (an
 event nobody waits on), and a plain callable (a ``call_later`` such as
 a fabric delivery, or a late callback).  A kernel lever starts from
 this count: it names the entries worth removing.
+
+``--charges`` runs the pass unprofiled and prints the CPU holds per
+committed transaction by charging site — the ``NodeRuntime`` method
+that called ``CpuPool.consume`` and the first function outside
+``tee/runtime.py`` that called it — and, per site, how many holds
+came *back to back*: the fiber's previous hold ended in the same
+kernel entry, so it ran from that hold to this one without blocking.
+Each hold is one sleep wake; a back-to-back hold is one a fiber that
+kept its core across the two charges would not pay.
 
 ``--sample`` runs the pass unprofiled under a statistical sampler
 instead: ``signal.setitimer(ITIMER_PROF)`` interrupts every millisecond
@@ -87,6 +97,7 @@ import time
 
 import workloads
 from repro.sim.core import Event, Process, Simulator
+from repro.sim.cpu import CpuPool
 
 #: where ``Simulator.step`` lives, as cProfile names it.
 SIM_STEP = (os.path.join("repro", "sim", "core.py"), "step")
@@ -187,6 +198,67 @@ def count_entries(workload, cluster, seconds: float):
     return result, counts
 
 
+#: the file whose frames are ``NodeRuntime`` methods.
+RUNTIME_FILE = os.path.join("repro", "tee", "runtime.py")
+
+
+def charging_site(frame) -> str:
+    """``method → file:caller`` for a ``CpuPool.consume`` run from
+    ``frame``: the innermost ``NodeRuntime`` method and the first frame
+    outside it.  Every charge goes through ``NodeRuntime``, and
+    ``NodeRuntime.compute`` hands back the pool's hold itself, so a hold
+    run straight from outside the runtime is a ``compute``."""
+    method = None
+    while frame is not None and frame.f_code.co_filename.endswith(
+            RUNTIME_FILE):
+        if method is None:
+            method = frame.f_code.co_name
+        frame = frame.f_back
+    method = method or "compute"
+    if frame is None:
+        return "%s → ?" % method
+    path = os.path.relpath(frame.f_code.co_filename,
+                           os.path.join(ROOT, "src", "repro"))
+    return "%s → %s:%s" % (method, path, frame.f_code.co_name)
+
+
+def count_charges(workload, cluster, seconds: float):
+    """Run the pass with every CPU hold counted by charging site; returns
+    the pass result, the holds per site and the back-to-back holds per
+    site (the fiber's previous hold ended in the same kernel entry)."""
+    holds: collections.Counter = collections.Counter()
+    chained: collections.Counter = collections.Counter()
+    entries = [0]
+    # the fibers whose hold ended in the kernel entry ``ended[0]``
+    ended = [-1, set()]
+    step, consume = Simulator.step, CpuPool.consume
+
+    def counted_step(sim: Simulator) -> None:
+        entries[0] += 1
+        step(sim)
+
+    def counted_consume(pool: CpuPool, *charges: float):
+        if not any(charges):  # no hold (a negative charge raises there)
+            return (yield from consume(pool, *charges))
+        site = charging_site(sys._getframe(1))
+        process = pool.sim.current_process
+        holds[site] += 1
+        if ended[0] == entries[0] and process in ended[1]:
+            chained[site] += 1
+        start = yield from consume(pool, *charges)
+        if ended[0] != entries[0]:
+            ended[:] = [entries[0], set()]
+        ended[1].add(process)
+        return start
+
+    Simulator.step, CpuPool.consume = counted_step, counted_consume
+    try:
+        result = workloads.run_pass(workload, cluster, seconds)
+    finally:
+        Simulator.step, CpuPool.consume = step, consume
+    return result, holds, chained
+
+
 def sample(fn, *args):
     """Run ``fn(*args)`` under the ITIMER_PROF sampler; returns its
     result and the samples per ``(file, function)`` of the innermost
@@ -239,6 +311,9 @@ def main(argv=None) -> int:
     mode.add_argument("--entries", action="store_true",
                       help="count kernel entries per txn by kind "
                            "instead of profiling")
+    mode.add_argument("--charges", action="store_true",
+                      help="count CPU holds per txn by charging site "
+                           "instead of profiling")
     mode.add_argument("--sample", action="store_true",
                       help="sample self time by file and function "
                            "instead of profiling")
@@ -252,6 +327,9 @@ def main(argv=None) -> int:
     with collector_passes() as collector:
         if args.entries:
             result, counts = count_entries(workload, cluster, seconds)
+        elif args.charges:
+            result, holds, chained = count_charges(workload, cluster,
+                                                   seconds)
         elif args.sample:
             result, samples = sample(workloads.run_pass, workload, cluster,
                                      seconds)
@@ -269,6 +347,17 @@ def main(argv=None) -> int:
             print("  %-20s %8.1f /txn  %5.1f %%"
                   % (kind, counts[kind] / txns,
                      100.0 * counts[kind] / max(total, 1)))
+    elif args.charges:
+        txns = max(result.committed, 1)
+        total, back = sum(holds.values()), sum(chained.values())
+        print("%s  seed %d  committed %d  CPU holds/txn %.1f  back to back "
+              "%.1f /txn (%.1f %%)"
+              % (workload.name, args.seed, result.committed, total / txns,
+                 back / txns, 100.0 * back / max(total, 1)))
+        print("  holds/txn  back to back  site (NodeRuntime method → caller)")
+        for site, count in holds.most_common(args.top):
+            print("  %9.1f  %12.1f  %s"
+                  % (count / txns, chained[site] / txns, site))
     elif args.sample:
         print("%s  seed %d  committed %d  samples %d (%g ms of CPU each)"
               % (workload.name, args.seed, result.committed,
