@@ -196,9 +196,13 @@ class LSMEngine:
         return reader
 
     def get_with_seq(self, key: bytes) -> Gen:
-        """Return ``(value_or_None, seq)``; seq 0 when never written."""
-        yield from self.runtime.op_overhead()
-        found = yield from self.memtable.get(key)
+        """Return ``(value_or_None, seq)``; seq 0 when never written.
+
+        The read's op overhead is paid in the MemTable's core hold, with
+        a hit's hash and open (``MemTable.get``); a miss pays it alone
+        before the SSTables are read.
+        """
+        found = yield from self.memtable.get(key, self.runtime.costs.op_base_cpu)
         if found is not None:
             value, seq = found
             return (None if value is TOMBSTONE else value, seq)

@@ -89,17 +89,24 @@ class SecureLog:
         return counters[0]
 
     def append_many(self, payloads: Sequence[bytes]) -> Gen:
-        """Append a batch in one device write (group commit, §VII-B)."""
+        """Append a batch in one device write (group commit, §VII-B).
+
+        Each entry's seal and hash are one core hold before it is
+        encoded; the device write's syscall is a hold of its own.
+        """
         span = self.tracer.span(
             "storage", "log_append", node=self.runtime.name or None,
             log=self.log_name, entries=len(payloads),
         )
         frames: List[bytes] = []
         counters: List[int] = []
+        runtime = self.runtime
         for payload in payloads:
             if self.secured:
-                yield from self.runtime.seal_cost(len(payload))
-                yield from self.runtime.hash_cost(len(payload))
+                yield from runtime.compute(
+                    runtime.aead_seconds(len(payload)),
+                    runtime.hash_seconds(len(payload)),
+                )
             counter, frame = self._encode_entry(payload)
             counters.append(counter)
             frames.append(frame)
@@ -125,6 +132,7 @@ class SecureLog:
         data = self.disk.read(self.filename)
         yield from self.runtime.ssd_read(len(data))
         chain = LogChain(self._keyring.log_auth_key(self.log_name))
+        runtime = self.runtime
         entries: List[Tuple[int, bytes]] = []
         expected_counter = 1
         for entry in iter_log_entries(data):
@@ -135,9 +143,17 @@ class SecureLog:
                 )
             expected_counter += 1
             if self.secured:
-                yield from self.runtime.hash_cost(len(entry.payload))
-                chain.verify_next(entry.counter, entry.payload, entry.tag)
-                yield from self.runtime.seal_cost(len(entry.payload))
+                # Verified before the entry's one hold (hash, open); a
+                # broken chain raises after the hash alone.
+                hashed = runtime.hash_seconds(len(entry.payload))
+                try:
+                    chain.verify_next(entry.counter, entry.payload, entry.tag)
+                except IntegrityError:
+                    yield from runtime.compute(hashed)
+                    raise
+                yield from runtime.compute(
+                    hashed, runtime.aead_seconds(len(entry.payload))
+                )
                 payload = self._aead.open(entry.payload, aad=self.log_name.encode())
             else:
                 payload = entry.payload

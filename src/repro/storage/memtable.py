@@ -45,16 +45,21 @@ class _Node:
 
 
 class SkipList:
-    """An ordered map from bytes keys to entry objects."""
+    """An ordered map from bytes keys to entry objects.
+
+    A key → node dict answers a point lookup or an overwrite in one
+    probe; the linked levels keep the key order that flushes and scans
+    walk, and only a new key searches them.
+    """
 
     def __init__(self, rng: Optional[SeededRng] = None):
         self._rng = rng or SeededRng(0, "skiplist")
         self._head = _Node(None, _MAX_LEVEL)
         self._level = 1
-        self._size = 0
+        self._nodes: Dict[bytes, _Node] = {}
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._nodes)
 
     def _random_level(self) -> int:
         level = 1
@@ -73,11 +78,11 @@ class SkipList:
 
     def insert(self, key: bytes, entry: Any) -> bool:
         """Insert or overwrite; returns True if the key was new."""
-        update = self._find_predecessors(key)
-        candidate = update[0].forward[0]
-        if candidate is not None and candidate.key == key:
-            candidate.entry = entry
+        node = self._nodes.get(key)
+        if node is not None:
+            node.entry = entry
             return False
+        update = self._find_predecessors(key)
         level = self._random_level()
         if level > self._level:
             self._level = level
@@ -86,18 +91,12 @@ class SkipList:
         for i in range(level):
             node.forward[i] = update[i].forward[i]
             update[i].forward[i] = node
-        self._size += 1
+        self._nodes[key] = node
         return True
 
     def get(self, key: bytes) -> Any:
-        node = self._head
-        for i in range(self._level - 1, -1, -1):
-            while node.forward[i] is not None and node.forward[i].key < key:
-                node = node.forward[i]
-        node = node.forward[0]
-        if node is not None and node.key == key:
-            return node.entry
-        return None
+        node = self._nodes.get(key)
+        return None if node is None else node.entry
 
     def items(self) -> Iterator[Tuple[bytes, Any]]:
         """All (key, entry) pairs in sorted key order."""
@@ -160,20 +159,28 @@ class MemTable:
 
     # -- write path -----------------------------------------------------------
     def put(self, key: bytes, value: Optional[bytes], seq: int) -> Gen:
-        """Insert ``key -> value`` at sequence ``seq`` (None = tombstone)."""
+        """Insert ``key -> value`` at sequence ``seq`` (None = tombstone).
+
+        The seal, its hash and the insert are one core hold: the value
+        is sealed and hashed before it, the entry lands after it.
+        """
+        runtime = self.runtime
         is_tombstone = value is None
         plain = b"" if is_tombstone else value
         if self.encrypted:
-            yield from self.runtime.seal_cost(len(plain))
-            yield from self.runtime.hash_cost(len(plain))
-            stored = self._aead.seal(self.runtime.iv(seq), plain, aad=key)
+            stored = self._aead.seal(runtime.iv(seq), plain, aad=key)
+            value_hash = sha256(stored).digest()
+            yield from runtime.compute(
+                runtime.aead_seconds(len(plain)),
+                runtime.hash_seconds(len(plain)),
+                runtime.costs.memtable_insert_cpu,
+            )
         else:
-            stored = plain
-        yield from self.runtime.compute(self.runtime.costs.memtable_insert_cpu)
+            stored, value_hash = plain, b""
+            yield from runtime.compute(runtime.costs.memtable_insert_cpu)
         value_id = self._next_value_id
         self._next_value_id += 1
         self.host_values[value_id] = stored
-        value_hash = sha256(stored).digest() if self.encrypted else b""
         entry = _MemEntry(seq, value_id, value_hash, is_tombstone, len(plain))
         # Enclave accounting: key + node overhead; host gets the value.
         self._allocations.append(
@@ -186,34 +193,43 @@ class MemTable:
         self.approximate_bytes += len(key) + len(stored) + _NODE_OVERHEAD
 
     # -- read path --------------------------------------------------------------
-    def _load_value(self, key: bytes, entry: _MemEntry) -> Gen:
+    def _load_value(self, key: bytes, entry: _MemEntry,
+                    overhead: float = 0.0) -> Gen:
+        """The plaintext of ``entry``.  ``overhead``, the hash check and
+        the open are one core hold; a value modified in host memory
+        raises after ``overhead`` and the hash alone."""
+        runtime = self.runtime
         stored = self.host_values[entry.value_id]
-        if self.encrypted:
-            yield from self.runtime.hash_cost(len(stored))
-            if sha256(stored).digest() != entry.value_hash:
-                raise IntegrityError(
-                    "MemTable value for %r modified in host memory" % key
-                )
-            yield from self.runtime.seal_cost(len(stored))
-            plain = self._aead.open(stored, aad=key)
-        else:
-            plain = stored
-        return plain
+        if not self.encrypted:
+            yield from runtime.compute(overhead)
+            return stored
+        hashed = runtime.hash_seconds(len(stored))
+        if sha256(stored).digest() != entry.value_hash:
+            yield from runtime.compute(overhead, hashed)
+            raise IntegrityError(
+                "MemTable value for %r modified in host memory" % key
+            )
+        yield from runtime.compute(
+            overhead, hashed, runtime.aead_seconds(len(stored))
+        )
+        return self._aead.open(stored, aad=key)
 
-    def get(self, key: bytes) -> Gen:
+    def get(self, key: bytes, overhead: float = 0.0) -> Gen:
         """Look up a key.
 
         Returns ``None`` when the key is absent from this MemTable,
         ``(TOMBSTONE, seq)`` for a deletion marker, or ``(value, seq)``.
+        The key is looked up before the read is charged: ``overhead``
+        (a point read's op overhead) opens the value's one core hold, and
+        a miss or a tombstone pays it alone.
         """
         if self.runtime.in_enclave:
             yield from self.runtime.touch_enclave(len(key) + _NODE_OVERHEAD)
         entry = self._skip.get(key)
-        if entry is None:
-            return None
-        if entry.is_tombstone:
-            return (TOMBSTONE, entry.seq)
-        plain = yield from self._load_value(key, entry)
+        if entry is None or entry.is_tombstone:
+            yield from self.runtime.compute(overhead)
+            return None if entry is None else (TOMBSTONE, entry.seq)
+        plain = yield from self._load_value(key, entry, overhead)
         return (plain, entry.seq)
 
     def seq_of(self, key: bytes) -> Optional[int]:

@@ -150,12 +150,12 @@ def build_sstable(
         current_bytes += len(key) + (0 if value is TOMBSTONE else len(value)) + 16
         if current_bytes >= block_bytes:
             plain = finish_block()
-            yield from runtime.seal_cost(len(plain))
-            yield from runtime.hash_cost(len(plain))
+            yield from runtime.compute(runtime.aead_seconds(len(plain)),
+                                       runtime.hash_seconds(len(plain)))
     plain = finish_block()
     if plain is not None:
-        yield from runtime.seal_cost(len(plain))
-        yield from runtime.hash_cost(len(plain))
+        yield from runtime.compute(runtime.aead_seconds(len(plain)),
+                                   runtime.hash_seconds(len(plain)))
 
     footer_writer = Writer().u32(len(block_index))
     for first_key, off, length, block_hash in block_index:
@@ -166,7 +166,7 @@ def build_sstable(
         footer_stored = aead.seal(iv, footer_plain, aad=_FOOTER_AAD)
     else:
         footer_stored = footer_plain
-    yield from runtime.seal_cost(len(footer_plain))
+    yield from runtime.compute(runtime.aead_seconds(len(footer_plain)))
 
     body = b"".join(blocks)
     file_bytes = (
@@ -209,6 +209,27 @@ class SSTableReader:
     def encrypted(self) -> bool:
         return self.runtime.encryption
 
+    def _verify_open(self, stored: bytes, expected_hash: bytes,
+                     block_no: Optional[int] = None) -> Gen:
+        """Plaintext of the footer (``block_no`` None) or a block just
+        read from disk.  Its hash check and open are one core hold;
+        bytes that do not match ``expected_hash`` raise after the hash
+        alone."""
+        if not self.encrypted:
+            return stored
+        runtime = self.runtime
+        hashed = runtime.hash_seconds(len(stored))
+        if sha256(stored).digest() != expected_hash:
+            yield from runtime.compute(hashed)
+            if block_no is None:
+                raise IntegrityError("SSTable %s: footer does not match "
+                                     "MANIFEST" % self.meta.filename)
+            raise IntegrityError("SSTable %s: block %d modified on disk"
+                                 % (self.meta.filename, block_no))
+        yield from runtime.compute(hashed, runtime.aead_seconds(len(stored)))
+        aad = _FOOTER_AAD if block_no is None else _BLOCK_AAD
+        return self._aead.open(stored, aad=aad)
+
     # -- footer ------------------------------------------------------------
     def _load_footer(self) -> Gen:
         if self._index is not None:
@@ -221,17 +242,8 @@ class SSTableReader:
             self.meta.filename, file_size - 4 - footer_len, footer_len
         )
         yield from self.runtime.ssd_read(footer_len)
-        yield from self.runtime.hash_cost(footer_len)
         # The MANIFEST is the root of trust for the footer.
-        if self.encrypted and sha256(stored).digest() != self.meta.footer_hash:
-            raise IntegrityError(
-                "SSTable %s: footer does not match MANIFEST" % self.meta.filename
-            )
-        if self.encrypted:
-            yield from self.runtime.seal_cost(footer_len)
-            plain = self._aead.open(stored, aad=_FOOTER_AAD)
-        else:
-            plain = stored
+        plain = yield from self._verify_open(stored, self.meta.footer_hash)
         reader = Reader(plain)
         count = reader.u32()
         index = []
@@ -246,17 +258,7 @@ class SSTableReader:
         _first_key, offset, length, block_hash = index[block_no]
         stored = self.disk.read_range(self.meta.filename, offset, length)
         yield from self.runtime.ssd_read(length)
-        if self.encrypted:
-            yield from self.runtime.hash_cost(length)
-            if sha256(stored).digest() != block_hash:
-                raise IntegrityError(
-                    "SSTable %s: block %d modified on disk"
-                    % (self.meta.filename, block_no)
-                )
-            yield from self.runtime.seal_cost(length)
-            plain = self._aead.open(stored, aad=_BLOCK_AAD)
-        else:
-            plain = stored
+        plain = yield from self._verify_open(stored, block_hash, block_no)
         return _decode_block(plain)
 
     def _block_for_key(self, index, key: bytes) -> int:

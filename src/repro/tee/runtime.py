@@ -167,16 +167,13 @@ class NodeRuntime:
         self.crypto_ops += 1
         return self.costs.aead_cost(nbytes)
 
-    def seal_cost(self, nbytes: int) -> Gen:
-        """Charge one AEAD seal/open if the profile encrypts."""
-        if self.encryption:
-            yield from self.cpu.consume(self.aead_seconds(nbytes))
-
-    def hash_cost(self, nbytes: int) -> Gen:
-        """Charge one integrity hash if the profile encrypts."""
-        if self.encryption:
-            self.crypto_ops += 1
-            yield from self.cpu.consume(self.costs.hash_cost(nbytes))
+    def hash_seconds(self, nbytes: int) -> float:
+        """CPU seconds of one integrity hash (0 if the profile does not
+        encrypt), counted as a crypto op; the caller charges them."""
+        if not self.encryption:
+            return 0.0
+        self.crypto_ops += 1
+        return self.costs.hash_cost(nbytes)
 
     # -- storage I/O -------------------------------------------------------------
     @property

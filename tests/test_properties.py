@@ -146,6 +146,16 @@ class TestLogChainProperties:
                 reader.verify_next(counter, body, tag)
 
 
+def _shape(skiplist):
+    """(key, tower height) of every node, in key order."""
+    shape = []
+    node = skiplist._head.forward[0]
+    while node is not None:
+        shape.append((node.key, len(node.forward)))
+        node = node.forward[0]
+    return shape
+
+
 class TestSkipListProperties:
     @_SETTINGS
     @given(
@@ -164,6 +174,43 @@ class TestSkipListProperties:
         assert list(skiplist.items()) == sorted(model.items())
         for key, value in model.items():
             assert skiplist.get(key) == value
+
+    @_SETTINGS
+    @given(
+        operations=st.lists(
+            st.tuples(st.sampled_from([b"a", b"ab", b"b", b"c\x00"]) | keys_st,
+                      st.integers(0, 1000)),
+            max_size=80,
+        ),
+        probes=st.lists(keys_st, max_size=10),
+        bounds=st.tuples(keys_st, keys_st),
+        seed=st.integers(0, 2**32),
+    )
+    def test_inserts_and_overwrites_match_sorted_dict(
+        self, operations, probes, bounds, seed
+    ):
+        """The key index and the ordered levels agree with a dict and
+        ``sorted`` after any insert/overwrite sequence; an overwrite draws
+        no level, so the list has the shape of its first inserts alone."""
+        skiplist = SkipList(SeededRng(seed, "prop"))
+        model = {}
+        for key, value in operations:
+            assert skiplist.insert(key, value) == (key not in model)
+            model[key] = value
+        assert len(skiplist) == len(model)
+        assert list(skiplist.items()) == sorted(model.items())
+        for key in list(model) + probes:
+            assert skiplist.get(key) == model.get(key)
+        start, end = min(bounds), max(bounds)
+        assert list(skiplist.range_items(start, end)) == sorted(
+            (k, v) for k, v in model.items() if start <= k < end)
+        assert list(skiplist.range_items(start)) == sorted(
+            (k, v) for k, v in model.items() if start <= k)
+
+        first_inserts = SkipList(SeededRng(seed, "prop"))
+        for key in model:  # insertion order of each key's first insert
+            first_inserts.insert(key, None)
+        assert _shape(skiplist) == _shape(first_inserts)
 
     @_SETTINGS
     @given(

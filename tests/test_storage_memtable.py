@@ -144,6 +144,23 @@ class TestMemTable:
         assert len(table) == 0
         assert table.approximate_bytes == 0
 
+    def test_clear_leaves_no_stale_key(self):
+        """After a flush's clear every key is gone, from point lookups and
+        from scans alike, and a re-inserted key is new again."""
+        harness, table = make_memtable()
+        keys = [b"key-%d" % i for i in range(10)]
+        for seq, key in enumerate(keys, 1):
+            harness.run(table.put(key, b"v", seq))
+        table.clear()
+        for key in keys:
+            assert harness.run(table.get(key)) is None
+            assert table.seq_of(key) is None
+        assert harness.run(table.range_scan(b"", None)) == []
+        harness.run(table.put(keys[3], b"again", 11))
+        assert len(table) == 1
+        assert harness.run(table.get(keys[3])) == (b"again", 11)
+        assert harness.run(table.get(keys[4])) is None
+
     def test_overwrite_updates_value(self):
         harness, table = make_memtable()
 

@@ -130,7 +130,7 @@ class TestNodeRuntime:
         enc = NodeRuntime(sim_enc, TREATY_ENC, config)
 
         def crypt(runtime):
-            yield from runtime.seal_cost(4096)
+            yield from runtime.compute(runtime.aead_seconds(4096))
 
         sim_plain.run_process(crypt(plain))
         sim_enc.run_process(crypt(enc))

@@ -409,8 +409,8 @@ def test_charges_count_holds_by_site_and_back_to_back(monkeypatch):
 
     def run_pass(_workload, runtime, _seconds):
         def fiber():
-            yield from runtime.seal_cost(64)
-            yield from runtime.hash_cost(64)  # right after: back to back
+            yield from runtime.syscall(64)
+            yield from runtime.op_overhead()  # right after: back to back
             yield runtime.sim.sleep(1e-3)  # blocks
             yield from runtime.compute(1e-6, 0.0, 2e-6)  # one hold
             yield from runtime.compute(0.0)  # no hold
@@ -426,6 +426,6 @@ def test_charges_count_holds_by_site_and_back_to_back(monkeypatch):
     assert result == "result"
     sites = {site.split(" → ")[0]: (count, chained[site])
              for site, count in holds.items()}
-    assert sites == {"seal_cost": (2, 0), "hash_cost": (2, 2),
+    assert sites == {"syscall": (2, 0), "op_overhead": (2, 2),
                      "compute": (2, 0)}
     assert all(site.endswith("test_tools.py:fiber") for site in holds)
