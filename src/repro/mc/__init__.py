@@ -10,10 +10,20 @@ stateless-search model checker in the CHESS/DPOR tradition:
   ``Simulator.chooser``; replays a prescribed choice trace and records
   every choice point it was consulted at.
 * :mod:`repro.mc.harness` — one world per trace: builds a fresh
-  cluster, drives a small fixed workload (the *scope*, default 2
-  transactions x 3 nodes), applies the trace, and audits safety
-  (I1–I5 online, atomicity, durability) plus — on schedules where no
-  message was dropped — liveness (quiescence, lock release).
+  cluster, drives the fault workload over a small fixed *scope*
+  (default 2 transactions x 3 nodes), applies the trace, and runs the
+  end-state audit.
+* :mod:`repro.mc.workload` — the fault workload and the end-state
+  audit, one copy shared by :func:`run_one`, the randomized crash
+  sweep (``tests/test_crash_conformance.py``) and the coordinator-death
+  sweep (``tests/test_nonblocking_commit.py``): ``spread_txns`` (one
+  key per shard, so every transaction is a full 2PC), ``drive`` (put
+  phase under a give-up deadline, then commit), ``read_owner`` and
+  ``audit`` — atomicity and durability on every schedule, plus
+  ``quiescence`` (no node down unless killed for good, no held lock, no
+  in-doubt half, the monitor's I4/I5 tail sweep) on schedules that
+  dropped no frame.  ``tests/test_lost_frames.py`` asserts
+  ``quiescence`` after its lossy runs.
 * :mod:`repro.mc.digest` — canonical digest of per-node protocol state
   (Clog/WAL bytes, lock tables, counter views, in-flight frames) for
   the visited-state cache.
@@ -42,6 +52,8 @@ from .faults import (
     protocol_crash_points,
 )
 from .harness import MUTATIONS, RunResult, Scope, parse_scope, run_one
+from .workload import (UNREADABLE, audit, drive, keys_on, quiescence,
+                       read_owner, spread_txns)
 
 __all__ = [
     "ChoicePoint",
@@ -61,4 +73,7 @@ __all__ = [
     "MUTATIONS",
     "parse_scope",
     "run_one",
+    # the shared fault workload and end-state audit
+    "UNREADABLE", "keys_on", "spread_txns", "drive", "read_owner",
+    "quiescence", "audit",
 ]

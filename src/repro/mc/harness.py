@@ -6,21 +6,17 @@ every one is a full 2PC) over ``nodes`` nodes, a set of enumerable
 adversary actions, and a set of crash-eligible protocol events from the
 shared :mod:`repro.mc.faults` vocabulary.
 
-:func:`run_one` executes a single choice trace against a fresh cluster
-and audits the end state:
+:func:`run_one` executes a single choice trace against a fresh cluster,
+driving the shared fault workload of :mod:`repro.mc.workload`, and
+audits the end state with its :func:`~repro.mc.workload.audit`:
 
 * **safety** (always): the strict I1–I5 monitor runs online and stops
-  the run at the violating instant; afterwards the harness re-reads
-  every written key through fresh transactions and checks atomicity
-  (all-or-nothing per transaction) and durability (a transaction whose
-  ``commit()`` returned success is fully visible).
+  the run at the violating instant; afterwards the audit re-reads every
+  written key through fresh transactions and checks atomicity and
+  durability.
 * **liveness** (drop-free schedules only): quiescence — every node back
   up, no locks held, no in-doubt participant transactions, and the
-  monitor's I4/I5 tail sweep.  Dropping a one-shot message (e.g. a
-  recovery-redrive resolution, which is deliberately single-round — the
-  peer's own recovery covers it) legitimately stalls the protocol, so
-  liveness claims are only made for schedules where nothing was
-  dropped; crashes, duplicates and delays all preserve convergence.
+  monitor's I4/I5 tail sweep.
 
 Mutations (``MUTATIONS``) disable one recovery rule each, so the test
 suite can demonstrate that the checker actually finds the resulting
@@ -44,6 +40,7 @@ from ..obs.monitor import MonitorViolation
 from .controller import TraceController
 from .digest import DiskCrcCache
 from .faults import protocol_crash_points
+from .workload import audit, drive, spread_txns
 
 __all__ = [
     "Scope", "RunResult", "MUTATIONS", "parse_scope", "run_one",
@@ -317,56 +314,6 @@ class RunResult:
         return not self.violations
 
 
-def _distinct_keys(partitioner, node_index: int, count: int, tag: bytes):
-    keys, i = [], 0
-    while len(keys) < count:
-        key = b"%s-%05d" % (tag, i)
-        if partitioner(key) == node_index:
-            keys.append(key)
-        i += 1
-    return keys
-
-
-def _scope_txns(cluster, count: int):
-    """``count`` transactions, each writing one key per shard (forced
-    2PC), coordinators assigned round-robin."""
-    txns = []
-    for t in range(count):
-        tag = b"mc%02d" % t
-        pairs = [
-            (_distinct_keys(cluster.partitioner, i, 1, tag)[0], b"val-" + tag)
-            for i in range(cluster.num_nodes)
-        ]
-        txns.append((t % cluster.num_nodes, pairs))
-    return txns
-
-
-_UNREADABLE = object()
-
-
-def _read_owner(cluster, key):
-    """Read ``key`` through a fresh transaction on its owning shard.
-
-    Returns ``_UNREADABLE`` when the read itself aborts (e.g. the key's
-    lock is stuck in an in-doubt transaction) — the caller decides
-    whether that is legitimate for the schedule under audit.
-    """
-    owner = cluster.partitioner(key)
-    if not cluster.nodes[owner].is_up:
-        return _UNREADABLE
-
-    def body():
-        txn = cluster.nodes[owner].coordinator.begin()
-        value = yield from txn.get(key)
-        yield from txn.commit()
-        return value
-
-    try:
-        return cluster.run(body(), name="mc-read")
-    except (TransactionAborted, NetworkError):
-        return _UNREADABLE
-
-
 def run_one(scope: Scope, trace=(), *, mutation: Optional[str] = None,
             remaining_budget: int = 0, visited: Optional[Dict] = None,
             sleep0=(), crc_cache: Optional[DiskCrcCache] = None,
@@ -404,41 +351,10 @@ def _run_one(scope, trace, remaining_budget, visited, sleep0, crc_cache,
         ("event", cat, name) for cat, name in scope.crash_points
     ])
 
-    txns = _scope_txns(cluster, scope.txns)
+    txns = spread_txns(cluster, scope.txns, b"mc")
     outcomes = ["pending"] * len(txns)
     drive_errors: List[Tuple[int, BaseException]] = []
     violations: List[str] = []
-
-    def drive(index, coord, pairs):
-        yield sim.sleep(index * 1e-3)
-        txn = cluster.nodes[coord].coordinator.begin()
-        put_done = [False]
-
-        def put_phase():
-            try:
-                for key, value in pairs:
-                    yield from txn.put(key, value)
-            except TransactionAborted:
-                outcomes[index] = "aborted"
-                return
-            put_done[0] = True
-
-        # A real client times out a stalled operation and gives up; a
-        # put blocked on a crashed shard would otherwise park forever.
-        puts = sim.process(put_phase(), name="mc-puts-%d" % index)
-        yield sim.any_of([puts, sim.timeout(scope.give_up)])
-        if outcomes[index] == "aborted":
-            return
-        if not put_done[0]:
-            outcomes[index] = "stuck"
-            sim.spawn(txn.rollback(), name="mc-giveup-%d" % index)
-            return
-        try:
-            yield from txn.commit()
-        except TransactionAborted:
-            outcomes[index] = "aborted"
-            return
-        outcomes[index] = "committed"
 
     def absorb(index):
         def callback(event):
@@ -449,10 +365,9 @@ def _run_one(scope, trace, remaining_budget, visited, sleep0, crc_cache,
                     outcomes[index] = "failed"
         return callback
 
-    for index, (coord, pairs) in enumerate(txns):
-        proc = sim.process(drive(index, coord, pairs),
-                           name="mc-txn-%d" % index)
-        proc.add_callback(absorb(index))
+    clients = drive(cluster, txns, outcomes, give_up=scope.give_up)
+    for index, client in enumerate(clients):
+        client.add_callback(absorb(index))
 
     monitor = cluster.obs.monitor
     stopped_early = False
@@ -509,73 +424,14 @@ def _run_one(scope, trace, remaining_budget, visited, sleep0, crc_cache,
                 % (index, coord, type(error).__name__, error)
             )
 
-        # Liveness-grade audits only for drop-free schedules: dropping a
-        # one-shot message (recovery redrives are single-round by
-        # design) legitimately wedges the protocol; crashes, duplicates
-        # and delays all preserve convergence.
-        liveness = controller.drops == 0
-        if liveness:
-            for i, node in enumerate(cluster.nodes):
-                if not node.is_up:
-                    # Under no_restart the dead node is the fault model,
-                    # not a violation — survivors are what must converge.
-                    if not scope.no_restart:
-                        violations.append(
-                            "liveness: node%d still down at end of run" % i
-                        )
-                    continue
-                held = {
-                    txn_id: list(keys)
-                    for txn_id, keys in node.manager.locks._held.items()
-                    if keys
-                }
-                if held:
-                    violations.append(
-                        "liveness: node%d lock table not quiescent: %s"
-                        % (i, sorted(
-                            txn_id.hex() for txn_id in held))
-                    )
-                if node.participant.active:
-                    violations.append(
-                        "liveness: node%d has in-doubt participant txns: %s"
-                        % (i, sorted(
-                            gid.hex() for gid in node.participant.active))
-                    )
-            monitor.check_quiescent(now=sim.now)
-
-        # Safety: atomicity + durability, on every schedule.  Reads run
-        # after freeze(), so they are never perturbed or recorded.
-        for index, (coord, pairs) in enumerate(txns):
-            values = [_read_owner(cluster, key) for key, _ in pairs]
-            # A key whose owning shard is permanently dead (no_restart)
-            # is durable-but-unservable: its half lives in the dead
-            # node's sealed storage.  Excuse it from the visibility
-            # count; mismatches on live shards still flag.
-            excused = sum(
-                1 for value, (key, _v) in zip(values, pairs)
-                if value is _UNREADABLE and scope.no_restart
-                and not cluster.nodes[cluster.partitioner(key)].is_up
-            )
-            readable = [
-                (value == pairs[i][1])
-                for i, value in enumerate(values) if value is not _UNREADABLE
-            ]
-            if outcomes[index] == "committed":
-                if len(readable) + excused < len(values) or not all(readable):
-                    violations.append(
-                        "durability: txn %d committed but writes are not "
-                        "all visible: %s" % (index, [
-                            "?" if v is _UNREADABLE else repr(v)
-                            for v in values
-                        ])
-                    )
-            elif any(readable) and not all(readable):
-                violations.append(
-                    "atomicity: txn %d (%s) applied on some shards only: %s"
-                    % (index, outcomes[index], [
-                        "?" if v is _UNREADABLE else repr(v) for v in values
-                    ])
-                )
+        # Reads run after freeze(), so they are never perturbed or
+        # recorded.  Under no_restart a dead node is the fault model, not
+        # a violation: the survivors are what must converge.
+        dead = [
+            i for i, node in enumerate(cluster.nodes) if not node.is_up
+        ] if scope.no_restart else ()
+        violations.extend(audit(cluster, txns, outcomes,
+                                dropped=controller.drops > 0, dead=dead))
 
     violations.extend(
         v for v in monitor.violations if v not in violations

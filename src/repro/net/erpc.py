@@ -38,7 +38,6 @@ from functools import partial
 from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Set, Tuple
 
 from ..errors import NetworkError, RequestTimeout
-from ..memory.allocator import MempoolAllocator
 from ..sim.core import Event, Simulator
 from ..tee.runtime import NodeRuntime
 from .simnet import Fabric, Frame, Nic
@@ -108,11 +107,6 @@ class ErpcEndpoint:
         self.sim: Simulator = runtime.sim
         self.fabric = fabric
         self.nic = nic
-        # §VII-A: "place all message buffers in the host memory (in
-        # hugepages of 2 MiB), thus reducing the EPC pressure".
-        self.msgbuf_pool = MempoolAllocator(
-            runtime.host_memory, heaps=runtime.config.cores_per_node
-        )
         self._handlers: Dict[int, Handler] = {}
         #: req_id -> (destination address, continuation event).  The
         #: destination is kept so continuations can be failed fast when
@@ -277,43 +271,39 @@ class ErpcEndpoint:
             payload, meta_extra, seal_s = parts, {}, 0.0
             payload_nbytes = sum(sub.nbytes for sub in batch)
         wire_bytes = payload_nbytes + HEADER_BYTES
-        msgbuf = self.msgbuf_pool.alloc(max(wire_bytes, 1))
-        try:
-            shield_s = runtime.msgbuf_shield(wire_bytes)
-            start = yield from runtime.compute(
-                seal_s, shield_s, self._tx_cpu_cost(wire_bytes)
-            )
-            if runtime.tracer.enabled:
-                sealed = start + seal_s / runtime.cpu.speed_factor
-                if codec is not None:
-                    codec.trace_seal(start, sealed, payload_nbytes, len(batch))
-                runtime.trace_shield(wire_bytes, shield_s, sealed)
-            frame = Frame(
-                src=self.nic.address,
-                dst=dst,
-                wire_bytes=wire_bytes,
-                payload=payload,
-                kind="erpc",
-                meta=dict(
-                    meta_extra,
-                    batch=[sub.meta() for sub in batch],
-                    count=len(batch),
-                    is_request=is_request,
-                    req_type=batch[0].req_type,
-                ),
-            )
-            self.batches_sent += 1
-            self._batches_counter.inc()
-            self._occupancy_hist.observe(len(batch))
-            baseline_frames = sum(
-                self.fabric.frames_for(sub.nbytes + HEADER_BYTES) for sub in batch
-            )
-            saved = baseline_frames - self.fabric.frames_for(wire_bytes)
-            if saved > 0:
-                self._frames_saved_counter.inc(saved)
-            yield from self.nic.transmit(frame)
-        finally:
-            msgbuf.release()
+        shield_s = runtime.msgbuf_shield(wire_bytes)
+        start = yield from runtime.compute(
+            seal_s, shield_s, self._tx_cpu_cost(wire_bytes)
+        )
+        if runtime.tracer.enabled:
+            sealed = start + seal_s / runtime.cpu.speed_factor
+            if codec is not None:
+                codec.trace_seal(start, sealed, payload_nbytes, len(batch))
+            runtime.trace_shield(wire_bytes, shield_s, sealed)
+        frame = Frame(
+            src=self.nic.address,
+            dst=dst,
+            wire_bytes=wire_bytes,
+            payload=payload,
+            kind="erpc",
+            meta=dict(
+                meta_extra,
+                batch=[sub.meta() for sub in batch],
+                count=len(batch),
+                is_request=is_request,
+                req_type=batch[0].req_type,
+            ),
+        )
+        self.batches_sent += 1
+        self._batches_counter.inc()
+        self._occupancy_hist.observe(len(batch))
+        baseline_frames = sum(
+            self.fabric.frames_for(sub.nbytes + HEADER_BYTES) for sub in batch
+        )
+        saved = baseline_frames - self.fabric.frames_for(wire_bytes)
+        if saved > 0:
+            self._frames_saved_counter.inc(saved)
+        yield from self.nic.transmit(frame)
         if is_request and dst not in self.fabric._nics:
             # The destination is already gone: the fabric's delivery will
             # drop the frame, so fail the batch's continuations now

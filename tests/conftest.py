@@ -1,5 +1,7 @@
 """Shared fixtures and builders for the test suite."""
 
+import os
+
 import pytest
 
 from repro.config import ClusterConfig, DS_ROCKSDB, TREATY_ENC
@@ -29,6 +31,15 @@ def carries(frame, msg_type):
     return frame.kind == "erpc" and any(
         sub["req_type"] == msg_type for sub in frame.meta.get("batch", ())
     )
+
+
+def seed_range(variable, default):
+    """The seeds a randomized sweep runs: environment ``variable`` holds
+    a count (seeds ``0..count-1``) or ``<start>:<stop>``; unset, the
+    sweep runs ``default`` seeds."""
+    spec = os.environ.get(variable, str(default))
+    start, _, stop = spec.rpartition(":")
+    return list(range(int(start or 0), int(stop)))
 
 
 class StorageHarness:

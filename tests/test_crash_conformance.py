@@ -24,8 +24,13 @@ conformance conditions:
 * **durability** — a transaction whose commit() returned success is
   fully visible after recovery;
 * **safety** — the strict I1–I5 invariant monitor stays green for the
-  entire run (it raises at the violating instant), and the end-of-run
-  quiescence check (I4/I5 tail sweep) passes.
+  entire run (it raises at the violating instant);
+* **quiescence** — at the end of the run no lock is held and no
+  participant half is in doubt on a live node, and the monitor's I4/I5
+  tail sweep passes.
+
+The workload and these checks are :mod:`repro.mc.workload`'s, shared
+with the model checker and the coordinator-death sweep.
 
 Crash model: :meth:`TreatyCluster.crash_node` detaches the node's NIC
 — nothing is sent or received afterwards (in-flight frames and zombie
@@ -38,7 +43,8 @@ Failing seeds can be exported for offline triage: set
 ``CRASH_CONFORMANCE_TRACE_DIR`` and each failure writes a Chrome-trace
 JSON (``chrome://tracing`` / Perfetto) of the full run.  The seed count
 defaults to one pass over every crash scenario; CI widens it with
-``CRASH_CONFORMANCE_SEEDS=<count>`` or ``<start>:<stop>``.
+``CRASH_CONFORMANCE_SEEDS=<count>`` or ``<start>:<stop>``
+(:func:`tests.conftest.seed_range`).
 
 ``CRASH_CONFORMANCE_OCC=1`` reruns the whole sweep under distributed
 OCC: every workload transaction executes lock-free and validates inside
@@ -55,23 +61,15 @@ import pytest
 from repro.config import PROTOCOLS, ClusterConfig, TREATY_FULL
 from repro.core import TreatyCluster
 from repro.core.trusted_counter import BACKENDS
-from repro.errors import TransactionAborted
+from repro.mc import audit, drive, keys_on, read_owner, spread_txns
 from repro.mc.faults import SCENARIOS, CrashInjector
 from repro.obs import write_chrome_trace
 from repro.sim.rng import SeededRng
+from tests.conftest import seed_range
 
 # Crash scenarios and the injector live in repro.mc.faults, shared with
 # the model checker so both use one fault vocabulary.  SCENARIOS order
 # is pinned there (seed % len(SCENARIOS) must keep its mapping).
-
-
-def _seed_list():
-    """Default: one pass over all scenarios plus a few reruns."""
-    spec = os.environ.get("CRASH_CONFORMANCE_SEEDS", "12")
-    if ":" in spec:
-        start, stop = spec.split(":", 1)
-        return list(range(int(start), int(stop)))
-    return list(range(int(spec)))
 
 
 def _backend_list():
@@ -100,51 +98,11 @@ def _backend_config(seed, backend, protocol):
     )
 
 
-# -- workload ------------------------------------------------------------------
-
-
-def distinct_keys(cluster, node_index, count, tag):
-    keys, i = [], 0
-    while len(keys) < count:
-        key = b"%s-%05d" % (tag, i)
-        if cluster.partitioner(key) == node_index:
-            keys.append(key)
-        i += 1
-    return keys
-
-
-def spread_txns(cluster, count):
-    """``count`` transactions, each writing one key per shard (forced
-    2PC), with per-transaction distinct keys and values."""
-    txns = []
-    for t in range(count):
-        tag = b"cc%02d" % t
-        pairs = [
-            (distinct_keys(cluster, i, 1, tag)[0], b"val-" + tag)
-            for i in range(cluster.num_nodes)
-        ]
-        txns.append((t % cluster.num_nodes, pairs))
-    return txns
-
-
-def read_owner(cluster, key):
-    """Read ``key`` through a fresh transaction on its owning shard."""
-    owner = cluster.partitioner(key)
-
-    def body():
-        txn = cluster.nodes[owner].coordinator.begin()
-        value = yield from txn.get(key)
-        yield from txn.commit()
-        return value
-
-    return cluster.run(body(), name="conformance-read")
-
-
 # -- the sweep -----------------------------------------------------------------
 
 
 @pytest.mark.parametrize("backend", _backend_list())
-@pytest.mark.parametrize("seed", _seed_list())
+@pytest.mark.parametrize("seed", seed_range("CRASH_CONFORMANCE_SEEDS", 12))
 def test_crash_point_conformance(seed, backend):
     point, protocol = SCENARIOS[seed % len(SCENARIOS)]
     rng = SeededRng(seed, "crash-conformance")
@@ -221,95 +179,34 @@ def _export_incidents(records, path):
 def _run_one_seed(cluster, rng, point, occurrence, victim_offset,
                   no_restart=False, occ=False):
     sim = cluster.sim
-    txns = spread_txns(cluster, count=6)
+    txns = spread_txns(cluster, 6, b"cc")
     outcomes = ["pending"] * len(txns)
-
-    def drive(index, coord, pairs, delay):
-        yield sim.timeout(delay)
-        txn = cluster.nodes[coord].coordinator.begin(optimistic=occ)
-        put_done = [False]
-
-        def put_phase():
-            try:
-                for key, value in pairs:
-                    yield from txn.put(key, value)
-            except TransactionAborted:
-                outcomes[index] = "aborted"
-                return
-            put_done[0] = True
-
-        # A real client times out a stalled operation and gives up; a
-        # put blocked on a crashed shard would otherwise park forever.
-        puts = sim.process(put_phase(), name="puts-%d" % index)
-        yield sim.any_of([puts, sim.timeout(4.0)])
-        if outcomes[index] == "aborted":
-            return
-        if not put_done[0]:
-            outcomes[index] = "stuck"
-            # Give-up path: release locks everywhere (retries until the
-            # crashed shard recovers; from a crashed coordinator the
-            # epoch fence does the job instead).
-            sim.process(txn.rollback(), name="giveup-%d" % index)
-            return
-        try:
-            yield from txn.commit()
-        except TransactionAborted:
-            outcomes[index] = "aborted"
-            return
-        outcomes[index] = "committed"
-
     injector = CrashInjector(cluster, point, occurrence, victim_offset).arm()
-    for index, (coord, pairs) in enumerate(txns):
-        # Stagger starts so the N-th crash point lands on transactions
-        # in different interleavings across seeds.
-        sim.process(
-            drive(index, coord, pairs, delay=index * rng.uniform(1e-4, 2e-3)),
-            name="conformance-txn-%d" % index,
-        )
+    # Stagger starts so the N-th crash point lands on transactions in
+    # different interleavings across seeds.
+    starts = [index * rng.uniform(1e-4, 2e-3) for index in range(len(txns))]
+    drive(cluster, txns, outcomes, give_up=4.0, starts=starts,
+          optimistic=occ)
     # Past the prepare-vote timeout (2 s) plus resolution retries; a
     # transaction blocked on the crashed node parks, everything else
     # settles to a decision.
     sim.run(until=sim.now + 6.0)
 
     if injector.crashed is not None:
-        if no_restart:
-            # Nobody recovers the victim: decision timeouts fire, a
-            # surviving completer drives each in-doubt group to its
-            # replicated (or presumed-abort) outcome.
-            sim.run(until=sim.now + 6.0)
-        else:
+        # Without a restart, decision timeouts fire and a surviving
+        # completer drives each in-doubt group to its replicated (or
+        # presumed-abort) outcome; with one, re-aborts, re-driven commits
+        # and prepared-txn resolution converge.
+        if not no_restart:
             cluster.run(cluster.recover_node(injector.crashed),
                         name="recover")
-            # Let re-aborts, re-driven commits and prepared-txn
-            # resolution converge before auditing state.
-            sim.run(until=sim.now + 6.0)
+        sim.run(until=sim.now + 6.0)
 
-    # Conformance: atomicity + durability across every shard.  A shard
-    # that is dead forever (no_restart) is unservable — its half is
-    # audited on the survivors only.
-    dead = injector.crashed if no_restart else None
-    for index, (coord, pairs) in enumerate(txns):
-        audit = [
-            (key, expected) for key, expected in pairs
-            if cluster.partitioner(key) != dead
-        ]
-        values = [read_owner(cluster, key) for key, _ in audit]
-        present = [value == audit[i][1] for i, value in enumerate(values)]
-        if outcomes[index] == "committed":
-            assert all(present), (
-                "seed txn %d committed but writes are missing: %s"
-                % (index, values)
-            )
-        else:
-            # Aborted or in-doubt: all-or-nothing, never a partial write.
-            assert all(present) or not any(present), (
-                "txn %d (%s) applied on some shards only: %s"
-                % (index, outcomes[index], values)
-            )
-
-    monitor = cluster.obs.monitor
-    monitor.check_quiescent(now=sim.now)
-    assert monitor.green, monitor.violations
+    # A shard that is dead forever (no_restart) is unservable: its half
+    # is audited on the survivors only.
+    dead = {injector.crashed} if no_restart else ()
+    violations = audit(cluster, txns, outcomes, dropped=False, dead=dead)
+    assert not violations, violations
     # The sweep is only meaningful if the seed actually produced work.
     assert any(outcome == "committed" for outcome in outcomes) or (
         injector.crashed is not None
@@ -366,7 +263,7 @@ class TestRecoveryAppliesOnProtectedDecision:
         )
         cluster = TreatyCluster(profile=TREATY_FULL, config=config).start()
         sim = cluster.sim
-        (coord, pairs), = spread_txns(cluster, count=1)
+        (coord, pairs), = spread_txns(cluster, 1, b"cc")
         txn = cluster.nodes[coord].coordinator.begin()
         txn_hex = txn.gid.encode().hex()
 
@@ -420,7 +317,7 @@ class TestRecoveryAppliesOnProtectedDecision:
 def _distributed_commit(cluster, tag):
     """One transaction spanning all shards; returns after commit()."""
     pairs = [
-        (distinct_keys(cluster, i, 1, tag)[0], b"acct-" + tag)
+        (keys_on(cluster, i, 1, tag)[0], b"acct-" + tag)
         for i in range(cluster.num_nodes)
     ]
 

@@ -14,6 +14,7 @@ from repro.config import ClusterConfig, TREATY_FULL
 from repro.core import TreatyCluster
 from repro.core.twopc import PREPARE_VOTE_TIMEOUT, RESOLUTION_RETRY_INTERVAL
 from repro.errors import TransactionAborted
+from repro.mc import quiescence, read_owner
 from repro.net import NetworkAdversary
 from repro.net.message import MsgType
 from repro.sim.rng import SeededRng
@@ -59,19 +60,6 @@ class _Overdue:
                     )
                     if now - seen > PREPARE_VOTE_TIMEOUT:
                         self.found.append((endpoint.nic.address, req_id))
-
-
-def _assert_quiescent(cluster):
-    monitor = cluster.obs.monitor
-    monitor.check_quiescent(now=cluster.sim.now)
-    assert monitor.green, monitor.violations
-    for node in cluster.nodes:
-        held = {
-            txn_id: keys
-            for txn_id, keys in node.manager.locks._held.items() if keys
-        }
-        assert not held, (node.name, held)
-        assert not node.participant.active, node.name
 
 
 @pytest.mark.parametrize("lost", ["request", "reply"])
@@ -125,17 +113,9 @@ def test_lost_write_aborts_at_the_deadline(backend, lost):
     assert outcome.get("aborted_after", 1e9) < PREPARE_VOTE_TIMEOUT + 1.0
     assert outcome.get("second") == "committed"
     for key in keys:
-        owner = cluster.nodes[cluster.partitioner(key)]
-
-        def read(key=key, owner=owner):
-            txn = owner.coordinator.begin()
-            value = yield from txn.get(key)
-            yield from txn.commit()
-            return value
-
-        assert cluster.run(read()) == b"second"
+        assert read_owner(cluster, key) == b"second"
     assert coordinator.rpc.endpoint._pending == {}
-    _assert_quiescent(cluster)
+    assert not quiescence(cluster)
 
 
 def test_late_write_after_the_abort_opens_no_half():
@@ -187,7 +167,7 @@ def test_late_write_after_the_abort_opens_no_half():
     assert outcome == {"first": "aborted", "second": "committed"}
     assert coordinator.rpc.endpoint._pending == {}
     assert owner.participant.active == {}
-    _assert_quiescent(cluster)
+    assert not quiescence(cluster)
 
 
 def test_orphan_fuse_probes_again_after_a_lost_probe():
@@ -231,7 +211,7 @@ def test_orphan_fuse_probes_again_after_a_lost_probe():
     assert fuse + RESOLUTION_RETRY_INTERVAL <= gap
     assert gap <= fuse + 2 * RESOLUTION_RETRY_INTERVAL + 0.01
     assert adversary.dropped == 1
-    _assert_quiescent(cluster)
+    assert not quiescence(cluster)
 
 
 def test_ycsb_a_clients_finish_over_a_lossy_cluster_fabric():
@@ -303,4 +283,4 @@ def test_ycsb_a_clients_finish_over_a_lossy_cluster_fabric():
     # Past every watchdog and fuse, so stragglers settle.
     sim.run(until=sim.now + 10.0)
     assert overdue.found == []
-    _assert_quiescent(cluster)
+    assert not quiescence(cluster)

@@ -84,19 +84,6 @@ class TestErpc:
 
         assert harness.run(body()) == "timed-out"
 
-    def test_msgbufs_recycled_from_host_pool(self, harness):
-        server = harness.endpoints[1]
-        server.register_handler(1, echo_handler)
-        client = harness.endpoints[0]
-
-        def body():
-            for _ in range(20):
-                yield client.enqueue_request("node1", 1, b"x" * 100, 100)
-
-        harness.run(body())
-        assert client.msgbuf_pool.recycle_rate() > 0.5
-        assert client.runtime.host_memory.used >= 0
-
     def test_scone_erpc_is_slower_than_native(self):
         def elapsed(profile):
             harness = NetHarness(profile=profile)

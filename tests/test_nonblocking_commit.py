@@ -22,8 +22,12 @@ of the shared fault vocabulary (``repro.mc.faults.SCENARIOS``) and
   never a partial write;
 * a transaction whose ``commit()`` returned success is fully visible
   (durability: the quorum wait precedes the client ack);
-* the strict I1–I5 monitor stays green and the quiescence sweep passes
-  on the survivors.
+* the strict I1–I5 monitor stays green, and no lock or in-doubt half
+  is left on a survivor (``repro.mc.workload.audit``, the crash sweep's
+  and the model checker's end-state audit too).
+
+It runs two seeds per crash point; CI widens it with
+``NONBLOCKING_SWEEP_SEEDS=<count>`` or ``<start>:<stop>``.
 
 Plus two pins: a healthy run performs **zero** completer takeovers
 (the watchdog must never fire under a live coordinator), and a
@@ -32,8 +36,6 @@ one set of apply effects per shard (the active-entry pop is the
 exactly-once guard).
 """
 
-import os
-
 import pytest
 
 from repro.config import ClusterConfig, TREATY_FULL
@@ -41,11 +43,12 @@ from repro.core import TreatyCluster
 from repro.core.client import ClientTxn
 from repro.core.twopc import GlobalTxn
 from repro.errors import TransactionAborted
+from repro.mc import audit, drive, keys_on, read_owner, spread_txns
 from repro.mc.faults import SCENARIOS, CrashInjector
 from repro.net import NetworkAdversary
 from repro.net.message import MsgType
 from repro.sim.rng import SeededRng
-from tests.conftest import carries
+from tests.conftest import carries, seed_range
 
 COORDINATOR = 0
 
@@ -62,105 +65,26 @@ def _config(seed, backend):
     )
 
 
-def _distinct_keys(cluster, node_index, count, tag):
-    keys, i = [], 0
-    while len(keys) < count:
-        key = b"%s-%05d" % (tag, i)
-        if cluster.partitioner(key) == node_index:
-            keys.append(key)
-        i += 1
-    return keys
-
-
-def _coordinator_txns(cluster, count):
-    """``count`` distributed transactions, all coordinated by the
-    designated victim, each writing one key per shard (forced 2PC)."""
-    txns = []
-    for t in range(count):
-        tag = b"nb%02d" % t
-        pairs = [
-            (_distinct_keys(cluster, i, 1, tag)[0], b"val-" + tag)
-            for i in range(cluster.num_nodes)
-        ]
-        txns.append((COORDINATOR, pairs))
-    return txns
-
-
-def _read_survivor(cluster, key, dead):
-    """Read ``key`` on its owning shard; ``None`` result means absent,
-    ``dead``-owned keys are unservable and return the sentinel."""
-    owner = cluster.partitioner(key)
-    if owner == dead:
-        return _DEAD
-
-    def body():
-        txn = cluster.nodes[owner].coordinator.begin()
-        value = yield from txn.get(key)
-        yield from txn.commit()
-        return value
-
-    return cluster.run(body(), name="nb-read")
-
-
-_DEAD = object()
-
-
-def _drive_workload(cluster, txns, outcomes, give_up=4.0):
-    sim = cluster.sim
-
-    def drive(index, coord, pairs, delay):
-        yield sim.timeout(delay)
-        txn = cluster.nodes[coord].coordinator.begin()
-        put_done = [False]
-
-        def put_phase():
-            try:
-                for key, value in pairs:
-                    yield from txn.put(key, value)
-            except TransactionAborted:
-                outcomes[index] = "aborted"
-                return
-            put_done[0] = True
-
-        puts = sim.process(put_phase(), name="nb-puts-%d" % index)
-        yield sim.any_of([puts, sim.timeout(give_up)])
-        if outcomes[index] == "aborted":
-            return
-        if not put_done[0]:
-            outcomes[index] = "stuck"
-            sim.process(txn.rollback(), name="nb-giveup-%d" % index)
-            return
-        try:
-            yield from txn.commit()
-        except TransactionAborted:
-            outcomes[index] = "aborted"
-            return
-        outcomes[index] = "committed"
-
-    for index, (coord, pairs) in enumerate(txns):
-        sim.process(
-            drive(index, coord, pairs, delay=index * 1e-3),
-            name="nb-txn-%d" % index,
-        )
-
-
-def _surviving_commit_slots(cluster, txn_hex, dead):
-    """Surviving nodes that recorded this transaction's COMMIT decision
-    (``twopc/decision_replicated`` with kind=commit), from the trace."""
-    nodes = set()
+def _slot_committed(cluster, count, dead):
+    """Indexes of the workload transactions whose COMMIT decision reached
+    a surviving node's slot (``twopc/decision_replicated`` with
+    kind=commit), from the trace.  The N-th transaction with a ``prepare``
+    span is the N-th driven one: all share one coordinator, which
+    serializes begins."""
+    prepared, committed = [], set()
     for rec in cluster.obs.records():
-        if rec["type"] != "event" or rec.get("cat") != "twopc":
+        if rec.get("cat") != "twopc":
             continue
-        if rec.get("name") != "decision_replicated":
-            continue
-        if rec.get("txn") != txn_hex:
-            continue
-        if rec.get("args", {}).get("kind") != "commit":
-            continue
-        node = int(rec["node"][4:])
-        if node != dead:
-            nodes.add(node)
-    return nodes
+        txn = rec.get("txn")
+        if rec["type"] == "span" and rec.get("name") == "prepare":
+            if txn and txn not in prepared:
+                prepared.append(txn)
+        elif (rec["type"] == "event"
+              and rec.get("name") == "decision_replicated"
+              and rec.get("args", {}).get("kind") == "commit"
+              and int(rec["node"][4:]) != dead):
+            committed.add(txn)
+    return [i for i, txn in enumerate(prepared[:count]) if txn in committed]
 
 
 def _takeovers(cluster, exclude=()):
@@ -173,12 +97,7 @@ def _takeovers(cluster, exclude=()):
 # -- the sweep: coordinator dies at every crash point, stays dead -------------
 
 
-def _sweep_seeds():
-    spec = os.environ.get("NONBLOCKING_SWEEP_SEEDS", "2")
-    return list(range(int(spec)))
-
-
-@pytest.mark.parametrize("seed", _sweep_seeds())
+@pytest.mark.parametrize("seed", seed_range("NONBLOCKING_SWEEP_SEEDS", 2))
 @pytest.mark.parametrize("scenario", range(len(SCENARIOS)))
 def test_coordinator_death_converges(scenario, seed):
     point, protocol = SCENARIOS[scenario]
@@ -199,7 +118,7 @@ def test_coordinator_death_converges(scenario, seed):
         profile=TREATY_FULL, config=_config(seed, backend)
     ).start()
     sim = cluster.sim
-    txns = _coordinator_txns(cluster, count=4)
+    txns = spread_txns(cluster, 4, b"nb", coordinator=COORDINATOR)
     outcomes = ["pending"] * len(txns)
 
     # victim= pins the kill to the coordinator no matter which node
@@ -207,80 +126,24 @@ def test_coordinator_death_converges(scenario, seed):
     injector = CrashInjector(
         cluster, point, occurrence, 0, victim=COORDINATOR, permanent=True,
     ).arm()
-    _drive_workload(cluster, txns, outcomes)
+    drive(cluster, txns, outcomes, give_up=4.0)
     # Workload window (past the 2 s prepare-vote timeout), then a settle
     # window for decision watchdogs + completer rounds on the survivors.
     sim.run(until=sim.now + 6.0)
     sim.run(until=sim.now + 6.0)
 
     dead = injector.crashed
-    for index, (coord, pairs) in enumerate(txns):
-        txn_hex = None
-        values = {}
-        for key, expected in pairs:
-            value = _read_survivor(cluster, key, dead)
-            if value is _DEAD:
-                continue
-            values[key] = (value, expected)
-        present = [value == expected for value, expected in values.values()]
-        # All-or-nothing on the survivors, whatever happened.
-        assert all(present) or not any(present), (
-            "txn %d (%s) applied on some surviving shards only: %s"
-            % (index, outcomes[index], values)
-        )
-        if outcomes[index] == "committed":
-            # Durability: the ack implies decision quorum, which implies
-            # the completers can only converge on commit.
-            assert all(present), (
-                "txn %d acked committed but writes are missing on "
-                "survivors: %s" % (index, values)
-            )
-        if dead is not None:
-            # A commit decision that reached any surviving slot must win:
-            # the completer protocol prefers a genuine COMMIT record over
-            # its synthetic abort proposal.
-            txn_hex = _txn_hex_for(cluster, index)
-            if txn_hex and _surviving_commit_slots(cluster, txn_hex, dead):
-                assert all(present), (
-                    "txn %d reached a surviving commit slot but is not "
-                    "visible everywhere: %s" % (index, values)
-                )
-
-    monitor = cluster.obs.monitor
-    monitor.check_quiescent(now=sim.now)
-    assert monitor.green, monitor.violations
-
+    # A commit decision that reached any surviving slot must win: the
+    # completer protocol prefers a genuine COMMIT record over its
+    # synthetic abort proposal, so the audit holds that transaction to
+    # durability as if its commit() had returned.
+    expected = list(outcomes)
     if dead is not None:
-        # Survivors' lock tables and participant tables are quiescent.
-        for i, node in enumerate(cluster.nodes):
-            if i == dead:
-                continue
-            held = {
-                txn_id: keys
-                for txn_id, keys in node.manager.locks._held.items() if keys
-            }
-            assert not held, (
-                "node%d lock table not quiescent: %s" % (i, held)
-            )
-            assert not node.participant.active, (
-                "node%d still has in-doubt participant txns" % i
-            )
-
-
-def _txn_hex_for(cluster, index):
-    """Map workload index -> txn hex via the prepare spans (the N-th
-    coordinator-side prepare belongs to the N-th driven transaction —
-    all transactions share one coordinator, which serializes begins)."""
-    hexes = []
-    for rec in cluster.obs.records():
-        if rec["type"] != "span" or rec.get("cat") != "twopc":
-            continue
-        if rec.get("name") != "prepare":
-            continue
-        txn = rec.get("txn")
-        if txn and txn not in hexes:
-            hexes.append(txn)
-    return hexes[index] if index < len(hexes) else None
+        for index in _slot_committed(cluster, len(txns), dead):
+            expected[index] = "committed"
+    violations = audit(cluster, txns, expected, dropped=False,
+                       dead=() if dead is None else {dead})
+    assert not violations, violations
 
 
 # -- pin: a live coordinator never provokes a takeover ------------------------
@@ -295,9 +158,9 @@ class TestNoSpuriousTakeover:
             profile=TREATY_FULL,
             config=_config(7, "counter-sync"),
         ).start()
-        txns = _coordinator_txns(cluster, count=4)
+        txns = spread_txns(cluster, 4, b"nb", coordinator=COORDINATOR)
         outcomes = ["pending"] * len(txns)
-        _drive_workload(cluster, txns, outcomes)
+        drive(cluster, txns, outcomes, give_up=4.0)
         # Well past decision_timeout_s (1.5) plus jitter: any armed
         # watchdog that survives its transaction would fire here.
         cluster.sim.run(until=cluster.sim.now + 8.0)
@@ -354,7 +217,7 @@ def test_lost_decision_record_is_resent(backend, lost):
     adversary.drop_matching(first_per_peer)
     cluster.fabric.adversary = adversary
     pairs = [
-        (_distinct_keys(cluster, i, 1, b"lost")[0], b"lost-val")
+        (keys_on(cluster, i, 1, b"lost")[0], b"lost-val")
         for i in range(cluster.num_nodes)
     ]
     took = []
@@ -376,7 +239,7 @@ def test_lost_decision_record_is_resent(backend, lost):
     assert took and took[0] < 1.0, took
     assert _takeovers(cluster) == 0
     for key, expected in pairs:
-        assert _read_survivor(cluster, key, None) == expected
+        assert read_owner(cluster, key) == expected
     monitor = cluster.obs.monitor
     monitor.check_quiescent(now=sim.now)
     assert monitor.green, monitor.violations
@@ -399,7 +262,7 @@ class TestClientRedirect:
         machine = cluster.client_machine()
         session = cluster.session(machine, coordinator=COORDINATOR)
         pairs = [
-            (_distinct_keys(cluster, i, 1, b"redir")[0], b"redir-val")
+            (keys_on(cluster, i, 1, b"redir")[0], b"redir-val")
             for i in range(cluster.num_nodes)
         ]
 
@@ -431,9 +294,8 @@ class TestClientRedirect:
         assert session.committed == 1 and session.aborted == 0
         # The learned outcome is real: writes visible on every survivor.
         for key, expected in pairs:
-            value = _read_survivor(cluster, key, COORDINATOR)
-            if value is not _DEAD:
-                assert value == expected
+            if cluster.partitioner(key) != COORDINATOR:
+                assert read_owner(cluster, key) == expected
         monitor = cluster.obs.monitor
         monitor.check_quiescent(now=sim.now)
         assert monitor.green, monitor.violations
@@ -452,7 +314,7 @@ class TestClientRedirect:
         machine = cluster.client_machine()
         session = cluster.session(machine, coordinator=COORDINATOR)
         pairs = [
-            (_distinct_keys(cluster, i, 1, b"redir")[0], b"redir-val")
+            (keys_on(cluster, i, 1, b"redir")[0], b"redir-val")
             for i in range(cluster.num_nodes)
         ]
         injector = CrashInjector(
@@ -519,7 +381,7 @@ class TestClientRedirect:
         machine = cluster.client_machine()
         session = cluster.session(machine, coordinator=COORDINATOR)
         pairs = [
-            (_distinct_keys(cluster, i, 1, b"redab")[0], b"redab-val")
+            (keys_on(cluster, i, 1, b"redab")[0], b"redab-val")
             for i in range(cluster.num_nodes)
         ]
 
@@ -549,9 +411,8 @@ class TestClientRedirect:
         assert session.redirected == 0
         # No partial write survives anywhere.
         for key, _expected in pairs:
-            value = _read_survivor(cluster, key, COORDINATOR)
-            if value is not _DEAD:
-                assert value is None
+            if cluster.partitioner(key) != COORDINATOR:
+                assert read_owner(cluster, key) is None
 
 
     def test_server_abort_quoting_the_phrase_is_not_a_dead_coordinator(
@@ -583,7 +444,7 @@ class TestClientRedirect:
         def body():
             txn = session.begin()
             for node in range(cluster.num_nodes):
-                key = _distinct_keys(cluster, node, 1, b"phrase")[0]
+                key = keys_on(cluster, node, 1, b"phrase")[0]
                 yield from txn.put(key, b"v")
             assert txn.gid and session.routes  # the poll's preconditions
             with pytest.raises(TransactionAborted, match="unreachable"):
@@ -615,7 +476,7 @@ class TestCompleterRace:
             ),
         ).start()
         sim = cluster.sim
-        txns = _coordinator_txns(cluster, count=1)
+        txns = spread_txns(cluster, 1, b"nb", coordinator=COORDINATOR)
         outcomes = ["pending"]
 
         # Kill the coordinator right after it counts its first decision
@@ -625,7 +486,7 @@ class TestCompleterRace:
             cluster, ("twopc", "decision-quorum"), 1, 0,
             victim=COORDINATOR, permanent=True,
         ).arm()
-        _drive_workload(cluster, txns, outcomes)
+        drive(cluster, txns, outcomes, give_up=4.0)
         sim.run(until=sim.now + 4.0)
         assert injector.crashed == COORDINATOR
 
@@ -663,16 +524,6 @@ class TestCompleterRace:
             )
 
         # Both halves visible, locks free, monitor green.
-        for key, expected in txns[0][1]:
-            value = _read_survivor(cluster, key, COORDINATOR)
-            if value is not _DEAD:
-                assert value == expected
-        for i in survivors:
-            node = cluster.nodes[i]
-            assert not node.participant.active
-            assert not any(
-                keys for keys in node.manager.locks._held.values()
-            )
-        monitor = cluster.obs.monitor
-        monitor.check_quiescent(now=sim.now)
-        assert monitor.green, monitor.violations
+        violations = audit(cluster, txns, ["committed"], dropped=False,
+                           dead={COORDINATOR})
+        assert not violations, violations

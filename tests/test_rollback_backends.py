@@ -25,6 +25,7 @@ from repro.core.trusted_counter import (
     shard_of,
 )
 from repro.errors import NetworkError
+from repro.mc import keys_on, read_owner
 from repro.net.message import MsgType, TxMessage
 
 
@@ -437,16 +438,6 @@ class TestLeaseExpiry:
 # -- backend equivalence -------------------------------------------------------
 
 
-def distinct_keys(cluster, node_index, count, tag):
-    keys, i = [], 0
-    while len(keys) < count:
-        key = b"%s-%05d" % (tag, i)
-        if cluster.partitioner(key) == node_index:
-            keys.append(key)
-        i += 1
-    return keys
-
-
 class TestBackendEquivalence:
     def test_all_backends_commit_identical_state(self):
         """The backend changes how coverage is established, never the
@@ -458,7 +449,7 @@ class TestBackendEquivalence:
                 counter_shards=1 if backend == "counter-sync" else 2,
             )
             pairs = [
-                (distinct_keys(cluster, i, 1, b"beq")[0], b"v-" + name.encode())
+                (keys_on(cluster, i, 1, b"beq")[0], b"v-" + name.encode())
                 for i, name in enumerate(["a", "b", "c"])
             ]
 
@@ -473,21 +464,10 @@ class TestBackendEquivalence:
             cluster.obs.monitor.check_quiescent(now=cluster.sim.now)
             assert cluster.obs.monitor.green, cluster.obs.monitor.violations
 
-            def read(key):
-                def rbody():
-                    txn = cluster.nodes[
-                        cluster.partitioner(key)
-                    ].coordinator.begin()
-                    value = yield from txn.get(key)
-                    yield from txn.commit()
-                    return value
-
-                return cluster.run(rbody())
-
-            states[backend] = [read(key) for key, _ in pairs]
+            states[backend] = [read_owner(cluster, key) for key, _ in pairs]
+        assert states["counter-sync"] == [value for _, value in pairs]
         assert states["counter-sync"] == states["counter-async"]
         assert states["counter-sync"] == states["lcm"]
-        assert all(value is not None for value in states["counter-sync"])
 
 
 # -- span-leak regression ------------------------------------------------------
