@@ -1,20 +1,21 @@
-"""Ablations of Treaty's substrate design choices (§VII).
+"""Ablations of Treaty's substrate design choices (§V-A, §VII).
 
 1. *Group commit* (§VII-B): leader-merged WAL writes vs one device
    write per transaction.
 2. *Message buffers in host memory* (§VII-A): Treaty deliberately keeps
    eRPC msgbufs outside the enclave; placing them in enclave memory
    triggers EPC paging under load.
-3. *Mempool allocator recycling* (§VII-D): steady-state allocations are
-   served from free lists instead of growing the mapped working set.
+3. *Userland fibers* (§VII-C): the system's own fibers, queued on the
+   node's enclave cores, switch without a syscall; a thread per client
+   pays a syscall and a world switch per wake-up.
+4. *Storage I/O mechanism* (§V-A): async syscalls + page cache vs SPDK
+   on a read-heavy load that fits in the page cache.
 """
 
 from repro.config import ClusterConfig, TREATY_ENC, TREATY_FULL
 from repro.bench import MetricsCollector
 from repro.bench.harness import loaded, measure
 from repro.bench.reporting import ComparisonTable
-from repro.memory import MempoolAllocator
-from repro.memory.regions import MemoryRegion
 from repro.workloads import YcsbConfig
 
 
@@ -88,42 +89,15 @@ def test_ablation_msgbuf_placement(benchmark):
     assert results["enclave"] > results["host"]
 
 
-def test_ablation_mempool_recycling(benchmark):
-    results = {}
-
-    def run():
-        region_pool = MemoryRegion("pooled")
-        pool = MempoolAllocator(region_pool, heaps=4)
-        for i in range(20_000):
-            pool.alloc(1024, thread_id=i % 4).release()
-        region_raw = MemoryRegion("raw")
-        for _ in range(20_000):
-            region_raw.allocate(1024)  # never recycled
-        results["pooled"] = region_pool.total_allocated
-        results["raw"] = region_raw.total_allocated
-        results["recycle_rate"] = pool.recycle_rate()
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    table = ComparisonTable(
-        "Ablation: mempool allocator", metric_name="mapped bytes"
-    )
-    table.add("mempool (Treaty)", results["pooled"], "B")
-    table.add("malloc-per-buffer", results["raw"], "B")
-    benchmark.extra_info.update(table.results())
-    print(table.render())
-    print("  recycle rate: %.1f%%" % (results["recycle_rate"] * 100))
-    assert results["pooled"] < results["raw"] / 100
-
-
 def test_ablation_fiber_scheduler(benchmark):
     """§VII-C: fibers vs thread-per-client wake-ups.
 
-    The fiber scheduler switches between runnable clients without
-    syscalls; a naive SCONE deployment pays an async syscall (and often
-    a world switch) per thread wake-up.  Measure total scheduling
-    overhead for a bursty 64-client serving pattern.
+    The system's fibers are simulator processes queued FIFO on the
+    node's enclave cores (``NodeRuntime.cpu``): switching between
+    runnable clients costs no syscall.  A naive SCONE deployment pays an
+    async syscall (and a world switch) per thread wake-up.  Measure both
+    for a bursty 64-client serving pattern.
     """
-    from repro.sched import Compute, FiberScheduler, Sleep
     from repro.sim import Simulator
     from repro.tee import NodeRuntime
 
@@ -131,18 +105,17 @@ def test_ablation_fiber_scheduler(benchmark):
 
     def run():
         config = ClusterConfig()
-        # Fibers: one scheduler, 64 client fibers, syscall only when idle.
+        # Fibers: 64 client fibers share the node's cores.
         sim = Simulator()
         runtime = NodeRuntime(sim, TREATY_ENC, config)
-        scheduler = FiberScheduler(runtime)
 
         def client():
             for _ in range(20):
-                yield Compute(5e-6)
-                yield Sleep(1e-4)
+                yield from runtime.compute(5e-6)
+                yield sim.sleep(1e-4)
 
         for _ in range(64):
-            scheduler.spawn(client())
+            sim.spawn(client())
         sim.run()
         results["fibers"] = (sim.now, runtime.syscalls)
 
@@ -157,9 +130,8 @@ def test_ablation_fiber_scheduler(benchmark):
                 yield from runtime2.compute(5e-6)
                 yield sim2.timeout(1e-4)
 
-        import repro.sim as _sim  # noqa: F401
-
-        procs = [sim2.process(thread_client()) for _ in range(64)]
+        for _ in range(64):
+            sim2.process(thread_client())
         sim2.run()
         results["threads"] = (sim2.now, runtime2.syscalls)
 
@@ -174,8 +146,7 @@ def test_ablation_fiber_scheduler(benchmark):
     benchmark.extra_info.update(table.results())
     print(table.render())
     assert fiber_syscalls < thread_syscalls / 4
-
-
+    assert fiber_time < thread_time
 
 
 def test_ablation_storage_io_mechanism(benchmark):
@@ -224,6 +195,5 @@ if __name__ == "__main__":
 
     test_ablation_group_commit(_Fake())
     test_ablation_msgbuf_placement(_Fake())
-    test_ablation_mempool_recycling(_Fake())
     test_ablation_fiber_scheduler(_Fake())
     test_ablation_storage_io_mechanism(_Fake())

@@ -1,13 +1,9 @@
-"""Memory management: enclave/host regions and the mempool allocator."""
+"""Memory regions: enclave (EPC-limited) vs untrusted host memory.
 
-from .allocator import MempoolAllocator, PooledBuffer
+A buffer's bytes return to its region when it is released; allocator
+work is not charged (DESIGN.md §2).
+"""
+
 from .regions import Allocation, EnclaveMemory, HostMemory, MemoryRegion
 
-__all__ = [
-    "Allocation",
-    "EnclaveMemory",
-    "HostMemory",
-    "MempoolAllocator",
-    "MemoryRegion",
-    "PooledBuffer",
-]
+__all__ = ["Allocation", "EnclaveMemory", "HostMemory", "MemoryRegion"]

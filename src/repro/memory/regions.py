@@ -37,13 +37,11 @@ class MemoryRegion:
         self.soft_limit = soft_limit
         self.used = 0
         self.peak = 0
-        self.total_allocated = 0
 
     def allocate(self, nbytes: int) -> Allocation:
         if nbytes < 0:
             raise ValueError("negative allocation")
         self.used += nbytes
-        self.total_allocated += nbytes
         if self.used > self.peak:
             self.peak = self.used
         return Allocation(self, nbytes)

@@ -4,11 +4,10 @@ The paper builds its 2PC on eRPC with a DPDK transport: userspace
 polling, no syscalls on the data path, message buffers in (untrusted)
 host hugepages.  This module reproduces those semantics:
 
-* :meth:`ErpcEndpoint.enqueue_request` allocates a message buffer from a
-  host-memory mempool, enqueues the request and returns immediately with
-  a *continuation event* — matching eRPC's ``enqueue_request`` +
-  continuation-function model (Figure 2: "TxBurst and yield", "poll for
-  replies and/or yield");
+* :meth:`ErpcEndpoint.enqueue_request` enqueues the request and returns
+  immediately with a *continuation event* — matching eRPC's
+  ``enqueue_request`` + continuation-function model (Figure 2: "TxBurst
+  and yield", "poll for replies and/or yield");
 * per-frame NIC/driver cost is charged instead of syscall cost (the
   kernel-bypass win), and when running under SCONE the message buffers
   deliberately live in host memory so no EPC paging is triggered — the
@@ -155,11 +154,12 @@ class ErpcEndpoint:
     ) -> Event:
         """Enqueue a request; the returned event fires with an :class:`RpcReply`.
 
-        Mirrors Figure 2 steps 1–2: allocate message buffers, enqueue, and
-        let the caller yield/poll.  The message buffer stays allocated
-        until the reply arrives (step 3's "FreeMsgBuffers").  With a
-        ``timeout`` the event fails with :class:`RequestTimeout` if no
-        reply has arrived ``timeout`` seconds from now.
+        Mirrors Figure 2 steps 1–2: enqueue, and let the caller
+        yield/poll; the message buffer is the per-byte host-memory copy
+        each frame's core hold charges (``NodeRuntime.msgbuf_shield``),
+        not an allocation.  With a ``timeout`` the event fails with
+        :class:`RequestTimeout` if no reply has arrived ``timeout``
+        seconds from now.
         """
         self.start()
         req_id = next(self._req_seq)

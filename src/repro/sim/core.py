@@ -14,12 +14,12 @@ The model is intentionally close to SimPy:
 * a :class:`Process` wraps a generator; the generator *yields* events and
   is resumed with the event's value once it triggers.
 
-Processes double as the paper's *fibers* (userland threads, §VII-C): the
-round-robin userland scheduler in :mod:`repro.sched.fibers` is layered on
-top of these primitives.  A fiber's own wait needs no event: ``yield
-sim.sleep(d)`` puts the process itself on the heap, and a fiber started
-with :meth:`Simulator.spawn` (no handle, so nobody joins it) exits
-without a kernel entry.
+Processes double as the paper's *fibers* (userland threads, §VII-C), and
+a node's :class:`~repro.sim.cpu.CpuPool` is their run queue: a fiber that
+asks for a busy core waits its FIFO turn, with no syscall.  A fiber's own
+wait needs no event: ``yield sim.sleep(d)`` puts the process itself on
+the heap, and a fiber started with :meth:`Simulator.spawn` (no handle,
+so nobody joins it) exits without a kernel entry.
 """
 
 from __future__ import annotations

@@ -36,13 +36,10 @@ class TxnBuffer:
 
     def record(self, key: bytes, value: Optional[bytes]) -> None:
         """Buffer ``key -> value`` (None deletes); last write wins."""
-        previous = self._writes.get(key)
         self._writes[key] = value
         self._writes.move_to_end(key)
-        delta = len(key) + len(value or b"")
-        if previous is not None or key in self._writes:
-            pass  # contiguous stream: old bytes are not reclaimed until commit
-        self.byte_size += delta
+        # A contiguous stream: an overwrite's old bytes stay until commit.
+        self.byte_size += len(key) + len(value or b"")
         self._reallocate()
 
     def _reallocate(self) -> None:

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.config import TREATY_ENC, ClusterConfig
 from repro.sim import CpuPool, Gate, Resource, Semaphore, Simulator, Store
+from repro.tee import NodeRuntime
 
 
 @pytest.fixture
@@ -140,6 +142,25 @@ class TestCpuPool:
         sim.run()
         times = sorted(t for _, t in finished)
         assert times == [1.0, 1.0, 2.0, 2.0]
+
+    def test_one_core_is_granted_in_request_order(self, sim):
+        # The run queue of the system's fibers (§VII-C): a fiber that
+        # asks for a busy core waits its turn, and the wait is no syscall.
+        runtime = NodeRuntime(sim, TREATY_ENC, ClusterConfig(cores_per_node=1))
+        for hold in (CpuPool(sim, cores=1).consume, runtime.compute):
+            granted = []
+
+            def fiber(tag, asks_at):
+                yield sim.sleep(asks_at)
+                yield from hold(1.0)
+                granted.append(tag)  # one core: done in the order granted
+
+            # Spawned in reverse: only the order of the asks orders the grants.
+            for tag, asks_at in (("C", 0.2), ("B", 0.1), ("A", 0.0)):
+                sim.spawn(fiber(tag, asks_at))
+            sim.run()
+            assert granted == ["A", "B", "C"]
+        assert runtime.syscalls == 0
 
     def test_speed_factor_scales_work(self, sim):
         cpu = CpuPool(sim, cores=1, speed_factor=0.5)
