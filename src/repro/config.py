@@ -104,7 +104,8 @@ class CostModel:
     enclave_speed_factor: float = 0.78
     #: request-handler bookkeeping per KV operation (parse, dispatch).
     op_base_cpu: float = 1.2e-6
-    #: skip-list insert + record bookkeeping per MemTable write.
+    #: the enclave skip-list insert (SPEICHER's MemTable) + record
+    #: bookkeeping per MemTable write.
     memtable_insert_cpu: float = 0.5e-6
     #: per-record CPU during log replay at recovery (parse, validate,
     #: rebuild in-memory indexes); small entries make this dominate,

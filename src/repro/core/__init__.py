@@ -7,7 +7,6 @@ from .ids import GlobalTxnId, TxnIdAllocator
 from .node import TreatyNode
 from .pipeline import DurabilityPipeline
 from .recovery import (
-    StableCounterResolver,
     crash_and_recover,
     rollback_attack,
     snapshot_node_disk,
@@ -32,7 +31,6 @@ __all__ = [
     "LocalAttestationService",
     "NodeCredentials",
     "Participant",
-    "StableCounterResolver",
     "TreatyCluster",
     "TreatyNode",
     "TxnIdAllocator",

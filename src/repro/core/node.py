@@ -278,15 +278,12 @@ class TreatyNode:
                 parent=0, epoch=self.boot_count,
             )
 
-        resolver = None
+        read_stable_many = None
         if self.profile.stabilization:
-            # Import here: repro.core.recovery imports the cluster module
-            # (for the attack helpers), which imports this one.
-            from .recovery import StableCounterResolver
-
-            resolver = StableCounterResolver(self.counter_client)
-
-        state, prepared_ids = yield from self.engine.recover(resolver)
+            read_stable_many = self.counter_client.read_stable_many
+        state, prepared_ids, stable = yield from self.engine.recover(
+            read_stable_many
+        )
         # Recovery replays only the stable WAL prefix: every seq the
         # recovered snapshot exposes is already rollback-protected.
         self.pipeline.witness.advance_floor(self.engine.current_seq())
@@ -300,8 +297,10 @@ class TreatyNode:
         # replayed (an unstable suffix can only contain undecided or
         # unacknowledged protocol state, which recovery handles the same
         # either way); freshness is still enforced against the counter.
-        if resolver is not None:
-            clog_stable = yield from resolver(clog_path)
+        if read_stable_many is not None:
+            if clog_path not in stable:  # no MANIFEST edit names it yet
+                stable.update((yield from read_stable_many([clog_path])))
+            clog_stable = stable[clog_path]
             if self.clog.on_disk_max_counter() < clog_stable:
                 raise FreshnessError(
                     "Clog rolled back: %d on disk, %d stable"

@@ -338,9 +338,10 @@ class CounterClient:
         #: boot epoch: distinguishes operation ids across restarts so the
         #: peers' replay guards do not reject a recovered node's traffic.
         self.epoch = epoch
-        #: independent counter groups, routed by log-name hash.  Each
-        #: shard keeps its own pending marks, round driver and trace
-        #: context, so disjoint logs stop serializing through one round.
+        #: round pipelines over the one replica group, routed by
+        #: log-name hash.  Each shard keeps its own pending marks, round
+        #: driver and trace context, so disjoint logs stop serializing
+        #: through one round.
         self.num_shards = max(1, runtime.config.counter_shards)
         self._gates: Dict[str, Gate] = {}
         self._pending_target: List[Dict[str, int]] = [

@@ -89,29 +89,11 @@ class MsgType:
     #: distributed OCC: stateless read-committed range scan.
     TXN_SCAN_OCC = 22
 
+    #: type number → constant name (message labels and span names).
+    #: The comprehension's outer iterable is evaluated in the class body.
     NAMES = {
-        1: "TXN_READ",
-        2: "TXN_WRITE",
-        3: "TXN_PREPARE",
-        4: "TXN_COMMIT",
-        5: "TXN_ABORT",
-        6: "ACK",
-        7: "FAIL",
-        8: "COUNTER_UPDATE",
-        9: "COUNTER_ECHO",
-        10: "COUNTER_CONFIRM",
-        11: "CLIENT_REQUEST",
-        12: "CLIENT_REPLY",
-        13: "RECOVERY_QUERY",
-        14: "RECOVERY_REPLY",
-        15: "TXN_RESOLVE",
-        16: "TXN_RESOLVE_REPLY",
-        17: "TXN_SCAN",
-        18: "TXN_FENCE",
-        19: "DECISION_RECORD",
-        20: "DECISION_QUERY",
-        21: "TXN_READ_OCC",
-        22: "TXN_SCAN_OCC",
+        value: name for name, value in list(locals().items())
+        if name.isupper()
     }
 
 

@@ -359,7 +359,14 @@ def transaction_traces(
 
 
 def percentile(values: Sequence[float], p: float) -> float:
-    """Interpolated percentile, ``p`` in [0, 100] (0.0 for no samples)."""
+    """Interpolated percentile, ``p`` in [0, 100] (0.0 for no samples).
+
+    Exact over the samples given.  Every reported percentile — the
+    bench metrics, the baseline and the critical-path tables — comes
+    from here, over samples a finished run has kept, so one run's
+    sections agree to the digit.  The flight recorder cannot keep its
+    samples and uses :class:`~repro.obs.recorder.P2Quantile` instead.
+    """
     if not values:
         return 0.0
     ordered = sorted(values)

@@ -36,6 +36,11 @@ class P2Quantile:
     every update is pure arithmetic on the observation stream, so the
     estimate is a deterministic function of the (deterministic) stream.
     Exact for the first five observations, O(1) per update after.
+
+    O(1) memory is the reason it exists: the flight recorder is always
+    on, for a run of any length, and must judge each commit against the
+    running tail as it happens.  Reported percentiles are exact, from
+    :func:`~repro.obs.critpath.percentile`.
     """
 
     __slots__ = ("q", "count", "_heights", "_positions", "_desired",

@@ -5,7 +5,7 @@ from .engine import LSMEngine
 from .format import LogEntry, Reader, Writer, iter_log_entries, pack_kv, unpack_kv
 from .log import SecureLog
 from .manifest import Manifest, ManifestEdit, VersionState
-from .memtable import MemTable, SkipList, TOMBSTONE
+from .memtable import MemTable, TOMBSTONE
 from .records import WalRecord
 from .sstable import SSTableMeta, SSTableReader, build_sstable
 
@@ -21,7 +21,6 @@ __all__ = [
     "SSTableMeta",
     "SSTableReader",
     "SecureLog",
-    "SkipList",
     "TOMBSTONE",
     "VersionState",
     "WalRecord",

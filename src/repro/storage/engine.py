@@ -26,7 +26,6 @@ from ..config import ClusterConfig
 from ..crypto.keys import KeyRing
 from ..errors import FreshnessError, StorageError
 from ..sim.core import Event
-from ..sim.rng import SeededRng
 from ..sim.sync import Resource
 from ..tee.runtime import NodeRuntime
 from .disk import Disk
@@ -73,7 +72,6 @@ class LSMEngine:
         self.config = config
         self.name = name
         self.stabilize = stabilize
-        self._rng = SeededRng(config.seed, name, "engine")
 
         self.manifest = Manifest(
             SecureLog(runtime, disk, self._path("MANIFEST"), keyring,
@@ -81,7 +79,7 @@ class LSMEngine:
         )
         self.wal: Optional[SecureLog] = None
         self.levels: Dict[int, List[SSTableMeta]] = {}
-        self.memtable = MemTable(runtime, keyring, rng=self._rng.child("memtable"))
+        self.memtable = MemTable(runtime, keyring)
         self._readers: Dict[str, SSTableReader] = {}
         self._seq = 0
         self._file_seq = 0
@@ -413,37 +411,40 @@ class LSMEngine:
         self.runtime.sim.spawn(gc(), name="gc@%s" % self.name)
 
     # -- recovery -----------------------------------------------------------------
-    def recover(self, stable_counters=None) -> Gen:
+    def recover(self, read_stable_many=None) -> Gen:
         """Rebuild engine state from the untrusted disk after a crash.
 
-        ``stable_counters`` bounds each log's recovery to its trusted
+        ``read_stable_many`` bounds each log's recovery to its trusted
         stable prefix (entries beyond it were never acknowledged).  It
-        is ``None`` (trust everything — native baselines) or a
-        *resolver*: a generator function ``(log_name) -> Optional[int]``
-        that queries the trusted counter service lazily (used by
-        :mod:`repro.core.recovery`).
+        is ``None`` (trust everything — native baselines) or the node's
+        quorum read of the trusted counter service,
+        :meth:`~repro.core.trusted_counter.CounterClient.read_stable_many`
+        (``(log_names) -> {log_name: stable value}``).  It is called
+        twice: for the MANIFEST, then for every live WAL and Clog the
+        MANIFEST names.
 
         Freshness (§VI): for every log with a known stable value, the
         bytes on disk must reach that value; a rolled-back disk raises
         :class:`FreshnessError`.
 
-        Returns ``(version_state, prepared_txn_ids)``.
+        Returns ``(version_state, prepared_txn_ids, stable)``, where
+        ``stable`` holds every value read (empty without a reader).
         """
         if self._started:
             raise StorageError("recover() must run on a fresh engine instance")
         self._started = True
+        stable: Dict[str, Optional[int]] = {}
 
-        def limit_for(log_name: str) -> Gen:
-            if stable_counters is None:
-                return None
-            value = yield from stable_counters(log_name)
-            return value
+        def read_stable(log_names: List[str]) -> Gen:
+            if read_stable_many is not None and log_names:
+                values = yield from read_stable_many(sorted(set(log_names)))
+                stable.update(values)
 
-        def check_fresh(log: SecureLog, stable: Optional[int]) -> None:
-            if stable is not None and log.on_disk_max_counter() < stable:
+        def check_fresh(log: SecureLog, value: Optional[int]) -> None:
+            if value is not None and log.on_disk_max_counter() < value:
                 raise FreshnessError(
                     "log %s rolled back: disk has %d entries, %d are stable"
-                    % (log.log_name, log.on_disk_max_counter(), stable)
+                    % (log.log_name, log.on_disk_max_counter(), value)
                 )
 
         # MANIFEST: the whole authenticated chain is trusted — its
@@ -451,19 +452,15 @@ class LSMEngine:
         # the GC invariant (files are only deleted once the edit is
         # stable), so an unstable suffix is always safely replayable.
         # Freshness still applies: the disk must reach the stable value.
-        manifest_stable = yield from limit_for(self.manifest_log_name)
-        check_fresh(self.manifest.log, manifest_stable)
+        yield from read_stable([self.manifest_log_name])
+        check_fresh(self.manifest.log, stable.get(self.manifest_log_name))
         state = yield from self.manifest.replay()
         manifest_entries = yield from self.manifest.log.replay()
         self.manifest.log.reset_from_replay(manifest_entries)
 
-        # A vector-capable resolver (core.recovery.StableCounterResolver)
-        # fetches every live log's stable value with one quorum read now
-        # that the MANIFEST told us which logs exist; the per-log
-        # ``limit_for`` calls below then hit its cache.
-        prefetch = getattr(stable_counters, "prefetch", None)
-        if prefetch is not None and (state.live_wals or state.live_clogs):
-            yield from prefetch(list(state.live_wals) + list(state.live_clogs))
+        # Now that the MANIFEST named the live logs, one quorum read
+        # fetches every one's stable value.
+        yield from read_stable(state.live_wals + state.live_clogs)
 
         self.levels = {}
         for level, tables in state.tables.items():
@@ -483,7 +480,7 @@ class LSMEngine:
             wal = SecureLog(
                 self.runtime, self.disk, wal_path, self.keyring, log_name=wal_path
             )
-            wal_stable = yield from limit_for(wal_path)
+            wal_stable = stable.get(wal_path)
             check_fresh(wal, wal_stable)
             # The full authenticated chain is kept on disk; only entries
             # within the stable prefix are *applied*.  An unstable
@@ -546,7 +543,7 @@ class LSMEngine:
                 # on its next boot.
                 continue
             self.disk.delete(filename)
-        return state, list(self.prepared_txns.keys())
+        return state, list(self.prepared_txns.keys()), stable
 
     # -- statistics ----------------------------------------------------------------
     def table_count(self) -> int:

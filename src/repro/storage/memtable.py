@@ -1,4 +1,4 @@
-"""MemTable: a concurrent skip list with the enclave/host value split.
+"""MemTable: a sorted key index with the enclave/host value split.
 
 Treaty adapts SPEICHER's MemTable "by separating the keys from the
 values.  We keep keys along with their version number inside the enclave,
@@ -6,16 +6,20 @@ while we place the encrypted values in the untrusted host.  To access
 values and prove their authenticity we similarly keep a pointer to the
 value as well as its secure hash value along with the key" (§V-B).
 
-This module implements exactly that: a skip list whose nodes (keys,
+This module implements exactly that: a key index whose entries (keys,
 sequence numbers, value pointers, value hashes) are charged against
 enclave memory, and a host-memory value arena holding sealed blobs that
-the adversary can tamper with — tampering is detected on read.
+the adversary can tamper with — tampering is detected on read.  The
+enclave costs are the model's constants; the index itself is a dict for
+point operations plus a key list kept sorted for the two readers of key
+order, a flush and a range scan.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from hashlib import sha256
-from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional
 
 from ..crypto.keys import KeyRing
 from ..errors import IntegrityError
@@ -23,97 +27,15 @@ from ..sim.core import Event
 from ..sim.rng import SeededRng
 from ..tee.runtime import NodeRuntime
 
-__all__ = ["SkipList", "MemTable", "TOMBSTONE"]
+__all__ = ["MemTable", "TOMBSTONE"]
 
 Gen = Generator[Event, Any, Any]
 
 #: Sentinel for deletions ("no value, key removed").
 TOMBSTONE = object()
 
-_MAX_LEVEL = 16
 #: Modelled per-entry enclave overhead: node pointers, seq, hash, vptr.
 _NODE_OVERHEAD = 64
-
-
-class _Node:
-    __slots__ = ("key", "entry", "forward")
-
-    def __init__(self, key: Optional[bytes], level: int):
-        self.key = key
-        self.entry: Any = None
-        self.forward: List[Optional["_Node"]] = [None] * level
-
-
-class SkipList:
-    """An ordered map from bytes keys to entry objects.
-
-    A key → node dict answers a point lookup or an overwrite in one
-    probe; the linked levels keep the key order that flushes and scans
-    walk, and only a new key searches them.
-    """
-
-    def __init__(self, rng: Optional[SeededRng] = None):
-        self._rng = rng or SeededRng(0, "skiplist")
-        self._head = _Node(None, _MAX_LEVEL)
-        self._level = 1
-        self._nodes: Dict[bytes, _Node] = {}
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def _random_level(self) -> int:
-        level = 1
-        while level < _MAX_LEVEL and self._rng.random() < 0.25:
-            level += 1
-        return level
-
-    def _find_predecessors(self, key: bytes) -> List[_Node]:
-        update = [self._head] * _MAX_LEVEL
-        node = self._head
-        for i in range(self._level - 1, -1, -1):
-            while node.forward[i] is not None and node.forward[i].key < key:
-                node = node.forward[i]
-            update[i] = node
-        return update
-
-    def insert(self, key: bytes, entry: Any) -> bool:
-        """Insert or overwrite; returns True if the key was new."""
-        node = self._nodes.get(key)
-        if node is not None:
-            node.entry = entry
-            return False
-        update = self._find_predecessors(key)
-        level = self._random_level()
-        if level > self._level:
-            self._level = level
-        node = _Node(key, level)
-        node.entry = entry
-        for i in range(level):
-            node.forward[i] = update[i].forward[i]
-            update[i].forward[i] = node
-        self._nodes[key] = node
-        return True
-
-    def get(self, key: bytes) -> Any:
-        node = self._nodes.get(key)
-        return None if node is None else node.entry
-
-    def items(self) -> Iterator[Tuple[bytes, Any]]:
-        """All (key, entry) pairs in sorted key order."""
-        node = self._head.forward[0]
-        while node is not None:
-            yield node.key, node.entry
-            node = node.forward[0]
-
-    def range_items(
-        self, start: bytes, end: Optional[bytes] = None
-    ) -> Iterator[Tuple[bytes, Any]]:
-        """Sorted pairs with ``start <= key < end``."""
-        update = self._find_predecessors(start)
-        node = update[0].forward[0]
-        while node is not None and (end is None or node.key < end):
-            yield node.key, node.entry
-            node = node.forward[0]
 
 
 class _MemEntry:
@@ -137,12 +59,14 @@ class MemTable:
         runtime: NodeRuntime,
         keyring: KeyRing,
         name: str = "memtable",
-        rng: Optional[SeededRng] = None,
+        rng: Optional[SeededRng] = None,  # unused; perf/layers.py passes it
     ):
         self.runtime = runtime
         self.name = name
         self._aead = keyring.storage_aead(runtime.name, "memtable")
-        self._skip = SkipList(rng)
+        self._entries: Dict[bytes, _MemEntry] = {}
+        #: the keys of ``_entries`` in sorted order
+        self._keys: List[bytes] = []
         #: sealed value blobs living in *untrusted* host memory; exposed
         #: so attack tests can tamper with them.
         self.host_values: Dict[int, bytes] = {}
@@ -155,7 +79,7 @@ class MemTable:
         return self.runtime.encryption
 
     def __len__(self) -> int:
-        return len(self._skip)
+        return len(self._entries)
 
     # -- write path -----------------------------------------------------------
     def put(self, key: bytes, value: Optional[bytes], seq: int) -> Gen:
@@ -189,7 +113,9 @@ class MemTable:
         self._allocations.append(self.runtime.host_memory.allocate(len(stored)))
         if self.runtime.in_enclave:
             yield from self.runtime.touch_enclave(len(key) + _NODE_OVERHEAD)
-        self._skip.insert(key, entry)
+        if key not in self._entries:
+            insort(self._keys, key)
+        self._entries[key] = entry
         self.approximate_bytes += len(key) + len(stored) + _NODE_OVERHEAD
 
     # -- read path --------------------------------------------------------------
@@ -225,7 +151,7 @@ class MemTable:
         """
         if self.runtime.in_enclave:
             yield from self.runtime.touch_enclave(len(key) + _NODE_OVERHEAD)
-        entry = self._skip.get(key)
+        entry = self._entries.get(key)
         if entry is None or entry.is_tombstone:
             yield from self.runtime.compute(overhead)
             return None if entry is None else (TOMBSTONE, entry.seq)
@@ -234,34 +160,43 @@ class MemTable:
 
     def seq_of(self, key: bytes) -> Optional[int]:
         """Latest sequence number for ``key`` (no value access)."""
-        entry = self._skip.get(key)
+        entry = self._entries.get(key)
         return None if entry is None else entry.seq
 
     # -- flush support -----------------------------------------------------------
+    def _walk(self, index: int, end: Optional[bytes]) -> Gen:
+        """Decrypted entries in key order from ``self._keys[index]`` up
+        to ``end`` (exclusive).
+
+        A value's open yields, and a put may land meanwhile: the walk
+        goes on from the first key after the one it read, so a key
+        inserted behind it is skipped and one inserted ahead is read.
+        """
+        keys = self._keys
+        result = []
+        while index < len(keys):
+            key = keys[index]
+            if end is not None and key >= end:
+                break
+            entry = self._entries[key]
+            if entry.is_tombstone:
+                result.append((key, TOMBSTONE, entry.seq))
+            else:
+                plain = yield from self._load_value(key, entry)
+                result.append((key, plain, entry.seq))
+            index = bisect_right(keys, key)
+        return result
+
     def entries(self) -> Gen:
         """All live entries, sorted, decrypted — for flushing to an SSTable.
 
         Returns ``[(key, value_or_TOMBSTONE, seq), ...]``.
         """
-        result = []
-        for key, entry in self._skip.items():
-            if entry.is_tombstone:
-                result.append((key, TOMBSTONE, entry.seq))
-            else:
-                plain = yield from self._load_value(key, entry)
-                result.append((key, plain, entry.seq))
-        return result
+        return (yield from self._walk(0, None))
 
     def range_scan(self, start: bytes, end: Optional[bytes]) -> Gen:
         """Entries in ``[start, end)`` as ``[(key, value|TOMBSTONE, seq)]``."""
-        result = []
-        for key, entry in self._skip.range_items(start, end):
-            if entry.is_tombstone:
-                result.append((key, TOMBSTONE, entry.seq))
-            else:
-                plain = yield from self._load_value(key, entry)
-                result.append((key, plain, entry.seq))
-        return result
+        return (yield from self._walk(bisect_left(self._keys, start), end))
 
     def clear(self) -> None:
         """Drop all state (after a successful flush); frees both regions."""
@@ -269,5 +204,6 @@ class MemTable:
             allocation.free()
         self._allocations.clear()
         self.host_values.clear()
-        self._skip = SkipList()
+        self._entries = {}
+        self._keys = []
         self.approximate_bytes = 0

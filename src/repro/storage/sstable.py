@@ -9,6 +9,7 @@ modified byte on the untrusted SSD is detected on access.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from hashlib import sha256
 from typing import Any, Generator, List, Optional, Tuple
@@ -204,6 +205,8 @@ class SSTableReader:
         self.meta = meta
         self._aead = keyring.storage_aead(runtime.name, "sstable")
         self._index: Optional[List[Tuple[bytes, int, int, bytes]]] = None
+        #: each block's first key, for bisecting to a key's block
+        self._first_keys: List[bytes] = []
 
     @property
     def encrypted(self) -> bool:
@@ -250,6 +253,7 @@ class SSTableReader:
         for _ in range(count):
             index.append((reader.blob(), reader.u64(), reader.u64(), reader.blob()))
         self._index = index
+        self._first_keys = [entry[0] for entry in index]
         return index
 
     # -- blocks ---------------------------------------------------------------
@@ -261,35 +265,23 @@ class SSTableReader:
         plain = yield from self._verify_open(stored, block_hash, block_no)
         return _decode_block(plain)
 
-    def _block_for_key(self, index, key: bytes) -> int:
-        lo, hi = 0, len(index) - 1
-        result = 0
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if index[mid][0] <= key:
-                result = mid
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return result
+    def _block_for_key(self, key: bytes) -> int:
+        """The last block whose first key is <= ``key`` (block 0 if none
+        is); the footer is loaded."""
+        return max(bisect_right(self._first_keys, key) - 1, 0)
 
     # -- queries -----------------------------------------------------------------
     def get(self, key: bytes) -> Gen:
         """Returns ``(value_or_TOMBSTONE, seq)`` or None if absent."""
         if not self.meta.covers_key(key):
             return None
-        index = yield from self._load_footer()
-        block_no = self._block_for_key(index, key)
-        entries = yield from self._load_block(block_no)
-        lo, hi = 0, len(entries) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if entries[mid][0] == key:
-                return (entries[mid][1], entries[mid][2])
-            if entries[mid][0] < key:
-                lo = mid + 1
-            else:
-                hi = mid - 1
+        yield from self._load_footer()
+        entries = yield from self._load_block(self._block_for_key(key))
+        # ``(key,)`` sorts before ``(key, value, seq)`` and after every
+        # smaller key's entry; no value is ever compared.
+        at = bisect_left(entries, (key,))
+        if at < len(entries) and entries[at][0] == key:
+            return (entries[at][1], entries[at][2])
         return None
 
     def scan(self, start: bytes, end: Optional[bytes]) -> Gen:
@@ -298,7 +290,7 @@ class SSTableReader:
             return []
         index = yield from self._load_footer()
         result = []
-        first_block = self._block_for_key(index, start)
+        first_block = self._block_for_key(start)
         for block_no in range(first_block, len(index)):
             if end is not None and index[block_no][0] >= end:
                 break

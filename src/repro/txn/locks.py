@@ -1,9 +1,13 @@
-"""Sharded key lock table (§V-B).
+"""Key lock table (§V-B).
 
 "Nodes store a table of locks for their keys that is divided across
 shards, each protected with a lock, by splitting the key space.  TREATY
 runs with a big number of shards to avoid locking bottlenecks.  Txs that
 fail to acquire a lock within a timeframe, return with a timeout error."
+
+The shards keep enclave threads from contending on one latch.  Fibers
+here run one at a time and a table access costs no model time, so the
+table is a single dict.
 
 Locks are reader/writer with FIFO waiting and same-transaction upgrade
 (R→W).  Deadlocks are resolved by the timeout, exactly as in the paper.
@@ -60,15 +64,12 @@ class _KeyLock:
 
 
 class LockTable:
-    """Per-node lock manager, sharded by key hash."""
+    """Per-node lock manager: one lock state per held or awaited key."""
 
-    def __init__(self, sim: Simulator, shards: int = 256, timeout: float = 0.5):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
+    def __init__(self, sim: Simulator, timeout: float = 0.5):
         self.sim = sim
-        self.shards = shards
         self.timeout = timeout
-        self._tables: List[Dict[bytes, _KeyLock]] = [dict() for _ in range(shards)]
+        self._locks: Dict[bytes, _KeyLock] = {}
         self._held: Dict[bytes, Dict[bytes, str]] = defaultdict(OrderedDict)
         self.timeouts = 0
         self.acquisitions = 0
@@ -82,19 +83,10 @@ class LockTable:
         self.node_name: Optional[str] = None
 
     # -- internals ----------------------------------------------------------
-    def _lock_for(self, key: bytes, create: bool = True) -> Optional[_KeyLock]:
-        shard = self._tables[hash(key) % self.shards]
-        state = shard.get(key)
-        if state is None and create:
-            state = _KeyLock()
-            shard[key] = state
-        return state
-
     def _gc(self, key: bytes) -> None:
-        shard = self._tables[hash(key) % self.shards]
-        state = shard.get(key)
+        state = self._locks.get(key)
         if state is not None and state.is_free():
-            del shard[key]
+            del self._locks[key]
 
     def _wake_waiters(self, state: _KeyLock) -> None:
         while state.waiters:
@@ -128,7 +120,9 @@ class LockTable:
         """Acquire ``key`` in ``mode`` for ``txn_id`` or raise LockTimeout."""
         if self.holds(txn_id, key, mode):
             return
-        state = self._lock_for(key)
+        state = self._locks.get(key)
+        if state is None:
+            state = self._locks[key] = _KeyLock()
         upgrade = (
             mode == LockMode.EXCLUSIVE
             and txn_id in state.owners
@@ -171,7 +165,7 @@ class LockTable:
         if not held:
             return
         for key in held:
-            state = self._lock_for(key, create=False)
+            state = self._locks.get(key)
             if state is None:
                 continue
             state.owners.discard(txn_id)
@@ -184,4 +178,4 @@ class LockTable:
         return list(self._held.get(txn_id, ()))
 
     def total_locked_keys(self) -> int:
-        return sum(len(shard) for shard in self._tables)
+        return len(self._locks)

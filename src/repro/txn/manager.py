@@ -25,7 +25,6 @@ __all__ = ["TransactionManager"]
 
 Gen = Generator[Event, Any, Any]
 
-LOCK_SHARDS = 256
 #: seconds before a lock wait aborts with a timeout error (§V-B).  Also
 #: the deadlock-resolution latency, so it is kept roughly one order of
 #: magnitude above a contended transaction's latency.
@@ -47,9 +46,7 @@ class TransactionManager:
         self.engine = engine
         self.config = config
         self.name = name
-        self.locks = LockTable(
-            runtime.sim, shards=LOCK_SHARDS, timeout=LOCK_TIMEOUT
-        )
+        self.locks = LockTable(runtime.sim, timeout=LOCK_TIMEOUT)
         self.locks.wait_hist = runtime.metrics.histogram("locks.wait_s")
         self.locks.node_name = runtime.name or name
         runtime.metrics.probe("locks.timeouts", lambda: self.locks.timeouts)

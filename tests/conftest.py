@@ -83,20 +83,20 @@ class StorageHarness:
         """Simulate a crash: new runtime/engine over the same disk.
 
         ``stable_counters`` maps log names to their trusted stable
-        values; the engine is handed a resolver over it."""
+        values; the engine reads it as it reads the counter service."""
         fresh = StorageHarness(
             profile=profile or self.runtime.profile,
             config=self.config,
             name=self.name,
             disk=self.disk,
         )
-        resolver = None
+        read_stable_many = None
         if stable_counters is not None:
-            def resolver(log_name):
-                return stable_counters.get(log_name)
+            def read_stable_many(log_names):
+                return {name: stable_counters.get(name) for name in log_names}
                 yield  # a generator function, as recover() expects
 
-        fresh.run(fresh.engine.recover(resolver))
+        fresh.run(fresh.engine.recover(read_stable_many))
         return fresh
 
 

@@ -18,17 +18,8 @@ from repro.core import (
 )
 from repro.core.recovery import find_log_file
 from repro.errors import FreshnessError, IntegrityError, TransactionAborted
+from repro.mc.workload import keys_on
 from repro.net import NetworkAdversary
-
-
-def local_keys(cluster, node_index, count=4, tag=b"rk"):
-    keys, i = [], 0
-    while len(keys) < count:
-        key = b"%s-%05d" % (tag, i)
-        if cluster.partitioner(key) == node_index:
-            keys.append(key)
-        i += 1
-    return keys
 
 
 def commit_local(cluster, node_index, pairs):
@@ -54,7 +45,7 @@ def read_local(cluster, node_index, key):
 class TestCrashRecovery:
     def test_committed_data_survives_crash(self):
         cluster = TreatyCluster(profile=TREATY_FULL).start()
-        keys = local_keys(cluster, 1)
+        keys = keys_on(cluster, 1, 4, b"rk")
         commit_local(cluster, 1, [(k, b"v-" + k) for k in keys])
         cluster.run(crash_and_recover(cluster, 1))
         for key in keys:
@@ -62,14 +53,14 @@ class TestCrashRecovery:
 
     def test_recovered_node_serves_new_transactions(self):
         cluster = TreatyCluster(profile=TREATY_FULL).start()
-        keys = local_keys(cluster, 2, tag=b"nw")
+        keys = keys_on(cluster, 2, 4, b"nw")
         cluster.run(crash_and_recover(cluster, 2))
         commit_local(cluster, 2, [(keys[0], b"after-recovery")])
         assert read_local(cluster, 2, keys[0]) == b"after-recovery"
 
     def test_distributed_commit_survives_participant_crash(self):
         cluster = TreatyCluster(profile=TREATY_FULL).start()
-        spread = {i: local_keys(cluster, i, 1, tag=b"dc")[0] for i in range(3)}
+        spread = {i: keys_on(cluster, i, 1, b"dc")[0] for i in range(3)}
 
         def body():
             txn = cluster.nodes[0].coordinator.begin()
@@ -89,7 +80,7 @@ class TestCrashRecovery:
         cluster = TreatyCluster(profile=TREATY_FULL).start()
         sim, node = cluster.sim, cluster.nodes[0]
         session = cluster.session(cluster.client_machine(), coordinator=0)
-        key = local_keys(cluster, 0, 1, tag=b"rw")[0]
+        key = keys_on(cluster, 0, 1, b"rw")[0]
         cluster.crash_node(0)
         boots, stale_frontend = node.boot_count, node.frontend
         recovery = sim.process(cluster.recover_node(0))
@@ -118,7 +109,7 @@ class TestCrashRecovery:
 
     def test_double_crash_recovery(self):
         cluster = TreatyCluster(profile=TREATY_FULL).start()
-        keys = local_keys(cluster, 0, tag=b"dd")
+        keys = keys_on(cluster, 0, 4, b"dd")
         commit_local(cluster, 0, [(keys[0], b"1")])
         cluster.run(crash_and_recover(cluster, 0))
         commit_local(cluster, 0, [(keys[1], b"2")])
@@ -128,7 +119,7 @@ class TestCrashRecovery:
 
     def test_native_profile_recovery_works(self):
         cluster = TreatyCluster(profile=DS_ROCKSDB).start()
-        keys = local_keys(cluster, 1, tag=b"nv")
+        keys = keys_on(cluster, 1, 4, b"nv")
         commit_local(cluster, 1, [(keys[0], b"plain")])
         cluster.run(crash_and_recover(cluster, 1))
         assert read_local(cluster, 1, keys[0]) == b"plain"
@@ -150,7 +141,7 @@ class TestAtomicityAcrossCrashes:
             and not f.meta.get("is_request")
             and f.meta.get("req_type") == 3  # drop TXN_PREPARE ACKs
         )
-        spread = {i: local_keys(cluster, i, 1, tag=b"cc")[0] for i in range(3)}
+        spread = {i: keys_on(cluster, i, 1, b"cc")[0] for i in range(3)}
 
         def doomed():
             txn = cluster.nodes[0].coordinator.begin()
@@ -181,7 +172,7 @@ class TestAtomicityAcrossCrashes:
             and f.meta.get("req_type") == 4  # drop TXN_COMMIT to node1
             and f.dst == "node1"
         )
-        spread = {i: local_keys(cluster, i, 1, tag=b"pc")[0] for i in range(3)}
+        spread = {i: keys_on(cluster, i, 1, b"pc")[0] for i in range(3)}
 
         def commit_fiber():
             txn = cluster.nodes[0].coordinator.begin()
@@ -369,7 +360,7 @@ class TestCrashWithTheOwnApplyInFlight:
 class TestRollbackProtection:
     def test_rollback_attack_detected(self):
         cluster = TreatyCluster(profile=TREATY_FULL).start()
-        keys = local_keys(cluster, 1, tag=b"ra")
+        keys = keys_on(cluster, 1, 4, b"ra")
         commit_local(cluster, 1, [(keys[0], b"old")])
         stale = snapshot_node_disk(cluster, 1)
         commit_local(cluster, 1, [(keys[1], b"new")])
@@ -381,7 +372,7 @@ class TestRollbackProtection:
     def test_rollback_to_empty_disk_detected(self):
         cluster = TreatyCluster(profile=TREATY_FULL).start()
         node = cluster.nodes[2]
-        keys = local_keys(cluster, 2, tag=b"re")
+        keys = keys_on(cluster, 2, 4, b"re")
         empty = snapshot_node_disk(cluster, 2)
         commit_local(cluster, 2, [(keys[0], b"data")])
         cluster.sim.run(until=cluster.sim.now + 0.1)
@@ -392,7 +383,7 @@ class TestRollbackProtection:
         """A genuine crash loses un-acknowledged entries: that is not an
         attack and recovery must succeed."""
         cluster = TreatyCluster(profile=TREATY_FULL).start()
-        keys = local_keys(cluster, 1, tag=b"us")
+        keys = keys_on(cluster, 1, 4, b"us")
         commit_local(cluster, 1, [(keys[0], b"acked")])
         cluster.sim.run(until=cluster.sim.now + 0.1)
         cluster.run(crash_and_recover(cluster, 1))
@@ -401,7 +392,7 @@ class TestRollbackProtection:
     def test_rollback_not_detected_without_stabilization(self):
         """The ablation: w/o the stabilization protocol the attack wins."""
         cluster = TreatyCluster(profile=TREATY_ENC).start()
-        keys = local_keys(cluster, 1, tag=b"rn")
+        keys = keys_on(cluster, 1, 4, b"rn")
         commit_local(cluster, 1, [(keys[0], b"old")])
         stale = snapshot_node_disk(cluster, 1)
         commit_local(cluster, 1, [(keys[1], b"new")])
@@ -413,7 +404,7 @@ class TestTamperDetection:
     @pytest.mark.parametrize("log_kind", ["wal", "manifest"])
     def test_tampered_log_detected(self, log_kind):
         cluster = TreatyCluster(profile=TREATY_ENC).start()
-        keys = local_keys(cluster, 1, tag=b"tl")
+        keys = keys_on(cluster, 1, 4, b"tl")
         commit_local(cluster, 1, [(keys[0], b"v")])
         filename = find_log_file(cluster.nodes[1], log_kind)
         with pytest.raises(IntegrityError):
@@ -421,7 +412,7 @@ class TestTamperDetection:
 
     def test_tampered_clog_detected(self):
         cluster = TreatyCluster(profile=TREATY_ENC).start()
-        spread = {i: local_keys(cluster, i, 1, tag=b"tc")[0] for i in range(3)}
+        spread = {i: keys_on(cluster, i, 1, b"tc")[0] for i in range(3)}
 
         def body():
             txn = cluster.nodes[0].coordinator.begin()
@@ -437,7 +428,7 @@ class TestTamperDetection:
 
     def test_native_baseline_cannot_detect_tampering(self):
         cluster = TreatyCluster(profile=DS_ROCKSDB).start()
-        keys = local_keys(cluster, 1, tag=b"tn")
+        keys = keys_on(cluster, 1, 4, b"tn")
         commit_local(cluster, 1, [(keys[0], b"v")])
         filename = find_log_file(cluster.nodes[1], "manifest")
         # Flip a byte inside the recorded WAL filename: the baseline

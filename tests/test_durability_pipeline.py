@@ -5,13 +5,15 @@ import pytest
 
 from repro.config import ClusterConfig, TREATY_FULL
 from repro.core import (
-    StableCounterResolver,
     TreatyCluster,
     crash_and_recover,
     rollback_attack,
     snapshot_node_disk,
 )
+from repro.core.trusted_counter import decode_counter_vector, shard_of
 from repro.errors import FreshnessError
+from repro.mc.workload import keys_on
+from repro.net import MsgType, SecureRpc
 from repro.obs import InvariantMonitor, MonitorViolation, Tracer
 from repro.sim import Simulator
 from repro.txn.group_commit import GROUP_COMMIT_WINDOW_CAP
@@ -20,16 +22,6 @@ from repro.txn.group_commit import GROUP_COMMIT_WINDOW_CAP
 def make_cluster(**overrides):
     config = ClusterConfig(**overrides)
     return TreatyCluster(profile=TREATY_FULL, config=config).start()
-
-
-def local_keys(cluster, node_index, count=4, tag=b"dp"):
-    keys, i = [], 0
-    while len(keys) < count:
-        key = b"%s-%05d" % (tag, i)
-        if cluster.partitioner(key) == node_index:
-            keys.append(key)
-        i += 1
-    return keys
 
 
 # -- vectored counter rounds ---------------------------------------------------
@@ -106,26 +98,40 @@ class TestVectoredRounds:
 
 
 class TestVectoredRecovery:
-    def test_resolver_prefetches_many_logs_in_one_read(self):
-        cluster = make_cluster()
-        client = cluster.nodes[0].counter_client
+    def test_recovery_reads_every_shard_in_two_fanouts(self, monkeypatch):
+        """Every replica holds every log, so one quorum read covers all
+        counter shards: the MANIFEST's, then every live WAL's and
+        Clog's, whichever shards they hash to."""
+        cluster = make_cluster(counter_shards=4)
+        keys = keys_on(cluster, 1, 4, b"fo")
 
-        def body():
-            yield from client.stabilize_many([("rr-log-a", 7), ("rr-log-b", 2)])
-            resolver = StableCounterResolver(cluster.nodes[1].counter_client)
-            yield from resolver.prefetch(["rr-log-a", "rr-log-b", "rr-log-c"])
-            a = yield from resolver("rr-log-a")
-            b = yield from resolver("rr-log-b")
-            c = yield from resolver("rr-log-c")
-            return resolver.reads, (a, b, c)
+        def commit():
+            txn = cluster.nodes[1].coordinator.begin()
+            for key in keys:
+                yield from txn.put(key, b"v-" + key)
+            yield from txn.commit()
 
-        reads, values = cluster.run(body())
-        assert reads == 1  # the cached calls issue no further rounds
-        assert values == (7, 2, 0)
+        cluster.run(commit())
+        fanouts = []
+        gather = SecureRpc.gather
+
+        def counted_gather(rpc, pairs, *args, **kwargs):
+            if pairs and pairs[0][1].msg_type == MsgType.RECOVERY_QUERY:
+                fanouts.append([name for name, _ in
+                                decode_counter_vector(pairs[0][1].body)])
+            return gather(rpc, pairs, *args, **kwargs)
+
+        monkeypatch.setattr(SecureRpc, "gather", counted_gather)
+        cluster.run(crash_and_recover(cluster, 1))
+        manifest, live_logs = fanouts
+        assert manifest == ["node1/MANIFEST"]
+        assert len({shard_of(name, 4) for name in live_logs}) >= 2
+        assert any("/wal-" in name for name in live_logs)
+        assert any("/clog-" in name for name in live_logs)
 
     def test_committed_data_survives_crash_with_vectored_reads(self):
         cluster = make_cluster()
-        keys = local_keys(cluster, 1)
+        keys = keys_on(cluster, 1, 4, b"dp")
 
         def commit():
             txn = cluster.nodes[1].coordinator.begin()
@@ -147,7 +153,7 @@ class TestVectoredRecovery:
 
     def test_rollback_attack_still_detected(self):
         cluster = make_cluster()
-        keys = local_keys(cluster, 1, tag=b"ra")
+        keys = keys_on(cluster, 1, 4, b"ra")
 
         def commit(key, value):
             txn = cluster.nodes[1].coordinator.begin()
@@ -350,7 +356,7 @@ class TestLivenessMonitor:
 
     def test_full_run_under_liveness_monitor_is_green(self):
         cluster = make_cluster(monitor=True, monitor_liveness_timeout_s=1.0)
-        keys = [local_keys(cluster, i, 1, tag=b"lv")[0] for i in range(3)]
+        keys = [keys_on(cluster, i, 1, b"lv")[0] for i in range(3)]
 
         def body():
             txn = cluster.session(cluster.client_machine()).begin()

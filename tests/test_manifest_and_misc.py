@@ -158,7 +158,7 @@ class TestLockTableMisc:
         from repro.txn import LockMode, LockTable
 
         sim = Simulator()
-        table = LockTable(sim, shards=4)
+        table = LockTable(sim)
         sim.run_process(table.acquire(b"t", b"k", LockMode.EXCLUSIVE))
         assert table.holds(b"t", b"k")
         assert table.holds(b"t", b"k", LockMode.SHARED)  # W covers R
@@ -171,7 +171,7 @@ class TestLockTableMisc:
         from repro.txn import LockMode, LockTable
 
         sim = Simulator()
-        table = LockTable(sim, shards=4)
+        table = LockTable(sim)
         sim.run_process(table.acquire(b"t", b"k", LockMode.SHARED))
         assert table.holds(b"t", b"k", LockMode.SHARED)
         assert not table.holds(b"t", b"k", LockMode.EXCLUSIVE)

@@ -4,12 +4,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import ClusterConfig, DS_ROCKSDB, TREATY_ENC
-from repro.crypto import Aead, LogChain
+from repro.crypto import Aead, KeyRing, LogChain
 from repro.crypto.aead import IV_BYTES
 from repro.errors import IntegrityError
 from repro.net.message import MsgType, TxMessage, seal_batch, unseal_batch
-from repro.sim import SeededRng, Simulator
-from repro.storage import SkipList, Writer, Reader
+from repro.storage import MemTable, TOMBSTONE, Writer, Reader
 from repro.storage.records import WalRecord
 from repro.storage.sstable import SSTableMeta
 
@@ -146,85 +145,87 @@ class TestLogChainProperties:
                 reader.verify_next(counter, body, tag)
 
 
-def _shape(skiplist):
-    """(key, tower height) of every node, in key order."""
-    shape = []
-    node = skiplist._head.forward[0]
-    while node is not None:
-        shape.append((node.key, len(node.forward)))
-        node = node.forward[0]
-    return shape
+def _memtable_after(operations):
+    """A MemTable after ``(key, value)`` puts at seqs 1, 2, ... (value
+    None: a tombstone), the harness that runs it, and the dict model
+    ``key -> (value or TOMBSTONE, seq)``."""
+    from tests.conftest import StorageHarness
+
+    harness = StorageHarness(profile=TREATY_ENC)
+    table = MemTable(harness.runtime, KeyRing(KEY))
+    model = {}
+
+    def body():
+        for seq, (key, value) in enumerate(operations, 1):
+            yield from table.put(key, value, seq)
+            model[key] = (TOMBSTONE if value is None else value, seq)
+
+    harness.run(body())
+    return harness, table, model
 
 
-class TestSkipListProperties:
+def _rows(model, start=b"", end=None):
+    return [(key, value, seq) for key, (value, seq) in sorted(model.items())
+            if start <= key and (end is None or key < end)]
+
+
+values_or_tombstone_st = st.none() | st.binary(max_size=8)
+
+
+class TestMemTableProperties:
     @_SETTINGS
     @given(
         operations=st.lists(
-            st.tuples(keys_st, st.integers(0, 1000)), max_size=80
+            st.tuples(keys_st, values_or_tombstone_st), max_size=80
         ),
-        seed=st.integers(0, 2**32),
     )
-    def test_matches_dict_model(self, operations, seed):
-        skiplist = SkipList(SeededRng(seed, "prop"))
-        model = {}
-        for key, value in operations:
-            skiplist.insert(key, value)
-            model[key] = value
-        assert len(skiplist) == len(model)
-        assert list(skiplist.items()) == sorted(model.items())
-        for key, value in model.items():
-            assert skiplist.get(key) == value
+    def test_matches_dict_model(self, operations):
+        harness, table, model = _memtable_after(operations)
+        assert len(table) == len(model)
+        assert harness.run(table.entries()) == _rows(model)
+        for key, (value, seq) in model.items():
+            assert harness.run(table.get(key)) == (value, seq)
+            assert table.seq_of(key) == seq
 
     @_SETTINGS
     @given(
         operations=st.lists(
             st.tuples(st.sampled_from([b"a", b"ab", b"b", b"c\x00"]) | keys_st,
-                      st.integers(0, 1000)),
+                      values_or_tombstone_st),
             max_size=80,
         ),
         probes=st.lists(keys_st, max_size=10),
         bounds=st.tuples(keys_st, keys_st),
-        seed=st.integers(0, 2**32),
     )
     def test_inserts_and_overwrites_match_sorted_dict(
-        self, operations, probes, bounds, seed
+        self, operations, probes, bounds
     ):
-        """The key index and the ordered levels agree with a dict and
-        ``sorted`` after any insert/overwrite sequence; an overwrite draws
-        no level, so the list has the shape of its first inserts alone."""
-        skiplist = SkipList(SeededRng(seed, "prop"))
-        model = {}
-        for key, value in operations:
-            assert skiplist.insert(key, value) == (key not in model)
-            model[key] = value
-        assert len(skiplist) == len(model)
-        assert list(skiplist.items()) == sorted(model.items())
-        for key in list(model) + probes:
-            assert skiplist.get(key) == model.get(key)
+        """After any put/overwrite/delete sequence the key index and the
+        sorted key list agree with a dict and ``sorted``."""
+        harness, table, model = _memtable_after(operations)
+        assert len(table) == len(model)
+        assert harness.run(table.entries()) == _rows(model)
+        for key in probes:
+            if key not in model:
+                assert harness.run(table.get(key)) is None
+                assert table.seq_of(key) is None
         start, end = min(bounds), max(bounds)
-        assert list(skiplist.range_items(start, end)) == sorted(
-            (k, v) for k, v in model.items() if start <= k < end)
-        assert list(skiplist.range_items(start)) == sorted(
-            (k, v) for k, v in model.items() if start <= k)
-
-        first_inserts = SkipList(SeededRng(seed, "prop"))
-        for key in model:  # insertion order of each key's first insert
-            first_inserts.insert(key, None)
-        assert _shape(skiplist) == _shape(first_inserts)
+        assert harness.run(table.range_scan(start, end)) == _rows(
+            model, start, end)
+        assert harness.run(table.range_scan(start, None)) == _rows(
+            model, start)
 
     @_SETTINGS
     @given(
         keys=st.sets(keys_st, min_size=1, max_size=40),
         bounds=st.tuples(keys_st, keys_st),
-        seed=st.integers(0, 2**32),
     )
-    def test_range_matches_model(self, keys, bounds, seed):
+    def test_range_matches_model(self, keys, bounds):
         start, end = min(bounds), max(bounds)
-        skiplist = SkipList(SeededRng(seed, "prop"))
-        for key in keys:
-            skiplist.insert(key, None)
+        harness, table, _model = _memtable_after([(k, b"") for k in keys])
         expected = sorted(k for k in keys if start <= k < end)
-        assert [k for k, _ in skiplist.range_items(start, end)] == expected
+        scanned = harness.run(table.range_scan(start, end))
+        assert [k for k, _, _ in scanned] == expected
 
 
 class TestEngineMatchesModel:

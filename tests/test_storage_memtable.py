@@ -1,4 +1,4 @@
-"""Tests for the skip list and the enclave/host-split MemTable."""
+"""Tests for the enclave/host-split MemTable and its key order."""
 
 import pytest
 
@@ -6,60 +6,89 @@ from repro.config import DS_ROCKSDB, TREATY_ENC
 from repro.crypto import KeyRing
 from repro.errors import IntegrityError
 from repro.sim import SeededRng
-from repro.storage import MemTable, SkipList, TOMBSTONE
+from repro.storage import MemTable, TOMBSTONE
 
 from tests.conftest import ROOT_KEY, StorageHarness
-
-
-class TestSkipList:
-    def test_insert_get(self):
-        skiplist = SkipList(SeededRng(1, "t"))
-        assert skiplist.insert(b"b", 2)
-        assert skiplist.insert(b"a", 1)
-        assert skiplist.get(b"a") == 1
-        assert skiplist.get(b"b") == 2
-        assert skiplist.get(b"c") is None
-
-    def test_overwrite_returns_false(self):
-        skiplist = SkipList(SeededRng(1, "t"))
-        assert skiplist.insert(b"k", 1)
-        assert not skiplist.insert(b"k", 2)
-        assert skiplist.get(b"k") == 2
-        assert len(skiplist) == 1
-
-    def test_sorted_iteration(self):
-        skiplist = SkipList(SeededRng(1, "t"))
-        keys = [b"%04d" % i for i in range(200)]
-        for key in reversed(keys):
-            skiplist.insert(key, key)
-        assert [k for k, _ in skiplist.items()] == keys
-
-    def test_range_items(self):
-        skiplist = SkipList(SeededRng(1, "t"))
-        for i in range(20):
-            skiplist.insert(b"%02d" % i, i)
-        result = [k for k, _ in skiplist.range_items(b"05", b"09")]
-        assert result == [b"05", b"06", b"07", b"08"]
-
-    def test_range_open_end(self):
-        skiplist = SkipList(SeededRng(1, "t"))
-        for i in range(5):
-            skiplist.insert(b"%d" % i, i)
-        assert [k for k, _ in skiplist.range_items(b"3", None)] == [b"3", b"4"]
-
-    def test_large_scale_ordering(self):
-        rng = SeededRng(7, "keys")
-        skiplist = SkipList(SeededRng(1, "t"))
-        keys = {bytes([rng.randrange(256) for _ in range(8)]) for _ in range(2000)}
-        for key in keys:
-            skiplist.insert(key, None)
-        assert [k for k, _ in skiplist.items()] == sorted(keys)
 
 
 def make_memtable(profile=TREATY_ENC):
     harness = StorageHarness(profile=profile)
     table = MemTable(harness.runtime, KeyRing(ROOT_KEY))
     return harness, table
+
+
+def put_all(harness, table, pairs):
+    """Put ``(key, value)`` pairs at seqs 1, 2, ... (value None: delete)."""
+
+    def body():
+        for seq, (key, value) in enumerate(pairs, 1):
+            yield from table.put(key, value, seq)
+
+    harness.run(body())
+
+
+def scanned_keys(harness, table, start, end):
+    return [key for key, _, _ in harness.run(table.range_scan(start, end))]
+
+
+class TestMemTableOrder:
+    def test_insert_get(self):
+        harness, table = make_memtable()
+        put_all(harness, table, [(b"b", b"2"), (b"a", b"1")])
+        assert harness.run(table.get(b"a")) == (b"1", 2)
+        assert harness.run(table.get(b"b")) == (b"2", 1)
+        assert harness.run(table.get(b"c")) is None
+
+    def test_overwrite_keeps_one_key(self):
+        harness, table = make_memtable()
+        put_all(harness, table, [(b"k", b"1"), (b"k", b"2")])
+        assert harness.run(table.get(b"k")) == (b"2", 2)
+        assert len(table) == 1
+        assert harness.run(table.entries()) == [(b"k", b"2", 2)]
+
+    def test_sorted_iteration(self):
+        harness, table = make_memtable()
+        keys = [b"%04d" % i for i in range(200)]
+        put_all(harness, table, [(key, key) for key in reversed(keys)])
+        assert [k for k, _, _ in harness.run(table.entries())] == keys
+
+    def test_range_scan_half_open(self):
+        harness, table = make_memtable()
+        put_all(harness, table, [(b"%02d" % i, b"v") for i in range(20)])
+        assert scanned_keys(harness, table, b"05", b"09") == [
+            b"05", b"06", b"07", b"08"]
+        assert scanned_keys(harness, table, b"051", b"07") == [b"06"]
+        assert scanned_keys(harness, table, b"09", b"05") == []
+
+    def test_range_open_end(self):
+        harness, table = make_memtable()
+        put_all(harness, table, [(b"%d" % i, b"v") for i in range(5)])
+        assert scanned_keys(harness, table, b"3", None) == [b"3", b"4"]
+
+    def test_large_scale_ordering(self):
+        rng = SeededRng(7, "keys")
+        harness, table = make_memtable(profile=DS_ROCKSDB)
+        keys = {bytes([rng.randrange(256) for _ in range(8)]) for _ in range(2000)}
+        put_all(harness, table, [(key, b"") for key in keys])
+        assert [k for k, _, _ in harness.run(table.entries())] == sorted(keys)
+
+    def test_put_during_walk(self):
+        """A put that lands while the walk opens a value: a key behind
+        the walk is skipped, one ahead of it is read, as in a linked
+        list walked node by node."""
+        harness, table = make_memtable()
+        put_all(harness, table, [(b"b", b"2"), (b"d", b"4")])
+        load_value = table._load_value
+
+        def put_while_opening(key, entry, overhead=0.0):
+            if key == b"b":
+                yield from table.put(b"a", b"behind", 3)
+                yield from table.put(b"c", b"ahead", 4)
+            return (yield from load_value(key, entry, overhead))
+
+        table._load_value = put_while_opening
+        assert harness.run(table.entries()) == [
+            (b"b", b"2", 1), (b"c", b"ahead", 4), (b"d", b"4", 2)]
 
 
 class TestMemTable:

@@ -14,7 +14,7 @@ def sim():
 
 @pytest.fixture
 def table(sim):
-    return LockTable(sim, shards=16, timeout=0.5)
+    return LockTable(sim, timeout=0.5)
 
 
 def run(sim, gen):
@@ -162,7 +162,3 @@ class TestWaitingAndRelease:
         sim.process(txn(b"t2", b"b", b"a"))
         sim.run()
         assert "timeout" in results.values()
-
-    def test_shard_count_validation(self, sim):
-        with pytest.raises(ValueError):
-            LockTable(sim, shards=0)
