@@ -55,11 +55,6 @@ SecureHandler = Callable[[TxMessage, str], Generator[Event, Any, TxMessage]]
 #: packed in so a batch replayed under a different identity fails the MAC.
 _AAD_BATCH = b"treaty-batch-v1"
 
-#: replay-guard txn-id sentinel for batch-level sequence entries.  Real
-#: transaction ids are non-negative, so batch entries can never collide
-#: with per-message ``(node, txn, op)`` triples.
-_BATCH_TXN_SENTINEL = -1
-
 
 def _parts_context(parts: Sequence[bytes]) -> Tuple[Optional[str], int]:
     """``(trace, parent sid)`` of a batch's first context-carrying part,
@@ -233,14 +228,13 @@ class SecureRpc:
             # The pass is made whether or not the MAC verifies.
             self.seal_ops += 1
             self._seal_ops_counter.inc()
-        # Batch-level at-most-once: the (sender, batch sequence) pair is
-        # recorded in the same replay guard as per-message triples, so a
-        # duplicated/replayed frame is rejected before any sub-message
-        # dispatches — atomically, as the adversary delivered it.
+        # Batch-level at-most-once: the (sender, batch id) pair goes
+        # through the sender epoch's replay window, so a duplicated or
+        # replayed frame is rejected before any sub-message dispatches —
+        # atomically, as the adversary delivered it.
         try:
-            self.replay_guard.check_key(
-                (meta.get("batch_src", 0), _BATCH_TXN_SENTINEL,
-                 meta.get("batch_id", 0))
+            self.replay_guard.check_batch(
+                meta.get("batch_src", 0), meta.get("batch_id", 0)
             )
         except ReplayError:
             return None

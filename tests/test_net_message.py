@@ -1,20 +1,27 @@
 """Tests for Treaty's secure message format and the replay guard."""
 
 import struct
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.bench import MetricsCollector
+from repro.config import TREATY_ENC
+from repro.core import TreatyCluster
 from repro.crypto import Aead
 from repro.errors import IntegrityError, ReplayError
 from repro.net import MsgType, ReplayGuard, TxMessage, wire_size
 from repro.net.message import (
     METADATA_BYTES,
     PAD_BYTES,
+    REPLAY_WINDOW,
     batch_wire_size,
     seal_batch,
     unseal_batch,
 )
 from repro.crypto.aead import IV_BYTES, MAC_BYTES
+from repro.workloads import YcsbConfig, bulk_load, run_ycsb
 
 KEY = bytes(range(32))
 IV = b"\x07" * IV_BYTES
@@ -168,16 +175,100 @@ class TestTxMessageContract:
             sample_message().with_trace("abcd", 1, 1).encode()
 
 
+W = REPLAY_WINDOW
+
+_SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+#: a step from the running max: mostly anywhere in the window, often a
+#: near neighbour so duplicates are common.
+_steps = st.lists(
+    st.one_of(st.integers(-(W - 1), 8), st.integers(-4, 4)), max_size=300
+)
+
+
+def batch_verdict(guard, src, batch_id):
+    """``True`` when the guard accepts the frame id, ``False`` on replay."""
+    try:
+        guard.check_batch(src, batch_id)
+    except ReplayError:
+        return False
+    return True
+
+
 class TestReplayGuard:
-    def test_batch_keys_share_the_guard_with_messages(self):
+    def test_batches_and_operations_are_checked_apart(self):
         guard = ReplayGuard()
-        guard.check_key((3, -1, 42))
-        guard.check(sample_message())  # (3, 42, 7): a different triple
+        guard.check_batch(3, 42)
+        guard.check(sample_message())  # (3, 42, 7): the same numbers
+        guard.check(TxMessage(MsgType.TXN_WRITE, 3, 0, 42))
         with pytest.raises(ReplayError):
-            guard.check_key((3, -1, 42))
-        with pytest.raises(ReplayError):
-            guard.check_key(sample_message().operation_key)
-        assert (len(guard), guard.rejected) == (2, 2)
+            guard.check_batch(3, 42)
+        with pytest.raises(ReplayError, match=r"\(3, 42, 7\)"):
+            guard.check(sample_message())
+        assert (len(guard), guard.rejected, guard.too_old) == (2, 2, 0)
+
+    @_SETTINGS
+    @given(steps=_steps, epoch=st.integers(0, 3))
+    def test_window_agrees_with_a_set_within_w(self, steps, epoch):
+        guard, seen, high = ReplayGuard(), set(), 0
+        for step in steps:
+            seq = max(0, high + step)  # within W - 1 of the running max
+            high = max(high, seq)
+            assert batch_verdict(guard, 9, epoch << 40 | seq) == (
+                seq not in seen)
+            seen.add(seq)
+        assert guard.too_old == 0
+        assert guard.rejected == len(steps) - len(seen)
+
+    @_SETTINGS
+    @given(high=st.integers(W, 1 << 39), behind=st.integers(W, 1 << 39))
+    def test_an_id_w_or_more_behind_is_too_old(self, high, behind):
+        guard = ReplayGuard()
+        guard.check_batch(1, high)
+        assert not batch_verdict(guard, 1, max(0, high - behind))
+        assert (guard.rejected, guard.too_old) == (1, 1)
+        assert batch_verdict(guard, 1, high - W + 1)  # the window's oldest
+
+    def test_epochs_have_windows_of_their_own(self):
+        guard, epoch1, epoch2 = ReplayGuard(), 1 << 40, 2 << 40
+        for seq in range(1, 10):
+            if seq != 7:  # seq 7 is late
+                guard.check_batch(5, epoch1 | seq)
+        for seq in range(1, 3 * W):
+            guard.check_batch(5, epoch2 | seq)
+        assert batch_verdict(guard, 5, epoch1 | 7)
+        assert not batch_verdict(guard, 5, epoch1 | 7)
+        assert (guard.rejected, guard.too_old) == (1, 0)
+
+    def test_footprint_is_fixed_per_window(self):
+        def footprint(guard):
+            return sorted((key, len(window.slots), sys.getsizeof(window.slots))
+                          for key, window in guard._windows.items())
+
+        short, long = ReplayGuard(), ReplayGuard()
+        for seq in range(1, W + 1):
+            short.check_batch(2, 1 << 40 | seq)
+        for seq in range(1, 20 * W + 1):
+            long.check_batch(2, 1 << 40 | seq)
+        assert footprint(long) == footprint(short)
+        assert len(footprint(long)) == 1
+
+    def test_a_ycsb_a_pass_has_no_frame_too_old(self):
+        cluster = TreatyCluster(profile=TREATY_ENC).start()
+        config = YcsbConfig.variant("a", num_keys=200, value_size=100)
+        cluster.run(bulk_load(cluster, config), name="load")
+        run_ycsb(cluster, config, MetricsCollector(), num_clients=6,
+                 duration=0.2, warmup=0.05)
+        guards = [rpc.replay_guard
+                  for node in cluster.nodes
+                  for rpc in (node.cluster_rpc, node.front_rpc)]
+        guards += [machine.rpc.replay_guard
+                   for machine in cluster.client_machines]
+        assert all(guard._windows for guard in guards)
+        assert [guard.too_old for guard in guards] == [0] * len(guards)
+        assert [guard.rejected for guard in guards] == [0] * len(guards)
 
     def test_first_seen_passes(self):
         guard = ReplayGuard()

@@ -429,3 +429,33 @@ def test_charges_count_holds_by_site_and_back_to_back(monkeypatch):
     assert sites == {"syscall": (2, 0), "op_overhead": (2, 2),
                      "compute": (2, 0)}
     assert all(site.endswith("test_tools.py:fiber") for site in holds)
+
+
+def test_memory_lists_retained_sites_largest_first():
+    """``--memory``: what the pass still holds at its end is aggregated
+    by allocating traceback, largest first; what it freed is not listed."""
+    def allocate(count):
+        return [bytes(256) for _ in range(count)]  # one block each
+
+    def run_pass():
+        scratch = allocate(4000)  # freed before the pass ends
+        del scratch
+        kept = allocate(3000)
+        return kept, allocate(1000)
+
+    result, rows = profile.retained_sites(run_pass)
+    assert [len(part) for part in result] == [3000, 1000]
+    line = (__file__, allocate.__code__.co_firstlineno + 1)
+    mine = [row for row in rows if row[2][0] == line]
+    # each site also holds its list: one block more
+    assert [blocks for _size, blocks, _frames in mine] == [3001, 1001]
+    assert mine[0][0] > 3000 * 256 > mine[1][0] > 1000 * 256
+    # one site per traceback: the same line, told apart by its caller
+    assert mine[0][2][0] == mine[1][2][0] and mine[0][2] != mine[1][2]
+    assert [row[0] for row in rows] == sorted((row[0] for row in rows),
+                                              reverse=True)
+    header, first = profile.format_sites(mine, 1)
+    assert header.split() == ["MiB", "blocks", "site", "(innermost", "frame",
+                              "first)"]
+    assert first.split()[:3] == ["%.2f" % (mine[0][0] / 2 ** 20), "3001",
+                                 "tests/test_tools.py:%d" % mine[0][2][0][1]]

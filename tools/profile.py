@@ -18,6 +18,7 @@ Usage::
     python tools/profile.py ycsb-a-dist --entries
     python tools/profile.py ycsb-a-dist --charges
     python tools/profile.py ycsb-a-dist --sample
+    python tools/profile.py ycsb-c-snapshot --memory
 
 The header line also counts ``Simulator.step`` calls per committed
 transaction (one per kernel entry, from the profile's call counts): the
@@ -54,6 +55,16 @@ toward the Python function that called it.  It prints self time by
 file and by function.  Unlike cProfile it adds no cost per call, so a
 call-heavy function (a generator resumed a million times) is not
 inflated: size a lever with it before cutting.
+
+``--memory`` runs the pass unprofiled under ``tracemalloc`` instead and
+prints the allocation sites of what the pass allocated and still holds
+at its end (its retained growth), largest first: MiB, blocks and the
+innermost frames of the allocating traceback, so one structure that
+grows with every frame or transaction stands out.  It also prints
+``ru_maxrss`` before and after the pass, the figure
+``host_peak_rss_mb`` reports; tracemalloc's own tables (tens of MiB)
+are in the second figure, so compare it only with another
+``--memory`` run.
 
 Every mode ends with the cyclic collector's passes over the pass, per
 generation: how many ran, their host seconds (also as a share of the
@@ -92,8 +103,10 @@ import cProfile
 import gc
 import json
 import pstats
+import resource
 import signal
 import time
+import tracemalloc
 
 import workloads
 from repro.sim.core import Event, Process, Simulator
@@ -104,6 +117,9 @@ SIM_STEP = (os.path.join("repro", "sim", "core.py"), "step")
 
 #: ``--sample``'s interval, in seconds of process CPU time.
 SAMPLE_S = 1e-3
+
+#: ``--memory``'s traceback depth: the frames a site is told apart by.
+MEMORY_FRAMES = 4
 
 #: the kinds of kernel entry ``--entries`` counts, in print order.
 ENTRY_KINDS = ("sleep wake", "process bootstrap", "event, live waiter",
@@ -280,21 +296,58 @@ def sample(fn, *args):
     return result, samples
 
 
+def short_path(filename: str) -> str:
+    """A file named from the repository root, or by basename outside it."""
+    path = os.path.relpath(filename, ROOT)
+    return os.path.basename(filename) if path.startswith(os.pardir) else path
+
+
 def self_time(samples, top: int):
     """(by file, by function): the ``top`` largest ``(share, name)`` rows
-    of each; a file is named from the repository root or by basename."""
+    of each."""
     total = max(sum(samples.values()), 1)
     by_file: collections.Counter = collections.Counter()
     by_function: collections.Counter = collections.Counter()
     for (filename, function), count in samples.items():
-        path = os.path.relpath(filename, ROOT)
-        if path.startswith(os.pardir):
-            path = os.path.basename(filename)
+        path = short_path(filename)
         by_file[path] += count
         by_function["%s:%s" % (path, function)] += count
     return tuple(
         [(count / total, name) for name, count in table.most_common(top)]
         for table in (by_file, by_function))
+
+
+def retained_sites(fn, *args):
+    """Run ``fn(*args)`` under tracemalloc; returns its result and one
+    ``(bytes, blocks, frames)`` row per allocating traceback of what the
+    run allocated and still holds at its end, largest first.  ``frames``
+    is ``(file, line)`` pairs, innermost first."""
+    tracemalloc.start(MEMORY_FRAMES)
+    try:
+        result = fn(*args)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    rows = [(stat.size, stat.count,
+             [(frame.filename, frame.lineno) for frame in stat.traceback][::-1])
+            for stat in snapshot.statistics("traceback")]
+    return result, rows
+
+
+def format_sites(rows, top: int):
+    """The ``top`` rows of :func:`retained_sites`, one line each."""
+    lines = ["      MiB     blocks  site (innermost frame first)"]
+    for size, count, frames in rows[:top]:
+        lines.append("  %7.2f  %9d  %s" % (
+            size / 2 ** 20, count,
+            " ← ".join("%s:%d" % (short_path(filename), line)
+                       for filename, line in frames)))
+    return lines
+
+
+def max_rss_mib() -> float:
+    """This process's peak RSS so far (``ru_maxrss`` is in KiB here)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def main(argv=None) -> int:
@@ -317,12 +370,16 @@ def main(argv=None) -> int:
     mode.add_argument("--sample", action="store_true",
                       help="sample self time by file and function "
                            "instead of profiling")
+    mode.add_argument("--memory", action="store_true",
+                      help="list the allocation sites of what the pass "
+                           "retains (tracemalloc) instead of profiling")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fp:
         seconds = json.load(fp)["run_seconds"]
     workload = workloads.WORKLOADS[args.workload]
     cluster = workloads.set_up(workload, args.seed)
+    rss_before = max_rss_mib()
     started = time.perf_counter()
     with collector_passes() as collector:
         if args.entries:
@@ -333,6 +390,9 @@ def main(argv=None) -> int:
         elif args.sample:
             result, samples = sample(workloads.run_pass, workload, cluster,
                                      seconds)
+        elif args.memory:
+            result, sites = retained_sites(workloads.run_pass, workload,
+                                           cluster, seconds)
         else:
             profiler = cProfile.Profile()
             result = profiler.runcall(workloads.run_pass, workload, cluster,
@@ -367,6 +427,16 @@ def main(argv=None) -> int:
             print("self time by %s:" % title)
             for share, name in rows:
                 print("  %5.1f %%  %s" % (100.0 * share, name))
+    elif args.memory:
+        print("%s  seed %d  committed %d  retained by the pass %.1f MiB in "
+              "%d blocks"
+              % (workload.name, args.seed, result.committed,
+                 sum(row[0] for row in sites) / 2 ** 20,
+                 sum(row[1] for row in sites)))
+        print("ru_maxrss: %.1f MiB before the pass, %.1f MiB after "
+              "(tracemalloc's tables included)"
+              % (rss_before, max_rss_mib()))
+        print("\n".join(format_sites(sites, args.top)))
     else:
         stats = pstats.Stats(profiler)
         print("%s  seed %d  committed %d  failed %d  obs records %d  "
