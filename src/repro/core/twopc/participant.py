@@ -8,11 +8,13 @@ coordinator's stead (the completer).
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ...errors import NetworkError, RequestTimeout, TransactionAborted
 from ...net.message import MsgType, TxMessage
 from ...net.secure_rpc import SecureRpc
+from ...sim.core import Deadline
 from ...sim.rng import SeededRng
 from ...storage.format import Reader
 from ...tee.runtime import NodeRuntime
@@ -91,6 +93,9 @@ class Participant:
         #: this node's halves of distributed transactions, from first
         #: touch to apply — whoever coordinates them.
         self.active: Dict[bytes, PessimisticTxn] = {}
+        #: the one armed deadline of each watched half in ``active``: its
+        #: orphan fuse while ACTIVE, its decision watchdog once prepared.
+        self._deadlines: Dict[bytes, Deadline] = {}
         #: final outcomes this node applied (or was instructed to
         #: apply), keyed by encoded gid.  Answers client ``_OP_STATUS``
         #: probes after a coordinator death: an *applied* outcome is
@@ -127,10 +132,55 @@ class Participant:
         """Take in a new ACTIVE half; arm its fuse if it is watched."""
         self.active[key] = txn
         if self._watched(key):
-            self.runtime.sim.spawn(
-                self._orphan_fuse(key),
-                name="orphan-fuse@%s" % (self.node or "?"),
-            )
+            self._arm(key, self._fuse_delay(), self._orphan_fuse,
+                      "orphan-fuse")
+
+    def _close(self, key: bytes) -> Optional[PessimisticTxn]:
+        """Take a half out of ``active`` (``None`` if it was not there),
+        cancelling its armed deadline."""
+        deadline = self._deadlines.pop(key, None)
+        if deadline is not None:
+            deadline.cancel()
+        return self.active.pop(key, None)
+
+    def _arm(
+        self, key: bytes, delay: float,
+        watch: Callable[[bytes, Any], Gen], name: str,
+    ) -> None:
+        """Give the half ``key`` one deadline, replacing the one it had:
+        ``delay`` seconds from now a fiber named ``name@node`` runs
+        ``watch`` in the trace context of the arming fiber."""
+        armed = self._deadlines.pop(key, None)
+        if armed is not None:
+            armed.cancel()
+        self._deadlines[key] = self.runtime.sim.deadline(
+            delay,
+            partial(self._fire, key, watch, name,
+                    self.tracer.current_context()),
+        )
+
+    def _fire(
+        self, key: bytes, watch: Callable[[bytes, Any], Gen], name: str,
+        context: Any,
+    ) -> None:
+        """The half's deadline passed: start its watch fiber."""
+        del self._deadlines[key]
+        self.runtime.sim.spawn(
+            watch(key, context), name="%s@%s" % (name, self.node or "?")
+        )
+
+    def _adopt(self, context: Any) -> None:
+        """Carry the arming fiber's trace context into a fired watch,
+        as a fiber spawned by the arming fiber would inherit it."""
+        if any(context):
+            self.tracer.adopt(*context)
+
+    def _fuse_delay(self) -> float:
+        """An orphan fuse's length, jittered."""
+        return (
+            PREPARE_VOTE_TIMEOUT + self.runtime.config.decision_timeout_s
+            + self._rng.uniform(0.0, RESOLUTION_RETRY_INTERVAL)
+        )
 
     def half(self, key: bytes) -> PessimisticTxn:
         """This node's 2PL half of ``key``, begun on first touch."""
@@ -144,7 +194,7 @@ class Participant:
         """Forget a half that never voted YES, rolling it back if it is
         still ACTIVE.  Silent (presumed abort): no outcome is recorded
         and no apply event emitted — that is :meth:`apply`."""
-        txn = self.active.pop(key, None)
+        txn = self._close(key)
         if txn is not None:
             yield from txn.rollback()
 
@@ -215,7 +265,7 @@ class Participant:
         try:
             result = yield from operation(self.half(key))
         except TransactionAborted as aborted:
-            self.active.pop(key, None)
+            self._close(key)
             return message.reply(MsgType.FAIL, str(aborted).encode())
         return message.reply(MsgType.ACK, encode(result))
 
@@ -281,15 +331,18 @@ class Participant:
         try:
             counter, log_name = yield from txn.prepare()
         except TransactionAborted as aborted:
-            self.active.pop(key, None)
+            self._close(key)
             return message.reply(MsgType.FAIL, str(aborted).encode())
         if self._watched(key):
             # A prepared half is now in doubt: if the decision never
             # arrives (dead coordinator), this node assumes the
-            # completer role after the decision timeout.
-            self.runtime.sim.spawn(
-                self._decision_watchdog(key),
-                name="decision-watch@%s" % (self.node or "?"),
+            # completer role after the decision timeout.  The watchdog
+            # replaces the half's orphan fuse.
+            self._arm(
+                key,
+                self.runtime.config.decision_timeout_s
+                + self._rng.uniform(0.0, RESOLUTION_RETRY_INTERVAL),
+                self._decision_watchdog, "decision-watch",
             )
         # §V-A: "Participants delay replying back to the coordinator
         # until the prepare entry in the log is stabilized."  With
@@ -335,7 +388,7 @@ class Participant:
         except TransactionAborted:
             span.close(outcome="conflict")
             self.runtime.metrics.counter("occ.conflicts").inc()
-            self.active.pop(key, None)
+            self._close(key)
             return None
         span.close(outcome="ok")
         self.runtime.metrics.counter("occ.validated").inc()
@@ -349,7 +402,7 @@ class Participant:
         record's WAL counter."""
         if occ_body and (yield from self._validate_occ(key, occ_body)) is None:
             raise TransactionAborted("validation conflict")
-        counter = yield from self.active.pop(key).commit()
+        counter = yield from self._close(key).commit()
         return counter
 
     def apply(self, gid_bytes: bytes, kind: int) -> Gen:
@@ -367,7 +420,7 @@ class Participant:
         instead, to join a group-wide round (empty otherwise).
         """
         self._record_outcome(gid_bytes, kind)
-        txn = self.active.pop(gid_bytes, None)
+        txn = self._close(gid_bytes)
         if txn is None:
             # Nothing to finish (e.g. duplicate instruction after the
             # coordinator recovered): "this message is ignored" (§VI).
@@ -472,19 +525,16 @@ class Participant:
         )
 
     # -- completer watchdogs -------------------------------------------------
-    def _decision_watchdog(self, gid_bytes: bytes) -> Gen:
-        """Armed per prepared half: take over if no decision arrives."""
-        config = self.runtime.config
-        yield self.runtime.sim.sleep(
-            config.decision_timeout_s
-            + self._rng.uniform(0.0, RESOLUTION_RETRY_INTERVAL)
-        )
+    def _decision_watchdog(self, gid_bytes: bytes, context: Any) -> Gen:
+        """A prepared half's decision deadline passed: take over if no
+        decision arrived."""
+        self._adopt(context)
         txn = self.active.get(gid_bytes)
         if txn is None or txn.status != TxnStatus.PREPARED:
             return  # decided (or aborted locally) in time
         yield from self.complete(gid_bytes)
 
-    def _orphan_fuse(self, gid_bytes: bytes) -> Gen:
+    def _orphan_fuse(self, gid_bytes: bytes, context: Any) -> Gen:
         """Release ACTIVE halves of a coordinator that died mid-execution
         and is never restarted (so its recovery epoch fence never comes).
 
@@ -493,15 +543,13 @@ class Participant:
         abort.  A coordinator that answers the probe, or stays silent
         past its deadline (the probe or answer may be lost), re-arms the
         fuse instead: aborting a live coordinator's half here would let
-        a later operation silently recreate a partial one.
+        a later operation silently recreate a partial one.  Runs when the
+        half's fuse deadline passes; a re-armed fuse is this fiber's
+        sleep.
         """
+        self._adopt(context)
         gid = GlobalTxnId.decode(gid_bytes)
-        sim = self.runtime.sim
-        fuse = PREPARE_VOTE_TIMEOUT + self.runtime.config.decision_timeout_s
         while True:
-            yield sim.sleep(
-                fuse + self._rng.uniform(0.0, RESOLUTION_RETRY_INTERVAL)
-            )
             txn = self.active.get(gid_bytes)
             if txn is None or txn.status != TxnStatus.ACTIVE:
                 return
@@ -512,9 +560,10 @@ class Participant:
                     timeout=RESOLUTION_RETRY_INTERVAL,
                 )
             except RequestTimeout:
-                continue  # silence: the probe or its answer was lost
+                pass  # silence: the probe or its answer was lost
             except NetworkError:
                 break  # coordinator crashed: fence the orphan
+            yield self.runtime.sim.sleep(self._fuse_delay())
         txn = self.active.get(gid_bytes)
         if txn is None or txn.status != TxnStatus.ACTIVE:
             return

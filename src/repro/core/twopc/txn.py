@@ -359,10 +359,12 @@ class GlobalTxn:
         )
         if own in participants:
             # The own vote settles like a request: with the reply, or as
-            # no vote (NO) if it fails or misses the same deadline.
+            # no vote (NO) if it fails or misses the same deadline, which
+            # a settled vote cancels.
             own_vote = sim.event()
 
             def settle(vote: Optional[TxMessage] = None) -> None:
+                vote_deadline.cancel()
                 if not own_vote.triggered:
                     own_vote.succeed(vote)
 
@@ -375,7 +377,7 @@ class GlobalTxn:
                     settle()
 
             sim.spawn(own_prepare(), name="local-prepare")
-            sim.call_later(PREPARE_VOTE_TIMEOUT, settle)
+            vote_deadline = sim.deadline(PREPARE_VOTE_TIMEOUT, settle)
             events.append(own_vote)
         yield sim.all_settled(events)
         # Harvest votes: every vote is a reply message — an ACK is YES

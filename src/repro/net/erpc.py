@@ -16,7 +16,7 @@ host hugepages.  This module reproduces those semantics:
   (``ExecuteTxnReqHandler`` in Figure 2);
 * a request may carry a **deadline**: a continuation still pending then
   fails (:class:`~repro.errors.RequestTimeout`), as one whose
-  destination crashed does at once;
+  destination crashed does at once; a reply or a failure cancels it;
 * **transport batching**: concurrent messages to the same destination
   are coalesced per TX queue during a short doorbell window (eRPC's
   TxBurst), so a 2PC fan-out storm or a counter echo round pays one
@@ -37,7 +37,7 @@ from functools import partial
 from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Set, Tuple
 
 from ..errors import NetworkError, RequestTimeout
-from ..sim.core import Event, Simulator
+from ..sim.core import Deadline, Event, Simulator
 from ..tee.runtime import NodeRuntime
 from .simnet import Fabric, Frame, Nic
 
@@ -107,10 +107,11 @@ class ErpcEndpoint:
         self.fabric = fabric
         self.nic = nic
         self._handlers: Dict[int, Handler] = {}
-        #: req_id -> (destination address, continuation event).  The
-        #: destination is kept so continuations can be failed fast when
-        #: that destination's NIC detaches (node crash).
-        self._pending: Dict[int, Tuple[str, Event]] = {}
+        #: req_id -> (destination address, continuation event, deadline
+        #: or None).  The destination is kept so continuations can be
+        #: failed fast when that destination's NIC detaches (node crash);
+        #: the deadline is cancelled when the request leaves the table.
+        self._pending: Dict[int, Tuple[str, Event, Optional[Deadline]]] = {}
         self._req_seq = itertools.count(1)
         self.requests_sent = 0
         self.requests_served = 0
@@ -164,9 +165,12 @@ class ErpcEndpoint:
         self.start()
         req_id = next(self._req_seq)
         continuation = self.sim.event()
+        deadline = None
         if timeout is not None:
-            self.sim.call_later(timeout, partial(self._expire, req_id))
-        self._pending[req_id] = (dst, continuation)
+            deadline = self.sim.deadline(
+                timeout, partial(self._expire, req_id)
+            )
+        self._pending[req_id] = (dst, continuation, deadline)
         self.requests_sent += 1
         self._enqueue_tx(
             dst, _SubMsg(req_type, payload, nbytes, req_id), is_request=True
@@ -199,14 +203,18 @@ class ErpcEndpoint:
             self._fail(req_id, exc)
 
     def _fail(self, req_id: Any, exc: BaseException) -> None:
-        """Fail a pending request's continuation and forget the request.
-        Defused, so an un-awaited continuation (fire-and-forget caller)
-        does not crash the simulator; an awaiting fiber still gets the
-        exception thrown into it."""
+        """Fail a pending request's continuation and forget the request
+        and its deadline.  Defused, so an un-awaited continuation
+        (fire-and-forget caller) does not crash the simulator; an
+        awaiting fiber still gets the exception thrown into it."""
         entry = self._pending.pop(req_id, None)
-        if entry is not None and not entry[1].triggered:
-            entry[1].fail(exc)
-            entry[1].defuse()
+        if entry is not None:
+            _dst, continuation, deadline = entry
+            if deadline is not None:
+                deadline.cancel()
+            if not continuation.triggered:
+                continuation.fail(exc)
+                continuation.defuse()
 
     # -- data path ----------------------------------------------------------------
     def _tx_cpu_cost(self, wire_bytes: int) -> float:
@@ -389,8 +397,12 @@ class ErpcEndpoint:
         self, req_id: Any, payload: Any, nbytes: int, src: str
     ) -> None:
         entry = self._pending.pop(req_id, None)
-        if entry is not None and not entry[1].triggered:
-            entry[1].succeed(RpcReply(payload, nbytes, src))
+        if entry is not None:
+            _dst, continuation, deadline = entry
+            if deadline is not None:
+                deadline.cancel()
+            if not continuation.triggered:
+                continuation.succeed(RpcReply(payload, nbytes, src))
         # else: stale/duplicated response — dropped, at-most-once.
 
     def _serve_one(self, req_type: int, payload: Any, src: str, req_id: int):

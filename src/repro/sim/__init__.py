@@ -3,6 +3,7 @@
 from .core import (
     AllOf,
     AnyOf,
+    Deadline,
     Event,
     Process,
     SimulationError,
@@ -17,6 +18,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "CpuPool",
+    "Deadline",
     "Event",
     "Gate",
     "Process",

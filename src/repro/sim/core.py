@@ -19,7 +19,9 @@ a node's :class:`~repro.sim.cpu.CpuPool` is their run queue: a fiber that
 asks for a busy core waits its FIFO turn, with no syscall.  A fiber's own
 wait needs no event: ``yield sim.sleep(d)`` puts the process itself on
 the heap, and a fiber started with :meth:`Simulator.spawn` (no handle,
-so nobody joins it) exits without a kernel entry.
+so nobody joins it) exits without a kernel entry.  A wait that can end
+before its deadline arms the deadline with :meth:`Simulator.deadline`
+and cancels it when the wait ends: a cancelled deadline never runs.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import gc
 import itertools
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Deque, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "AllOf",
     "AllSettled",
     "QuorumOf",
+    "Deadline",
     "Simulator",
     "SimulationError",
 ]
@@ -48,6 +51,12 @@ ProcessBody = Generator["Event", Any, Any]
 #: what ``sim.sleep`` returns for a future wake-up: the sleeping process
 #: is already on the heap, so its step has nothing left to wait on.
 _ASLEEP = object()
+
+#: cancelled deadlines wait in the heap until they reach its head, where
+#: they are dropped; once more than this many wait and they outnumber
+#: the live entries, one rebuild drops them all (asyncio's
+#: ``_MIN_CANCELLED_TIMER_HANDLES_FRACTION`` rule, with its floor).
+_MIN_CANCELLED_TO_COMPACT = 100
 
 
 class SimulationError(RuntimeError):
@@ -376,6 +385,54 @@ class QuorumOf(_ConditionEvent):
             self.succeed(self.events)
 
 
+class Deadline:
+    """A pending :meth:`Simulator.deadline` call: :meth:`cancel` withdraws it.
+
+    The handle is itself the queued entry.  It runs its callable at most
+    once; a cancelled one never runs, never advances the clock and is
+    never offered to the controlled scheduler.
+    """
+
+    __slots__ = ("_fn", "_sim", "_heaped")
+
+    def __init__(self, sim: "Simulator", fn: Callable[[], None]):
+        self._fn: Optional[Callable[[], None]] = fn
+        self._sim = sim
+        #: whether the entry waits in the heap (else in the ready queue),
+        #: as :meth:`Simulator.call_later` reported when it queued it.
+        self._heaped = False
+
+    def __call__(self) -> None:
+        fn, self._fn = self._fn, None
+        fn()
+
+    def cancel(self) -> None:
+        """Withdraw the call; a no-op once it ran or was cancelled."""
+        if self._fn is None:
+            return
+        self._fn = None
+        sim = self._sim
+        if not self._heaped:
+            sim._ready.remove(self)
+            return
+        sim._cancelled += 1
+        heap = sim._heap
+        if heap[0][2] is self:
+            sim._drop_cancelled_head()
+        elif (sim._cancelled > _MIN_CANCELLED_TO_COMPACT
+                and 2 * sim._cancelled > len(heap)):
+            # One rebuild; live entries keep their (when, seq) keys, so
+            # the run order cannot change.
+            heap[:] = [entry for entry in heap if not _cancelled(entry[2])]
+            heapify(heap)
+            sim._cancelled = 0
+
+
+def _cancelled(entry: Any) -> bool:
+    """Whether a queued entry is a cancelled :class:`Deadline`."""
+    return entry.__class__ is Deadline and entry._fn is None
+
+
 class Simulator:
     """Owns the virtual clock and runs events in timestamp order.
 
@@ -384,17 +441,19 @@ class Simulator:
 
     Two queues hold the pending work.  A heap holds the *future* timeouts
     as ``(when, seq, timeout)``, the sleeping processes as ``(when, seq,
-    process)`` and the :meth:`call_later` callables as ``(when, seq,
-    fn)``, ordered by time and then by a strictly increasing sequence
-    number.  A FIFO ready queue holds what is due *now*: triggered events
-    (whose callbacks are to run), process bootstraps, callbacks added to
-    an already-dispatched event, and timeouts, sleeps and callables due
-    at the current instant.  Anything scheduled for the current instant
-    is scheduled after every entry already in the heap, so "heap entries
-    due now, then the ready queue, then advance the clock" is exactly
-    scheduling order — the order one heap keyed by ``(when, seq)`` over
-    all entries would give, without paying for the heap on same-instant
-    work.
+    process)`` and the :meth:`call_later` callables and :meth:`deadline`
+    handles as ``(when, seq, fn)``, ordered by time and then by a
+    strictly increasing sequence number.  A cancelled deadline stays in
+    the heap, inert, until it reaches the head or a rebuild drops it; the
+    head is never one.  A FIFO ready queue holds what is due *now*:
+    triggered events (whose callbacks are to run), process bootstraps,
+    callbacks added to an already-dispatched event, and timeouts, sleeps
+    and callables due at the current instant.  Anything scheduled for
+    the current instant is scheduled after every entry already in the
+    heap, so "heap entries due now, then the ready queue, then advance
+    the clock" is exactly scheduling order — the order one heap keyed by
+    ``(when, seq)`` over all entries would give, without paying for the
+    heap on same-instant work.
     """
 
     def __init__(self):
@@ -403,6 +462,8 @@ class Simulator:
         self._ready: Deque[Any] = deque()
         self._seq = itertools.count()
         self._running = False
+        #: cancelled deadlines still in the heap.
+        self._cancelled = 0
         #: observability hook points (installed by repro.obs.Observability;
         #: None keeps the simulator dependency-free and the hooks at the
         #: cost of one identity check).
@@ -451,15 +512,17 @@ class Simulator:
         heappush(self._heap, (when, next(self._seq), process))
         return _ASLEEP
 
-    def call_later(self, delay: float, fn: Callable[[], None]) -> None:
+    def call_later(self, delay: float, fn: Callable[[], None]) -> bool:
         """Run ``fn()`` ``delay`` simulated seconds from now.
 
-        One heap entry, ``(when, seq, fn)``, and nothing to wait on or
-        cancel: the cheap form of ``timeout(delay).add_callback(...)`` when
-        nobody else needs the event.  It routes exactly as :meth:`sleep`
-        and :class:`Timeout` do: due now (zero delay, or one below the
+        One heap entry, ``(when, seq, fn)``, and nothing to wait on: the
+        cheap form of ``timeout(delay).add_callback(...)`` when nobody
+        else needs the event and nobody withdraws the call (else see
+        :meth:`deadline`).  It routes exactly as :meth:`sleep` and
+        :class:`Timeout` do: due now (zero delay, or one below the
         clock's resolution) it joins the ready queue, and a negative delay
-        raises :class:`SimulationError`.
+        raises :class:`SimulationError`.  Returns whether the call waits
+        in the heap (False: it joined the ready queue).
         """
         if delay < 0:
             raise SimulationError("negative call_later delay: %r" % (delay,))
@@ -467,8 +530,30 @@ class Simulator:
         when = now + delay
         if when == now:
             self._ready.append(fn)
-        else:
-            heappush(self._heap, (when, next(self._seq), fn))
+            return False
+        heappush(self._heap, (when, next(self._seq), fn))
+        return True
+
+    def deadline(self, delay: float, fn: Callable[[], None]) -> Deadline:
+        """Run ``fn()`` ``delay`` simulated seconds from now unless the
+        returned handle's :meth:`~Deadline.cancel` runs first.
+
+        Queued exactly where :meth:`call_later` would queue ``fn``.  For
+        a wait that usually ends before its deadline (a request's reply,
+        a transaction's decision): cancelled when the wait ends, the
+        callable is released at once, and the entry left in the heap
+        runs nothing and costs no kernel step.
+        """
+        handle = Deadline(self, fn)
+        handle._heaped = self.call_later(delay, handle)
+        return handle
+
+    def _drop_cancelled_head(self) -> None:
+        """Pop cancelled deadlines off the heap's head."""
+        heap = self._heap
+        while heap and _cancelled(heap[0][2]):
+            heappop(heap)
+            self._cancelled -= 1
 
     def process(self, body: ProcessBody, name: str = "") -> Process:
         """Start running ``body`` as a process at the current instant."""
@@ -524,6 +609,8 @@ class Simulator:
             else:
                 when, _seq, entry = heappop(heap)
                 self.now = when
+                if self._cancelled and heap and _cancelled(heap[0][2]):
+                    self._drop_cancelled_head()
         if entry.__class__ is Process and not entry._triggered:
             # A sleeping process wakes: a process enters the ready queue
             # only once it has triggered (to dispatch to its joiners).
@@ -540,7 +627,7 @@ class Simulator:
             elif not entry._ok and not entry._defused:
                 raise entry._value
         else:
-            entry()  # a process bootstrap, a late callback or a call_later
+            entry()  # a bootstrap, a late callback, a call_later or deadline
 
     def _pop_with_chooser(self) -> Any:
         """Let the controlled scheduler pick among same-instant entries.
@@ -558,6 +645,7 @@ class Simulator:
         ties = []
         while len(ties) < window and heap and heap[0][0] == instant:
             ties.append(heappop(heap))
+            self._drop_cancelled_head()
         count = len(ties) + min(window - len(ties), len(ready))
         index = self.chooser.pick_ready(count) if count > 1 else 0
         if index < len(ties):

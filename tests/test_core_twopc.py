@@ -6,6 +6,7 @@ from repro.config import ClusterConfig, DS_ROCKSDB, TREATY_ENC, TREATY_FULL
 from repro.core import GlobalTxnId, TreatyCluster
 from repro.core.trusted_counter import decode_counter_vector
 from repro.core.twopc import ClogRecord, deliver
+from repro.core.twopc.participant import Participant
 from repro.core.twopc.steps import INSTRUCTIONS
 from repro.errors import TransactionAborted
 from repro.net import MsgType, NetworkAdversary, TxMessage
@@ -553,16 +554,24 @@ class TestApplyStep:
 
 
 class TestOwnHalfIsAnOrdinaryHalf:
-    def test_no_watchdogs_for_a_half_this_node_coordinates(self):
+    def test_no_watchdogs_for_a_half_this_node_coordinates(self, monkeypatch):
         """Orphan fuse and decision watchdog guard a half against its
         coordinator's death; the coordinator's own half dies with it
-        (recovery resolves it), so it arms neither."""
+        (recovery resolves it), so it arms neither.  Read from the
+        deadlines armed: a decided half's are cancelled unfired."""
+        armed = []
+        arm = Participant._arm
+
+        def recording_arm(participant, key, delay, watch, name):
+            armed.append("%s@%s" % (name, participant.node))
+            arm(participant, key, delay, watch, name)
+
+        monkeypatch.setattr(Participant, "_arm", recording_arm)
         cluster = TreatyCluster(
             profile=TREATY_FULL,
-            config=ClusterConfig(tracing=True, protocol="optimized"),
+            config=ClusterConfig(protocol="optimized"),
             partitioner=_digit_partitioner,
         ).start()
-        cluster.obs.tracer.trace_processes = True
 
         def body():
             txn = cluster.nodes[0].coordinator.begin()
@@ -571,15 +580,7 @@ class TestOwnHalfIsAnOrdinaryHalf:
             yield from txn.commit()
 
         cluster.run(body())
-        started = [
-            rec["args"]["process"]
-            for rec in events_named(cluster, "process_start")
-        ]
-        watchdogs = sorted(
-            name for name in started
-            if name.startswith(("orphan-fuse@", "decision-watch@"))
-        )
-        assert watchdogs == ["decision-watch@node1", "orphan-fuse@node1"]
+        assert sorted(armed) == ["decision-watch@node1", "orphan-fuse@node1"]
 
     def test_occ_no_vote_leaves_no_abort_apply(self):
         """Distributed OCC, reads on the own shard and on shard 1 both

@@ -176,7 +176,12 @@ class TestExplorer:
         assert counterexample is None
         assert stats.runs >= 40
         root = run_one(Scope(tie_window=2), [])
-        assert sum(1 for p in root.points if p.kind == "tie") > 100
+        # 94 tie points at the root: 114 while answered requests'
+        # deadlines (16) and decided halves' fuses and watchdogs (4)
+        # still ran as no-op entries sharing an instant with others.
+        # A cancelled deadline is never a tie candidate, so those 20 are
+        # gone by design; the floor is the measured count, no lower.
+        assert sum(1 for p in root.points if p.kind == "tie") >= 94
 
     def test_depth_one_crash_only_scope_exhausts(self):
         scope = Scope(

@@ -180,6 +180,38 @@ class TestNoSpuriousTakeover:
         assert not takeover_events
 
 
+# -- pin: a takeover records under its transaction's trace --------------------
+
+
+@pytest.mark.parametrize("point", [("twopc", "prepare_target"),
+                                   ("twopc", "decision")])
+def test_takeover_records_under_the_transactions_trace(point):
+    """A decision watchdog fires seconds after the PREPARE that armed it,
+    in no fiber's context; the takeover it starts still records under
+    the trace the PREPARE handler carried, as a watchdog fiber that
+    handler spawned would."""
+    cluster = TreatyCluster(
+        profile=TREATY_FULL, config=_config(0, "counter-sync"),
+    ).start()
+    txns = spread_txns(cluster, 4, b"nb", coordinator=COORDINATOR)
+    outcomes = ["pending"] * len(txns)
+    CrashInjector(
+        cluster, point, 1, 0, victim=COORDINATOR, permanent=True,
+    ).arm()
+    drive(cluster, txns, outcomes, give_up=4.0)
+    cluster.sim.run(until=cluster.sim.now + 12.0)
+    takeovers = [
+        rec for rec in cluster.obs.records()
+        if rec["type"] == "event"
+        and (rec.get("cat"), rec.get("name"))
+        == ("twopc", "completer_takeover")
+    ]
+    assert takeovers
+    assert [rec["trace"] for rec in takeovers] == [
+        rec["txn"] for rec in takeovers
+    ]
+
+
 # -- pin: a lost slot write is re-sent, not waited on forever -----------------
 
 

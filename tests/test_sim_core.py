@@ -4,11 +4,12 @@ import ast
 import gc
 import random
 import weakref
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from pathlib import Path
 
 import pytest
 
+from repro.sim import core
 from repro.sim import (
     AllOf,
     AnyOf,
@@ -410,6 +411,26 @@ class _IntoHeap:
         return 0
 
 
+class _HeapDeadline:
+    """The reference's cancellable entry: cancelling takes it out of the
+    heap at once, so the reference never holds a cancelled entry."""
+
+    def __init__(self, sim, fn):
+        self.sim, self.fn = sim, fn
+
+    def __call__(self):
+        fn, self.fn = self.fn, None
+        fn()
+
+    def cancel(self):
+        if self.fn is None:
+            return
+        self.fn = None
+        heap = self.sim._heap
+        heap[:] = [entry for entry in heap if entry[2] is not self]
+        heapify(heap)
+
+
 class HeapOnlySimulator(Simulator):
     """The reference scheduler: one heap ordered by ``(when, seq)`` holds
     every entry — future timeouts, triggered events, process bootstraps,
@@ -430,6 +451,11 @@ class HeapOnlySimulator(Simulator):
 
     def spawn(self, body, name=""):
         self.spawned.add(self.process(body, name))
+
+    def deadline(self, delay, fn):
+        handle = _HeapDeadline(self, fn)
+        self.call_later(delay, handle)
+        return handle
 
     def step(self):
         heap = self._heap
@@ -473,12 +499,16 @@ class ScriptedChooser:
 #: exactly equal timestamps; 1e-17 is below the clock's resolution past 1.
 DELAYS = (0.0, 0.0, 1e-17, 0.25, 0.5, 1.0)
 
+#: deadlines also reach past the workers' last waits, so cancelled ones
+#: pile up in the heap until a rebuild drops them.
+DEADLINE_DELAYS = DELAYS + (2.0, 3.0)
+
 
 def random_program(sim, seed, workers=6, steps=10):
     """Run a seeded program mixing every scheduling shape on ``sim``;
     returns the log of callbacks and resumes in the order they ran."""
     rng = random.Random(seed)
-    log, shared = [], []
+    log, shared, deadlines = [], [], []
 
     def note(*what):
         log.append((sim.now,) + what)
@@ -498,7 +528,7 @@ def random_program(sim, seed, workers=6, steps=10):
 
     def worker(wid):
         for step in range(steps):
-            tag, op = (wid, step), rng.randrange(9)
+            tag, op = (wid, step), rng.randrange(10)
             try:
                 if op == 0:  # zero, sub-resolution and equal-when waits
                     yield pause()
@@ -546,10 +576,27 @@ def random_program(sim, seed, workers=6, steps=10):
                     for index in range(rng.randrange(1, 3)):
                         sim.spawn(child((wid, step, index), "spawned"))
                     yield pause()
-                else:  # heap callables, due now or later
+                elif op == 8:  # heap callables, due now or later
                     sim.call_later(rng.choice(DELAYS),
                                    lambda tag=tag: note("later", tag))
                     yield pause()
+                else:  # deadlines: most cancelled at once, some later
+                    armed = [
+                        sim.deadline(
+                            rng.choice(DEADLINE_DELAYS),
+                            lambda tag=(wid, step, index): note("deadline",
+                                                                tag))
+                        for index in range(rng.randrange(1, 80))
+                    ]
+                    deadlines.extend(armed)
+                    for handle in armed:
+                        if rng.random() < 0.8:
+                            handle.cancel()
+                    yield pause()
+                    # maybe fired by now, maybe cancelled already
+                    for handle in rng.sample(deadlines,
+                                             min(len(deadlines), 8)):
+                        handle.cancel()
                 note("step", tag, op)
             except ValueError as exc:
                 note("failed", tag, str(exc))
@@ -567,16 +614,24 @@ def test_ready_queue_runs_entries_in_heap_order(seed):
         HeapOnlySimulator(), seed)
 
 
-def test_random_programs_cover_every_shape():
+def test_random_programs_cover_every_shape(monkeypatch):
+    rebuilds = []
+
+    def counted_heapify(heap):
+        rebuilds.append(len(heap))
+        heapify(heap)
+
+    monkeypatch.setattr(core, "heapify", counted_heapify)
     ops, kinds = set(), set()
     for seed in range(40):
         for entry in random_program(Simulator(), seed):
             kinds.add(entry[1])
             if entry[1] == "step":
                 ops.add(entry[3])
-    assert ops == set(range(9))
+    assert ops == set(range(10))
     assert {"callback", "child", "spawned", "any", "failed",
-            "later"} <= kinds
+            "later", "deadline"} <= kinds
+    assert rebuilds  # cancelled deadlines were dropped in a rebuild
 
 
 @pytest.mark.parametrize("window", [2, 3, 5])
@@ -656,6 +711,123 @@ def test_call_later_rejects_a_negative_delay(make):
     with pytest.raises(SimulationError):
         sim.call_later(-1e-9, lambda: None)
     assert not sim._heap
+
+
+# -- cancellable deadlines ----------------------------------------------------
+
+
+def test_cancelled_deadline_never_runs_nor_moves_the_clock(sim):
+    log = []
+    sim.call_later(1.0, lambda: log.append(("live", sim.now)))
+    later = sim.deadline(2.0, lambda: log.append("later"))
+    due_now = sim.deadline(0.0, lambda: log.append("due now"))
+    later.cancel()
+    due_now.cancel()
+    steps = []
+    step = sim.step
+    sim.step = lambda: steps.append(step())
+    assert sim.run() == 1.0
+    assert log == [("live", 1.0)]
+    assert len(steps) == 1 and not sim._heap and not sim._ready
+
+
+def test_cancelled_deadline_does_not_move_the_clock_under_run_until(sim):
+    """The cancelled entry is not at the head when cancelled; it reaches
+    it once the live entry before it ran, and is dropped there."""
+    sim.call_later(1.0, lambda: None)
+    sim.deadline(2.0, lambda: None).cancel()
+    assert sim.run(until=3.0) == 1.0  # drained: the clock stays put
+    sim.call_later(1.0, lambda: None)  # at 2.0
+    sim.deadline(2.0, lambda: None).cancel()  # at 3.0
+    sim.call_later(4.0, lambda: None)  # at 5.0
+    assert sim.run(until=4.0) == 4.0
+    assert [entry[0] for entry in sim._heap] == [5.0]
+
+
+def test_cancelled_deadline_does_not_move_the_clock_under_run_process(sim):
+    def body():
+        sim.deadline(2.0, lambda: None).cancel()
+        yield sim.event()  # never triggers
+
+    with pytest.raises(SimulationError, match="deadlock"):
+        sim.run_process(body())
+    assert sim.now == 0.0
+
+
+def test_deadline_runs_once_and_late_cancels_are_no_ops(sim):
+    log = []
+    fired = sim.deadline(1.0, lambda: log.append(("fired", sim.now)))
+    # a callable that cancels its own deadline (a settled wait) is fine
+    selfish = sim.deadline(1.5, lambda: (selfish.cancel(), log.append("self")))
+    twice = sim.deadline(1.0, lambda: log.append("twice"))
+    twice.cancel()
+    twice.cancel()
+    assert sim._cancelled == 1
+    sim.run()
+    fired.cancel()
+    fired.cancel()
+    assert log == [("fired", 1.0), "self"]
+    assert sim._cancelled == 0 and sim.now == 1.5
+
+
+def test_deadline_rejects_a_negative_delay(sim):
+    with pytest.raises(SimulationError):
+        sim.deadline(-1e-9, lambda: None)
+    assert not sim._heap
+
+
+def test_chooser_never_sees_a_cancelled_deadline(sim):
+    """Deadlines A-D and the callable E share t=1, and A (the head) and
+    C (behind a live entry) are cancelled: the chooser is offered B, D
+    and E.  E arms a due-now deadline and cancels it at once, so F runs
+    alone after it."""
+    log = []
+    handles = [sim.deadline(1.0, lambda tag=tag: log.append(tag))
+               for tag in "ABCD"]
+
+    def at_one():
+        log.append("E")
+        sim.deadline(0.0, lambda: log.append("never")).cancel()
+        sim.call_later(0.0, lambda: log.append("F"))
+
+    sim.call_later(0.5, lambda: sim.call_later(0.5, at_one))
+    handles[0].cancel()
+    handles[2].cancel()
+    sim.chooser = ScriptedChooser(5, picks=[1, 0, 0])
+    sim.run()
+    assert log == ["D", "B", "E", "F"]
+    assert sim.chooser.counts == [3, 2]
+
+
+def test_cancelled_deadlines_are_dropped_in_one_rebuild(monkeypatch, sim):
+    """Past the floor, once the cancelled entries outnumber the live
+    ones, one rebuild drops them; the live ones run in order after it."""
+    rebuilds = []
+    monkeypatch.setattr(core, "heapify",
+                        lambda heap: (rebuilds.append(len(heap)),
+                                      heapify(heap)))
+    floor = core._MIN_CANCELLED_TO_COMPACT
+    log = []
+    live = [sim.deadline(1.0 + i, lambda i=i: log.append(i))
+            for i in range(floor)]
+    doomed = [sim.deadline(0.5 + i, lambda: log.append("cancelled"))
+              for i in range(2 * floor)]
+    majority = 3 * floor // 2 + 1  # of the 3 * floor entries
+    for handle in doomed[1:floor + 1]:
+        handle.cancel()  # as many as the floor: kept
+    assert rebuilds == [] and sim._cancelled == floor
+    for handle in doomed[floor + 1:majority]:
+        handle.cancel()  # half the heap: kept
+    assert rebuilds == [] and len(sim._heap) == 3 * floor
+    doomed[majority].cancel()  # a majority: one rebuild drops them
+    assert rebuilds == [3 * floor - majority] and sim._cancelled == 0
+    doomed[0].cancel()  # the head: popped at once, no rebuild
+    assert len(rebuilds) == 1 and len(sim._heap) == 3 * floor - majority - 1
+    for handle in doomed[majority + 1:]:
+        handle.cancel()
+    live[-1].cancel()
+    sim.run()
+    assert log == list(range(floor - 1))
 
 
 # -- the cheap idioms stay in use ---------------------------------------------

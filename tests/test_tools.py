@@ -431,6 +431,65 @@ def test_charges_count_holds_by_site_and_back_to_back(monkeypatch):
     assert all(site.endswith("test_tools.py:fiber") for site in holds)
 
 
+def _delivered(tag):
+    return tag
+
+
+def _noted(event):
+    return event
+
+
+def test_entries_name_what_each_kind_ran_for(monkeypatch):
+    """``--entries``: each kernel entry is counted by kind and by whom it
+    ran for; the heap left at the end counts its cancelled deadlines."""
+    from functools import partial
+    from types import SimpleNamespace
+
+    from repro.sim import Simulator
+
+    def run_pass(_workload, sim, _seconds):
+        def worker():
+            yield sim.timeout(0.1)  # an event waking this worker
+            yield sim.sleep(1.0)  # a sleep wake
+            yield sim.sleep(1.0)
+
+        sim.spawn(worker(), name="worker@node0")  # a bootstrap
+        sim.call_later(0.5, partial(_delivered, 1))
+        sim.deadline(0.5, partial(_delivered, 2))  # fires
+        sim.deadline(0.6, partial(_delivered, 3)).cancel()  # never runs
+        sim.timeout(0.25).add_callback(_noted)
+        sim.timeout(0.75)  # nobody waits
+        sim.call_later(10.0, partial(_delivered, 4))  # past the pass
+        sim.deadline(12.0, partial(_delivered, 5)).cancel()  # left behind
+        sim.run(until=3.0)
+        return SimpleNamespace(committed=2)
+
+    monkeypatch.setattr(profile, "workloads", SimpleNamespace(run_pass=run_pass))
+    result, counts, heap_left = profile.count_entries(None, Simulator(), 1.0)
+    assert dict(counts) == {
+        ("process bootstrap", "worker"): 1,
+        ("event, live waiter", "worker"): 1,
+        ("event, live waiter", "_noted"): 1,
+        ("plain callable", "_delivered"): 2,
+        ("event, no-op", "Timeout"): 1,
+        ("sleep wake", "worker"): 2,
+    }
+    assert heap_left == (2, 1)
+    lines = profile.format_entries(counts, result.committed, top=1)
+    assert [line.split() for line in lines] == [
+        ["sleep", "wake", "1.0", "/txn", "25.0", "%"],
+        ["1.0", "/txn", "worker"],
+        ["process", "bootstrap", "0.5", "/txn", "12.5", "%"],
+        ["0.5", "/txn", "worker"],
+        ["event,", "live", "waiter", "1.0", "/txn", "25.0", "%"],
+        ["0.5", "/txn", "worker"],
+        ["event,", "no-op", "0.5", "/txn", "12.5", "%"],
+        ["0.5", "/txn", "Timeout"],
+        ["plain", "callable", "1.0", "/txn", "25.0", "%"],
+        ["1.0", "/txn", "_delivered"],
+    ]
+
+
 def test_memory_lists_retained_sites_largest_first():
     """``--memory``: what the pass still holds at its end is aggregated
     by allocating traceback, largest first; what it freed is not listed."""

@@ -35,7 +35,11 @@ entries per committed transaction *by kind* — what each
 from outside: a sleeping process waking, a process bootstrap, an event
 dispatch that wakes a waiter or runs a callback, a no-op dispatch (an
 event nobody waits on), and a plain callable (a ``call_later`` such as
-a fabric delivery, or a late callback).  A kernel lever starts from
+a fabric delivery, a ``deadline`` that fired, or a late callback).
+Under each kind it names who the entries ran for, most first: the
+process (its name up to the ``@``) or the callable's qualname.  It
+also prints how many entries the heap still holds at the end of the
+pass, cancelled deadlines among them.  A kernel lever starts from
 this count: it names the entries worth removing.
 
 ``--charges`` runs the pass unprofiled and prints the CPU holds per
@@ -100,6 +104,7 @@ import argparse
 import collections
 import contextlib
 import cProfile
+import functools
 import gc
 import json
 import pstats
@@ -109,7 +114,7 @@ import time
 import tracemalloc
 
 import workloads
-from repro.sim.core import Event, Process, Simulator
+from repro.sim.core import Deadline, Event, Process, Simulator
 from repro.sim.cpu import CpuPool
 
 #: where ``Simulator.step`` lives, as cProfile names it.
@@ -124,6 +129,9 @@ MEMORY_FRAMES = 4
 #: the kinds of kernel entry ``--entries`` counts, in print order.
 ENTRY_KINDS = ("sleep wake", "process bootstrap", "event, live waiter",
                "event, no-op", "plain callable")
+
+#: ``--entries``' names listed under each kind.
+ENTRY_NAMES = 5
 
 
 class CollectorPasses:
@@ -180,30 +188,50 @@ def sim_steps(stats: pstats.Stats) -> int:
     )
 
 
-def entry_kind(sim: Simulator) -> str:
-    """The kind of entry the next ``sim.step()`` runs (no chooser)."""
+def runs_for(fn) -> str:
+    """Who a callable runs for: a process's name up to its ``@`` (a
+    bootstrap, a resume), else the qualname of what ``fn`` wraps."""
+    if isinstance(fn, Deadline):
+        fn = fn._fn
+    while isinstance(fn, functools.partial):
+        fn = fn.func
+    owner = getattr(fn, "__self__", None)
+    if isinstance(owner, Process):
+        return owner.name.split("@", 1)[0]
+    return getattr(fn, "__qualname__", type(fn).__name__)
+
+
+def entry_kind(sim: Simulator):
+    """The kind of entry the next ``sim.step()`` runs (no chooser), and
+    whom it runs for (:func:`runs_for`; an event nobody waits on is
+    named by its class)."""
     ready, heap = sim._ready, sim._heap
     if ready and not (heap and heap[0][0] == sim.now):
         entry = ready[0]
     else:
         _when, _seq, entry = heap[0]
     if type(entry) is Process and not entry._triggered:
-        return "sleep wake"
+        return "sleep wake", entry.name.split("@", 1)[0]
     if isinstance(entry, Event):
-        return "event, live waiter" if entry._callbacks else "event, no-op"
+        if entry._callbacks:
+            return "event, live waiter", runs_for(entry._callbacks[0])
+        return "event, no-op", type(entry).__name__
     if getattr(entry, "__func__", None) is Process._bootstrap_call:
-        return "process bootstrap"
-    return "plain callable"
+        return "process bootstrap", runs_for(entry)
+    return "plain callable", runs_for(entry)
 
 
 def count_entries(workload, cluster, seconds: float):
     """Run the pass with every kernel entry classified just before it
-    runs; returns the pass result and the count per kind."""
+    runs; returns the pass result, the count per ``(kind, runs for)``
+    and the heap left at the end: ``(entries, cancelled deadlines)``."""
     counts: collections.Counter = collections.Counter()
     step = Simulator.step
+    sims = set()
 
     def classified(sim: Simulator) -> None:
         counts[entry_kind(sim)] += 1
+        sims.add(sim)
         step(sim)
 
     Simulator.step = classified
@@ -211,7 +239,29 @@ def count_entries(workload, cluster, seconds: float):
         result = workloads.run_pass(workload, cluster, seconds)
     finally:
         Simulator.step = step
-    return result, counts
+    heap_left = (sum(len(sim._heap) for sim in sims),
+                 sum(sim._cancelled for sim in sims))
+    return result, counts, heap_left
+
+
+def format_entries(counts, txns: int, top: int = ENTRY_NAMES):
+    """``--entries``' rows: per kind, entries per txn and share, then
+    the ``top`` names it ran for, most first."""
+    total = max(sum(counts.values()), 1)
+    by_kind: collections.Counter = collections.Counter()
+    for (kind, _name), count in counts.items():
+        by_kind[kind] += count
+    lines = []
+    for kind in ENTRY_KINDS:
+        lines.append("  %-20s %8.1f /txn  %5.1f %%"
+                     % (kind, by_kind[kind] / txns,
+                        100.0 * by_kind[kind] / total))
+        names = collections.Counter(
+            {name: count for (of, name), count in counts.items()
+             if of == kind})
+        for name, count in names.most_common(top):
+            lines.append("      %8.1f /txn  %s" % (count / txns, name))
+    return lines
 
 
 #: the file whose frames are ``NodeRuntime`` methods.
@@ -383,7 +433,8 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     with collector_passes() as collector:
         if args.entries:
-            result, counts = count_entries(workload, cluster, seconds)
+            result, counts, heap_left = count_entries(workload, cluster,
+                                                      seconds)
         elif args.charges:
             result, holds, chained = count_charges(workload, cluster,
                                                    seconds)
@@ -403,10 +454,9 @@ def main(argv=None) -> int:
         total = sum(counts.values())
         print("%s  seed %d  committed %d  kernel entries/txn %.0f"
               % (workload.name, args.seed, result.committed, total / txns))
-        for kind in ENTRY_KINDS:
-            print("  %-20s %8.1f /txn  %5.1f %%"
-                  % (kind, counts[kind] / txns,
-                     100.0 * counts[kind] / max(total, 1)))
+        print("\n".join(format_entries(counts, txns)))
+        print("heap at the end of the pass: %d entries (%d cancelled "
+              "deadlines)" % heap_left)
     elif args.charges:
         txns = max(result.committed, 1)
         total, back = sum(holds.values()), sum(chained.values())
