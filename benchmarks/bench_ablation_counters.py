@@ -33,7 +33,8 @@ def _rote_stabilization():
         pending = []
         for i in range(NUM_ENTRIES):
             pending.append(sim.process(writer(i)))
-        yield sim.all_of(pending)
+        yield sim.all_settled(pending)
+        assert len(latencies) == NUM_ENTRIES  # no writer failed
 
     cluster.run(run())
     elapsed = sim.now - start

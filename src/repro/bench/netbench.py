@@ -134,7 +134,7 @@ def network_throughput(
                                 ),
                             )
                         )
-                    yield sim.any_of(window)
+                    yield sim.quorum_of(window, 1)
                     window = [e for e in window if not e.triggered]
 
             for i in range(streams):
@@ -159,7 +159,7 @@ def network_throughput(
                                 "receiver", 1, payload, message_bytes
                             )
                         )
-                    yield sim.any_of(window)
+                    yield sim.quorum_of(window, 1)
                     window = [e for e in window if not e.triggered]
 
             for _ in range(streams):

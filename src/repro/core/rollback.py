@@ -170,9 +170,7 @@ class PromiseScheduler:
                     )
                 yield from client.drive_until_stable(shard, targets)
                 return
-            yield sim.any_of(
-                [sim.all_of(waits), sim.timeout(deadline - sim.now)]
-            )
+            yield sim.all_settled(waits, timeout=deadline - sim.now)
 
     # -- the driver side ----------------------------------------------------
     def _fresh_targets(self, shard: int) -> List[Target]:

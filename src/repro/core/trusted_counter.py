@@ -458,7 +458,7 @@ class CounterClient:
         for log_name, value in needed:
             self._request(log_name, value)
         if needed:
-            yield self.runtime.sim.all_of(self.waits(needed))
+            yield self.runtime.sim.all_settled(self.waits(needed))
 
     # -- round drivers ----------------------------------------------------------
     def pending_snapshot(self, shard: int = 0) -> List[Target]:

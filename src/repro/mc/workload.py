@@ -87,7 +87,9 @@ def drive(cluster, txns: Sequence[Txn], outcomes: List[str], *,
             put_done[0] = True
 
         puts = sim.process(put_phase(), name="workload-puts-%d" % index)
-        yield sim.any_of([puts, sim.timeout(give_up)])
+        yield sim.all_settled([puts], timeout=give_up)
+        if puts.triggered and not puts.ok:
+            raise puts.value  # the put phase failed with no abort
         if outcomes[index] == "aborted":
             return
         if not put_done[0]:

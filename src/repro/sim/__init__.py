@@ -1,8 +1,6 @@
 """Discrete-event simulation substrate for the Treaty reproduction."""
 
 from .core import (
-    AllOf,
-    AnyOf,
     Deadline,
     Event,
     Process,
@@ -15,8 +13,6 @@ from .rng import SeededRng, derive_seed
 from .sync import Gate, Resource, Semaphore, Store
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "CpuPool",
     "Deadline",
     "Event",

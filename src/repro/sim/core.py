@@ -17,11 +17,13 @@ The model is intentionally close to SimPy:
 Processes double as the paper's *fibers* (userland threads, §VII-C), and
 a node's :class:`~repro.sim.cpu.CpuPool` is their run queue: a fiber that
 asks for a busy core waits its FIFO turn, with no syscall.  A fiber's own
-wait needs no event: ``yield sim.sleep(d)`` puts the process itself on
-the heap, and a fiber started with :meth:`Simulator.spawn` (no handle,
-so nobody joins it) exits without a kernel entry.  A wait that can end
-before its deadline arms the deadline with :meth:`Simulator.deadline`
-and cancels it when the wait ends: a cancelled deadline never runs.
+wait needs no event: ``yield sim.sleep(d)`` queues the process itself,
+and a fiber started with :meth:`Simulator.spawn` (no handle, so nobody
+joins it) exits without a kernel entry.  A wait for other events is one
+composite, :class:`QuorumOf` (``sim.all_settled`` / ``sim.quorum_of``),
+and a bounded one passes it ``timeout=``: the composite arms one
+:meth:`Simulator.deadline` and cancels it when the wait ends first, and
+a cancelled deadline never runs.
 """
 
 from __future__ import annotations
@@ -36,9 +38,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AnyOf",
-    "AllOf",
-    "AllSettled",
     "QuorumOf",
     "Deadline",
     "Simulator",
@@ -48,8 +47,9 @@ __all__ = [
 # A process body is a generator that yields events and receives their values.
 ProcessBody = Generator["Event", Any, Any]
 
-#: what ``sim.sleep`` returns for a future wake-up: the sleeping process
-#: is already on the heap, so its step has nothing left to wait on.
+#: what ``sim.sleep`` returns: the sleeping process is already queued
+#: (on the heap, or due now on the ready queue), so its step has nothing
+#: left to wait on.
 _ASLEEP = object()
 
 #: cancelled deadlines wait in the heap until they reach its head, where
@@ -246,7 +246,7 @@ class Process(Event):
         finally:
             sim.current_process = previous
         if target is _ASLEEP:
-            return  # sim.sleep already put this process on the heap
+            return  # sim.sleep already queued this process
         if not isinstance(target, Event):
             self.fail(
                 SimulationError(
@@ -264,97 +264,31 @@ class Process(Event):
             callbacks.append(self._resume)
 
 
-class _ConditionEvent(Event):
-    """Base for AnyOf / AllOf composite events."""
+class QuorumOf(Event):
+    """Triggers once ``needed`` inner events settle acceptably, or at its
+    deadline.
 
-    __slots__ = ("events", "_pending")
+    The one composite wait.  It fires as soon as ``needed`` inner events
+    have settled ok *and* pass the ``accept`` predicate (default: any ok
+    settle counts), or — the quorum-unreachable backstop — once every
+    inner event has settled; :meth:`Simulator.all_settled` is the quorum
+    of every event.  A failed inner event never fails the composite: it
+    is defused and counts only toward the backstop, so a crashed
+    destination looks like a missing vote, not a crashed waiter.  The
+    composite's value is the inner event list: callers inspect
+    ``event.triggered`` / ``event.ok`` / ``event.value`` per entry, and
+    late stragglers keep settling (and keep being defused) after the
+    trigger.
 
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self.events = list(events)
-        self._pending = len(self.events)
-        if not self.events:
-            self.succeed([])
-            return
-        for event in self.events:
-            event.add_callback(self._check)
-
-    def _check(self, event: Event) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def _values(self) -> List[Any]:
-        return [e.value for e in self.events if e.triggered and e.ok]
-
-
-class AnyOf(_ConditionEvent):
-    """Triggers when the first of ``events`` triggers."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event.ok:
-            event.defuse()
-            self.fail(event.value)
-            return
-        self.succeed(event)
-
-
-class AllOf(_ConditionEvent):
-    """Triggers when all of ``events`` have triggered."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event.ok:
-            event.defuse()
-            self.fail(event.value)
-            return
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed(self._values())
-
-
-class AllSettled(_ConditionEvent):
-    """Triggers once every inner event has triggered, ok or failed.
-
-    Unlike :class:`AllOf`, a failed inner event does not fail the
-    composite: it is defused and simply recorded.  The composite's value
-    is the inner event list itself — callers inspect ``event.triggered``
-    / ``event.ok`` / ``event.value`` per entry.  This is the natural
-    shape for fan-out RPC rounds where a crashed destination should look
-    like a missing vote, not a coordinator crash.
+    With ``timeout``, the composite arms one :meth:`Simulator.deadline`:
+    if it fires first, the composite succeeds with its event list, the
+    inner events still pending untriggered; if the composite fires
+    first, it cancels the deadline.  An empty list, or ``needed <= 0``,
+    succeeds at once and arms nothing.
     """
 
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if not event.ok:
-            event.defuse()
-        if self._triggered:
-            return
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed(self.events)
-
-
-class QuorumOf(_ConditionEvent):
-    """Triggers once ``needed`` inner events settle acceptably.
-
-    The vote-counting shape for fan-out rounds: the composite fires as
-    soon as ``needed`` inner events have settled ok *and* pass the
-    ``accept`` predicate (default: any ok settle counts), or — the
-    quorum-unreachable backstop — once every inner event has settled.
-    Like :class:`AllSettled`, a failed inner event never fails the
-    composite; it is defused and counts only toward the backstop.  The
-    composite's value is the inner event list; late stragglers keep
-    settling (and keep being defused) after the trigger.
-    """
-
-    __slots__ = ("needed", "accept", "_accepted")
+    __slots__ = ("events", "needed", "accept", "_pending", "_accepted",
+                 "_deadline")
 
     def __init__(
         self,
@@ -362,12 +296,23 @@ class QuorumOf(_ConditionEvent):
         events: Iterable[Event],
         needed: int,
         accept: Optional[Callable[[Any], bool]] = None,
+        timeout: Optional[float] = None,
     ):
+        super().__init__(sim)
+        self.events = list(events)
         self.needed = needed
         self.accept = accept
+        self._pending = len(self.events)
         self._accepted = 0
-        super().__init__(sim, events)
-        if not self._triggered and needed <= 0:
+        self._deadline: Optional[Deadline] = None
+        if not self.events:
+            self.succeed([])
+            return
+        if timeout is not None and needed > 0:
+            self._deadline = sim.deadline(timeout, self._expire)
+        for event in self.events:
+            event.add_callback(self._check)
+        if needed <= 0:
             self.succeed(self.events)
 
     def _check(self, event: Event) -> None:
@@ -382,7 +327,15 @@ class QuorumOf(_ConditionEvent):
         if event.ok and (self.accept is None or self.accept(event.value)):
             self._accepted += 1
         if self._accepted >= self.needed or self._pending == 0:
+            deadline = self._deadline
+            if deadline is not None:
+                self._deadline = None
+                deadline.cancel()
             self.succeed(self.events)
+
+    def _expire(self) -> None:
+        self._deadline = None
+        self.succeed(self.events)
 
 
 class Deadline:
@@ -442,10 +395,10 @@ class Simulator:
     Two queues hold the pending work.  A heap holds the *future* timeouts
     as ``(when, seq, timeout)``, the sleeping processes as ``(when, seq,
     process)`` and the :meth:`call_later` callables and :meth:`deadline`
-    handles as ``(when, seq, fn)``, ordered by time and then by a
-    strictly increasing sequence number.  A cancelled deadline stays in
-    the heap, inert, until it reaches the head or a rebuild drops it; the
-    head is never one.  A FIFO ready queue holds what is due *now*:
+    handles (a bounded composite's among them) as ``(when, seq, fn)``,
+    ordered by time and then by a strictly increasing sequence number.
+    A cancelled deadline stays in the heap, inert, until it reaches the
+    head or a rebuild drops it; the head is never one.  A FIFO ready queue holds what is due *now*:
     triggered events (whose callbacks are to run), process bootstraps,
     callbacks added to an already-dispatched event, and timeouts, sleeps
     and callables due at the current instant.  Anything scheduled for
@@ -488,17 +441,22 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that triggers ``delay`` simulated seconds from now."""
+        """Create an event that triggers ``delay`` simulated seconds from
+        now: an event to share or attach a callback to.  A process waits
+        for time with :meth:`sleep`, and bounds a wait with a
+        composite's ``timeout=``."""
         return Timeout(self, delay, value)
 
     def sleep(self, delay: float) -> Any:
         """Suspend the running process for ``delay`` simulated seconds.
 
         Use it as ``yield sim.sleep(delay)`` inside a process.  The
-        process itself waits on the heap, so no event is built; unlike
+        process itself waits, so no event is built; unlike
         :meth:`timeout`, the result is nothing to compose or share.  A
-        sleep due now is a due-now :class:`Timeout` (same ready-queue
-        position).  The process resumes with ``None``.
+        future wake-up puts the process on the heap; a sleep due now
+        (zero delay, or one below the clock's resolution) puts it on
+        the ready queue, where a due-now :class:`Timeout` would go.  The
+        process resumes with ``None``.
         """
         process = self.current_process
         if process is None:
@@ -508,8 +466,9 @@ class Simulator:
         now = self.now
         when = now + delay
         if when == now:
-            return Timeout(self, delay)
-        heappush(self._heap, (when, next(self._seq), process))
+            self._ready.append(process)
+        else:
+            heappush(self._heap, (when, next(self._seq), process))
         return _ASLEEP
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> bool:
@@ -567,32 +526,31 @@ class Simulator:
         """
         Process(self, body, name, True)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires when the first of ``events`` fires."""
-        return AnyOf(self, events)
+    def all_settled(
+        self, events: Iterable[Event], timeout: Optional[float] = None
+    ) -> QuorumOf:
+        """Event that fires once every one of ``events`` has settled, or
+        ``timeout`` seconds from now, whichever first.
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that fires once every one of ``events`` has fired."""
-        return AllOf(self, events)
-
-    def all_settled(self, events: Iterable[Event]) -> AllSettled:
-        """Event that fires once every one of ``events`` has settled.
-
-        Failed inner events are defused rather than propagated; the
-        value is the event list for per-event inspection.
+        The quorum of every event: failed inner events are defused
+        rather than propagated, and the value is the event list for
+        per-event inspection.
         """
-        return AllSettled(self, events)
+        events = list(events)
+        return QuorumOf(self, events, len(events), None, timeout)
 
     def quorum_of(
         self,
         events: Iterable[Event],
         needed: int,
         accept: Optional[Callable[[Any], bool]] = None,
+        timeout: Optional[float] = None,
     ) -> QuorumOf:
         """Event that fires once ``needed`` of ``events`` settle with an
-        acceptable value (or every event has settled, whichever first).
+        acceptable value, or every event has settled, or ``timeout``
+        seconds from now, whichever first.
         """
-        return QuorumOf(self, events, needed, accept)
+        return QuorumOf(self, events, needed, accept, timeout)
 
     # -- execution --------------------------------------------------------
     def step(self) -> None:
@@ -612,8 +570,9 @@ class Simulator:
                 if self._cancelled and heap and _cancelled(heap[0][2]):
                     self._drop_cancelled_head()
         if entry.__class__ is Process and not entry._triggered:
-            # A sleeping process wakes: a process enters the ready queue
-            # only once it has triggered (to dispatch to its joiners).
+            # A sleeping process wakes: an untriggered process is queued
+            # only by its own sleep (a triggered one dispatches to its
+            # joiners).
             entry._step()
         elif isinstance(entry, Event):
             # A triggered event, or a timeout that is due: it triggers now

@@ -145,8 +145,9 @@ class LockTable:
         )
         grant = self.sim.event()
         state.waiters.append((txn_id, mode, key, grant))
-        deadline = self.sim.timeout(self.timeout if timeout is None else timeout)
-        yield self.sim.any_of([grant, deadline])
+        yield self.sim.all_settled(
+            [grant], timeout=self.timeout if timeout is None else timeout
+        )
         span.close(granted=grant.triggered)
         if self.wait_hist is not None:
             self.wait_hist.observe(self.sim.now - wait_start)

@@ -33,6 +33,18 @@ def carries(frame, msg_type):
     )
 
 
+def join_all(sim, events):
+    """Wait until every one of ``events`` settles; return their values,
+    or raise the first failure among them.  ``sim.all_settled`` defuses
+    a failed event; a test that needs every event to succeed joins with
+    this instead (``values = yield from join_all(sim, events)``)."""
+    settled = yield sim.all_settled(events)
+    for event in settled:
+        if not event.ok:
+            raise event.value
+    return [event.value for event in settled]
+
+
 def seed_range(variable, default):
     """The seeds a randomized sweep runs: environment ``variable`` holds
     a count (seeds ``0..count-1``) or ``<start>:<stop>``; unset, the

@@ -5,6 +5,8 @@ import pytest
 from repro.config import ClusterConfig, TREATY_FULL
 from repro.core import TreatyCluster
 
+from tests.conftest import join_all
+
 
 @pytest.fixture(scope="module")
 def cluster():
@@ -45,7 +47,7 @@ def test_batched_stabilization_shares_rounds(cluster):
         events = [
             cluster.sim.process(waiter(v), name="w%d" % v) for v in range(1, 21)
         ]
-        yield cluster.sim.all_of(events)
+        yield from join_all(cluster.sim, events)
 
     cluster.run(body())
     rounds = node.counter_client.rounds_executed - before

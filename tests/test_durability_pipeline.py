@@ -18,6 +18,8 @@ from repro.obs import InvariantMonitor, MonitorViolation, Tracer
 from repro.sim import Simulator
 from repro.txn.group_commit import GROUP_COMMIT_WINDOW_CAP
 
+from tests.conftest import join_all
+
 
 def make_cluster(**overrides):
     config = ClusterConfig(**overrides)
@@ -43,7 +45,7 @@ class TestVectoredRounds:
                 cluster.sim.process(waiter("vec-log-a", 5), name="wa"),
                 cluster.sim.process(waiter("vec-log-b", 3), name="wb"),
             ]
-            yield cluster.sim.all_of(events)
+            yield from join_all(cluster.sim, events)
 
         cluster.run(body())
         assert client.rounds_executed - before == 1
@@ -186,7 +188,7 @@ class TestGroupCommitWindow:
                 cluster.sim.process(submitter(i), name="s%d" % i)
                 for i in range(count)
             ]
-            yield cluster.sim.all_of(events)
+            yield from join_all(cluster.sim, events)
 
         cluster.run(body())
         return group
@@ -238,7 +240,7 @@ class TestGroupCommitWindow:
                 cluster.sim.process(submitter(i), name="s%d" % i)
                 for i in range(4)
             ]
-            yield cluster.sim.all_of(events)
+            yield from join_all(cluster.sim, events)
             # Everyone shares the batch's stabilization event; waiting on
             # it yields once the one counter round completes.
             yield results[0][2]

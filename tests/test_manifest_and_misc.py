@@ -81,46 +81,6 @@ class TestVersionState:
         assert VersionState().max_seq() == 0
 
 
-class TestSimCompositeFailures:
-    def test_all_of_propagates_failure(self):
-        from repro.sim import Simulator
-
-        sim = Simulator()
-
-        def failer():
-            yield sim.timeout(1)
-            raise ValueError("inner")
-
-        def waiter():
-            ok = sim.timeout(5)
-            bad = sim.process(failer())
-            try:
-                yield sim.all_of([ok, bad])
-            except ValueError as error:
-                return str(error)
-
-        assert sim.run_process(waiter()) == "inner"
-
-    def test_any_of_propagates_failure(self):
-        from repro.sim import Simulator
-
-        sim = Simulator()
-
-        def failer():
-            yield sim.timeout(1)
-            raise ValueError("first-to-fire")
-
-        def waiter():
-            slow = sim.timeout(10)
-            bad = sim.process(failer())
-            try:
-                yield sim.any_of([bad, slow])
-            except ValueError as error:
-                return str(error)
-
-        assert sim.run_process(waiter()) == "first-to-fire"
-
-
 class TestSstableBlockBoundaries:
     def test_keys_at_block_edges_found(self):
         """Every key must be findable even when it is the first/last of

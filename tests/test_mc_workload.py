@@ -92,3 +92,25 @@ def test_down_node_is_excused_only_when_dead_for_good(world):
     violations = audit(cluster, txns, outcomes, dropped=False)
     assert violations[0] == "liveness: node2 still down at end of run"
     assert [v.split(":")[0] for v in violations[1:]] == ["durability"] * 2
+
+
+def test_a_put_phase_failing_without_an_abort_fails_its_client(monkeypatch):
+    """The client's bounded wait on its put phase defuses the failure;
+    :func:`drive` re-raises anything but an abort, so a broken put
+    surfaces from the run instead of reading as a stuck transaction."""
+    from repro.core.twopc.txn import GlobalTxn
+
+    def broken_put(self, key, value):
+        raise RuntimeError("put broke")
+        yield  # a generator, as GlobalTxn.put is
+
+    cluster = TreatyCluster(
+        profile=TREATY_FULL, config=ClusterConfig(seed=5),
+    ).start()
+    txns = spread_txns(cluster, 1, b"err")
+    monkeypatch.setattr(GlobalTxn, "put", broken_put)
+    outcomes = ["pending"]
+    drive(cluster, txns, outcomes, give_up=2.5)
+    with pytest.raises(RuntimeError, match="put broke"):
+        cluster.sim.run(until=cluster.sim.now + 1.0)
+    assert outcomes == ["pending"]

@@ -28,7 +28,7 @@ from repro.net.message import (
     unseal_batch,
 )
 
-from tests.conftest import NetHarness, ROOT_KEY
+from tests.conftest import NetHarness, ROOT_KEY, join_all
 
 
 def echo_handler(payload, src):
@@ -104,7 +104,7 @@ class TestCoalescing:
                 client.enqueue_request("node1", 1, b"m%d" % i, 2)
                 for i in range(5)
             ]
-            replies = yield harness.sim.all_of(events)
+            replies = yield from join_all(harness.sim, events)
             return sorted(r.payload for r in replies)
 
         assert harness.run(body()) == [b"m0", b"m1", b"m2", b"m3", b"m4"]
@@ -123,7 +123,7 @@ class TestCoalescing:
                 client.enqueue_request("node1", 1, b"m%d" % i, 2)
                 for i in range(5)
             ]
-            yield harness.sim.all_of(events)
+            yield from join_all(harness.sim, events)
 
         harness.run(body())
         assert harness.fabric.delivered_frames == 10
@@ -138,7 +138,7 @@ class TestCoalescing:
                 client.enqueue_request("node1", 1, b"m%d" % i, 2)
                 for i in range(5)
             ]
-            yield harness.sim.all_of(events)
+            yield from join_all(harness.sim, events)
 
         harness.run(body())
         hist = client.runtime.metrics.histogram(
@@ -159,7 +159,7 @@ class TestCoalescing:
                 client.enqueue_request("node1", 1, b"m%d" % i, 2)
                 for i in range(10)
             ]
-            yield harness.sim.all_of(events)
+            yield from join_all(harness.sim, events)
 
         harness.run(body())
         # 10 requests at batch_max=4 -> at least 3 request frames.
@@ -178,7 +178,7 @@ class TestBatchSealing:
             events = harness.secure[0].broadcast(
                 [("node1", tx_message(op_id=i)) for i in range(1, 6)]
             )
-            replies = yield harness.sim.all_of(events)
+            replies = yield from join_all(harness.sim, events)
             return [r.value.msg_type for r in events] and [
                 reply.msg_type for reply in replies
             ]
@@ -197,7 +197,7 @@ class TestBatchSealing:
             events = harness.secure[0].broadcast(
                 [("node1", tx_message(op_id=i)) for i in range(1, 4)]
             )
-            yield harness.sim.all_of(events)
+            yield from join_all(harness.sim, events)
 
         harness.run(body())
         assert harness.secure[0].seal_ops == 0
@@ -223,7 +223,7 @@ class TestAdversaryBatchAtomicity:
             events = harness.secure[0].broadcast(
                 [("node1", tx_message(op_id=i)) for i in range(1, 6)]
             )
-            yield harness.sim.all_of(events)
+            yield from join_all(harness.sim, events)
             yield harness.sim.timeout(0.01)  # let the duplicate arrive
 
         harness.run(body())
@@ -269,7 +269,7 @@ class TestAdversaryBatchAtomicity:
                 event.add_callback(
                     lambda ev: times.append(harness.sim.now)
                 )
-            yield harness.sim.all_of(events)
+            yield from join_all(harness.sim, events)
             return harness.sim.now
 
         finished = harness.run(body())
@@ -406,7 +406,7 @@ def fixed_distributed_run(**overrides):
             cluster.sim.process(one_txn(i), name="nb-txn-%d" % i)
             for i in range(NUM_TXNS)
         ]
-        yield cluster.sim.all_of(procs)
+        yield from join_all(cluster.sim, procs)
         yield cluster.sim.timeout(0.2)  # COMPLETE + background rounds land
 
     cluster.run(body())

@@ -14,7 +14,7 @@ from repro.net import (
 from repro.sim import Simulator
 from repro.tee import NodeRuntime
 
-from tests.conftest import NetHarness
+from tests.conftest import NetHarness, join_all
 
 
 def echo_handler(payload, src):
@@ -46,7 +46,7 @@ class TestErpc:
             events = [
                 client.enqueue_request("node1", 1, b"m%d" % i, 2) for i in range(5)
             ]
-            replies = yield harness.sim.all_of(events)
+            replies = yield from join_all(harness.sim, events)
             return sorted(r.payload for r in replies)
 
         assert harness.run(body()) == [b"m0", b"m1", b"m2", b"m3", b"m4"]
@@ -68,7 +68,7 @@ class TestErpc:
                 client.enqueue_request("node1", 1, b"a", 1),
                 client.enqueue_request("node2", 1, b"b", 1),
             ]
-            yield harness.sim.all_of(events)
+            yield from join_all(harness.sim, events)
             return harness.sim.now
 
         assert harness.run(body()) < 1.5  # not 2.0: they overlapped
@@ -78,11 +78,10 @@ class TestErpc:
 
         def body():
             event = client.enqueue_request("node1", 99, b"x", 1)
-            timeout = harness.sim.timeout(1.0, value="timed-out")
-            winner = yield harness.sim.any_of([event, timeout])
-            return winner.value
+            yield harness.sim.all_settled([event], timeout=1.0)
+            return harness.sim.now, event.triggered
 
-        assert harness.run(body()) == "timed-out"
+        assert harness.run(body()) == (1.0, False)  # no reply, no error
 
     def test_scone_erpc_is_slower_than_native(self):
         def elapsed(profile):

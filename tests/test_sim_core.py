@@ -11,11 +11,10 @@ import pytest
 
 from repro.sim import core
 from repro.sim import (
-    AllOf,
-    AnyOf,
     Event,
     SimulationError,
     Simulator,
+    Timeout,
 )
 
 
@@ -174,31 +173,112 @@ def test_yield_from_composition(sim):
     assert sim.now == 2
 
 
-def test_any_of_returns_first(sim):
+def test_quorum_of_one_fires_at_the_first(sim):
     def body():
         fast = sim.timeout(1, value="fast")
         slow = sim.timeout(9, value="slow")
-        winner = yield AnyOf(sim, [fast, slow])
-        return winner.value
+        settled = yield sim.quorum_of([fast, slow], 1)
+        return sim.now, [event.value for event in settled if event.triggered]
 
-    assert sim.run_process(body()) == "fast"
+    assert sim.run_process(body()) == (1, ["fast"])
 
 
-def test_all_of_waits_for_everything(sim):
+def test_all_settled_waits_for_everything(sim):
     def body():
         events = [sim.timeout(d, value=d) for d in (3, 1, 2)]
-        values = yield AllOf(sim, events)
-        return (sim.now, sorted(values))
+        settled = yield sim.all_settled(events)
+        return (sim.now, [event.value for event in settled])
 
-    assert sim.run_process(body()) == (3, [1, 2, 3])
+    assert sim.run_process(body()) == (3, [3, 1, 2])
 
 
-def test_all_of_empty_triggers_immediately(sim):
+# -- the bounded composite: one wait, one cancellable deadline ----------------
+
+
+def test_empty_composite_succeeds_at_once_and_arms_nothing(sim):
     def body():
-        values = yield sim.all_of([])
-        return values
+        settled = yield sim.all_settled([], timeout=5.0)
+        return settled
 
+    composite = sim.all_settled([], timeout=5.0)
+    assert composite.triggered and composite.value == []
+    assert not sim._heap and list(sim._ready) == [composite]
     assert sim.run_process(body()) == []
+    assert sim.now == 0.0 and not sim._heap
+
+
+def test_bounded_composite_fires_at_its_deadline(sim):
+    """The deadline succeeds the composite with its event list; the
+    events still pending in it are untriggered."""
+    def body():
+        done = sim.timeout(1.0, value="done")
+        never = sim.event()
+        settled = yield sim.all_settled([done, never], timeout=2.5)
+        return sim.now, [(event.triggered, event.value) for event in settled]
+
+    assert sim.run_process(body()) == (2.5, [(True, "done"), (False, None)])
+
+
+def test_composite_that_fires_first_cancels_its_deadline(sim):
+    """No step runs the cancelled deadline, and ``run()`` leaves the
+    clock at the last live entry, not at the deadline's instant."""
+    steps = []
+    step = sim.step
+    sim.step = lambda: steps.append(step())
+    log = []
+
+    def body():
+        grant = sim.event()
+        sim.call_later(1.0, lambda: grant.succeed("granted"))
+        settled = yield sim.all_settled([grant], timeout=4.0)
+        log.append((sim.now, settled[0].value))
+
+    sim.spawn(body())
+    assert sim.run() == 1.0
+    assert log == [(1.0, "granted")]
+    # bootstrap, the grant's call, its dispatch, the composite's dispatch
+    assert len(steps) == 4
+    assert not sim._heap and sim._cancelled == 0
+
+
+def test_composite_defuses_a_failed_inner_event(sim):
+    """A failed inner event neither fails the composite nor crashes
+    ``run()``: it is defused and counts only toward the backstop, late
+    stragglers too."""
+    def failer(delay):
+        yield sim.sleep(delay)
+        raise ValueError("inner")
+
+    def body():
+        early, late = sim.process(failer(1)), sim.process(failer(3))
+        ok = sim.timeout(2, value="ok")
+        settled = yield sim.quorum_of([early, ok, late], 1, timeout=5)
+        return sim.now, [(event.triggered, event.ok) for event in settled]
+
+    assert sim.run_process(body()) == (
+        2, [(True, False), (True, True), (False, True)])
+    sim.run()  # the late failure is defused, too
+    assert sim.now == 3
+
+
+@pytest.mark.parametrize("delay", [0.0, 1e-17])
+def test_due_now_sleep_queues_the_process_itself(delay):
+    """A sleep due now builds no ``Timeout``: the process itself joins
+    the ready queue, behind what was readied before it."""
+    sim, queued = Simulator(), []
+
+    def body():
+        yield sim.sleep(1.0)
+        sim.event().succeed()
+        wake = sim.sleep(delay)
+        queued.append(list(sim._ready))
+        yield wake
+
+    process = sim.process(body())
+    sim.run()
+    (ready,) = queued
+    assert len(ready) == 2 and ready[1] is process
+    assert not any(isinstance(entry, Timeout) for entry in ready)
 
 
 def test_run_until_stops_clock(sim):
@@ -549,11 +629,16 @@ def random_program(sim, seed, workers=6, steps=10):
                     event.defuse()
                     yield sim.sleep(0)
                     watch(event, tag)
-                elif op == 4:  # wait on a shared event other workers settle
+                elif op == 4:  # a bounded wait on a shared event that
+                    # other workers settle; its failure is re-raised
                     event = sim.event()
                     shared.append(event)
                     watch(event, tag)
-                    yield sim.any_of([event, sim.timeout(rng.choice(DELAYS))])
+                    yield sim.all_settled([event],
+                                          timeout=rng.choice(DELAYS))
+                    note("bounded", tag, event.triggered)
+                    if event.triggered and not event.ok:
+                        raise event.value
                 elif op == 5:  # settle a shared event: succeed or fail
                     pending = [e for e in shared if not e.triggered]
                     if pending:
@@ -563,15 +648,16 @@ def random_program(sim, seed, workers=6, steps=10):
                         else:
                             event.fail(ValueError(repr(tag)))
                     yield pause()
-                elif op == 6:  # AnyOf / QuorumOf over fresh timeouts
+                elif op == 6:  # a quorum over fresh timeouts, maybe bounded
                     events = [sim.timeout(rng.choice(DELAYS), value=i)
                               for i in range(3)]
-                    if rng.random() < 0.5:
-                        first = yield sim.any_of(events)
-                        note("any", tag, first.value)
-                    else:
-                        yield sim.quorum_of(events, rng.randrange(4),
-                                            accept=lambda value: value != 1)
+                    bound = (rng.choice(DEADLINE_DELAYS)
+                             if rng.random() < 0.5 else None)
+                    settled = yield sim.quorum_of(
+                        events, rng.randrange(4),
+                        accept=lambda value: value != 1, timeout=bound)
+                    note("quorum", tag,
+                         [event.value for event in settled if event.triggered])
                 elif op == 7:  # spawned fibers: nobody joins them
                     for index in range(rng.randrange(1, 3)):
                         sim.spawn(child((wid, step, index), "spawned"))
@@ -622,15 +708,18 @@ def test_random_programs_cover_every_shape(monkeypatch):
         heapify(heap)
 
     monkeypatch.setattr(core, "heapify", counted_heapify)
-    ops, kinds = set(), set()
+    ops, kinds, bounded = set(), set(), set()
     for seed in range(40):
         for entry in random_program(Simulator(), seed):
             kinds.add(entry[1])
             if entry[1] == "step":
                 ops.add(entry[3])
+            elif entry[1] == "bounded":
+                bounded.add(entry[3])
     assert ops == set(range(10))
-    assert {"callback", "child", "spawned", "any", "failed",
+    assert {"callback", "child", "spawned", "bounded", "quorum", "failed",
             "later", "deadline"} <= kinds
+    assert bounded == {True, False}  # bounded waits settled and expired
     assert rebuilds  # cancelled deadlines were dropped in a rebuild
 
 
@@ -835,19 +924,28 @@ def test_cancelled_deadlines_are_dropped_in_one_rebuild(monkeypatch, sim):
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
-#: (statement is a yield, method called) -> the fix.  The first two
-#: build a kernel object nobody needs; a sleep that is not yielded would
-#: wake its process later, in the middle of some other wait.
+#: (statement is a yield, method called) -> the fix.  A discarded
+#: process handle is a kernel object nobody needs; a sleep that is not
+#: yielded would wake its process later, in the middle of some other wait.
 SLOW_IDIOMS = {
-    (True, "timeout"): "yield <sim>.sleep(d), not a timeout",
     (False, "process"): "<sim>.spawn(...) when nobody keeps the handle",
     (False, "sleep"): "a sleep must be yielded",
 }
 
+#: the fix for any ``timeout(...)`` call, yielded or not: a timeout event
+#: stays on the heap after the wait it bounds has ended.
+TIMEOUT_FIX = ("yield <sim>.sleep(d), or bound the wait with the "
+               "composite's `timeout=`")
+
 
 def _slow_idioms(tree):
-    """(line, fix) for every expression statement in ``SLOW_IDIOMS``."""
+    """(line, fix), by line, for every ``timeout(...)`` call and every
+    expression statement in ``SLOW_IDIOMS``."""
+    found = []
     for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "timeout"):
+            found.append((node.lineno, TIMEOUT_FIX))
         if not isinstance(node, ast.Expr):
             continue
         yielded = isinstance(node.value, ast.Yield)
@@ -855,7 +953,8 @@ def _slow_idioms(tree):
         if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute):
             fix = SLOW_IDIOMS.get((yielded, call.func.attr))
             if fix is not None:
-                yield node.lineno, fix
+                found.append((node.lineno, fix))
+    return sorted(found)
 
 
 def test_src_uses_sleep_and_spawn():
@@ -874,8 +973,10 @@ def test_slow_idioms_are_recognised():
         "    sim.process(body(sim))\n"
         "    sim.sleep(1)\n"
         "    yield sim.sleep(1)\n"
-        "    yield sim.any_of([sim.timeout(1)])\n"
+        "    bound = sim.timeout(1)\n"
         "    handle = sim.process(body(sim))\n"
         "    sim.spawn(body(sim))\n"
+        "    yield sim.all_settled([handle], timeout=1)\n"
     )
-    assert [line for line, _ in _slow_idioms(ast.parse(source))] == [2, 3, 4]
+    assert [line for line, _ in _slow_idioms(ast.parse(source))] == [
+        2, 3, 4, 6]

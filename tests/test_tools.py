@@ -89,6 +89,40 @@ def test_each_tree_runs_on_its_own_bytecode_cache(monkeypatch):
         "/tmp/x/change-pyc")
 
 
+def test_both_trees_sit_side_by_side_at_paths_of_equal_length():
+    trees = abtest.layout("/tmp/abtest-x")
+    (base, base_pyc), (change, change_pyc) = trees["base"], trees["change"]
+    assert len(base) == len(change) and base != change
+    assert {Path(path).parent for path in (base, change, base_pyc,
+                                           change_pyc)} == {
+        Path("/tmp/abtest-x")}
+    assert base_pyc != change_pyc
+
+
+def test_the_change_side_copies_what_git_would_see(tmp_path):
+    """Tracked files and untracked ones git does not ignore are copied;
+    ignored files and tracked files deleted from the tree are not."""
+    import subprocess
+
+    root, dest = tmp_path / "repo", tmp_path / "copy"
+    (root / "src").mkdir(parents=True)
+    for name, text in [(".gitignore", "*.pyc\n"), ("src/a.py", "a"),
+                       ("src/gone.py", "g"), ("src/new.py", "n"),
+                       ("src/a.pyc", "x")]:
+        (root / name).write_text(text)
+    subprocess.run(["git", "init", "-q", str(root)], check=True)
+    subprocess.run(["git", "-C", str(root), "add", ".gitignore", "src/a.py",
+                    "src/gone.py"], check=True)
+    (root / "src" / "gone.py").unlink()
+    assert abtest.working_files(str(root)) == [
+        ".gitignore", "src/a.py", "src/new.py"]
+    abtest.copy_working_tree(str(root), str(dest))
+    assert sorted(str(path.relative_to(dest)) for path in dest.rglob("*")
+                  if path.is_file()) == [".gitignore", "src/a.py",
+                                         "src/new.py"]
+    assert (dest / "src" / "new.py").read_text() == "n"
+
+
 def test_table_has_one_line_per_metric():
     rows = abtest.summarize(runs(BASE), runs([9.0, 9.1, 8.9, 9.05, 8.95]),
                             [HOST])
@@ -441,7 +475,7 @@ def _noted(event):
 
 def test_entries_name_what_each_kind_ran_for(monkeypatch):
     """``--entries``: each kernel entry is counted by kind and by whom it
-    ran for; the heap left at the end counts its cancelled deadlines."""
+    ran for; the heap left at the end is counted by kind, too."""
     from functools import partial
     from types import SimpleNamespace
 
@@ -452,6 +486,7 @@ def test_entries_name_what_each_kind_ran_for(monkeypatch):
             yield sim.timeout(0.1)  # an event waking this worker
             yield sim.sleep(1.0)  # a sleep wake
             yield sim.sleep(1.0)
+            yield sim.sleep(20.0)  # asleep past the pass
 
         sim.spawn(worker(), name="worker@node0")  # a bootstrap
         sim.call_later(0.5, partial(_delivered, 1))
@@ -461,6 +496,8 @@ def test_entries_name_what_each_kind_ran_for(monkeypatch):
         sim.timeout(0.75)  # nobody waits
         sim.call_later(10.0, partial(_delivered, 4))  # past the pass
         sim.deadline(12.0, partial(_delivered, 5)).cancel()  # left behind
+        sim.deadline(14.0, partial(_delivered, 6))  # live past the pass
+        sim.timeout(15.0).add_callback(_noted)  # pending past the pass
         sim.run(until=3.0)
         return SimpleNamespace(committed=2)
 
@@ -474,7 +511,21 @@ def test_entries_name_what_each_kind_ran_for(monkeypatch):
         ("event, no-op", "Timeout"): 1,
         ("sleep wake", "worker"): 2,
     }
-    assert heap_left == (2, 1)
+    assert dict(heap_left) == {
+        ("sleeping process", "worker"): 1,
+        ("pending Timeout", "_noted"): 1,
+        ("live deadline", "_delivered"): 1,
+        ("cancelled deadline", ""): 1,
+        ("plain callable", "_delivered"): 1,
+    }
+    assert [line.split() for line in profile.format_heap(heap_left)] == [
+        ["heap", "at", "the", "end", "of", "the", "pass:", "5", "entries"],
+        ["sleeping", "process", "1"], ["1", "worker"],
+        ["pending", "Timeout", "1"], ["1", "_noted"],
+        ["live", "deadline", "1"], ["1", "_delivered"],
+        ["cancelled", "deadline", "1"],
+        ["plain", "callable", "1"], ["1", "_delivered"],
+    ]
     lines = profile.format_entries(counts, result.committed, top=1)
     assert [line.split() for line in lines] == [
         ["sleep", "wake", "1.0", "/txn", "25.0", "%"],

@@ -6,10 +6,14 @@ Usage::
     python tools/abtest.py HEAD~1
     python tools/abtest.py 64e7139 --workload ycsb-c-snapshot --pairs 10 --seed 5
 
-REF is ``git archive``d into a temporary directory; the change is this
-checkout's working tree.  Each pair runs ``perf/bench.py --trace 0`` once
-in each tree, each in a fresh process, and who runs first alternates
-from pair to pair.  Each tree reads and writes bytecode only in a cache
+REF is ``git archive``d into a temporary directory; the change is a copy
+of this checkout's working tree (its tracked files, and its untracked
+files that git does not ignore) beside it, at a path of equal length:
+``host_peak_rss_mb`` on ``ycsb-w-single`` and ``ycsb-c-snapshot`` moved
+with where a tree was placed, not with its code, when the working tree
+itself ran.  Each pair runs ``perf/bench.py --trace 0`` once in each
+tree, each in a fresh process, and who runs first alternates from pair
+to pair.  Each tree reads and writes bytecode only in a cache
 of its own (``PYTHONPYCACHEPREFIX``), which one untimed run per tree
 warms before pair 1: a tree with a warm ``__pycache__`` beside one
 without would skew ``setup_s`` and RSS.  Every run's host metrics are
@@ -35,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -117,6 +122,32 @@ def extract(ref: str, dest: str) -> None:
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
+def working_files(root: str) -> List[str]:
+    """The working tree's files under ``root``, relative to it: the
+    tracked ones still present and the untracked ones not ignored."""
+    listed = subprocess.run(
+        ["git", "-C", root, "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"],
+        stdout=subprocess.PIPE, check=True).stdout.decode()
+    return sorted({path for path in listed.split("\0")
+                   if path and os.path.isfile(os.path.join(root, path))})
+
+
+def copy_working_tree(root: str, dest: str) -> None:
+    """Copy :func:`working_files` of ``root`` into ``dest``."""
+    for path in working_files(root):
+        target = os.path.join(dest, path)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        shutil.copy2(os.path.join(root, path), target)
+
+
+def layout(tmp: str) -> Dict[str, Tuple[str, str]]:
+    """Each side's ``(tree, bytecode cache)`` under ``tmp``: the trees
+    side by side at paths of equal length, each with its own cache."""
+    return {side: (os.path.join(tmp, name), os.path.join(tmp, name + "-pyc"))
+            for side, name in (("base", "base"), ("change", "work"))}
+
+
 def run_env(cache: str) -> Dict[str, str]:
     """This process's environment, with bytecode read from and written to
     ``cache`` only."""
@@ -163,11 +194,10 @@ def main(argv=None) -> int:
     base: List[Run] = []
     change: List[Run] = []
     with tempfile.TemporaryDirectory(prefix="abtest-") as tmp:
-        base_tree = os.path.join(tmp, "base")
-        os.mkdir(base_tree)
-        extract(args.ref, base_tree)
-        trees = {"base": (base_tree, os.path.join(tmp, "base-pyc")),
-                 "change": (ROOT, os.path.join(tmp, "change-pyc"))}
+        trees = layout(tmp)
+        os.mkdir(trees["base"][0])
+        extract(args.ref, trees["base"][0])
+        copy_working_tree(ROOT, trees["change"][0])
         print("abtest %s  seed %d  %d pairs  base %s, change: working tree"
               % (args.workload, args.seed, args.pairs, args.ref))
         for tree, cache in trees.values():  # warm-up, not timed

@@ -38,9 +38,12 @@ event nobody waits on), and a plain callable (a ``call_later`` such as
 a fabric delivery, a ``deadline`` that fired, or a late callback).
 Under each kind it names who the entries ran for, most first: the
 process (its name up to the ``@``) or the callable's qualname.  It
-also prints how many entries the heap still holds at the end of the
-pass, cancelled deadlines among them.  A kernel lever starts from
-this count: it names the entries worth removing.
+also breaks down the entries the heap still holds at the end of the
+pass by kind: a sleeping process (by name), a pending ``Timeout`` (by
+whom its first callback runs for), a live deadline and a plain
+``call_later`` callable (by whom they run for), and a cancelled
+deadline.  A kernel lever starts from these counts: they name the
+entries worth removing.
 
 ``--charges`` runs the pass unprofiled and prints the CPU holds per
 committed transaction by charging site — the ``NodeRuntime`` method
@@ -133,6 +136,11 @@ ENTRY_KINDS = ("sleep wake", "process bootstrap", "event, live waiter",
 #: ``--entries``' names listed under each kind.
 ENTRY_NAMES = 5
 
+#: the kinds of entry left in the heap that ``--entries`` counts, in
+#: print order.
+HEAP_KINDS = ("sleeping process", "pending Timeout", "live deadline",
+              "cancelled deadline", "plain callable")
+
 
 class CollectorPasses:
     """A ``gc.callbacks`` entry: passes, host seconds and objects
@@ -221,10 +229,25 @@ def entry_kind(sim: Simulator):
     return "plain callable", runs_for(entry)
 
 
+def heap_kind(entry):
+    """The kind of a heap entry (:data:`HEAP_KINDS`) and whom it waits
+    or runs for (:func:`runs_for`)."""
+    if type(entry) is Process:
+        return "sleeping process", entry.name.split("@", 1)[0]
+    if isinstance(entry, Event):
+        return "pending Timeout", (runs_for(entry._callbacks[0])
+                                   if entry._callbacks else "nobody waits")
+    if isinstance(entry, Deadline):
+        if entry._fn is None:
+            return "cancelled deadline", ""
+        return "live deadline", runs_for(entry)
+    return "plain callable", runs_for(entry)
+
+
 def count_entries(workload, cluster, seconds: float):
     """Run the pass with every kernel entry classified just before it
     runs; returns the pass result, the count per ``(kind, runs for)``
-    and the heap left at the end: ``(entries, cancelled deadlines)``."""
+    and the heap left at the end, counted per :func:`heap_kind`."""
     counts: collections.Counter = collections.Counter()
     step = Simulator.step
     sims = set()
@@ -239,28 +262,44 @@ def count_entries(workload, cluster, seconds: float):
         result = workloads.run_pass(workload, cluster, seconds)
     finally:
         Simulator.step = step
-    heap_left = (sum(len(sim._heap) for sim in sims),
-                 sum(sim._cancelled for sim in sims))
+    heap_left = collections.Counter(
+        heap_kind(entry) for sim in sims for _when, _seq, entry in sim._heap)
     return result, counts, heap_left
+
+
+def _by_kind(counts, kinds, top: int):
+    """Per kind of ``kinds``: its total and its ``top`` names with their
+    counts, most first."""
+    for kind in kinds:
+        names = collections.Counter(
+            {name: count for (of, name), count in counts.items()
+             if of == kind})
+        yield kind, sum(names.values()), names.most_common(top)
 
 
 def format_entries(counts, txns: int, top: int = ENTRY_NAMES):
     """``--entries``' rows: per kind, entries per txn and share, then
     the ``top`` names it ran for, most first."""
     total = max(sum(counts.values()), 1)
-    by_kind: collections.Counter = collections.Counter()
-    for (kind, _name), count in counts.items():
-        by_kind[kind] += count
     lines = []
-    for kind in ENTRY_KINDS:
+    for kind, of_kind, names in _by_kind(counts, ENTRY_KINDS, top):
         lines.append("  %-20s %8.1f /txn  %5.1f %%"
-                     % (kind, by_kind[kind] / txns,
-                        100.0 * by_kind[kind] / total))
-        names = collections.Counter(
-            {name: count for (of, name), count in counts.items()
-             if of == kind})
-        for name, count in names.most_common(top):
+                     % (kind, of_kind / txns, 100.0 * of_kind / total))
+        for name, count in names:
             lines.append("      %8.1f /txn  %s" % (count / txns, name))
+    return lines
+
+
+def format_heap(heap_left, top: int = ENTRY_NAMES):
+    """``--entries``' heap rows: the entries left, then per kind their
+    count and the ``top`` names, most first."""
+    lines = ["heap at the end of the pass: %d entries"
+             % sum(heap_left.values())]
+    for kind, of_kind, names in _by_kind(heap_left, HEAP_KINDS, top):
+        lines.append("  %-20s %8d" % (kind, of_kind))
+        for name, count in names:
+            if name:
+                lines.append("      %8d  %s" % (count, name))
     return lines
 
 
@@ -455,8 +494,7 @@ def main(argv=None) -> int:
         print("%s  seed %d  committed %d  kernel entries/txn %.0f"
               % (workload.name, args.seed, result.committed, total / txns))
         print("\n".join(format_entries(counts, txns)))
-        print("heap at the end of the pass: %d entries (%d cancelled "
-              "deadlines)" % heap_left)
+        print("\n".join(format_heap(heap_left)))
     elif args.charges:
         txns = max(result.committed, 1)
         total, back = sum(holds.values()), sum(chained.values())
