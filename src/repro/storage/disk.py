@@ -51,8 +51,15 @@ class Disk:
         return offset
 
     def write(self, filename: str, data: bytes) -> None:
-        """Replace a file's contents (used for whole-file objects)."""
-        self._files[filename] = bytearray(data)
+        """Replace a file's contents (used for whole-file objects).
+
+        A ``bytearray`` becomes the file itself, not a copy of it: the
+        caller hands it over and must not change it afterwards.  Any
+        other bytes-like ``data`` is copied.
+        """
+        self._files[filename] = (
+            data if isinstance(data, bytearray) else bytearray(data)
+        )
         self.bytes_written += len(data)
 
     def _stored(self, filename: str) -> bytearray:

@@ -20,7 +20,8 @@ replacement state are *stabilized* (rollback-protected), per §VI.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Generator, Iterator, List, Optional,
+                    Tuple)
 
 from ..config import ClusterConfig
 from ..crypto.keys import KeyRing
@@ -52,6 +53,18 @@ _DELETE_GRACE = 0.05
 # ``DurabilityPipeline.stabilize`` (repro.core.pipeline).  ``None`` means
 # the profile runs without stabilization.
 Stabilize = Callable[[str, int], Generator[Event, Any, None]]
+
+#: ``(key, value_or_TOMBSTONE, seq)``, the unit a table is built from.
+Entry = Tuple[bytes, Any, int]
+
+
+def _drain(entries: List[Entry]) -> Iterator[Entry]:
+    """Yield ``entries`` in order, taking each out of the list as it is
+    yielded: the consumer becomes its only owner, so a table build frees
+    each plaintext value once its block is sealed.  The list ends empty."""
+    entries.reverse()
+    while entries:
+        yield entries.pop()
 
 
 class LSMEngine:
@@ -276,7 +289,7 @@ class LSMEngine:
                 self.keyring,
                 self._path(self._next_table_name()),
                 0,
-                entries,
+                _drain(entries),
                 self.config.block_bytes,
             )
             old_wal = self.wal
@@ -322,8 +335,7 @@ class LSMEngine:
         ]
         merged: Dict[bytes, Tuple[Any, int]] = {}
         for meta in overlapping + inputs:  # inputs are newer: applied last wins
-            entries = yield from self._reader(meta).all_entries()
-            for key, value, seq in entries:
+            for key, value, seq in (yield from self._reader(meta).all_entries()):
                 current = merged.get(key)
                 if current is None or seq > current[1]:
                     merged[key] = (value, seq)
@@ -336,22 +348,27 @@ class LSMEngine:
             for key, (value, seq) in sorted(merged.items())
             if not (value is TOMBSTONE and not deeper_data)
         ]
+        merged.clear()
+        # Each entry has one owner at a time, ``output`` then ``chunk``
+        # then the table build, which lets go of it once it is sealed.
         new_metas: List[SSTableMeta] = []
         max_output_bytes = 4 * self.config.memtable_limit_bytes
-        chunk: List[Tuple[bytes, Any, int]] = []
+        chunk: List[Entry] = []
         chunk_bytes = 0
-        for entry in output:
+        for entry in _drain(output):
             chunk.append(entry)
             chunk_bytes += len(entry[0]) + (
                 0 if entry[1] is TOMBSTONE else len(entry[1])
             )
             if chunk_bytes >= max_output_bytes:
                 new_metas.append(
-                    (yield from self._build_level_table(target, chunk))
+                    (yield from self._build_level_table(target, _drain(chunk)))
                 )
-                chunk, chunk_bytes = [], 0
+                chunk_bytes = 0
         if chunk:
-            new_metas.append((yield from self._build_level_table(target, chunk)))
+            new_metas.append(
+                (yield from self._build_level_table(target, _drain(chunk)))
+            )
 
         last_counter = 0
         for meta in new_metas:

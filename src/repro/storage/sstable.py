@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from hashlib import sha256
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Any, Generator, Iterable, List, Optional, Tuple
 
 from ..crypto.keys import KeyRing
 from ..errors import IntegrityError, StorageError
@@ -108,15 +108,19 @@ def build_sstable(
     keyring: KeyRing,
     filename: str,
     level: int,
-    entries: List[Tuple[bytes, Any, int]],
+    entries: Iterable[Tuple[bytes, Any, int]],
     block_bytes: int,
 ) -> Gen:
     """Write ``entries`` (sorted by key) as an SSTable; returns its meta.
 
-    ``entries`` are ``(key, value_or_TOMBSTONE, seq)`` tuples.
+    ``entries`` is any iterable of ``(key, value_or_TOMBSTONE, seq)``
+    tuples, read once.  The build drops a block's entries once the
+    block is sealed: an iterator that lets go of each entry it yields (a
+    flush's, a compaction's) frees every plaintext value as its block is
+    sealed, and a list passed in is left as it was.  The file is one
+    ``bytearray`` joined from the sealed blocks and the footer; the
+    block list is dropped and the disk keeps that bytearray.
     """
-    if not entries:
-        raise StorageError("refusing to build an empty SSTable")
     encrypted = runtime.encryption
     aead = keyring.storage_aead(runtime.name, "sstable")
     # A crash between writing a table and recording it re-issues the
@@ -125,38 +129,49 @@ def build_sstable(
 
     blocks: List[bytes] = []
     block_index: List[Tuple[bytes, int, int, bytes]] = []  # first_key, off, len, hash
-    current: List[Tuple[bytes, Any, int]] = []
-    current_bytes = 0
     offset = 0
 
-    def finish_block():
-        nonlocal current, current_bytes, offset
-        if not current:
-            return None
-        plain = _encode_block(current)
+    def finish_block(block: List[Tuple[bytes, Any, int]]) -> int:
+        """Seal one block into ``blocks``; returns its plaintext length."""
+        nonlocal offset
+        plain = _encode_block(block)
         if encrypted:
             iv = sha256(iv_scope + len(blocks).to_bytes(4, "little")).digest()[:12]
             stored = aead.seal(iv, plain, aad=_BLOCK_AAD)
         else:
             stored = plain
-        block_index.append((current[0][0], offset, len(stored), sha256(stored).digest()))
+        block_index.append((block[0][0], offset, len(stored), sha256(stored).digest()))
         blocks.append(stored)
         offset += len(stored)
-        out = plain
-        current, current_bytes = [], 0
-        return out
+        return len(plain)
 
-    for key, value, seq in entries:
-        current.append((key, value, seq))
+    current: List[Tuple[bytes, Any, int]] = []
+    current_bytes = 0
+    entry_count = 0
+    min_key = max_key = b""
+    max_seq = 0
+    for entry in entries:
+        key, value, seq = entry
+        if not entry_count:
+            min_key, max_seq = key, seq
+        elif seq > max_seq:
+            max_seq = seq
+        max_key = key
+        entry_count += 1
+        current.append(entry)
         current_bytes += len(key) + (0 if value is TOMBSTONE else len(value)) + 16
         if current_bytes >= block_bytes:
-            plain = finish_block()
-            yield from runtime.compute(runtime.aead_seconds(len(plain)),
-                                       runtime.hash_seconds(len(plain)))
-    plain = finish_block()
-    if plain is not None:
-        yield from runtime.compute(runtime.aead_seconds(len(plain)),
-                                   runtime.hash_seconds(len(plain)))
+            sealed = finish_block(current)
+            current, current_bytes = [], 0
+            yield from runtime.compute(runtime.aead_seconds(sealed),
+                                       runtime.hash_seconds(sealed))
+    if not entry_count:
+        raise StorageError("refusing to build an empty SSTable")
+    if current:
+        sealed = finish_block(current)
+        current = []
+        yield from runtime.compute(runtime.aead_seconds(sealed),
+                                   runtime.hash_seconds(sealed))
 
     footer_writer = Writer().u32(len(block_index))
     for first_key, off, length, block_hash in block_index:
@@ -169,12 +184,10 @@ def build_sstable(
         footer_stored = footer_plain
     yield from runtime.compute(runtime.aead_seconds(len(footer_plain)))
 
-    body = b"".join(blocks)
-    file_bytes = (
-        body
-        + footer_stored
-        + len(footer_stored).to_bytes(4, "little")
-    )
+    blocks.append(footer_stored)
+    blocks.append(len(footer_stored).to_bytes(4, "little"))
+    file_bytes = bytearray().join(blocks)
+    blocks.clear()
     disk.write(filename, file_bytes)
     yield from runtime.ssd_write(len(file_bytes))
 
@@ -182,10 +195,10 @@ def build_sstable(
         filename=filename,
         level=level,
         footer_hash=sha256(footer_stored).digest(),
-        min_key=entries[0][0],
-        max_key=entries[-1][0],
-        max_seq=max(seq for _, _, seq in entries),
-        entry_count=len(entries),
+        min_key=min_key,
+        max_key=max_key,
+        max_seq=max_seq,
+        entry_count=entry_count,
         file_bytes=len(file_bytes),
     )
 

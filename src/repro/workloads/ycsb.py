@@ -149,20 +149,22 @@ def bulk_load(cluster: TreatyCluster, config: YcsbConfig) -> Gen:
     Load-phase work is not part of any measured figure, so it bypasses
     the client network (like preloading the store before an experiment).
     """
-    per_node: List[List[Tuple[bytes, Optional[bytes], int]]] = [
-        [] for _ in cluster.nodes
-    ]
+    owned: List[List[int]] = [[] for _ in cluster.nodes]
     for index in range(config.num_keys):
-        key = config.key(index)
-        owner = cluster.partitioner(key)
-        per_node[owner].append((key, config.value(index, 0)))
-    for node, pairs in zip(cluster.nodes, per_node):
+        owned[cluster.partitioner(config.key(index))].append(index)
+    chunk = 500
+    for node, indices in zip(cluster.nodes, owned):
         engine = node.engine
-        batch = [(key, value, engine.next_seq()) for key, value in pairs]
+        seqs = [engine.next_seq() for _ in indices]
         # Load in chunks so MemTable flushes interleave realistically.
-        chunk = 500
-        for start in range(0, len(batch), chunk):
-            part = batch[start : start + chunk]
+        # A chunk's values are made as it is loaded: the keyspace's
+        # values are never all held at once.
+        for start in range(0, len(indices), chunk):
+            part = [
+                (config.key(index), config.value(index, 0), seq)
+                for index, seq in zip(indices[start : start + chunk],
+                                      seqs[start : start + chunk])
+            ]
             yield from engine.log_commit(b"load", part)
             yield from engine.apply_writes(part)
         # Load-phase writes bypass the group committer, so no freshness

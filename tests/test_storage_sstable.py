@@ -1,10 +1,12 @@
 """Tests for authenticated SSTables (blocks, footer, integrity)."""
 
+from hashlib import sha256
+
 import pytest
 
 from repro.config import DS_ROCKSDB, TREATY_ENC
 from repro.errors import IntegrityError, StorageError
-from repro.storage import SSTableReader, TOMBSTONE, build_sstable
+from repro.storage import SSTableMeta, SSTableReader, TOMBSTONE, build_sstable
 
 from tests.conftest import StorageHarness
 
@@ -89,11 +91,69 @@ class TestBuildAndGet:
         assert b"visible-value" in harness.disk.read("node0/sst-000001.sst")
 
     def test_meta_encode_decode(self):
-        from repro.storage import SSTableMeta
-
         harness = StorageHarness()
         meta = build(harness, sample_entries(5))
         assert SSTableMeta.decode(meta.encode()) == meta
+
+
+def pinned_entries():
+    """40 entries, every seventh a tombstone, values of 4 to 36 bytes
+    and the largest seq in the middle of the run."""
+    return [
+        (b"pin-%03d" % i,
+         TOMBSTONE if i % 7 == 3 else (b"v%02d|" % i) * (i % 9 + 1),
+         (i * 37) % 101 + 1)
+        for i in range(40)
+    ]
+
+
+class TestPinnedBytes:
+    """The file a fixed table is written as, byte for byte.
+
+    No trace digest hashes disk bytes: these pin the blocks, their IVs
+    and boundaries, the footer and the meta against a rewrite of
+    ``build_sstable``.  The figures are those of the first build that
+    streamed its entries, recorded before it, and the sim clock pins the
+    build's holds."""
+
+    @pytest.mark.parametrize("profile, file_sha, footer_hash, size, now", [
+        (TREATY_ENC,
+         "cff7970c607f2eb0b7aab2b5515962d858925d5fe6a3d99200e997dfa38c5eab",
+         "6774c53e6600edcb585be55d77de404ec1fe169afe70290fcc7f3819ed57c0d3",
+         2326, 5.183466666666667e-05),
+        (DS_ROCKSDB,
+         "8cd5564a1314d0a7ef803a793619b431dcc8c5b46e38a58102e4d36b550f0474",
+         "c107583240e40116f24f016d66eac9f8e6e5ccd852106ed3bb9397632e3b3fb0",
+         2130, 3.0178e-05),
+    ], ids=["treaty-enc", "ds-rocksdb"])
+    def test_file_and_meta(self, profile, file_sha, footer_hash, size, now):
+        harness = StorageHarness(profile=profile)
+        meta = harness.run(build_sstable(
+            harness.runtime, harness.disk, harness.keyring,
+            "node0/sst-000007.sst", 2, pinned_entries(), 256))
+        data = harness.disk.read(meta.filename)
+        assert sha256(data).hexdigest() == file_sha
+        assert meta == SSTableMeta(
+            filename="node0/sst-000007.sst", level=2,
+            footer_hash=bytes.fromhex(footer_hash),
+            min_key=b"pin-000", max_key=b"pin-039", max_seq=101,
+            entry_count=40, file_bytes=size)
+        assert len(data) == size
+        assert harness.sim.now == now
+
+    def test_callers_list_is_left_intact(self):
+        harness = StorageHarness()
+        entries = pinned_entries()
+        build(harness, entries)
+        assert entries == pinned_entries()
+
+    def test_any_iterable_of_entries(self):
+        """A generator builds the same file as the list it yields."""
+        from_list, from_generator = StorageHarness(), StorageHarness()
+        meta = build(from_list, pinned_entries())
+        assert build(from_generator, iter(pinned_entries())) == meta
+        assert (from_generator.disk.read(meta.filename)
+                == from_list.disk.read(meta.filename))
 
 
 class TestScan:

@@ -541,11 +541,15 @@ def test_entries_name_what_each_kind_ran_for(monkeypatch):
     ]
 
 
+def _allocate(count):
+    return [bytes(256) for _ in range(count)]  # one block each
+
+
 def test_memory_lists_retained_sites_largest_first():
     """``--memory``: what the pass still holds at its end is aggregated
-    by allocating traceback, largest first; what it freed is not listed."""
-    def allocate(count):
-        return [bytes(256) for _ in range(count)]  # one block each
+    by allocating traceback, largest first; what it freed is not listed
+    but counts in the peak."""
+    allocate = _allocate
 
     def run_pass():
         scratch = allocate(4000)  # freed before the pass ends
@@ -553,8 +557,10 @@ def test_memory_lists_retained_sites_largest_first():
         kept = allocate(3000)
         return kept, allocate(1000)
 
-    result, rows = profile.retained_sites(run_pass)
+    result, rows, peak = profile.retained_sites(run_pass)
     assert [len(part) for part in result] == [3000, 1000]
+    assert peak > 4000 * 256
+    assert not profile.tracemalloc.is_tracing()
     line = (__file__, allocate.__code__.co_firstlineno + 1)
     mine = [row for row in rows if row[2][0] == line]
     # each site also holds its list: one block more
@@ -569,3 +575,27 @@ def test_memory_lists_retained_sites_largest_first():
                               "first)"]
     assert first.split()[:3] == ["%.2f" % (mine[0][0] / 2 ** 20), "3001",
                                  "tests/test_tools.py:%d" % mine[0][2][0][1]]
+
+
+def test_memory_peaks_show_set_up_transients():
+    """``--memory`` traces set-up too: its transient shows in set-up's
+    peak, not in what set-up holds, and what set-up holds counts in the
+    pass's peak but is not listed as the pass's."""
+    def set_up():
+        _allocate(8000)  # a transient, like a flush's copies
+        return _allocate(2000)
+
+    def run_pass(cluster):
+        _allocate(1000)
+        return len(cluster)
+
+    cluster, setup_peak, setup_held, rss = profile.traced_set_up(set_up)
+    held = 2000 * 256
+    assert setup_peak > setup_held + 6000 * 256 and setup_held > held
+    assert rss == profile.max_rss_mib()
+    result, rows, pass_peak = profile.retained_sites(run_pass, cluster)
+    assert result == 2000
+    assert setup_held <= pass_peak < setup_held + 2 * 1000 * 256
+    line = (__file__, _allocate.__code__.co_firstlineno + 1)
+    assert not [row for row in rows if row[2][0] == line]
+    assert not profile.tracemalloc.is_tracing()

@@ -18,7 +18,7 @@ Usage::
     python tools/profile.py ycsb-a-dist --entries
     python tools/profile.py ycsb-a-dist --charges
     python tools/profile.py ycsb-a-dist --sample
-    python tools/profile.py ycsb-c-snapshot --memory
+    python tools/profile.py ycsb-w-single --memory
 
 The header line also counts ``Simulator.step`` calls per committed
 transaction (one per kernel entry, from the profile's call counts): the
@@ -63,15 +63,19 @@ file and by function.  Unlike cProfile it adds no cost per call, so a
 call-heavy function (a generator resumed a million times) is not
 inflated: size a lever with it before cutting.
 
-``--memory`` runs the pass unprofiled under ``tracemalloc`` instead and
-prints the allocation sites of what the pass allocated and still holds
-at its end (its retained growth), largest first: MiB, blocks and the
-innermost frames of the allocating traceback, so one structure that
-grows with every frame or transaction stands out.  It also prints
-``ru_maxrss`` before and after the pass, the figure
-``host_peak_rss_mb`` reports; tracemalloc's own tables (tens of MiB)
-are in the second figure, so compare it only with another
-``--memory`` run.
+``--memory`` runs set-up and the pass unprofiled under ``tracemalloc``
+instead and prints the allocation sites of what the pass allocated and
+still holds at its end (its retained growth over set-up), largest
+first: MiB, blocks and the innermost frames of the allocating
+traceback, so one structure that grows with every frame or transaction
+stands out.  Above them it prints the traced peak of set-up and of the
+pass (``tracemalloc.reset_peak`` between the two), what set-up still
+held at its end, and ``ru_maxrss`` after set-up and after the pass,
+the figure ``host_peak_rss_mb`` reports.  A peak far above what is
+held is a transient: on ``ycsb-w-single`` set-up's flushes, not
+anything the pass keeps, set ``ru_maxrss``.  tracemalloc's own tables
+(tens of MiB) are in both ``ru_maxrss`` figures, so compare them only
+with another ``--memory`` run.
 
 Every mode ends with the cyclic collector's passes over the pass, per
 generation: how many ran, their host seconds (also as a share of the
@@ -406,21 +410,40 @@ def self_time(samples, top: int):
         for table in (by_file, by_function))
 
 
-def retained_sites(fn, *args):
-    """Run ``fn(*args)`` under tracemalloc; returns its result and one
-    ``(bytes, blocks, frames)`` row per allocating traceback of what the
-    run allocated and still holds at its end, largest first.  ``frames``
-    is ``(file, line)`` pairs, innermost first."""
+def traced_set_up(fn, *args):
+    """Start tracemalloc and run ``fn(*args)`` (set-up) under it; returns
+    its result, the traced peak and what is held at its end (bytes), and
+    ``ru_maxrss`` after it.  Tracing stays on for
+    :func:`retained_sites`, which stops it."""
     tracemalloc.start(MEMORY_FRAMES)
+    result = fn(*args)
+    held, peak = tracemalloc.get_traced_memory()
+    return result, peak, held, max_rss_mib()
+
+
+def retained_sites(fn, *args):
+    """Run ``fn(*args)`` under tracemalloc; returns its result, one
+    ``(bytes, blocks, frames)`` row per allocating traceback of what the
+    run allocated and still holds at its end, largest first, and the
+    traced peak while it ran (bytes).  ``frames`` is ``(file, line)``
+    pairs, innermost first.  Tracing already on (:func:`traced_set_up`)
+    counts what was held before the run in the peak, not in the rows;
+    either way tracing stops at the end."""
+    if not tracemalloc.is_tracing():
+        tracemalloc.start(MEMORY_FRAMES)
     try:
+        before = tracemalloc.take_snapshot()
+        tracemalloc.reset_peak()
         result = fn(*args)
-        snapshot = tracemalloc.take_snapshot()
+        peak = tracemalloc.get_traced_memory()[1]
+        after = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    rows = [(stat.size, stat.count,
+    rows = [(stat.size_diff, stat.count_diff,
              [(frame.filename, frame.lineno) for frame in stat.traceback][::-1])
-            for stat in snapshot.statistics("traceback")]
-    return result, rows
+            for stat in after.compare_to(before, "traceback")
+            if stat.size_diff > 0]
+    return result, rows, peak
 
 
 def format_sites(rows, top: int):
@@ -461,14 +484,18 @@ def main(argv=None) -> int:
                            "instead of profiling")
     mode.add_argument("--memory", action="store_true",
                       help="list the allocation sites of what the pass "
-                           "retains (tracemalloc) instead of profiling")
+                           "retains and the traced peaks of set-up and "
+                           "pass (tracemalloc) instead of profiling")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fp:
         seconds = json.load(fp)["run_seconds"]
     workload = workloads.WORKLOADS[args.workload]
-    cluster = workloads.set_up(workload, args.seed)
-    rss_before = max_rss_mib()
+    if args.memory:
+        cluster, setup_peak, setup_held, rss_set_up = traced_set_up(
+            workloads.set_up, workload, args.seed)
+    else:
+        cluster = workloads.set_up(workload, args.seed)
     started = time.perf_counter()
     with collector_passes() as collector:
         if args.entries:
@@ -481,8 +508,8 @@ def main(argv=None) -> int:
             result, samples = sample(workloads.run_pass, workload, cluster,
                                      seconds)
         elif args.memory:
-            result, sites = retained_sites(workloads.run_pass, workload,
-                                           cluster, seconds)
+            result, sites, pass_peak = retained_sites(
+                workloads.run_pass, workload, cluster, seconds)
         else:
             profiler = cProfile.Profile()
             result = profiler.runcall(workloads.run_pass, workload, cluster,
@@ -521,9 +548,13 @@ def main(argv=None) -> int:
               % (workload.name, args.seed, result.committed,
                  sum(row[0] for row in sites) / 2 ** 20,
                  sum(row[1] for row in sites)))
-        print("ru_maxrss: %.1f MiB before the pass, %.1f MiB after "
+        print("traced peak: %.1f MiB in set-up (%.1f MiB held at its end), "
+              "%.1f MiB in the pass"
+              % (setup_peak / 2 ** 20, setup_held / 2 ** 20,
+                 pass_peak / 2 ** 20))
+        print("ru_maxrss: %.1f MiB after set-up, %.1f MiB after the pass "
               "(tracemalloc's tables included)"
-              % (rss_before, max_rss_mib()))
+              % (rss_set_up, max_rss_mib()))
         print("\n".join(format_sites(sites, args.top)))
     else:
         stats = pstats.Stats(profiler)
