@@ -145,7 +145,9 @@ class SecureRpc:
             # The flusher fiber works for the frame's first message that
             # carries a context: its seal span, the shielding charge and
             # any adversary verdict chain under that message's rpc span.
-            # A frame with none (a batch of replies) records no trace.
+            # A frame with none (a batch of replies) adopts (None, 0):
+            # its seal span and shielding events are still recorded, with
+            # trace=None, outside every transaction's DAG.
             self.tracer.adopt(*_parts_context(parts))
         if not self._encrypted:
             blob = pack_parts(parts)

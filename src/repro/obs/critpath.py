@@ -49,6 +49,7 @@ from typing import (
 )
 
 from .export import format_table
+from .tracer import Record
 
 __all__ = [
     "CATEGORIES",
@@ -67,7 +68,6 @@ __all__ = [
     "percentile",
 ]
 
-Record = Dict[str, Any]
 
 #: presentation order of the latency categories.
 CATEGORIES = (

@@ -28,6 +28,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, IO, Iterable, List, Optional, Sequence, Union
 
+from .tracer import Record
+
 __all__ = [
     "to_jsonl",
     "write_jsonl",
@@ -39,12 +41,10 @@ __all__ = [
     "prometheus_text",
 ]
 
-Record = Dict[str, Any]
-
 
 def to_jsonl(records: Iterable[Record]) -> str:
     """Records as JSON-lines text (sorted keys: byte-stable per seed)."""
-    lines = [json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    lines = [json.dumps(dict(rec), sort_keys=True, separators=(",", ":"))
              for rec in records]
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -22,9 +22,9 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, IO, Iterable, List, Optional, Union
 
-__all__ = ["IncidentLog", "INCIDENT_KINDS"]
+from .tracer import Record
 
-Record = Dict[str, Any]
+__all__ = ["IncidentLog", "INCIDENT_KINDS"]
 
 #: every incident kind the detectors can emit.
 INCIDENT_KINDS = (

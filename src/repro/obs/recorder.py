@@ -23,10 +23,10 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional
 
 from .critpath import CATEGORIES, critical_path, trace_records
+from .tracer import Record
 
 __all__ = ["P2Quantile", "FlightRecorder"]
 
-Record = Dict[str, Any]
 
 
 class P2Quantile:

@@ -33,10 +33,10 @@ from typing import Any, Callable, Dict, IO, List, Optional, Union
 
 from .critpath import percentile
 from .registry import merge_snapshots
+from .tracer import Record
 
 __all__ = ["TimeSeriesRecorder", "WINDOW_FIELDS"]
 
-Record = Dict[str, Any]
 
 #: column order of the CSV export (and the timeline table).
 WINDOW_FIELDS = (

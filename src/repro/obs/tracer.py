@@ -14,15 +14,23 @@ keyword dict, so the hot paths (the batch codec, the RPC exchange, the
 TEE charges) test ``tracer.enabled`` first and compute nothing that only
 a record would keep: with tracing off they cost one attribute test.
 
-Records are plain dicts with two shapes:
+Records are slotted objects read as read-only mappings (:data:`Record`),
+with two shapes:
 
-``{"type": "event", "t": <sim s>, "cat": ..., "name": ..., "node": ...,
-  "txn": ..., "trace": ..., "args": {...}}`` — a point event, recorded
-when emitted.
+:class:`EventRecord` — ``{"type": "event", "cat": ..., "name": ...,
+"t": <sim s>, "node": ..., "txn": ..., "trace": ..., "args": {...}}``, a
+point event, recorded when emitted.
 
-``{"type": "span", "t0": ..., "t1": ..., "cat": ..., "name": ...,
-  "node": ..., "txn": ..., "trace": ..., "sid": n, "parent": m,
-  "args": {...}}`` — a closed span.
+:class:`Span` — ``{"type": "span", "cat": ..., "name": ..., "t0": ...,
+"t1": ..., "node": ..., "txn": ..., "trace": ..., "sid": n,
+"parent": m, "args": {...}}``, a closed span: the handle that was
+opened *is* the record once closed, so closing copies nothing.
+
+``rec["t0"]``, ``rec.get``, ``in``, iteration, ``keys``/``items``/
+``values`` and ``==`` against a dict read them exactly like the dicts
+they replace, keys in the order shown; ``dict(rec)`` is that dict (what
+a JSON writer serialises).  A record holds a fraction of a dict's bytes,
+which is what a traced pass retains most of.
 
 Parent/trace assignment is **fiber-local**: each simulator process (the
 paper's SCONE fiber) carries its own open-span stack, so interleaved
@@ -53,13 +61,16 @@ record.
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from collections import abc, deque
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Tuple)
 
-__all__ = ["Span", "TraceLog", "Tracer", "NullTracer", "NULL_TRACER",
-           "tracer_of"]
+__all__ = ["EventRecord", "Record", "Span", "TraceLog", "Tracer",
+           "NullTracer", "NULL_TRACER", "tracer_of"]
 
-Subscriber = Callable[[Dict[str, Any]], None]
+#: a trace record as its readers see it: a span or an event read by key.
+Record = Mapping[str, Any]
+Subscriber = Callable[[Record], None]
 #: which records a subscriber receives: ``(type, cat, name)``, where
 #: ``None`` matches any value in its position.
 Key = Tuple[Optional[str], Optional[str], Optional[str]]
@@ -111,7 +122,7 @@ class TraceLog(deque):
         #: records the ring has dropped so far.
         self.evicted = 0
 
-    def append(self, rec: Dict[str, Any]) -> None:
+    def append(self, rec: Record) -> None:
         by_trace = self.by_trace
         if len(self) == self.maxlen:
             oldest = self[0]["trace"]
@@ -128,36 +139,109 @@ class TraceLog(deque):
         super().append(rec)
 
 
-class Span:
-    """One open interval of simulated time; close it (or use ``with``)."""
+class _RecordBase(abc.Mapping):
+    """A read-only mapping over a record's slots.
 
-    __slots__ = ("tracer", "cat", "name", "node", "txn", "start", "args",
-                 "sid", "parent", "trace", "_stack", "_closed")
+    A subclass names its keys, in order, in ``_keys``; ``type`` is a
+    class attribute.  Every other slot (a span's ``tracer`` and
+    ``_stack``) and every method is not a key: ``rec["close"]`` raises
+    :class:`KeyError` like any key the record does not carry.
+    ``Mapping`` supplies ``keys``/``items``/``values`` and ``==``
+    against a dict or another record; hashing stays by identity.
+    """
 
-    def __init__(self, tracer, cat, name, node, txn, start, args, sid,
+    __slots__ = ()
+
+    _keys: Tuple[str, ...] = ()
+    _keyset: frozenset = frozenset()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._keyset = frozenset(cls._keys)
+
+    def __getitem__(self, key: str) -> Any:
+        if key in self._keyset:
+            return getattr(self, key)
+        raise KeyError(key)
+
+    def get(self, key: str, default: Any = None) -> Any:
+        if key in self._keyset:
+            return getattr(self, key)
+        return default
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._keyset
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    __hash__ = object.__hash__
+
+    def __repr__(self) -> str:
+        return "%s(%r)" % (type(self).__name__, dict(self))
+
+
+class EventRecord(_RecordBase):
+    """A point event, as :meth:`Tracer.event` retains and routes it."""
+
+    __slots__ = ("cat", "name", "t", "node", "txn", "trace", "args")
+
+    type = "event"
+    _keys = ("type", "cat", "name", "t", "node", "txn", "trace", "args")
+
+    def __init__(self, cat, name, t, node, txn, trace, args):
+        self.cat = cat
+        self.name = name
+        self.t = t
+        self.node = node
+        self.txn = txn
+        self.trace = trace
+        self.args = args
+
+
+class Span(_RecordBase):
+    """One open interval of simulated time; close it (or use ``with``).
+
+    Once closed the span is its own record: ``t1`` is set, the tracer and
+    the fiber stack are released (``tracer is None`` marks it closed) and
+    the tracer emits the span itself.
+    """
+
+    __slots__ = ("tracer", "cat", "name", "t0", "t1", "node", "txn",
+                 "trace", "sid", "parent", "args", "_stack")
+
+    type = "span"
+    _keys = ("type", "cat", "name", "t0", "t1", "node", "txn", "trace",
+             "sid", "parent", "args")
+
+    def __init__(self, tracer, cat, name, node, txn, t0, args, sid,
                  parent, trace, stack):
         self.tracer = tracer
         self.cat = cat
         self.name = name
         self.node = node
         self.txn = txn
-        self.start = start
+        self.t0 = t0
+        self.t1 = None
         self.args = args
         self.sid = sid
         self.parent = parent
         self.trace = trace
         self._stack = stack
-        self._closed = False
 
     def close(self, at: Optional[float] = None, **extra: Any) -> None:
         """Finalize the span at the current simulated instant, or at an
         earlier instant ``at`` (a sub-instant of a core hold)."""
-        if self._closed:
+        tracer = self.tracer
+        if tracer is None:
             return
-        self._closed = True
+        self.tracer = None
         if extra:
             self.args.update(extra)
-        self.tracer._close_span(self, at)
+        tracer._close_span(self, at)
 
     def __enter__(self) -> "Span":
         return self
@@ -237,7 +321,7 @@ class Tracer:
         )
         return route
 
-    def _emit(self, rec: Dict[str, Any], key: Key) -> None:
+    def _emit(self, rec: Record, key: Key) -> None:
         if self.record:
             self.records.append(rec)
         if self.sim.now >= self._clock_due:
@@ -249,7 +333,7 @@ class Tracer:
         for subscriber in route:
             subscriber(rec)
 
-    def _emit_with_clocks(self, rec: Dict[str, Any], key: Key) -> None:
+    def _emit_with_clocks(self, rec: Record, key: Key) -> None:
         """:meth:`_emit`'s dispatch when a clock hook is due: the hooks
         run in subscription order among the record's subscribers."""
         now = self.sim.now
@@ -342,15 +426,9 @@ class Tracer:
                 del stack[index]
                 break
         span._stack = None
+        span.t1 = self.sim.now if at is None else at
         self.spans_closed += 1
-        cat, name = span.cat, span.name
-        self._emit({
-            "type": "span", "cat": cat, "name": name,
-            "t0": span.start, "t1": self.sim.now if at is None else at,
-            "node": span.node,
-            "txn": span.txn, "trace": span.trace, "sid": span.sid,
-            "parent": span.parent, "args": span.args,
-        }, ("span", cat, name))
+        self._emit(span, ("span", span.cat, span.name))
 
     # -- point events ------------------------------------------------------
     def event(self, cat: str, name: str, node: Optional[str] = None,
@@ -366,11 +444,10 @@ class Tracer:
         if trace is None:
             trace = self.current_context()[0]
         self.events_emitted += 1
-        self._emit({
-            "type": "event", "cat": cat, "name": name,
-            "t": self.sim.now if at is None else at,
-            "node": node, "txn": txn, "trace": trace, "args": args,
-        }, ("event", cat, name))
+        self._emit(EventRecord(cat, name,
+                               self.sim.now if at is None else at,
+                               node, txn, trace, args),
+                   ("event", cat, name))
 
     # -- sim process hooks (called from repro.sim.core) --------------------
     def process_started(self, process) -> None:
@@ -417,7 +494,7 @@ class NullTracer:
 
     enabled = False
     record = False
-    records: List[Dict[str, Any]] = []
+    records: List[Record] = []
     ring_max: Optional[int] = None
     records_evicted = 0
 

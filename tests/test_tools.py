@@ -599,3 +599,34 @@ def test_memory_peaks_show_set_up_transients():
     line = (__file__, _allocate.__code__.co_firstlineno + 1)
     assert not [row for row in rows if row[2][0] == line]
     assert not profile.tracemalloc.is_tracing()
+
+
+def test_memory_counts_retained_records_by_kind():
+    """``--memory`` on a traced workload counts the retained records by
+    ``(type, cat, name)``, most first, with those of no trace and the
+    total per type."""
+    from repro.obs import Tracer
+    from repro.sim import Simulator
+
+    tracer = Tracer(Simulator())
+    for _frame in range(3):
+        tracer.span("crypto", "seal_batch").close()
+        tracer.event("tee", "msgbuf_shield")
+    tracer.span("twopc", "txn", trace="t-1").close()
+    tracer.event("tee", "msgbuf_shield", trace="t-1")
+
+    kinds = profile.record_kinds(tracer.records)
+    assert dict(kinds) == {
+        ("span", "crypto", "seal_batch"): [3, 3],
+        ("event", "tee", "msgbuf_shield"): [4, 3],
+        ("span", "twopc", "txn"): [1, 0],
+    }
+    lines = profile.format_record_kinds(kinds, top=2)
+    assert lines[0] == ("retained trace records: 8 (4 events, 4 spans), "
+                        "6 with no trace")
+    assert lines[1].split() == ["records", "no", "trace", "type",
+                                "cat/name"]
+    assert [line.split() for line in lines[2:]] == [
+        ["4", "3", "event", "tee/msgbuf_shield"],
+        ["3", "3", "span", "crypto/seal_batch"],
+    ]

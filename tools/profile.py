@@ -75,7 +75,11 @@ the figure ``host_peak_rss_mb`` reports.  A peak far above what is
 held is a transient: on ``ycsb-w-single`` set-up's flushes, not
 anything the pass keeps, set ``ru_maxrss``.  tracemalloc's own tables
 (tens of MiB) are in both ``ru_maxrss`` figures, so compare them only
-with another ``--memory`` run.
+with another ``--memory`` run.  On a workload that traces
+(``ycsb-a-traced``) it also counts the trace records the tracer retains
+at the pass's end by ``(type, cat, name)``, most first, with how many
+of each carry no trace id (filed under no transaction, so the
+critical-path analyser never reads them) and the total per type.
 
 Every mode ends with the cyclic collector's passes over the pass, per
 generation: how many ran, their host seconds (also as a share of the
@@ -457,6 +461,38 @@ def format_sites(rows, top: int):
     return lines
 
 
+def record_kinds(records):
+    """``{(type, cat, name): [records, of them with no trace]}`` over
+    the retained trace records."""
+    kinds = collections.defaultdict(lambda: [0, 0])
+    for rec in records:
+        tally = kinds[rec["type"], rec["cat"], rec["name"]]
+        tally[0] += 1
+        if rec["trace"] is None:
+            tally[1] += 1
+    return kinds
+
+
+def format_record_kinds(kinds, top: int):
+    """:func:`record_kinds` as lines: a total per type, then the ``top``
+    kinds, most records first."""
+    per_type = collections.Counter()
+    untraced = 0
+    for (kind, _cat, _name), (count, no_trace) in kinds.items():
+        per_type[kind] += count
+        untraced += no_trace
+    total = sum(per_type.values())
+    lines = ["retained trace records: %d (%s), %d with no trace"
+             % (total, ", ".join("%d %ss" % (count, kind) for kind, count
+                                 in sorted(per_type.items())), untraced),
+             "    records   no trace  type   cat/name"]
+    rows = sorted(kinds.items(), key=lambda item: (-item[1][0], item[0]))
+    for (kind, cat, name), (count, no_trace) in rows[:top]:
+        lines.append("  %9d  %9d  %-5s  %s/%s"
+                     % (count, no_trace, kind, cat, name))
+    return lines
+
+
 def max_rss_mib() -> float:
     """This process's peak RSS so far (``ru_maxrss`` is in KiB here)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -556,6 +592,10 @@ def main(argv=None) -> int:
               "(tracemalloc's tables included)"
               % (rss_set_up, max_rss_mib()))
         print("\n".join(format_sites(sites, args.top)))
+        records = cluster.obs.records()
+        if records:
+            print("\n".join(format_record_kinds(record_kinds(records),
+                                                 args.top)))
     else:
         stats = pstats.Stats(profiler)
         print("%s  seed %d  committed %d  failed %d  obs records %d  "

@@ -10,7 +10,7 @@ emit and compares with (or writes) a pinned JSON file:
   {paper, optimized} × ``rollback_backend`` in {counter-sync,
   counter-async, lcm} (seed 11, 400 keys, 12 clients, 0.01 s warm-up +
   0.1 s; ``counter_shards=2`` for the async backends) — sha256 over
-  ``json.dumps(rec, sort_keys=True)`` of every trace record, in order;
+  ``json.dumps(dict(rec), sort_keys=True)`` of every trace record, in order;
 * **distributed OCC**: the same recipe with ``optimistic=True`` on
   ``counter-async``, per protocol (the ``…/occ`` rows);
 * **lease-expiry fallback**: the same recipe on the two promise-scheduled
@@ -108,7 +108,7 @@ def _dump_path(dump: str, key: str, suffix: str = ".jsonl") -> str:
 def records_digest(records, dump_to=None) -> dict:
     """sha256 over every trace record, in order (optionally dumped)."""
     digest = hashlib.sha256()
-    lines = [json.dumps(record, sort_keys=True) for record in records]
+    lines = [json.dumps(dict(record), sort_keys=True) for record in records]
     for line in lines:
         digest.update(line.encode())
     if dump_to:
