@@ -31,6 +31,7 @@ from ..net.simnet import Fabric
 from ..sim.core import Event, Simulator
 from ..storage.format import Reader, Writer
 from ..tee.runtime import NodeRuntime
+from ..txn.half import SnapshotReads
 from .twopc.codec import (
     decode_scan_reply,
     decode_scan_request,
@@ -105,7 +106,7 @@ class FrontEnd:
             if flags & _FLAG_READONLY:
                 # Coordinator-free snapshot read: this node serves (and
                 # later certifies) only its own slice of the read-set.
-                txn = self.manager.begin_readonly()
+                txn = SnapshotReads(self.manager)
             else:
                 txn = self.coordinator.begin(
                     optimistic=bool(flags & _FLAG_OPTIMISTIC)

@@ -26,8 +26,7 @@ from ..tee.attestation import PlatformQuotingEnclave
 from ..tee.runtime import NodeRuntime
 from ..tee.sgx import SealingKey
 from ..txn.locks import LockMode
-from ..txn.manager import TransactionManager
-from ..txn.types import TxnStatus
+from ..txn.half import Half, TransactionManager, TxnStatus
 from .cas import (
     ConfigurationService,
     LocalAttestationService,
@@ -187,8 +186,7 @@ class TreatyNode:
                 ),
             )
         self.manager = TransactionManager(
-            self.runtime, self.engine, self.config, self.pipeline,
-            name=self.name,
+            self.runtime, self.engine, self.pipeline, name=self.name
         )
 
     def _wire_roles(self) -> None:
@@ -377,7 +375,7 @@ class TreatyNode:
 
     # -- recovery helpers ---------------------------------------------------------
     def _adopt_prepared(self, txn_id: bytes, writes) -> Gen:
-        txn = self.manager.begin_pessimistic(txn_id=txn_id)
+        txn = Half(self.manager, txn_id)
         for key, value, _seq in writes:
             yield from self.manager.locks.acquire(
                 txn_id, key, LockMode.EXCLUSIVE, timeout=10.0

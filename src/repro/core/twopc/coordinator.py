@@ -14,7 +14,7 @@ from ...net.message import MsgType, TxMessage
 from ...net.secure_rpc import SecureRpc, replies
 from ...storage.log import SecureLog
 from ...tee.runtime import NodeRuntime
-from ...txn.manager import TransactionManager
+from ...txn.half import TransactionManager
 from ..ids import GlobalTxnId, TxnIdAllocator
 from ..trusted_counter import Target
 from .codec import ClogRecord, DecisionRecord

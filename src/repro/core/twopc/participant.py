@@ -18,9 +18,7 @@ from ...sim.core import Deadline
 from ...sim.rng import SeededRng
 from ...storage.format import Reader
 from ...tee.runtime import NodeRuntime
-from ...txn.manager import TransactionManager
-from ...txn.pessimistic import PessimisticTxn
-from ...txn.types import TxnStatus
+from ...txn.half import Half, TransactionManager, TxnStatus
 from ..ids import EPOCH_SHIFT, GlobalTxnId
 from ..trusted_counter import Target, encode_counter_vector
 from .codec import (
@@ -92,7 +90,7 @@ class Participant:
         )
         #: this node's halves of distributed transactions, from first
         #: touch to apply — whoever coordinates them.
-        self.active: Dict[bytes, PessimisticTxn] = {}
+        self.active: Dict[bytes, Half] = {}
         #: the one armed deadline of each watched half in ``active``: its
         #: orphan fuse while ACTIVE, its decision watchdog once prepared.
         self._deadlines: Dict[bytes, Deadline] = {}
@@ -128,14 +126,14 @@ class Participant:
             and GlobalTxnId.decode(key).node_id != self.numeric_id
         )
 
-    def _open(self, key: bytes, txn: PessimisticTxn) -> None:
+    def _open(self, key: bytes, txn: Half) -> None:
         """Take in a new ACTIVE half; arm its fuse if it is watched."""
         self.active[key] = txn
         if self._watched(key):
             self._arm(key, self._fuse_delay(), self._orphan_fuse,
                       "orphan-fuse")
 
-    def _close(self, key: bytes) -> Optional[PessimisticTxn]:
+    def _close(self, key: bytes) -> Optional[Half]:
         """Take a half out of ``active`` (``None`` if it was not there),
         cancelling its armed deadline."""
         deadline = self._deadlines.pop(key, None)
@@ -182,11 +180,11 @@ class Participant:
             + self._rng.uniform(0.0, RESOLUTION_RETRY_INTERVAL)
         )
 
-    def half(self, key: bytes) -> PessimisticTxn:
+    def half(self, key: bytes) -> Half:
         """This node's 2PL half of ``key``, begun on first touch."""
         txn = self.active.get(key)
         if txn is None:
-            txn = self.manager.begin_pessimistic(txn_id=key)
+            txn = Half(self.manager, key)
             self._open(key, txn)
         return txn
 
@@ -250,7 +248,7 @@ class Participant:
     def _execute(
         self,
         message: TxMessage,
-        operation: Callable[[PessimisticTxn], Gen],
+        operation: Callable[[Half], Gen],
         encode: Callable[[Any], bytes],
     ) -> Gen:
         """Run one execution-phase operation on the coordinator's half
@@ -281,22 +279,30 @@ class Participant:
             message, lambda txn: txn.scan(start, end, limit), encode_scan_reply
         )
 
-    def _on_read_occ(self, message: TxMessage, src: str) -> Gen:
-        """Stateless versioned read (distributed-OCC execution phase).
+    def read_occ(self, key: bytes) -> Gen:
+        """Stateless versioned read (distributed-OCC execution phase):
+        ``(value, seq)``.
 
         No participant-local transaction, no lock, no ``active`` entry:
-        the reply carries the key's current sequence number and the
-        coordinator validates it later inside PREPARE.
+        the coordinator validates ``seq`` later inside PREPARE.  Remote
+        coordinators reach it through ``TXN_READ_OCC``, this node's own
+        calls it directly.
         """
-        key = Reader(message.body).blob()
-        value, seq = yield from self.manager.engine.get_with_seq(key)
+        result = yield from self.manager.engine.get_with_seq(key)
+        return result
+
+    def scan_occ(self, start: bytes, end: Optional[bytes], limit) -> Gen:
+        """Stateless read-committed range scan (distributed OCC)."""
+        yield from self.runtime.op_overhead()
+        rows = yield from self.manager.engine.scan(start, end, limit=limit)
+        return rows
+
+    def _on_read_occ(self, message: TxMessage, src: str) -> Gen:
+        value, seq = yield from self.read_occ(Reader(message.body).blob())
         return message.reply(MsgType.ACK, encode_versioned_reply(value, seq))
 
     def _on_scan_occ(self, message: TxMessage, src: str) -> Gen:
-        """Stateless read-committed range scan (distributed OCC)."""
-        start, end, limit = decode_scan_request(message.body)
-        yield from self.runtime.op_overhead()
-        rows = yield from self.manager.engine.scan(start, end, limit=limit)
+        rows = yield from self.scan_occ(*decode_scan_request(message.body))
         return message.reply(MsgType.ACK, encode_scan_reply(rows))
 
     def _on_write(self, message: TxMessage, src: str) -> Gen:
@@ -376,15 +382,14 @@ class Participant:
             txn = self.active[key]
             return txn if txn.status == TxnStatus.ACTIVE else None
         reads, writes = decode_occ_prepare(body)
-        txn = self.manager.begin_distributed_occ(txn_id=key)
-        txn.load(reads, writes)
+        txn = Half(self.manager, key)
         self._open(key, txn)
         span = self.tracer.span(
             "twopc", "validate", node=self.node, txn=key.hex(),
-            reads=len(txn.reads), writes=len(txn.buffer),
+            reads=len(reads), writes=len(writes),
         )
         try:
-            yield from txn.validate_and_pin()
+            yield from txn.pin(reads, writes)
         except TransactionAborted:
             span.close(outcome="conflict")
             self.runtime.metrics.counter("occ.conflicts").inc()

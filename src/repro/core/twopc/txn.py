@@ -13,9 +13,7 @@ from ...errors import (
 )
 from ...net.message import MsgType, TxMessage
 from ...net.secure_rpc import replies
-from ...txn.base import overlay
-from ...txn.pessimistic import PessimisticTxn
-from ...txn.types import TxnStatus
+from ...txn.half import Half, TxnStatus, overlay
 from ..ids import GlobalTxnId
 from ..trusted_counter import decode_counter_vector
 from .codec import (
@@ -90,7 +88,7 @@ class GlobalTxn:
         """The participants other than the coordinator's own node."""
         return self.participants - {self.coordinator.node_numeric_id}
 
-    def _half(self) -> PessimisticTxn:
+    def _half(self) -> Half:
         """The own shard's half — in the node's Participant, like any."""
         return self.coordinator.participant.half(self.key)
 
@@ -170,7 +168,7 @@ class GlobalTxn:
         if key in self._occ_writes:
             return self._occ_writes[key]
         value, seq = yield from self._on_owner(
-            key, lambda: self.coordinator.manager.engine.get_with_seq(key),
+            key, lambda: self.coordinator.participant.read_occ(key),
             lambda: self._message(MsgType.TXN_READ_OCC, encode_read(key)),
             decode_versioned_reply,
         )
@@ -208,18 +206,13 @@ class GlobalTxn:
         """Stateless read-committed scan, overlaid with buffered writes.
 
         Scans stay read-committed in every transaction flavour (see
-        :meth:`LocalTransaction.scan`), so the owner does not join the
-        participant set for a scan-only contact.
+        :meth:`Half.scan`), so the owner does not join the participant
+        set for a scan-only contact.
         """
-        def local() -> Gen:
-            yield from self.runtime.op_overhead()
-            rows = yield from self.coordinator.manager.engine.scan(
-                start, end, limit=None
-            )
-            return rows
-
         rows = yield from self._on_owner(
-            start, local,
+            start, lambda: self.coordinator.participant.scan_occ(
+                start, end, None
+            ),
             lambda: self._message(
                 MsgType.TXN_SCAN_OCC, encode_scan_request(start, end, None)
             ),

@@ -1,19 +1,15 @@
-"""Single-node transaction layer: locks, 2PL/OCC transactions, group commit."""
+"""Single-node transaction layer: key locks, transaction halves, group commit."""
 
-from .base import LocalTransaction
 from .group_commit import GroupCommitter
+from .half import Half, SnapshotReads, TransactionManager, TxnBuffer, TxnStatus
 from .locks import LockMode, LockTable
-from .manager import TransactionManager
-from .pessimistic import PessimisticTxn
-from .types import ReadSet, TxnBuffer, TxnStatus
 
 __all__ = [
     "GroupCommitter",
-    "LocalTransaction",
+    "Half",
     "LockMode",
     "LockTable",
-    "PessimisticTxn",
-    "ReadSet",
+    "SnapshotReads",
     "TransactionManager",
     "TxnBuffer",
     "TxnStatus",

@@ -22,9 +22,15 @@ from ..errors import LockTimeout
 from ..obs.tracer import tracer_of
 from ..sim.core import Event, Simulator
 
-__all__ = ["LockMode", "LockTable"]
+__all__ = ["LOCK_TIMEOUT", "LockMode", "LockTable"]
 
 Gen = Generator[Event, Any, Any]
+
+
+#: seconds before a lock wait aborts with a timeout error (§V-B).  Also
+#: the deadlock-resolution latency, so it is kept roughly one order of
+#: magnitude above a contended transaction's latency.
+LOCK_TIMEOUT = 0.05
 
 
 class LockMode:
@@ -66,9 +72,8 @@ class _KeyLock:
 class LockTable:
     """Per-node lock manager: one lock state per held or awaited key."""
 
-    def __init__(self, sim: Simulator, timeout: float = 0.5):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.timeout = timeout
         self._locks: Dict[bytes, _KeyLock] = {}
         self._held: Dict[bytes, Dict[bytes, str]] = defaultdict(OrderedDict)
         self.timeouts = 0
@@ -115,9 +120,11 @@ class LockTable:
         return held_mode == LockMode.EXCLUSIVE
 
     def acquire(
-        self, txn_id: bytes, key: bytes, mode: str, timeout: Optional[float] = None
+        self, txn_id: bytes, key: bytes, mode: str,
+        timeout: float = LOCK_TIMEOUT,
     ) -> Gen:
-        """Acquire ``key`` in ``mode`` for ``txn_id`` or raise LockTimeout."""
+        """Acquire ``key`` in ``mode`` for ``txn_id``, or raise LockTimeout
+        after waiting ``timeout`` seconds."""
         if self.holds(txn_id, key, mode):
             return
         state = self._locks.get(key)
@@ -145,9 +152,7 @@ class LockTable:
         )
         grant = self.sim.event()
         state.waiters.append((txn_id, mode, key, grant))
-        yield self.sim.all_settled(
-            [grant], timeout=self.timeout if timeout is None else timeout
-        )
+        yield self.sim.all_settled([grant], timeout=timeout)
         span.close(granted=grant.triggered)
         if self.wait_hist is not None:
             self.wait_hist.observe(self.sim.now - wait_start)

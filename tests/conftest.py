@@ -1,5 +1,6 @@
 """Shared fixtures and builders for the test suite."""
 
+import itertools
 import os
 
 import pytest
@@ -123,14 +124,23 @@ class TxnHarness(StorageHarness):
         # No counter client: a disabled pipeline (group commit only).
         self.pipeline = DurabilityPipeline(self.runtime, None, self.config)
         self.manager = TransactionManager(
-            self.runtime, self.engine, self.config, self.pipeline, name=name
+            self.runtime, self.engine, self.pipeline, name=name
         )
+        self._txn_seq = itertools.count(1)
+
+    def begin(self, txn_id=None):
+        """A new 2PL half on this node (ids ``<name>:p:<n>`` by default)."""
+        from repro.txn import Half
+
+        if txn_id is None:
+            txn_id = ("%s:p:%d" % (self.name, next(self._txn_seq))).encode()
+        return Half(self.manager, txn_id)
 
     def txn_put(self, pairs):
         """One transaction writing all pairs; returns the WAL counter."""
 
         def body():
-            txn = self.manager.begin_pessimistic()
+            txn = self.begin()
             for key, value in pairs:
                 if value is None:
                     yield from txn.delete(key)

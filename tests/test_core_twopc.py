@@ -10,7 +10,7 @@ from repro.core.twopc.participant import Participant
 from repro.core.twopc.steps import INSTRUCTIONS
 from repro.errors import TransactionAborted
 from repro.net import MsgType, NetworkAdversary, TxMessage
-from repro.txn.types import TxnStatus
+from repro.txn import Half, TxnStatus
 
 
 def keys_per_node(cluster, count=2, tag=b"k"):
@@ -397,7 +397,7 @@ class TestApplyStep:
         key = keys_per_node(cluster, count=1, tag=b"apply")[1][0]
 
         def plant():
-            txn = node.manager.begin_pessimistic(txn_id=gid.encode())
+            txn = Half(node.manager, gid.encode())
             yield from txn.put(key, b"once")
             yield from txn.prepare()
             part.active[gid.encode()] = txn

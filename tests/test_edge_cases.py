@@ -70,7 +70,7 @@ class TestTransactionStateMachine:
         harness = TxnHarness().boot()
 
         def body():
-            txn = harness.manager.begin_pessimistic()
+            txn = harness.begin()
             yield from txn.put(b"k", b"v")
             yield from txn.commit()
             yield from txn.commit()
@@ -82,7 +82,7 @@ class TestTransactionStateMachine:
         harness = TxnHarness().boot()
 
         def body():
-            txn = harness.manager.begin_pessimistic()
+            txn = harness.begin()
             yield from txn.put(b"k", b"v")
             yield from txn.commit()
             yield from txn.rollback()  # silently ignored
@@ -94,7 +94,7 @@ class TestTransactionStateMachine:
         harness = TxnHarness().boot()
 
         def body():
-            txn = harness.manager.begin_pessimistic()
+            txn = harness.begin()
             yield from txn.put(b"k", b"v")
             yield from txn.commit()
             yield from txn.prepare()
@@ -106,7 +106,7 @@ class TestTransactionStateMachine:
         harness = TxnHarness().boot()
 
         def body():
-            txn = harness.manager.begin_pessimistic()
+            txn = harness.begin()
             yield from txn.put(b"k", None)
 
         with pytest.raises(ValueError):
@@ -116,7 +116,7 @@ class TestTransactionStateMachine:
         harness = TxnHarness().boot()
 
         def body():
-            txn = harness.manager.begin_pessimistic()
+            txn = harness.begin()
             for i in range(5):
                 yield from txn.put(b"k", b"v%d" % i)
             yield from txn.commit()

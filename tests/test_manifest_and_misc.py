@@ -119,7 +119,9 @@ class TestLockTableMisc:
 
         sim = Simulator()
         table = LockTable(sim)
-        sim.run_process(table.acquire(b"t", b"k", LockMode.EXCLUSIVE))
+        sim.run_process(
+            table.acquire(b"t", b"k", LockMode.EXCLUSIVE, timeout=0.5)
+        )
         assert table.holds(b"t", b"k")
         assert table.holds(b"t", b"k", LockMode.SHARED)  # W covers R
         assert table.holds(b"t", b"k", LockMode.EXCLUSIVE)
@@ -132,6 +134,8 @@ class TestLockTableMisc:
 
         sim = Simulator()
         table = LockTable(sim)
-        sim.run_process(table.acquire(b"t", b"k", LockMode.SHARED))
+        sim.run_process(
+            table.acquire(b"t", b"k", LockMode.SHARED, timeout=0.5)
+        )
         assert table.holds(b"t", b"k", LockMode.SHARED)
         assert not table.holds(b"t", b"k", LockMode.EXCLUSIVE)

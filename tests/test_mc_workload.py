@@ -68,7 +68,7 @@ def test_write_on_one_shard_only_is_an_atomicity_violation(world):
 def test_held_lock_is_reported_unless_a_frame_was_dropped(world):
     cluster, txns, outcomes = world
     cluster.run(cluster.nodes[1].manager.locks.acquire(
-        b"planted-lock", b"planted-key", LockMode.EXCLUSIVE,
+        b"planted-lock", b"planted-key", LockMode.EXCLUSIVE, timeout=0.5,
     ))
     _only(audit(cluster, txns, outcomes, dropped=False),
           "liveness: node1 lock table not quiescent: ['%s']"

@@ -106,7 +106,7 @@ def run_random_history(seed, num_txns=40, num_keys=8):
     def worker(index):
         local_rng = rng.child(str(index))
         yield sim.timeout(local_rng.random() * 0.002)
-        txn = harness.manager.begin_pessimistic()
+        txn = harness.begin()
         reads = {}
         try:
             for _ in range(local_rng.randint(1, 4)):
@@ -116,7 +116,7 @@ def run_random_history(seed, num_txns=40, num_keys=8):
                     if key in txn.reads:
                         # (reads served from the txn's own write buffer
                         # have no version: they are internal, not edges)
-                        reads[key] = txn.reads._reads[key]
+                        reads[key] = txn.reads[key]
                 else:
                     yield from txn.put(key, b"w%d" % index)
             yield from txn.commit()

@@ -557,7 +557,7 @@ def test_memory_lists_retained_sites_largest_first():
         kept = allocate(3000)
         return kept, allocate(1000)
 
-    result, rows, peak = profile.retained_sites(run_pass)
+    result, rows, peak, _grown = profile.retained_sites(run_pass)
     assert [len(part) for part in result] == [3000, 1000]
     assert peak > 4000 * 256
     assert not profile.tracemalloc.is_tracing()
@@ -593,12 +593,42 @@ def test_memory_peaks_show_set_up_transients():
     held = 2000 * 256
     assert setup_peak > setup_held + 6000 * 256 and setup_held > held
     assert rss == profile.max_rss_mib()
-    result, rows, pass_peak = profile.retained_sites(run_pass, cluster)
+    result, rows, pass_peak, _grown = profile.retained_sites(run_pass,
+                                                            cluster)
     assert result == 2000
     assert setup_held <= pass_peak < setup_held + 2 * 1000 * 256
     line = (__file__, _allocate.__code__.co_firstlineno + 1)
     assert not [row for row in rows if row[2][0] == line]
     assert not profile.tracemalloc.is_tracing()
+
+
+class _Kept:
+    """A gc-tracked object a pass keeps."""
+
+
+def test_memory_counts_live_object_growth_by_type():
+    """``--memory`` counts what the pass keeps by type, from the
+    collector's live objects: dicts freed mid-pass are not growth, and a
+    dict reusing a freed one's block counts as a dict, not as its first
+    allocation site."""
+    def run_pass():
+        scratch = [{"n": [n]} for n in range(2000)]
+        del scratch
+        return [_Kept() for _ in range(300)], [{"k": [n]} for n in range(50)]
+
+    result, _rows, _peak, grown = profile.retained_sites(run_pass)
+    assert [len(part) for part in result] == [300, 50]
+    counts = dict(grown)
+    assert counts[profile.type_name(_Kept)] == 300
+    assert 50 <= counts["dict"] < 2000
+    assert [count for _name, count in grown] == sorted(
+        (count for _name, count in grown), reverse=True)
+    lines = profile.format_growth(grown, top=1)
+    assert lines[0] == ("live gc-tracked objects: %+d over the pass"
+                        % sum(counts.values()))
+    assert lines[1].split() == ["objects", "type"]
+    assert lines[2].split() == ["+300", profile.type_name(_Kept)]
+    assert len(lines) == 3
 
 
 def test_memory_counts_retained_records_by_kind():

@@ -1,4 +1,4 @@
-"""Tests for the sharded lock table."""
+"""Tests for the key lock table."""
 
 import pytest
 
@@ -14,7 +14,7 @@ def sim():
 
 @pytest.fixture
 def table(sim):
-    return LockTable(sim, timeout=0.5)
+    return LockTable(sim)
 
 
 def run(sim, gen):
@@ -59,7 +59,7 @@ class TestGrants:
         outcome = []
 
         def upgrader():
-            yield from table.acquire(b"t1", b"k", LockMode.EXCLUSIVE)
+            yield from table.acquire(b"t1", b"k", LockMode.EXCLUSIVE, timeout=0.5)
             outcome.append(sim.now)
 
         def releaser():

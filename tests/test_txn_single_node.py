@@ -23,7 +23,7 @@ class TestPessimisticBasics:
 
     def test_rollback_discards_writes(self, harness):
         def body():
-            txn = harness.manager.begin_pessimistic()
+            txn = harness.begin()
             yield from txn.put(b"k", b"v")
             yield from txn.rollback()
             return txn.status
@@ -33,7 +33,7 @@ class TestPessimisticBasics:
 
     def test_read_my_own_writes(self, harness):
         def body():
-            txn = harness.manager.begin_pessimistic()
+            txn = harness.begin()
             yield from txn.put(b"k", b"mine")
             value = yield from txn.get(b"k")
             yield from txn.rollback()
@@ -45,7 +45,7 @@ class TestPessimisticBasics:
         harness.txn_put([(b"k", b"v")])
 
         def body():
-            txn = harness.manager.begin_pessimistic()
+            txn = harness.begin()
             yield from txn.delete(b"k")
             value = yield from txn.get(b"k")
             yield from txn.rollback()
@@ -62,7 +62,7 @@ class TestPessimisticBasics:
         harness.txn_put([(b"k", b"v")])
 
         def body():
-            txn = harness.manager.begin_pessimistic()
+            txn = harness.begin()
             value = yield from txn.get(b"k")
             counter = yield from txn.commit()
             return value, counter
@@ -71,7 +71,7 @@ class TestPessimisticBasics:
 
     def test_operations_after_commit_rejected(self, harness):
         def body():
-            txn = harness.manager.begin_pessimistic()
+            txn = harness.begin()
             yield from txn.put(b"k", b"v")
             yield from txn.commit()
             yield from txn.put(b"k2", b"v2")
@@ -91,7 +91,7 @@ class TestPessimisticBasics:
 
         def writer(tag, delay, hold):
             yield sim.timeout(delay)
-            txn = harness.manager.begin_pessimistic()
+            txn = harness.begin()
             yield from txn.put(b"hot", tag)
             order.append((tag, "locked", round(sim.now, 3)))
             yield sim.timeout(hold)
@@ -113,14 +113,14 @@ class TestPessimisticBasics:
         outcome = {}
 
         def holder():
-            txn = harness.manager.begin_pessimistic()
+            txn = harness.begin()
             yield from txn.put(b"hot", b"held")
             yield sim.timeout(2.0)  # hold well past the other's timeout
             yield from txn.commit()
 
         def contender():
             yield sim.timeout(0.01)
-            txn = harness.manager.begin_pessimistic()
+            txn = harness.begin()
             try:
                 yield from txn.put(b"hot", b"nope")
             except LockTimeout:
@@ -137,7 +137,7 @@ class TestPessimisticBasics:
         sim = harness.sim
 
         def transfer():
-            txn = harness.manager.begin_pessimistic()
+            txn = harness.begin()
             yield from txn.put(b"a", b"0")
             yield sim.timeout(0.05)
             yield from txn.put(b"b", b"2")
@@ -148,7 +148,7 @@ class TestPessimisticBasics:
         def observer():
             for _ in range(8):
                 yield sim.timeout(0.02)
-                txn = harness.manager.begin_pessimistic()
+                txn = harness.begin()
                 try:
                     a = yield from txn.get(b"a")
                     b = yield from txn.get(b"b")
@@ -166,7 +166,7 @@ class TestPessimisticBasics:
 class TestPrepared:
     def test_prepare_then_commit(self, harness):
         def body():
-            txn = harness.manager.begin_pessimistic(txn_id=b"g1")
+            txn = harness.begin(txn_id=b"g1")
             yield from txn.put(b"pk", b"pv")
             counter, log = yield from txn.prepare()
             assert txn.status == TxnStatus.PREPARED
@@ -179,7 +179,7 @@ class TestPrepared:
 
     def test_prepare_then_abort(self, harness):
         def body():
-            txn = harness.manager.begin_pessimistic(txn_id=b"g2")
+            txn = harness.begin(txn_id=b"g2")
             yield from txn.put(b"pk", b"pv")
             yield from txn.prepare()
             yield from txn.abort_prepared()
@@ -193,7 +193,7 @@ class TestPrepared:
         sim = harness.sim
 
         def preparer():
-            txn = harness.manager.begin_pessimistic(txn_id=b"g3")
+            txn = harness.begin(txn_id=b"g3")
             yield from txn.put(b"pk", b"pv")
             yield from txn.prepare()
             yield sim.timeout(1.0)
@@ -203,7 +203,7 @@ class TestPrepared:
 
         def contender():
             yield sim.timeout(0.05)
-            txn = harness.manager.begin_pessimistic()
+            txn = harness.begin()
             try:
                 yield from txn.put(b"pk", b"other")
             except LockTimeout:
@@ -217,12 +217,56 @@ class TestPrepared:
 
     def test_commit_prepared_requires_prepare(self, harness):
         def body():
-            txn = harness.manager.begin_pessimistic()
+            txn = harness.begin()
             yield from txn.put(b"k", b"v")
             yield from txn.commit_prepared()
 
         with pytest.raises(TransactionError):
             harness.run(body())
+
+
+class TestReadOnlyHalves:
+    """The one way a 2PL half and an OCC half differ: a half that only
+    read logs an empty prepare record under 2PL, nothing under OCC."""
+
+    def test_2pl_read_only_half_logs_its_prepare(self, harness):
+        harness.txn_put([(b"k", b"v")])
+        wal = harness.engine.wal
+
+        def body():
+            txn = harness.begin(b"g-2pl")
+            yield from txn.get(b"k")
+            before = wal.last_counter
+            counter, _log = yield from txn.prepare()
+            return before, counter
+
+        before, counter = harness.run(body())
+        assert counter > 0
+        assert wal.last_counter == counter > before
+        assert harness.engine.prepared_txns[b"g-2pl"] == []
+
+    @pytest.mark.parametrize("resolve", ["commit_prepared", "abort_prepared"])
+    def test_occ_read_only_half_logs_nothing(self, harness, resolve):
+        harness.txn_put([(b"k", b"v")])
+        wal = harness.engine.wal
+        locks = harness.manager.locks
+
+        def body():
+            seq = yield from harness.engine.seq_of(b"k")
+            txn = harness.begin(b"g-occ")
+            yield from txn.pin([(b"k", seq)], [])
+            before = wal.last_counter
+            counter, _log = yield from txn.prepare()
+            pinned = locks.held_keys(b"g-occ")
+            yield from getattr(txn, resolve)()
+            return before, counter, pinned
+
+        before, counter, pinned = harness.run(body())
+        assert counter == 0
+        assert pinned == [b"k"]
+        assert wal.last_counter == before
+        assert b"g-occ" not in harness.engine.prepared_txns
+        assert locks.total_locked_keys() == 0
 
 
 @pytest.fixture
@@ -362,7 +406,7 @@ class TestGroupCommit:
         sim = harness.sim
 
         def writer(i):
-            txn = harness.manager.begin_pessimistic()
+            txn = harness.begin()
             yield from txn.put(b"key-%d" % i, b"v%d" % i)
             yield from txn.commit()
 
@@ -379,7 +423,7 @@ class TestGroupCommit:
         sim = harness.sim
 
         def writer(i):
-            txn = harness.manager.begin_pessimistic()
+            txn = harness.begin()
             yield from txn.put(b"key-%d" % i, b"v%d" % i)
             yield from txn.commit()
 

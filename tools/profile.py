@@ -73,7 +73,15 @@ pass (``tracemalloc.reset_peak`` between the two), what set-up still
 held at its end, and ``ru_maxrss`` after set-up and after the pass,
 the figure ``host_peak_rss_mb`` reports.  A peak far above what is
 held is a transient: on ``ycsb-w-single`` set-up's flushes, not
-anything the pass keeps, set ``ru_maxrss``.  tracemalloc's own tables
+anything the pass keeps, set ``ru_maxrss``.  Below the sites it prints
+the pass's growth in live objects the cyclic collector tracks, by type
+(a ``gc.get_objects()`` count before and after the pass).  Size a
+lever from that table: a site row charges every block to the traceback
+that first allocated it, and CPython's free lists hand a freed dict or
+tuple's block to the next one of any owner, so on ``ycsb-a-traced`` the
+sites blamed a frame's ``meta`` dicts for 6.9 MiB that live ``Frame``
+objects do not hold.  The site rows still size what the collector does
+not track (``bytes``, ``str``) and give bytes once the type is known.  tracemalloc's own tables
 (tens of MiB) are in both ``ru_maxrss`` figures, so compare them only
 with another ``--memory`` run.  On a workload that traces
 (``ycsb-a-traced``) it also counts the trace records the tracer retains
@@ -425,21 +433,52 @@ def traced_set_up(fn, *args):
     return result, peak, held, max_rss_mib()
 
 
+def type_name(cls: type) -> str:
+    """``cls``'s qualified name, its module first unless builtin."""
+    if cls.__module__ == "builtins":
+        return cls.__qualname__
+    return "%s.%s" % (cls.__module__, cls.__qualname__)
+
+
+def live_objects() -> collections.Counter:
+    """The live objects the cyclic collector tracks, by type name.
+
+    ``gc.get_objects()`` lists each object as what it is, however its
+    memory was obtained: a dict or tuple that reused a free-listed block
+    counts as itself, not as whatever first allocated the block.  Only
+    containers are tracked: ``bytes`` and ``str`` never count, and a
+    tuple or dict holding only atomic values may be untracked."""
+    return collections.Counter(type_name(type(obj))
+                               for obj in gc.get_objects())
+
+
+def object_growth(before, after):
+    """``(type, growth)`` for each type with more live objects in
+    ``after`` than in ``before`` (:func:`live_objects`), most first."""
+    grown = [(name, count - before.get(name, 0))
+             for name, count in after.items() if count > before.get(name, 0)]
+    return sorted(grown, key=lambda row: (-row[1], row[0]))
+
+
 def retained_sites(fn, *args):
     """Run ``fn(*args)`` under tracemalloc; returns its result, one
     ``(bytes, blocks, frames)`` row per allocating traceback of what the
-    run allocated and still holds at its end, largest first, and the
-    traced peak while it ran (bytes).  ``frames`` is ``(file, line)``
-    pairs, innermost first.  Tracing already on (:func:`traced_set_up`)
-    counts what was held before the run in the peak, not in the rows;
-    either way tracing stops at the end."""
+    run allocated and still holds at its end, largest first, the traced
+    peak while it ran (bytes) and its :func:`object_growth`.  ``frames``
+    is ``(file, line)`` pairs, innermost first.  Tracing already on
+    (:func:`traced_set_up`) counts what was held before the run in the
+    peak, not in the rows; either way tracing stops at the end.  Both
+    object counts are taken while the first snapshot is alive, so its
+    own tuples cancel out, and outside the peak."""
     if not tracemalloc.is_tracing():
         tracemalloc.start(MEMORY_FRAMES)
     try:
         before = tracemalloc.take_snapshot()
+        objects_before = live_objects()
         tracemalloc.reset_peak()
         result = fn(*args)
         peak = tracemalloc.get_traced_memory()[1]
+        grown = object_growth(objects_before, live_objects())
         after = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
@@ -447,7 +486,7 @@ def retained_sites(fn, *args):
              [(frame.filename, frame.lineno) for frame in stat.traceback][::-1])
             for stat in after.compare_to(before, "traceback")
             if stat.size_diff > 0]
-    return result, rows, peak
+    return result, rows, peak, grown
 
 
 def format_sites(rows, top: int):
@@ -458,6 +497,17 @@ def format_sites(rows, top: int):
             size / 2 ** 20, count,
             " ← ".join("%s:%d" % (short_path(filename), line)
                        for filename, line in frames)))
+    return lines
+
+
+def format_growth(grown, top: int):
+    """The ``top`` rows of :func:`object_growth`, one line each, under
+    the total growth."""
+    lines = ["live gc-tracked objects: %+d over the pass"
+             % sum(count for _name, count in grown),
+             "    objects  type"]
+    for name, count in grown[:top]:
+        lines.append("  %+9d  %s" % (count, name))
     return lines
 
 
@@ -544,7 +594,7 @@ def main(argv=None) -> int:
             result, samples = sample(workloads.run_pass, workload, cluster,
                                      seconds)
         elif args.memory:
-            result, sites, pass_peak = retained_sites(
+            result, sites, pass_peak, grown = retained_sites(
                 workloads.run_pass, workload, cluster, seconds)
         else:
             profiler = cProfile.Profile()
@@ -592,6 +642,7 @@ def main(argv=None) -> int:
               "(tracemalloc's tables included)"
               % (rss_set_up, max_rss_mib()))
         print("\n".join(format_sites(sites, args.top)))
+        print("\n".join(format_growth(grown, args.top)))
         records = cluster.obs.records()
         if records:
             print("\n".join(format_record_kinds(record_kinds(records),
